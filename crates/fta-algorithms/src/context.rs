@@ -9,14 +9,34 @@
 use fta_core::{Assignment, WorkerId};
 use fta_vdps::{kernel, ScanKernel, StrategySpace};
 
-/// Counters describing one monotone descending scan over a worker's
-/// payoff-sorted strategy list.
+/// Work counters of one monotone best-response query, stated as a
+/// first-hit scan over the worker's list in (payoff descending, pool index
+/// ascending) order would have done it. The query itself is one pass over
+/// the ascending list; the counters keep the payoff-order meaning so
+/// `BestResponseStats` stays comparable across versions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DescScan {
     /// Slots examined (including the one that terminated the scan).
     pub scanned: u64,
     /// Whether the scan stopped before exhausting the worker's list.
     pub early_exit: bool,
+}
+
+impl DescScan {
+    /// Counters of a scan over `len` slots that stopped at zero-based
+    /// payoff-order rank `stop`, or ran off the end when `stop` is `None`.
+    fn stopped_at(stop: Option<usize>, len: usize) -> Self {
+        match stop {
+            Some(rank) if rank < len => Self {
+                scanned: (rank + 1) as u64,
+                early_exit: rank + 1 < len,
+            },
+            _ => Self {
+                scanned: len as u64,
+                early_exit: false,
+            },
+        }
+    }
 }
 
 /// Mutable selection state over one center's strategy space.
@@ -47,7 +67,13 @@ pub struct GameContext<'a> {
     /// Per-slot conflict-counter adjustments performed so far (the
     /// `br.index_updates` statistic).
     index_updates: u64,
-    /// Which availability-scan kernel the descending probes use. Read
+    /// Per local worker: the slot position of the last
+    /// [`GameContext::best_available`] winner and its payoff-order rank
+    /// (`u32::MAX` before the first). The rank depends only on the
+    /// worker's fixed payoff list, so a repeated winner — the common case
+    /// once the game settles — skips the counting pass.
+    last_rank: Vec<(u32, u32)>,
+    /// Which availability-scan kernel the best-response probes use. Read
     /// once from the installed hotpath profile at construction; both
     /// kernels return bit-identical results and counters, so this only
     /// affects throughput.
@@ -74,6 +100,7 @@ impl<'a> GameContext<'a> {
             total: 0.0,
             conflicts,
             index_updates: 0,
+            last_rank: vec![(u32::MAX, 0); n],
             scan_kernel: fta_vdps::hotpath::current().scan_kernel,
         }
     }
@@ -263,108 +290,84 @@ impl<'a> GameContext<'a> {
         })
     }
 
-    /// The highest-payoff *available* strategy of the `local`-th worker:
-    /// a first-hit scan over the space's payoff-descending slot order with
-    /// early exit (payoff ties resolve to the lowest pool index, matching
-    /// the exhaustive engines' first-strict-maximum rule). Returns the
-    /// winning `(pool index, payoff)` — or `None` when nothing is
-    /// available — plus the scan counters.
+    /// The highest-payoff *available* strategy of the `local`-th worker,
+    /// payoff ties to the lowest pool index (the exhaustive engines'
+    /// first-strict-maximum rule): one argmax pass over the worker's
+    /// ascending slots. Returns the winning `(pool index, payoff)` — or
+    /// `None` when nothing is available — plus the scan counters: the
+    /// winner's payoff-order rank plus one, or the list length when
+    /// nothing is open.
     #[must_use]
-    pub fn best_available_desc(&self, local: usize) -> (Option<(u32, f64)>, DescScan) {
-        let pool_idx = self.space.desc_pool_of(local);
-        let payoffs = self.space.desc_payoffs_of(local);
-        let len = pool_idx.len();
-        // Both kernels report the first open position; `scanned` is the
-        // number of slots logically examined up to and including the hit,
-        // exactly as the historical scalar loop counted them.
-        let hit = if self.conflicts.is_empty() {
-            let masks = self.space.desc_masks_of(local);
+    pub fn best_available(&mut self, local: usize) -> (Option<(u32, f64)>, DescScan) {
+        let pool_idx = self.space.valid_of(local);
+        let payoffs = self.space.payoffs_of(local);
+        let best = if self.conflicts.is_empty() {
+            let masks = self.space.masks_of(local);
             let other_taken = self.taken & !self.own_masks[local];
             match self.scan_kernel {
-                ScanKernel::Chunked => kernel::first_open_chunked(masks, other_taken),
-                ScanKernel::Scalar => kernel::first_open_scalar(masks, other_taken),
+                ScanKernel::Chunked => kernel::best_open_chunked(masks, payoffs, other_taken),
+                ScanKernel::Scalar => kernel::best_open_scalar(masks, payoffs, other_taken),
             }
         } else {
-            let slots = self.space.desc_slots_of(local);
+            let conflicts = &self.conflicts[self.space.slot_range(local)];
             match self.scan_kernel {
-                ScanKernel::Chunked => kernel::first_zero_chunked(slots, &self.conflicts),
-                ScanKernel::Scalar => kernel::first_zero_scalar(slots, &self.conflicts),
+                ScanKernel::Chunked => kernel::best_zero_chunked(conflicts, payoffs),
+                ScanKernel::Scalar => kernel::best_zero_scalar(conflicts, payoffs),
             }
         };
-        match hit {
-            Some(pos) => (
-                Some((pool_idx[pos], payoffs[pos])),
-                DescScan {
-                    scanned: (pos + 1) as u64,
-                    early_exit: pos + 1 < len,
-                },
-            ),
-            None => (
-                None,
-                DescScan {
-                    scanned: len as u64,
-                    early_exit: false,
-                },
-            ),
-        }
+        let rank = best.map(|pos| {
+            let (last_pos, last_rank) = &mut self.last_rank[local];
+            if *last_pos != pos as u32 {
+                *last_pos = pos as u32;
+                *last_rank = kernel::desc_rank(payoffs, pos) as u32;
+            }
+            *last_rank as usize
+        });
+        let scan = DescScan::stopped_at(rank, payoffs.len());
+        (best.map(|pos| (pool_idx[pos], payoffs[pos])), scan)
     }
 
     /// Collects every *available* strategy of the `local`-th worker whose
-    /// payoff strictly exceeds `threshold`, scanning the payoff-descending
-    /// order and stopping at the first payoff at or below the threshold
-    /// (monotone early exit). The collected candidates are sorted back to
-    /// ascending pool-index order so callers observe exactly the sequence
-    /// the exhaustive ascending filter would have produced.
-    pub fn better_available_desc(
+    /// payoff strictly exceeds `threshold`, in ascending pool-index order
+    /// (exactly the sequence the exhaustive ascending filter produces).
+    /// The counters are those of a payoff-order scan that stops at the
+    /// first payoff at or below the threshold.
+    pub fn better_available(
         &self,
         local: usize,
         threshold: f64,
         out: &mut Vec<(u32, f64)>,
     ) -> DescScan {
         out.clear();
-        let pool_idx = self.space.desc_pool_of(local);
-        let payoffs = self.space.desc_payoffs_of(local);
+        let pool_idx = self.space.valid_of(local);
+        let payoffs = self.space.payoffs_of(local);
         let len = pool_idx.len();
-        // Payoffs are non-increasing and finite (validated at instance
-        // construction), so `p > threshold` holds on exactly a prefix and
-        // the monotone cutoff is a binary search, not a linear walk. The
-        // counters reproduce the historical scalar loop: positions
-        // `0..cut` were examined plus the one that terminated the scan.
-        let cut = payoffs.partition_point(|&p| p > threshold);
-        let (scanned, early_exit) = if cut < len {
-            ((cut + 1) as u64, cut + 1 < len)
-        } else {
-            (len as u64, false)
+        let mut push = |pos: usize| {
+            if payoffs[pos] > threshold {
+                out.push((pool_idx[pos], payoffs[pos]));
+            }
         };
-        if !self.conflicts.is_empty() {
-            let slots = self.space.desc_slots_of(local);
-            let push = |pos: usize| out.push((pool_idx[pos], payoffs[pos]));
+        if self.conflicts.is_empty() {
+            let masks = self.space.masks_of(local);
+            let other_taken = self.taken & !self.own_masks[local];
             match self.scan_kernel {
                 ScanKernel::Chunked => {
-                    kernel::for_each_zero_chunked(slots, cut, &self.conflicts, push);
+                    kernel::for_each_open_chunked(masks, len, other_taken, push);
                 }
-                ScanKernel::Scalar => {
-                    kernel::for_each_zero_scalar(slots, cut, &self.conflicts, push);
-                }
+                ScanKernel::Scalar => kernel::for_each_open_scalar(masks, len, other_taken, push),
             }
         } else {
-            let masks = self.space.desc_masks_of(local);
-            let other_taken = self.taken & !self.own_masks[local];
-            let push = |pos: usize| out.push((pool_idx[pos], payoffs[pos]));
-            match self.scan_kernel {
-                ScanKernel::Chunked => {
-                    kernel::for_each_open_chunked(masks, cut, other_taken, push);
-                }
-                ScanKernel::Scalar => {
-                    kernel::for_each_open_scalar(masks, cut, other_taken, push);
+            let conflicts = &self.conflicts[self.space.slot_range(local)];
+            for (pos, &c) in conflicts.iter().enumerate() {
+                if c == 0 {
+                    push(pos);
                 }
             }
         }
-        out.sort_unstable_by_key(|&(idx, _)| idx);
-        DescScan {
-            scanned,
-            early_exit,
-        }
+        // The payoff-order scan examines every slot above the threshold,
+        // then stops on the first one that is not.
+        let above = payoffs.iter().filter(|&&p| p > threshold).count();
+        DescScan::stopped_at(Some(above), len)
     }
 
     /// Materialises the current selection as an [`Assignment`].
@@ -550,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn best_available_desc_matches_exhaustive_argmax() {
+    fn best_available_matches_exhaustive_argmax() {
         let inst = three_dp_instance();
         let s = space(&inst);
         let mut ctx = GameContext::new(&s);
@@ -564,7 +567,7 @@ mod tests {
                     _ => Some((idx, p)),
                 },
             );
-            let (got, scan) = ctx.best_available_desc(local);
+            let (got, scan) = ctx.best_available(local);
             assert_eq!(got, expect, "worker {local}");
             assert!(scan.scanned >= 1);
         }
@@ -577,12 +580,12 @@ mod tests {
                     Some((_, bp)) if p <= bp => acc,
                     _ => Some((idx, p)),
                 });
-        let (got, _) = ctx.best_available_desc(1);
+        let (got, _) = ctx.best_available(1);
         assert_eq!(got, expect);
     }
 
     #[test]
-    fn better_available_desc_matches_exhaustive_filter() {
+    fn better_available_matches_exhaustive_filter() {
         let inst = three_dp_instance();
         let s = space(&inst);
         let mut ctx = GameContext::new(&s);
@@ -594,7 +597,7 @@ mod tests {
                 .filter(|&(_, p)| p > threshold)
                 .collect();
             let mut got = Vec::new();
-            ctx.better_available_desc(1, threshold, &mut got);
+            ctx.better_available(1, threshold, &mut got);
             assert_eq!(got, expect, "threshold {threshold}");
         }
     }

@@ -42,9 +42,8 @@ pub enum BestResponseEngine {
     /// Monotone fast path: because the IAU is strictly increasing in the
     /// own payoff whenever `β < 1` and `α ≥ 0` (see
     /// [`fastpath_sound`]), the best response is simply the
-    /// highest-payoff available strategy — a first-hit scan over the
-    /// payoff-descending slot order with early exit and exactly two IAU
-    /// evaluations per turn. When the IAU parameters leave the sound
+    /// highest-payoff available strategy — one argmax pass over the
+    /// worker's slots and exactly two IAU evaluations per turn. When the IAU parameters leave the sound
     /// regime the run transparently falls back to the [`Incremental`]
     /// loop, bit-identically (observable as
     /// `BestResponseStats::fastpath_rounds == 0`).
@@ -91,9 +90,9 @@ impl BestResponseEngine {
 /// the candidate set `{0} ∪ {available payoffs}` is then exactly the
 /// maximum-payoff candidate, and the exhaustive engines' tie-break (first
 /// strict maximum over null followed by candidates in ascending pool-index
-/// order) is reproduced by scanning the payoff-descending order — ties
-/// sorted by ascending pool index — and taking the first available hit,
-/// adopting null unless its payoff strictly exceeds 0. The same argument
+/// order) is reproduced by the first strict payoff maximum among the
+/// available candidates in ascending pool-index order, adopting null
+/// unless its payoff strictly exceeds 0. The same argument
 /// applies to the priority-aware IAU, which evaluates inequity on the
 /// normalised payoffs `q = p/ρ` with `ρ > 0` (a strictly increasing map),
 /// and trivially to IEGT's raw-payoff utilities.
@@ -440,8 +439,8 @@ fn fgt_once_incremental(
 /// bit-identical), but the best response is found *without* evaluating the
 /// IAU of every candidate: by the monotonicity argument documented on
 /// [`fastpath_sound`], the utility-argmax equals the payoff-argmax, so a
-/// first-hit scan over the payoff-descending slot order (early exit at the
-/// first available slot) identifies the candidate, and only two IAU
+/// single argmax pass over the worker's slots (first strict payoff maximum
+/// among the available ones) identifies the candidate, and only two IAU
 /// evaluations remain per turn — the current utility and the candidate's.
 /// The strict-improvement switch rule is then applied to the same floats
 /// the exhaustive engines would have computed.
@@ -486,7 +485,7 @@ fn fgt_once_fastpath(
             let current_utility = rivals.eval(own);
             // Monotone best response: highest-payoff available strategy,
             // null unless its payoff strictly exceeds 0.
-            let (found, scan) = ctx.best_available_desc(local);
+            let (found, scan) = ctx.best_available(local);
             trace.stats.candidates_scanned += scan.scanned;
             if scan.early_exit {
                 trace.stats.early_exits += 1;

@@ -52,10 +52,9 @@ pub struct IegtConfig {
     /// Candidate-enumeration engine for the evolution loop. IEGT's
     /// utilities are raw payoffs — trivially strictly increasing in the
     /// own payoff — so [`BestResponseEngine::FastPath`] is always sound
-    /// here: the strictly-better candidate set is a prefix of the
-    /// payoff-descending slot order and the scan early-exits at the first
-    /// payoff at or below the threshold. The other two variants run the
-    /// classic full-list filter.
+    /// here: the strictly-better candidate set is one `p > threshold`
+    /// filter over the open slots, with no utility evaluation. The other
+    /// two variants run the classic full-list filter.
     pub engine: BestResponseEngine,
 }
 
@@ -187,7 +186,7 @@ fn iegt_run(
             let margin = config.improvement_threshold(current);
             let threshold = current + margin;
             if fastpath {
-                let scan = ctx.better_available_desc(local, threshold, &mut better);
+                let scan = ctx.better_available(local, threshold, &mut better);
                 trace.stats.candidates_scanned += scan.scanned;
                 if scan.early_exit {
                     trace.stats.early_exits += 1;
@@ -395,10 +394,10 @@ mod tests {
     #[test]
     fn fastpath_matches_incremental_evolution_exactly() {
         // IEGT evolves on raw payoffs, so the monotone fast path is always
-        // sound. The descending scan collects *exactly* the candidates the
+        // sound. The fast filter collects *exactly* the candidates the
         // exhaustive filter admits (same threshold float, same ascending
-        // order after the re-sort), so the shared rng stream draws the same
-        // redraws and the evolution is bit-identical.
+        // order), so the shared rng stream draws the same redraws and the
+        // evolution is bit-identical.
         for seed in [41, 42, 43] {
             let inst = instance(seed);
             let s = space(&inst);

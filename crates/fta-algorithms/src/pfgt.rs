@@ -349,8 +349,8 @@ fn pfgt_once_incremental(
 
 /// Monotone fast-path engine for PFGT: identical evaluator maintenance to
 /// [`pfgt_once_incremental`] (so traces are bit-identical), but the best
-/// response is the highest-payoff available strategy found by a first-hit
-/// scan over the payoff-descending slot order. Soundness: the priority IAU
+/// response is the highest-payoff available strategy found by one argmax
+/// pass over the worker's slots. Soundness: the priority IAU
 /// perceives inequity on the normalised payoffs `q = p/ρ` with `ρ > 0`, a
 /// strictly increasing map, so the monotonicity argument of
 /// [`crate::fgt::fastpath_sound`] carries over verbatim for `β < 1`,
@@ -397,7 +397,7 @@ fn pfgt_once_fastpath(
             trace.stats.evaluator_updates += 1;
 
             let current_utility = q_rivals.eval(own, rho);
-            let (found, scan) = ctx.best_available_desc(local);
+            let (found, scan) = ctx.best_available(local);
             trace.stats.candidates_scanned += scan.scanned;
             if scan.early_exit {
                 trace.stats.early_exits += 1;

@@ -37,8 +37,9 @@ pub struct BestResponseStats {
     pub evaluator_updates: u64,
     /// Strategy slots examined for availability during best-response
     /// deliberation. The exhaustive engines probe a worker's *entire*
-    /// valid list per turn; the monotone fast path stops at the first
-    /// available slot of the payoff-descending order.
+    /// valid list per turn; the monotone fast path counts the slots a
+    /// first-hit scan in payoff-descending order would examine (the
+    /// winner's payoff-order rank plus one).
     pub candidates_scanned: u64,
     /// Fast-path scans that terminated before exhausting the worker's
     /// strategy list (the monotone early exit paying off).

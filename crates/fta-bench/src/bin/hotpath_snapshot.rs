@@ -220,7 +220,7 @@ fn main() -> std::io::Result<()> {
     );
 
     // The second scan metric: the full `for_each_open` sweep behind
-    // `better_available_desc`, at a ~20% open rate with the production
+    // `better_available`, at a ~20% open rate with the production
     // callback shape — gather `(pool_idx, payoff)` and push into a
     // reused candidate buffer. At this density the scalar loop's
     // per-candidate branch is data-dependent; the chunked reduction

@@ -89,7 +89,9 @@ pub struct CenterRecord {
 /// Fairness trajectory point for one solve record.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FairnessRecord {
-    /// Pairwise payoff difference (max − min worker payoff).
+    /// Payoff difference `P_dif` (Eq. 2): the mean absolute difference
+    /// over ordered pairs of distinct workers, as computed by
+    /// `fta_core::fairness::payoff_difference`.
     pub payoff_difference: f64,
     /// Mean worker payoff.
     pub average_payoff: f64,

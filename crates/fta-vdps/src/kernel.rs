@@ -2,32 +2,33 @@
 //!
 //! The equilibrium hot loops ask one question over and over: *given the
 //! union of everyone else's taken delivery points, which of this
-//! worker's payoff-sorted slots is still open?* A slot is open when its
-//! `u128` DP mask does not intersect the taken mask. The scalar loop
-//! (`masks.iter().position(|&m| m & taken == 0)`) answers it with one
-//! branch per candidate — fine when the answer is slot 0, painful when
-//! contention pushes the first open slot deep into the list.
+//! worker's slots are still open, and which open slot pays the most?* A
+//! slot is open when its `u128` DP mask does not intersect the taken
+//! mask. Strategy spaces keep each worker's slots in ascending pool-index
+//! order only, so the monotone best response is one argmax pass over
+//! that order ([`best_open_chunked`]): the first strict payoff maximum
+//! among open slots, i.e. payoff ties go to the lowest pool index.
 //!
-//! The kernels here process candidates in chunks of [`LANES`], splitting
-//! every `u128` into its two `u64` limbs: `m & t == 0` iff
+//! The chunked kernels process candidates in chunks of [`LANES`],
+//! splitting every `u128` into its two `u64` limbs: `m & t == 0` iff
 //! `(m_lo & t_lo) | (m_hi & t_hi) == 0`. Within a chunk the per-lane
 //! conflict tests are reduced into a single `open` bitmap with no branch
 //! per lane — just AND/OR/compare lanewise, the shape LLVM
 //! autovectorizes on any target with 128-bit vectors. One branch per
-//! chunk then either skips 8 closed candidates at once or resolves the
-//! hit position with a trailing-zeros count.
+//! chunk then either skips 8 closed (or out-paid) candidates at once or
+//! walks the survivors with a trailing-zeros count.
 //!
 //! Every kernel has a `_scalar` reference twin with the exact semantics
-//! of the pre-kernel loops. The pair is proptested for equivalence and
-//! benchmarked head-to-head by `hotpath_snapshot`; which one runs is
-//! selected by [`crate::hotpath::ScanKernel`].
+//! of the plain loop. The pairs are proptested for equivalence and the
+//! `first_*` pairs are benchmarked head-to-head by `hotpath_snapshot`;
+//! which one runs is selected by [`crate::hotpath::ScanKernel`].
 
 /// Candidates per chunk. Eight `u128`s is 128 bytes — two cache lines —
 /// and gives the reduction enough lanes to fill 2×64-bit vector ALUs.
 pub const LANES: usize = 8;
 
-/// Scalar prefix of the `first_*` chunked kernels. Payoff-descending
-/// scans usually hit within the first few candidates; probing that head
+/// Scalar prefix of the `first_*` chunked kernels. First-hit scans
+/// usually hit within the first few candidates; probing that head
 /// one-at-a-time keeps the shallow-hit cost identical to the scalar
 /// loop, so the chunked reduction only pays for itself on the deep
 /// scans it exists for.
@@ -83,6 +84,154 @@ fn open_bitmap(chunk: &[u128; LANES], t_lo: u64, t_hi: u64) -> u32 {
         open |= u32::from(conflict == 0) << k;
     }
     open
+}
+
+/// Position of the highest payoff among the slots whose mask does not
+/// intersect `taken`: the first strict maximum in slice order, so payoff
+/// ties go to the lowest position. A slot whose payoff is NaN or −∞ never
+/// wins. Scalar reference kernel; `payoffs` is parallel to `masks`.
+#[inline]
+#[must_use]
+pub fn best_open_scalar(masks: &[u128], payoffs: &[f64], taken: u128) -> Option<usize> {
+    best_scalar(payoffs, 0, None, |pos| masks[pos] & taken == 0)
+}
+
+/// Chunked limb twin of [`best_open_scalar`]; returns the same position.
+#[inline]
+#[must_use]
+pub fn best_open_chunked(masks: &[u128], payoffs: &[f64], taken: u128) -> Option<usize> {
+    let t_lo = taken as u64;
+    let t_hi = (taken >> 64) as u64;
+    best_chunked(
+        payoffs,
+        |base| {
+            let chunk: &[u128; LANES] = masks[base..base + LANES]
+                .try_into()
+                .expect("chunk is LANES wide");
+            open_bitmap(chunk, t_lo, t_hi)
+        },
+        |pos| masks[pos] & taken == 0,
+    )
+}
+
+/// Position of the highest payoff among the slots whose conflict counter
+/// is zero, with the tie rule of [`best_open_scalar`]. Scalar reference
+/// for the conflict-index probe; `conflicts` is parallel to `payoffs`.
+#[inline]
+#[must_use]
+pub fn best_zero_scalar(conflicts: &[u32], payoffs: &[f64]) -> Option<usize> {
+    best_scalar(payoffs, 0, None, |pos| conflicts[pos] == 0)
+}
+
+/// Chunked twin of [`best_zero_scalar`]; returns the same position.
+#[inline]
+#[must_use]
+pub fn best_zero_chunked(conflicts: &[u32], payoffs: &[f64]) -> Option<usize> {
+    best_chunked(
+        payoffs,
+        |base| {
+            let mut open = 0u32;
+            for (k, &c) in conflicts[base..base + LANES].iter().enumerate() {
+                open |= u32::from(c == 0) << k;
+            }
+            open
+        },
+        |pos| conflicts[pos] == 0,
+    )
+}
+
+/// Argmax loop of the `best_*_scalar` kernels over `payoffs[start..]`,
+/// continuing from a running `best`.
+#[inline]
+fn best_scalar(
+    payoffs: &[f64],
+    start: usize,
+    mut best: Option<usize>,
+    is_open: impl Fn(usize) -> bool,
+) -> Option<usize> {
+    let mut best_p = best.map_or(f64::NEG_INFINITY, |b| payoffs[b]);
+    for (pos, &p) in payoffs.iter().enumerate().skip(start) {
+        if p > best_p && is_open(pos) {
+            best = Some(pos);
+            best_p = p;
+        }
+    }
+    best
+}
+
+/// Argmax loop of the `best_*_chunked` kernels. `open_chunk(base)` is the
+/// open bitmap of the [`LANES`] slots starting at `base`. Until some slot
+/// is open every lane is a candidate, so the first phase is a plain
+/// availability sweep. From then on only the lanes that out-pay the
+/// running maximum are, and a chunk with none of them skips the
+/// availability test. The tail is finished by [`best_scalar`] with
+/// `is_open`.
+#[inline]
+fn best_chunked(
+    payoffs: &[f64],
+    open_chunk: impl Fn(usize) -> u32,
+    is_open: impl Fn(usize) -> bool,
+) -> Option<usize> {
+    let mut best = None;
+    let mut best_p = f64::NEG_INFINITY;
+    let full = payoffs.len() - payoffs.len() % LANES;
+    let mut bases = (0..full).step_by(LANES);
+    if let Some((base, open)) = bases
+        .by_ref()
+        .map(|base| (base, open_chunk(base)))
+        .find(|&(_, open)| open != 0)
+    {
+        take_max(payoffs, base, open, &mut best, &mut best_p);
+    }
+    for base in bases {
+        let mut above = 0u32;
+        for (k, &p) in payoffs[base..base + LANES].iter().enumerate() {
+            above |= u32::from(p > best_p) << k;
+        }
+        if above != 0 {
+            take_max(
+                payoffs,
+                base,
+                above & open_chunk(base),
+                &mut best,
+                &mut best_p,
+            );
+        }
+    }
+    best_scalar(payoffs, full, best, is_open)
+}
+
+/// Folds the candidate lanes `cand` of the chunk at `base` into the
+/// running maximum, ascending, keeping the first strict maximum.
+#[inline]
+fn take_max(
+    payoffs: &[f64],
+    base: usize,
+    mut cand: u32,
+    best: &mut Option<usize>,
+    best_p: &mut f64,
+) {
+    while cand != 0 {
+        let pos = base + cand.trailing_zeros() as usize;
+        if payoffs[pos] > *best_p {
+            *best = Some(pos);
+            *best_p = payoffs[pos];
+        }
+        cand &= cand - 1;
+    }
+}
+
+/// Zero-based rank of slot `pos` in (payoff descending, position
+/// ascending) order: the slots paying more, plus the equal-paying slots
+/// before it. This is how many slots a first-hit scan over the
+/// payoff-sorted list would pass before reaching `pos`.
+#[inline]
+#[must_use]
+pub fn desc_rank(payoffs: &[f64], pos: usize) -> usize {
+    let p = payoffs[pos];
+    let before = payoffs[..pos].iter().filter(|&&q| q >= p).count();
+    let after = payoffs[pos + 1..].iter().filter(|&&q| q > p).count();
+    before + after
 }
 
 /// Calls `f(pos)` for every mask in `masks[..limit]` that does not
@@ -271,6 +420,16 @@ mod tests {
                 assert_eq!(a, b, "len {len} limit {limit}");
             }
         }
+    }
+
+    #[test]
+    fn desc_rank_counts_better_and_earlier_ties() {
+        let payoffs = [2.0, 5.0, 2.0, 7.0, 2.0];
+        assert_eq!(desc_rank(&payoffs, 3), 0);
+        assert_eq!(desc_rank(&payoffs, 1), 1);
+        assert_eq!(desc_rank(&payoffs, 0), 2);
+        assert_eq!(desc_rank(&payoffs, 2), 3);
+        assert_eq!(desc_rank(&payoffs, 4), 4);
     }
 
     #[test]

@@ -113,17 +113,71 @@ impl ConflictSets {
     }
 }
 
+/// Flat per-slot columns: `offsets` delimits each worker's *slot range*
+/// in the three parallel vectors. Validation appends one worker's slots
+/// at a time and closes the range with [`SlotColumns::end_worker`].
+#[derive(Debug, Clone)]
+struct SlotColumns {
+    /// Worker `local` owns slots `offsets[local]..offsets[local + 1]`.
+    offsets: Vec<u32>,
+    /// Pool indices, ascending within each worker's range.
+    pool: Vec<u32>,
+    /// Payoffs, parallel to `pool`.
+    payoffs: Vec<f64>,
+    /// Delivery-point masks (`pool[idx].mask` memoised), parallel to
+    /// `pool`.
+    masks: Vec<u128>,
+}
+
+impl SlotColumns {
+    /// Empty columns sized for `n_workers` ranges holding `n_slots` slots
+    /// in total, so validation appends without reallocating.
+    fn with_capacity(n_workers: usize, n_slots: usize) -> Self {
+        let mut offsets = Vec::with_capacity(n_workers + 1);
+        offsets.push(0);
+        Self {
+            offsets,
+            pool: Vec::with_capacity(n_slots),
+            payoffs: Vec::with_capacity(n_slots),
+            masks: Vec::with_capacity(n_slots),
+        }
+    }
+
+    fn push(&mut self, idx: u32, payoff: f64, mask: u128) {
+        self.pool.push(idx);
+        self.payoffs.push(payoff);
+        self.masks.push(mask);
+    }
+
+    fn end_worker(&mut self) {
+        self.offsets.push(self.pool.len() as u32);
+    }
+
+    /// Appends the workers of `chunk`, rebasing its offsets.
+    fn append(&mut self, chunk: &Self) {
+        let base = self.pool.len() as u32;
+        self.pool.extend_from_slice(&chunk.pool);
+        self.payoffs.extend_from_slice(&chunk.payoffs);
+        self.masks.extend_from_slice(&chunk.masks);
+        self.offsets
+            .extend(chunk.offsets[1..].iter().map(|&o| o + base));
+    }
+
+    fn range(&self, local: usize) -> std::ops::Range<usize> {
+        self.offsets[local] as usize..self.offsets[local + 1] as usize
+    }
+}
+
 /// The strategy spaces of all workers of one distribution center.
 ///
 /// Per-worker strategy data lives in a structure-of-arrays layout: one
 /// flat, contiguous vector per attribute (pool index, payoff, delivery-point
-/// mask) with `offsets` delimiting each worker's *slot range*. Within a
-/// worker's range the slots are ordered by ascending pool index — the
-/// canonical iteration order every algorithm observes — and a second,
-/// payoff-descending permutation (ties broken by ascending pool index) is
-/// precomputed for the monotone best-response fast path. Both the
-/// exhaustive fallback scan and the fast path therefore stream cache-linear
-/// memory instead of chasing `pool[idx].mask` indirections.
+/// mask) with offsets delimiting each worker's *slot range* — 28 bytes per
+/// slot. Within a worker's range the slots are ordered by ascending pool
+/// index, the canonical iteration order every algorithm observes. The
+/// monotone best response (highest payoff among open slots, ties to the
+/// lowest pool index) is one argmax pass over that order; scans stream
+/// cache-linear memory instead of chasing `pool[idx].mask` indirections.
 #[derive(Debug, Clone)]
 pub struct StrategySpace {
     /// The center view this space was built from.
@@ -132,26 +186,8 @@ pub struct StrategySpace {
     pub pool: Vec<Vdps>,
     /// Travel time from each local worker to the distribution center.
     pub worker_to_dc: Vec<f64>,
-    /// Slot ranges: worker `local` owns slots
-    /// `offsets[local]..offsets[local + 1]` in every flat vector below.
-    offsets: Vec<u32>,
-    /// Flat pool indices, ascending within each worker's range.
-    slot_pool: Vec<u32>,
-    /// Flat payoffs, parallel to `slot_pool`.
-    slot_payoffs: Vec<f64>,
-    /// Flat delivery-point masks (`pool[slot_pool[s]].mask` memoised),
-    /// parallel to `slot_pool`.
-    slot_masks: Vec<u128>,
-    /// Payoff-descending permutation of each worker's slots: pool indices,
-    /// ties broken by ascending pool index.
-    desc_pool: Vec<u32>,
-    /// Payoffs parallel to `desc_pool` (non-increasing per worker).
-    desc_payoffs: Vec<f64>,
-    /// Masks parallel to `desc_pool`.
-    desc_masks: Vec<u128>,
-    /// Canonical slot ids parallel to `desc_pool` (maps a descending-scan
-    /// position back to its conflict-counter slot).
-    desc_slots: Vec<u32>,
+    /// Every worker's valid slots.
+    slots: SlotColumns,
     /// Inverted DP-bit → slot index; `None` below the
     /// [`CONFLICT_INDEX_MIN_SLOTS`] crossover.
     conflict_sets: Option<ConflictSets>,
@@ -238,24 +274,21 @@ impl StrategySpace {
             .map(|&w| instance.travel_time(instance.workers[w.index()].location, dc))
             .collect();
         let n_workers = view.workers.len();
+        let params = validation_params(instance, &view, &worker_to_dc);
+        let soa = PoolSoa::extract(&pool);
+        let n_slots = soa.count_valid(&params);
 
         let parallel = scope.is_some_and(|s| s.threads() > 1)
             && n_workers > 1
             && n_workers.saturating_mul(pool.len()) >= PAR_MIN_VALIDATION_WORK;
 
-        let per_worker = if parallel {
+        let slots = if parallel {
             let scope = scope.expect("parallel implies an active scope");
             // Per-worker parameters are tiny copies; the columnar pool
             // extract is shared read-only via `Arc` so chunk jobs satisfy
             // the scope's `'env` bound without cloning any `Vdps` (the
             // pool itself never leaves this thread).
-            let params: Vec<(usize, f64)> = view
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(local, &w)| (instance.workers[w.index()].max_dp, worker_to_dc[local]))
-                .collect();
-            let soa = Arc::new(PoolSoa::extract(&pool));
+            let soa = Arc::new(soa);
             let chunk = n_workers.div_ceil(scope.threads() * 2).max(1);
             let jobs: Vec<_> = params
                 .chunks(chunk)
@@ -263,60 +296,37 @@ impl StrategySpace {
                     let soa = Arc::clone(&soa);
                     let chunk_params = chunk_params.to_vec();
                     move |_: &TaskScope<'_>| {
-                        chunk_params
-                            .into_iter()
-                            .map(|(max_dp, to_dc)| {
-                                let mut v = Vec::new();
-                                let mut p = Vec::new();
-                                validate_worker(&soa, max_dp, to_dc, &mut v, &mut p);
-                                (v, p)
-                            })
-                            .collect::<Vec<_>>()
+                        let n_slots = soa.count_valid(&chunk_params);
+                        let mut chunk = SlotColumns::with_capacity(chunk_params.len(), n_slots);
+                        for (max_dp, to_dc) in chunk_params {
+                            validate_worker(&soa, max_dp, to_dc, &mut chunk);
+                        }
+                        chunk
                     }
                 })
                 .collect();
-            let per_worker: Vec<(Vec<u32>, Vec<f64>)> =
-                scope.map(jobs).into_iter().flatten().collect();
+            let mut slots = SlotColumns::with_capacity(n_workers, n_slots);
+            for chunk in scope.map(jobs) {
+                slots.append(&chunk);
+            }
             if let Ok(soa) = Arc::try_unwrap(soa) {
                 soa.recycle();
             }
-            per_worker
+            slots
         } else {
-            let soa = PoolSoa::extract(&pool);
-            let per_worker: Vec<(Vec<u32>, Vec<f64>)> = view
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(local, &w)| {
-                    let (mut v, mut p) = arena::with(|a| (a.indices.take(0), a.floats.take(0)));
-                    validate_worker(
-                        &soa,
-                        instance.workers[w.index()].max_dp,
-                        worker_to_dc[local],
-                        &mut v,
-                        &mut p,
-                    );
-                    (v, p)
-                })
-                .collect();
+            let mut slots = SlotColumns::with_capacity(n_workers, n_slots);
+            for &(max_dp, to_dc) in &params {
+                validate_worker(&soa, max_dp, to_dc, &mut slots);
+            }
             soa.recycle();
-            per_worker
+            slots
         };
-        let space = Self::assemble(view, pool, worker_to_dc, &per_worker, gen_stats);
-        if !parallel {
-            // Sequential validation took its scratch from this thread's
-            // arena; hand it back so the next generation allocates nothing.
-            // Parallel chunk jobs allocated on pool threads — parking their
-            // buffers here would grow the free lists without bound, so
-            // those simply drop.
-            arena::with(|a| {
-                for (v, p) in per_worker {
-                    a.indices.put(v);
-                    a.floats.put(p);
-                }
-            });
-        }
-        space
+        debug_assert_eq!(
+            slots.pool.len(),
+            n_slots,
+            "slot count drifted from validation"
+        );
+        Self::assemble(view, pool, worker_to_dc, slots, gen_stats)
     }
 
     /// Rebuilds the space around a delta-updated `pool`, reusing each
@@ -354,7 +364,7 @@ impl StrategySpace {
             "provenance not parallel to pool"
         );
         assert_eq!(
-            prev.per_worker.len(),
+            prev.n_workers(),
             view.workers.len(),
             "slot cache captured over a different worker population"
         );
@@ -368,55 +378,47 @@ impl StrategySpace {
         // Dense (validity, payoff) lookup over the *previous* pool,
         // refilled per worker and wiped through the same valid list so
         // the reset is O(previous valid slots), not O(previous pool).
-        // All scratch — the dense arrays, the columnar pool extract, and
-        // the per-worker output buffers — comes from the generation arena,
-        // so steady-state re-solves under churn revalidate slots without
-        // touching the allocator.
+        // The dense arrays and the columnar pool extract come from the
+        // generation arena, so steady-state re-solves under churn
+        // revalidate slots without allocating scratch.
         let (mut dense_valid, mut dense_payoff) =
             arena::with(|a| (a.flags.take(prev.pool_len), a.floats.take(prev.pool_len)));
         dense_valid.resize(prev.pool_len, false);
         dense_payoff.resize(prev.pool_len, 0.0);
         let soa = PoolSoa::extract(&pool);
+        let params = validation_params(instance, &view, &worker_to_dc);
         let mut reused_slots = 0u64;
-        let per_worker: Vec<(Vec<u32>, Vec<f64>)> = view
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(local, &w)| {
-                let (prev_valid, prev_payoffs) = &prev.per_worker[local];
-                for (&idx, &payoff) in prev_valid.iter().zip(prev_payoffs) {
-                    dense_valid[idx as usize] = true;
-                    dense_payoff[idx as usize] = payoff;
-                }
-                let max_dp = instance.workers[w.index()].max_dp;
-                let to_dc = worker_to_dc[local];
-                let (mut v, mut p) = arena::with(|a| (a.indices.take(0), a.floats.take(0)));
-                for (j, &prov) in provenance.iter().enumerate() {
-                    match prov {
-                        Some(old) => {
-                            // Verbatim-reused entry: same route payload,
-                            // same worker parameters — the cached verdict
-                            // and payoff are bit-identical to recomputing.
-                            if dense_valid[old as usize] {
-                                v.push(j as u32);
-                                p.push(dense_payoff[old as usize]);
-                                reused_slots += 1;
-                            }
+        let mut slots = SlotColumns::with_capacity(params.len(), soa.count_valid(&params));
+        for (local, &(max_dp, to_dc)) in params.iter().enumerate() {
+            let prev_valid = prev.valid_of(local);
+            for (&idx, &payoff) in prev_valid.iter().zip(prev.payoffs_of(local)) {
+                dense_valid[idx as usize] = true;
+                dense_payoff[idx as usize] = payoff;
+            }
+            for (j, &prov) in provenance.iter().enumerate() {
+                match prov {
+                    Some(old) => {
+                        // Verbatim-reused entry: same route payload, same
+                        // worker parameters — the cached verdict and
+                        // payoff are bit-identical to recomputing.
+                        if dense_valid[old as usize] {
+                            slots.push(j as u32, dense_payoff[old as usize], soa.masks[j]);
+                            reused_slots += 1;
                         }
-                        None => {
-                            if soa.lens[j] as usize <= max_dp && to_dc <= soa.slacks[j] {
-                                v.push(j as u32);
-                                p.push(payoff_from_parts(soa.rewards[j], soa.travels[j], to_dc));
-                            }
+                    }
+                    None => {
+                        if soa.lens[j] as usize <= max_dp && to_dc <= soa.slacks[j] {
+                            let payoff = payoff_from_parts(soa.rewards[j], soa.travels[j], to_dc);
+                            slots.push(j as u32, payoff, soa.masks[j]);
                         }
                     }
                 }
-                for &idx in prev_valid.iter() {
-                    dense_valid[idx as usize] = false;
-                }
-                (v, p)
-            })
-            .collect();
+            }
+            slots.end_worker();
+            for &idx in prev_valid {
+                dense_valid[idx as usize] = false;
+            }
+        }
         soa.recycle();
         arena::with(|a| {
             a.flags.put(dense_valid);
@@ -425,56 +427,18 @@ impl StrategySpace {
         if fta_obs::enabled() {
             fta_obs::counter("vdps.slots_reused", reused_slots);
         }
-        let space = Self::assemble(view, pool, worker_to_dc, &per_worker, gen_stats);
-        arena::with(|a| {
-            for (v, p) in per_worker {
-                a.indices.put(v);
-                a.floats.put(p);
-            }
-        });
-        space
+        Self::assemble(view, pool, worker_to_dc, slots, gen_stats)
     }
 
-    /// Assembles the flat SoA layout from per-worker validation results:
-    /// ascending-pool-index slots per worker plus the payoff-descending
-    /// permutation for the monotone fast path.
+    /// Wraps validated slot columns into a space, building the conflict
+    /// index when the space clears the crossover.
     fn assemble(
         view: CenterView,
         pool: Vec<Vdps>,
         worker_to_dc: Vec<f64>,
-        per_worker: &[(Vec<u32>, Vec<f64>)],
+        slots: SlotColumns,
         gen_stats: GenerationStats,
     ) -> Self {
-        let n_workers = view.workers.len();
-        let total: usize = per_worker.iter().map(|(v, _)| v.len()).sum();
-        let mut offsets = Vec::with_capacity(n_workers + 1);
-        let mut slot_pool = Vec::with_capacity(total);
-        let mut slot_payoffs = Vec::with_capacity(total);
-        let mut slot_masks = Vec::with_capacity(total);
-        let mut desc_pool = Vec::with_capacity(total);
-        let mut desc_payoffs = Vec::with_capacity(total);
-        let mut desc_masks = Vec::with_capacity(total);
-        let mut desc_slots = Vec::with_capacity(total);
-        offsets.push(0u32);
-        let mut order: Vec<u32> = arena::with(|a| a.indices.take(0));
-        for (v, p) in per_worker {
-            let base = slot_pool.len();
-            slot_pool.extend_from_slice(v);
-            slot_payoffs.extend_from_slice(p);
-            slot_masks.extend(v.iter().map(|&idx| pool[idx as usize].mask));
-            // Payoff-descending permutation; the base order is ascending
-            // pool index, so a stable sort by descending payoff breaks
-            // payoff ties by ascending pool index.
-            order.clear();
-            order.extend(0..v.len() as u32);
-            order.sort_by(|&a, &b| p[b as usize].total_cmp(&p[a as usize]));
-            desc_pool.extend(order.iter().map(|&i| v[i as usize]));
-            desc_payoffs.extend(order.iter().map(|&i| p[i as usize]));
-            desc_masks.extend(order.iter().map(|&i| slot_masks[base + i as usize]));
-            desc_slots.extend(order.iter().map(|&i| (base + i as usize) as u32));
-            offsets.push(slot_pool.len() as u32);
-        }
-        arena::with(|a| a.indices.put(order));
         // Two-sided crossover: the index must be big enough to beat the
         // cache-resident mask scan, yet sparse enough that per-switch
         // maintenance (a walk of every affected bit's posting list) stays
@@ -482,23 +446,30 @@ impl StrategySpace {
         // from the installed hotpath profile; its defaults are the
         // [`CONFLICT_INDEX_MIN_SLOTS`] / [`CONFLICT_INDEX_MAX_SLOTS_PER_BIT`]
         // constants, so an uncalibrated process behaves exactly as before.
+        // Every pool mask has at least one bit, so the (bit, slot)
+        // incidence count is at least the slot count: a space whose slot
+        // count alone breaks the sparsity cap skips the popcount pass.
         let profile = crate::hotpath::current();
-        let entries: usize = slot_masks.iter().map(|m| m.count_ones() as usize).sum();
-        let sparse = entries <= view.dps.len().max(1) * profile.conflict_index_max_slots_per_bit;
+        let total = slots.pool.len();
+        let cap = view
+            .dps
+            .len()
+            .max(1)
+            .saturating_mul(profile.conflict_index_max_slots_per_bit);
+        let sparse = total <= cap
+            && slots
+                .masks
+                .iter()
+                .map(|m| m.count_ones() as usize)
+                .sum::<usize>()
+                <= cap;
         let conflict_sets = (total >= profile.conflict_index_min_slots && sparse)
-            .then(|| ConflictSets::build(view.dps.len(), &slot_masks));
+            .then(|| ConflictSets::build(view.dps.len(), &slots.masks));
         Self {
             view,
             pool,
             worker_to_dc,
-            offsets,
-            slot_pool,
-            slot_payoffs,
-            slot_masks,
-            desc_pool,
-            desc_payoffs,
-            desc_masks,
-            desc_slots,
+            slots,
             conflict_sets,
             gen_stats,
         }
@@ -520,69 +491,46 @@ impl StrategySpace {
     /// `local`-th worker.
     #[must_use]
     pub fn slot_range(&self, local: usize) -> std::ops::Range<usize> {
-        self.offsets[local] as usize..self.offsets[local + 1] as usize
+        self.slots.range(local)
     }
 
     /// Total number of (worker, strategy) slots across all workers.
     #[must_use]
     pub fn total_slots(&self) -> usize {
-        self.slot_pool.len()
+        self.slots.pool.len()
     }
 
     /// The pool indices of the `local`-th worker's valid strategies,
     /// ascending (the canonical iteration order).
     #[must_use]
     pub fn valid_of(&self, local: usize) -> &[u32] {
-        &self.slot_pool[self.slot_range(local)]
+        &self.slots.pool[self.slot_range(local)]
     }
 
     /// Payoffs parallel to [`StrategySpace::valid_of`].
     #[must_use]
     pub fn payoffs_of(&self, local: usize) -> &[f64] {
-        &self.slot_payoffs[self.slot_range(local)]
+        &self.slots.payoffs[self.slot_range(local)]
     }
 
     /// Delivery-point masks parallel to [`StrategySpace::valid_of`].
     #[must_use]
     pub fn masks_of(&self, local: usize) -> &[u128] {
-        &self.slot_masks[self.slot_range(local)]
+        &self.slots.masks[self.slot_range(local)]
     }
 
     /// The full flat mask vector (all workers' slots, ascending pool index
     /// within each worker's [`StrategySpace::slot_range`]).
     #[must_use]
     pub fn slot_masks(&self) -> &[u128] {
-        &self.slot_masks
+        &self.slots.masks
     }
 
     /// The full flat pool-index vector, parallel to
     /// [`StrategySpace::slot_masks`].
     #[must_use]
     pub fn slot_pool(&self) -> &[u32] {
-        &self.slot_pool
-    }
-
-    /// Pool indices of the `local`-th worker's valid strategies in
-    /// payoff-descending order, ties broken by ascending pool index (the
-    /// monotone fast-path scan order).
-    #[must_use]
-    pub fn desc_pool_of(&self, local: usize) -> &[u32] {
-        &self.desc_pool[self.slot_range(local)]
-    }
-
-    /// Payoffs parallel to [`StrategySpace::desc_pool_of`]
-    /// (non-increasing).
-    #[must_use]
-    pub fn desc_payoffs_of(&self, local: usize) -> &[f64] {
-        &self.desc_payoffs[self.slot_range(local)]
-    }
-
-    /// Global (canonical, ascending-order) slot ids parallel to
-    /// [`StrategySpace::desc_pool_of`]: the conflict-counter slot backing
-    /// each descending-scan position.
-    #[must_use]
-    pub fn desc_slots_of(&self, local: usize) -> &[u32] {
-        &self.desc_slots[self.slot_range(local)]
+        &self.slots.pool
     }
 
     /// The inverted DP-bit → slot index, present when the space is large
@@ -593,16 +541,10 @@ impl StrategySpace {
         self.conflict_sets.as_ref()
     }
 
-    /// Delivery-point masks parallel to [`StrategySpace::desc_pool_of`].
-    #[must_use]
-    pub fn desc_masks_of(&self, local: usize) -> &[u128] {
-        &self.desc_masks[self.slot_range(local)]
-    }
-
     /// Number of non-null strategies available to the `local`-th worker.
     #[must_use]
     pub fn strategy_count(&self, local: usize) -> usize {
-        (self.offsets[local + 1] - self.offsets[local]) as usize
+        self.slot_range(local).len()
     }
 
     /// The largest strategy-set size across workers (`|maxVDPS|` in the
@@ -640,11 +582,14 @@ impl StrategySpace {
 #[derive(Debug, Clone, Default)]
 pub struct SlotCache {
     /// Length of the pool the cached space was built over (the index
-    /// space `per_worker`'s valid lists live in).
+    /// space the cached pool indices live in).
     pool_len: usize,
-    /// Per local worker: valid pool indices (ascending) and payoffs,
-    /// parallel.
-    per_worker: Vec<(Vec<u32>, Vec<f64>)>,
+    /// Slot ranges, as in [`StrategySpace`].
+    offsets: Vec<u32>,
+    /// Valid pool indices, ascending within each worker's range.
+    valid: Vec<u32>,
+    /// Payoffs, parallel to `valid`.
+    payoffs: Vec<f64>,
 }
 
 impl SlotCache {
@@ -653,33 +598,41 @@ impl SlotCache {
     pub fn capture(space: &StrategySpace) -> Self {
         Self {
             pool_len: space.pool.len(),
-            per_worker: (0..space.n_workers())
-                .map(|local| {
-                    (
-                        space.valid_of(local).to_vec(),
-                        space.payoffs_of(local).to_vec(),
-                    )
-                })
-                .collect(),
+            offsets: space.slots.offsets.clone(),
+            valid: space.slots.pool.clone(),
+            payoffs: space.slots.payoffs.clone(),
         }
     }
 
     /// Number of local workers the cache covers.
     #[must_use]
     pub fn n_workers(&self) -> usize {
-        self.per_worker.len()
+        self.offsets.len().saturating_sub(1)
     }
 
     /// Total cached (worker, strategy) slots.
     #[must_use]
     pub fn total_slots(&self) -> usize {
-        self.per_worker.iter().map(|(v, _)| v.len()).sum()
+        self.valid.len()
+    }
+
+    fn range(&self, local: usize) -> std::ops::Range<usize> {
+        self.offsets[local] as usize..self.offsets[local + 1] as usize
+    }
+
+    fn valid_of(&self, local: usize) -> &[u32] {
+        &self.valid[self.range(local)]
+    }
+
+    fn payoffs_of(&self, local: usize) -> &[f64] {
+        &self.payoffs[self.range(local)]
     }
 }
 
 /// Columnar (struct-of-arrays) copy of the pool fields per-worker
-/// validation reads: entry length, route slack, total reward, and travel
-/// time from the distribution center. Extracted once per space build, so
+/// validation reads: entry length, route slack, total reward, travel
+/// time from the distribution center, and the mask each valid slot
+/// memoises. Extracted once per space build, so
 /// the O(workers × pool) validation pass streams four flat arrays instead
 /// of dereferencing one heap `Route` per entry per worker. The arrays are
 /// borrowed from the generation arena and returned via
@@ -689,17 +642,22 @@ struct PoolSoa {
     slacks: Vec<f64>,
     rewards: Vec<f64>,
     travels: Vec<f64>,
+    masks: Vec<u128>,
+    /// `slacks_by_len[l]`: the slacks of the `l`-point entries, ascending
+    /// (sizes the slot columns, see [`PoolSoa::count_valid`]).
+    slacks_by_len: Vec<Vec<f64>>,
 }
 
 impl PoolSoa {
     fn extract(pool: &[Vdps]) -> Self {
         let n = pool.len();
-        let (lens, slacks, rewards, travels) = arena::with(|a| {
+        let (lens, slacks, rewards, travels, masks) = arena::with(|a| {
             (
                 a.indices.take(n),
                 a.floats.take(n),
                 a.floats.take(n),
                 a.floats.take(n),
+                a.masks.take(n),
             )
         });
         let mut soa = Self {
@@ -707,14 +665,44 @@ impl PoolSoa {
             slacks,
             rewards,
             travels,
+            masks,
+            slacks_by_len: Vec::new(),
         };
         for vdps in pool {
-            soa.lens.push(vdps.len() as u32);
-            soa.slacks.push(vdps.route.slack());
+            let len = vdps.len();
+            let slack = vdps.route.slack();
+            soa.lens.push(len as u32);
+            soa.slacks.push(slack);
             soa.rewards.push(vdps.route.total_reward());
             soa.travels.push(vdps.route.travel_from_dc());
+            soa.masks.push(vdps.mask);
+            if soa.slacks_by_len.len() <= len {
+                soa.slacks_by_len.resize_with(len + 1, Vec::new);
+            }
+            soa.slacks_by_len[len].push(slack);
+        }
+        for bucket in &mut soa.slacks_by_len {
+            bucket.sort_unstable_by(f64::total_cmp);
         }
         soa
+    }
+
+    /// How many slots [`validate_worker`] will emit for workers with these
+    /// `(maxDP, travel to the center)` parameters: per entry length up to
+    /// `maxDP`, a binary search for the slacks `≥ to_dc`. Exact for
+    /// non-NaN inputs; it only sizes allocations, so it can never change
+    /// which slots are emitted.
+    fn count_valid(&self, params: &[(usize, f64)]) -> usize {
+        params
+            .iter()
+            .map(|&(max_dp, to_dc)| {
+                self.slacks_by_len
+                    .iter()
+                    .take(max_dp.saturating_add(1))
+                    .map(|b| b.len() - b.partition_point(|&s| s < to_dc))
+                    .sum::<usize>()
+            })
+            .sum()
     }
 
     fn recycle(self) {
@@ -723,13 +711,29 @@ impl PoolSoa {
             a.floats.put(self.slacks);
             a.floats.put(self.rewards);
             a.floats.put(self.travels);
+            a.masks.put(self.masks);
         });
     }
 }
 
+/// Each local worker's validation parameters: `(maxDP, travel time to the
+/// center)`.
+fn validation_params(
+    instance: &Instance,
+    view: &CenterView,
+    worker_to_dc: &[f64],
+) -> Vec<(usize, f64)> {
+    view.workers
+        .iter()
+        .zip(worker_to_dc)
+        .map(|(&w, &to_dc)| (instance.workers[w.index()].max_dp, to_dc))
+        .collect()
+}
+
 /// One worker's validation pass over the shared pool: which strategies the
 /// worker can execute within every deadline (given its travel time to the
-/// center and its `maxDP`), and the payoff of each, appended to `v`/`p`.
+/// center and its `maxDP`), and the payoff of each, appended to `slots` as
+/// the worker's range.
 ///
 /// Scans the columnar [`PoolSoa`] — `lens[idx] <= max_dp` and
 /// `to_dc <= slacks[idx]` are exactly `Vdps::len` and
@@ -737,13 +741,14 @@ impl PoolSoa {
 /// scalars, and [`payoff_from_parts`] is the same expression as
 /// [`fta_core::payoff::payoff_for_travel`] — so the results are
 /// bit-identical to walking the `Vdps` entries themselves.
-fn validate_worker(soa: &PoolSoa, max_dp: usize, to_dc: f64, v: &mut Vec<u32>, p: &mut Vec<f64>) {
+fn validate_worker(soa: &PoolSoa, max_dp: usize, to_dc: f64, slots: &mut SlotColumns) {
     for idx in 0..soa.lens.len() {
         if soa.lens[idx] as usize <= max_dp && to_dc <= soa.slacks[idx] {
-            v.push(idx as u32);
-            p.push(payoff_from_parts(soa.rewards[idx], soa.travels[idx], to_dc));
+            let payoff = payoff_from_parts(soa.rewards[idx], soa.travels[idx], to_dc);
+            slots.push(idx as u32, payoff, soa.masks[idx]);
         }
     }
+    slots.end_worker();
 }
 
 #[cfg(test)]
@@ -869,7 +874,7 @@ mod tests {
     }
 
     #[test]
-    fn soa_layout_is_consistent_and_desc_is_sorted() {
+    fn soa_layout_is_consistent() {
         let inst = instance();
         let s = space(&inst);
         assert_eq!(s.total_slots(), s.strategy_count(0) + s.strategy_count(1));
@@ -884,24 +889,7 @@ mod tests {
             assert!(valid.windows(2).all(|w| w[0] < w[1]));
             for (pos, &idx) in valid.iter().enumerate() {
                 assert_eq!(masks[pos], s.pool[idx as usize].mask);
-            }
-            // Descending permutation: same multiset, payoff-descending,
-            // payoff ties broken by ascending pool index.
-            let dp = s.desc_pool_of(local);
-            let dpay = s.desc_payoffs_of(local);
-            let dmask = s.desc_masks_of(local);
-            let mut sorted: Vec<u32> = dp.to_vec();
-            sorted.sort_unstable();
-            assert_eq!(sorted, valid);
-            for w in 0..dp.len().saturating_sub(1) {
-                assert!(
-                    dpay[w] > dpay[w + 1] || (dpay[w] == dpay[w + 1] && dp[w] < dp[w + 1]),
-                    "desc order violated at {w}"
-                );
-            }
-            for (pos, &idx) in dp.iter().enumerate() {
-                assert_eq!(dmask[pos], s.pool[idx as usize].mask);
-                assert_eq!(s.payoff_of(local, idx), Some(dpay[pos]));
+                assert_eq!(s.payoff_of(local, idx), Some(payoffs[pos]));
             }
         }
     }

@@ -10,7 +10,8 @@ use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
 use fta_core::instance::Instance;
 use fta_vdps::generator::generate_c_vdps;
 use fta_vdps::{
-    delta_update, delta_update_with_provenance, PoolCache, SlotCache, StrategySpace, VdpsConfig,
+    delta_update, delta_update_with_provenance, kernel, PoolCache, SlotCache, StrategySpace,
+    VdpsConfig,
 };
 use proptest::prelude::*;
 
@@ -30,6 +31,19 @@ enum Churn {
     },
     /// Loosen the deadline of the task at `index % len`.
     Loosen(usize, f64),
+}
+
+/// Reference best response: sort `local`'s slots by payoff descending
+/// (stable, so ties keep ascending pool index) and take the first one
+/// disjoint from `taken`. Returns its pool index and payoff-order rank.
+fn first_hit_by_payoff(space: &StrategySpace, local: usize, taken: u128) -> Option<(u32, usize)> {
+    let payoffs = space.payoffs_of(local);
+    let mut order: Vec<usize> = (0..payoffs.len()).collect();
+    order.sort_by(|&a, &b| payoffs[b].total_cmp(&payoffs[a]));
+    order
+        .iter()
+        .position(|&pos| space.masks_of(local)[pos] & taken == 0)
+        .map(|rank| (space.valid_of(local)[order[rank]], rank))
 }
 
 fn arb_instance() -> impl Strategy<Value = Instance> {
@@ -220,7 +234,7 @@ proptest! {
     /// The provenance-guided strategy-space rebuild
     /// ([`StrategySpace::from_pool_delta`]) is bit-identical to a full
     /// [`StrategySpace::from_pool`] over the same delta-updated pool:
-    /// slots, payoffs, masks, and both iteration orders.
+    /// slots, payoffs, masks, and the monotone best response.
     #[test]
     fn from_pool_delta_space_matches_cold_build(
         base in arb_instance(),
@@ -257,13 +271,15 @@ proptest! {
         for local in 0..cold.n_workers() {
             prop_assert_eq!(warm.valid_of(local), cold.valid_of(local), "valid sets differ");
             prop_assert_eq!(warm.masks_of(local), cold.masks_of(local), "masks differ");
-            prop_assert_eq!(warm.desc_pool_of(local), cold.desc_pool_of(local), "desc order differs");
-            prop_assert_eq!(warm.desc_slots_of(local), cold.desc_slots_of(local), "desc slots differ");
             for (a, b) in warm.payoffs_of(local).iter().zip(cold.payoffs_of(local)) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "payoffs not bit-identical");
             }
-            for (a, b) in warm.desc_payoffs_of(local).iter().zip(cold.desc_payoffs_of(local)) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "desc payoffs not bit-identical");
+            // The warm space answers the monotone best response exactly as
+            // a first-hit scan over the cold space's payoff-sorted list.
+            for taken in [0, cold.pool.first().map_or(0, |v| v.mask)] {
+                let best = kernel::best_open_chunked(warm.masks_of(local), warm.payoffs_of(local), taken)
+                    .map(|pos| (warm.valid_of(local)[pos], kernel::desc_rank(warm.payoffs_of(local), pos)));
+                prop_assert_eq!(best, first_hit_by_payoff(&cold, local, taken), "best response differs");
             }
         }
         for (a, b) in warm.worker_to_dc.iter().zip(&cold.worker_to_dc) {

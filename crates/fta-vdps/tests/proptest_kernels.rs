@@ -1,8 +1,8 @@
 //! Property-based equivalence of the chunked-limb kernels and the
 //! arena-backed columnar `StrategySpace` validation against scalar /
-//! per-route references, on randomized fixtures and instances. These
-//! complement the unit fixtures in `kernel.rs`: proptest drives lengths,
-//! densities, and limits the hand-picked cases miss.
+//! per-route / payoff-sorted references, on randomized fixtures and
+//! instances. These complement the unit fixtures in `kernel.rs`: proptest
+//! drives lengths, densities, and limits the hand-picked cases miss.
 
 use fta_core::payoff::payoff_for_travel;
 use fta_data::{generate_syn, SynConfig};
@@ -68,6 +68,35 @@ proptest! {
         kernel::for_each_zero_scalar(&slots, limit, &conflicts, |p| a.push(p));
         kernel::for_each_zero_chunked(&slots, limit, &conflicts, |p| b.push(p));
         prop_assert_eq!(a, b);
+    }
+
+    /// The argmax kernels answer the monotone best response exactly as the
+    /// retired payoff-sorted first-hit scan did: same slot, and
+    /// `desc_rank` equals that slot's position in the sorted list. A small
+    /// payoff alphabet (with zero) makes ties common; lengths start at 0.
+    #[test]
+    fn best_kernels_match_sorted_first_hit(
+        slots in prop::collection::vec((1u8..=u8::MAX, 0usize..4), 0..40),
+        taken in 0u8..=u8::MAX,
+    ) {
+        const PAYOFFS: [f64; 4] = [0.0, 0.5, 1.0, 2.0];
+        let masks: Vec<u128> = slots.iter().map(|&(m, _)| u128::from(m)).collect();
+        let payoffs: Vec<f64> = slots.iter().map(|&(_, p)| PAYOFFS[p]).collect();
+        let taken = u128::from(taken);
+        let conflicts: Vec<u32> = masks.iter().map(|&m| (m & taken).count_ones()).collect();
+
+        let mut order: Vec<usize> = (0..payoffs.len()).collect();
+        order.sort_by(|&a, &b| payoffs[b].total_cmp(&payoffs[a]));
+        let want = order
+            .iter()
+            .position(|&pos| masks[pos] & taken == 0)
+            .map(|rank| (order[rank], rank));
+
+        let with_rank = |pos: Option<usize>| pos.map(|p| (p, kernel::desc_rank(&payoffs, p)));
+        prop_assert_eq!(with_rank(kernel::best_open_scalar(&masks, &payoffs, taken)), want);
+        prop_assert_eq!(with_rank(kernel::best_open_chunked(&masks, &payoffs, taken)), want);
+        prop_assert_eq!(with_rank(kernel::best_zero_scalar(&conflicts, &payoffs)), want);
+        prop_assert_eq!(with_rank(kernel::best_zero_chunked(&conflicts, &payoffs)), want);
     }
 
     /// The arena-backed columnar validation inside `StrategySpace` must
