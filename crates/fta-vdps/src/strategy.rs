@@ -164,8 +164,13 @@ impl SlotColumns {
     }
 
     fn range(&self, local: usize) -> std::ops::Range<usize> {
-        self.offsets[local] as usize..self.offsets[local + 1] as usize
+        worker_range(&self.offsets, local)
     }
+}
+
+/// Worker `local`'s slot range under CSR `offsets`.
+fn worker_range(offsets: &[u32], local: usize) -> std::ops::Range<usize> {
+    offsets[local] as usize..offsets[local + 1] as usize
 }
 
 /// The strategy spaces of all workers of one distribution center.
@@ -616,16 +621,12 @@ impl SlotCache {
         self.valid.len()
     }
 
-    fn range(&self, local: usize) -> std::ops::Range<usize> {
-        self.offsets[local] as usize..self.offsets[local + 1] as usize
-    }
-
     fn valid_of(&self, local: usize) -> &[u32] {
-        &self.valid[self.range(local)]
+        &self.valid[worker_range(&self.offsets, local)]
     }
 
     fn payoffs_of(&self, local: usize) -> &[f64] {
-        &self.payoffs[self.range(local)]
+        &self.payoffs[worker_range(&self.offsets, local)]
     }
 }
 
