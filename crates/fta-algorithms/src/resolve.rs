@@ -11,14 +11,18 @@
 //!    aggregates, workers, geometry, configuration) is bitwise identical
 //!    to the cache: the cached outcome is returned as-is, no work at all;
 //! 2. **warm** — the VDPS pool is delta-updated
-//!    ([`fta_vdps::delta_update`]) instead of regenerated, the cached
-//!    equilibrium profile is remapped onto the new pool (old strategy
-//!    masks → delivery-point ids → new masks → new pool indices), and the
-//!    game restarts *from that profile* with a single best-response run —
-//!    only workers the churn actually disturbed re-deliberate;
-//! 3. **cold** — anything the delta updater cannot express (ε change,
-//!    relocated center, truncated cache, or a panic in the warm path)
-//!    falls back to the ordinary full per-center solve.
+//!    ([`fta_vdps::delta_update`]) when the churn only removed, aged, or
+//!    re-rewarded tasks, and regenerated when it needs rediscovery (a new
+//!    or loosened delivery point, or a cached order broken by a tighter
+//!    deadline). Either way the cached equilibrium profile is remapped
+//!    onto the new pool (old strategy masks → delivery-point ids → new
+//!    masks → new pool indices), and the game restarts *from that
+//!    profile* with a single best-response run — only workers the churn
+//!    actually disturbed re-deliberate;
+//! 3. **cold** — a cache that does not fit the new round
+//!    ([`PoolCache::fits`]: ε change, grown length cap, relocated center,
+//!    changed speed, truncated cache), or a panic in the warm path, falls
+//!    back to the ordinary full per-center solve.
 //!
 //! Caching is only attempted under an unlimited budget and without fault
 //! injection: a degraded or quarantined center must be re-solved cold
@@ -261,10 +265,12 @@ impl Solver {
     /// Rebuilds the per-center caches from a journaled round: `instance`
     /// is the instance that round solved, `keys` its stable worker keys,
     /// and `seed` the equilibria it captured. Pools are regenerated via
-    /// the same budgeted build as a cold solve (bit-identical to the
-    /// delta-updated pools the live solver cached) and the seeded
-    /// equilibria are installed on top, so the next `resolve` sees
-    /// exactly the cache an uninterrupted process would hold.
+    /// the same budgeted build as a cold solve — the build the live
+    /// solver's warm path also uses whenever the delta updater declines,
+    /// and bit-identical to the delta-updated pools it caches otherwise —
+    /// and the seeded equilibria are installed on top, so the next
+    /// `resolve` sees exactly the cache an uninterrupted process would
+    /// hold.
     ///
     /// Returns `false` — leaving the solver unprimed, which is always
     /// safe (the next round merely solves cold) — when the seed does not
@@ -358,11 +364,11 @@ impl Solver {
 
     /// Incremental re-solve of `instance` given what changed since the
     /// cached round. Centers whose inputs are bitwise unchanged return
-    /// their cached outcome; churned centers delta-update their pool and
-    /// warm-start from the cached equilibrium; everything else (including
-    /// an unprimed cache) solves cold. The result is always a complete,
-    /// valid solve of `instance` — the cache only changes how much work
-    /// that takes.
+    /// their cached outcome; churned centers delta-update or regenerate
+    /// their pool and warm-start from the cached equilibrium; everything
+    /// else (including an unprimed cache) solves cold. The result is
+    /// always a complete, valid solve of `instance` — the cache only
+    /// changes how much work that takes.
     pub fn resolve(&mut self, instance: &Instance, churn: &ChurnSet) -> SolveOutcome {
         let keys_ok = churn.worker_keys.len() == instance.workers.len();
         if self.centers.is_empty()
@@ -651,10 +657,11 @@ fn remap_profile(cache: &CenterCache, keys: &[u64], space: &StrategySpace) -> Ve
     profile
 }
 
-/// The warm path for one center: delta-update the pool, rebuild the
-/// strategy space around it, replay the remapped equilibrium, and run a
-/// single warm best-response pass. Returns `None` when the delta updater
-/// declines (unsupported transition), sending the center cold.
+/// The warm path for one center: delta-update the pool (or regenerate it
+/// when the update would need rediscovery), rebuild the strategy space
+/// around it, replay the remapped equilibrium, and run a single warm
+/// best-response pass. Returns `None` when the cached pool does not fit
+/// this round at all ([`PoolCache::fits`]), sending the center cold.
 fn warm_center(
     instance: &Instance,
     aggregates: &[DpAggregate],
@@ -664,45 +671,56 @@ fn warm_center(
     config: &SolveConfig,
     vdps_cfg: &VdpsConfig,
 ) -> Option<(CenterOutcome, WarmStart, CenterCache)> {
+    let pool_cache = &cache.capture.pool_cache;
+    if !pool_cache.fits(instance, &view, vdps_cfg) {
+        fta_obs::counter("vdps.delta_fallback", 1);
+        return None;
+    }
     let center = view.center;
     let center_u32 = center.index() as u32;
     let _span = fta_obs::span_center("solver.center_warm", center_u32);
     let t0 = Instant::now();
-    let (pool, provenance, dstats) = delta_update_with_provenance(
-        instance,
-        aggregates,
-        &view,
-        vdps_cfg,
-        &cache.capture.pool_cache,
-    )?;
-    let gen_stats = dstats.as_gen_stats(pool.len());
-    // The per-worker slot cache is reusable only when the worker side is
-    // bitwise-stable: same workers in the same local order with unchanged
-    // location and `maxDP` (travel times to the center are then equal bit
-    // for bit, since a successful delta guarantees the center and speed
-    // are unchanged). Otherwise validate the pool from scratch.
-    let workers_stable = view.workers.len() == cache.worker_keys.len()
-        && cache.capture.slots.n_workers() == cache.worker_keys.len()
-        && view.workers.iter().enumerate().all(|(local, &w)| {
-            let worker = &instance.workers[w.index()];
-            keys[w.index()] == cache.worker_keys[local]
-                && (
-                    worker.location.x.to_bits(),
-                    worker.location.y.to_bits(),
-                    worker.max_dp as u64,
-                ) == cache.worker_bits[local]
-        });
-    let space = if workers_stable {
-        StrategySpace::from_pool_delta(
-            instance,
-            view,
-            pool,
-            &provenance,
-            &cache.capture.slots,
-            gen_stats,
-        )
-    } else {
-        StrategySpace::from_pool_in(instance, view, pool, gen_stats, None)
+    let delta = delta_update_with_provenance(instance, aggregates, &view, vdps_cfg, pool_cache);
+    let space = match delta {
+        Some((pool, provenance, dstats)) => {
+            let gen_stats = dstats.as_gen_stats(pool.len());
+            // The per-worker slot cache is reusable only when the worker
+            // side is bitwise-stable: same workers in the same local order
+            // with unchanged location and `maxDP` (travel times to the
+            // center are then equal bit for bit, since a fitting cache
+            // guarantees the center and speed are unchanged). Otherwise
+            // validate the pool from scratch.
+            let workers_stable = view.workers.len() == cache.worker_keys.len()
+                && cache.capture.slots.n_workers() == cache.worker_keys.len()
+                && view.workers.iter().enumerate().all(|(local, &w)| {
+                    let worker = &instance.workers[w.index()];
+                    keys[w.index()] == cache.worker_keys[local]
+                        && (
+                            worker.location.x.to_bits(),
+                            worker.location.y.to_bits(),
+                            worker.max_dp as u64,
+                        ) == cache.worker_bits[local]
+                });
+            if workers_stable {
+                StrategySpace::from_pool_delta(
+                    instance,
+                    view,
+                    pool,
+                    &provenance,
+                    &cache.capture.slots,
+                    gen_stats,
+                )
+            } else {
+                StrategySpace::from_pool_in(instance, view, pool, gen_stats, None)
+            }
+        }
+        None => {
+            // The churn needs rediscovery: regenerating with the flat
+            // engine is cheaper than any search seeded by the changed
+            // points, and the warm start below still applies.
+            fta_obs::counter("vdps.delta_regenerated", 1);
+            StrategySpace::build_in(instance, aggregates, view, vdps_cfg, None)
+        }
     };
     let vdps_time = t0.elapsed();
 
@@ -800,6 +818,40 @@ mod tests {
         ChurnSet::empty(instance.workers.len())
     }
 
+    /// Drops the last `1/frac` of the tasks: removal-only churn, which the
+    /// delta updater applies.
+    fn drop_tail(instance: &Instance, frac: usize) -> Instance {
+        let mut churned = instance.clone();
+        let n = churned.tasks.len();
+        churned.tasks.truncate(n - n / frac);
+        churned
+    }
+
+    /// One task at a brand-new delivery point next to every center, plus
+    /// one loosened expiry: churn the delta updater declines, so every
+    /// center regenerates its pool and still warm-starts.
+    fn arrivals(instance: &Instance) -> Instance {
+        use fta_core::entities::{DeliveryPoint, SpatialTask};
+        use fta_core::geometry::Point;
+        let mut churned = instance.clone();
+        for c in &instance.centers {
+            let dp = DeliveryPointId::from_index(churned.delivery_points.len());
+            churned.delivery_points.push(DeliveryPoint {
+                id: dp,
+                location: Point::new(c.location.x + 0.05, c.location.y - 0.05),
+                center: c.id,
+            });
+            churned.tasks.push(SpatialTask {
+                id: fta_core::TaskId::from_index(churned.tasks.len()),
+                delivery_point: dp,
+                expiry: instance.tasks[0].expiry,
+                reward: 2.0,
+            });
+        }
+        churned.tasks[0].expiry += 1.0;
+        churned
+    }
+
     #[test]
     fn zero_churn_resolve_is_all_clean_and_bit_identical() {
         for algorithm in [
@@ -838,27 +890,49 @@ mod tests {
 
     #[test]
     fn task_churn_takes_the_warm_path_and_matches_cold_for_gta() {
-        // GTA is deterministic given the pool, and the delta-updated pool
-        // is bit-identical to regeneration, so warm GTA must equal a cold
-        // solve of the churned instance exactly.
+        // GTA is deterministic given the pool, and the warm pool — delta
+        // updated after removals, regenerated after arrivals — is
+        // bit-identical to a cold one, so warm GTA must equal a cold solve
+        // of the churned instance exactly.
         let inst = instance(3);
-        let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
-        solver.solve(&inst);
+        for churned in [drop_tail(&inst, 10), arrivals(&inst)] {
+            let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
+            solver.solve(&inst);
+            let warm = solver.resolve(&churned, &identity_churn(&churned));
+            let stats = solver.last_stats();
+            assert!(
+                stats.centers_warm > 0,
+                "no center took the warm path: {stats:?}"
+            );
+            assert_eq!(stats.centers_cold, 0, "unexpected cold centers: {stats:?}");
 
-        let mut churned = inst.clone();
-        let n = churned.tasks.len();
-        churned.tasks.truncate(n - n / 10); // drop the last 10% of tasks
-        let warm = solver.resolve(&churned, &identity_churn(&churned));
-        let stats = solver.last_stats();
-        assert!(
-            stats.centers_warm > 0,
-            "no center took the warm path: {stats:?}"
-        );
-        assert_eq!(stats.centers_cold, 0, "unexpected cold centers: {stats:?}");
+            let cold = crate::solver::solve(&churned, &SolveConfig::new(Algorithm::Gta));
+            assert_eq!(warm.assignment, cold.assignment);
+            assert!(warm.assignment.validate(&churned).is_ok());
+        }
+    }
 
-        let cold = crate::solver::solve(&churned, &SolveConfig::new(Algorithm::Gta));
-        assert_eq!(warm.assignment, cold.assignment);
-        assert!(warm.assignment.validate(&churned).is_ok());
+    #[test]
+    fn caches_that_do_not_fit_go_cold() {
+        // A changed speed or a relocated center leaves no cached pool
+        // reusable: those centers solve cold rather than regenerating and
+        // warm-starting from the equilibrium of a different geometry.
+        let inst = instance(11);
+        let mut faster = drop_tail(&inst, 10);
+        faster.speed *= 1.5;
+        let mut moved = drop_tail(&inst, 10);
+        moved.centers[0].location.x += 0.25;
+        for (churned, cold) in [(faster, inst.centers.len()), (moved, 1)] {
+            let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
+            solver.solve(&inst);
+            solver.resolve(&churned, &identity_churn(&churned));
+            let stats = solver.last_stats();
+            assert_eq!(stats.centers_cold, cold, "{stats:?}");
+            assert_eq!(
+                stats.centers_clean + stats.centers_warm + stats.centers_cold,
+                inst.centers.len()
+            );
+        }
     }
 
     #[test]
@@ -963,26 +1037,29 @@ mod tests {
             );
             assert_eq!(a.assignment, b.assignment, "{}", algorithm.name());
 
-            // Churned round: both must take the same warm path to the same
-            // equilibrium, leaving bitwise-equal seeds behind.
-            let mut churned = inst.clone();
-            let n = churned.tasks.len();
-            churned.tasks.truncate(n - n / 12);
-            let a = live.resolve(&churned, &churn);
-            let b = restored.resolve(&churned, &churn);
-            assert_eq!(
-                live.last_stats(),
-                restored.last_stats(),
-                "{}: ladder paths diverged",
-                algorithm.name()
-            );
-            assert_eq!(a.assignment, b.assignment, "{}", algorithm.name());
-            assert_eq!(
-                live.cache_seed(),
-                restored.cache_seed(),
-                "{}: post-round caches diverged",
-                algorithm.name()
-            );
+            // Churned rounds — removals (delta-updated pools), then
+            // arrivals (regenerated pools): both must take the same warm
+            // path to the same equilibrium, leaving bitwise-equal seeds
+            // behind.
+            let removed = drop_tail(&inst, 12);
+            for churned in [removed.clone(), arrivals(&removed)] {
+                let a = live.resolve(&churned, &churn);
+                let b = restored.resolve(&churned, &churn);
+                assert!(live.last_stats().centers_warm > 0, "{}", algorithm.name());
+                assert_eq!(
+                    live.last_stats(),
+                    restored.last_stats(),
+                    "{}: ladder paths diverged",
+                    algorithm.name()
+                );
+                assert_eq!(a.assignment, b.assignment, "{}", algorithm.name());
+                assert_eq!(
+                    live.cache_seed(),
+                    restored.cache_seed(),
+                    "{}: post-round caches diverged",
+                    algorithm.name()
+                );
+            }
         }
     }
 

@@ -215,9 +215,9 @@ pub fn enabled() -> bool {
 }
 
 /// Flush this thread's buffered events to the accumulator immediately.
-/// Useful before reading cross-thread state in tests; never required
-/// for correctness on pool workers (their thread-local destructors
-/// flush at scope exit).
+/// Useful before reading cross-thread state in tests. Pool workers call
+/// it on shutdown: a scoped thread's thread-local destructors may run
+/// after the scope has already returned.
 pub fn flush_thread() {
     let _ = TLS.try_with(|cell| {
         if let Ok(mut slot) = cell.try_borrow_mut() {

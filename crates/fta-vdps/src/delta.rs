@@ -4,38 +4,39 @@
 //! In a round-based deployment the instance a center solves at round
 //! `t + 1` is almost the instance it solved at round `t`: a handful of
 //! tasks arrived or left, and every surviving task's relative expiry
-//! shrank by the round length. Regenerating the full subset DP and
-//! rebuilding every route from scratch throws that similarity away.
-//! [`delta_update`] instead classifies each delivery point of the new
-//! round against a [`PoolCache`] captured from the previous generation
-//! and touches only what changed:
+//! shrank by the round length. When nothing new became feasible, the new
+//! pool is the cached one minus what died, with some payloads retimed.
+//! [`delta_update`] classifies each delivery point of the new round
+//! against a [`PoolCache`] captured from the previous generation and
+//! handles exactly that case:
 //!
 //! * **unchanged** points (bitwise-equal aggregates and location) keep
-//!   their cached entries verbatim — the shared [`Arc<Route>`]s are
+//!   their cached entries verbatim — the shared `Arc<Route>`s are
 //!   reused without rebuilding;
 //! * **reward-dirty** points (same expiry bits, different reward or task
 //!   count) keep their visiting orders — feasibility depends only on
-//!   expiries — and rebuild just the [`Route`] payload;
+//!   expiries — and rebuild just the route payload;
 //! * **tightened** points (expiry strictly decreased) revalidate each
 //!   touching entry stop by stop against the cached arrival offsets; an
 //!   entry whose every stop still meets its (new) deadline provably
-//!   re-wins all DP tie-breaks and is kept bit-identically, while a
-//!   broken entry falls back to a per-mask recompute;
-//! * **dirty** points (new, relocated, or expiry loosened) invalidate
-//!   every touching entry and seed a layered rediscovery, because a
-//!   loosened deadline can make a previously pruned — possibly shorter —
-//!   ordering feasible;
+//!   re-wins all DP tie-breaks and is kept bit-identically;
 //! * **removed** points simply drop their touching entries: removal and
 //!   tightening can never create a feasible subset that did not exist
 //!   before.
 //!
-//! Recomputation and discovery run through a lazily memoised per-mask
-//! Held–Karp that replicates the flat engine's arithmetic (the same
-//! `distance / speed` expression tree) and tie-breaks (smaller arrival,
-//! then smaller predecessor index; emission prefers the lowest set bit on
-//! exact ties), so the merged pool — re-sorted by subset size then mask —
-//! is **bit-identical** to a cold regeneration for the same input. The
-//! module tests and `tests/delta_equivalence.rs` assert exactly that.
+//! Everything else needs rediscovery, and the updater declines it
+//! (returns `None`) instead of searching: a **dirty** point (new,
+//! relocated, or expiry loosened) can make masks feasible that the cache
+//! never held, and a tightened entry whose cached order broke may still
+//! be feasible through another order. A dirty point declines during
+//! classification, before the cached pool is walked. The caller then
+//! regenerates the pool with the flat engine, which costs less than any
+//! per-mask search seeded by the changed points.
+//!
+//! A returned pool — re-sorted by subset size then mask — is
+//! **bit-identical** to a cold regeneration for the same input. The
+//! module tests and `tests/delta_equivalence.rs` assert exactly that,
+//! and that the updater declines exactly when rediscovery is needed.
 //!
 //! Classification is *bitwise* on purpose: a caller re-deriving relative
 //! expiries from a new wall-clock instant almost never produces
@@ -45,7 +46,6 @@
 use crate::config::VdpsConfig;
 use crate::generator::{GenerationStats, Vdps};
 use fta_core::instance::{CenterView, DpAggregate, Instance};
-use fta_core::route::Route;
 use fta_core::DeliveryPointId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -111,6 +111,23 @@ impl PoolCache {
             speed_bits: instance.speed.to_bits(),
         }
     }
+
+    /// Whether this cache describes the same problem as (`instance`,
+    /// `view`, `config`) up to task churn: a complete (untruncated)
+    /// previous pool, the same ε, a subset-size cap no larger than the
+    /// cached one, and bitwise the same center location and speed. A
+    /// cache that does not fit can never seed [`delta_update`], whatever
+    /// the churn; one that fits may still be declined when the churn
+    /// needs rediscovery.
+    #[must_use]
+    pub fn fits(&self, instance: &Instance, view: &CenterView, config: &VdpsConfig) -> bool {
+        let dc = instance.centers[view.center.index()].location;
+        !self.truncated
+            && self.epsilon.map(f64::to_bits) == config.epsilon.map(f64::to_bits)
+            && config.max_len <= self.max_len
+            && self.center_bits == (dc.x.to_bits(), dc.y.to_bits())
+            && self.speed_bits == instance.speed.to_bits()
+    }
 }
 
 /// Counters describing one delta update, mirrored to the telemetry
@@ -119,21 +136,12 @@ impl PoolCache {
 pub struct DeltaStats {
     /// Cached entries reused verbatim (shared `Arc<Route>`, no rebuild).
     pub reused: usize,
-    /// Cached entries whose visiting order survived but whose [`Route`]
+    /// Cached entries whose visiting order survived but whose route
     /// payload was rebuilt (reward change, or tightened-but-still-valid).
     pub rebuilt: usize,
-    /// Masks recomputed through the memoised per-mask DP (broken
-    /// tightened entries).
-    pub recomputed: usize,
-    /// New masks found by dirty-seeded layered discovery.
-    pub discovered: usize,
-    /// Cached entries dropped (removed member, infeasible after
-    /// recompute, or over the new length cap).
+    /// Cached entries dropped (removed member, or over the new length
+    /// cap).
     pub dropped: usize,
-    /// Delivery points classified dirty (new, relocated, or loosened).
-    pub dirty_points: usize,
-    /// Memoised DP states materialised during recompute/discovery.
-    pub memo_states: usize,
     /// Wall time of classification + survivor processing, nanoseconds.
     pub dp_nanos: u64,
     /// Wall time of route rebuilds, nanoseconds.
@@ -144,13 +152,11 @@ impl DeltaStats {
     /// A [`GenerationStats`] view of this delta run, for consumers (the
     /// strategy-space builder, telemetry) that expect generation
     /// statistics. Work counters other than `vdps_count` stay zero: a
-    /// delta run deliberately does not replay the full DP's extension
-    /// accounting.
+    /// delta run runs no DP, so it has no states or extensions to count.
     #[must_use]
     pub fn as_gen_stats(&self, vdps_count: usize) -> GenerationStats {
         GenerationStats {
             vdps_count,
-            states: self.memo_states,
             dp_nanos: self.dp_nanos,
             route_nanos: self.route_nanos,
             ..GenerationStats::default()
@@ -158,28 +164,14 @@ impl DeltaStats {
     }
 }
 
-/// Per-delivery-point classification against the cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PointClass {
-    /// Aggregates and location bitwise equal: entries reusable verbatim.
-    Unchanged,
-    /// Expiry bits equal, reward/count differ: orders survive, routes
-    /// rebuild.
-    RewardDirty,
-    /// Expiry strictly decreased: per-stop revalidation decides.
-    Tightened,
-    /// New point, relocated point, or loosened expiry: full rediscovery
-    /// of touching masks.
-    Dirty,
-}
-
 /// Attempts to update `cache` into the pool a full regeneration would
 /// produce for (`instance`, `aggregates`, `view`, `config`). Returns
-/// `None` when the cache cannot soundly seed an update — truncated
-/// previous generation, ε or speed or center changed, or the subset-size
-/// cap grew — in which case the caller must regenerate from scratch. On
-/// success the returned pool is bit-identical (content and size-then-mask
-/// order) to [`crate::generate_c_vdps`] on the same input.
+/// `None` when the cache does not [fit](PoolCache::fits) the input, or
+/// when the churn needs rediscovery — a new, relocated, or loosened
+/// delivery point, or a tightened entry whose cached order broke. The
+/// caller must then regenerate from scratch. On success the returned pool
+/// is bit-identical (content and size-then-mask order) to
+/// [`crate::generate_c_vdps`] on the same input.
 ///
 /// # Panics
 ///
@@ -200,10 +192,10 @@ pub fn delta_update(
 /// [`delta_update`] that additionally reports, for every entry of the
 /// updated pool, which cached pool index it was reused from *verbatim*
 /// (`Some(old_index)` only for [`DeltaStats::reused`] entries — the mask
-/// members, visiting order, and [`Route`] payload are all bit-identical
-/// to the cached entry, with only the local bit numbering remapped).
-/// Rebuilt, recomputed, and discovered entries report `None`: their
-/// payoffs changed, so downstream per-worker caches must not carry over.
+/// members, visiting order, and route payload are all bit-identical to
+/// the cached entry, with only the local bit numbering remapped).
+/// Rebuilt entries report `None`: their payoffs changed, so downstream
+/// per-worker caches must not carry over.
 ///
 /// The provenance vector is parallel to the returned pool and lets the
 /// strategy-space builder skip per-worker revalidation of unchanged
@@ -222,19 +214,7 @@ pub fn delta_update_with_provenance(
         "center {} has {n} delivery points; the bitmask DP supports at most 128",
         view.center
     );
-    let dc = instance.centers[view.center.index()].location;
-    let epsilon_matches = match (cache.epsilon, config.epsilon) {
-        (None, None) => true,
-        (Some(a), Some(b)) => a.to_bits() == b.to_bits(),
-        _ => false,
-    };
-    if cache.truncated
-        || !epsilon_matches
-        || config.max_len > cache.max_len
-        || cache.center_bits != (dc.x.to_bits(), dc.y.to_bits())
-        || cache.speed_bits != instance.speed.to_bits()
-    {
-        fta_obs::counter("vdps.delta_fallback", 1);
+    if !cache.fits(instance, view, config) {
         return None;
     }
     let mut stats = DeltaStats::default();
@@ -250,67 +230,32 @@ pub fn delta_update_with_provenance(
         .enumerate()
         .map(|(bit, &id)| (id, bit))
         .collect();
-    let locs: Vec<_> = view
-        .dps
-        .iter()
-        .map(|dp| instance.delivery_points[dp.index()].location)
-        .collect();
-    let expiry: Vec<f64> = view
-        .dps
-        .iter()
-        .map(|dp| aggregates[dp.index()].earliest_expiry)
-        .collect();
-    let mut class = Vec::with_capacity(n);
     // Old local bit → new local bit; removed points stay `None`.
     let mut remap = vec![None::<usize>; cache.dp_ids.len()];
+    let mut tightened_mask = 0u128;
+    let mut reward_mask = 0u128;
     for (j, &id) in view.dps.iter().enumerate() {
-        let c = match old_bit_of.get(&id) {
-            None => PointClass::Dirty,
-            Some(&old) => {
-                remap[old] = Some(j);
-                let oa = &cache.aggregates[old];
-                let na = &aggregates[id.index()];
-                let loc_bits = (locs[j].x.to_bits(), locs[j].y.to_bits());
-                if cache.location_bits[old] != loc_bits {
-                    PointClass::Dirty
-                } else if oa.earliest_expiry.to_bits() == na.earliest_expiry.to_bits() {
-                    if oa.total_reward.to_bits() == na.total_reward.to_bits()
-                        && oa.task_count == na.task_count
-                    {
-                        PointClass::Unchanged
-                    } else {
-                        PointClass::RewardDirty
-                    }
-                } else if na.earliest_expiry < oa.earliest_expiry {
-                    PointClass::Tightened
-                } else {
-                    PointClass::Dirty
-                }
-            }
-        };
-        if c == PointClass::Dirty {
-            stats.dirty_points += 1;
+        // A new point is dirty: decline.
+        let old = *old_bit_of.get(&id)?;
+        remap[old] = Some(j);
+        let loc = instance.delivery_points[id.index()].location;
+        if cache.location_bits[old] != (loc.x.to_bits(), loc.y.to_bits()) {
+            return None; // relocated: dirty
         }
-        class.push(c);
+        let oa = &cache.aggregates[old];
+        let na = &aggregates[id.index()];
+        if oa.earliest_expiry.to_bits() == na.earliest_expiry.to_bits() {
+            if oa.total_reward.to_bits() != na.total_reward.to_bits()
+                || oa.task_count != na.task_count
+            {
+                reward_mask |= 1u128 << j;
+            }
+        } else if na.earliest_expiry < oa.earliest_expiry {
+            tightened_mask |= 1u128 << j;
+        } else {
+            return None; // loosened: dirty
+        }
     }
-    let dirty_mask: u128 = class
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| **c == PointClass::Dirty)
-        .map(|(j, _)| 1u128 << j)
-        .sum();
-    let tightened_mask: u128 = class
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| **c == PointClass::Tightened)
-        .map(|(j, _)| 1u128 << j)
-        .sum();
-    let reward_mask: u128 = class
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| **c == PointClass::RewardDirty)
-        .map(|(j, _)| 1u128 << j)
-        .sum();
 
     // --- walk the cached pool: reuse, rebuild, revalidate, or drop ---
     let max_len = config.max_len.min(n);
@@ -318,9 +263,6 @@ pub fn delta_update_with_provenance(
     // Cached pool index each kept entry was reused from verbatim,
     // parallel to `kept`; `None` for anything whose payload was rebuilt.
     let mut prov: Vec<Option<u32>> = Vec::with_capacity(cache.pool.len());
-    // Masks whose cached order broke under tightening; the mask may still
-    // be feasible through a different ordering.
-    let mut to_recompute: Vec<u128> = Vec::new();
     let mut route_nanos_acc = 0u64;
     'entries: for (entry_idx, entry) in cache.pool.iter().enumerate() {
         if entry.route.len() > max_len {
@@ -340,38 +282,23 @@ pub fn delta_update_with_provenance(
                 }
             }
         }
-        if new_mask & dirty_mask != 0 {
-            // A loosened or relocated member: the minimal order itself may
-            // change, so the mask goes through rediscovery.
-            stats.dropped += 1;
-            continue;
-        }
         if new_mask & tightened_mask != 0 {
             // Revalidate the cached order stop by stop: the cached arrival
             // offsets are the DP's own chain values, so if every stop still
             // meets its (shrunk) deadline the chain re-wins all tie-breaks.
+            // A broken order may still have a feasible reordering: decline.
             let offsets = entry.route.arrival_offsets();
             for (i, dp) in entry.route.dps().iter().enumerate() {
                 if offsets[i] > aggregates[dp.index()].earliest_expiry {
-                    to_recompute.push(new_mask);
-                    continue 'entries;
+                    return None;
                 }
             }
-            let route_start = Instant::now();
+        }
+        if new_mask & (tightened_mask | reward_mask) != 0 {
             // Stops did not move (location bits were checked during
             // classification), so the cached arrival offsets are exact:
-            // retime the payload instead of re-walking the legs.
-            let route = entry.route.retimed(aggregates);
-            route_nanos_acc += elapsed_nanos(route_start);
-            stats.rebuilt += 1;
-            kept.push(Vdps {
-                mask: new_mask,
-                route: Arc::new(route),
-            });
-            prov.push(None);
-        } else if new_mask & reward_mask != 0 {
-            // Feasibility untouched (expiry bits equal); only the payload
-            // (reward, slack contribution of counts) needs retiming.
+            // retime the payload (reward, slack) instead of re-walking the
+            // legs.
             let route_start = Instant::now();
             let route = entry.route.retimed(aggregates);
             route_nanos_acc += elapsed_nanos(route_start);
@@ -391,114 +318,7 @@ pub fn delta_update_with_provenance(
         }
     }
 
-    // --- memoised per-mask DP for recomputes and discovery ---
-    let mut dp = MemoDp::new(instance, dc, &locs, expiry, config.epsilon);
-    for mask in to_recompute {
-        if let Some(order) = dp.best_order(mask) {
-            let route_start = Instant::now();
-            let dps: Vec<DeliveryPointId> = order
-                .iter()
-                .map(|&local| view.dps[usize::from(local)])
-                .collect();
-            let route = Route::build(instance, aggregates, view.center, dps)
-                .expect("DP states only reference valid delivery points");
-            route_nanos_acc += elapsed_nanos(route_start);
-            stats.recomputed += 1;
-            kept.push(Vdps {
-                mask,
-                route: Arc::new(route),
-            });
-            prov.push(None);
-        } else {
-            stats.dropped += 1;
-        }
-    }
-
-    // --- layered discovery seeded by the dirty points ---
-    // Completeness: any feasible mask `M` containing a dirty bit has a
-    // feasible witness chain; dropping its last stop yields a feasible
-    // mask of size |M| − 1 that either contains a dirty bit itself or is
-    // extended by one — both candidate rules below — so processing sizes
-    // in order reaches every such mask.
-    if dirty_mask != 0 {
-        let mut by_size: Vec<Vec<u128>> = vec![Vec::new(); max_len + 1];
-        let mut present: std::collections::HashSet<u128> = kept.iter().map(|v| v.mask).collect();
-        for v in &kept {
-            by_size[v.route.len()].push(v.mask);
-        }
-        let mut emit = |mask: u128, dp: &mut MemoDp<'_>, kept: &mut Vec<Vdps>| -> bool {
-            match dp.best_order(mask) {
-                Some(order) => {
-                    let route_start = Instant::now();
-                    let dps: Vec<DeliveryPointId> = order
-                        .iter()
-                        .map(|&local| view.dps[usize::from(local)])
-                        .collect();
-                    let route = Route::build(instance, aggregates, view.center, dps)
-                        .expect("DP states only reference valid delivery points");
-                    route_nanos_acc += elapsed_nanos(route_start);
-                    kept.push(Vdps {
-                        mask,
-                        route: Arc::new(route),
-                    });
-                    true
-                }
-                None => false,
-            }
-        };
-        let mut d = dirty_mask;
-        while d != 0 {
-            let j = d.trailing_zeros() as usize;
-            d &= d - 1;
-            let mask = 1u128 << j;
-            if emit(mask, &mut dp, &mut kept) {
-                stats.discovered += 1;
-                prov.push(None);
-                present.insert(mask);
-                by_size[1].push(mask);
-            }
-        }
-        let full_mask = if n == 128 {
-            u128::MAX
-        } else {
-            (1u128 << n) - 1
-        };
-        for size in 2..=max_len {
-            let mut candidates: Vec<u128> = Vec::new();
-            for &base in &by_size[size - 1] {
-                let extensions = if base & dirty_mask != 0 {
-                    // Dirty-containing base: try every free point.
-                    full_mask & !base
-                } else {
-                    // Clean base: only dirty points can create new masks.
-                    dirty_mask & !base
-                };
-                let mut e = extensions;
-                while e != 0 {
-                    let j = e.trailing_zeros() as usize;
-                    e &= e - 1;
-                    candidates.push(base | (1u128 << j));
-                }
-            }
-            candidates.sort_unstable();
-            candidates.dedup();
-            for mask in candidates {
-                if present.contains(&mask) {
-                    continue;
-                }
-                if emit(mask, &mut dp, &mut kept) {
-                    stats.discovered += 1;
-                    prov.push(None);
-                    present.insert(mask);
-                    by_size[size].push(mask);
-                }
-            }
-        }
-    }
-    stats.memo_states = dp.states();
-
     // --- canonical order: subset size, then mask ---
-    debug_assert_eq!(kept.len(), prov.len());
     let mut zipped: Vec<(Vdps, Option<u32>)> = kept.into_iter().zip(prov).collect();
     zipped.sort_unstable_by_key(|(v, _)| (v.mask.count_ones(), v.mask));
     let (kept, prov): (Vec<Vdps>, Vec<Option<u32>>) = zipped.into_iter().unzip();
@@ -518,141 +338,7 @@ fn emit_delta_counters(stats: &DeltaStats) {
     }
     fta_obs::counter("vdps.delta_reused", stats.reused as u64);
     fta_obs::counter("vdps.delta_rebuilt", stats.rebuilt as u64);
-    fta_obs::counter("vdps.delta_recomputed", stats.recomputed as u64);
-    fta_obs::counter("vdps.delta_discovered", stats.discovered as u64);
     fta_obs::counter("vdps.delta_dropped", stats.dropped as u64);
-    fta_obs::counter("vdps.delta_dirty_points", stats.dirty_points as u64);
-}
-
-/// Lazily memoised Held–Karp over one center's delivery points,
-/// replicating the flat engine's arithmetic and tie-breaks exactly:
-///
-/// * singleton arrivals are `dc.travel_time(loc, speed)`;
-/// * an extension `p → j` adds `locs[p].distance(locs[j]) / speed` (the
-///   same expression tree the flat engine stores in its travel matrix)
-///   and is pruned when the arrival exceeds `expiry[j]` or (with ε
-///   pruning) when the hop is longer than ε — both comparisons inclusive,
-///   matching the full engines;
-/// * among equal-arrival predecessors the smallest index wins
-///   ([`Slot::beats`](crate::flat) semantics), and emission prefers the
-///   lowest set bit on exact arrival ties.
-struct MemoDp<'a> {
-    n: usize,
-    tt: Vec<f64>,
-    from_dc: Vec<f64>,
-    expiry: Vec<f64>,
-    epsilon: Option<f64>,
-    locs: &'a [fta_core::geometry::Point],
-    /// `(mask, last) → (arrival, parent)`; `None` = infeasible.
-    memo: HashMap<(u128, u8), Option<(f64, u8)>>,
-}
-
-impl<'a> MemoDp<'a> {
-    fn new(
-        instance: &Instance,
-        dc: fta_core::geometry::Point,
-        locs: &'a [fta_core::geometry::Point],
-        expiry: Vec<f64>,
-        epsilon: Option<f64>,
-    ) -> Self {
-        let n = locs.len();
-        let speed = instance.speed;
-        let mut tt = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                tt[i * n + j] = locs[i].distance(locs[j]) / speed;
-            }
-        }
-        let from_dc = locs.iter().map(|&l| dc.travel_time(l, speed)).collect();
-        Self {
-            n,
-            tt,
-            from_dc,
-            expiry,
-            epsilon,
-            locs,
-            memo: HashMap::new(),
-        }
-    }
-
-    /// Number of memoised states materialised so far.
-    fn states(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// Minimal arrival at `last` over all feasible orderings of `mask`
-    /// ending at `last`, with the flat engine's tie-breaks; `None` when no
-    /// feasible ordering exists.
-    fn arrival(&mut self, mask: u128, last: u8) -> Option<(f64, u8)> {
-        if let Some(&cached) = self.memo.get(&(mask, last)) {
-            return cached;
-        }
-        let j = usize::from(last);
-        let result = if mask == 1u128 << j {
-            (self.from_dc[j] <= self.expiry[j]).then(|| (self.from_dc[j], u8::MAX))
-        } else {
-            let rest = mask & !(1u128 << j);
-            let mut best: Option<(f64, u8)> = None;
-            let mut preds = rest;
-            // Ascending predecessor order + strict improvement = the
-            // smallest-index tie-break of `Slot::beats`.
-            while preds != 0 {
-                let p = preds.trailing_zeros() as usize;
-                preds &= preds - 1;
-                if let Some(eps) = self.epsilon {
-                    if self.locs[p].distance(self.locs[j]) > eps {
-                        continue;
-                    }
-                }
-                if let Some((sub, _)) = self.arrival(rest, p as u8) {
-                    let cand = sub + self.tt[p * self.n + j];
-                    if cand > self.expiry[j] {
-                        continue;
-                    }
-                    if best.is_none_or(|(a, _)| cand < a) {
-                        best = Some((cand, p as u8));
-                    }
-                }
-            }
-            best
-        };
-        self.memo.insert((mask, last), result);
-        result
-    }
-
-    /// The minimum-travel visiting order of `mask` (local bit indices,
-    /// first to last), or `None` when the mask is infeasible. Matches the
-    /// flat engine's emission: the best last stop is the strict arrival
-    /// minimum over members in ascending bit order.
-    fn best_order(&mut self, mask: u128) -> Option<Vec<u8>> {
-        let mut best: Option<(f64, u8)> = None;
-        let mut members = mask;
-        while members != 0 {
-            let j = members.trailing_zeros() as usize;
-            members &= members - 1;
-            if let Some((arrival, _)) = self.arrival(mask, j as u8) {
-                if best.is_none_or(|(a, _)| arrival < a) {
-                    best = Some((arrival, j as u8));
-                }
-            }
-        }
-        let (_, mut last) = best?;
-        let mut order_rev = Vec::with_capacity(mask.count_ones() as usize);
-        let mut cur = mask;
-        loop {
-            order_rev.push(last);
-            let (_, parent) = self
-                .arrival(cur, last)
-                .expect("backwalk only visits feasible states");
-            if parent == u8::MAX {
-                break;
-            }
-            cur &= !(1u128 << last);
-            last = parent;
-        }
-        order_rev.reverse();
-        Some(order_rev)
-    }
 }
 
 #[cfg(test)]
@@ -745,6 +431,17 @@ mod tests {
         stats
     }
 
+    /// Asserts that the cache fits `inst` but the updater declines it.
+    fn assert_declines(inst: &Instance, config: &VdpsConfig, cache: &PoolCache) {
+        let aggs = inst.dp_aggregates();
+        let views = inst.center_views();
+        assert!(cache.fits(inst, &views[0], config), "cache should fit");
+        assert!(
+            delta_update(inst, &aggs, &views[0], config, cache).is_none(),
+            "churn that needs rediscovery must decline"
+        );
+    }
+
     #[test]
     fn zero_churn_reuses_everything() {
         for config in [VdpsConfig::unpruned(3), VdpsConfig::pruned(2.5, 3)] {
@@ -752,7 +449,7 @@ mod tests {
             let (cache, pool) = capture(&inst, &config);
             let stats = assert_matches_regen(&inst, &config, &cache);
             assert_eq!(stats.reused, pool.len());
-            assert_eq!(stats.rebuilt + stats.recomputed + stats.discovered, 0);
+            assert_eq!(stats.rebuilt, 0);
         }
     }
 
@@ -760,36 +457,70 @@ mod tests {
     fn task_removal_drops_only_touching_entries() {
         let config = VdpsConfig::unpruned(3);
         let inst = scatter_instance(12, 9);
-        let (cache, _) = capture(&inst, &config);
+        let (cache, pool) = capture(&inst, &config);
         let mut later = inst.clone();
         // Remove two tasks → their delivery points leave the view.
         later.tasks.remove(7);
         later.tasks.remove(2);
         let stats = assert_matches_regen(&later, &config, &cache);
         assert!(stats.dropped > 0);
-        assert_eq!(stats.discovered, 0, "removal can never create masks");
+        assert_eq!(stats.reused + stats.dropped, pool.len());
     }
 
     #[test]
     fn deadline_tightening_matches_regen() {
         let config = VdpsConfig::unpruned(3);
         let inst = scatter_instance(14, 3);
-        let (cache, _) = capture(&inst, &config);
+        let (cache, pool) = capture(&inst, &config);
         // Age every task by a fixed interval, dropping the ones that die —
-        // exactly the shape of a round advancing.
-        let age = 1.75;
+        // exactly the shape of a round advancing. The interval is half the
+        // tightest stop margin in the pool, so every cached order survives.
+        let aggs = inst.dp_aggregates();
+        let margin = pool
+            .iter()
+            .flat_map(|v| {
+                v.route
+                    .dps()
+                    .iter()
+                    .zip(v.route.arrival_offsets())
+                    .map(|(dp, a)| aggs[dp.index()].earliest_expiry - a)
+            })
+            .fold(f64::INFINITY, f64::min);
+        let age = margin / 2.0;
+        assert!(age > 0.0);
         let mut later = inst.clone();
         later.tasks.retain(|t| t.expiry > age);
         for t in &mut later.tasks {
             t.expiry -= age;
         }
         let stats = assert_matches_regen(&later, &config, &cache);
-        assert_eq!(stats.discovered, 0, "tightening can never create masks");
-        assert!(stats.reused + stats.rebuilt + stats.recomputed > 0);
+        assert!(stats.rebuilt > 0);
+        assert_eq!(stats.reused + stats.rebuilt + stats.dropped, pool.len());
     }
 
     #[test]
-    fn new_tasks_are_discovered() {
+    fn broken_tightened_order_declines() {
+        let config = VdpsConfig::unpruned(3);
+        let inst = scatter_instance(12, 3);
+        let (cache, pool) = capture(&inst, &config);
+        // Tighten the last stop of a multi-stop route just below the
+        // arrival its cached order reaches it at.
+        let route = &pool.iter().find(|v| v.route.len() > 1).unwrap().route;
+        let last = *route.dps().last().unwrap();
+        let arrival = *route.arrival_offsets().last().unwrap();
+        let mut later = inst.clone();
+        let task = later
+            .tasks
+            .iter_mut()
+            .find(|t| t.delivery_point == last)
+            .unwrap();
+        assert!(arrival < task.expiry);
+        task.expiry = arrival * 0.999;
+        assert_declines(&later, &config, &cache);
+    }
+
+    #[test]
+    fn new_tasks_decline() {
         let config = VdpsConfig::unpruned(3);
         let mut inst = scatter_instance(10, 21);
         let extra = inst.delivery_points.len();
@@ -806,33 +537,29 @@ mod tests {
             expiry: 9.0,
             reward: 2.0,
         });
-        let stats = assert_matches_regen(&later, &config, &cache);
-        assert!(stats.discovered > 0, "the new point must create masks");
+        assert_declines(&later, &config, &cache);
     }
 
     #[test]
-    fn loosened_deadline_rediscovers_better_orders() {
+    fn loosened_deadline_declines() {
         let config = VdpsConfig::unpruned(3);
         let inst = scatter_instance(12, 33);
         let (cache, _) = capture(&inst, &config);
         let mut later = inst.clone();
-        for t in &mut later.tasks {
-            t.expiry += 3.0;
-        }
-        let stats = assert_matches_regen(&later, &config, &cache);
-        assert!(stats.dirty_points > 0);
+        later.tasks[5].expiry += 3.0;
+        assert_declines(&later, &config, &cache);
     }
 
     #[test]
-    fn reward_change_rebuilds_without_recompute() {
+    fn reward_change_rebuilds_entries() {
         let config = VdpsConfig::pruned(3.0, 3);
         let inst = scatter_instance(12, 41);
-        let (cache, _) = capture(&inst, &config);
+        let (cache, pool) = capture(&inst, &config);
         let mut later = inst.clone();
         later.tasks[4].reward += 1.0;
         let stats = assert_matches_regen(&later, &config, &cache);
         assert!(stats.rebuilt > 0);
-        assert_eq!(stats.recomputed + stats.discovered, 0);
+        assert_eq!(stats.reused + stats.rebuilt, pool.len());
     }
 
     #[test]
@@ -848,22 +575,18 @@ mod tests {
         let aggs = inst.dp_aggregates();
         let views = inst.center_views();
         let (cache, _) = capture(&inst, &VdpsConfig::unpruned(2));
-        // max_len growth: larger masks unknown to the cache.
-        assert!(delta_update(&inst, &aggs, &views[0], &VdpsConfig::unpruned(3), &cache).is_none());
-        // ε change: the pruning frontier moved.
-        assert!(
-            delta_update(&inst, &aggs, &views[0], &VdpsConfig::pruned(1.0, 2), &cache).is_none()
-        );
-        // Truncated previous generation.
         let mut truncated = cache.clone();
         truncated.truncated = true;
-        assert!(delta_update(
-            &inst,
-            &aggs,
-            &views[0],
-            &VdpsConfig::unpruned(2),
-            &truncated
-        )
-        .is_none());
+        for (config, cache) in [
+            // max_len growth: larger masks unknown to the cache.
+            (VdpsConfig::unpruned(3), &cache),
+            // ε change: the pruning frontier moved.
+            (VdpsConfig::pruned(1.0, 2), &cache),
+            // Truncated previous generation.
+            (VdpsConfig::unpruned(2), &truncated),
+        ] {
+            assert!(!cache.fits(&inst, &views[0], &config));
+            assert!(delta_update(&inst, &aggs, &views[0], &config, cache).is_none());
+        }
     }
 }

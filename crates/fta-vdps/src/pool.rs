@@ -182,6 +182,11 @@ impl<'env> TaskScope<'env> {
             } else if self.shutdown.load(Ordering::SeqCst) {
                 drop(guard);
                 fta_obs::counter("pool.parks", parks);
+                // `thread::scope` may return before this thread's
+                // thread-local destructors run, so flush explicitly: a
+                // recorder finished right after the scope must see every
+                // event its workers emitted.
+                fta_obs::flush_thread();
                 return;
             } else {
                 parks += 1;

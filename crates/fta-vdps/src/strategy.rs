@@ -338,7 +338,7 @@ impl StrategySpace {
     /// worker's cached (validity, payoff) pair for every entry the delta
     /// update carried over verbatim (`provenance[j] = Some(old_index)`,
     /// see [`crate::delta_update_with_provenance`]); only entries with a
-    /// rebuilt [`Route`] payload go through per-worker validation again.
+    /// rebuilt route payload go through per-worker validation again.
     ///
     /// Bit-identical to [`StrategySpace::from_pool_in`] on the same
     /// `(instance, view, pool)` **provided the worker side is unchanged**
@@ -348,6 +348,12 @@ impl StrategySpace {
     /// typical caller is the incremental solver, which compares worker
     /// identity bits before taking this path and falls back to
     /// [`StrategySpace::from_pool_in`] otherwise.
+    ///
+    /// Only a pool the delta updater produced has provenance. When the
+    /// churn dirtied a delivery point (new, relocated, or loosened) or
+    /// broke a tightened entry's order, the updater declines and the
+    /// solver regenerates the pool and validates it in full
+    /// ([`StrategySpace::build_in`]); its equilibrium warm start stays.
     ///
     /// # Panics
     ///

@@ -1,7 +1,8 @@
 //! End-to-end observability: a real solve recorded through the facade
 //! crate produces per-center spans, per-round game events, and work
 //! counters; the JSONL trace and Prometheus snapshot round-trip; and a
-//! solve *without* a recorder emits nothing at all.
+//! solve *without* a recorder emits nothing at all. A warm re-solve
+//! counts which of its centers regenerated their pool.
 //!
 //! The `fta-obs` recorder is process-global, so every test in this
 //! binary serialises on one mutex.
@@ -198,4 +199,53 @@ fn unrecorded_solve_emits_nothing() {
     let recorder = Recorder::install();
     let snapshot = recorder.finish();
     assert!(snapshot.is_empty(), "stale events leaked: {snapshot:?}");
+}
+
+#[test]
+fn warm_resolve_counts_regenerated_pools() {
+    use fta::algorithms::Solver;
+    use fta::core::ChurnSet;
+
+    let _guard = lock();
+    let inst = instance(3, 17);
+    let resolve_recorded = |churned: &Instance| {
+        let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
+        solver.solve(&inst);
+        let recorder = Recorder::install();
+        solver.resolve(churned, &ChurnSet::empty(churned.workers.len()));
+        (solver.last_stats(), recorder.finish())
+    };
+
+    // Removal-only churn: every warm center is delta-updated.
+    let mut removed = inst.clone();
+    removed.tasks.truncate(inst.tasks.len() * 9 / 10);
+    let (stats, snapshot) = resolve_recorded(&removed);
+    assert!(stats.centers_warm > 0, "{stats:?}");
+    assert_eq!(snapshot.counter("vdps.delta_regenerated"), 0);
+    assert!(snapshot.counter("vdps.delta_reused") > 0);
+
+    // A task at a new delivery point of every center: each warm center
+    // regenerates its pool, once.
+    let mut arrived = inst.clone();
+    for c in &inst.centers {
+        let dp = DeliveryPointId::from_index(arrived.delivery_points.len());
+        arrived.delivery_points.push(DeliveryPoint {
+            id: dp,
+            location: Point::new(c.location.x + 0.05, c.location.y),
+            center: c.id,
+        });
+        arrived.tasks.push(SpatialTask {
+            id: TaskId::from_index(arrived.tasks.len()),
+            delivery_point: dp,
+            expiry: inst.tasks[0].expiry,
+            reward: 1.0,
+        });
+    }
+    let (stats, snapshot) = resolve_recorded(&arrived);
+    assert_eq!(stats.centers_warm, inst.centers.len(), "{stats:?}");
+    assert_eq!(
+        snapshot.counter("vdps.delta_regenerated"),
+        inst.centers.len() as u64
+    );
+    assert_eq!(snapshot.counter("vdps.delta_fallback"), 0);
 }
