@@ -154,7 +154,7 @@ impl<'a> GameContext<'a> {
     /// selection does not block it).
     #[must_use]
     pub fn is_available(&self, local: usize, pool_idx: u32) -> bool {
-        let candidate = self.space.pool[pool_idx as usize].mask;
+        let candidate = self.space.pool.mask(pool_idx as usize);
         let own = self.own_masks[local];
         candidate & (self.taken & !own) == 0
     }
@@ -206,7 +206,7 @@ impl<'a> GameContext<'a> {
                     .space
                     .payoff_of(local, idx)
                     .expect("strategy must be valid for the worker");
-                let mask = self.space.pool[idx as usize].mask;
+                let mask = self.space.pool.mask(idx as usize);
                 debug_assert_eq!(
                     mask & self.taken,
                     0,
@@ -372,9 +372,9 @@ impl<'a> GameContext<'a> {
 
     /// Materialises the current selection as an [`Assignment`].
     ///
-    /// Routes are shared with the strategy-space pool (`Arc` refcount
-    /// bumps), so this is O(assigned workers · log n) map insertion with
-    /// no per-route allocation.
+    /// Only the winners become [`fta_core::route::Route`]s: each selected
+    /// pool row is assembled through the trusted from-parts constructor,
+    /// bit-identical to `Route::build` over its stops.
     #[must_use]
     pub fn to_assignment(&self) -> Assignment {
         self.selection
@@ -384,7 +384,7 @@ impl<'a> GameContext<'a> {
                 sel.map(|idx| {
                     (
                         self.space.worker_id(local),
-                        std::sync::Arc::clone(&self.space.pool[idx as usize].route),
+                        std::sync::Arc::new(self.space.pool.route(idx as usize)),
                     )
                 })
             })
@@ -471,13 +471,13 @@ mod tests {
         let s = space(&inst);
         let mut ctx = GameContext::new(&s);
         // Worker 0 takes {dp0} (mask 0b001).
-        let dp0 = s.pool.iter().position(|v| v.mask == 0b001).unwrap() as u32;
+        let dp0 = s.pool.masks().iter().position(|&m| m == 0b001).unwrap() as u32;
         ctx.set_strategy(0, Some(dp0));
         assert!(ctx.payoff(0) > 0.0);
         // Worker 1 may not take anything containing dp0.
-        let pair = s.pool.iter().position(|v| v.mask == 0b011).unwrap() as u32;
+        let pair = s.pool.masks().iter().position(|&m| m == 0b011).unwrap() as u32;
         assert!(!ctx.is_available(1, pair));
-        let dp1 = s.pool.iter().position(|v| v.mask == 0b010).unwrap() as u32;
+        let dp1 = s.pool.masks().iter().position(|&m| m == 0b010).unwrap() as u32;
         assert!(ctx.is_available(1, dp1));
         // Worker 0 itself can upgrade to a superset of its own mask.
         assert!(ctx.is_available(0, pair));
@@ -488,8 +488,8 @@ mod tests {
         let inst = three_dp_instance();
         let s = space(&inst);
         let mut ctx = GameContext::new(&s);
-        let dp0 = s.pool.iter().position(|v| v.mask == 0b001).unwrap() as u32;
-        let dp1 = s.pool.iter().position(|v| v.mask == 0b010).unwrap() as u32;
+        let dp0 = s.pool.masks().iter().position(|&m| m == 0b001).unwrap() as u32;
+        let dp1 = s.pool.masks().iter().position(|&m| m == 0b010).unwrap() as u32;
         ctx.set_strategy(0, Some(dp0));
         let prev = ctx.set_strategy(0, Some(dp1));
         assert_eq!(prev, Some(dp0));
@@ -504,13 +504,13 @@ mod tests {
         let mut ctx = GameContext::new(&s);
         let all: Vec<u32> = ctx.available_strategies(1).map(|(i, _)| i).collect();
         assert_eq!(all.len(), s.strategy_count(1));
-        let dp2 = s.pool.iter().position(|v| v.mask == 0b100).unwrap() as u32;
+        let dp2 = s.pool.masks().iter().position(|&m| m == 0b100).unwrap() as u32;
         ctx.set_strategy(0, Some(dp2));
         let remaining: Vec<u32> = ctx.available_strategies(1).map(|(i, _)| i).collect();
         assert!(remaining.len() < all.len());
         assert!(remaining
             .iter()
-            .all(|&i| s.pool[i as usize].mask & 0b100 == 0));
+            .all(|&i| s.pool.mask(i as usize) & 0b100 == 0));
     }
 
     #[test]
@@ -518,8 +518,8 @@ mod tests {
         let inst = three_dp_instance();
         let s = space(&inst);
         let mut ctx = GameContext::new(&s);
-        let dp0 = s.pool.iter().position(|v| v.mask == 0b001).unwrap() as u32;
-        let dp12 = s.pool.iter().position(|v| v.mask == 0b110).unwrap() as u32;
+        let dp0 = s.pool.masks().iter().position(|&m| m == 0b001).unwrap() as u32;
+        let dp12 = s.pool.masks().iter().position(|&m| m == 0b110).unwrap() as u32;
         ctx.set_strategy(0, Some(dp0));
         ctx.set_strategy(1, Some(dp12));
         let a = ctx.to_assignment();
@@ -538,8 +538,8 @@ mod tests {
         let inst = three_dp_instance();
         let s = space(&inst);
         let mut ctx = GameContext::new(&s);
-        let dp0 = s.pool.iter().position(|v| v.mask == 0b001).unwrap() as u32;
-        let dp12 = s.pool.iter().position(|v| v.mask == 0b110).unwrap() as u32;
+        let dp0 = s.pool.masks().iter().position(|&m| m == 0b001).unwrap() as u32;
+        let dp12 = s.pool.masks().iter().position(|&m| m == 0b110).unwrap() as u32;
         ctx.set_strategy(0, Some(dp0));
         ctx.set_strategy(1, Some(dp12));
         let fold: f64 = ctx.payoffs().iter().sum();
@@ -572,7 +572,7 @@ mod tests {
             assert!(scan.scanned >= 1);
         }
         // Occupy dps so some strategies are blocked, and re-check.
-        let dp12 = s.pool.iter().position(|v| v.mask == 0b110).unwrap() as u32;
+        let dp12 = s.pool.masks().iter().position(|&m| m == 0b110).unwrap() as u32;
         ctx.set_strategy(0, Some(dp12));
         let expect =
             ctx.available_strategies(1)
@@ -589,7 +589,7 @@ mod tests {
         let inst = three_dp_instance();
         let s = space(&inst);
         let mut ctx = GameContext::new(&s);
-        let dp0 = s.pool.iter().position(|v| v.mask == 0b001).unwrap() as u32;
+        let dp0 = s.pool.masks().iter().position(|&m| m == 0b001).unwrap() as u32;
         ctx.set_strategy(0, Some(dp0));
         for threshold in [0.0, 0.5, 1.0, 2.0, 100.0] {
             let expect: Vec<(u32, f64)> = ctx
@@ -610,7 +610,7 @@ mod tests {
         assert!(s.conflict_sets().is_none());
         let mut ctx = GameContext::new(&s);
         assert!(!ctx.index_active());
-        let dp0 = s.pool.iter().position(|v| v.mask == 0b001).unwrap() as u32;
+        let dp0 = s.pool.masks().iter().position(|&m| m == 0b001).unwrap() as u32;
         ctx.set_strategy(0, Some(dp0));
         assert_eq!(ctx.index_updates(), 0);
     }
@@ -620,7 +620,7 @@ mod tests {
         let inst = three_dp_instance();
         let s = space(&inst);
         let mut ctx = GameContext::new(&s);
-        let dp0 = s.pool.iter().position(|v| v.mask == 0b001).unwrap() as u32;
+        let dp0 = s.pool.masks().iter().position(|&m| m == 0b001).unwrap() as u32;
         ctx.set_strategy(0, Some(dp0));
         ctx.set_strategy(0, None);
         assert_eq!(ctx.payoff(0), 0.0);

@@ -712,7 +712,7 @@ mod tests {
         // Initialisation assigns only single-dp strategies.
         for local in 0..ctx.n_workers() {
             if let Some(idx) = ctx.selection(local) {
-                assert_eq!(s.pool[idx as usize].len(), 1);
+                assert_eq!(s.pool.row_len(idx as usize), 1);
             }
         }
     }

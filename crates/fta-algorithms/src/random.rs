@@ -19,7 +19,7 @@ pub fn random_init(ctx: &mut GameContext<'_>, rng: &mut StdRng) {
     for local in 0..n {
         let singles: Vec<u32> = ctx
             .available_strategies(local)
-            .filter(|&(idx, _)| ctx.space().pool[idx as usize].len() == 1)
+            .filter(|&(idx, _)| ctx.space().pool.row_len(idx as usize) == 1)
             .map(|(idx, _)| idx)
             .collect();
         let choice = singles.choose(rng).copied();
@@ -82,7 +82,7 @@ mod tests {
         random_init(&mut ctx, &mut rng);
         for local in 0..ctx.n_workers() {
             if let Some(idx) = ctx.selection(local) {
-                assert_eq!(s.pool[idx as usize].len(), 1, "init must use singletons");
+                assert_eq!(s.pool.row_len(idx as usize), 1, "init must use singletons");
             }
         }
         let a = ctx.to_assignment();

@@ -318,9 +318,10 @@ impl Solver {
             }
             let idx_of_mask: HashMap<u128, u32> = space
                 .pool
+                .masks()
                 .iter()
                 .enumerate()
-                .map(|(i, v)| (v.mask, i as u32))
+                .map(|(i, &mask)| (mask, i as u32))
                 .collect();
             let mut ctx = GameContext::new(&space);
             for (local, sel) in center_seed.selections.iter().enumerate() {
@@ -628,9 +629,10 @@ fn remap_profile(cache: &CenterCache, keys: &[u64], space: &StrategySpace) -> Ve
         .collect();
     let idx_of_mask: HashMap<u128, u32> = space
         .pool
+        .masks()
         .iter()
         .enumerate()
-        .map(|(i, v)| (v.mask, i as u32))
+        .map(|(i, &mask)| (mask, i as u32))
         .collect();
     let old_dp_ids = &cache.capture.pool_cache.dp_ids;
     let mut profile = Vec::with_capacity(space.view.workers.len());
@@ -765,7 +767,7 @@ fn warm_center(
     }
 
     let selections: Vec<Option<u128>> = (0..ctx.n_workers())
-        .map(|l| ctx.selection(l).map(|i| space.pool[i as usize].mask))
+        .map(|l| ctx.selection(l).map(|i| space.pool.mask(i as usize)))
         .collect();
     let capture = CenterCapture {
         pool_cache: PoolCache::capture(

@@ -563,7 +563,7 @@ fn solve_center_attempt(
     // cold next round anyway.
     let capture = if want_capture && rung == LadderRung::Full && !trace.cancelled {
         let selections: Vec<Option<u128>> = (0..ctx.n_workers())
-            .map(|l| ctx.selection(l).map(|i| space.pool[i as usize].mask))
+            .map(|l| ctx.selection(l).map(|i| space.pool.mask(i as usize)))
             .collect();
         Some(CenterCapture {
             pool_cache: PoolCache::capture(

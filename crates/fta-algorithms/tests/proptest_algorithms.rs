@@ -7,6 +7,7 @@ use fta_algorithms::{
     MptaConfig, SolveConfig,
 };
 use fta_core::iau::IauEvaluator;
+use fta_core::route::Route;
 use fta_core::{Instance, SolveBudget};
 use fta_data::{generate_syn, SynConfig};
 use fta_vdps::{StrategySpace, VdpsConfig};
@@ -211,6 +212,34 @@ proptest! {
         }
     }
 
+    /// The winners' routes `to_assignment` assembles from pool rows are
+    /// bit for bit the routes `Route::build` derives from their stops.
+    #[test]
+    fn assignment_routes_equal_full_rebuilds(instance in arb_instance()) {
+        let s = space(&instance);
+        let aggregates = instance.dp_aggregates();
+        let mut ctx = GameContext::new(&s);
+        fgt(&mut ctx, &FgtConfig::default());
+        let assignment = ctx.to_assignment();
+        for (local, sel) in (0..ctx.n_workers()).map(|l| (l, ctx.selection(l))) {
+            let worker = s.worker_id(local);
+            let Some(idx) = sel else {
+                prop_assert!(assignment.route_of(worker).is_none());
+                continue;
+            };
+            let route = assignment.route_of(worker).expect("selected workers are assigned");
+            let built = Route::build(&instance, &aggregates, s.view.center, route.dps().to_vec())
+                .expect("pool rows reference valid points");
+            prop_assert_eq!(route.dps(), s.pool.stops(idx as usize));
+            prop_assert_eq!(route.center(), built.center());
+            let bits = |r: &Route| {
+                let offsets: Vec<u64> = r.arrival_offsets().iter().map(|t| t.to_bits()).collect();
+                (offsets, r.total_reward().to_bits(), r.slack().to_bits(), r.travel_from_dc().to_bits())
+            };
+            prop_assert_eq!(bits(route), bits(&built));
+        }
+    }
+
     #[test]
     fn random_assignment_is_valid_for_any_seed(
         instance in arb_instance(),
@@ -248,7 +277,7 @@ proptest! {
             for l in 0..ctx.n_workers() {
                 let expect_payoff = match ctx.selection(l) {
                     Some(idx) => {
-                        expect_taken |= s.pool[idx as usize].mask;
+                        expect_taken |= s.pool.mask(idx as usize);
                         s.payoff_of(l, idx).expect("selected strategy must stay valid")
                     }
                     None => 0.0,

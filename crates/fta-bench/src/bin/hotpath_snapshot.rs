@@ -330,6 +330,7 @@ fn main() -> std::io::Result<()> {
                 Slot {
                     arrival: ((g as u64 * 7 + v * 13) % 1000) as f64,
                     parent: (v % 4) as u8,
+                    group: g as u32,
                 },
             ));
         }

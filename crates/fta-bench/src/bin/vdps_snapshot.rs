@@ -4,7 +4,8 @@
 //! sequential-vs-pooled whole-solve comparison on a multi-center
 //! instance, so the perf trajectory of ISSUE 2 is tracked in-repo.
 //! Each flat-engine entry also embeds a telemetry span breakdown
-//! (dp vs route vs merge milliseconds) captured via `fta-obs`.
+//! (dp — with the adjacency build inside it — vs route vs merge
+//! milliseconds) captured via `fta-obs`.
 //!
 //! Usage: `cargo run -p fta-bench --release --bin vdps_snapshot -- [OUT]`
 //! (default OUT: `BENCH_vdps.json`). Set `FTA_BENCH_QUICK=1` to halve the
@@ -55,7 +56,8 @@ fn main() -> std::io::Result<()> {
             generate_c_vdps_flat(&instance, &aggs, &views[0], &config, None)
         });
         // One instrumented run: the telemetry spans split the flat
-        // engine's wall time into its dp / route / merge phases.
+        // engine's wall time into its dp (adjacency inside) / route /
+        // merge phases.
         let recorder = fta_obs::Recorder::install();
         let (pool_ref, _) = generate_c_vdps_flat(&instance, &aggs, &views[0], &config, None);
         let telemetry = recorder.finish();
@@ -70,6 +72,7 @@ fn main() -> std::io::Result<()> {
                 "flat_span_breakdown_ms",
                 obj(vec![
                     ("dp", span_ms("vdps.dp")),
+                    ("adjacency", span_ms("vdps.adjacency")),
                     ("routes", span_ms("vdps.routes")),
                     ("merge", span_ms("vdps.merge")),
                 ]),

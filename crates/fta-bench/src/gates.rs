@@ -118,7 +118,7 @@ pub fn scale_noise_band(quick: bool) -> f64 {
 }
 
 /// Floor on the end-to-end n=1000 solve with the full calibrated profile
-/// (chunked kernels + trusted-offsets emission + calibrated crossovers)
+/// (chunked kernels + offsets emission + calibrated crossovers)
 /// vs the legacy profile (scalar kernels, rebuild emission): the
 /// measurable whole-solve win the acceptance criteria require. Widened
 /// below 1.0 in quick mode, where a single quick rep is all noise.

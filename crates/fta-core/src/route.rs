@@ -114,68 +114,32 @@ impl Route {
         })
     }
 
-    /// Assembles a route from a *trusted* visiting order and precomputed
-    /// arrival offsets, skipping per-leg travel recomputation and all
-    /// validation.
+    /// Assembles a route from *trusted* parts, skipping per-leg travel
+    /// recomputation and all validation.
     ///
-    /// The reward and slack folds run over `(dps, arrival_offsets)` with
-    /// exactly the accumulation order [`Route::build`] uses, so given
-    /// offsets that are bit-identical to what `build` would derive (the
-    /// flat DP engine's arrivals are: same distance/speed expression,
-    /// same left-to-right additions), the resulting route is
-    /// bit-identical to the built one. Callers own the trust obligation:
-    /// `dps` non-empty and duplicate-free, all points on `center`, and
-    /// `arrival_offsets[i]` the center-origin arrival at `dps[i]`. The
-    /// DP generators qualify by construction; everyone else should use
+    /// This is how a route leaves a column-stored C-VDPS pool: the pool
+    /// row already holds the visiting order, the center-origin arrival
+    /// offsets, and the reward and slack folded in [`Route::build`]'s
+    /// order, so the assembled route is bit-identical to a rebuild.
+    /// Callers own the trust obligation: `dps` non-empty and
+    /// duplicate-free, all points on `center`, `arrival_offsets[i]` the
+    /// center-origin arrival at `dps[i]`, and `total_reward`/`slack` the
+    /// folds `build` would compute. Everyone else should use
     /// [`Route::build`].
     #[must_use]
-    pub fn from_trusted_offsets(
+    pub fn from_parts(
         center: CenterId,
         dps: Vec<DeliveryPointId>,
         arrival_offsets: Vec<f64>,
-        aggregates: &[DpAggregate],
+        total_reward: f64,
+        slack: f64,
     ) -> Self {
         debug_assert!(!dps.is_empty(), "a route must visit at least one point");
         debug_assert_eq!(dps.len(), arrival_offsets.len());
-        let mut total_reward = 0.0;
-        let mut slack = f64::INFINITY;
-        for (i, &dp_id) in dps.iter().enumerate() {
-            let agg = &aggregates[dp_id.index()];
-            total_reward += agg.total_reward;
-            slack = slack.min(agg.earliest_expiry - arrival_offsets[i]);
-        }
         Self {
             center,
             dps,
             arrival_offsets,
-            total_reward,
-            slack,
-        }
-    }
-
-    /// Rebuilds this route's payload against new `aggregates`, keeping
-    /// the visiting order and the already-computed arrival offsets.
-    ///
-    /// Bit-identical to [`Route::build`] over the same visiting order
-    /// **provided the geometry is unchanged** — same center and
-    /// delivery-point locations and the same speed, so every travel leg
-    /// (and hence every arrival offset) would come out with the same
-    /// bits. The caller asserts this; the delta updater uses it for
-    /// entries whose deadlines or rewards changed while their stops did
-    /// not move, skipping all per-leg distance work.
-    #[must_use]
-    pub fn retimed(&self, aggregates: &[DpAggregate]) -> Self {
-        let mut total_reward = 0.0;
-        let mut slack = f64::INFINITY;
-        for (i, &dp_id) in self.dps.iter().enumerate() {
-            let agg = &aggregates[dp_id.index()];
-            total_reward += agg.total_reward;
-            slack = slack.min(agg.earliest_expiry - self.arrival_offsets[i]);
-        }
-        Self {
-            center: self.center,
-            dps: self.dps.clone(),
-            arrival_offsets: self.arrival_offsets.clone(),
             total_reward,
             slack,
         }

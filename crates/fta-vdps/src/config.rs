@@ -9,8 +9,8 @@
 /// reference in [`crate::naive`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VdpsEngine {
-    /// Cache-friendly mask-bucketed flat-frontier engine with a
-    /// precomputed travel-time matrix, open-addressed dedup tables, and
+    /// Cache-friendly mask-bucketed flat-frontier engine with a fused
+    /// ε-adjacency, open-addressed dedup tables, and
     /// optional intra-center parallelism on a bounded worker pool
     /// (see [`crate::flat`]).
     #[default]

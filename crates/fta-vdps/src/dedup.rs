@@ -68,27 +68,35 @@ pub fn rank(mask: u128, j: usize) -> usize {
 }
 
 /// One dynamic-program slot: minimal arrival time at the slot's member
-/// over all feasible orderings, plus the predecessor (`pre`) index.
-/// `arrival == f64::INFINITY` marks an empty slot.
+/// over all feasible orderings, plus the predecessor (`pre`) index and
+/// where the predecessor's state lives. `arrival == f64::INFINITY` marks
+/// an empty slot. Sixteen bytes: `group` sits in the padding.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slot {
     /// Minimal arrival time at this member.
     pub arrival: f64,
     /// Center-local index of the predecessor member (`u8::MAX` = none).
     pub parent: u8,
+    /// Index of the source group (mask `mask & !bit(member)`) in the
+    /// previous, mask-sorted layer — a function of the slot's mask and
+    /// member, so it never takes part in [`Slot::beats`]. Route emission
+    /// follows it to the predecessor's slot in O(1).
+    pub group: u32,
 }
 
 /// The empty-slot sentinel.
 pub const EMPTY: Slot = Slot {
     arrival: f64::INFINITY,
     parent: u8::MAX,
+    group: u32::MAX,
 };
 
 impl Slot {
     /// The deterministic relaxation order: smaller arrival wins; on exact
     /// ties the smaller predecessor index wins. Min under this order is
     /// associative + commutative, which is what makes chunked/sharded
-    /// merging order-independent.
+    /// merging order-independent. Equal `(arrival, parent)` in one slot
+    /// imply equal `group`, so the order is total on slot contents.
     #[inline]
     #[must_use]
     pub fn beats(&self, other: &Slot) -> bool {
@@ -366,6 +374,7 @@ mod tests {
                 Slot {
                     arrival: j as f64,
                     parent: 0,
+                    group: 0,
                 },
             );
         }
@@ -378,6 +387,7 @@ mod tests {
             Slot {
                 arrival: 99.0,
                 parent: 1,
+                group: 0,
             },
         );
         table.relax(
@@ -386,6 +396,7 @@ mod tests {
             Slot {
                 arrival: -1.0,
                 parent: 1,
+                group: 0,
             },
         );
         let (masks, slots) = table.into_sorted();
@@ -410,6 +421,7 @@ mod tests {
             Slot {
                 arrival: 5.0,
                 parent: 0,
+                group: 0,
             },
         );
         table.relax(
@@ -418,6 +430,7 @@ mod tests {
             Slot {
                 arrival: 6.0,
                 parent: 1,
+                group: 0,
             },
         );
         table.relax(
@@ -426,6 +439,7 @@ mod tests {
             Slot {
                 arrival: 4.0,
                 parent: 2,
+                group: 0,
             },
         );
         let (masks, slots) = table.into_sorted();
@@ -435,14 +449,21 @@ mod tests {
     }
 
     #[test]
+    fn slot_stays_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
+    }
+
+    #[test]
     fn tie_break_prefers_smaller_parent() {
         let better = Slot {
             arrival: 1.0,
             parent: 2,
+            group: 0,
         };
         let worse = Slot {
             arrival: 1.0,
             parent: 5,
+            group: 0,
         };
         assert!(better.beats(&worse));
         assert!(!worse.beats(&better));

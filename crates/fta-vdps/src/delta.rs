@@ -11,11 +11,10 @@
 //! handles exactly that case:
 //!
 //! * **unchanged** points (bitwise-equal aggregates and location) keep
-//!   their cached entries verbatim — the shared `Arc<Route>`s are
-//!   reused without rebuilding;
+//!   their cached entries verbatim — the rows are copied as they are;
 //! * **reward-dirty** points (same expiry bits, different reward or task
 //!   count) keep their visiting orders — feasibility depends only on
-//!   expiries — and rebuild just the route payload;
+//!   expiries — and retime just the row's reward and slack;
 //! * **tightened** points (expiry strictly decreased) revalidate each
 //!   touching entry stop by stop against the cached arrival offsets; an
 //!   entry whose every stop still meets its (new) deadline provably
@@ -43,12 +42,12 @@
 //! `old − age` exactly, so the updater never reconstructs aggregates
 //! arithmetically — it only compares the bits it is given.
 
+use crate::columns::VdpsPool;
 use crate::config::VdpsConfig;
-use crate::generator::{GenerationStats, Vdps};
+use crate::generator::GenerationStats;
 use fta_core::instance::{CenterView, DpAggregate, Instance};
 use fta_core::DeliveryPointId;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Everything [`delta_update`] needs to know about the previous
@@ -64,7 +63,7 @@ pub struct PoolCache {
     /// coordinate bits (relocation detection must be bitwise too).
     pub location_bits: Vec<(u64, u64)>,
     /// The previous pool (masks over the old local bits).
-    pub pool: Vec<Vdps>,
+    pub pool: VdpsPool,
     /// Whether the previous generation was truncated by a budget control.
     /// A truncated pool under-approximates the feasible set for unknown
     /// masks, so it cannot seed a delta update.
@@ -88,7 +87,7 @@ impl PoolCache {
         aggregates: &[DpAggregate],
         view: &CenterView,
         config: &VdpsConfig,
-        pool: &[Vdps],
+        pool: &VdpsPool,
         stats: &GenerationStats,
     ) -> Self {
         let dc = instance.centers[view.center.index()].location;
@@ -103,7 +102,7 @@ impl PoolCache {
                     (l.x.to_bits(), l.y.to_bits())
                 })
                 .collect(),
-            pool: pool.to_vec(),
+            pool: pool.clone(),
             truncated: stats.truncations > 0,
             epsilon: config.epsilon,
             max_len: config.max_len,
@@ -134,17 +133,18 @@ impl PoolCache {
 /// recorder as `vdps.delta_*` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Cached entries reused verbatim (shared `Arc<Route>`, no rebuild).
+    /// Cached entries reused verbatim (row copied as it is).
     pub reused: usize,
-    /// Cached entries whose visiting order survived but whose route
-    /// payload was rebuilt (reward change, or tightened-but-still-valid).
+    /// Cached entries whose visiting order survived but whose reward and
+    /// slack were retimed (reward change, or tightened-but-still-valid).
     pub rebuilt: usize,
     /// Cached entries dropped (removed member, or over the new length
     /// cap).
     pub dropped: usize,
     /// Wall time of classification + survivor processing, nanoseconds.
     pub dp_nanos: u64,
-    /// Wall time of route rebuilds, nanoseconds.
+    /// Wall time of writing the updated pool's rows (copies and
+    /// retimes), nanoseconds.
     pub route_nanos: u64,
 }
 
@@ -184,7 +184,7 @@ pub fn delta_update(
     view: &CenterView,
     config: &VdpsConfig,
     cache: &PoolCache,
-) -> Option<(Vec<Vdps>, DeltaStats)> {
+) -> Option<(VdpsPool, DeltaStats)> {
     delta_update_with_provenance(instance, aggregates, view, config, cache)
         .map(|(pool, _, stats)| (pool, stats))
 }
@@ -194,7 +194,7 @@ pub fn delta_update(
 /// (`Some(old_index)` only for [`DeltaStats::reused`] entries — the mask
 /// members, visiting order, and route payload are all bit-identical to
 /// the cached entry, with only the local bit numbering remapped).
-/// Rebuilt entries report `None`: their payoffs changed, so downstream
+/// Retimed entries report `None`: their payoffs changed, so downstream
 /// per-worker caches must not carry over.
 ///
 /// The provenance vector is parallel to the returned pool and lets the
@@ -207,7 +207,7 @@ pub fn delta_update_with_provenance(
     view: &CenterView,
     config: &VdpsConfig,
     cache: &PoolCache,
-) -> Option<(Vec<Vdps>, Vec<Option<u32>>, DeltaStats)> {
+) -> Option<(VdpsPool, Vec<Option<u32>>, DeltaStats)> {
     let n = view.dps.len();
     assert!(
         n <= 128,
@@ -219,7 +219,7 @@ pub fn delta_update_with_provenance(
     }
     let mut stats = DeltaStats::default();
     if n == 0 || config.max_len == 0 {
-        return Some((Vec::new(), Vec::new(), stats));
+        return Some((VdpsPool::new(view.center), Vec::new(), stats));
     }
     let dp_start = Instant::now();
 
@@ -257,20 +257,18 @@ pub fn delta_update_with_provenance(
         }
     }
 
-    // --- walk the cached pool: reuse, rebuild, revalidate, or drop ---
+    // --- walk the cached pool: reuse, retime, revalidate, or drop ---
     let max_len = config.max_len.min(n);
-    let mut kept: Vec<Vdps> = Vec::with_capacity(cache.pool.len());
-    // Cached pool index each kept entry was reused from verbatim,
-    // parallel to `kept`; `None` for anything whose payload was rebuilt.
-    let mut prov: Vec<Option<u32>> = Vec::with_capacity(cache.pool.len());
-    let mut route_nanos_acc = 0u64;
-    'entries: for (entry_idx, entry) in cache.pool.iter().enumerate() {
-        if entry.route.len() > max_len {
+    let old = &cache.pool;
+    // (new mask, cached row, retime) per kept entry.
+    let mut kept: Vec<(u128, u32, bool)> = Vec::with_capacity(old.len());
+    'entries: for r in 0..old.len() {
+        if old.row_len(r) > max_len {
             stats.dropped += 1;
             continue;
         }
         let mut new_mask = 0u128;
-        let mut members = entry.mask;
+        let mut members = old.mask(r);
         while members != 0 {
             let old_bit = members.trailing_zeros() as usize;
             members &= members - 1;
@@ -287,45 +285,39 @@ pub fn delta_update_with_provenance(
             // offsets are the DP's own chain values, so if every stop still
             // meets its (shrunk) deadline the chain re-wins all tie-breaks.
             // A broken order may still have a feasible reordering: decline.
-            let offsets = entry.route.arrival_offsets();
-            for (i, dp) in entry.route.dps().iter().enumerate() {
-                if offsets[i] > aggregates[dp.index()].earliest_expiry {
+            for (dp, &offset) in old.stops(r).iter().zip(old.offsets(r)) {
+                if offset > aggregates[dp.index()].earliest_expiry {
                     return None;
                 }
             }
         }
-        if new_mask & (tightened_mask | reward_mask) != 0 {
-            // Stops did not move (location bits were checked during
-            // classification), so the cached arrival offsets are exact:
-            // retime the payload (reward, slack) instead of re-walking the
-            // legs.
-            let route_start = Instant::now();
-            let route = entry.route.retimed(aggregates);
-            route_nanos_acc += elapsed_nanos(route_start);
+        // Stops did not move (location bits were checked during
+        // classification), so the cached arrival offsets are exact: a
+        // changed reward or deadline only retimes the reward and slack.
+        let retime = new_mask & (tightened_mask | reward_mask) != 0;
+        if retime {
             stats.rebuilt += 1;
-            kept.push(Vdps {
-                mask: new_mask,
-                route: Arc::new(route),
-            });
-            prov.push(None);
         } else {
             stats.reused += 1;
-            kept.push(Vdps {
-                mask: new_mask,
-                route: Arc::clone(&entry.route),
-            });
-            prov.push(Some(entry_idx as u32));
         }
+        kept.push((new_mask, r as u32, retime));
     }
 
     // --- canonical order: subset size, then mask ---
-    let mut zipped: Vec<(Vdps, Option<u32>)> = kept.into_iter().zip(prov).collect();
-    zipped.sort_unstable_by_key(|(v, _)| (v.mask.count_ones(), v.mask));
-    let (kept, prov): (Vec<Vdps>, Vec<Option<u32>>) = zipped.into_iter().unzip();
-    stats.route_nanos = route_nanos_acc;
-    stats.dp_nanos = elapsed_nanos(dp_start).saturating_sub(route_nanos_acc);
+    kept.sort_unstable_by_key(|&(mask, _, _)| (mask.count_ones(), mask));
+    let route_start = Instant::now();
+    let stops = kept.iter().map(|&(_, r, _)| old.row_len(r as usize)).sum();
+    let mut pool = VdpsPool::with_capacity(view.center, kept.len(), stops);
+    // Cached row each entry was reused from verbatim; `None` when retimed.
+    let mut prov: Vec<Option<u32>> = Vec::with_capacity(kept.len());
+    for &(mask, r, retime) in &kept {
+        pool.push_copy(old, r as usize, mask, retime.then_some(aggregates));
+        prov.push((!retime).then_some(r));
+    }
+    stats.route_nanos = elapsed_nanos(route_start);
+    stats.dp_nanos = elapsed_nanos(dp_start).saturating_sub(stats.route_nanos);
     emit_delta_counters(&stats);
-    Some((kept, prov, stats))
+    Some((pool, prov, stats))
 }
 
 fn elapsed_nanos(start: Instant) -> u64 {
@@ -391,7 +383,7 @@ mod tests {
         .unwrap()
     }
 
-    fn capture(inst: &Instance, config: &VdpsConfig) -> (PoolCache, Vec<Vdps>) {
+    fn capture(inst: &Instance, config: &VdpsConfig) -> (PoolCache, VdpsPool) {
         let aggs = inst.dp_aggregates();
         let views = inst.center_views();
         let (pool, stats) = generate_c_vdps(inst, &aggs, &views[0], config);
@@ -408,23 +400,18 @@ mod tests {
         assert_eq!(delta.len(), regen.len(), "pool sizes differ");
         for (d, r) in delta.iter().zip(regen.iter()) {
             assert_eq!(d.mask, r.mask, "masks differ");
-            assert_eq!(d.route.dps(), r.route.dps(), "orders differ");
+            assert_eq!(d.stops, r.stops, "orders differ");
             assert_eq!(
-                d.route.slack().to_bits(),
-                r.route.slack().to_bits(),
+                d.slack.to_bits(),
+                r.slack.to_bits(),
                 "slacks not bit-identical"
             );
             assert_eq!(
-                d.route.total_reward().to_bits(),
-                r.route.total_reward().to_bits(),
+                d.total_reward.to_bits(),
+                r.total_reward.to_bits(),
                 "rewards not bit-identical"
             );
-            for (a, b) in d
-                .route
-                .arrival_offsets()
-                .iter()
-                .zip(r.route.arrival_offsets())
-            {
+            for (a, b) in d.offsets.iter().zip(r.offsets) {
                 assert_eq!(a.to_bits(), b.to_bits(), "arrivals not bit-identical");
             }
         }
@@ -479,10 +466,9 @@ mod tests {
         let margin = pool
             .iter()
             .flat_map(|v| {
-                v.route
-                    .dps()
+                v.stops
                     .iter()
-                    .zip(v.route.arrival_offsets())
+                    .zip(v.offsets)
                     .map(|(dp, a)| aggs[dp.index()].earliest_expiry - a)
             })
             .fold(f64::INFINITY, f64::min);
@@ -505,9 +491,9 @@ mod tests {
         let (cache, pool) = capture(&inst, &config);
         // Tighten the last stop of a multi-stop route just below the
         // arrival its cached order reaches it at.
-        let route = &pool.iter().find(|v| v.route.len() > 1).unwrap().route;
-        let last = *route.dps().last().unwrap();
-        let arrival = *route.arrival_offsets().last().unwrap();
+        let route = pool.iter().find(|v| v.len() > 1).unwrap();
+        let last = *route.stops.last().unwrap();
+        let arrival = route.travel_from_dc;
         let mut later = inst.clone();
         let task = later
             .tasks

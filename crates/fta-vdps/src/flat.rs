@@ -3,48 +3,51 @@
 //!
 //! The original engine ([`crate::generator::generate_c_vdps_hashmap`])
 //! keeps each DP layer in a `HashMap<(u128, u8), State>`: every candidate
-//! extension pays a SipHash of a 17-byte key plus entry-API churn, the
-//! inner loop recomputes `locs[i].distance(locs[j])` (a `hypot`) per
-//! extension, and a second full pass over all layers builds a
-//! `best_per_mask` HashMap before routes are reconstructed. This module
-//! removes all three costs while producing a **bit-identical pool** (same
-//! masks, same routes, same size-then-mask ordering) and identical work
-//! counters:
+//! extension pays a SipHash of a 17-byte key plus entry-API churn, and a
+//! second full pass over all layers builds a `best_per_mask` HashMap
+//! before routes are reconstructed. This module removes those costs while
+//! producing a **bit-identical pool** (same masks, same routes, same
+//! size-then-mask ordering) and identical work counters:
 //!
-//! * **Precomputed travel-time matrix.** An `n × n` row-major matrix of
-//!   `d(dp_i, dp_j) / speed` (plus per-point expiry and from-center
-//!   arrays) is built once; the inner loop is then one add, one compare,
-//!   and a table relax. Since the matrix stores exactly the expression
-//!   the hash-map engine evaluates, arrivals are bit-identical.
+//! * **Fused ε-adjacency.** One pass builds a CSR [`Adjacency`]: per
+//!   delivery point, its ε-neighbours ascending and the travel time
+//!   `d(dp_i, dp_j) / speed` to each (the complete graph when unpruned).
+//!   Each pair's distance is computed once, and only ε-neighbours'
+//!   distances are computed at all. The inner loop walks one contiguous
+//!   row: one add, one compare, and a table relax. The row stores exactly
+//!   the expression the hash-map engine evaluates, so arrivals are
+//!   bit-identical.
 //!
 //! * **Mask-bucketed flat frontier.** A layer of subset size `L` is a
 //!   sorted `Vec<u128>` of masks plus a dense slot array with `L` slots
 //!   per mask — slot `rank(mask, j)` (the popcount of `mask` below bit
 //!   `j`, via the compile-time prefix-mask table of [`crate::dedup`])
-//!   holds the minimal arrival ending at member `j` and its `pre`
-//!   pointer. Deduplication during expansion goes through the
-//!   limb-split, batched-probe [`DedupTable`] — no SipHash, no per-state
-//!   allocation. The per-mask best ending (the old second-pass
-//!   `best_per_mask` map) falls out of the slot array for free during
-//!   emission.
+//!   holds the minimal arrival ending at member `j`, its `pre` pointer,
+//!   and the index of the source group in the previous layer.
+//!   Deduplication during expansion goes through the limb-split,
+//!   batched-probe [`DedupTable`] — no SipHash, no per-state allocation.
+//!   The per-mask best ending (the old second-pass `best_per_mask` map)
+//!   falls out of the slot array for free during emission.
 //!
-//! * **Generation arenas.** Frontier mask/slot storage and every dedup
-//!   table buffer are taken from the per-thread [`crate::arena`]
-//!   recycler and returned when the generation ends, so steady-state
-//!   sequential generation performs no heap allocation on the DP side —
-//!   only the emitted `Route` payloads (which outlive the generation
-//!   inside `Arc`s) are individually allocated. On the pooled path,
-//!   recycling is best-effort: buffers return to the arena of whichever
-//!   pool thread last owned them.
+//! * **Generation arenas.** The adjacency, frontier mask/slot storage and
+//!   every dedup table buffer are taken from the per-thread
+//!   [`crate::arena`] recycler and returned when the generation ends. On
+//!   the pooled path, recycling is best-effort: buffers return to the
+//!   arena of whichever pool thread last owned them.
 //!
-//! * **Trusted-offsets emission.** The DP's arrival at `(mask, j)` *is*
-//!   the route's center-origin arrival offset at the member `j`, so the
-//!   backwalk collects arrivals alongside the visiting order and emits
-//!   through [`Route::from_trusted_offsets`] — no per-leg `hypot`
-//!   re-derivation, bit-identical by construction (and asserted against
-//!   a full [`Route::build`] in debug builds). The rebuild path stays
+//! * **Column emission.** The pool is a [`VdpsPool`] of flat columns,
+//!   sized exactly from the finished layers, so emitting a set allocates
+//!   nothing. The DP's arrival at `(mask, j)` *is* the route's
+//!   center-origin arrival offset at member `j`: the backwalk writes stops
+//!   and offsets straight into the row (last stop first), and reward and
+//!   slack are folded in [`Route::build`]'s order — no per-leg `hypot`
+//!   re-derivation, bit-identical by construction. The rebuild path stays
 //!   selectable via [`crate::hotpath::EmissionKernel`] as the measured
-//!   reference.
+//!   reference: it writes `Route::build`'s fields into the row.
+//!
+//! * **O(1) backwalk.** Each slot's `group` names its source group in the
+//!   previous, already sorted layer, so every hop of the backwalk indexes
+//!   the parent slot directly instead of searching for its mask.
 //!
 //! * **Intra-center parallelism.** On a [`crate::pool::TaskScope`] with
 //!   more than one thread, each layer's frontier is expanded in
@@ -54,7 +57,9 @@
 //!   the deterministic `(arrival, parent)` tie-break) is associative and
 //!   commutative, the merged frontier is independent of chunking and
 //!   thread count — pooled and sequential runs produce the same pool.
-//!   The go-parallel floor and chunks-per-thread come from the installed
+//!   Source-group indices refer to the whole previous layer, so they
+//!   survive the merge unchanged. The go-parallel floor and
+//!   chunks-per-thread come from the installed
 //!   [`crate::hotpath::HotpathProfile`].
 //!
 //! Ties deserve a note: on *exactly* equal arrivals the hash-map engine
@@ -64,15 +69,15 @@
 //! (continuous coordinates) make exact ties measure-zero.
 
 use crate::arena;
+use crate::columns::VdpsPool;
 use crate::config::VdpsConfig;
 use crate::dedup::{rank, DedupTable, Slot, BIT, EMPTY};
-use crate::generator::{GenControl, GenerationStats, Vdps};
-use crate::grid::NeighborIndex;
+use crate::generator::{GenControl, GenerationStats};
+use crate::grid::Adjacency;
 use crate::hotpath::{EmissionKernel, HotpathProfile};
 use crate::pool::TaskScope;
 use fta_core::instance::{CenterView, DpAggregate, Instance};
 use fta_core::route::Route;
-use fta_core::DeliveryPointId;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -85,14 +90,6 @@ struct Frontier {
 }
 
 impl Frontier {
-    fn lookup(&self, mask: u128, j: usize) -> Slot {
-        let group = self
-            .masks
-            .binary_search(&mask)
-            .expect("parent pointers only reference existing masks");
-        self.slots[group * self.size + rank(mask, j)]
-    }
-
     fn occupied(&self) -> usize {
         self.slots.iter().filter(|s| s.arrival.is_finite()).count()
     }
@@ -110,11 +107,8 @@ impl Frontier {
 /// chunks, so parallel jobs never borrow generator-local state.
 struct Ctx {
     n: usize,
-    /// Row-major `n × n` travel-time matrix: `tt[last * n + j]`.
-    tt: Vec<f64>,
+    adjacency: Adjacency,
     expiry: Vec<f64>,
-    neighbors: Option<NeighborIndex>,
-    full_mask: u128,
 }
 
 /// Work counters produced by one expansion chunk (summed deterministically).
@@ -149,7 +143,9 @@ impl ChunkCounters {
 }
 
 /// Expands the source groups `range` of `layer` into `table`, applying
-/// deadline and ε pruning exactly as the hash-map engine does.
+/// deadline and ε pruning exactly as the hash-map engine does. A point
+/// outside the mask but not in the last member's adjacency row counts as
+/// distance-pruned (never, when unpruned: the row is every other point).
 fn expand_range(
     ctx: &Ctx,
     layer: &Frontier,
@@ -157,9 +153,9 @@ fn expand_range(
     table: &mut DedupTable,
     counters: &mut ChunkCounters,
 ) {
-    let n = ctx.n;
     for g in range {
         let mask = layer.masks[g];
+        let free = ctx.n - mask.count_ones() as usize;
         let base = g * layer.size;
         // Iterate the mask's members in ascending bit order; the slot
         // rank advances in lockstep.
@@ -173,56 +169,32 @@ fn expand_range(
             if !state.arrival.is_finite() {
                 continue;
             }
-            let tt_row = &ctx.tt[last * n..(last + 1) * n];
-            match &ctx.neighbors {
-                Some(index) => {
-                    let free = n - mask.count_ones() as usize;
-                    let mut considered = 0usize;
-                    for &j in index.neighbors(last) {
-                        let j = usize::from(j);
-                        if mask & BIT[j] != 0 {
-                            continue;
-                        }
-                        considered += 1;
-                        let arrival = state.arrival + tt_row[j];
-                        if arrival > ctx.expiry[j] {
-                            counters.pruned_by_deadline += 1;
-                            continue;
-                        }
-                        table.relax(
-                            mask | BIT[j],
-                            rank(mask, j),
-                            Slot {
-                                arrival,
-                                parent: last as u8,
-                            },
-                        );
-                    }
-                    counters.extensions_tried += free;
-                    counters.pruned_by_distance += free - considered;
+            let neighbors = ctx.adjacency.neighbors(last);
+            let travel = ctx.adjacency.travel_times(last);
+            let mut considered = 0usize;
+            for (&j, &tt) in neighbors.iter().zip(travel) {
+                let j = j as usize;
+                if mask & BIT[j] != 0 {
+                    continue;
                 }
-                None => {
-                    let mut rem = ctx.full_mask & !mask;
-                    while rem != 0 {
-                        let j = rem.trailing_zeros() as usize;
-                        rem &= rem - 1;
-                        counters.extensions_tried += 1;
-                        let arrival = state.arrival + tt_row[j];
-                        if arrival > ctx.expiry[j] {
-                            counters.pruned_by_deadline += 1;
-                            continue;
-                        }
-                        table.relax(
-                            mask | BIT[j],
-                            rank(mask, j),
-                            Slot {
-                                arrival,
-                                parent: last as u8,
-                            },
-                        );
-                    }
+                considered += 1;
+                let arrival = state.arrival + tt;
+                if arrival > ctx.expiry[j] {
+                    counters.pruned_by_deadline += 1;
+                    continue;
                 }
+                table.relax(
+                    mask | BIT[j],
+                    rank(mask, j),
+                    Slot {
+                        arrival,
+                        parent: last as u8,
+                        group: g as u32,
+                    },
+                );
             }
+            counters.extensions_tried += free;
+            counters.pruned_by_distance += free - considered;
         }
     }
 }
@@ -452,7 +424,7 @@ pub fn generate_c_vdps_flat(
     view: &CenterView,
     config: &VdpsConfig,
     scope: Option<&TaskScope<'_>>,
-) -> (Vec<Vdps>, GenerationStats) {
+) -> (VdpsPool, GenerationStats) {
     generate_c_vdps_flat_budgeted(instance, aggregates, view, config, scope, GenControl::NONE)
 }
 
@@ -476,7 +448,7 @@ pub fn generate_c_vdps_flat_budgeted(
     config: &VdpsConfig,
     scope: Option<&TaskScope<'_>>,
     control: GenControl<'_>,
-) -> (Vec<Vdps>, GenerationStats) {
+) -> (VdpsPool, GenerationStats) {
     let profile = crate::hotpath::current();
     generate_c_vdps_flat_with_profile(instance, aggregates, view, config, scope, control, &profile)
 }
@@ -486,7 +458,6 @@ pub fn generate_c_vdps_flat_budgeted(
 /// compare kernels without mutating process-wide state.
 #[doc(hidden)]
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn generate_c_vdps_flat_with_profile(
     instance: &Instance,
     aggregates: &[DpAggregate],
@@ -495,7 +466,7 @@ pub fn generate_c_vdps_flat_with_profile(
     scope: Option<&TaskScope<'_>>,
     control: GenControl<'_>,
     profile: &HotpathProfile,
-) -> (Vec<Vdps>, GenerationStats) {
+) -> (VdpsPool, GenerationStats) {
     let n = view.dps.len();
     assert!(
         n <= 128,
@@ -504,13 +475,51 @@ pub fn generate_c_vdps_flat_with_profile(
     );
     let mut stats = GenerationStats::default();
     if n == 0 || config.max_len == 0 {
-        return (Vec::new(), stats);
+        return (VdpsPool::new(view.center), stats);
     }
     let center_u32 = view.center.index() as u32;
     let _generate_span = fta_obs::span_center("vdps.generate", center_u32);
     let dp_span = fta_obs::span_center("vdps.dp", center_u32);
     let dp_start = Instant::now();
+    let layers = dp_layers(
+        instance, aggregates, view, config, scope, control, profile, &mut stats,
+    );
+    stats.states = layers.iter().map(|l| l.occupied()).sum();
+    stats.dp_nanos = u64::try_from(dp_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    drop(dp_span);
 
+    let route_span = fta_obs::span_center("vdps.routes", center_u32);
+    let route_start = Instant::now();
+    let pool = emit(instance, aggregates, view, &layers, profile.emission_kernel);
+    stats.route_nanos = u64::try_from(route_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    drop(route_span);
+    stats.vdps_count = pool.len();
+    crate::generator::emit_generation_counters(&stats);
+    // Generation over: every frontier returns its storage to the arena.
+    for layer in layers {
+        if let Ok(frontier) = Arc::try_unwrap(layer) {
+            frontier.recycle();
+        }
+    }
+    (pool, stats)
+}
+
+/// Runs the subset DP (Algorithm 1, lines 1–12) into its finished layers,
+/// layer `k` holding the subsets of size `k + 1`. Work counters other than
+/// `states` and `vdps_count` accumulate into `stats`.
+#[allow(clippy::too_many_arguments)]
+fn dp_layers(
+    instance: &Instance,
+    aggregates: &[DpAggregate],
+    view: &CenterView,
+    config: &VdpsConfig,
+    scope: Option<&TaskScope<'_>>,
+    control: GenControl<'_>,
+    profile: &HotpathProfile,
+    stats: &mut GenerationStats,
+) -> Vec<Arc<Frontier>> {
+    let n = view.dps.len();
+    let center_u32 = view.center.index() as u32;
     let dc = instance.centers[view.center.index()].location;
     let speed = instance.speed;
     let locs: Vec<_> = view
@@ -523,40 +532,27 @@ pub fn generate_c_vdps_flat_with_profile(
         .iter()
         .map(|dp| aggregates[dp.index()].earliest_expiry)
         .collect();
-    let from_dc: Vec<f64> = locs.iter().map(|&l| dc.travel_time(l, speed)).collect();
-
-    // Flat n×n travel-time matrix. Stored as the exact expression the
-    // hash-map engine evaluates per extension (distance / speed), so
-    // arrivals stay bit-identical. n ≤ 128 keeps this ≤ 128 KiB.
-    let mut tt = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            tt[i * n + j] = locs[i].distance(locs[j]) / speed;
-        }
-    }
-    let neighbors = config.epsilon.map(|eps| NeighborIndex::build(&locs, eps));
-    let full_mask = if n == 128 {
-        u128::MAX
-    } else {
-        (1u128 << n) - 1
+    let adjacency = {
+        let _span = fta_obs::span_center("vdps.adjacency", center_u32);
+        Adjacency::build(&locs, config.epsilon, speed)
     };
     let ctx = Arc::new(Ctx {
         n,
-        tt,
+        adjacency,
         expiry,
-        neighbors,
-        full_mask,
     });
 
     // Layer 1 (Algorithm 1, lines 2–5): reachable singletons, ascending.
     let (mut masks, mut slots) = arena::with(|a| (a.masks.take(n), a.slots.take(n)));
-    for (j, &arrival) in from_dc.iter().enumerate() {
+    for (j, &loc) in locs.iter().enumerate() {
+        let arrival = dc.travel_time(loc, speed);
         stats.extensions_tried += 1;
         if arrival <= ctx.expiry[j] {
             masks.push(BIT[j]);
             slots.push(Slot {
                 arrival,
                 parent: u8::MAX,
+                group: u32::MAX,
             });
         } else {
             stats.pruned_by_deadline += 1;
@@ -590,10 +586,10 @@ pub fn generate_c_vdps_flat_with_profile(
                 len,
                 scope,
                 profile.flat_chunks_per_thread,
-                &mut stats,
+                stats,
             )
         } else {
-            next_layer_sequential(&ctx, &layer, len, &mut stats)
+            next_layer_sequential(&ctx, &layer, len, stats)
         };
         if next.masks.is_empty() {
             next.recycle();
@@ -602,104 +598,80 @@ pub fn generate_c_vdps_flat_with_profile(
         states_so_far += next.occupied();
         layers.push(Arc::new(next));
     }
-    stats.states = layers.iter().map(|l| l.occupied()).sum();
-    stats.dp_nanos = u64::try_from(dp_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    drop(dp_span);
-    let route_span = fta_obs::span_center("vdps.routes", center_u32);
+    if let Ok(ctx) = Arc::try_unwrap(ctx) {
+        ctx.adjacency.recycle();
+    }
+    layers
+}
 
-    // Emission: layers are already in subset-size order and each layer is
-    // mask-sorted, so the pool order (size, then mask) needs no sort. The
-    // per-mask best ending is the lexicographic minimum over the group's
-    // occupied slots, folding the old `best_per_mask` pass into the walk.
-    let route_start = Instant::now();
-    let emit_offsets = profile.emission_kernel == EmissionKernel::Offsets;
-    let mut pool = Vec::with_capacity(layers.iter().map(|l| l.masks.len()).sum());
-    // Reused backwalk scratch (last → first); routes are ≤ `max_len` long.
-    let mut order_rev: Vec<u8> = Vec::with_capacity(config.max_len);
-    let mut arrivals_rev: Vec<f64> = Vec::with_capacity(config.max_len);
-    for layer in &layers {
-        for g in 0..layer.masks.len() {
-            let mask = layer.masks[g];
+/// Emits one pool row per frontier group (Algorithm 1, line 13). Layers
+/// are already in subset-size order and each layer is mask-sorted, so the
+/// pool order (size, then mask) needs no sort. The per-mask best ending is
+/// the lexicographic minimum over the group's occupied slots, folding the
+/// old `best_per_mask` pass into the walk.
+fn emit(
+    instance: &Instance,
+    aggregates: &[DpAggregate],
+    view: &CenterView,
+    layers: &[Arc<Frontier>],
+    kernel: EmissionKernel,
+) -> VdpsPool {
+    let rows = layers.iter().map(|l| l.masks.len()).sum();
+    let stops = layers.iter().map(|l| l.masks.len() * l.size).sum();
+    let mut pool = VdpsPool::with_capacity(view.center, rows, stops);
+    for (depth, layer) in layers.iter().enumerate() {
+        for (g, &mask) in layer.masks.iter().enumerate() {
             let base = g * layer.size;
-            let mut best: Option<(f64, usize)> = None;
+            let (mut best_k, mut best_j, mut best_arrival) = (0, 0, f64::INFINITY);
             let mut members = mask;
             let mut k = 0usize;
             while members != 0 {
                 let j = members.trailing_zeros() as usize;
                 members &= members - 1;
-                let slot = layer.slots[base + k];
+                let arrival = layer.slots[base + k].arrival;
+                if arrival < best_arrival {
+                    (best_k, best_j, best_arrival) = (k, j, arrival);
+                }
                 k += 1;
-                if slot.arrival.is_finite()
-                    && best.is_none_or(|(arrival, _)| slot.arrival < arrival)
-                {
-                    best = Some((slot.arrival, j));
-                }
             }
-            let (_, mut last) =
-                best.expect("every frontier group holds at least one feasible state");
-            // Walk `pre` pointers backwards through the layers. The first
-            // hop reads this group's slots directly; only ancestors need
-            // the binary-search `lookup` into their (smaller) layers. The
-            // DP arrival at each hop is the center-origin arrival offset
-            // of that member, collected for trusted-offsets emission.
-            order_rev.clear();
-            arrivals_rev.clear();
-            let mut cur_mask = mask;
-            let mut state = layer.slots[base + rank(mask, last)];
-            loop {
-                order_rev.push(last as u8);
-                arrivals_rev.push(state.arrival);
-                if state.parent == u8::MAX {
-                    break;
-                }
-                cur_mask &= !BIT[last];
-                last = usize::from(state.parent);
-                state = layers[cur_mask.count_ones() as usize - 1].lookup(cur_mask, last);
-            }
-            let dps: Vec<DeliveryPointId> = order_rev
-                .iter()
-                .rev()
-                .map(|&local| view.dps[usize::from(local)])
-                .collect();
-            let route = if emit_offsets {
-                let offsets: Vec<f64> = arrivals_rev.iter().rev().copied().collect();
-                let route = Route::from_trusted_offsets(view.center, dps, offsets, aggregates);
-                #[cfg(debug_assertions)]
-                {
-                    let rebuilt =
-                        Route::build(instance, aggregates, view.center, route.dps().to_vec())
-                            .expect("DP states only reference valid delivery points");
-                    debug_assert_eq!(
-                        route, rebuilt,
-                        "trusted-offsets emission must be bit-identical to a rebuild"
-                    );
-                }
-                route
-            } else {
-                Route::build(instance, aggregates, view.center, dps)
-                    .expect("DP states only reference valid delivery points")
-            };
             debug_assert!(
-                route.is_center_origin_valid(),
+                best_arrival.is_finite(),
+                "every frontier group holds at least one feasible state"
+            );
+            // Walk `pre` pointers backwards, last stop first: each hop
+            // indexes the parent slot through the source-group pointer.
+            // The DP arrival at each hop is the member's center-origin
+            // arrival offset.
+            pool.push_row_with(mask, layer.size, aggregates, |stops, offsets| {
+                let (mut depth, mut cur_mask, mut last) = (depth, mask, best_j);
+                let mut state = layer.slots[base + best_k];
+                for pos in (0..stops.len()).rev() {
+                    stops[pos] = view.dps[last];
+                    offsets[pos] = state.arrival;
+                    if state.parent == u8::MAX {
+                        debug_assert_eq!(pos, 0, "only a first stop has no parent");
+                        break;
+                    }
+                    cur_mask &= !BIT[last];
+                    last = usize::from(state.parent);
+                    depth -= 1;
+                    let parent = &layers[depth];
+                    state = parent.slots[state.group as usize * parent.size + rank(cur_mask, last)];
+                }
+            });
+            let r = pool.len() - 1;
+            if kernel == EmissionKernel::Rebuild {
+                let route = Route::build(instance, aggregates, view.center, pool.stops(r).to_vec())
+                    .expect("DP states only reference valid delivery points");
+                pool.overwrite_last(&route);
+            }
+            debug_assert!(
+                pool.slacks()[r] >= 0.0,
                 "the DP must only emit deadline-feasible sequences"
             );
-            pool.push(Vdps {
-                mask,
-                route: std::sync::Arc::new(route),
-            });
         }
     }
-    stats.route_nanos = u64::try_from(route_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    drop(route_span);
-    stats.vdps_count = pool.len();
-    crate::generator::emit_generation_counters(&stats);
-    // Generation over: every frontier returns its storage to the arena.
-    for layer in layers {
-        if let Ok(frontier) = Arc::try_unwrap(layer) {
-            frontier.recycle();
-        }
-    }
-    (pool, stats)
+    pool
 }
 
 #[cfg(test)]
@@ -710,7 +682,7 @@ mod tests {
     use crate::pool::WorkerPool;
     use fta_core::entities::{DeliveryPoint, DistributionCenter, SpatialTask, Worker};
     use fta_core::geometry::Point;
-    use fta_core::ids::{CenterId, TaskId, WorkerId};
+    use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
 
     /// A deterministic pseudo-random scatter of `n` delivery points.
     fn scatter_instance(n: usize, seed: u64) -> Instance {
@@ -754,13 +726,13 @@ mod tests {
         .unwrap()
     }
 
-    fn assert_pools_identical(a: &[Vdps], b: &[Vdps], label: &str) {
+    fn assert_pools_identical(a: &VdpsPool, b: &VdpsPool, label: &str) {
         assert_eq!(a.len(), b.len(), "{label}: pool sizes differ");
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.mask, y.mask, "{label}: masks differ");
-            assert_eq!(x.route.dps(), y.route.dps(), "{label}: routes differ");
+            assert_eq!(x.stops, y.stops, "{label}: routes differ");
             assert!(
-                (x.route.travel_from_dc() - y.route.travel_from_dc()).abs() == 0.0,
+                (x.travel_from_dc - y.travel_from_dc).abs() == 0.0,
                 "{label}: travel times not bit-identical on mask {:#b}",
                 x.mask
             );
@@ -823,9 +795,7 @@ mod tests {
                 let (slow, slow_stats) = run(&rebuild_profile);
                 let label = format!("seed {seed}, n {n}");
                 assert_pools_identical(&fast, &slow, &label);
-                for (a, b) in fast.iter().zip(slow.iter()) {
-                    assert_eq!(a.route, b.route, "{label}: route payloads differ");
-                }
+                assert_eq!(fast, slow, "{label}: route payloads differ");
                 assert_eq!(fast_stats.work_counters(), slow_stats.work_counters());
             }
         }
@@ -865,15 +835,86 @@ mod tests {
         let inst = scatter_instance(40, 9);
         let aggs = inst.dp_aggregates();
         let views = inst.center_views();
-        let config = VdpsConfig::unpruned(3);
-        let (seq, seq_stats) = generate_c_vdps_flat(&inst, &aggs, &views[0], &config, None);
-        for threads in [2, 4] {
-            let pool = WorkerPool::with_threads(threads);
-            let (par, par_stats) =
-                pool.scope(|ts| generate_c_vdps_flat(&inst, &aggs, &views[0], &config, Some(ts)));
-            assert_pools_identical(&seq, &par, &format!("threads {threads}"));
-            assert_eq!(seq_stats.work_counters(), par_stats.work_counters());
-            assert!(par_stats.chunks >= seq_stats.chunks);
+        for config in [VdpsConfig::unpruned(3), VdpsConfig::pruned(2.5, 4)] {
+            let (seq, seq_stats) = generate_c_vdps_flat(&inst, &aggs, &views[0], &config, None);
+            for threads in [2, 4] {
+                let pool = WorkerPool::with_threads(threads);
+                let (par, par_stats) = pool
+                    .scope(|ts| generate_c_vdps_flat(&inst, &aggs, &views[0], &config, Some(ts)));
+                let label = format!("{config:?}, threads {threads}");
+                assert_pools_identical(&seq, &par, &label);
+                assert_eq!(seq, par, "{label}: rows not bit-identical");
+                assert_eq!(seq_stats.work_counters(), par_stats.work_counters());
+                assert!(
+                    par_stats.chunks > seq_stats.chunks,
+                    "{label}: never went parallel"
+                );
+            }
+        }
+    }
+
+    /// Every occupied slot's source-group pointer names the previous
+    /// layer's group whose mask is the slot's mask without its member.
+    #[test]
+    fn slot_groups_name_their_source_group() {
+        let inst = scatter_instance(40, 9);
+        let aggs = inst.dp_aggregates();
+        let views = inst.center_views();
+        let profile = HotpathProfile::default();
+        let workers = WorkerPool::with_threads(2);
+        for config in [VdpsConfig::unpruned(3), VdpsConfig::pruned(2.5, 4)] {
+            let sequential = dp_layers(
+                &inst,
+                &aggs,
+                &views[0],
+                &config,
+                None,
+                GenControl::NONE,
+                &profile,
+                &mut GenerationStats::default(),
+            );
+            let pooled = workers.scope(|ts| {
+                dp_layers(
+                    &inst,
+                    &aggs,
+                    &views[0],
+                    &config,
+                    Some(ts),
+                    GenControl::NONE,
+                    &profile,
+                    &mut GenerationStats::default(),
+                )
+            });
+            for layers in [sequential, pooled] {
+                assert!(layers.len() >= 3, "{config:?}: too shallow to test");
+                let mut checked = 0usize;
+                for pair in layers.windows(2) {
+                    let (prev, layer) = (&pair[0], &pair[1]);
+                    for (g, &mask) in layer.masks.iter().enumerate() {
+                        let mut members = mask;
+                        for k in 0..layer.size {
+                            let j = members.trailing_zeros() as usize;
+                            members &= members - 1;
+                            let slot = layer.slots[g * layer.size + k];
+                            if !slot.arrival.is_finite() {
+                                continue;
+                            }
+                            let source = mask & !BIT[j];
+                            assert_eq!(prev.masks[slot.group as usize], source);
+                            let parent = usize::from(slot.parent);
+                            assert!(source & BIT[parent] != 0, "parent outside the source");
+                            let pre =
+                                prev.slots[slot.group as usize * prev.size + rank(source, parent)];
+                            assert!(pre.arrival <= slot.arrival, "the parent state is occupied");
+                            checked += 1;
+                        }
+                    }
+                }
+                assert!(checked > 100, "{config:?}: only {checked} slots checked");
+                for layer in &layers[..1] {
+                    assert!(layer.slots.iter().all(|s| s.group == u32::MAX));
+                }
+            }
         }
     }
 

@@ -1,7 +1,8 @@
 //! The C-VDPS dynamic program (Algorithm 1 of the paper).
 
+use crate::columns::VdpsPool;
 use crate::config::VdpsConfig;
-use crate::grid::NeighborIndex;
+use crate::grid::Adjacency;
 use fta_core::budget::CancelToken;
 use fta_core::instance::{CenterView, DpAggregate, Instance};
 use fta_core::route::Route;
@@ -40,39 +41,6 @@ impl GenControl<'_> {
     pub fn should_stop(&self, states_so_far: usize) -> bool {
         self.max_states.is_some_and(|cap| states_so_far >= cap)
             || self.token.is_some_and(CancelToken::is_cancelled)
-    }
-}
-
-/// One center-origin Valid Delivery Point Set: the set itself (as a bitmask
-/// over the [`CenterView`]'s local delivery-point indices) and the
-/// minimum-travel-time route that certifies its validity.
-///
-/// The route sits behind an [`Arc`](std::sync::Arc) so that materialising
-/// an [`Assignment`](fta_core::Assignment) from the pool (and every
-/// downstream consumer of assigned routes) shares the one allocation made
-/// at generation time instead of deep-copying the stop vector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Vdps {
-    /// Bitmask over local delivery-point indices (`view.dps` order).
-    pub mask: u128,
-    /// The minimum-travel-time deadline-feasible visiting sequence.
-    pub route: std::sync::Arc<Route>,
-}
-
-impl Vdps {
-    /// Number of delivery points in the set.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.mask.count_ones() as usize
-    }
-
-    /// Whether the set contains no delivery points. Generator output always
-    /// has at least one (the DP recursion starts from singletons), but a
-    /// hand-built `Vdps { mask: 0, .. }` must report empty — this used to
-    /// hardcode `false`, contradicting [`Vdps::len`].
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.mask == 0
     }
 }
 
@@ -206,7 +174,7 @@ pub fn generate_c_vdps(
     aggregates: &[DpAggregate],
     view: &CenterView,
     config: &VdpsConfig,
-) -> (Vec<Vdps>, GenerationStats) {
+) -> (VdpsPool, GenerationStats) {
     generate_c_vdps_in(instance, aggregates, view, config, None)
 }
 
@@ -224,7 +192,7 @@ pub fn generate_c_vdps_in(
     view: &CenterView,
     config: &VdpsConfig,
     scope: Option<&crate::pool::TaskScope<'_>>,
-) -> (Vec<Vdps>, GenerationStats) {
+) -> (VdpsPool, GenerationStats) {
     generate_c_vdps_budgeted(instance, aggregates, view, config, scope, GenControl::NONE)
 }
 
@@ -245,7 +213,7 @@ pub fn generate_c_vdps_budgeted(
     config: &VdpsConfig,
     scope: Option<&crate::pool::TaskScope<'_>>,
     control: GenControl<'_>,
-) -> (Vec<Vdps>, GenerationStats) {
+) -> (VdpsPool, GenerationStats) {
     match config.engine {
         crate::config::VdpsEngine::Flat => crate::flat::generate_c_vdps_flat_budgeted(
             instance, aggregates, view, config, scope, control,
@@ -270,7 +238,7 @@ pub fn generate_c_vdps_hashmap(
     aggregates: &[DpAggregate],
     view: &CenterView,
     config: &VdpsConfig,
-) -> (Vec<Vdps>, GenerationStats) {
+) -> (VdpsPool, GenerationStats) {
     generate_c_vdps_hashmap_budgeted(instance, aggregates, view, config, GenControl::NONE)
 }
 
@@ -287,7 +255,7 @@ pub fn generate_c_vdps_hashmap_budgeted(
     view: &CenterView,
     config: &VdpsConfig,
     control: GenControl<'_>,
-) -> (Vec<Vdps>, GenerationStats) {
+) -> (VdpsPool, GenerationStats) {
     let dp_start = std::time::Instant::now();
     let n = view.dps.len();
     assert!(
@@ -297,7 +265,7 @@ pub fn generate_c_vdps_hashmap_budgeted(
     );
     let mut stats = GenerationStats::default();
     if n == 0 || config.max_len == 0 {
-        return (Vec::new(), stats);
+        return (VdpsPool::new(view.center), stats);
     }
     let center_u32 = view.center.index() as u32;
     let _generate_span = fta_obs::span_center("vdps.generate", center_u32);
@@ -319,12 +287,13 @@ pub fn generate_c_vdps_hashmap_budgeted(
         .collect();
     let from_dc: Vec<f64> = locs.iter().map(|&l| dc.travel_time(l, speed)).collect();
 
-    // Pairwise distances; n ≤ 128 keeps this at most 128 KiB.
-    let dist = |i: usize, j: usize| locs[i].distance(locs[j]);
-
-    // With ε pruning active, a grid index narrows each extension scan to
-    // the actual ε-neighbours instead of all n delivery points.
-    let neighbors = config.epsilon.map(|eps| NeighborIndex::build(&locs, eps));
+    // The shared ε-adjacency (the complete graph when unpruned) narrows
+    // each extension scan to the actual neighbours and carries each hop's
+    // travel time.
+    let adjacency = {
+        let _span = fta_obs::span_center("vdps.adjacency", center_u32);
+        Adjacency::build(&locs, config.epsilon, speed)
+    };
 
     // Layer 1 (Algorithm 1, lines 2–5): singletons reachable before expiry.
     let mut layers: Vec<HashMap<(u128, u8), State>> = Vec::with_capacity(config.max_len);
@@ -357,53 +326,37 @@ pub fn generate_c_vdps_hashmap_budgeted(
         let mut next: HashMap<(u128, u8), State> = HashMap::new();
         for (&(mask, last), state) in &layers[len - 2] {
             let last = last as usize;
-            let extend_to =
-                |j: usize, next: &mut HashMap<(u128, u8), State>, stats: &mut GenerationStats| {
-                    let arrival = state.arrival + dist(last, j) / speed;
-                    if arrival > expiry[j] {
-                        stats.pruned_by_deadline += 1;
-                        return;
-                    }
-                    let key = (mask | (1u128 << j), j as u8);
-                    let candidate = State {
-                        arrival,
-                        parent: last as u8,
-                    };
-                    next.entry(key)
-                        .and_modify(|s| {
-                            if candidate.arrival < s.arrival {
-                                *s = candidate;
-                            }
-                        })
-                        .or_insert(candidate);
+            // Points outside the mask but not adjacent to `last` count as
+            // distance-pruned (none when unpruned).
+            let free = n - mask.count_ones() as usize;
+            let mut considered = 0usize;
+            let neighbors = adjacency.neighbors(last);
+            for (&j, &tt) in neighbors.iter().zip(adjacency.travel_times(last)) {
+                let j = j as usize;
+                if mask & (1u128 << j) != 0 {
+                    continue;
+                }
+                considered += 1;
+                let arrival = state.arrival + tt;
+                if arrival > expiry[j] {
+                    stats.pruned_by_deadline += 1;
+                    continue;
+                }
+                let key = (mask | (1u128 << j), j as u8);
+                let candidate = State {
+                    arrival,
+                    parent: last as u8,
                 };
-            match &neighbors {
-                // ε pruning: only actual neighbours are extension
-                // candidates; the rest count as distance-pruned.
-                Some(index) => {
-                    let free = n - mask.count_ones() as usize;
-                    let mut considered = 0usize;
-                    for &j in index.neighbors(last) {
-                        let j = usize::from(j);
-                        if mask & (1u128 << j) != 0 {
-                            continue;
+                next.entry(key)
+                    .and_modify(|s| {
+                        if candidate.arrival < s.arrival {
+                            *s = candidate;
                         }
-                        considered += 1;
-                        extend_to(j, &mut next, &mut stats);
-                    }
-                    stats.extensions_tried += free;
-                    stats.pruned_by_distance += free - considered;
-                }
-                None => {
-                    for j in 0..n {
-                        if mask & (1u128 << j) != 0 {
-                            continue;
-                        }
-                        stats.extensions_tried += 1;
-                        extend_to(j, &mut next, &mut stats);
-                    }
-                }
+                    })
+                    .or_insert(candidate);
             }
+            stats.extensions_tried += free;
+            stats.pruned_by_distance += free - considered;
         }
         if next.is_empty() {
             break;
@@ -411,6 +364,7 @@ pub fn generate_c_vdps_hashmap_budgeted(
         states_so_far += next.len();
         layers.push(next);
     }
+    adjacency.recycle();
     stats.states = layers.iter().map(HashMap::len).sum();
 
     // Per mask, select the ending with minimal total travel (the paper keeps
@@ -438,7 +392,8 @@ pub fn generate_c_vdps_hashmap_budgeted(
 
     let route_span = fta_obs::span_center("vdps.routes", center_u32);
     let route_start = std::time::Instant::now();
-    let mut pool = Vec::with_capacity(masks.len());
+    let stops = masks.iter().map(|m| m.count_ones() as usize).sum();
+    let mut pool = VdpsPool::with_capacity(view.center, masks.len(), stops);
     for mask in masks {
         let (mut last, _) = best_per_mask[&mask];
         // Walk parents backwards through the layers.
@@ -465,10 +420,7 @@ pub fn generate_c_vdps_hashmap_budgeted(
             route.is_center_origin_valid(),
             "the DP must only emit deadline-feasible sequences"
         );
-        pool.push(Vdps {
-            mask,
-            route: std::sync::Arc::new(route),
-        });
+        pool.push_route(mask, &route);
     }
     stats.route_nanos = u64::try_from(route_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     drop(route_span);
@@ -522,7 +474,7 @@ mod tests {
         .unwrap()
     }
 
-    fn run(inst: &Instance, cfg: &VdpsConfig) -> (Vec<Vdps>, GenerationStats) {
+    fn run(inst: &Instance, cfg: &VdpsConfig) -> (VdpsPool, GenerationStats) {
         let aggs = inst.dp_aggregates();
         let views = inst.center_views();
         generate_c_vdps(inst, &aggs, &views[0], cfg)
@@ -548,10 +500,10 @@ mod tests {
         let full = pool.iter().find(|v| v.mask == 0b111).unwrap();
         // Optimal route on a line: 1 → 2 → 3, total 3.0.
         assert_eq!(
-            full.route.dps(),
+            full.stops,
             &[DeliveryPointId(0), DeliveryPointId(1), DeliveryPointId(2)]
         );
-        assert!((full.route.travel_from_dc() - 3.0).abs() < 1e-12);
+        assert!((full.travel_from_dc - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -562,7 +514,7 @@ mod tests {
         let (pool, _) = run(&inst, &VdpsConfig::unpruned(3));
         let full = pool.iter().find(|v| v.mask == 0b111).unwrap();
         assert_eq!(
-            full.route.dps(),
+            full.stops,
             &[DeliveryPointId(0), DeliveryPointId(1), DeliveryPointId(2)]
         );
     }
@@ -600,7 +552,7 @@ mod tests {
         let (pruned, _) = run(&inst, &VdpsConfig::pruned(1.0, 3));
         let unpruned_masks: std::collections::HashSet<u128> =
             unpruned.iter().map(|v| v.mask).collect();
-        for v in &pruned {
+        for v in pruned.iter() {
             assert!(unpruned_masks.contains(&v.mask));
         }
     }
@@ -618,18 +570,12 @@ mod tests {
         let inst = line_instance(&[100.0, 100.0]);
         let (pool, _) = run(&inst, &VdpsConfig::unpruned(2));
         assert!(!pool.is_empty());
-        for v in &pool {
+        for v in pool.iter() {
             assert!(!v.is_empty(), "generated VDPS must not be empty");
             assert_eq!(v.len(), v.mask.count_ones() as usize);
         }
-        // Regression: a zero-mask Vdps must report empty — `is_empty()`
-        // used to hardcode `false`, contradicting `len() == 0`. (Routes
-        // themselves cannot be empty, so reuse a generated one; emptiness
-        // is defined by the mask alone.)
-        let empty = Vdps {
-            mask: 0,
-            route: pool[0].route.clone(),
-        };
+        // A pool with no rows is empty, whatever its center.
+        let empty = VdpsPool::new(pool.center());
         assert_eq!(empty.len(), 0);
         assert!(empty.is_empty());
     }
@@ -722,7 +668,7 @@ mod tests {
         let (b, _) = run(&inst, &VdpsConfig::unpruned(3));
         assert_eq!(a, b);
         // Ordered by size then mask.
-        let sizes: Vec<usize> = a.iter().map(Vdps::len).collect();
+        let sizes: Vec<usize> = a.iter().map(|v| v.len()).collect();
         let mut sorted = sizes.clone();
         sorted.sort_unstable();
         assert_eq!(sizes, sorted);

@@ -13,8 +13,8 @@
 //! The profile also selects between kernel twins that are bit-identical
 //! by construction and differ only in speed: the chunked limb scans of
 //! [`crate::kernel`] versus their scalar references, and the flat
-//! engine's trusted-offsets route emission versus a full
-//! [`fta_core::route::Route::build`] re-derivation. Keeping the slower
+//! engine's offsets emission (the DP's arrivals written into the pool
+//! row) versus a full [`fta_core::route::Route::build`] re-derivation. Keeping the slower
 //! twin selectable is what lets the calibration binary measure both
 //! sides honestly on every run.
 //!
@@ -37,16 +37,17 @@ pub enum ScanKernel {
     Scalar,
 }
 
-/// How the flat engine materialises `Route` payloads at emission.
+/// How the flat engine fills a pool row's route fields at emission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EmissionKernel {
-    /// Reuse the DP's arrival offsets collected during the backwalk
+    /// Write the DP's arrival offsets collected during the backwalk
     /// (same float expressions in the same order as a rebuild — the
     /// bit-identical fast path).
     #[default]
     Offsets,
-    /// Re-derive every leg with [`fta_core::route::Route::build`]
-    /// (pre-kernel behaviour, kept as the measurable reference).
+    /// Re-derive every leg with [`fta_core::route::Route::build`] and
+    /// write its fields into the row (pre-kernel behaviour, kept as the
+    /// measurable reference).
     Rebuild,
 }
 

@@ -41,16 +41,18 @@
 //! Two interchangeable implementations of the DP live side by side,
 //! selected by [`VdpsConfig::engine`]:
 //!
-//! * [`flat`] (default) — the production engine. It precomputes a flat
-//!   n×n travel-time matrix plus per-point expiry/from-center arrays, and
-//!   replaces the per-layer `HashMap<(mask, last), State>` with a
+//! * [`flat`] (default) — the production engine. It builds a fused
+//!   ε-adjacency ([`grid::Adjacency`]: per point, its neighbours and the
+//!   travel time to each) plus per-point expiry arrays, and replaces the per-layer `HashMap<(mask, last), State>` with a
 //!   *mask-bucketed flat frontier*: states of one layer are grouped per
 //!   subset mask (masks kept sorted ascending) with a dense per-last-point
 //!   slot array, so a state is addressed by `(group, rank(mask, last))`
 //!   with no hashing on the read side. New masks are deduplicated through
 //!   an open-addressed `u128 → group` table with an inline multiply-shift
 //!   hash. The per-mask best route falls out of the layout during
-//!   emission, so no second `best_per_mask` pass is needed. Large layers
+//!   emission, so no second `best_per_mask` pass is needed, and every
+//!   slot points at its predecessor's group, so the route backwalk is
+//!   O(1) per hop. Large layers
 //!   are expanded in chunks on the shared [`pool::WorkerPool`]; per-thread
 //!   shard tables are merged by deterministic mask-range partition, which
 //!   keeps the result bit-identical to a sequential run regardless of
@@ -61,7 +63,10 @@
 //!
 //! Both engines produce pools that are bit-identical in content *and*
 //! order (subset size, then mask), so downstream FGT/PFGT/IEGT strategy
-//! selections are unchanged by the engine choice.
+//! selections are unchanged by the engine choice. A pool is a
+//! [`VdpsPool`]: one set per row of flat columns (mask, stops, arrival
+//! offsets, reward, slack, travel), so generating it allocates per
+//! center, not per set.
 //!
 //! ## Worker pool
 //!
@@ -79,6 +84,7 @@
 #![deny(unsafe_code)]
 
 pub mod arena;
+pub mod columns;
 pub mod config;
 pub mod dedup;
 pub mod delta;
@@ -93,12 +99,13 @@ pub mod schedule;
 pub mod strategy;
 
 pub use arena::ArenaStats;
+pub use columns::{VdpsPool, VdpsRow};
 pub use config::{VdpsConfig, VdpsEngine};
 pub use delta::{delta_update, delta_update_with_provenance, DeltaStats, PoolCache};
 pub use flat::{generate_c_vdps_flat, generate_c_vdps_flat_budgeted};
 pub use generator::{
     generate_c_vdps, generate_c_vdps_budgeted, generate_c_vdps_hashmap,
-    generate_c_vdps_hashmap_budgeted, generate_c_vdps_in, GenControl, GenerationStats, Vdps,
+    generate_c_vdps_hashmap_budgeted, generate_c_vdps_in, GenControl, GenerationStats,
 };
 pub use hotpath::{EmissionKernel, HotpathProfile, ScanKernel};
 pub use pool::{TaskScope, WorkerPool};

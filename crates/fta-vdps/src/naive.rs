@@ -6,8 +6,8 @@
 //! — but trivially correct, so the tests validate the dynamic program of
 //! [`crate::generator`] against it.
 
+use crate::columns::VdpsPool;
 use crate::config::VdpsConfig;
-use crate::generator::Vdps;
 use fta_core::instance::{CenterView, DpAggregate, Instance};
 use fta_core::route::Route;
 use fta_core::DeliveryPointId;
@@ -30,7 +30,7 @@ pub fn generate_naive(
     aggregates: &[DpAggregate],
     view: &CenterView,
     config: &VdpsConfig,
-) -> Vec<Vdps> {
+) -> VdpsPool {
     let n = view.dps.len();
     assert!(n <= 20, "naive generation is restricted to tiny centers");
     let dc = instance.centers[view.center.index()].location;
@@ -46,7 +46,7 @@ pub fn generate_naive(
         .map(|dp| aggregates[dp.index()].earliest_expiry)
         .collect();
 
-    let mut result = Vec::new();
+    let mut result = VdpsPool::new(view.center);
     let mut masks: Vec<u128> = (1u128..(1u128 << n))
         .filter(|m| (m.count_ones() as usize) <= config.max_len)
         .collect();
@@ -78,10 +78,7 @@ pub fn generate_naive(
             let dps: Vec<DeliveryPointId> = order.iter().map(|&i| view.dps[i]).collect();
             let route = Route::build(instance, aggregates, view.center, dps)
                 .expect("enumerated delivery points are valid");
-            result.push(Vdps {
-                mask,
-                route: std::sync::Arc::new(route),
-            });
+            result.push_route(mask, &route);
         }
     }
     result
@@ -164,11 +161,11 @@ mod tests {
         assert_eq!(naive_masks, dp_masks, "feasible subsets differ");
         for (a, b) in naive.iter().zip(dp.iter()) {
             assert!(
-                (a.route.travel_from_dc() - b.route.travel_from_dc()).abs() < 1e-9,
+                (a.travel_from_dc - b.travel_from_dc).abs() < 1e-9,
                 "travel times differ on mask {:#b}: naive {} vs dp {}",
                 a.mask,
-                a.route.travel_from_dc(),
-                b.route.travel_from_dc()
+                a.travel_from_dc,
+                b.travel_from_dc
             );
         }
     }

@@ -175,19 +175,19 @@ mod tests {
             let aggs = inst.dp_aggregates();
             let views = inst.center_views();
             let (pool, _) = generate_c_vdps(&inst, &aggs, &views[0], &VdpsConfig::unpruned(4));
-            for vdps in &pool {
-                let mut dps: Vec<DeliveryPointId> = vdps.route.dps().to_vec();
+            for vdps in pool.iter() {
+                let mut dps: Vec<DeliveryPointId> = vdps.stops.to_vec();
                 // Shuffle the order: scheduling must not depend on it.
                 dps.reverse();
                 let scheduled = schedule_route(&inst, views[0].center, &dps)
                     .expect("well-formed input")
                     .expect("generator-emitted sets are schedulable");
                 assert!(
-                    (scheduled.travel_from_dc() - vdps.route.travel_from_dc()).abs() < 1e-9,
+                    (scheduled.travel_from_dc() - vdps.travel_from_dc).abs() < 1e-9,
                     "seed {seed}, mask {:#b}: {} vs {}",
                     vdps.mask,
                     scheduled.travel_from_dc(),
-                    vdps.route.travel_from_dc()
+                    vdps.travel_from_dc
                 );
             }
         }

@@ -9,8 +9,9 @@
 //! game-theoretic algorithms then consume.
 
 use crate::arena;
+use crate::columns::VdpsPool;
 use crate::config::VdpsConfig;
-use crate::generator::{generate_c_vdps_budgeted, GenControl, GenerationStats, Vdps};
+use crate::generator::{generate_c_vdps_budgeted, GenControl, GenerationStats};
 use crate::pool::TaskScope;
 use fta_core::instance::{CenterView, DpAggregate, Instance};
 use fta_core::payoff::payoff_from_parts;
@@ -124,7 +125,7 @@ struct SlotColumns {
     pool: Vec<u32>,
     /// Payoffs, parallel to `pool`.
     payoffs: Vec<f64>,
-    /// Delivery-point masks (`pool[idx].mask` memoised), parallel to
+    /// Delivery-point masks (`pool.mask(idx)` memoised), parallel to
     /// `pool`.
     masks: Vec<u128>,
 }
@@ -182,13 +183,13 @@ fn worker_range(offsets: &[u32], local: usize) -> std::ops::Range<usize> {
 /// index, the canonical iteration order every algorithm observes. The
 /// monotone best response (highest payoff among open slots, ties to the
 /// lowest pool index) is one argmax pass over that order; scans stream
-/// cache-linear memory instead of chasing `pool[idx].mask` indirections.
+/// cache-linear memory instead of indexing back into the pool's columns.
 #[derive(Debug, Clone)]
 pub struct StrategySpace {
     /// The center view this space was built from.
     pub view: CenterView,
     /// The shared C-VDPS pool (deterministically ordered).
-    pub pool: Vec<Vdps>,
+    pub pool: VdpsPool,
     /// Travel time from each local worker to the distribution center.
     pub worker_to_dc: Vec<f64>,
     /// Every worker's valid slots.
@@ -253,7 +254,7 @@ impl StrategySpace {
     pub fn from_pool(
         instance: &Instance,
         view: &CenterView,
-        pool: Vec<Vdps>,
+        pool: VdpsPool,
         gen_stats: GenerationStats,
     ) -> Self {
         Self::from_pool_in(instance, view.clone(), pool, gen_stats, None)
@@ -267,7 +268,7 @@ impl StrategySpace {
     pub fn from_pool_in(
         instance: &Instance,
         view: CenterView,
-        pool: Vec<Vdps>,
+        pool: VdpsPool,
         gen_stats: GenerationStats,
         scope: Option<&TaskScope<'_>>,
     ) -> Self {
@@ -280,31 +281,30 @@ impl StrategySpace {
             .collect();
         let n_workers = view.workers.len();
         let params = validation_params(instance, &view, &worker_to_dc);
-        let soa = PoolSoa::extract(&pool);
-        let n_slots = soa.count_valid(&params);
+        let slack_index = SlackIndex::build(&pool);
+        let n_slots = slack_index.count_valid(&params);
 
         let parallel = scope.is_some_and(|s| s.threads() > 1)
             && n_workers > 1
             && n_workers.saturating_mul(pool.len()) >= PAR_MIN_VALIDATION_WORK;
 
-        let slots = if parallel {
+        let (pool, slots) = if parallel {
             let scope = scope.expect("parallel implies an active scope");
-            // Per-worker parameters are tiny copies; the columnar pool
-            // extract is shared read-only via `Arc` so chunk jobs satisfy
-            // the scope's `'env` bound without cloning any `Vdps` (the
-            // pool itself never leaves this thread).
-            let soa = Arc::new(soa);
+            // Per-worker parameters are tiny copies; the pool's columns
+            // are shared read-only via `Arc` so chunk jobs satisfy the
+            // scope's `'env` bound without copying them.
+            let pool = Arc::new(pool);
             let chunk = n_workers.div_ceil(scope.threads() * 2).max(1);
             let jobs: Vec<_> = params
                 .chunks(chunk)
                 .map(|chunk_params| {
-                    let soa = Arc::clone(&soa);
+                    let pool = Arc::clone(&pool);
                     let chunk_params = chunk_params.to_vec();
+                    let n_slots = slack_index.count_valid(&chunk_params);
                     move |_: &TaskScope<'_>| {
-                        let n_slots = soa.count_valid(&chunk_params);
                         let mut chunk = SlotColumns::with_capacity(chunk_params.len(), n_slots);
                         for (max_dp, to_dc) in chunk_params {
-                            validate_worker(&soa, max_dp, to_dc, &mut chunk);
+                            validate_worker(&pool, max_dp, to_dc, &mut chunk);
                         }
                         chunk
                     }
@@ -314,17 +314,15 @@ impl StrategySpace {
             for chunk in scope.map(jobs) {
                 slots.append(&chunk);
             }
-            if let Ok(soa) = Arc::try_unwrap(soa) {
-                soa.recycle();
-            }
-            slots
+            // Every job has finished, so this is the last reference.
+            let pool = Arc::try_unwrap(pool).unwrap_or_else(|shared| (*shared).clone());
+            (pool, slots)
         } else {
             let mut slots = SlotColumns::with_capacity(n_workers, n_slots);
             for &(max_dp, to_dc) in &params {
-                validate_worker(&soa, max_dp, to_dc, &mut slots);
+                validate_worker(&pool, max_dp, to_dc, &mut slots);
             }
-            soa.recycle();
-            slots
+            (pool, slots)
         };
         debug_assert_eq!(
             slots.pool.len(),
@@ -363,7 +361,7 @@ impl StrategySpace {
     pub fn from_pool_delta(
         instance: &Instance,
         view: CenterView,
-        pool: Vec<Vdps>,
+        pool: VdpsPool,
         provenance: &[Option<u32>],
         prev: &SlotCache,
         gen_stats: GenerationStats,
@@ -389,17 +387,19 @@ impl StrategySpace {
         // Dense (validity, payoff) lookup over the *previous* pool,
         // refilled per worker and wiped through the same valid list so
         // the reset is O(previous valid slots), not O(previous pool).
-        // The dense arrays and the columnar pool extract come from the
-        // generation arena, so steady-state re-solves under churn
-        // revalidate slots without allocating scratch.
+        // The dense arrays come from the generation arena, so
+        // steady-state re-solves under churn revalidate slots without
+        // allocating them afresh.
         let (mut dense_valid, mut dense_payoff) =
             arena::with(|a| (a.flags.take(prev.pool_len), a.floats.take(prev.pool_len)));
         dense_valid.resize(prev.pool_len, false);
         dense_payoff.resize(prev.pool_len, 0.0);
-        let soa = PoolSoa::extract(&pool);
+        let slack_index = SlackIndex::build(&pool);
         let params = validation_params(instance, &view, &worker_to_dc);
         let mut reused_slots = 0u64;
-        let mut slots = SlotColumns::with_capacity(params.len(), soa.count_valid(&params));
+        let mut slots = SlotColumns::with_capacity(params.len(), slack_index.count_valid(&params));
+        let (masks, starts) = (pool.masks(), pool.starts());
+        let (rewards, slacks, travels) = (pool.rewards(), pool.slacks(), pool.travels());
         for (local, &(max_dp, to_dc)) in params.iter().enumerate() {
             let prev_valid = prev.valid_of(local);
             for (&idx, &payoff) in prev_valid.iter().zip(prev.payoffs_of(local)) {
@@ -413,14 +413,15 @@ impl StrategySpace {
                         // worker parameters — the cached verdict and
                         // payoff are bit-identical to recomputing.
                         if dense_valid[old as usize] {
-                            slots.push(j as u32, dense_payoff[old as usize], soa.masks[j]);
+                            slots.push(j as u32, dense_payoff[old as usize], masks[j]);
                             reused_slots += 1;
                         }
                     }
                     None => {
-                        if soa.lens[j] as usize <= max_dp && to_dc <= soa.slacks[j] {
-                            let payoff = payoff_from_parts(soa.rewards[j], soa.travels[j], to_dc);
-                            slots.push(j as u32, payoff, soa.masks[j]);
+                        let len = (starts[j + 1] - starts[j]) as usize;
+                        if len <= max_dp && to_dc <= slacks[j] {
+                            let payoff = payoff_from_parts(rewards[j], travels[j], to_dc);
+                            slots.push(j as u32, payoff, masks[j]);
                         }
                     }
                 }
@@ -430,7 +431,6 @@ impl StrategySpace {
                 dense_valid[idx as usize] = false;
             }
         }
-        soa.recycle();
         arena::with(|a| {
             a.flags.put(dense_valid);
             a.floats.put(dense_payoff);
@@ -445,7 +445,7 @@ impl StrategySpace {
     /// index when the space clears the crossover.
     fn assemble(
         view: CenterView,
-        pool: Vec<Vdps>,
+        pool: VdpsPool,
         worker_to_dc: Vec<f64>,
         slots: SlotColumns,
         gen_stats: GenerationStats,
@@ -581,7 +581,7 @@ impl StrategySpace {
     /// up through the flat slot layout (avoids the `pool` indirection).
     #[must_use]
     pub fn mask_of_pool(&self, pool_idx: u32) -> u128 {
-        self.pool[pool_idx as usize].mask
+        self.pool.mask(pool_idx as usize)
     }
 }
 
@@ -636,66 +636,34 @@ impl SlotCache {
     }
 }
 
-/// Columnar (struct-of-arrays) copy of the pool fields per-worker
-/// validation reads: entry length, route slack, total reward, travel
-/// time from the distribution center, and the mask each valid slot
-/// memoises. Extracted once per space build, so
-/// the O(workers × pool) validation pass streams four flat arrays instead
-/// of dereferencing one heap `Route` per entry per worker. The arrays are
-/// borrowed from the generation arena and returned via
-/// [`PoolSoa::recycle`] once every worker is validated.
-struct PoolSoa {
-    lens: Vec<u32>,
-    slacks: Vec<f64>,
-    rewards: Vec<f64>,
-    travels: Vec<f64>,
-    masks: Vec<u128>,
-    /// `slacks_by_len[l]`: the slacks of the `l`-point entries, ascending
-    /// (sizes the slot columns, see [`PoolSoa::count_valid`]).
-    slacks_by_len: Vec<Vec<f64>>,
+/// Every pool row's slack, grouped by row length and sorted ascending
+/// within each length, so the number of slots a worker will get is a
+/// binary search per length (see [`SlackIndex::count_valid`]). The slot
+/// columns are sized from it exactly; without that, their growth cost
+/// about 30% of validation on dense centers.
+struct SlackIndex {
+    /// `by_len[l]`: the slacks of the `l`-point rows, ascending.
+    by_len: Vec<Vec<f64>>,
 }
 
-impl PoolSoa {
-    fn extract(pool: &[Vdps]) -> Self {
-        let n = pool.len();
-        let (lens, slacks, rewards, travels, masks) = arena::with(|a| {
-            (
-                a.indices.take(n),
-                a.floats.take(n),
-                a.floats.take(n),
-                a.floats.take(n),
-                a.masks.take(n),
-            )
-        });
-        let mut soa = Self {
-            lens,
-            slacks,
-            rewards,
-            travels,
-            masks,
-            slacks_by_len: Vec::new(),
-        };
-        for vdps in pool {
-            let len = vdps.len();
-            let slack = vdps.route.slack();
-            soa.lens.push(len as u32);
-            soa.slacks.push(slack);
-            soa.rewards.push(vdps.route.total_reward());
-            soa.travels.push(vdps.route.travel_from_dc());
-            soa.masks.push(vdps.mask);
-            if soa.slacks_by_len.len() <= len {
-                soa.slacks_by_len.resize_with(len + 1, Vec::new);
+impl SlackIndex {
+    fn build(pool: &VdpsPool) -> Self {
+        let mut by_len: Vec<Vec<f64>> = Vec::new();
+        for (r, &slack) in pool.slacks().iter().enumerate() {
+            let len = pool.row_len(r);
+            if by_len.len() <= len {
+                by_len.resize_with(len + 1, Vec::new);
             }
-            soa.slacks_by_len[len].push(slack);
+            by_len[len].push(slack);
         }
-        for bucket in &mut soa.slacks_by_len {
+        for bucket in &mut by_len {
             bucket.sort_unstable_by(f64::total_cmp);
         }
-        soa
+        Self { by_len }
     }
 
     /// How many slots [`validate_worker`] will emit for workers with these
-    /// `(maxDP, travel to the center)` parameters: per entry length up to
+    /// `(maxDP, travel to the center)` parameters: per row length up to
     /// `maxDP`, a binary search for the slacks `≥ to_dc`. Exact for
     /// non-NaN inputs; it only sizes allocations, so it can never change
     /// which slots are emitted.
@@ -703,23 +671,13 @@ impl PoolSoa {
         params
             .iter()
             .map(|&(max_dp, to_dc)| {
-                self.slacks_by_len
+                self.by_len
                     .iter()
                     .take(max_dp.saturating_add(1))
                     .map(|b| b.len() - b.partition_point(|&s| s < to_dc))
                     .sum::<usize>()
             })
             .sum()
-    }
-
-    fn recycle(self) {
-        arena::with(|a| {
-            a.indices.put(self.lens);
-            a.floats.put(self.slacks);
-            a.floats.put(self.rewards);
-            a.floats.put(self.travels);
-            a.masks.put(self.masks);
-        });
     }
 }
 
@@ -742,17 +700,20 @@ fn validation_params(
 /// center and its `maxDP`), and the payoff of each, appended to `slots` as
 /// the worker's range.
 ///
-/// Scans the columnar [`PoolSoa`] — `lens[idx] <= max_dp` and
-/// `to_dc <= slacks[idx]` are exactly `Vdps::len` and
-/// [`fta_core::route::Route::is_valid_for_travel`] over the extracted
-/// scalars, and [`payoff_from_parts`] is the same expression as
+/// Streams the pool's columns — a row's length `≤ max_dp` and
+/// `to_dc <= slack` are exactly the set size check and
+/// [`fta_core::route::Route::is_valid_for_travel`], and
+/// [`payoff_from_parts`] is the same expression as
 /// [`fta_core::payoff::payoff_for_travel`] — so the results are
-/// bit-identical to walking the `Vdps` entries themselves.
-fn validate_worker(soa: &PoolSoa, max_dp: usize, to_dc: f64, slots: &mut SlotColumns) {
-    for idx in 0..soa.lens.len() {
-        if soa.lens[idx] as usize <= max_dp && to_dc <= soa.slacks[idx] {
-            let payoff = payoff_from_parts(soa.rewards[idx], soa.travels[idx], to_dc);
-            slots.push(idx as u32, payoff, soa.masks[idx]);
+/// bit-identical to validating each row's [`fta_core::route::Route`].
+fn validate_worker(pool: &VdpsPool, max_dp: usize, to_dc: f64, slots: &mut SlotColumns) {
+    let (masks, starts) = (pool.masks(), pool.starts());
+    let (rewards, slacks, travels) = (pool.rewards(), pool.slacks(), pool.travels());
+    for idx in 0..masks.len() {
+        let len = (starts[idx + 1] - starts[idx]) as usize;
+        if len <= max_dp && to_dc <= slacks[idx] {
+            let payoff = payoff_from_parts(rewards[idx], travels[idx], to_dc);
+            slots.push(idx as u32, payoff, masks[idx]);
         }
     }
     slots.end_worker();
@@ -841,7 +802,7 @@ mod tests {
         // invalid; {dp1} has slack 98 → valid; {dp0,dp1} exceeds maxDP=1.
         assert_eq!(s.strategy_count(1), 1);
         let idx = s.valid_of(1)[0];
-        assert_eq!(s.pool[idx as usize].mask, 0b10);
+        assert_eq!(s.pool.mask(idx as usize), 0b10);
         assert_eq!(s.masks_of(1)[0], 0b10);
     }
 
@@ -853,7 +814,7 @@ mod tests {
         let idx = s
             .valid_of(0)
             .iter()
-            .position(|&i| s.pool[i as usize].mask == 0b10)
+            .position(|&i| s.pool.mask(i as usize) == 0b10)
             .unwrap();
         assert!((s.payoffs_of(0)[idx] - 1.2).abs() < 1e-12);
         assert_eq!(
@@ -867,7 +828,7 @@ mod tests {
         let inst = instance();
         let s = space(&inst);
         // Worker 1 cannot take pool entry for {dp0} (mask 0b01).
-        let dp0_idx = s.pool.iter().position(|v| v.mask == 0b01).unwrap() as u32;
+        let dp0_idx = s.pool.masks().iter().position(|&m| m == 0b01).unwrap() as u32;
         assert_eq!(s.payoff_of(1, dp0_idx), None);
     }
 
@@ -895,7 +856,7 @@ mod tests {
             // Ascending pool index in the canonical order; masks memoised.
             assert!(valid.windows(2).all(|w| w[0] < w[1]));
             for (pos, &idx) in valid.iter().enumerate() {
-                assert_eq!(masks[pos], s.pool[idx as usize].mask);
+                assert_eq!(masks[pos], s.pool.mask(idx as usize));
                 assert_eq!(s.payoff_of(local, idx), Some(payoffs[pos]));
             }
         }

@@ -13,6 +13,7 @@ use fta_core::entities::{DeliveryPoint, DistributionCenter, SpatialTask, Worker}
 use fta_core::geometry::Point;
 use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
 use fta_core::instance::Instance;
+use fta_core::route::Route;
 use fta_vdps::generator::generate_c_vdps;
 use fta_vdps::{
     delta_update, delta_update_with_provenance, kernel, PoolCache, SlotCache, StrategySpace,
@@ -221,12 +222,12 @@ fn needs_rediscovery(instance: &Instance, config: &VdpsConfig, cache: &PoolCache
             Some(old) => aggs[dp.index()].earliest_expiry > cache.aggregates[old].earliest_expiry,
         });
     let broken = cache.pool.iter().any(|v| {
-        let stops = v.route.dps();
+        let stops = v.stops;
         stops.len() <= config.max_len
             && stops.iter().all(|dp| view.dps.contains(dp))
             && stops
                 .iter()
-                .zip(v.route.arrival_offsets())
+                .zip(v.offsets)
                 .any(|(dp, &arrival)| arrival > aggs[dp.index()].earliest_expiry)
     });
     dirty || broken
@@ -254,24 +255,42 @@ fn check_delta(instance: &Instance, config: &VdpsConfig, cache: &PoolCache) -> b
     assert_eq!(delta.len(), regen.len(), "pool sizes differ");
     for (d, r) in delta.iter().zip(regen.iter()) {
         assert_eq!(d.mask, r.mask, "masks differ");
-        assert_eq!(d.route.dps(), r.route.dps(), "visiting orders differ");
+        assert_eq!(d.stops, r.stops, "visiting orders differ");
         assert_eq!(
-            d.route.slack().to_bits(),
-            r.route.slack().to_bits(),
+            d.slack.to_bits(),
+            r.slack.to_bits(),
             "slacks not bit-identical"
         );
         assert_eq!(
-            d.route.total_reward().to_bits(),
-            r.route.total_reward().to_bits(),
+            d.total_reward.to_bits(),
+            r.total_reward.to_bits(),
             "rewards not bit-identical"
         );
-        for (a, b) in d
-            .route
-            .arrival_offsets()
-            .iter()
-            .zip(r.route.arrival_offsets())
-        {
+        for (a, b) in d.offsets.iter().zip(r.offsets) {
             assert_eq!(a.to_bits(), b.to_bits(), "arrivals not bit-identical");
+        }
+        // And, independently of the regeneration, a full rebuild.
+        let built = Route::build(instance, &aggs, view.center, d.stops.to_vec())
+            .expect("rows reference valid delivery points");
+        assert_eq!(
+            (
+                d.total_reward.to_bits(),
+                d.slack.to_bits(),
+                d.travel_from_dc.to_bits()
+            ),
+            (
+                built.total_reward().to_bits(),
+                built.slack().to_bits(),
+                built.travel_from_dc().to_bits()
+            ),
+            "row differs from Route::build"
+        );
+        for (a, b) in d.offsets.iter().zip(built.arrival_offsets()) {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "arrivals differ from Route::build"
+            );
         }
     }
     true
@@ -382,7 +401,7 @@ proptest! {
                 // The warm space answers the monotone best response exactly
                 // as a first-hit scan over the cold space's payoff-sorted
                 // list.
-                for taken in [0, cold.pool.first().map_or(0, |v| v.mask)] {
+                for taken in [0, cold.pool.masks().first().copied().unwrap_or(0)] {
                     let best = kernel::best_open_chunked(warm.masks_of(local), warm.payoffs_of(local), taken)
                         .map(|pos| (warm.valid_of(local)[pos], kernel::desc_rank(warm.payoffs_of(local), pos)));
                     prop_assert_eq!(best, first_hit_by_payoff(&cold, local, taken), "best response differs");

@@ -8,10 +8,11 @@
 //! including the parallel per-worker validation path of
 //! `StrategySpace::from_pool_in`.
 
+use fta_core::route::Route;
 use fta_core::Instance;
 use fta_data::{generate_syn, SynConfig};
 use fta_vdps::generator::generate_c_vdps_hashmap;
-use fta_vdps::{generate_c_vdps_flat, StrategySpace, Vdps, VdpsConfig, WorkerPool};
+use fta_vdps::{generate_c_vdps_flat, StrategySpace, VdpsConfig, VdpsPool, WorkerPool};
 
 /// One SYN center at the scale of the paper's experiments (80 delivery
 /// points, every one task-bearing).
@@ -29,19 +30,18 @@ fn paper_scale_center(seed: u64) -> Instance {
     )
 }
 
-fn assert_pools_bit_identical(a: &[Vdps], b: &[Vdps], what: &str) {
+fn assert_pools_bit_identical(a: &VdpsPool, b: &VdpsPool, what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: pool sizes differ");
     for (x, y) in a.iter().zip(b.iter()) {
         assert_eq!(x.mask, y.mask, "{what}: mask order differs");
         assert_eq!(
-            x.route.dps(),
-            y.route.dps(),
+            x.stops, y.stops,
             "{what}: route differs on mask {:#b}",
             x.mask
         );
         assert_eq!(
-            x.route.travel_from_dc().to_bits(),
-            y.route.travel_from_dc().to_bits(),
+            x.travel_from_dc.to_bits(),
+            y.travel_from_dc.to_bits(),
             "{what}: travel time not bit-identical on mask {:#b}",
             x.mask
         );
@@ -118,6 +118,41 @@ fn paper_scale_pools_are_thread_count_invariant() {
             par_stats.chunks,
             seq_stats.chunks
         );
+    }
+}
+
+/// Every row of a paper-scale pool — sequential, pooled, and hash-map —
+/// equals a full `Route::build` of its stops, bit for bit in every field.
+#[test]
+fn paper_scale_rows_equal_full_rebuilds() {
+    let inst = paper_scale_center(31);
+    let aggs = inst.dp_aggregates();
+    let view = &inst.center_views()[0];
+    let workers = WorkerPool::with_threads(2);
+    for config in [VdpsConfig::pruned(2.0, 3), VdpsConfig::unpruned(3)] {
+        let (seq, seq_stats) = generate_c_vdps_flat(&inst, &aggs, view, &config, None);
+        let (par, par_stats) =
+            workers.scope(|ts| generate_c_vdps_flat(&inst, &aggs, view, &config, Some(ts)));
+        assert!(
+            par_stats.chunks > seq_stats.chunks,
+            "pooled run did not chunk"
+        );
+        let (hashed, _) = generate_c_vdps_hashmap(&inst, &aggs, view, &config);
+        for pool in [&seq, &par, &hashed] {
+            for r in 0..pool.len() {
+                let row = pool.row(r);
+                let built = Route::build(&inst, &aggs, view.center, row.stops.to_vec())
+                    .expect("rows reference valid delivery points");
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(row.offsets), bits(built.arrival_offsets()));
+                assert_eq!(row.total_reward.to_bits(), built.total_reward().to_bits());
+                assert_eq!(row.slack.to_bits(), built.slack().to_bits());
+                assert_eq!(
+                    row.travel_from_dc.to_bits(),
+                    built.travel_from_dc().to_bits()
+                );
+            }
+        }
     }
 }
 

@@ -139,13 +139,10 @@ proptest! {
                     worker.location,
                     instance.centers[view.center.index()].location,
                 );
-                let expected: Vec<(u32, u64)> = pool
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| {
-                        v.len() <= worker.max_dp && v.route.is_valid_for_travel(to_dc)
-                    })
-                    .map(|(j, v)| (j as u32, payoff_for_travel(&v.route, to_dc).to_bits()))
+                let expected: Vec<(u32, u64)> = (0..pool.len())
+                    .map(|j| (j, pool.route(j)))
+                    .filter(|(_, r)| r.len() <= worker.max_dp && r.is_valid_for_travel(to_dc))
+                    .map(|(j, r)| (j as u32, payoff_for_travel(&r, to_dc).to_bits()))
                     .collect();
                 let got: Vec<(u32, u64)> = space
                     .valid_of(local)

@@ -4,11 +4,49 @@
 use fta_core::entities::{DeliveryPoint, DistributionCenter, SpatialTask, Worker};
 use fta_core::geometry::Point;
 use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
-use fta_core::instance::Instance;
+use fta_core::instance::{CenterView, Instance};
+use fta_core::route::Route;
 use fta_vdps::generator::{generate_c_vdps, generate_c_vdps_hashmap};
 use fta_vdps::naive::generate_naive;
-use fta_vdps::{generate_c_vdps_flat, StrategySpace, VdpsConfig, VdpsEngine, WorkerPool};
+use fta_vdps::{generate_c_vdps_flat, StrategySpace, VdpsConfig, VdpsEngine, VdpsPool, WorkerPool};
 use proptest::prelude::*;
+
+/// Every row of `pool` equals a full [`Route::build`] of its stops, bit
+/// for bit in every field, and its mask is exactly its stops' local bits.
+fn assert_rows_are_rebuilds(instance: &Instance, view: &CenterView, pool: &VdpsPool) {
+    let aggregates = instance.dp_aggregates();
+    for r in 0..pool.len() {
+        let row = pool.row(r);
+        let built = Route::build(instance, &aggregates, view.center, row.stops.to_vec())
+            .expect("rows reference valid delivery points");
+        let mask = row.stops.iter().fold(0u128, |m, dp| {
+            m | 1 << view.dps.iter().position(|d| d == dp).expect("stop in view")
+        });
+        assert_eq!(mask, row.mask, "row {r}: mask and stops disagree");
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(row.offsets),
+            bits(built.arrival_offsets()),
+            "row {r}: offsets"
+        );
+        assert_eq!(
+            row.total_reward.to_bits(),
+            built.total_reward().to_bits(),
+            "row {r}: reward"
+        );
+        assert_eq!(
+            row.slack.to_bits(),
+            built.slack().to_bits(),
+            "row {r}: slack"
+        );
+        assert_eq!(
+            row.travel_from_dc.to_bits(),
+            built.travel_from_dc().to_bits(),
+            "row {r}: travel"
+        );
+        assert_eq!(pool.route(r), built, "row {r}: assembled route");
+    }
+}
 
 /// (x, y, expiry) triples become a random single-center instance.
 fn arb_center() -> impl Strategy<Value = Instance> {
@@ -73,7 +111,7 @@ proptest! {
         for (a, b) in naive.iter().zip(fast.iter()) {
             prop_assert_eq!(a.mask, b.mask);
             prop_assert!(
-                (a.route.travel_from_dc() - b.route.travel_from_dc()).abs() < 1e-9,
+                (a.travel_from_dc - b.travel_from_dc).abs() < 1e-9,
                 "travel time differs on mask {:#b}", a.mask
             );
         }
@@ -87,12 +125,12 @@ proptest! {
         let aggs = instance.dp_aggregates();
         let views = instance.center_views();
         let (pool, _) = generate_c_vdps(&instance, &aggs, &views[0], &config);
-        for vdps in &pool {
-            prop_assert!(vdps.route.is_center_origin_valid());
+        for vdps in pool.iter() {
+            prop_assert!(vdps.slack >= 0.0);
             prop_assert!(vdps.len() <= config.max_len);
             // The mask and the route agree on membership.
             let mut mask = 0u128;
-            for dp in vdps.route.dps() {
+            for dp in vdps.stops {
                 let local = views[0].dps.iter().position(|d| d == dp).unwrap();
                 mask |= 1 << local;
             }
@@ -114,7 +152,7 @@ proptest! {
             generate_c_vdps(&instance, &aggs, &views[0], &VdpsConfig::unpruned(max_len));
         let unpruned_masks: std::collections::HashSet<u128> =
             unpruned.iter().map(|v| v.mask).collect();
-        for v in &pruned {
+        for v in pruned.iter() {
             prop_assert!(unpruned_masks.contains(&v.mask));
         }
         prop_assert!(pruned_stats.states <= unpruned_stats.states);
@@ -142,10 +180,10 @@ proptest! {
         prop_assert_eq!(flat.len(), hashed.len(), "flat vs hashmap pool size");
         for (f, h) in flat.iter().zip(hashed.iter()) {
             prop_assert_eq!(f.mask, h.mask);
-            prop_assert_eq!(f.route.dps(), h.route.dps(), "route differs on mask {:#b}", f.mask);
+            prop_assert_eq!(f.stops, h.stops, "route differs on mask {:#b}", f.mask);
             prop_assert_eq!(
-                f.route.travel_from_dc().to_bits(),
-                h.route.travel_from_dc().to_bits(),
+                f.travel_from_dc.to_bits(),
+                h.travel_from_dc.to_bits(),
                 "travel time not bit-identical on mask {:#b}", f.mask
             );
         }
@@ -157,10 +195,22 @@ proptest! {
         for (n, f) in naive.iter().zip(flat.iter()) {
             prop_assert_eq!(n.mask, f.mask);
             prop_assert!(
-                (n.route.travel_from_dc() - f.route.travel_from_dc()).abs() < 1e-9,
+                (n.travel_from_dc - f.travel_from_dc).abs() < 1e-9,
                 "travel time differs from reference on mask {:#b}", n.mask
             );
         }
+    }
+
+    /// Flat and hash-map pool rows are full `Route::build`s of their
+    /// stops in every field.
+    #[test]
+    fn every_row_equals_a_full_rebuild(instance in arb_center(), config in arb_config()) {
+        let aggs = instance.dp_aggregates();
+        let views = instance.center_views();
+        let (flat, _) = generate_c_vdps_flat(&instance, &aggs, &views[0], &config, None);
+        let (hashed, _) = generate_c_vdps_hashmap(&instance, &aggs, &views[0], &config);
+        assert_rows_are_rebuilds(&instance, &views[0], &flat);
+        assert_rows_are_rebuilds(&instance, &views[0], &hashed);
     }
 
     /// Pooled flat-engine generation is bit-identical to sequential
@@ -182,10 +232,10 @@ proptest! {
         prop_assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(par.iter()) {
             prop_assert_eq!(a.mask, b.mask);
-            prop_assert_eq!(a.route.dps(), b.route.dps());
+            prop_assert_eq!(a.stops, b.stops);
             prop_assert_eq!(
-                a.route.travel_from_dc().to_bits(),
-                b.route.travel_from_dc().to_bits()
+                a.travel_from_dc.to_bits(),
+                b.travel_from_dc.to_bits()
             );
         }
         prop_assert_eq!(seq_stats.work_counters(), par_stats.work_counters());
@@ -203,7 +253,7 @@ proptest! {
             let worker = space.worker_id(local);
             let payoffs = space.payoffs_of(local);
             for (pos, &idx) in space.valid_of(local).iter().enumerate() {
-                let route = &space.pool[idx as usize].route;
+                let route = &space.pool.route(idx as usize);
                 prop_assert!(route.is_valid_for(&instance, worker));
                 let direct = worker_payoff(&instance, worker, route);
                 prop_assert!((payoffs[pos] - direct).abs() < 1e-9);

@@ -59,6 +59,20 @@ fn recorded_solve_covers_all_layers() {
     assert_eq!(snapshot.span_count("vdps.generate"), 2);
     assert!(snapshot.span_count("vdps.dp") >= 2);
     assert!(snapshot.span_count("vdps.layer") >= 2, "per-DP-layer spans");
+    // The ε-adjacency build is its own span inside each center's DP.
+    assert_eq!(
+        snapshot.span_count("vdps.adjacency"),
+        snapshot.span_count("vdps.dp")
+    );
+    for adjacency in snapshot.spans.iter().filter(|s| s.name == "vdps.adjacency") {
+        let parent = snapshot
+            .spans
+            .iter()
+            .find(|s| Some(s.id) == adjacency.parent)
+            .expect("the adjacency span has a parent");
+        assert_eq!(parent.name, "vdps.dp");
+        assert_eq!(parent.center, adjacency.center);
+    }
 
     // Span attribution: every solver.center span names a distinct center.
     let mut centers: Vec<u32> = snapshot

@@ -112,7 +112,7 @@ fn pruned_strategy_spaces_are_subsets_of_unpruned() {
         let unpruned = StrategySpace::build(&instance, view, &VdpsConfig::unpruned(3));
         let unpruned_masks: std::collections::HashSet<u128> =
             unpruned.pool.iter().map(|v| v.mask).collect();
-        for v in &pruned.pool {
+        for v in pruned.pool.iter() {
             assert!(unpruned_masks.contains(&v.mask));
         }
         assert!(pruned.pool.len() <= unpruned.pool.len());
