@@ -2,8 +2,9 @@
 //! durability layer costs. Each grid row runs the *same* faulted,
 //! incremental simulated day twice — once plain, once journaling every
 //! round through `fta-durable` at one fsync policy — and reports the
-//! wall-time overhead plus the journal's on-disk shape (frames left in
-//! the log after snapshot truncation, valid log bytes, snapshots cut).
+//! wall-time overhead plus the journal's on-disk shape (frames written,
+//! mean on-disk bytes per frame, valid log bytes left after the last
+//! snapshot truncated the log, snapshots cut).
 //!
 //! The day is deliberately full-fat: fault injection (so every frame
 //! carries the fault RNG stream) and incremental solving (so every frame
@@ -117,8 +118,18 @@ fn main() -> std::io::Result<()> {
     for (&(label, _), (config, &durable_s)) in policies.iter().zip(configs.iter().zip(&durable_s)) {
         // One audited run: the observability pin. A journaled day must be
         // bit-for-bit the plain day — earnings, ledgers, fault counters,
-        // everything.
+        // everything. Its `wal.*` counters count the frames the journal
+        // wrote (`Journal::frames_written`) and their on-disk bytes; the
+        // log itself holds only the frames since the last snapshot.
+        let recorder = fta_obs::Recorder::install();
         let audited = run(&scenario, config);
+        let wal = recorder.finish();
+        let frames = wal.counter("wal.frames");
+        assert_eq!(
+            frames, baseline.rounds as u64,
+            "{label}: every solved round journals one frame"
+        );
+        let frame_bytes = wal.counter("wal.bytes") as f64 / frames as f64;
         assert_eq!(
             audited, baseline,
             "{label}: journaling perturbed the day's metrics"
@@ -135,11 +146,10 @@ fn main() -> std::io::Result<()> {
         let overhead = durable_s / plain_s;
         fta_obs::info!(
             "{label}: plain {:.1} ms, durable {:.1} ms ({:+.1}% overhead); \
-             {} log frame(s), {} valid bytes, {} snapshot(s)",
+             {frames} frame(s) of {frame_bytes:.0} B, {} valid log bytes, {} snapshot(s)",
             plain_s * 1e3,
             durable_s * 1e3,
             (overhead - 1.0) * 1e2,
-            log.frames.len(),
             log.valid_len,
             snapshots,
         );
@@ -164,7 +174,8 @@ fn main() -> std::io::Result<()> {
             ("plain_ms", Value::Float(plain_s * 1e3)),
             ("durable_ms", Value::Float(durable_s * 1e3)),
             ("overhead", Value::Float(overhead)),
-            ("log_frames", Value::UInt(log.frames.len() as u64)),
+            ("log_frames", Value::UInt(frames)),
+            ("frame_bytes", Value::Float(frame_bytes)),
             ("log_bytes", Value::UInt(log.valid_len)),
             ("snapshots", Value::UInt(snapshots as u64)),
         ]));

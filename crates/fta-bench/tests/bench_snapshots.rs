@@ -131,10 +131,14 @@ fn bench_durable_snapshot_is_schema_valid() {
             (overhead - durable / plain).abs() <= overhead * 1e-6,
             "overhead inconsistent with durable_ms/plain_ms"
         );
-        // A day whose final round truncated the log on a snapshot can
-        // legitimately leave zero frames behind, but it must have cut
-        // snapshots and written log bytes at some point.
-        assert!(row["log_frames"].as_u64().is_some(), "missing log_frames");
+        // Every solved round journals one frame (`log_frames` counts the
+        // frames written, not those a snapshot left in the log).
+        assert_eq!(
+            row["log_frames"].as_u64(),
+            row["rounds"].as_u64(),
+            "log_frames must count one frame per round"
+        );
+        assert!(row["frame_bytes"].as_f64().unwrap_or(0.0) > 0.0);
         assert!(row["log_bytes"].as_u64().unwrap_or(0) > 0);
         assert!(row["snapshots"].as_u64().unwrap_or(0) > 0);
 

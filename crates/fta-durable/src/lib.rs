@@ -188,6 +188,7 @@ impl Journal {
         self.log.append(payload)?;
         self.rounds_since_snapshot += 1;
         if self.rounds_since_snapshot >= self.snapshot_every {
+            let _span = fta_obs::span("durable.snapshot");
             let sync = self.log.policy() != FsyncPolicy::Never;
             snapshot::write_snapshot(&self.dir, round, self.fingerprint, payload, sync)?;
             self.log.truncate()?;

@@ -120,6 +120,7 @@ impl CommitLog {
     /// Appends one checksummed frame, honouring the fsync policy. Returns
     /// the on-disk size of the frame (payload + 8-byte frame header).
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, DurableError> {
+        let _span = fta_obs::span("durable.append");
         debug_assert!(payload.len() as u64 <= MAX_FRAME_LEN as u64);
         let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -292,6 +293,31 @@ mod tests {
         );
         assert!(!read.torn_tail);
         assert_eq!(read.valid_len, fs::metadata(&path).unwrap().len());
+    }
+
+    #[test]
+    fn frames_checksummed_by_the_bytewise_oracle_read_back_clean() {
+        // A log written byte-for-byte by the retired slice-by-one CRC must
+        // still read back: the on-disk format did not change with the
+        // slice-by-8 checksum.
+        let path = tmp("oracle");
+        let payloads: Vec<Vec<u8>> = [0usize, 1, 7, 8, 9, 63, 4096, 110_017]
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 31 + n) as u8).collect())
+            .collect();
+        let mut raw = WAL_MAGIC.to_vec();
+        raw.extend_from_slice(&0xC0DEu64.to_le_bytes());
+        for p in &payloads {
+            raw.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            raw.extend_from_slice(&crate::crc32c::crc32c_bytewise(p).to_le_bytes());
+            raw.extend_from_slice(p);
+        }
+        fs::write(&path, &raw).unwrap();
+        let read = read_log(&path).unwrap();
+        assert_eq!(read.fingerprint, 0xC0DE);
+        assert_eq!(read.frames, payloads);
+        assert!(!read.torn_tail);
+        assert_eq!(read.valid_len, raw.len() as u64);
     }
 
     #[test]

@@ -8,6 +8,7 @@ use fta_algorithms::{
     solve, solve_sharded, Algorithm, CacheSeed, ShardedSolver, SolveConfig, SolveOutcome, Solver,
 };
 use fta_core::entities::{SpatialTask, Worker};
+use fta_core::geometry::Point;
 use fta_core::ids::{DeliveryPointId, TaskId, WorkerId};
 use fta_core::route::Route;
 use fta_core::{CenterChurn, ChurnSet, Instance, ShardBy, SolveBudget};
@@ -262,7 +263,8 @@ pub type SimReport = DayMetrics;
 /// A pending (arrived, unassigned, unexpired) task.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Pending {
-    pub(crate) task: ArrivingTask,
+    /// Index of the task in [`Scenario::tasks`].
+    pub(crate) task: u32,
     /// Instant at which the requester cancels this task, if the fault
     /// plan decided so at ingest.
     pub(crate) cancel_at: Option<f64>,
@@ -273,9 +275,23 @@ pub(crate) struct Pending {
     pub(crate) eligible_after: f64,
 }
 
-/// Builds a [`Pending`] entry, drawing the cancellation fate from the
-/// fault RNG when a plan with `p_cancel > 0` is active.
-fn make_pending(task: ArrivingTask, plan: Option<&FaultPlan>, rng: Option<&mut StdRng>) -> Pending {
+impl Pending {
+    /// The scenario task this entry stands for.
+    pub(crate) fn of<'a>(&self, scenario: &'a Scenario) -> &'a ArrivingTask {
+        &scenario.tasks[self.task as usize]
+    }
+}
+
+/// Builds the [`Pending`] entry for scenario task `index`, drawing the
+/// cancellation fate from the fault RNG when a plan with `p_cancel > 0`
+/// is active.
+fn make_pending(
+    scenario: &Scenario,
+    index: usize,
+    plan: Option<&FaultPlan>,
+    rng: Option<&mut StdRng>,
+) -> Pending {
+    let task = &scenario.tasks[index];
     let cancel_at = match (plan, rng) {
         (Some(plan), Some(rng)) if plan.p_cancel > 0.0 => {
             if rng.gen_range(0.0..1.0) < plan.p_cancel {
@@ -291,11 +307,53 @@ fn make_pending(task: ArrivingTask, plan: Option<&FaultPlan>, rng: Option<&mut S
         _ => None,
     };
     Pending {
-        task,
+        task: u32::try_from(index).expect("scenario task indices fit in u32"),
         cancel_at,
         retries: 0,
         eligible_after: 0.0,
     }
+}
+
+/// The round's [`Instance`]: `workers` (scenario index, current location)
+/// and the scenario tasks `tasks`, with expiries relative to `now`. The
+/// live snapshot and recovery both build it here, so a journaled solver
+/// seed rebuilds the solved instance bit for bit. Indices must be in
+/// range.
+pub(crate) fn round_instance(
+    scenario: &Scenario,
+    workers: impl Iterator<Item = (usize, Point)>,
+    tasks: &[u32],
+    now: f64,
+) -> fta_core::Result<Instance> {
+    let workers = workers
+        .enumerate()
+        .map(|(dense, (orig, location))| Worker {
+            id: WorkerId::from_index(dense),
+            location,
+            max_dp: scenario.workers[orig].max_dp,
+            center: scenario.workers[orig].center,
+        })
+        .collect();
+    let tasks = tasks
+        .iter()
+        .enumerate()
+        .map(|(dense, &i)| {
+            let t = &scenario.tasks[i as usize];
+            SpatialTask {
+                id: TaskId::from_index(dense),
+                delivery_point: t.delivery_point,
+                expiry: t.deadline - now,
+                reward: t.reward,
+            }
+        })
+        .collect();
+    Instance::new(
+        scenario.centers.clone(),
+        workers,
+        scenario.delivery_points.clone(),
+        tasks,
+        scenario.config.speed,
+    )
 }
 
 /// The shape of one solved round, remembered for churn detection: the
@@ -372,6 +430,139 @@ fn lognormal_factor(rng: &mut StdRng, sigma: f64) -> f64 {
     let u2: f64 = rng.gen_range(0.0..1.0);
     let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
     (sigma * z).exp()
+}
+
+/// Applies one round's planned routes at `st.now`, subjecting each to
+/// the fault plan: a no-show leaves the worker idle and fails every
+/// stop; a dropout delivers a prefix of stops and fails the rest;
+/// inflation stretches the executed travel time. Every eligible pending
+/// task at a served delivery point is delivered (Definition 2: a route
+/// serves the full task set of each dp); every one at a failed point is
+/// requeued with a backoff or, once its retry budget is spent, abandoned.
+///
+/// Linear in pending tasks plus planned stops: eligible tasks are counted
+/// per delivery point once, and delivered/failed membership is a flag
+/// per point.
+fn apply_routes(
+    scenario: &Scenario,
+    plan: Option<&FaultPlan>,
+    st: &mut LoopState,
+    planned: &[(usize, Arc<Route>)],
+) {
+    let _span = fta_obs::span("sim.apply");
+    let now = st.now;
+    let n_dps = scenario.delivery_points.len();
+    let dp_of = |p: &Pending| p.of(scenario).delivery_point.index();
+    let mut eligible_at = vec![0usize; n_dps];
+    for p in st.pending.iter().filter(|p| p.eligible_after <= now) {
+        eligible_at[dp_of(p)] += 1;
+    }
+    let mut delivered = vec![false; n_dps];
+    let mut failed = vec![false; n_dps];
+    let mut on_route = vec![false; n_dps];
+    let mark = |flags: &mut [bool], dps: &[DeliveryPointId]| {
+        for dp in dps {
+            flags[dp.index()] = true;
+        }
+    };
+    for (orig, route) in planned {
+        let orig = *orig;
+        let mut served: &[DeliveryPointId] = route.dps();
+        if let (Some(plan), Some(rng)) = (plan, st.fault_rng.as_mut()) {
+            if plan.p_no_show > 0.0 && rng.gen_range(0.0..1.0) < plan.p_no_show {
+                st.worker_no_shows += 1;
+                fta_obs::counter("sim.no_shows", 1);
+                mark(&mut failed, route.dps());
+                continue; // the worker never moves and stays idle
+            }
+            if plan.p_dropout > 0.0 && rng.gen_range(0.0..1.0) < plan.p_dropout {
+                st.route_dropouts += 1;
+                fta_obs::counter("sim.dropouts", 1);
+                let stops = rng.gen_range(0..route.len());
+                served = &route.dps()[..stops];
+                mark(&mut failed, &route.dps()[stops..]);
+            }
+        }
+        let dc = scenario.centers[route.center().index()].location;
+        let to_dc = st.location[orig].travel_time(dc, scenario.config.speed);
+        // Completed routes reuse the precomputed route time (the
+        // pristine code path, bit-for-bit); truncated routes are
+        // re-walked leg by leg up to the last stop served.
+        let travel = if served.len() == route.len() {
+            to_dc + route.travel_from_dc()
+        } else {
+            let mut t = to_dc;
+            let mut at = dc;
+            for dp in served {
+                let next = scenario.delivery_points[dp.index()].location;
+                t += at.travel_time(next, scenario.config.speed);
+                at = next;
+            }
+            t
+        };
+        let travel = match (plan, st.fault_rng.as_mut()) {
+            (Some(plan), Some(rng)) => travel * lognormal_factor(rng, plan.travel_sigma),
+            _ => travel,
+        };
+        st.busy_until[orig] = now + travel;
+        st.location[orig] = match served.last() {
+            Some(dp) => scenario.delivery_points[dp.index()].location,
+            // Dropped out before the first stop: stranded at the dc.
+            None => dc,
+        };
+
+        let ledger = &mut st.ledgers[orig];
+        ledger.earnings += if served.len() == route.len() {
+            route.total_reward()
+        } else {
+            // A truncated route banks the rewards it delivered, summed in
+            // pending order (the float summation order is part of the
+            // bit-for-bit contract).
+            mark(&mut on_route, served);
+            let earned = st
+                .pending
+                .iter()
+                .filter(|p| p.eligible_after <= now && on_route[dp_of(p)])
+                .map(|p| p.of(scenario).reward)
+                .sum();
+            for dp in served {
+                on_route[dp.index()] = false;
+            }
+            earned
+        };
+        ledger.busy_hours += travel;
+        ledger.routes += 1;
+        // A route's stops are distinct delivery points.
+        ledger.tasks_delivered += served
+            .iter()
+            .map(|dp| eligible_at[dp.index()])
+            .sum::<usize>();
+        mark(&mut delivered, served);
+    }
+    // Delivery wins over failure at a point two routes shared.
+    st.pending.retain_mut(|p| {
+        if p.eligible_after > now {
+            return true;
+        }
+        let dp = dp_of(p);
+        if delivered[dp] {
+            st.tasks_completed += 1;
+            return false;
+        }
+        if failed[dp] {
+            let plan = plan.expect("failed stops can only come from a fault plan");
+            if p.retries >= plan.max_retries {
+                st.tasks_abandoned += 1;
+                fta_obs::counter("sim.abandoned", 1);
+                return false;
+            }
+            p.retries += 1;
+            p.eligible_after = now + plan.backoff;
+            st.reassignments += 1;
+            fta_obs::counter("sim.retries", 1);
+        }
+        true
+    });
 }
 
 /// Runs the simulation.
@@ -560,7 +751,8 @@ fn drive(
             && scenario.tasks[st.next_arrival].arrival <= now
         {
             let entry = make_pending(
-                scenario.tasks[st.next_arrival],
+                scenario,
+                st.next_arrival,
                 plan.as_ref(),
                 st.fault_rng.as_mut(),
             );
@@ -580,7 +772,7 @@ fn drive(
         });
         // Drop tasks that expired while waiting.
         st.pending.retain(|p| {
-            if p.task.deadline <= now {
+            if p.of(scenario).deadline <= now {
                 st.tasks_expired += 1;
                 false
             } else {
@@ -602,36 +794,19 @@ fn drive(
             st.rounds += 1;
             let _tick_span = fta_obs::span("sim.tick");
             fta_obs::counter("sim.rounds", 1);
-            let snapshot_workers: Vec<Worker> = idle
-                .iter()
-                .enumerate()
-                .map(|(dense, &orig)| Worker {
-                    id: WorkerId::from_index(dense),
-                    location: st.location[orig],
-                    max_dp: scenario.workers[orig].max_dp,
-                    center: scenario.workers[orig].center,
-                })
-                .collect();
-            let snapshot_tasks: Vec<SpatialTask> = st
-                .pending
-                .iter()
-                .filter(|p| p.eligible_after <= now)
-                .enumerate()
-                .map(|(dense, p)| SpatialTask {
-                    id: TaskId::from_index(dense),
-                    delivery_point: p.task.delivery_point,
-                    expiry: p.task.deadline - now,
-                    reward: p.task.reward,
-                })
-                .collect();
-            let instance = Instance::new(
-                scenario.centers.clone(),
-                snapshot_workers,
-                scenario.delivery_points.clone(),
-                snapshot_tasks,
-                scenario.config.speed,
-            )
-            .expect("snapshots preserve all instance invariants");
+            let (instance, snapshot_tasks) = {
+                let _span = fta_obs::span("sim.snapshot");
+                let tasks: Vec<u32> = st
+                    .pending
+                    .iter()
+                    .filter(|p| p.eligible_after <= now)
+                    .map(|p| p.task)
+                    .collect();
+                let workers = idle.iter().map(|&w| (w, st.location[w]));
+                let instance = round_instance(scenario, workers, &tasks, now)
+                    .expect("snapshots preserve all instance invariants");
+                (instance, tasks)
+            };
 
             // Plan routes: (original worker index, route) pairs. The
             // timer feeds the per-tick assignment latency histogram
@@ -700,116 +875,12 @@ fn drive(
                 }
             };
 
-            // Apply each planned route, subjecting it to the fault plan:
-            // a no-show leaves the worker idle and fails every stop; a
-            // dropout delivers a prefix of stops and fails the rest;
-            // inflation stretches the executed travel time.
-            let mut delivered_dps: Vec<DeliveryPointId> = Vec::new();
-            let mut failed_dps: Vec<DeliveryPointId> = Vec::new();
-            for (orig, route) in &planned {
-                let orig = *orig;
-                let mut served: &[DeliveryPointId] = route.dps();
-                if let (Some(plan), Some(rng)) = (plan.as_ref(), st.fault_rng.as_mut()) {
-                    if plan.p_no_show > 0.0 && rng.gen_range(0.0..1.0) < plan.p_no_show {
-                        st.worker_no_shows += 1;
-                        fta_obs::counter("sim.no_shows", 1);
-                        failed_dps.extend_from_slice(route.dps());
-                        continue; // the worker never moves and stays idle
-                    }
-                    if plan.p_dropout > 0.0 && rng.gen_range(0.0..1.0) < plan.p_dropout {
-                        st.route_dropouts += 1;
-                        fta_obs::counter("sim.dropouts", 1);
-                        let stops = rng.gen_range(0..route.len());
-                        served = &route.dps()[..stops];
-                        failed_dps.extend_from_slice(&route.dps()[stops..]);
-                    }
-                }
-                let dc = scenario.centers[route.center().index()].location;
-                let to_dc = st.location[orig].travel_time(dc, scenario.config.speed);
-                // Completed routes reuse the precomputed route time (the
-                // pristine code path, bit-for-bit); truncated routes are
-                // re-walked leg by leg up to the last stop served.
-                let travel = if served.len() == route.len() {
-                    to_dc + route.travel_from_dc()
-                } else {
-                    let mut t = to_dc;
-                    let mut at = dc;
-                    for dp in served {
-                        let next = scenario.delivery_points[dp.index()].location;
-                        t += at.travel_time(next, scenario.config.speed);
-                        at = next;
-                    }
-                    t
-                };
-                let travel = match (plan.as_ref(), st.fault_rng.as_mut()) {
-                    (Some(plan), Some(rng)) => travel * lognormal_factor(rng, plan.travel_sigma),
-                    _ => travel,
-                };
-                st.busy_until[orig] = now + travel;
-                st.location[orig] = match served.last() {
-                    Some(dp) => scenario.delivery_points[dp.index()].location,
-                    // Dropped out before the first stop: stranded at the dc.
-                    None => dc,
-                };
-
-                let on_manifest = |p: &Pending| {
-                    p.eligible_after <= now && served.contains(&p.task.delivery_point)
-                };
-                let ledger = &mut st.ledgers[orig];
-                ledger.earnings += if served.len() == route.len() {
-                    route.total_reward()
-                } else {
-                    st.pending
-                        .iter()
-                        .filter(|p| on_manifest(p))
-                        .map(|p| p.task.reward)
-                        .sum()
-                };
-                ledger.busy_hours += travel;
-                ledger.routes += 1;
-                ledger.tasks_delivered += st.pending.iter().filter(|p| on_manifest(p)).count();
-                delivered_dps.extend_from_slice(served);
-            }
-            // All pending tasks at a served delivery point are delivered
-            // (Definition 2: a route serves the full task set of each dp).
-            if !delivered_dps.is_empty() {
-                let before = st.pending.len();
-                st.pending.retain(|p| {
-                    !(p.eligible_after <= now && delivered_dps.contains(&p.task.delivery_point))
-                });
-                st.tasks_completed += before - st.pending.len();
-            }
-            // Requeue-on-failure with bounded retries: every task on a
-            // failed manifest either returns to the pool with a backoff
-            // window or, once its retry budget is spent, is abandoned.
-            if !failed_dps.is_empty() {
-                let plan = plan.expect("failed stops can only come from a fault plan");
-                st.pending.retain_mut(|p| {
-                    if p.eligible_after <= now && failed_dps.contains(&p.task.delivery_point) {
-                        if p.retries >= plan.max_retries {
-                            st.tasks_abandoned += 1;
-                            fta_obs::counter("sim.abandoned", 1);
-                            return false;
-                        }
-                        p.retries += 1;
-                        p.eligible_after = now + plan.backoff;
-                        st.reassignments += 1;
-                        fta_obs::counter("sim.retries", 1);
-                    }
-                    true
-                });
-            }
-            let mut record_json: Vec<u8> = Vec::new();
-            if let Some(mut record) = round_record {
+            apply_routes(scenario, plan.as_ref(), st, &planned);
+            let record = round_record.map(|mut record| {
                 let incomes: Vec<f64> = st.ledgers.iter().map(|l| l.earnings).collect();
                 record.fairness = fta_algorithms::ledger::fairness_from_incomes(&incomes);
-                if durable.is_some() {
-                    record_json = fta_obs::ledger::record_to_json(&record).into_bytes();
-                }
-                if let Some(records) = ledger_sink.as_deref_mut() {
-                    records.push(record);
-                }
-            }
+                record
+            });
             // Journal the round *after* everything above settled: the
             // frame is a pure function of state the simulation computed
             // anyway, so durability observes the day without perturbing
@@ -818,18 +889,25 @@ fn drive(
             // why journaling only at solve rounds still recovers
             // bit-for-bit.
             if let Some(sink) = durable.as_deref_mut() {
-                let worker_keys: Vec<u64>;
-                let cache;
-                let solver_seed = match inc_solver.as_ref().and_then(RoundSolver::cache_seed) {
-                    Some(seed) => {
-                        worker_keys = idle.iter().map(|&w| w as u64).collect();
-                        cache = seed;
-                        Some((&instance, worker_keys.as_slice(), &cache))
-                    }
-                    None => None,
+                let payload = {
+                    let _span = fta_obs::span("durable.encode");
+                    let record_json = record
+                        .as_ref()
+                        .map(|r| fta_obs::ledger::record_to_json(r).into_bytes())
+                        .unwrap_or_default();
+                    let cache = inc_solver.as_ref().and_then(RoundSolver::cache_seed);
+                    let solver_seed = cache.as_ref().map(|cache| state::SeedRef {
+                        idle: &idle,
+                        instance: &instance,
+                        tasks: &snapshot_tasks,
+                        cache,
+                    });
+                    state::encode_frame(st.rounds as u64, st, solver_seed, &record_json)
                 };
-                let payload = state::encode_frame(st.rounds as u64, st, solver_seed, &record_json);
                 sink.record(st.rounds as u64, &payload);
+            }
+            if let (Some(record), Some(records)) = (record, ledger_sink.as_deref_mut()) {
+                records.push(record);
             }
         }
         st.now += config.assignment_period;
@@ -839,7 +917,8 @@ fn drive(
     // ingest them so the end-of-horizon accounting covers every task.
     while st.next_arrival < scenario.tasks.len() {
         let entry = make_pending(
-            scenario.tasks[st.next_arrival],
+            scenario,
+            st.next_arrival,
             plan.as_ref(),
             st.fault_rng.as_mut(),
         );
@@ -853,7 +932,7 @@ fn drive(
     for p in &st.pending {
         if p.cancel_at.is_some_and(|c| c <= config.horizon) {
             st.tasks_cancelled += 1;
-        } else if p.task.deadline <= config.horizon {
+        } else if p.of(scenario).deadline <= config.horizon {
             st.tasks_expired += 1;
         } else {
             tasks_pending += 1;
@@ -982,21 +1061,13 @@ fn restore_inner(
     }
 
     let newest = decoded.pop().ok_or(DurableError::NoState)?;
+    let solved_instance = newest.resolve(scenario)?;
     let state::DecodedFrame {
         round: resumed_round,
         state: mut st,
         solver: solver_seed,
         ..
     } = newest;
-    if st.ledgers.len() != scenario.workers.len()
-        || st.busy_until.len() != scenario.workers.len()
-        || st.location.len() != scenario.workers.len()
-        || st.next_arrival > scenario.tasks.len()
-    {
-        return Err(DurableError::Corrupt(
-            "journaled state does not match the scenario",
-        ));
-    }
 
     // Re-hydrate the incremental solver's warm caches so the resumed
     // rounds take the same (17× faster, and for iterative games
@@ -1004,7 +1075,9 @@ fn restore_inner(
     let mut inc_solver: Option<RoundSolver> = None;
     let mut cache_rehydrated = false;
     if config.incremental {
-        if let (DispatchPolicy::Batch(algorithm), Some(seed)) = (config.policy, &solver_seed) {
+        if let (DispatchPolicy::Batch(algorithm), Some(seed), Some(instance)) =
+            (config.policy, &solver_seed, &solved_instance)
+        {
             let solve_config = SolveConfig {
                 vdps: config.vdps,
                 algorithm,
@@ -1013,7 +1086,7 @@ fn restore_inner(
                 ..SolveConfig::new(Algorithm::Gta)
             };
             let mut solver = RoundSolver::new(solve_config, config.shards, config.shard_by);
-            cache_rehydrated = solver.rehydrate(&seed.instance, &seed.worker_keys, &seed.cache);
+            cache_rehydrated = solver.rehydrate(instance, &seed.worker_keys, &seed.cache);
             if cache_rehydrated {
                 inc_solver = Some(solver);
             }
@@ -1313,6 +1386,238 @@ mod tests {
                 .find(|c| c.rung != "full")
                 .expect("0 ms budget degrades every round");
             assert_eq!(degraded_center.budget_axis.as_deref(), Some("wall_ms"));
+        }
+    }
+
+    // ---- apply: the linear pass against the retired scan-based oracle ----
+
+    /// The retired apply step: every route rescans the pending queue for
+    /// its manifest, and the delivered/failed passes test membership with
+    /// `Vec::contains`. Kept as the oracle [`apply_routes`] must match
+    /// bit for bit.
+    fn apply_routes_scan(
+        scenario: &Scenario,
+        plan: Option<&FaultPlan>,
+        st: &mut LoopState,
+        planned: &[(usize, Arc<Route>)],
+    ) {
+        let now = st.now;
+        let mut delivered_dps: Vec<DeliveryPointId> = Vec::new();
+        let mut failed_dps: Vec<DeliveryPointId> = Vec::new();
+        for (orig, route) in planned {
+            let orig = *orig;
+            let mut served: &[DeliveryPointId] = route.dps();
+            if let (Some(plan), Some(rng)) = (plan, st.fault_rng.as_mut()) {
+                if plan.p_no_show > 0.0 && rng.gen_range(0.0..1.0) < plan.p_no_show {
+                    st.worker_no_shows += 1;
+                    failed_dps.extend_from_slice(route.dps());
+                    continue;
+                }
+                if plan.p_dropout > 0.0 && rng.gen_range(0.0..1.0) < plan.p_dropout {
+                    st.route_dropouts += 1;
+                    let stops = rng.gen_range(0..route.len());
+                    served = &route.dps()[..stops];
+                    failed_dps.extend_from_slice(&route.dps()[stops..]);
+                }
+            }
+            let dc = scenario.centers[route.center().index()].location;
+            let to_dc = st.location[orig].travel_time(dc, scenario.config.speed);
+            let travel = if served.len() == route.len() {
+                to_dc + route.travel_from_dc()
+            } else {
+                let mut t = to_dc;
+                let mut at = dc;
+                for dp in served {
+                    let next = scenario.delivery_points[dp.index()].location;
+                    t += at.travel_time(next, scenario.config.speed);
+                    at = next;
+                }
+                t
+            };
+            let travel = match (plan, st.fault_rng.as_mut()) {
+                (Some(plan), Some(rng)) => travel * lognormal_factor(rng, plan.travel_sigma),
+                _ => travel,
+            };
+            st.busy_until[orig] = now + travel;
+            st.location[orig] = match served.last() {
+                Some(dp) => scenario.delivery_points[dp.index()].location,
+                None => dc,
+            };
+            let on_manifest = |p: &Pending| {
+                p.eligible_after <= now && served.contains(&p.of(scenario).delivery_point)
+            };
+            let ledger = &mut st.ledgers[orig];
+            ledger.earnings += if served.len() == route.len() {
+                route.total_reward()
+            } else {
+                st.pending
+                    .iter()
+                    .filter(|p| on_manifest(p))
+                    .map(|p| p.of(scenario).reward)
+                    .sum()
+            };
+            ledger.busy_hours += travel;
+            ledger.routes += 1;
+            ledger.tasks_delivered += st.pending.iter().filter(|p| on_manifest(p)).count();
+            delivered_dps.extend_from_slice(served);
+        }
+        if !delivered_dps.is_empty() {
+            let before = st.pending.len();
+            st.pending.retain(|p| {
+                !(p.eligible_after <= now && delivered_dps.contains(&p.of(scenario).delivery_point))
+            });
+            st.tasks_completed += before - st.pending.len();
+        }
+        if !failed_dps.is_empty() {
+            let plan = plan.expect("failed stops can only come from a fault plan");
+            st.pending.retain_mut(|p| {
+                if p.eligible_after <= now && failed_dps.contains(&p.of(scenario).delivery_point) {
+                    if p.retries >= plan.max_retries {
+                        st.tasks_abandoned += 1;
+                        return false;
+                    }
+                    p.retries += 1;
+                    p.eligible_after = now + plan.backoff;
+                    st.reassignments += 1;
+                }
+                true
+            });
+        }
+    }
+
+    /// Planned routes: (scenario worker index, route).
+    type Planned = Vec<(usize, Arc<Route>)>;
+
+    /// A mid-day round drawn from `seed`: a two-center scenario, a random
+    /// pending queue (some tasks in retry backoff), random single-center
+    /// routes for distinct workers (occasionally sharing a delivery point
+    /// across routes), and an optional fault plan. Deterministic per seed,
+    /// so the oracle and the linear pass each get an identical copy.
+    fn random_round(seed: u64) -> (Scenario, Option<FaultPlan>, LoopState, Planned) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let scenario = Scenario::generate(
+            &ScenarioConfig {
+                n_centers: 2,
+                n_workers: 10,
+                n_delivery_points: 16,
+                extent: 3.0,
+                arrival_rate: 80.0,
+                max_dp: 4,
+                ..ScenarioConfig::default()
+            },
+            2.0,
+            seed,
+        );
+        let plan = rng.gen_bool(0.8).then(|| FaultPlan {
+            seed,
+            p_no_show: rng.gen_range(0.0..0.5),
+            p_dropout: rng.gen_range(0.0..0.6),
+            p_cancel: 0.0,
+            travel_sigma: if rng.gen_bool(0.5) { 0.2 } else { 0.0 },
+            max_retries: rng.gen_range(0..3),
+            backoff: rng.gen_range(0.0..0.5),
+        });
+        let config = SimConfig {
+            faults: plan,
+            ..SimConfig::day(Algorithm::Gta)
+        };
+        let mut st = LoopState::fresh(&scenario, &config);
+        st.now = rng.gen_range(0.5..1.5);
+        let now = st.now;
+        for (i, t) in scenario.tasks.iter().enumerate() {
+            if t.arrival <= now && t.deadline > now && rng.gen_bool(0.8) {
+                let mut p = make_pending(&scenario, i, None, None);
+                p.retries = rng.gen_range(0..3);
+                if rng.gen_bool(0.15) {
+                    p.eligible_after = now + 0.1;
+                }
+                st.pending.push(p);
+            }
+        }
+        for l in &mut st.ledgers {
+            l.earnings = rng.gen_range(0.0..10.0);
+        }
+        let eligible: Vec<u32> = st
+            .pending
+            .iter()
+            .filter(|p| p.eligible_after <= now)
+            .map(|p| p.task)
+            .collect();
+        let workers = scenario.workers.iter().map(|w| (w.id.index(), w.location));
+        let instance = round_instance(&scenario, workers, &eligible, now).unwrap();
+        let aggs = instance.dp_aggregates();
+        let mut taken = vec![false; scenario.delivery_points.len()];
+        let mut planned = Vec::new();
+        for worker in 0..scenario.workers.len() {
+            if rng.gen_bool(0.3) {
+                continue;
+            }
+            let center = scenario.workers[worker].center;
+            let mut dps: Vec<DeliveryPointId> = scenario
+                .delivery_points
+                .iter()
+                .filter(|dp| dp.center == center && (!taken[dp.id.index()] || rng.gen_bool(0.1)))
+                .map(|dp| dp.id)
+                .collect();
+            // A random order, then a random prefix of up to four stops.
+            for i in (1..dps.len()).rev() {
+                dps.swap(i, rng.gen_range(0..=i));
+            }
+            dps.truncate(rng.gen_range(1..=4));
+            if dps.is_empty() {
+                continue;
+            }
+            for dp in &dps {
+                taken[dp.index()] = true;
+            }
+            let route = Route::build(&instance, &aggs, center, dps).unwrap();
+            planned.push((worker, Arc::new(route)));
+        }
+        (scenario, plan, st, planned)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn linear_apply_matches_scan_oracle_bit_for_bit(seed in 0u64..u64::MAX) {
+            let (scenario, plan, mut fast, planned) = random_round(seed);
+            let (_, _, mut slow, _) = random_round(seed);
+            apply_routes(&scenario, plan.as_ref(), &mut fast, &planned);
+            apply_routes_scan(&scenario, plan.as_ref(), &mut slow, &planned);
+            // The encoded frame covers every field of the loop state,
+            // floats as bit patterns and the fault-RNG stream position.
+            proptest::prop_assert!(
+                state::encode_frame(1, &fast, None, b"") == state::encode_frame(1, &slow, None, b""),
+                "seed {seed}: linear apply diverged from the scan oracle"
+            );
+        }
+    }
+
+    #[test]
+    fn apply_oracle_cases_reach_every_fault_path() {
+        // The proptest above is only as strong as the paths its rounds
+        // take: over a seed range, routes must be refused and dropped, and
+        // failed tasks both requeued and abandoned.
+        let (mut no_shows, mut dropouts, mut retries, mut abandoned, mut completed) =
+            (0, 0, 0, 0, 0);
+        for seed in 0..300u64 {
+            let (scenario, plan, mut st, planned) = random_round(seed);
+            apply_routes(&scenario, plan.as_ref(), &mut st, &planned);
+            no_shows += st.worker_no_shows;
+            dropouts += st.route_dropouts;
+            retries += st.reassignments;
+            abandoned += st.tasks_abandoned;
+            completed += st.tasks_completed;
+        }
+        for (what, n) in [
+            ("no-shows", no_shows),
+            ("dropouts", dropouts),
+            ("retries", retries),
+            ("abandoned", abandoned),
+            ("completed", completed),
+        ] {
+            assert!(n > 0, "no {what} across the oracle's rounds");
         }
     }
 

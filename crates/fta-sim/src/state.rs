@@ -3,31 +3,47 @@
 //! Every journaled frame is a *self-contained* recovery point: the full
 //! engine loop state (ledgers, worker positions, pending queue, fault-RNG
 //! state, churn shape), plus — when incremental solving is on — the seed
-//! of the solver's warm caches (the solved [`Instance`], the round's
-//! stable worker keys, and each center's equilibrium selections), plus
-//! the round's ledger record as a JSON line for forensic reconstruction.
-//! Recovery therefore never replays logic; it decodes the newest intact
-//! frame and resumes the deterministic event loop, which is what makes
-//! the bit-for-bit pin against an uninterrupted run hold.
+//! of the solver's warm caches, plus the round's ledger record as a JSON
+//! line for forensic reconstruction. Recovery therefore never replays
+//! logic; it decodes the newest intact frame and resumes the
+//! deterministic event loop, which is what makes the bit-for-bit pin
+//! against an uninterrupted run hold.
+//!
+//! Frames *reference* the scenario instead of copying it (payload
+//! version 2). The scenario is fixed for the day and pinned by the
+//! journal's `fingerprint`, so a pending task is journaled as its index
+//! into [`Scenario::tasks`] plus the fields the day mutates (cancellation
+//! instant, retries, backoff). The solver seed journals the solved
+//! [`Instance`] the same way: each idle worker's scenario index and
+//! location when the round was solved, and each solved task's scenario
+//! index. Centers, delivery points, worker capacities, task rewards and
+//! the speed come back from the scenario, and expiries are recomputed as
+//! `deadline - now` through the same `round_instance` the live round
+//! used, so the rebuilt instance has the same bits.
+//!
+//! Decoding is two steps. `decode_frame` needs no scenario (it is what
+//! `fta wal-dump` uses), and `DecodedFrame::resolve` checks every index
+//! against the scenario and rebuilds the solved instance. Either step
+//! fails typed, never panics, on any bytes: a payload of another version
+//! is [`DurableError::BadVersion`], and an index outside the scenario is
+//! [`DurableError::Corrupt`].
 //!
 //! Numbers are stored as IEEE-754 bit patterns / fixed-width LE integers
 //! (see [`fta_durable::wire`]): a decimal round-trip would break the
 //! bitwise clean-check the incremental solver performs on restored pools.
 
-use crate::engine::{Pending, RoundShape, SimConfig};
+use crate::engine::{round_instance, Pending, RoundShape, SimConfig};
 use crate::metrics::WorkerLedger;
-use crate::scenario::{ArrivingTask, Scenario};
+use crate::scenario::Scenario;
 use fta_algorithms::{CacheSeed, CenterSeed};
-use fta_core::entities::{DeliveryPoint, DistributionCenter, SpatialTask, Worker};
 use fta_core::geometry::Point;
-use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
 use fta_core::Instance;
 use fta_durable::wire::{Reader, Writer};
 use fta_durable::DurableError;
 use rand::rngs::StdRng;
 
 /// Version byte opening every frame payload.
-pub const STATE_VERSION: u8 = 1;
+pub const STATE_VERSION: u8 = 2;
 
 /// The complete mutable state of the engine loop at a round boundary.
 pub(crate) struct LoopState {
@@ -50,11 +66,28 @@ pub(crate) struct LoopState {
     pub(crate) last_round: Option<RoundShape>,
 }
 
-/// Solver-cache seed journaled alongside the state on incremental runs.
+/// Solver-cache seed journaled alongside the state on incremental runs,
+/// with the solved instance held as references into the scenario.
 pub(crate) struct SolverSeed {
-    pub(crate) instance: Instance,
+    /// Scenario index of each idle worker, in the solved instance's
+    /// worker order: the solver's stable worker keys.
     pub(crate) worker_keys: Vec<u64>,
+    /// Each idle worker's location when the round was solved.
+    pub(crate) locations: Vec<Point>,
+    /// Scenario index of each solved task, in instance order.
+    pub(crate) tasks: Vec<u32>,
     pub(crate) cache: CacheSeed,
+}
+
+/// The live round's solver seed, borrowed for encoding.
+pub(crate) struct SeedRef<'a> {
+    /// Scenario indices of the idle workers, in instance order.
+    pub(crate) idle: &'a [usize],
+    /// The solved instance (worker locations are read from it).
+    pub(crate) instance: &'a Instance,
+    /// Scenario indices of the solved tasks, in instance order.
+    pub(crate) tasks: &'a [u32],
+    pub(crate) cache: &'a CacheSeed,
 }
 
 /// A fully decoded frame payload.
@@ -75,81 +108,6 @@ fn decode_point(r: &mut Reader<'_>) -> Result<Point, DurableError> {
         x: r.f64()?,
         y: r.f64()?,
     })
-}
-
-fn encode_instance(w: &mut Writer, inst: &Instance) {
-    w.seq(&inst.centers, |w, c| encode_point(w, &c.location));
-    w.seq(&inst.workers, |w, wk| {
-        encode_point(w, &wk.location);
-        w.u64(wk.max_dp as u64);
-        w.u32(wk.center.0);
-    });
-    w.seq(&inst.delivery_points, |w, dp| {
-        encode_point(w, &dp.location);
-        w.u32(dp.center.0);
-    });
-    w.seq(&inst.tasks, |w, t| {
-        w.u32(t.delivery_point.0);
-        w.f64(t.expiry);
-        w.f64(t.reward);
-    });
-    w.f64(inst.speed);
-}
-
-fn decode_instance(r: &mut Reader<'_>) -> Result<Instance, DurableError> {
-    let mut idx = 0usize;
-    let centers = r.seq(|r| {
-        let location = decode_point(r)?;
-        let c = DistributionCenter {
-            id: CenterId::from_index(idx),
-            location,
-        };
-        idx += 1;
-        Ok(c)
-    })?;
-    let mut idx = 0usize;
-    let workers = r.seq(|r| {
-        let location = decode_point(r)?;
-        let max_dp = r.u64()? as usize;
-        let center = CenterId(r.u32()?);
-        let w = Worker {
-            id: WorkerId::from_index(idx),
-            location,
-            max_dp,
-            center,
-        };
-        idx += 1;
-        Ok(w)
-    })?;
-    let mut idx = 0usize;
-    let delivery_points = r.seq(|r| {
-        let location = decode_point(r)?;
-        let center = CenterId(r.u32()?);
-        let dp = DeliveryPoint {
-            id: DeliveryPointId::from_index(idx),
-            location,
-            center,
-        };
-        idx += 1;
-        Ok(dp)
-    })?;
-    let mut idx = 0usize;
-    let tasks = r.seq(|r| {
-        let delivery_point = DeliveryPointId(r.u32()?);
-        let expiry = r.f64()?;
-        let reward = r.f64()?;
-        let t = SpatialTask {
-            id: TaskId::from_index(idx),
-            delivery_point,
-            expiry,
-            reward,
-        };
-        idx += 1;
-        Ok(t)
-    })?;
-    let speed = r.f64()?;
-    Instance::new(centers, workers, delivery_points, tasks, speed)
-        .map_err(|_| DurableError::Corrupt("journaled instance violates invariants"))
 }
 
 fn encode_state(w: &mut Writer, st: &LoopState) {
@@ -173,10 +131,7 @@ fn encode_state(w: &mut Writer, st: &LoopState) {
     w.seq(&st.busy_until, |w, &b| w.f64(b));
     w.seq(&st.location, encode_point);
     w.seq(&st.pending, |w, p| {
-        w.f64(p.task.arrival);
-        w.u32(p.task.delivery_point.0);
-        w.f64(p.task.deadline);
-        w.f64(p.task.reward);
+        w.u32(p.task);
         w.opt(&p.cancel_at, |w, &c| w.f64(c));
         w.u32(p.retries);
         w.f64(p.eligible_after);
@@ -218,14 +173,8 @@ fn decode_state(r: &mut Reader<'_>) -> Result<LoopState, DurableError> {
     let busy_until = r.seq(Reader::f64)?;
     let location = r.seq(decode_point)?;
     let pending = r.seq(|r| {
-        let task = ArrivingTask {
-            arrival: r.f64()?,
-            delivery_point: DeliveryPointId(r.u32()?),
-            deadline: r.f64()?,
-            reward: r.f64()?,
-        };
         Ok(Pending {
-            task,
+            task: r.u32()?,
             cancel_at: r.opt(Reader::f64)?,
             retries: r.u32()?,
             eligible_after: r.f64()?,
@@ -265,13 +214,11 @@ fn decode_state(r: &mut Reader<'_>) -> Result<LoopState, DurableError> {
     })
 }
 
-/// Encodes one round's self-contained frame payload. The solver-cache
-/// seed is passed by parts (`instance`, stable worker keys, cache) so the
-/// hot journaling path never clones the round's [`Instance`].
+/// Encodes one round's self-contained frame payload.
 pub(crate) fn encode_frame(
     round: u64,
     st: &LoopState,
-    solver: Option<(&Instance, &[u64], &CacheSeed)>,
+    solver: Option<SeedRef<'_>>,
     record_json: &[u8],
 ) -> Vec<u8> {
     let mut w = Writer::new();
@@ -280,11 +227,14 @@ pub(crate) fn encode_frame(
     encode_state(&mut w, st);
     match solver {
         None => w.u8(0),
-        Some((instance, worker_keys, cache)) => {
+        Some(seed) => {
             w.u8(1);
-            encode_instance(&mut w, instance);
-            w.seq(worker_keys, |w, &k| w.u64(k));
-            w.seq(&cache.centers, |w, c| {
+            w.seq(seed.idle, |w, &k| w.u64(k as u64));
+            w.seq(&seed.instance.workers, |w, wk| {
+                encode_point(w, &wk.location)
+            });
+            w.seq(seed.tasks, |w, &t| w.u32(t));
+            w.seq(&seed.cache.centers, |w, c| {
                 w.u32(c.center);
                 w.seq(&c.selections, |w, sel| {
                     w.opt(sel, |w, &mask| w.u128(mask));
@@ -311,16 +261,18 @@ pub(crate) fn decode_frame(payload: &[u8]) -> Result<DecodedFrame, DurableError>
     let solver = match r.u8()? {
         0 => None,
         1 => {
-            let instance = decode_instance(&mut r)?;
             let worker_keys = r.seq(Reader::u64)?;
+            let locations = r.seq(decode_point)?;
+            let tasks = r.seq(Reader::u32)?;
             let centers = r.seq(|r| {
                 let center = r.u32()?;
                 let selections = r.seq(|r| r.opt(Reader::u128))?;
                 Ok(CenterSeed { center, selections })
             })?;
             Some(SolverSeed {
-                instance,
                 worker_keys,
+                locations,
+                tasks,
                 cache: CacheSeed { centers },
             })
         }
@@ -334,6 +286,47 @@ pub(crate) fn decode_frame(payload: &[u8]) -> Result<DecodedFrame, DurableError>
         solver,
         record_json,
     })
+}
+
+impl DecodedFrame {
+    /// Checks the frame against the scenario it was journaled under and
+    /// rebuilds the solved instance of its solver seed, if any. Every
+    /// index into the scenario is bounds-checked first, so no bytes can
+    /// make this panic.
+    pub(crate) fn resolve(&self, scenario: &Scenario) -> Result<Option<Instance>, DurableError> {
+        let st = &self.state;
+        let n_workers = scenario.workers.len();
+        let n_tasks = scenario.tasks.len();
+        if st.ledgers.len() != n_workers
+            || st.busy_until.len() != n_workers
+            || st.location.len() != n_workers
+            || st.next_arrival > n_tasks
+            || st.pending.iter().any(|p| p.task as usize >= n_tasks)
+        {
+            return Err(DurableError::Corrupt(
+                "journaled state does not match the scenario",
+            ));
+        }
+        let Some(seed) = &self.solver else {
+            return Ok(None);
+        };
+        if seed.locations.len() != seed.worker_keys.len()
+            || seed.worker_keys.iter().any(|&k| k >= n_workers as u64)
+            || seed.tasks.iter().any(|&t| t as usize >= n_tasks)
+        {
+            return Err(DurableError::Corrupt(
+                "journaled solver seed does not match the scenario",
+            ));
+        }
+        let workers = seed
+            .worker_keys
+            .iter()
+            .zip(&seed.locations)
+            .map(|(&k, &at)| (k as usize, at));
+        round_instance(scenario, workers, &seed.tasks, st.now)
+            .map(Some)
+            .map_err(|_| DurableError::Corrupt("journaled instance violates invariants"))
+    }
 }
 
 /// Human-readable summary of one journaled frame, decoded without the
@@ -475,12 +468,7 @@ mod tests {
             busy_until: vec![1.5, 0.25],
             location: vec![Point { x: 0.5, y: -1.0 }, Point { x: 2.0, y: 3.0 }],
             pending: vec![Pending {
-                task: ArrivingTask {
-                    arrival: 0.7,
-                    delivery_point: DeliveryPointId(4),
-                    deadline: 2.1,
-                    reward: 1.0,
-                },
+                task: 4,
                 cancel_at: Some(1.9),
                 retries: 1,
                 eligible_after: 1.5,
@@ -513,6 +501,7 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert_eq!(d.pending.len(), 1);
+        assert_eq!(d.pending[0].task, st.pending[0].task);
         assert_eq!(d.pending[0].cancel_at, st.pending[0].cancel_at);
         assert_eq!(decoded.record_json, b"{\"type\":\"solve\"}");
         // The restored RNG continues the exact same stream.
@@ -530,11 +519,15 @@ mod tests {
     fn version_mismatch_is_typed() {
         let st = sample_state();
         let mut payload = encode_frame(1, &st, None, b"");
-        payload[0] = 9;
-        assert!(matches!(
-            decode_frame(&payload),
-            Err(DurableError::BadVersion { found: 9, .. })
-        ));
+        // 1 is the retired format that copied the scenario into frames;
+        // no reader for it is kept.
+        for version in [1u8, 9] {
+            payload[0] = version;
+            assert!(matches!(
+                decode_frame(&payload),
+                Err(DurableError::BadVersion { expected: 2, found }) if found == u32::from(version)
+            ));
+        }
     }
 
     #[test]
@@ -559,6 +552,162 @@ mod tests {
         assert!(info.has_fault_rng);
         assert!(!info.has_solver_cache);
         assert!(info.has_ledger_record);
+    }
+
+    /// The scenario and every clean frame of a journaled incremental,
+    /// faulted FGT day: frames that carry a solver seed.
+    fn seeded_frames() -> &'static (Scenario, Vec<Vec<u8>>) {
+        static FRAMES: std::sync::OnceLock<(Scenario, Vec<Vec<u8>>)> = std::sync::OnceLock::new();
+        FRAMES.get_or_init(|| {
+            let scenario = Scenario::generate(
+                &crate::scenario::ScenarioConfig {
+                    n_centers: 2,
+                    n_workers: 10,
+                    n_delivery_points: 20,
+                    extent: 3.0,
+                    arrival_rate: 60.0,
+                    ..crate::scenario::ScenarioConfig::default()
+                },
+                2.0,
+                77,
+            );
+            let dir =
+                std::env::temp_dir().join(format!("fta-sim-state-mutation-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let config = SimConfig {
+                horizon: 2.0,
+                vdps: fta_vdps::VdpsConfig::pruned(1.5, 3),
+                ..SimConfig::day(Algorithm::Fgt(fta_algorithms::FgtConfig::default()))
+            }
+            .with_incremental()
+            .with_faults(crate::FaultPlan::stress(5))
+            .with_durable(crate::DurableConfig {
+                snapshot_every: u64::MAX,
+                ..crate::DurableConfig::new(&dir)
+            });
+            let _ = crate::run(&scenario, &config);
+            let log = fta_durable::read_log(&dir.join(fta_durable::WAL_FILE)).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            (scenario, log.frames)
+        })
+    }
+
+    #[test]
+    fn journaled_frames_resolve_to_the_solved_instance() {
+        let (scenario, frames) = seeded_frames();
+        assert!(frames.len() >= 3, "the day must journal a few rounds");
+        for payload in frames {
+            let frame = decode_frame(payload).unwrap();
+            let seed = frame
+                .solver
+                .as_ref()
+                .expect("incremental frames carry a seed");
+            let instance = frame.resolve(scenario).unwrap().unwrap();
+            assert_eq!(instance.workers.len(), seed.worker_keys.len());
+            assert_eq!(instance.tasks.len(), seed.tasks.len());
+            for (t, &i) in instance.tasks.iter().zip(&seed.tasks) {
+                let src = &scenario.tasks[i as usize];
+                assert_eq!(
+                    t.expiry.to_bits(),
+                    (src.deadline - frame.state.now).to_bits()
+                );
+                assert_eq!(t.delivery_point, src.delivery_point);
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_scenario_indices_are_corrupt() {
+        let (scenario, frames) = seeded_frames();
+        let frame = decode_frame(frames.last().unwrap()).unwrap();
+        let n_tasks = scenario.tasks.len() as u32;
+        let n_workers = scenario.workers.len() as u64;
+        let corrupt = |mut f: DecodedFrame, edit: &dyn Fn(&mut DecodedFrame)| {
+            edit(&mut f);
+            matches!(f.resolve(scenario), Err(DurableError::Corrupt(_)))
+        };
+        let reencode = |f: &DecodedFrame| {
+            let seed = f.solver.as_ref().unwrap();
+            let idle: Vec<usize> = seed.worker_keys.iter().map(|&k| k as usize).collect();
+            let instance = f.resolve(scenario).unwrap().unwrap();
+            encode_frame(
+                f.round,
+                &f.state,
+                Some(SeedRef {
+                    idle: &idle,
+                    instance: &instance,
+                    tasks: &seed.tasks,
+                    cache: &seed.cache,
+                }),
+                &f.record_json,
+            )
+        };
+        // The frame re-encodes to its own bytes: the codec loses nothing.
+        assert_eq!(&reencode(&frame), frames.last().unwrap());
+        let fresh = || decode_frame(frames.last().unwrap()).unwrap();
+        assert!(!frame.state.pending.is_empty());
+        assert!(corrupt(fresh(), &|f| f.state.pending[0].task = n_tasks));
+        assert!(corrupt(fresh(), &|f| f.state.next_arrival = n_tasks as usize + 1));
+        assert!(corrupt(fresh(), &|f| {
+            f.state.ledgers.pop();
+        }));
+        assert!(corrupt(fresh(), &|f| {
+            f.solver.as_mut().unwrap().worker_keys[0] = n_workers;
+        }));
+        assert!(corrupt(fresh(), &|f| {
+            f.solver.as_mut().unwrap().tasks.push(n_tasks);
+        }));
+        assert!(corrupt(fresh(), &|f| {
+            f.solver.as_mut().unwrap().locations.pop();
+        }));
+    }
+
+    /// Decodes and resolves `payload`; any outcome but a panic is fine.
+    fn decode_and_resolve(payload: &[u8], scenario: &Scenario) -> Result<(), DurableError> {
+        decode_frame(payload)?.resolve(scenario).map(drop)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn mutated_frames_decode_or_fail_typed(
+            pick in 0usize..1000,
+            kind in 0u8..4,
+            at in 0.0f64..1.0,
+            span in 0.0f64..1.0,
+            bits in 0u8..=255,
+        ) {
+            // Bit flips, truncation, and splices of another frame's bytes
+            // into this one: decoding plus scenario resolution must return
+            // (a frame or a typed error), never panic.
+            let (scenario, frames) = seeded_frames();
+            let base = &frames[pick % frames.len()];
+            let other = &frames[(pick / 7) % frames.len()];
+            let pos = ((base.len() as f64) * at) as usize;
+            let len = ((base.len() - pos) as f64 * span * 0.1) as usize;
+            let mutated: Vec<u8> = match kind {
+                0 => {
+                    let mut m = base.clone();
+                    m[pos.min(base.len() - 1)] ^= bits | 1;
+                    m
+                }
+                1 => base[..pos].to_vec(),
+                2 => {
+                    let from = ((other.len() as f64) * span) as usize;
+                    let mut m = base[..pos].to_vec();
+                    m.extend_from_slice(&other[from..]);
+                    m
+                }
+                _ => {
+                    let mut m = base[..pos].to_vec();
+                    m.extend_from_slice(&base[pos..pos + len]);
+                    m.extend_from_slice(&base[pos..]);
+                    m
+                }
+            };
+            let _ = decode_and_resolve(&mutated, scenario);
+        }
     }
 
     #[test]

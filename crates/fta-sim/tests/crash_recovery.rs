@@ -5,8 +5,12 @@
 //! `NoState` (when the cut destroyed every recovery point). Nothing in
 //! between: no panics, no silently-divergent days, and the conservation
 //! identity holds on every recovered outcome.
+//!
+//! Two fixtures: a faulted GTA day solved cold (frames carry no solver
+//! seed) and a faulted incremental FGT day, whose every frame carries the
+//! solver seed a resumed day must re-hydrate to stay bit-identical.
 
-use fta_algorithms::Algorithm;
+use fta_algorithms::{Algorithm, FgtConfig};
 use fta_sim::engine::DurableConfig;
 use fta_sim::{restore, run, DayMetrics, FaultPlan, Scenario, ScenarioConfig, SimConfig};
 use proptest::prelude::*;
@@ -30,52 +34,65 @@ fn dir_for(tag: &str) -> PathBuf {
     dir
 }
 
+/// Journals one whole day of `algorithm` (incremental or cold) and keeps
+/// its commit log.
+fn journaled_day(tag: &str, algorithm: Algorithm, incremental: bool) -> Fixture {
+    let scenario = Scenario::generate(
+        &ScenarioConfig {
+            n_workers: 8,
+            n_delivery_points: 20,
+            extent: 3.0,
+            arrival_rate: 60.0,
+            ..ScenarioConfig::default()
+        },
+        2.0,
+        424_242,
+    );
+    let dir = dir_for(tag);
+    let mut config = SimConfig {
+        horizon: 2.0,
+        assignment_period: 0.25,
+        vdps: fta_vdps::VdpsConfig::pruned(1.5, 3),
+        ..SimConfig::day(algorithm)
+    }
+    .with_faults(FaultPlan::stress(99))
+    .with_durable(DurableConfig {
+        dir: dir.clone(),
+        fsync: fta_durable::FsyncPolicy::Never,
+        snapshot_every: u64::MAX,
+        crash_after_round: None,
+    });
+    config.incremental = incremental;
+    let uninterrupted = run(&scenario, &config);
+    let wal = fs::read(dir.join(fta_durable::WAL_FILE)).expect("journaled wal exists");
+    let _ = fs::remove_dir_all(&dir);
+    Fixture {
+        scenario,
+        config,
+        uninterrupted,
+        wal,
+    }
+}
+
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let scenario = Scenario::generate(
-            &ScenarioConfig {
-                n_workers: 8,
-                n_delivery_points: 20,
-                extent: 3.0,
-                arrival_rate: 60.0,
-                ..ScenarioConfig::default()
-            },
-            2.0,
-            424_242,
-        );
-        let dir = dir_for("fixture");
-        let config = SimConfig {
-            horizon: 2.0,
-            assignment_period: 0.25,
-            vdps: fta_vdps::VdpsConfig::pruned(1.5, 3),
-            ..SimConfig::day(Algorithm::Gta)
-        }
-        .with_faults(FaultPlan::stress(99))
-        .with_durable(DurableConfig {
-            dir: dir.clone(),
-            fsync: fta_durable::FsyncPolicy::Never,
-            snapshot_every: u64::MAX,
-            crash_after_round: None,
-        });
-        let uninterrupted = run(&scenario, &config);
-        let wal = fs::read(dir.join(fta_durable::WAL_FILE)).expect("journaled wal exists");
-        let _ = fs::remove_dir_all(&dir);
-        Fixture {
-            scenario,
-            config,
-            uninterrupted,
-            wal,
-        }
-    })
+    FIXTURE.get_or_init(|| journaled_day("fixture", Algorithm::Gta, false))
+}
+
+fn incremental_fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| journaled_day("incremental", Algorithm::Fgt(FgtConfig::default()), true))
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn any_truncation_point_recovers_bit_for_bit_or_fails_typed(frac in 0.0f64..1.0) {
-        let fx = fixture();
+    fn any_truncation_point_recovers_bit_for_bit_or_fails_typed(
+        frac in 0.0f64..1.0,
+        incremental in prop::bool::ANY,
+    ) {
+        let fx = if incremental { incremental_fixture() } else { fixture() };
         let cut = ((fx.wal.len() as f64) * frac) as usize;
         let dir = dir_for("case");
         fs::create_dir_all(&dir).unwrap();
@@ -95,6 +112,7 @@ proptest! {
                 );
                 prop_assert!(recovered.is_conserved(), "conservation broken: {recovered:?}");
                 prop_assert!(info.resumed_round >= 1);
+                prop_assert_eq!(info.cache_rehydrated, incremental);
             }
             // The cut destroyed every clean frame: the only acceptable
             // failure, and it must be the typed one.
@@ -102,6 +120,22 @@ proptest! {
             Err(other) => prop_assert!(false, "unexpected recovery error: {other}"),
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn every_incremental_frame_carries_a_solver_seed() {
+    // The incremental fixture is only worth fuzzing if the frames it
+    // truncates hold a solver seed.
+    let fx = incremental_fixture();
+    let dir = dir_for("seeded");
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join(fta_durable::WAL_FILE), &fx.wal).unwrap();
+    let log = fta_durable::read_log(&dir.join(fta_durable::WAL_FILE)).unwrap();
+    let _ = fs::remove_dir_all(&dir);
+    assert!(log.frames.len() >= 3);
+    for frame in &log.frames {
+        assert!(fta_sim::frame_info(frame).unwrap().has_solver_cache);
     }
 }
 

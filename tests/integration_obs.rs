@@ -263,3 +263,55 @@ fn warm_resolve_counts_regenerated_pools() {
     );
     assert_eq!(snapshot.counter("vdps.delta_fallback"), 0);
 }
+
+#[test]
+fn journaled_day_spans_the_simulator_and_journal_layers() {
+    use fta::sim::{run, DurableConfig, Scenario, ScenarioConfig, SimConfig};
+
+    let _guard = lock();
+    let scenario = Scenario::generate(&ScenarioConfig::default(), 2.0, 3);
+    let dir = std::env::temp_dir().join(format!("fta-obs-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = SimConfig {
+        horizon: 2.0,
+        ..SimConfig::day(Algorithm::Fgt(FgtConfig::default()))
+    }
+    .with_incremental()
+    .with_durable(DurableConfig {
+        snapshot_every: 3,
+        ..DurableConfig::new(&dir)
+    });
+    let recorder = Recorder::install();
+    let metrics = run(&scenario, &config);
+    let snapshot = recorder.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Every solved round builds its instance, applies its routes,
+    // encodes and appends one frame; every third also cuts a snapshot.
+    let rounds = metrics.rounds;
+    assert!(rounds >= 6, "the day must span a few snapshot cycles");
+    assert_eq!(snapshot.span_count("sim.tick"), rounds);
+    for name in [
+        "sim.snapshot",
+        "sim.apply",
+        "durable.encode",
+        "durable.append",
+    ] {
+        assert_eq!(snapshot.span_count(name), rounds, "{name}");
+    }
+    assert_eq!(snapshot.span_count("durable.snapshot"), rounds / 3);
+    // Each is a layer of its round: a direct child of that round's tick.
+    for span in snapshot.spans.iter().filter(|s| {
+        matches!(
+            s.name,
+            "sim.snapshot" | "sim.apply" | "durable.encode" | "durable.append" | "durable.snapshot"
+        )
+    }) {
+        let parent = snapshot
+            .spans
+            .iter()
+            .find(|s| Some(s.id) == span.parent)
+            .unwrap_or_else(|| panic!("{} has no parent", span.name));
+        assert_eq!(parent.name, "sim.tick", "{}", span.name);
+    }
+}
