@@ -7,7 +7,7 @@
 //! a candidate VDPS conflicts with everyone else's selection is one AND.
 
 use fta_core::{Assignment, WorkerId};
-use fta_vdps::{kernel, ScanKernel, StrategySpace};
+use fta_vdps::{kernel, StrategySpace};
 
 /// Work counters of one monotone best-response query, stated as a
 /// first-hit scan over the worker's list in (payoff descending, pool index
@@ -58,26 +58,12 @@ pub struct GameContext<'a> {
     /// call). Floating-point drift versus a fresh fold is bounded by a few
     /// ulps per switch, far below every decision margin in this crate.
     total: f64,
-    /// Per-slot count of delivery-point bits shared with *other* workers'
-    /// current selections (`popcount(mask[slot] & (taken \ own(owner)))`),
-    /// maintained incrementally through the space's inverted conflict
-    /// index. Empty when the space is below the crossover threshold and
-    /// availability falls back to the mask scan.
-    conflicts: Vec<u32>,
-    /// Per-slot conflict-counter adjustments performed so far (the
-    /// `br.index_updates` statistic).
-    index_updates: u64,
     /// Per local worker: the slot position of the last
     /// [`GameContext::best_available`] winner and its payoff-order rank
     /// (`u32::MAX` before the first). The rank depends only on the
     /// worker's fixed payoff list, so a repeated winner — the common case
     /// once the game settles — skips the counting pass.
     last_rank: Vec<(u32, u32)>,
-    /// Which availability-scan kernel the best-response probes use. Read
-    /// once from the installed hotpath profile at construction; both
-    /// kernels return bit-identical results and counters, so this only
-    /// affects throughput.
-    scan_kernel: ScanKernel,
 }
 
 impl<'a> GameContext<'a> {
@@ -85,12 +71,6 @@ impl<'a> GameContext<'a> {
     #[must_use]
     pub fn new(space: &'a StrategySpace) -> Self {
         let n = space.n_workers();
-        let conflicts = if space.conflict_sets().is_some() {
-            // All workers start on null, so nothing conflicts yet.
-            vec![0u32; space.total_slots()]
-        } else {
-            Vec::new()
-        };
         Self {
             space,
             selection: vec![None; n],
@@ -98,19 +78,8 @@ impl<'a> GameContext<'a> {
             payoffs: vec![0.0; n],
             own_masks: vec![0; n],
             total: 0.0,
-            conflicts,
-            index_updates: 0,
             last_rank: vec![(u32::MAX, 0); n],
-            scan_kernel: fta_vdps::hotpath::current().scan_kernel,
         }
-    }
-
-    /// Overrides the availability-scan kernel for this context. Test and
-    /// bench hook: lets equivalence suites A/B the kernels without
-    /// mutating the process-wide hotpath profile.
-    #[doc(hidden)]
-    pub fn set_scan_kernel(&mut self, kernel: ScanKernel) {
-        self.scan_kernel = kernel;
     }
 
     /// The strategy space this context plays over.
@@ -165,21 +134,6 @@ impl<'a> GameContext<'a> {
         self.own_masks[local]
     }
 
-    /// Whether the incremental conflict index is active for this context
-    /// (the space cleared the crossover threshold and built its inverted
-    /// index).
-    #[must_use]
-    pub fn index_active(&self) -> bool {
-        !self.conflicts.is_empty()
-    }
-
-    /// Conflict-counter adjustments performed so far (each ±1 applied to a
-    /// slot's counter counts once).
-    #[must_use]
-    pub fn index_updates(&self) -> u64 {
-        self.index_updates
-    }
-
     /// The union of the delivery-point masks of every worker's current
     /// selection (Definition 8's disjointness invariant: this must always
     /// equal the OR — and the disjoint sum — of the selected VDPS masks).
@@ -221,77 +175,25 @@ impl<'a> GameContext<'a> {
         self.total += payoff - self.payoffs[local];
         self.payoffs[local] = payoff;
         self.own_masks[local] = new_mask;
-        if !self.conflicts.is_empty() && prev_mask != new_mask {
-            self.apply_mask_delta(local, prev_mask, new_mask);
-        }
         prev
-    }
-
-    /// Propagates a worker's mask change through the inverted conflict
-    /// index: every slot containing a newly-taken bit gains a conflict,
-    /// every slot containing a freed bit loses one. The mover's own slots
-    /// are skipped — their counters track conflicts with *other* workers
-    /// only, which is exactly the availability predicate.
-    fn apply_mask_delta(&mut self, local: usize, prev: u128, new: u128) {
-        let space: &'a StrategySpace = self.space;
-        let sets = space
-            .conflict_sets()
-            .expect("conflict counters imply an inverted index");
-        let range = space.slot_range(local);
-        let mut added = new & !prev;
-        while added != 0 {
-            let bit = added.trailing_zeros();
-            for &slot in sets.slots_of(bit) {
-                let s = slot as usize;
-                if !range.contains(&s) {
-                    self.conflicts[s] += 1;
-                    self.index_updates += 1;
-                }
-            }
-            added &= added - 1;
-        }
-        let mut removed = prev & !new;
-        while removed != 0 {
-            let bit = removed.trailing_zeros();
-            for &slot in sets.slots_of(bit) {
-                let s = slot as usize;
-                if !range.contains(&s) {
-                    self.conflicts[s] -= 1;
-                    self.index_updates += 1;
-                }
-            }
-            removed &= removed - 1;
-        }
     }
 
     /// Iterator over the pool indices of the `local`-th worker's valid
     /// strategies that are currently available (disjoint from others), in
-    /// ascending pool-index order. Streams the space's flat SoA slices;
-    /// availability comes from the incremental conflict counters when the
-    /// index is active and from a linear mask scan otherwise (identical
-    /// results either way).
+    /// ascending pool-index order: a linear mask scan over the space's
+    /// flat SoA slices.
     pub fn available_strategies(&self, local: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
         let valid = self.space.valid_of(local);
         let payoffs = self.space.payoffs_of(local);
         let masks = self.space.masks_of(local);
         let other_taken = self.taken & !self.own_masks[local];
-        let conflicts: &[u32] = if self.conflicts.is_empty() {
-            &[]
-        } else {
-            &self.conflicts[self.space.slot_range(local)]
-        };
-        (0..valid.len()).filter_map(move |pos| {
-            let open = if conflicts.is_empty() {
-                masks[pos] & other_taken == 0
-            } else {
-                conflicts[pos] == 0
-            };
-            open.then(|| (valid[pos], payoffs[pos]))
-        })
+        (0..valid.len())
+            .filter(move |&pos| masks[pos] & other_taken == 0)
+            .map(move |pos| (valid[pos], payoffs[pos]))
     }
 
     /// The highest-payoff *available* strategy of the `local`-th worker,
-    /// payoff ties to the lowest pool index (the exhaustive engines'
+    /// payoff ties to the lowest pool index (exhaustive evaluation's
     /// first-strict-maximum rule): one argmax pass over the worker's
     /// ascending slots. Returns the winning `(pool index, payoff)` — or
     /// `None` when nothing is available — plus the scan counters: the
@@ -301,20 +203,9 @@ impl<'a> GameContext<'a> {
     pub fn best_available(&mut self, local: usize) -> (Option<(u32, f64)>, DescScan) {
         let pool_idx = self.space.valid_of(local);
         let payoffs = self.space.payoffs_of(local);
-        let best = if self.conflicts.is_empty() {
-            let masks = self.space.masks_of(local);
-            let other_taken = self.taken & !self.own_masks[local];
-            match self.scan_kernel {
-                ScanKernel::Chunked => kernel::best_open_chunked(masks, payoffs, other_taken),
-                ScanKernel::Scalar => kernel::best_open_scalar(masks, payoffs, other_taken),
-            }
-        } else {
-            let conflicts = &self.conflicts[self.space.slot_range(local)];
-            match self.scan_kernel {
-                ScanKernel::Chunked => kernel::best_zero_chunked(conflicts, payoffs),
-                ScanKernel::Scalar => kernel::best_zero_scalar(conflicts, payoffs),
-            }
-        };
+        let masks = self.space.masks_of(local);
+        let other_taken = self.taken & !self.own_masks[local];
+        let best = kernel::best_open_chunked(masks, payoffs, other_taken);
         let rank = best.map(|pos| {
             let (last_pos, last_rank) = &mut self.last_rank[local];
             if *last_pos != pos as u32 {
@@ -342,28 +233,13 @@ impl<'a> GameContext<'a> {
         let pool_idx = self.space.valid_of(local);
         let payoffs = self.space.payoffs_of(local);
         let len = pool_idx.len();
-        let mut push = |pos: usize| {
+        let masks = self.space.masks_of(local);
+        let other_taken = self.taken & !self.own_masks[local];
+        kernel::for_each_open_chunked(masks, len, other_taken, |pos| {
             if payoffs[pos] > threshold {
                 out.push((pool_idx[pos], payoffs[pos]));
             }
-        };
-        if self.conflicts.is_empty() {
-            let masks = self.space.masks_of(local);
-            let other_taken = self.taken & !self.own_masks[local];
-            match self.scan_kernel {
-                ScanKernel::Chunked => {
-                    kernel::for_each_open_chunked(masks, len, other_taken, push);
-                }
-                ScanKernel::Scalar => kernel::for_each_open_scalar(masks, len, other_taken, push),
-            }
-        } else {
-            let conflicts = &self.conflicts[self.space.slot_range(local)];
-            for (pos, &c) in conflicts.iter().enumerate() {
-                if c == 0 {
-                    push(pos);
-                }
-            }
-        }
+        });
         // The payoff-order scan examines every slot above the threshold,
         // then stops on the first one that is not.
         let above = payoffs.iter().filter(|&&p| p > threshold).count();
@@ -600,19 +476,6 @@ mod tests {
             ctx.better_available(1, threshold, &mut got);
             assert_eq!(got, expect, "threshold {threshold}");
         }
-    }
-
-    #[test]
-    fn small_spaces_skip_the_conflict_index() {
-        let inst = three_dp_instance();
-        let s = space(&inst);
-        assert!(s.total_slots() < fta_vdps::CONFLICT_INDEX_MIN_SLOTS);
-        assert!(s.conflict_sets().is_none());
-        let mut ctx = GameContext::new(&s);
-        assert!(!ctx.index_active());
-        let dp0 = s.pool.masks().iter().position(|&m| m == 0b001).unwrap() as u32;
-        ctx.set_strategy(0, Some(dp0));
-        assert_eq!(ctx.index_updates(), 0);
     }
 
     #[test]

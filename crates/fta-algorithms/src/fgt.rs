@@ -18,22 +18,20 @@ use crate::context::GameContext;
 use crate::random::random_init;
 use crate::stats::BestResponseStats;
 use crate::trace::ConvergenceTrace;
-use fta_core::iau::{IauEvaluator, IauParams, RivalSet};
+use fta_core::iau::{IauParams, RivalSet};
 use fta_core::CancelToken;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// How the best-response loop evaluates candidate utilities.
 ///
-/// All engines apply the same strict-improvement rule and produce the same
-/// sequence of strategy switches for a fixed seed (asserted by the
-/// engine-equivalence tests and proptests); they differ only in how much
-/// work a worker's deliberation costs.
+/// Both engines apply the same strict-improvement rule and produce the same
+/// sequence of strategy switches for a fixed seed; they differ only in how
+/// much work a worker's deliberation costs. The engine-equivalence tests
+/// and proptests assert this, and also hold both engines to the oracle the
+/// tests keep: a fresh [`fta_core::iau::IauEvaluator`] per worker turn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BestResponseEngine {
-    /// Rebuild a sorted [`IauEvaluator`] over the `n−1` rivals for every
-    /// worker in every round: `O(n² log n)` maintenance per round.
-    Rebuild,
     /// Maintain one [`RivalSet`] across the whole run and update it with
     /// two `O(log n)` point operations per worker turn: `O(n log n)`
     /// maintenance per round — but still evaluate the IAU of *every*
@@ -58,7 +56,6 @@ impl BestResponseEngine {
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
-            Self::Rebuild => "exhaustive",
             Self::Incremental => "incremental",
             Self::FastPath => "fastpath",
         }
@@ -88,7 +85,7 @@ impl BestResponseEngine {
 /// `α ≥ 0`; for `β < 1` every linear piece therefore has strictly positive
 /// slope and `U` is *strictly increasing* in `p`. The argmax of `U` over
 /// the candidate set `{0} ∪ {available payoffs}` is then exactly the
-/// maximum-payoff candidate, and the exhaustive engines' tie-break (first
+/// maximum-payoff candidate, and the exhaustive evaluation's tie-break (first
 /// strict maximum over null followed by candidates in ascending pool-index
 /// order) is reproduced by the first strict payoff maximum among the
 /// available candidates in ascending pool-index order, adopting null
@@ -181,11 +178,27 @@ pub fn fgt_bounded<'a>(
     config: &FgtConfig,
     cancel: Option<&CancelToken>,
 ) -> ConvergenceTrace {
+    best_of_restarts(ctx, config, cancel, fgt_once)
+}
+
+/// One best-response run from a fresh context: `init = Some(seed)`
+/// randomly initialises it first, `None` continues from its selection.
+type OnceFn =
+    fn(&mut GameContext<'_>, &FgtConfig, Option<u64>, Option<&CancelToken>) -> ConvergenceTrace;
+
+/// Runs `once` from `restarts + 1` random initialisations and keeps the
+/// equilibrium best under the FTA objective (see [`fgt_bounded`]).
+fn best_of_restarts<'a>(
+    ctx: &mut GameContext<'a>,
+    config: &FgtConfig,
+    cancel: Option<&CancelToken>,
+    once: OnceFn,
+) -> ConvergenceTrace {
     let mut total_stats = BestResponseStats::default();
     let mut best: Option<(GameContext<'a>, ConvergenceTrace, f64, f64)> = None;
     for attempt in 0..=config.restarts {
         let mut trial = GameContext::new(ctx.space());
-        let trace = fgt_once(
+        let trace = once(
             &mut trial,
             config,
             Some(config.seed.wrapping_add(attempt as u64)),
@@ -250,7 +263,6 @@ fn fgt_once(
     cancel: Option<&CancelToken>,
 ) -> ConvergenceTrace {
     match config.engine {
-        BestResponseEngine::Rebuild => fgt_once_rebuild(ctx, config, init, cancel),
         BestResponseEngine::Incremental => fgt_once_incremental(ctx, config, init, cancel),
         BestResponseEngine::FastPath => {
             if fastpath_sound(config.iau) {
@@ -272,83 +284,6 @@ fn new_trace(config: &FgtConfig) -> ConvergenceTrace {
     }
 }
 
-/// Legacy engine: a fresh [`IauEvaluator`] per worker per round.
-fn fgt_once_rebuild(
-    ctx: &mut GameContext<'_>,
-    config: &FgtConfig,
-    init: Option<u64>,
-    cancel: Option<&CancelToken>,
-) -> ConvergenceTrace {
-    let index_updates_before = ctx.index_updates();
-    if let Some(seed) = init {
-        let mut rng = StdRng::seed_from_u64(seed);
-        random_init(ctx, &mut rng);
-    }
-
-    let mut trace = new_trace(config);
-    trace.record(
-        0,
-        0,
-        ctx.payoffs(),
-        iau_potential(ctx.payoffs(), config.iau),
-    );
-
-    let n = ctx.n_workers();
-    for round in 1..=config.max_rounds {
-        trace.stats.rounds += 1;
-        let mut moves = 0;
-        for local in 0..n {
-            // Rivals' payoffs stay fixed while this worker deliberates.
-            let others: Vec<f64> = (0..n)
-                .filter(|&j| j != local)
-                .map(|j| ctx.payoff(j))
-                .collect();
-            let eval = IauEvaluator::new(&others, config.iau);
-            trace.stats.evaluator_builds += 1;
-
-            let current_utility = eval.eval(ctx.payoff(local));
-            // Candidate set: null (payoff 0) plus every available VDPS.
-            // The availability filter probes the worker's entire list.
-            trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
-            let mut best: Option<(Option<u32>, f64)> = Some((None, eval.eval(0.0)));
-            trace.stats.candidate_evaluations += 2;
-            for (idx, payoff) in ctx.available_strategies(local) {
-                let u = eval.eval(payoff);
-                trace.stats.candidate_evaluations += 1;
-                if best.as_ref().is_none_or(|&(_, bu)| u > bu) {
-                    best = Some((Some(idx), u));
-                }
-            }
-            let (choice, utility) = best.expect("null is always a candidate");
-            if utility > current_utility + config.min_improvement && choice != ctx.selection(local)
-            {
-                ctx.set_strategy(local, choice);
-                moves += 1;
-                trace.stats.switches += 1;
-                if choice.is_none() {
-                    trace.stats.null_adoptions += 1;
-                }
-            }
-        }
-        trace.record(
-            round,
-            moves,
-            ctx.payoffs(),
-            iau_potential(ctx.payoffs(), config.iau),
-        );
-        if moves == 0 {
-            trace.converged = true;
-            break;
-        }
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            trace.cancelled = true;
-            break;
-        }
-    }
-    trace.stats.index_updates += ctx.index_updates() - index_updates_before;
-    trace
-}
-
 /// Incremental engine: one [`RivalSet`] maintained across the whole run.
 ///
 /// Per worker turn the focal payoff is removed (the remaining contents are
@@ -362,7 +297,6 @@ fn fgt_once_incremental(
     init: Option<u64>,
     cancel: Option<&CancelToken>,
 ) -> ConvergenceTrace {
-    let index_updates_before = ctx.index_updates();
     if let Some(seed) = init {
         let mut rng = StdRng::seed_from_u64(seed);
         random_init(ctx, &mut rng);
@@ -430,7 +364,6 @@ fn fgt_once_incremental(
             break;
         }
     }
-    trace.stats.index_updates += ctx.index_updates() - index_updates_before;
     trace
 }
 
@@ -443,7 +376,7 @@ fn fgt_once_incremental(
 /// among the available ones) identifies the candidate, and only two IAU
 /// evaluations remain per turn — the current utility and the candidate's.
 /// The strict-improvement switch rule is then applied to the same floats
-/// the exhaustive engines would have computed.
+/// the exhaustive evaluation would have computed.
 ///
 /// Only dispatched when [`fastpath_sound`] holds for the configured IAU
 /// weights; [`fgt_once`] otherwise falls back to the incremental loop.
@@ -454,7 +387,6 @@ fn fgt_once_fastpath(
     cancel: Option<&CancelToken>,
 ) -> ConvergenceTrace {
     debug_assert!(fastpath_sound(config.iau));
-    let index_updates_before = ctx.index_updates();
     if let Some(seed) = init {
         let mut rng = StdRng::seed_from_u64(seed);
         random_init(ctx, &mut rng);
@@ -524,16 +456,121 @@ fn fgt_once_fastpath(
             break;
         }
     }
-    trace.stats.index_updates += ctx.index_updates() - index_updates_before;
     trace
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fta_core::iau::IauEvaluator;
     use fta_core::Instance;
     use fta_data::{generate_syn, SynConfig};
     use fta_vdps::{StrategySpace, VdpsConfig};
+    use proptest::prelude::*;
+
+    /// The reference best response: a fresh sorted [`IauEvaluator`] over
+    /// the `n−1` rivals for every worker in every round (`O(n² log n)`
+    /// maintenance per round), evaluating every available candidate.
+    fn fgt_once_rebuild(
+        ctx: &mut GameContext<'_>,
+        config: &FgtConfig,
+        init: Option<u64>,
+        cancel: Option<&CancelToken>,
+    ) -> ConvergenceTrace {
+        if let Some(seed) = init {
+            let mut rng = StdRng::seed_from_u64(seed);
+            random_init(ctx, &mut rng);
+        }
+
+        let mut trace = new_trace(config);
+        trace.record(
+            0,
+            0,
+            ctx.payoffs(),
+            iau_potential(ctx.payoffs(), config.iau),
+        );
+
+        let n = ctx.n_workers();
+        for round in 1..=config.max_rounds {
+            trace.stats.rounds += 1;
+            let mut moves = 0;
+            for local in 0..n {
+                // Rivals' payoffs stay fixed while this worker deliberates.
+                let others: Vec<f64> = (0..n)
+                    .filter(|&j| j != local)
+                    .map(|j| ctx.payoff(j))
+                    .collect();
+                let eval = IauEvaluator::new(&others, config.iau);
+                trace.stats.evaluator_builds += 1;
+
+                let current_utility = eval.eval(ctx.payoff(local));
+                // Candidate set: null (payoff 0) plus every available VDPS.
+                // The availability filter probes the worker's entire list.
+                trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
+                let mut best: Option<(Option<u32>, f64)> = Some((None, eval.eval(0.0)));
+                trace.stats.candidate_evaluations += 2;
+                for (idx, payoff) in ctx.available_strategies(local) {
+                    let u = eval.eval(payoff);
+                    trace.stats.candidate_evaluations += 1;
+                    if best.as_ref().is_none_or(|&(_, bu)| u > bu) {
+                        best = Some((Some(idx), u));
+                    }
+                }
+                let (choice, utility) = best.expect("null is always a candidate");
+                if utility > current_utility + config.min_improvement
+                    && choice != ctx.selection(local)
+                {
+                    ctx.set_strategy(local, choice);
+                    moves += 1;
+                    trace.stats.switches += 1;
+                    if choice.is_none() {
+                        trace.stats.null_adoptions += 1;
+                    }
+                }
+            }
+            trace.record(
+                round,
+                moves,
+                ctx.payoffs(),
+                iau_potential(ctx.payoffs(), config.iau),
+            );
+            if moves == 0 {
+                trace.converged = true;
+                break;
+            }
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                trace.cancelled = true;
+                break;
+            }
+        }
+        trace
+    }
+
+    /// Which best-response loop a comparison runs.
+    #[derive(Debug, Clone, Copy)]
+    enum Loop {
+        /// The per-turn rebuild oracle, restarts included.
+        Oracle,
+        /// A production engine through [`fgt`].
+        Engine(BestResponseEngine),
+    }
+
+    /// Plays FGT over `s` with `config` on the chosen loop.
+    fn play(
+        s: &StrategySpace,
+        config: FgtConfig,
+        with: Loop,
+    ) -> (GameContext<'_>, ConvergenceTrace) {
+        let mut ctx = GameContext::new(s);
+        let trace = match with {
+            Loop::Oracle => best_of_restarts(&mut ctx, &config, None, fgt_once_rebuild),
+            Loop::Engine(engine) => fgt(&mut ctx, &FgtConfig { engine, ..config }),
+        };
+        (ctx, trace)
+    }
+
+    const INCREMENTAL: Loop = Loop::Engine(BestResponseEngine::Incremental);
+    const FASTPATH: Loop = Loop::Engine(BestResponseEngine::FastPath);
 
     fn instance(seed: u64) -> Instance {
         generate_syn(
@@ -554,13 +591,10 @@ mod tests {
         StrategySpace::build(inst, &views[0], &VdpsConfig::unpruned(3))
     }
 
-    #[test]
-    fn engines_agree_when_the_conflict_index_is_active() {
-        // A sparse-but-large space that clears BOTH halves of the conflict
-        // index crossover: `max_dp = 1` makes every strategy a singleton,
-        // so with ~120 delivery points and ~60 workers the slot count
-        // exceeds CONFLICT_INDEX_MIN_SLOTS while each bit's posting list
-        // stays around the worker count (<= CONFLICT_INDEX_MAX_SLOTS_PER_BIT).
+    /// A large, sparse space: `max_dp = 1` makes every strategy a
+    /// singleton, so ~120 delivery points and 60 workers give thousands
+    /// of slots with each point in only about one slot per worker.
+    fn large_sparse_space() -> StrategySpace {
         let inst = generate_syn(
             &SynConfig {
                 n_centers: 1,
@@ -574,36 +608,7 @@ mod tests {
             9,
         );
         let views = inst.center_views();
-        let s = StrategySpace::build(&inst, &views[0], &VdpsConfig::unpruned(1));
-        assert!(
-            s.total_slots() >= fta_vdps::CONFLICT_INDEX_MIN_SLOTS,
-            "fixture too small ({} slots) to activate the index",
-            s.total_slots()
-        );
-        assert!(
-            s.conflict_sets().is_some(),
-            "fixture too dense to activate the index"
-        );
-        let run = |engine| {
-            let mut ctx = GameContext::new(&s);
-            let trace = fgt(
-                &mut ctx,
-                &FgtConfig {
-                    engine,
-                    ..FgtConfig::default()
-                },
-            );
-            (ctx.to_assignment(), trace)
-        };
-        let (inc_asg, inc) = run(BestResponseEngine::Incremental);
-        let (fast_asg, fast) = run(BestResponseEngine::FastPath);
-        assert_eq!(inc_asg, fast_asg, "index-backed engines diverged");
-        assert_eq!(inc.len(), fast.len());
-        // The index really was maintained: strategy switches propagated
-        // conflict-counter deltas through the inverted bit lists.
-        assert!(inc.stats.switches > 0);
-        assert!(inc.stats.index_updates > 0, "index never updated");
-        assert_eq!(inc.stats.index_updates, fast.stats.index_updates);
+        StrategySpace::build(&inst, &views[0], &VdpsConfig::unpruned(1))
     }
 
     #[test]
@@ -743,24 +748,17 @@ mod tests {
     #[test]
     fn engines_compute_identical_equilibria() {
         // Acceptance: the incremental engine must reproduce the rebuild
-        // engine's selections bit-identically for fixed seeds, across
+        // oracle's selections bit-identically for fixed seeds, across
         // several synthetic instances.
         for seed in [11, 12, 13, 14, 15] {
             let inst = instance(seed);
             let s = space(&inst);
-            let run = |engine| {
-                let mut ctx = GameContext::new(&s);
-                let trace = fgt(
-                    &mut ctx,
-                    &FgtConfig {
-                        engine,
-                        ..FgtConfig::default()
-                    },
-                );
+            let run = |with| {
+                let (ctx, trace) = play(&s, FgtConfig::default(), with);
                 (ctx.to_assignment(), trace.len(), trace.converged)
             };
-            let (a_asg, a_len, a_conv) = run(BestResponseEngine::Rebuild);
-            let (b_asg, b_len, b_conv) = run(BestResponseEngine::Incremental);
+            let (a_asg, a_len, a_conv) = run(Loop::Oracle);
+            let (b_asg, b_len, b_conv) = run(INCREMENTAL);
             assert_eq!(a_asg, b_asg, "seed {seed}: assignments diverge");
             assert_eq!(a_len, b_len, "seed {seed}: round counts diverge");
             assert_eq!(a_conv, b_conv, "seed {seed}: convergence diverges");
@@ -771,19 +769,9 @@ mod tests {
     fn engines_agree_on_search_work_but_not_maintenance() {
         let inst = instance(16);
         let s = space(&inst);
-        let run = |engine| {
-            let mut ctx = GameContext::new(&s);
-            fgt(
-                &mut ctx,
-                &FgtConfig {
-                    engine,
-                    ..FgtConfig::default()
-                },
-            )
-            .stats
-        };
-        let rebuild = run(BestResponseEngine::Rebuild);
-        let incremental = run(BestResponseEngine::Incremental);
+        let run = |with| play(&s, FgtConfig::default(), with).1.stats;
+        let rebuild = run(Loop::Oracle);
+        let incremental = run(INCREMENTAL);
         // Identical search: same rounds, evaluations, and switches.
         assert_eq!(rebuild.rounds, incremental.rounds);
         assert_eq!(
@@ -806,33 +794,44 @@ mod tests {
     #[test]
     fn fastpath_engine_matches_both_exhaustive_engines() {
         // Tentpole acceptance: identical selections, traces, and payoffs
-        // across all three engines for fixed seeds (β = 0.5 < 1).
-        for seed in [11, 12, 13, 14, 15] {
-            let inst = instance(seed);
-            let s = space(&inst);
-            let run = |engine| {
-                let mut ctx = GameContext::new(&s);
-                let trace = fgt(
-                    &mut ctx,
-                    &FgtConfig {
-                        engine,
-                        ..FgtConfig::default()
-                    },
-                );
+        // across both engines and the rebuild oracle for fixed seeds
+        // (β = 0.5 < 1), on small dense spaces and one large sparse one.
+        let mut spaces: Vec<(String, StrategySpace)> = [11, 12, 13, 14, 15]
+            .into_iter()
+            .map(|seed| (format!("seed {seed}"), space(&instance(seed))))
+            .collect();
+        spaces.push(("large sparse".to_owned(), large_sparse_space()));
+        for (label, s) in &spaces {
+            let run = |with| {
+                let (ctx, trace) = play(s, FgtConfig::default(), with);
                 let payoffs: Vec<u64> = ctx.payoffs().iter().map(|p| p.to_bits()).collect();
-                (ctx.to_assignment(), trace.rounds, trace.converged, payoffs)
+                (
+                    ctx.to_assignment(),
+                    trace.rounds,
+                    trace.converged,
+                    payoffs,
+                    trace.stats,
+                )
             };
-            let (r_asg, r_rounds, r_conv, r_pay) = run(BestResponseEngine::Rebuild);
-            let (i_asg, i_rounds, i_conv, i_pay) = run(BestResponseEngine::Incremental);
-            let (f_asg, f_rounds, f_conv, f_pay) = run(BestResponseEngine::FastPath);
-            assert_eq!(r_asg, f_asg, "seed {seed}: fastpath vs rebuild diverge");
-            assert_eq!(i_asg, f_asg, "seed {seed}: fastpath vs incremental diverge");
-            assert_eq!(i_rounds, f_rounds, "seed {seed}: round summaries diverge");
+            let (r_asg, r_rounds, r_conv, r_pay, _) = run(Loop::Oracle);
+            let (i_asg, i_rounds, i_conv, i_pay, i_stats) = run(INCREMENTAL);
+            let (f_asg, f_rounds, f_conv, f_pay, _) = run(FASTPATH);
+            assert_eq!(r_asg, f_asg, "{label}: fastpath vs rebuild diverge");
+            assert_eq!(i_asg, f_asg, "{label}: fastpath vs incremental diverge");
+            assert_eq!(i_rounds, f_rounds, "{label}: round summaries diverge");
             assert_eq!(r_rounds.len(), f_rounds.len());
             assert_eq!((r_conv, i_conv), (f_conv, f_conv));
-            assert_eq!(r_pay, f_pay, "seed {seed}: payoffs not bit-identical");
+            assert_eq!(r_pay, f_pay, "{label}: payoffs not bit-identical");
             assert_eq!(i_pay, f_pay);
+            assert!(i_stats.switches > 0, "{label}: nobody ever moved");
         }
+        let sparse = &spaces.last().expect("the sparse fixture is pushed").1;
+        assert!(
+            sparse.total_slots() >= 4_096 && sparse.total_slots() <= 64 * sparse.view.dps.len(),
+            "the sparse fixture lost its shape ({} slots over {} points)",
+            sparse.total_slots(),
+            sparse.view.dps.len()
+        );
     }
 
     #[test]
@@ -1019,5 +1018,106 @@ mod tests {
             wins * 3 >= total * 2,
             "FGT fairer than GTA on only {wins}/{total} seeds"
         );
+    }
+
+    #[test]
+    fn incremental_engine_builds_at_least_5x_fewer_evaluators_per_round() {
+        // At n = 1000 workers the incremental engine must do at least 5×
+        // fewer evaluator-construction operations per best-response round
+        // than the rebuild oracle. Two rounds and no restarts keep the
+        // debug-mode test fast; the per-round ratio is independent of the
+        // round count.
+        let inst = generate_syn(
+            &SynConfig {
+                n_centers: 1,
+                n_workers: 1000,
+                n_tasks: 60 * 20,
+                n_delivery_points: 60,
+                extent: 4.0,
+                ..SynConfig::bench_scale()
+            },
+            3,
+        );
+        let views = inst.center_views();
+        let s = StrategySpace::build(&inst, &views[0], &VdpsConfig::pruned(2.0, 3));
+        let config = FgtConfig {
+            max_rounds: 2,
+            restarts: 0,
+            ..FgtConfig::default()
+        };
+        let rebuild = play(&s, config, Loop::Oracle).1.stats;
+        let incremental = play(&s, config, INCREMENTAL).1.stats;
+
+        // Both evaluate the same candidates in the same order.
+        assert_eq!(rebuild.rounds, incremental.rounds);
+        assert_eq!(
+            rebuild.candidate_evaluations,
+            incremental.candidate_evaluations
+        );
+        assert!(rebuild.rounds > 0, "FGT did no best-response rounds");
+
+        // Evaluator-construction ops per round: the oracle makes one O(n)
+        // evaluator per worker turn (n per round); the incremental engine
+        // amortises a single build across the whole run and otherwise only
+        // performs O(log n) treap remove/insert pairs, which are
+        // maintenance, not construction.
+        let per_round = |builds: u64, rounds: u64| -> f64 { builds as f64 / rounds as f64 };
+        let rebuild_builds = per_round(rebuild.evaluator_builds, rebuild.rounds);
+        let incremental_builds = per_round(incremental.evaluator_builds, incremental.rounds);
+        assert!(
+            rebuild_builds >= 5.0 * incremental_builds,
+            "expected >=5x fewer evaluator-construction ops per round: \
+             rebuild {rebuild_builds}/round vs incremental {incremental_builds}/round"
+        );
+        assert_eq!(incremental.evaluator_builds, 1);
+        assert_eq!(rebuild.evaluator_updates, 0);
+        assert_eq!(rebuild.evaluator_builds, rebuild.rounds * 1000);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// For any sound IAU weights the incremental engine reproduces the
+        /// rebuild oracle's selections, payoffs, move counts and
+        /// convergence. The oracle recomputes round summaries from scratch
+        /// while the engine maintains them, so the summary *floats* may
+        /// differ by an ulp and are not compared.
+        #[test]
+        fn incremental_engine_matches_the_rebuild_oracle(
+            seed in 1u64..500,
+            n_workers in 2usize..12,
+            n_dps in 4usize..16,
+            max_dp in 1usize..4,
+            alpha in 0.0f64..4.0,
+            beta in 0.0f64..1.0,
+        ) {
+            let inst = generate_syn(
+                &SynConfig {
+                    n_centers: 1,
+                    n_workers,
+                    n_tasks: n_dps * 6,
+                    n_delivery_points: n_dps,
+                    max_dp,
+                    extent: 3.0,
+                    ..SynConfig::bench_scale()
+                },
+                seed,
+            );
+            let views = inst.center_views();
+            let s = StrategySpace::build(&inst, &views[0], &VdpsConfig::unpruned(4));
+            let config = FgtConfig {
+                iau: IauParams { alpha, beta },
+                ..FgtConfig::default()
+            };
+            let run = |with| {
+                let (ctx, trace) = play(&s, config, with);
+                let selections: Vec<Option<u32>> =
+                    (0..ctx.n_workers()).map(|l| ctx.selection(l)).collect();
+                let payoff_bits: Vec<u64> = ctx.payoffs().iter().map(|p| p.to_bits()).collect();
+                let moves: Vec<usize> = trace.rounds.iter().map(|r| r.moves).collect();
+                (selections, payoff_bits, moves, trace.converged)
+            };
+            prop_assert_eq!(run(Loop::Oracle), run(INCREMENTAL));
+        }
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::context::GameContext;
 use crate::fgt::BestResponseEngine;
-use crate::random::random_init;
+use crate::random::{random_init, random_init_nulls};
 use crate::trace::ConvergenceTrace;
 use fta_core::iau::{IauParams, RivalSet};
 use fta_core::CancelToken;
@@ -53,8 +53,9 @@ pub struct IegtConfig {
     /// utilities are raw payoffs — trivially strictly increasing in the
     /// own payoff — so [`BestResponseEngine::FastPath`] is always sound
     /// here: the strictly-better candidate set is one `p > threshold`
-    /// filter over the open slots, with no utility evaluation. The other
-    /// two variants run the classic full-list filter.
+    /// filter over the open slots, with no utility evaluation.
+    /// [`BestResponseEngine::Incremental`] runs the classic full-list
+    /// filter.
     pub engine: BestResponseEngine,
 }
 
@@ -115,11 +116,18 @@ pub fn iegt_bounded(
 }
 
 /// [`iegt_bounded`] warm-started from a cached strategy profile: the
-/// profile is replayed onto `ctx` (invalid entries dropped) and the
-/// evolution runs from there instead of the random single-dp
-/// initialisation. The redraw rng stream is seeded identically to the
-/// cold path, so a warm run over an unchanged population replays the same
-/// uniform draws. See [`crate::fgt::fgt_warm_bounded`].
+/// profile is replayed onto `ctx` (invalid entries dropped), every worker
+/// the replay left on the null strategy gets the cold path's random
+/// single-dp start, and the evolution runs from there. The rng stream is
+/// seeded identically to the cold path. See
+/// [`crate::fgt::fgt_warm_bounded`].
+///
+/// The random start for the nulls is what keeps a warm start from
+/// stalling: with every worker on null the population average is 0, so
+/// everyone counts as "at rest" and the loop would stop in round 1 with
+/// nothing assigned. A null worker at an equilibrium has no available
+/// strategy paying more than the improvement margin, so replaying an
+/// equilibrium still moves nobody.
 pub fn iegt_warm_bounded(
     ctx: &mut GameContext<'_>,
     config: &IegtConfig,
@@ -138,11 +146,12 @@ fn iegt_run(
     init: bool,
 ) -> ConvergenceTrace {
     // The rng also drives the uniform redraws, so it exists on both paths;
-    // only the random initialisation is skipped on a warm start.
+    // a warm start only initialises the workers its replay left on null.
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let index_updates_before = ctx.index_updates();
     if init {
         random_init(ctx, &mut rng);
+    } else {
+        random_init_nulls(ctx, &mut rng);
     }
 
     let mut trace = ConvergenceTrace::default();
@@ -160,10 +169,11 @@ fn iegt_run(
         population.total(),
     );
 
-    // The fast path is always sound for IEGT (raw payoffs); the other two
-    // engines run the classic full-list filter. Both branches produce the
-    // same `better` set in the same (ascending pool-index) order, so the
-    // redraw — including the rng stream — is engine-invariant.
+    // The fast path is always sound for IEGT (raw payoffs); the
+    // incremental engine runs the classic full-list filter. Both branches
+    // produce the same `better` set in the same (ascending pool-index)
+    // order, so the redraw — including the rng stream — is
+    // engine-invariant.
     let fastpath = config.engine == BestResponseEngine::FastPath;
     let mut better: Vec<(u32, f64)> = Vec::new();
     let n = ctx.n_workers();
@@ -237,7 +247,6 @@ fn iegt_run(
             break;
         }
     }
-    trace.stats.index_updates += ctx.index_updates() - index_updates_before;
     trace
 }
 
@@ -446,6 +455,26 @@ mod tests {
             assert!(trace.converged, "seed {seed}: warm run did not converge");
             assert_eq!(trace.stats.switches, 0, "seed {seed}: equilibrium moved");
             assert_eq!(warm.to_assignment(), cold.to_assignment());
+        }
+    }
+
+    #[test]
+    fn warm_start_from_an_all_null_profile_assigns_someone() {
+        // Every cached strategy vanished: the replay leaves the whole
+        // population on null, and the warm run must still start the
+        // evolution instead of calling the all-zero population at rest.
+        for seed in [9, 10] {
+            let inst = instance(seed);
+            let s = space(&inst);
+            let profile = vec![None; s.n_workers()];
+            let mut warm = GameContext::new(&s);
+            let (trace, stats) =
+                iegt_warm_bounded(&mut warm, &IegtConfig::default(), &profile, None);
+            assert_eq!(stats.adopted, 0);
+            assert!(trace.converged, "seed {seed}: warm run did not converge");
+            let assigned = warm.to_assignment().assigned_workers();
+            assert!(assigned > 0, "seed {seed}: nobody was assigned");
+            assert!(warm.to_assignment().validate(&inst).is_ok());
         }
     }
 

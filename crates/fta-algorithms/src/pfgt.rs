@@ -14,7 +14,7 @@ use crate::random::random_init;
 use crate::stats::BestResponseStats;
 use crate::trace::ConvergenceTrace;
 use fta_core::iau::RivalSet;
-use fta_core::priority::{priority_payoff_difference, PriorityIauEvaluator, PriorityRivalSet};
+use fta_core::priority::{priority_payoff_difference, PriorityRivalSet};
 use fta_core::{CancelToken, WorkerId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -92,6 +92,27 @@ pub fn pfgt_bounded<'a>(
     config: &PfgtConfig,
     cancel: Option<&CancelToken>,
 ) -> ConvergenceTrace {
+    best_of_restarts(ctx, config, cancel, pfgt_once)
+}
+
+/// One priority-aware best-response run: `init = Some(seed)` randomly
+/// initialises the context first, `None` continues from its selection.
+type OnceFn = fn(
+    &mut GameContext<'_>,
+    &PfgtConfig,
+    &[f64],
+    Option<u64>,
+    Option<&CancelToken>,
+) -> ConvergenceTrace;
+
+/// Runs `once` from `restarts + 1` random initialisations and keeps the
+/// equilibrium best under the priority-aware FTA objective.
+fn best_of_restarts<'a>(
+    ctx: &mut GameContext<'a>,
+    config: &PfgtConfig,
+    cancel: Option<&CancelToken>,
+    once: OnceFn,
+) -> ConvergenceTrace {
     let priorities: Vec<f64> = (0..ctx.n_workers())
         .map(|local| config.priorities.of(ctx.space().worker_id(local)))
         .collect();
@@ -100,7 +121,7 @@ pub fn pfgt_bounded<'a>(
     let mut best: Option<(GameContext<'a>, ConvergenceTrace, f64, f64)> = None;
     for attempt in 0..=config.base.restarts {
         let mut trial = GameContext::new(ctx.space());
-        let trace = pfgt_once(
+        let trace = once(
             &mut trial,
             config,
             &priorities,
@@ -155,7 +176,6 @@ fn pfgt_once(
     cancel: Option<&CancelToken>,
 ) -> ConvergenceTrace {
     match config.base.engine {
-        BestResponseEngine::Rebuild => pfgt_once_rebuild(ctx, config, priorities, init, cancel),
         BestResponseEngine::Incremental => {
             pfgt_once_incremental(ctx, config, priorities, init, cancel)
         }
@@ -179,78 +199,6 @@ fn new_trace(config: &PfgtConfig) -> ConvergenceTrace {
     }
 }
 
-/// Legacy engine: a fresh [`PriorityIauEvaluator`] per worker per round.
-fn pfgt_once_rebuild(
-    ctx: &mut GameContext<'_>,
-    config: &PfgtConfig,
-    priorities: &[f64],
-    init: Option<u64>,
-    cancel: Option<&CancelToken>,
-) -> ConvergenceTrace {
-    let index_updates_before = ctx.index_updates();
-    if let Some(seed) = init {
-        let mut rng = StdRng::seed_from_u64(seed);
-        random_init(ctx, &mut rng);
-    }
-
-    let potential = |payoffs: &[f64]| {
-        crate::fgt::iau_potential(
-            &fta_core::priority::normalized_payoffs(payoffs, priorities),
-            config.base.iau,
-        )
-    };
-    let mut trace = new_trace(config);
-    trace.record(0, 0, ctx.payoffs(), potential(ctx.payoffs()));
-
-    let n = ctx.n_workers();
-    for round in 1..=config.base.max_rounds {
-        trace.stats.rounds += 1;
-        let mut moves = 0;
-        for local in 0..n {
-            let others: Vec<(f64, f64)> = (0..n)
-                .filter(|&j| j != local)
-                .map(|j| (ctx.payoff(j), priorities[j]))
-                .collect();
-            let eval = PriorityIauEvaluator::new(priorities[local], &others, config.base.iau);
-            trace.stats.evaluator_builds += 1;
-
-            let current_utility = eval.eval(ctx.payoff(local));
-            trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
-            let mut best: Option<(Option<u32>, f64)> = Some((None, eval.eval(0.0)));
-            trace.stats.candidate_evaluations += 2;
-            for (idx, payoff) in ctx.available_strategies(local) {
-                let u = eval.eval(payoff);
-                trace.stats.candidate_evaluations += 1;
-                if best.as_ref().is_none_or(|&(_, bu)| u > bu) {
-                    best = Some((Some(idx), u));
-                }
-            }
-            let (choice, utility) = best.expect("null is always a candidate");
-            if utility > current_utility + config.base.min_improvement
-                && choice != ctx.selection(local)
-            {
-                ctx.set_strategy(local, choice);
-                moves += 1;
-                trace.stats.switches += 1;
-                if choice.is_none() {
-                    trace.stats.null_adoptions += 1;
-                }
-            }
-        }
-        trace.record(round, moves, ctx.payoffs(), potential(ctx.payoffs()));
-        if moves == 0 {
-            trace.converged = true;
-            break;
-        }
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            trace.cancelled = true;
-            break;
-        }
-    }
-    trace.stats.index_updates += ctx.index_updates() - index_updates_before;
-    trace
-}
-
 /// Incremental engine: one [`PriorityRivalSet`] (normalised-payoff space,
 /// for utilities and the potential) plus one raw [`RivalSet`] (for the
 /// trace's raw `P_dif` and average) maintained across the whole run.
@@ -261,7 +209,6 @@ fn pfgt_once_incremental(
     init: Option<u64>,
     cancel: Option<&CancelToken>,
 ) -> ConvergenceTrace {
-    let index_updates_before = ctx.index_updates();
     if let Some(seed) = init {
         let mut rng = StdRng::seed_from_u64(seed);
         random_init(ctx, &mut rng);
@@ -343,7 +290,6 @@ fn pfgt_once_incremental(
             break;
         }
     }
-    trace.stats.index_updates += ctx.index_updates() - index_updates_before;
     trace
 }
 
@@ -363,7 +309,6 @@ fn pfgt_once_fastpath(
     cancel: Option<&CancelToken>,
 ) -> ConvergenceTrace {
     debug_assert!(crate::fgt::fastpath_sound(config.base.iau));
-    let index_updates_before = ctx.index_updates();
     if let Some(seed) = init {
         let mut rng = StdRng::seed_from_u64(seed);
         random_init(ctx, &mut rng);
@@ -443,7 +388,6 @@ fn pfgt_once_fastpath(
             break;
         }
     }
-    trace.stats.index_updates += ctx.index_updates() - index_updates_before;
     trace
 }
 
@@ -451,9 +395,81 @@ fn pfgt_once_fastpath(
 mod tests {
     use super::*;
     use crate::fgt::fgt;
+    use fta_core::priority::PriorityIauEvaluator;
     use fta_core::Instance;
     use fta_data::{generate_syn, SynConfig};
     use fta_vdps::{StrategySpace, VdpsConfig};
+
+    /// The reference best response: a fresh [`PriorityIauEvaluator`] per
+    /// worker per round, evaluating every available candidate.
+    fn pfgt_once_rebuild(
+        ctx: &mut GameContext<'_>,
+        config: &PfgtConfig,
+        priorities: &[f64],
+        init: Option<u64>,
+        cancel: Option<&CancelToken>,
+    ) -> ConvergenceTrace {
+        if let Some(seed) = init {
+            let mut rng = StdRng::seed_from_u64(seed);
+            random_init(ctx, &mut rng);
+        }
+
+        let potential = |payoffs: &[f64]| {
+            crate::fgt::iau_potential(
+                &fta_core::priority::normalized_payoffs(payoffs, priorities),
+                config.base.iau,
+            )
+        };
+        let mut trace = new_trace(config);
+        trace.record(0, 0, ctx.payoffs(), potential(ctx.payoffs()));
+
+        let n = ctx.n_workers();
+        for round in 1..=config.base.max_rounds {
+            trace.stats.rounds += 1;
+            let mut moves = 0;
+            for local in 0..n {
+                let others: Vec<(f64, f64)> = (0..n)
+                    .filter(|&j| j != local)
+                    .map(|j| (ctx.payoff(j), priorities[j]))
+                    .collect();
+                let eval = PriorityIauEvaluator::new(priorities[local], &others, config.base.iau);
+                trace.stats.evaluator_builds += 1;
+
+                let current_utility = eval.eval(ctx.payoff(local));
+                trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
+                let mut best: Option<(Option<u32>, f64)> = Some((None, eval.eval(0.0)));
+                trace.stats.candidate_evaluations += 2;
+                for (idx, payoff) in ctx.available_strategies(local) {
+                    let u = eval.eval(payoff);
+                    trace.stats.candidate_evaluations += 1;
+                    if best.as_ref().is_none_or(|&(_, bu)| u > bu) {
+                        best = Some((Some(idx), u));
+                    }
+                }
+                let (choice, utility) = best.expect("null is always a candidate");
+                if utility > current_utility + config.base.min_improvement
+                    && choice != ctx.selection(local)
+                {
+                    ctx.set_strategy(local, choice);
+                    moves += 1;
+                    trace.stats.switches += 1;
+                    if choice.is_none() {
+                        trace.stats.null_adoptions += 1;
+                    }
+                }
+            }
+            trace.record(round, moves, ctx.payoffs(), potential(ctx.payoffs()));
+            if moves == 0 {
+                trace.converged = true;
+                break;
+            }
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                trace.cancelled = true;
+                break;
+            }
+        }
+        trace
+    }
 
     fn instance(seed: u64) -> Instance {
         generate_syn(
@@ -577,23 +593,25 @@ mod tests {
         for seed in [31, 32, 33, 34] {
             let inst = instance(seed);
             let s = space(&inst);
-            let run = |engine| {
+            // `None` plays the rebuild oracle, restarts included.
+            let run = |engine: Option<BestResponseEngine>| {
                 let mut ctx = GameContext::new(&s);
-                let trace = pfgt(
-                    &mut ctx,
-                    &PfgtConfig {
-                        base: FgtConfig {
-                            engine,
-                            ..FgtConfig::default()
-                        },
-                        priorities: PrioritySpec::ByWorker(tiered),
+                let config = PfgtConfig {
+                    base: FgtConfig {
+                        engine: engine.unwrap_or_default(),
+                        ..FgtConfig::default()
                     },
-                );
+                    priorities: PrioritySpec::ByWorker(tiered),
+                };
+                let trace = match engine {
+                    Some(_) => pfgt(&mut ctx, &config),
+                    None => best_of_restarts(&mut ctx, &config, None, pfgt_once_rebuild),
+                };
                 (ctx.to_assignment(), trace.len())
             };
-            let (a_asg, a_len) = run(BestResponseEngine::Rebuild);
-            let (b_asg, b_len) = run(BestResponseEngine::Incremental);
-            let (c_asg, c_len) = run(BestResponseEngine::FastPath);
+            let (a_asg, a_len) = run(None);
+            let (b_asg, b_len) = run(Some(BestResponseEngine::Incremental));
+            let (c_asg, c_len) = run(Some(BestResponseEngine::FastPath));
             assert_eq!(a_asg, b_asg, "seed {seed}: assignments diverge");
             assert_eq!(a_len, b_len, "seed {seed}: round counts diverge");
             assert_eq!(b_asg, c_asg, "seed {seed}: fastpath assignment diverges");

@@ -15,16 +15,33 @@ use rand::{Rng, SeedableRng};
 /// in local order, receives a uniformly random *available*
 /// single-delivery-point VDPS, or the null strategy if none remains.
 pub fn random_init(ctx: &mut GameContext<'_>, rng: &mut StdRng) {
-    let n = ctx.n_workers();
-    for local in 0..n {
-        let singles: Vec<u32> = ctx
-            .available_strategies(local)
-            .filter(|&(idx, _)| ctx.space().pool.row_len(idx as usize) == 1)
-            .map(|(idx, _)| idx)
-            .collect();
-        let choice = singles.choose(rng).copied();
-        ctx.set_strategy(local, choice);
+    for local in 0..ctx.n_workers() {
+        random_single(ctx, local, rng);
     }
+}
+
+/// The same initialisation for a warm start: only the workers still on the
+/// null strategy after a cached profile was replayed draw, in local order,
+/// from the same kind of rng stream as [`random_init`]; the others keep
+/// their replayed strategy.
+pub(crate) fn random_init_nulls(ctx: &mut GameContext<'_>, rng: &mut StdRng) {
+    for local in 0..ctx.n_workers() {
+        if ctx.selection(local).is_none() {
+            random_single(ctx, local, rng);
+        }
+    }
+}
+
+/// Gives the `local`-th worker a uniformly random available
+/// single-delivery-point VDPS, or the null strategy if none remains.
+fn random_single(ctx: &mut GameContext<'_>, local: usize, rng: &mut StdRng) {
+    let singles: Vec<u32> = ctx
+        .available_strategies(local)
+        .filter(|&(idx, _)| ctx.space().pool.row_len(idx as usize) == 1)
+        .map(|(idx, _)| idx)
+        .collect();
+    let choice = singles.choose(rng).copied();
+    ctx.set_strategy(local, choice);
 }
 
 /// Random baseline: every worker, in a random order, receives a uniformly

@@ -5,9 +5,9 @@
 //! bench binaries, tests) renders the same lines from the same place, so
 //! the format only has to be kept parseable once.
 //!
-//! The line formats are load-bearing: the CLI's engine-equivalence test
-//! splits the generation line on `" sets from "` and `", dp "` to compare
-//! engine-independent work counters, so those separators must not change.
+//! The line formats are load-bearing: the CLI's tests split the generation
+//! line on `" sets from "` and `", dp "` to read the work counters, so
+//! those separators must not change.
 
 use crate::solver::SolveOutcome;
 use std::fmt;
@@ -15,7 +15,7 @@ use std::fmt;
 /// Pretty-printer over a [`SolveOutcome`].
 ///
 /// Construct with [`SolveReport::new`], optionally attach a header label
-/// and the VDPS engine name, then `Display` it:
+/// and the best-response engine, then `Display` it:
 ///
 /// ```
 /// use fta_algorithms::{solve, Algorithm, SolveConfig, SolveReport};
@@ -25,15 +25,13 @@ use std::fmt;
 /// let outcome = solve(&inst, &SolveConfig::new(Algorithm::Gta));
 /// let text = SolveReport::new(&outcome)
 ///     .label("GTA on syn")
-///     .engine("flat")
 ///     .to_string();
-/// assert!(text.contains("vdps generation (flat engine):"));
+/// assert!(text.contains("vdps generation: "));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SolveReport<'a> {
     outcome: &'a SolveOutcome,
     label: Option<&'a str>,
-    engine: Option<&'a str>,
     br_engine: Option<(&'a str, bool)>,
 }
 
@@ -44,7 +42,6 @@ impl<'a> SolveReport<'a> {
         Self {
             outcome,
             label: None,
-            engine: None,
             br_engine: None,
         }
     }
@@ -53,13 +50,6 @@ impl<'a> SolveReport<'a> {
     #[must_use]
     pub fn label(mut self, label: &'a str) -> Self {
         self.label = Some(label);
-        self
-    }
-
-    /// Names the VDPS generator engine in the generation line.
-    #[must_use]
-    pub fn engine(mut self, engine: &'a str) -> Self {
-        self.engine = Some(engine);
         self
     }
 
@@ -90,13 +80,9 @@ impl fmt::Display for SolveReport<'_> {
         }
         if o.gen_stats.vdps_count > 0 {
             let g = &o.gen_stats;
-            match self.engine {
-                Some(engine) => write!(f, "vdps generation ({engine} engine): ")?,
-                None => write!(f, "vdps generation: ")?,
-            }
             writeln!(
                 f,
-                "{} sets from {} states, {} extensions ({} distance-pruned, {} deadline-pruned), dp {:.1} ms + routes {:.1} ms (merge {:.1} ms), {} chunks, {} steals, {} merge collisions",
+                "vdps generation: {} sets from {} states, {} extensions ({} distance-pruned, {} deadline-pruned), dp {:.1} ms + routes {:.1} ms (merge {:.1} ms), {} chunks, {} steals, {} merge collisions",
                 g.vdps_count,
                 g.states,
                 g.extensions_tried,
@@ -125,7 +111,7 @@ impl fmt::Display for SolveReport<'_> {
             }
             writeln!(
                 f,
-                "best-response work: {} rounds, {} candidate evals, {} switches ({} to null), {} evaluator builds, {} incremental updates, {} slots scanned, {} early exits, {} index updates, {} fast-path rounds",
+                "best-response work: {} rounds, {} candidate evals, {} switches ({} to null), {} evaluator builds, {} incremental updates, {} slots scanned, {} early exits, {} fast-path rounds",
                 s.rounds,
                 s.candidate_evaluations,
                 s.switches,
@@ -134,7 +120,6 @@ impl fmt::Display for SolveReport<'_> {
                 s.evaluator_updates,
                 s.candidates_scanned,
                 s.early_exits,
-                s.index_updates,
                 s.fastpath_rounds,
             )?;
         }
@@ -197,14 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_name_is_optional_but_formatted_when_present() {
-        let o = outcome(Algorithm::Gta);
-        let text = SolveReport::new(&o).engine("flat").to_string();
-        assert!(text.contains("vdps generation (flat engine):"));
-        assert!(!text.contains("assignment):"), "no label line expected");
-    }
-
-    #[test]
     fn game_algorithms_report_br_work_and_convergence() {
         let o = outcome(Algorithm::Fgt(FgtConfig::default()));
         let text = SolveReport::new(&o).to_string();
@@ -224,10 +201,10 @@ mod tests {
         let text = SolveReport::new(&o).br_engine("fastpath", true).to_string();
         assert!(text.contains("best-response engine: fastpath (fast path eligible)"));
         let text = SolveReport::new(&o)
-            .br_engine("exhaustive", false)
+            .br_engine("incremental", false)
             .to_string();
         assert!(text.contains(
-            "best-response engine: exhaustive (fast path ineligible: exhaustive fallback)"
+            "best-response engine: incremental (fast path ineligible: exhaustive fallback)"
         ));
         // Baselines stay silent even with an engine attached.
         let o = outcome(Algorithm::Gta);

@@ -734,7 +734,6 @@ pub(crate) fn merge_outcomes(outcomes: Vec<CenterOutcome>, budget_cancelled: boo
         fta_obs::counter("br.evaluator_updates", br_stats.evaluator_updates);
         fta_obs::counter("br.candidates_scanned", br_stats.candidates_scanned);
         fta_obs::counter("br.early_exits", br_stats.early_exits);
-        fta_obs::counter("br.index_updates", br_stats.index_updates);
         fta_obs::counter("br.fastpath_rounds", br_stats.fastpath_rounds);
         // Degradation counters: centers solved below the full rung, and
         // whether the budget actually bound anywhere.

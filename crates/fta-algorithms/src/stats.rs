@@ -12,13 +12,11 @@
 /// Counters of one or more best-response / replicator runs.
 ///
 /// All counters are cumulative: merging traces (restarts, parallel centers)
-/// sums them. The two `evaluator_*` counters distinguish the engines:
-///
-/// * the **rebuild** engine constructs a fresh sorted evaluator for every
-///   worker in every round (`evaluator_builds ≈ n · rounds`, no updates);
-/// * the **incremental** engine builds one [`fta_core::iau::RivalSet`] per
-///   run and maintains it with `O(log n)` point updates
-///   (`evaluator_builds` per restart, `evaluator_updates ≈ 2n · rounds`).
+/// sums them. The engines build one [`fta_core::iau::RivalSet`] per run
+/// and maintain it with `O(log n)` point updates (`evaluator_builds` per
+/// restart, `evaluator_updates ≈ 2n · rounds`); the rebuild oracle in the
+/// tests constructs a fresh sorted evaluator for every worker in every
+/// round instead (`evaluator_builds ≈ n · rounds`, no updates).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BestResponseStats {
     /// Best-response / evolution rounds executed (round 0 excluded).
@@ -36,7 +34,7 @@ pub struct BestResponseStats {
     /// removed from or inserted into a rival structure).
     pub evaluator_updates: u64,
     /// Strategy slots examined for availability during best-response
-    /// deliberation. The exhaustive engines probe a worker's *entire*
+    /// deliberation. Exhaustive evaluation probes a worker's *entire*
     /// valid list per turn; the monotone fast path counts the slots a
     /// first-hit scan in payoff-descending order would examine (the
     /// winner's payoff-order rank plus one).
@@ -44,10 +42,6 @@ pub struct BestResponseStats {
     /// Fast-path scans that terminated before exhausting the worker's
     /// strategy list (the monotone early exit paying off).
     pub early_exits: u64,
-    /// Per-slot conflict-counter adjustments applied through the inverted
-    /// DP-bit index on strategy switches (zero when the space is below the
-    /// index crossover and availability is mask-scanned).
-    pub index_updates: u64,
     /// Rounds executed under the monotone fast-path loop. Stays zero when
     /// the IAU parameters make the fast path unsound (`β ≥ 1` or `α < 0`)
     /// and the run fell back to exhaustive evaluation.
@@ -65,7 +59,6 @@ impl BestResponseStats {
         self.evaluator_updates += other.evaluator_updates;
         self.candidates_scanned += other.candidates_scanned;
         self.early_exits += other.early_exits;
-        self.index_updates += other.index_updates;
         self.fastpath_rounds += other.fastpath_rounds;
     }
 
@@ -91,7 +84,6 @@ mod tests {
             evaluator_updates: 8,
             candidates_scanned: 20,
             early_exits: 5,
-            index_updates: 7,
             fastpath_rounds: 1,
         };
         let b = BestResponseStats {
@@ -103,7 +95,6 @@ mod tests {
             evaluator_updates: 4,
             candidates_scanned: 10,
             early_exits: 2,
-            index_updates: 3,
             fastpath_rounds: 2,
         };
         a.merge(&b);
@@ -118,7 +109,6 @@ mod tests {
                 evaluator_updates: 12,
                 candidates_scanned: 30,
                 early_exits: 7,
-                index_updates: 10,
                 fastpath_rounds: 3,
             }
         );

@@ -6,24 +6,18 @@
 //! ascending pool index): first open slot for FGT/PFGT, the prefix above
 //! a threshold for IEGT. That scan lives on here as the oracle. For random
 //! spaces and random selections of the other workers, both queries must
-//! return the same pool indices, payoff bits, `scanned` and `early_exit`,
-//! under both scan kernels and with the conflict index on and off.
+//! return the same pool indices, payoff bits, `scanned` and `early_exit`.
 //!
 //! Instances sit on a small lattice with rewards drawn from {0, 1, 2}, so
 //! payoff ties (mirror-image routes) and zero payoffs are common, and
 //! far-away workers or tight deadlines leave some lists empty.
-//!
-//! This file is its own test binary because it installs a hotpath profile
-//! to force the conflict index on; its single space-building test never
-//! races another test over that process-wide setting.
 
 use fta_algorithms::{DescScan, GameContext};
 use fta_core::entities::{DeliveryPoint, DistributionCenter, SpatialTask, Worker};
 use fta_core::geometry::Point;
 use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
 use fta_core::Instance;
-use fta_vdps::hotpath::{self, HotpathProfile};
-use fta_vdps::{ScanKernel, StrategySpace, VdpsConfig};
+use fta_vdps::{StrategySpace, VdpsConfig};
 use proptest::prelude::*;
 
 /// Lattice points around the center at the origin; mirrored pairs give
@@ -185,26 +179,23 @@ fn select(ctx: &mut GameContext<'_>, picks: &[usize]) {
 }
 
 fn check_space(space: &StrategySpace, picks: &[usize]) {
-    for kernel in [ScanKernel::Scalar, ScanKernel::Chunked] {
-        let mut ctx = GameContext::new(space);
-        ctx.set_scan_kernel(kernel);
-        // Several selections over one context, so winners move between
-        // queries and the cached ranks are exercised.
-        for shift in 0..3 {
-            let shifted: Vec<usize> = picks.iter().map(|p| p + shift).collect();
-            select(&mut ctx, &shifted);
-            for local in 0..ctx.n_workers() {
-                check_worker(&mut ctx, local, kernel);
-            }
+    let mut ctx = GameContext::new(space);
+    // Several selections over one context, so winners move between
+    // queries and the cached ranks are exercised.
+    for shift in 0..3 {
+        let shifted: Vec<usize> = picks.iter().map(|p| p + shift).collect();
+        select(&mut ctx, &shifted);
+        for local in 0..ctx.n_workers() {
+            check_worker(&mut ctx, local);
         }
     }
 }
 
-fn check_worker(ctx: &mut GameContext<'_>, local: usize, kernel: ScanKernel) {
+fn check_worker(ctx: &mut GameContext<'_>, local: usize) {
     let want = oracle_best(ctx, local);
     let (got, scan) = ctx.best_available(local);
     let got = got.map(|(idx, p)| (idx, p.to_bits()));
-    prop_assert_eq!((got, scan), want, "best, worker {} {:?}", local, kernel);
+    prop_assert_eq!((got, scan), want, "best, worker {}", local);
 
     let mut thresholds = vec![-1.0, 0.0, ctx.payoff(local), f64::INFINITY];
     thresholds.extend(ctx.space().payoffs_of(local).iter().take(3));
@@ -215,10 +206,9 @@ fn check_worker(ctx: &mut GameContext<'_>, local: usize, kernel: ScanKernel) {
         prop_assert_eq!(
             (bits(&out), scan),
             want,
-            "better, worker {} threshold {} {:?}",
+            "better, worker {} threshold {}",
             local,
-            threshold,
-            kernel
+            threshold
         );
     }
 }
@@ -232,19 +222,7 @@ proptest! {
         picks in prop::collection::vec(0usize..8, 1..8),
     ) {
         let view = &instance.center_views()[0];
-        let config = VdpsConfig::unpruned(3);
-        hotpath::reset();
-        let plain = StrategySpace::build(&instance, view, &config);
-        prop_assert!(plain.conflict_sets().is_none());
-        hotpath::install(&HotpathProfile {
-            conflict_index_min_slots: 1,
-            conflict_index_max_slots_per_bit: usize::MAX,
-            ..HotpathProfile::default()
-        });
-        let indexed = StrategySpace::build(&instance, view, &config);
-        hotpath::reset();
-        prop_assert_eq!(indexed.conflict_sets().is_some(), indexed.total_slots() > 0);
-        check_space(&plain, &picks);
-        check_space(&indexed, &picks);
+        let space = StrategySpace::build(&instance, view, &VdpsConfig::unpruned(3));
+        check_space(&space, &picks);
     }
 }

@@ -1,10 +1,12 @@
 //! Property-based equivalence of the chunked-limb scan kernels against
-//! the scalar reference loops, end to end through every assignment
-//! algorithm: for any random instance, a game solved with
-//! `ScanKernel::Chunked` must be *bit-identical* to the same game solved
-//! with `ScanKernel::Scalar` — same selections, same payoff bits, same
-//! work counters. The kernels are a pure representation change; any
-//! divergence is a kernel bug, never an acceptable rounding difference.
+//! the scalar loops they replaced, in the game states every assignment
+//! algorithm reaches: for any random instance, after any algorithm has
+//! played, and again as its workers drop out one by one, each worker's
+//! `GameContext::best_available` and `GameContext::better_available`
+//! must return *bit-identically* what a one-branch-per-slot loop over the
+//! worker's slots returns. The kernels are a pure representation change;
+//! any divergence is a kernel bug, never an acceptable rounding
+//! difference.
 
 use fta_algorithms::{
     fgt, gta, iegt, mpta, pfgt, random_assignment, FgtConfig, GameContext, IegtConfig, MptaConfig,
@@ -12,7 +14,7 @@ use fta_algorithms::{
 };
 use fta_core::Instance;
 use fta_data::{generate_syn, SynConfig};
-use fta_vdps::{ScanKernel, StrategySpace, VdpsConfig};
+use fta_vdps::{StrategySpace, VdpsConfig};
 use proptest::prelude::*;
 
 /// Random small instances driven by a seed and size knobs.
@@ -38,52 +40,73 @@ fn space(instance: &Instance) -> StrategySpace {
     StrategySpace::build(instance, &views[0], &VdpsConfig::unpruned(4))
 }
 
-/// Runs one algorithm under the given kernel and returns everything the
-/// other kernel must reproduce exactly: selections, payoff bits, and —
-/// for the trace-producing algorithms — the scan work counter (the
-/// kernels must visit candidates in the same order, so even `scanned`
-/// accounting is pinned).
-fn run(
-    s: &StrategySpace,
-    kernel: ScanKernel,
-    algorithm: usize,
-) -> (Vec<Option<u32>>, Vec<u64>, Option<u64>) {
-    let mut ctx = GameContext::new(s);
-    ctx.set_scan_kernel(kernel);
-    let scanned = match algorithm {
-        0 => {
-            gta(&mut ctx);
-            None
+/// The scalar argmax the chunked kernel replaced: the first strict payoff
+/// maximum among the slots disjoint from `taken`.
+fn best_open_scalar(masks: &[u128], payoffs: &[f64], taken: u128) -> Option<usize> {
+    let mut best = None;
+    let mut best_p = f64::NEG_INFINITY;
+    for (pos, &p) in payoffs.iter().enumerate() {
+        if p > best_p && masks[pos] & taken == 0 {
+            best = Some(pos);
+            best_p = p;
         }
-        1 => {
-            mpta(&mut ctx, &MptaConfig::default());
-            None
+    }
+    best
+}
+
+/// The scalar filter the chunked sweep replaced: the open slots paying
+/// strictly more than `threshold`, ascending.
+fn better_open_scalar(masks: &[u128], payoffs: &[f64], taken: u128, threshold: f64) -> Vec<usize> {
+    (0..masks.len())
+        .filter(|&pos| masks[pos] & taken == 0 && payoffs[pos] > threshold)
+        .collect()
+}
+
+/// Plays one algorithm on a fresh context.
+fn play(ctx: &mut GameContext<'_>, algorithm: usize) {
+    match algorithm {
+        0 => gta(ctx),
+        1 => mpta(ctx, &MptaConfig::default()),
+        2 => drop(fgt(ctx, &FgtConfig::default())),
+        3 => drop(pfgt(ctx, &PfgtConfig::default())),
+        4 => drop(iegt(ctx, &IegtConfig::default())),
+        _ => random_assignment(ctx, 7),
+    }
+}
+
+/// Every worker's chunked queries against the scalar loops in the
+/// context's current state.
+fn check_queries(ctx: &mut GameContext<'_>) {
+    let space = ctx.space();
+    for local in 0..ctx.n_workers() {
+        let (valid, payoffs, masks) = (
+            space.valid_of(local),
+            space.payoffs_of(local),
+            space.masks_of(local),
+        );
+        let taken = ctx.taken_mask() & !ctx.own_mask(local);
+        let want =
+            best_open_scalar(masks, payoffs, taken).map(|p| (valid[p], payoffs[p].to_bits()));
+        let got = ctx.best_available(local).0.map(|(i, p)| (i, p.to_bits()));
+        prop_assert_eq!(got, want, "best_available, worker {}", local);
+
+        let mut out = Vec::new();
+        for threshold in [-1.0, 0.0, ctx.payoff(local)] {
+            let want: Vec<(u32, u64)> = better_open_scalar(masks, payoffs, taken, threshold)
+                .into_iter()
+                .map(|p| (valid[p], payoffs[p].to_bits()))
+                .collect();
+            ctx.better_available(local, threshold, &mut out);
+            let got: Vec<(u32, u64)> = out.iter().map(|&(i, p)| (i, p.to_bits())).collect();
+            prop_assert_eq!(
+                got,
+                want,
+                "better_available, worker {} threshold {}",
+                local,
+                threshold
+            );
         }
-        2 => Some(
-            fgt(&mut ctx, &FgtConfig::default())
-                .stats
-                .candidates_scanned,
-        ),
-        3 => Some(
-            pfgt(&mut ctx, &PfgtConfig::default())
-                .stats
-                .candidates_scanned,
-        ),
-        4 => Some(
-            iegt(&mut ctx, &IegtConfig::default())
-                .stats
-                .candidates_scanned,
-        ),
-        _ => {
-            random_assignment(&mut ctx, 7);
-            None
-        }
-    };
-    let selections: Vec<Option<u32>> = (0..ctx.n_workers()).map(|l| ctx.selection(l)).collect();
-    let payoff_bits: Vec<u64> = (0..ctx.n_workers())
-        .map(|l| ctx.payoff(l).to_bits())
-        .collect();
-    (selections, payoff_bits, scanned)
+    }
 }
 
 proptest! {
@@ -95,10 +118,14 @@ proptest! {
         algorithm in 0usize..6,
     ) {
         let s = space(&instance);
-        let scalar = run(&s, ScanKernel::Scalar, algorithm);
-        let chunked = run(&s, ScanKernel::Chunked, algorithm);
-        prop_assert_eq!(&scalar.0, &chunked.0, "selections diverged (algorithm {})", algorithm);
-        prop_assert_eq!(&scalar.1, &chunked.1, "payoff bits diverged (algorithm {})", algorithm);
-        prop_assert_eq!(scalar.2, chunked.2, "candidates_scanned diverged (algorithm {})", algorithm);
+        let mut ctx = GameContext::new(&s);
+        play(&mut ctx, algorithm);
+        check_queries(&mut ctx);
+        // Release the workers one by one: every intermediate state frees
+        // delivery points, so the open sets grow between checks.
+        for local in 0..ctx.n_workers() {
+            ctx.set_strategy(local, None);
+            check_queries(&mut ctx);
+        }
     }
 }

@@ -1,12 +1,13 @@
-//! Rival-payoff engine benchmarks — rebuild-per-turn vs incremental
-//! order-statistic maintenance in the FGT best-response loop.
+//! Best-response engine benchmarks — exhaustive evaluation over an
+//! incrementally maintained rival set vs the monotone fast path in the
+//! FGT loop.
 //!
-//! The rebuild engine constructs a fresh `IauEvaluator` (an `O(n)` copy of
-//! every rival payoff) for each worker turn; the incremental engine builds
-//! one `RivalSet` per run and patches it with `O(log n)` remove/insert
-//! pairs. The gap widens with the worker count, so the sweep goes up to
-//! `n = 1000` workers on a single-center instance. VDPS generation is done
-//! once outside the timed region: only the equilibrium loop is measured.
+//! Both engines build one `RivalSet` per run and patch it with
+//! `O(log n)` remove/insert pairs; the incremental engine evaluates the
+//! IAU of every available candidate, the fast path only of the
+//! highest-payoff one. The sweep goes up to `n = 1000` workers on a
+//! single-center instance. VDPS generation is done once outside the timed
+//! region: only the equilibrium loop is measured.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fta_algorithms::{fgt, BestResponseEngine, FgtConfig, GameContext};
@@ -16,8 +17,8 @@ use std::hint::black_box;
 
 fn engines() -> Vec<(&'static str, BestResponseEngine)> {
     vec![
-        ("rebuild", BestResponseEngine::Rebuild),
         ("incremental", BestResponseEngine::Incremental),
+        ("fastpath", BestResponseEngine::FastPath),
     ]
 }
 

@@ -1,7 +1,7 @@
 //! C-VDPS generation benchmarks — the CPU-time story of Figures 2–3:
 //! ε-pruned generation vs the unpruned `-W` variant across delivery-point
-//! counts and ε values, plus the ISSUE 2 engine comparison (brute-force
-//! naive / hash-map oracle / flat frontier, sequential and pooled) and a
+//! counts and ε values, plus the generator against the brute-force
+//! reference (naive vs the DP, sequential and pooled) and a
 //! sequential-vs-pooled whole-solve benchmark on a multi-center instance.
 //!
 //! Set `FTA_BENCH_QUICK=1` for a CI-sized run (small sweeps, few samples).
@@ -10,9 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fta_algorithms::{solve_with_pool, Algorithm, SolveConfig};
 use fta_bench::syn_single_center;
 use fta_data::SynConfig;
-use fta_vdps::generator::generate_c_vdps_hashmap;
 use fta_vdps::naive::generate_naive;
-use fta_vdps::{generate_c_vdps_flat, StrategySpace, VdpsConfig, WorkerPool};
+use fta_vdps::{generate_c_vdps_in, StrategySpace, VdpsConfig, WorkerPool};
 use std::hint::black_box;
 
 /// CI quick mode: tiny sweeps so `cargo bench -- vdps` finishes in seconds.
@@ -104,16 +103,9 @@ fn bench_engines(c: &mut Criterion) {
                 b.iter(|| black_box(generate_naive(&instance, &aggs, &views[0], &config)));
             });
         }
-        group.bench_with_input(BenchmarkId::new("hashmap", n_dps), &n_dps, |b, _| {
-            b.iter(|| {
-                black_box(generate_c_vdps_hashmap(
-                    &instance, &aggs, &views[0], &config,
-                ))
-            });
-        });
         group.bench_with_input(BenchmarkId::new("flat", n_dps), &n_dps, |b, _| {
             b.iter(|| {
-                black_box(generate_c_vdps_flat(
+                black_box(generate_c_vdps_in(
                     &instance, &aggs, &views[0], &config, None,
                 ))
             });
@@ -121,7 +113,7 @@ fn bench_engines(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("flat_pooled", n_dps), &n_dps, |b, _| {
             b.iter(|| {
                 pool.scope(|ts| {
-                    black_box(generate_c_vdps_flat(
+                    black_box(generate_c_vdps_in(
                         &instance,
                         &aggs,
                         &views[0],
@@ -189,7 +181,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("recording_off", n_dps), &n_dps, |b, _| {
         assert!(!fta_obs::enabled(), "no recorder may be active here");
         b.iter(|| {
-            black_box(generate_c_vdps_flat(
+            black_box(generate_c_vdps_in(
                 &instance, &aggs, &views[0], &config, None,
             ))
         });
@@ -197,7 +189,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("recording_on", n_dps), &n_dps, |b, _| {
         let recorder = fta_obs::Recorder::install();
         b.iter(|| {
-            black_box(generate_c_vdps_flat(
+            black_box(generate_c_vdps_in(
                 &instance, &aggs, &views[0], &config, None,
             ))
         });

@@ -1,6 +1,6 @@
 //! Writes `BENCH_br.json`: a machine-readable snapshot of the
-//! best-response engine comparison (exhaustive rebuild vs incremental
-//! rival-set vs monotone fast path) across an `engine × n × |ST|` grid,
+//! best-response engine comparison (incremental rival-set vs monotone
+//! fast path) across an `engine × n × |ST|` grid,
 //! so the perf trajectory of the equilibrium-loop fast path is tracked
 //! in-repo. Strategy spaces are built once per row and every engine runs
 //! FGT to convergence over the same spaces, so the timings isolate the
@@ -18,26 +18,10 @@
 //! must exhaust their lists under every engine and no scan policy helps.
 
 use fta_algorithms::{fgt, BestResponseEngine, BestResponseStats, FgtConfig, GameContext};
+use fta_bench::{best_secs, obj};
 use fta_data::SynConfig;
 use fta_vdps::{StrategySpace, VdpsConfig};
 use serde_json::Value;
-use std::hint::black_box;
-use std::time::Instant;
-
-/// Best-of-`reps` wall time of `f`, in seconds.
-fn best_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
 
 struct Row {
     label: &'static str,
@@ -106,30 +90,27 @@ fn main() -> std::io::Result<()> {
         };
 
         let engines = [
-            BestResponseEngine::Rebuild,
             BestResponseEngine::Incremental,
             BestResponseEngine::FastPath,
         ];
-        let mut secs = [0.0f64; 3];
-        let mut stats = [BestResponseStats::default(); 3];
+        let mut secs = [0.0f64; 2];
+        let mut stats = [BestResponseStats::default(); 2];
         for (i, &engine) in engines.iter().enumerate() {
             secs[i] = best_secs(reps, || run(engine));
             stats[i] = run(engine);
         }
-        let [rebuild_s, incremental_s, fastpath_s] = secs;
-        let fast = stats[2];
+        let [incremental_s, fastpath_s] = secs;
+        let [incremental, fast] = stats;
         let speedup_incremental = incremental_s / fastpath_s;
-        let speedup_rebuild = rebuild_s / fastpath_s;
         let scan_reduction =
-            stats[1].candidates_scanned as f64 / fast.candidates_scanned.max(1) as f64;
+            incremental.candidates_scanned as f64 / fast.candidates_scanned.max(1) as f64;
 
         fta_obs::info!(
-            "{}: n={} |ST|={} — rebuild {:.2} ms, incremental {:.2} ms, \
+            "{}: n={} |ST|={} — incremental {:.2} ms, \
              fastpath {:.2} ms ({:.2}x vs incremental, {:.1}x fewer scans)",
             row.label,
             row.n_workers,
             total_slots,
-            rebuild_s * 1e3,
             incremental_s * 1e3,
             fastpath_s * 1e3,
             speedup_incremental,
@@ -153,14 +134,12 @@ fn main() -> std::io::Result<()> {
             ("n_centers", Value::UInt(row.n_centers as u64)),
             ("n_dps", Value::UInt(row.n_dps as u64)),
             ("total_slots", Value::UInt(total_slots as u64)),
-            ("rebuild_ms", Value::Float(rebuild_s * 1e3)),
             ("incremental_ms", Value::Float(incremental_s * 1e3)),
             ("fastpath_ms", Value::Float(fastpath_s * 1e3)),
             (
                 "speedup_fastpath_vs_incremental",
                 Value::Float(speedup_incremental),
             ),
-            ("speedup_fastpath_vs_rebuild", Value::Float(speedup_rebuild)),
             ("scan_reduction", Value::Float(scan_reduction)),
             (
                 "fastpath_counters",
@@ -169,7 +148,6 @@ fn main() -> std::io::Result<()> {
                     ("fastpath_rounds", Value::UInt(fast.fastpath_rounds)),
                     ("candidates_scanned", Value::UInt(fast.candidates_scanned)),
                     ("early_exits", Value::UInt(fast.early_exits)),
-                    ("index_updates", Value::UInt(fast.index_updates)),
                     (
                         "candidate_evaluations",
                         Value::UInt(fast.candidate_evaluations),
@@ -178,7 +156,7 @@ fn main() -> std::io::Result<()> {
             ),
             (
                 "exhaustive_candidates_scanned",
-                Value::UInt(stats[1].candidates_scanned),
+                Value::UInt(incremental.candidates_scanned),
             ),
         ]));
     }
@@ -188,9 +166,9 @@ fn main() -> std::io::Result<()> {
             "description",
             Value::String(
                 "FGT equilibrium-loop wall time by best-response engine \
-                 (exhaustive rebuild vs incremental rival-set vs monotone \
-                 fast path) over prebuilt strategy spaces, best-of-N, \
-                 default IAU weights (fast-path sound)"
+                 (incremental rival-set vs monotone fast path) over prebuilt \
+                 strategy spaces, best-of-N, default IAU weights (fast-path \
+                 sound)"
                     .to_owned(),
             ),
         ),

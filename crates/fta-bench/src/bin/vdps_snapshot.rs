@@ -1,9 +1,8 @@
-//! Writes `BENCH_vdps.json`: a machine-readable snapshot of old-vs-new
-//! C-VDPS generation wall time (hash-map oracle vs flat-frontier engine)
-//! at n ∈ {20, 40, 60} delivery points on the unpruned DP, plus a
-//! sequential-vs-pooled whole-solve comparison on a multi-center
-//! instance, so the perf trajectory of ISSUE 2 is tracked in-repo.
-//! Each flat-engine entry also embeds a telemetry span breakdown
+//! Writes `BENCH_vdps.json`: a machine-readable snapshot of C-VDPS
+//! generation wall time at n ∈ {20, 40, 60} delivery points on the
+//! unpruned DP, plus a sequential-vs-pooled whole-solve comparison on a
+//! multi-center instance, so the generator's perf trajectory is tracked
+//! in-repo. Each generation entry also embeds a telemetry span breakdown
 //! (dp — with the adjacency build inside it — vs route vs merge
 //! milliseconds) captured via `fta-obs`.
 //!
@@ -12,28 +11,10 @@
 //! repetition counts (CI smoke mode).
 
 use fta_algorithms::{solve_with_pool, Algorithm, SolveConfig};
-use fta_bench::syn_single_center;
+use fta_bench::{best_secs, obj, syn_single_center};
 use fta_data::SynConfig;
-use fta_vdps::generator::generate_c_vdps_hashmap;
-use fta_vdps::{generate_c_vdps_flat, VdpsConfig, WorkerPool};
+use fta_vdps::{generate_c_vdps_in, VdpsConfig, WorkerPool};
 use serde_json::Value;
-use std::hint::black_box;
-use std::time::Instant;
-
-/// Best-of-`reps` wall time of `f`, in seconds.
-fn best_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
 
 fn main() -> std::io::Result<()> {
     let out = std::env::args()
@@ -43,33 +24,27 @@ fn main() -> std::io::Result<()> {
     let reps = if quick { 3 } else { 7 };
     let config = VdpsConfig::unpruned(3);
 
-    // Single-thread engine comparison: old (hashmap) vs new (flat).
-    let mut engines = Vec::new();
+    // Single-thread generation.
+    let mut rows = Vec::new();
     for n_dps in [20usize, 40, 60] {
         let instance = syn_single_center(40, n_dps, 7);
         let aggs = instance.dp_aggregates();
         let views = instance.center_views();
-        let hashmap_s = best_secs(reps, || {
-            generate_c_vdps_hashmap(&instance, &aggs, &views[0], &config)
+        let gen_s = best_secs(reps, || {
+            generate_c_vdps_in(&instance, &aggs, &views[0], &config, None)
         });
-        let flat_s = best_secs(reps, || {
-            generate_c_vdps_flat(&instance, &aggs, &views[0], &config, None)
-        });
-        // One instrumented run: the telemetry spans split the flat
-        // engine's wall time into its dp (adjacency inside) / route /
-        // merge phases.
+        // One instrumented run: the telemetry spans split the wall time
+        // into its dp (adjacency inside) / route / merge phases.
         let recorder = fta_obs::Recorder::install();
-        let (pool_ref, _) = generate_c_vdps_flat(&instance, &aggs, &views[0], &config, None);
+        let (pool_ref, _) = generate_c_vdps_in(&instance, &aggs, &views[0], &config, None);
         let telemetry = recorder.finish();
         let span_ms = |name: &str| Value::Float(telemetry.span_nanos(name) as f64 / 1e6);
-        engines.push(obj(vec![
+        rows.push(obj(vec![
             ("n_dps", Value::UInt(n_dps as u64)),
             ("vdps_count", Value::UInt(pool_ref.len() as u64)),
-            ("hashmap_ms", Value::Float(hashmap_s * 1e3)),
-            ("flat_ms", Value::Float(flat_s * 1e3)),
-            ("speedup", Value::Float(hashmap_s / flat_s)),
+            ("ms", Value::Float(gen_s * 1e3)),
             (
-                "flat_span_breakdown_ms",
+                "span_breakdown_ms",
                 obj(vec![
                     ("dp", span_ms("vdps.dp")),
                     ("adjacency", span_ms("vdps.adjacency")),
@@ -82,12 +57,7 @@ fn main() -> std::io::Result<()> {
                 Value::UInt(telemetry.span_count("vdps.layer") as u64),
             ),
         ]));
-        fta_obs::info!(
-            "n={n_dps}: hashmap {:.2} ms, flat {:.2} ms ({:.2}x)",
-            hashmap_s * 1e3,
-            flat_s * 1e3,
-            hashmap_s / flat_s
-        );
+        fta_obs::info!("n={n_dps}: {:.2} ms", gen_s * 1e3);
     }
 
     // Whole-solve on a multi-center instance: sequential vs pooled.
@@ -128,14 +98,13 @@ fn main() -> std::io::Result<()> {
         (
             "description",
             Value::String(
-                "C-VDPS generation wall time, hash-map oracle vs flat-frontier \
-                 engine (unpruned, max_len 3, best-of-N), and sequential vs \
-                 pooled multi-center solve"
+                "C-VDPS generation wall time (unpruned, max_len 3, \
+                 best-of-N), and sequential vs pooled multi-center solve"
                     .to_owned(),
             ),
         ),
         ("reps", Value::UInt(reps as u64)),
-        ("engines_unpruned", Value::Array(engines)),
+        ("generation_unpruned", Value::Array(rows)),
         (
             "solve_multi_center",
             obj(vec![

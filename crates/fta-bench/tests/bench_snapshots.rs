@@ -1,6 +1,6 @@
 //! Schema validation of the committed perf snapshots at the repo root:
 //! `BENCH_incremental.json` (incremental re-solve), `BENCH_hotpath.json`
-//! (chunked kernels + calibrated hot-path profile), `BENCH_durable.json`
+//! (chunked scan kernels and the dedup table), `BENCH_durable.json`
 //! (journaling overhead per fsync policy), `BENCH_scale.json`
 //! (geo-sharded concurrent solves up to 10^5 workers), and the
 //! multi-center block of `BENCH_vdps.json` must parse, carry every field
@@ -288,8 +288,10 @@ fn bench_hotpath_snapshot_is_schema_valid() {
     let micro = &v["microkernels"];
     let scan = &micro["scan"];
     assert!(scan["len"].as_u64().unwrap_or(0) > 0, "scan missing len");
+    let open_rate = scan["open_rate"].as_f64().expect("scan open_rate");
+    assert!((0.0..=1.0).contains(&open_rate));
     let mut scan_best = 0.0f64;
-    for section in ["first_open", "sweep"] {
+    for section in ["best_open", "sweep"] {
         let s = &scan[section];
         let scalar = s["scalar_us"].as_f64().expect("scan scalar_us");
         let chunked = s["chunked_us"].as_f64().expect("scan chunked_us");
@@ -305,68 +307,18 @@ fn bench_hotpath_snapshot_is_schema_valid() {
         scan_best >= gates::hotpath_scan_floor(false),
         "committed scan speedup {scan_best:.2}x below the full-mode floor"
     );
-    for (section, floor) in [
-        ("gather", None),
-        ("dedup", Some(gates::hotpath_dedup_floor(false))),
-        ("emission", None),
-    ] {
-        let speedup = micro[section]["speedup"]
-            .as_f64()
-            .unwrap_or_else(|| panic!("microkernels.{section} missing speedup"));
-        assert!(speedup > 0.0);
-        if let Some(floor) = floor {
-            assert!(
-                speedup >= floor,
-                "committed {section} speedup {speedup:.2}x below its {floor:.2}x floor"
-            );
-        }
-    }
-
-    // Calibration: the model constants, the measured maintenance cost,
-    // and a non-empty sweep with internally consistent modeled costs.
-    let cal = &v["calibration"];
-    assert!(cal["probes_per_switch"].as_f64().unwrap_or(0.0) > 0.0);
-    assert!(cal["bits_per_switch"].as_f64().unwrap_or(0.0) > 0.0);
-    assert!(cal["maintenance_ns_per_entry"].as_f64().unwrap_or(-1.0) >= 0.0);
-    assert!(cal["crossover_found"].as_bool().is_some());
-    let sweep = cal["sweep"].as_array().expect("calibration sweep array");
-    assert!(!sweep.is_empty(), "calibration sweep must not be empty");
-    for point in sweep {
-        assert!(point["slots"].as_u64().unwrap_or(0) > 0);
-        let probe = point["index_probe_us"].as_f64().expect("index_probe_us");
-        let total = point["index_total_us"].as_f64().expect("index_total_us");
-        assert!(point["scan_us"].as_f64().unwrap_or(0.0) > 0.0);
-        assert!(
-            total >= probe,
-            "modeled index total must include the probe cost"
-        );
-    }
-
-    // End-to-end: the calibrated profile must beat the legacy profile by
-    // the acceptance floor, and the axis attribution must be present.
-    let e2e = &v["end_to_end"];
-    assert_eq!(e2e["n_workers"].as_u64(), Some(1000));
-    let legacy = e2e["legacy_ms"].as_f64().expect("legacy_ms");
-    let calibrated = e2e["calibrated_ms"].as_f64().expect("calibrated_ms");
-    let speedup = e2e["speedup"].as_f64().expect("e2e speedup");
-    assert!(legacy > 0.0 && calibrated > 0.0);
+    let dedup = &micro["dedup"];
+    let legacy = dedup["legacy_ms"].as_f64().expect("dedup legacy_ms");
+    let table = dedup["table_ms"].as_f64().expect("dedup table_ms");
+    let speedup = dedup["speedup"].as_f64().expect("dedup speedup");
+    assert!(legacy > 0.0 && table > 0.0);
     assert!(
-        (speedup - legacy / calibrated).abs() <= speedup * 1e-6,
-        "e2e speedup inconsistent with its timings"
+        (speedup - legacy / table).abs() <= speedup * 1e-6,
+        "dedup speedup inconsistent with its timings"
     );
     assert!(
-        speedup >= gates::hotpath_e2e_floor(false),
-        "committed e2e speedup {speedup:.2}x below the full-mode floor"
+        speedup >= gates::hotpath_dedup_floor(false),
+        "committed dedup speedup {speedup:.2}x below its {:.2}x floor",
+        gates::hotpath_dedup_floor(false)
     );
-    assert!(
-        !e2e["axes"].as_array().expect("e2e axes").is_empty(),
-        "e2e axis attribution must not be empty"
-    );
-
-    // The embedded profile must round-trip through the solver's loader —
-    // the exact path `fta solve --hotpath-profile BENCH_hotpath.json`
-    // takes (the loader accepts the wrapped snapshot form).
-    let profile = fta_vdps::hotpath::from_json_str(&raw)
-        .expect("embedded profile parses via the solver's loader");
-    assert!(profile.conflict_index_min_slots >= 256);
 }

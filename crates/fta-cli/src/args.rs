@@ -3,7 +3,6 @@
 use fta_algorithms::{Algorithm, BestResponseEngine, FgtConfig, IegtConfig, MptaConfig};
 use fta_core::ShardBy;
 use fta_durable::FsyncPolicy;
-use fta_vdps::VdpsEngine;
 use std::path::PathBuf;
 
 /// The usage banner.
@@ -19,11 +18,10 @@ COMMANDS
       Print an instance's cardinalities and per-center structure.
 
   solve <INSTANCE> [--algo gta|mpta|fgt|iegt|random] [--epsilon E]
-        [--max-len N] [--engine flat|hashmap]
-        [--br-engine auto|exhaustive|incremental|fastpath] [--parallel]
-        [--out FILE] [--budget-ms MS] [--max-states N] [--max-rounds N]
-        [--trace-out FILE] [--metrics-out FILE] [--ledger-out FILE]
-        [--hotpath-profile FILE] [--inject-panic CENTER]
+        [--max-len N] [--br-engine auto|incremental|fastpath]
+        [--parallel] [--out FILE] [--budget-ms MS] [--max-states N]
+        [--max-rounds N] [--trace-out FILE] [--metrics-out FILE]
+        [--ledger-out FILE] [--inject-panic CENTER]
         [--shards N] [--shard-by hash|geo]
       Run an assignment algorithm; print the summary, optionally write
       the assignment JSON. With --trace-out / --metrics-out a telemetry
@@ -40,7 +38,9 @@ COMMANDS
       concurrently with cost-aware (largest-first) scheduling;
       --shard-by picks the partitioner (hash: center-id scatter, geo:
       k-means proximity clustering). Sharding never changes a
-      deterministic algorithm's assignment.
+      deterministic algorithm's assignment. Exits non-zero, naming
+      them, when a center had to be skipped (its solve panicked twice)
+      — a failure, unlike a budget degradation.
 
   simulate [--algo gta|mpta|fgt|iegt|random|immediate] [--seed S]
            [--hours H] [--period-min M] [--workers N] [--dps N]
@@ -106,27 +106,19 @@ COMMANDS
       Find the minimum-travel deadline-feasible visiting order of the
       given delivery points.
 
-  compare <INSTANCE> [--epsilon E] [--max-len N] [--engine flat|hashmap]
-          [--parallel]
+  compare <INSTANCE> [--epsilon E] [--max-len N] [--parallel]
       Run every assignment algorithm on the instance and print a
       fairness/payoff/CPU comparison table.
 
 OPTIONS
-  --engine flat|hashmap   VDPS generator implementation (default: flat,
-      the cache-friendly parallel engine; hashmap is the reference DP —
-      both produce identical pools).
-  --br-engine auto|exhaustive|incremental|fastpath   Best-response
-      engine of the equilibrium loops (fgt/iegt only; default: auto =
-      fastpath, which self-falls-back to the exhaustive evaluation when
-      the IAU weights make the monotone scan unsound, i.e. β ≥ 1).
+  --br-engine auto|incremental|fastpath   Best-response engine of the
+      equilibrium loops (fgt/iegt only; default: auto = fastpath, which
+      self-falls-back to the incremental engine's exhaustive evaluation
+      when the IAU weights make the monotone scan unsound, i.e. β ≥ 1).
+      Both engines reach the same equilibrium.
   --parallel              Run on a worker pool bounded by the number of
       CPUs (per-center jobs, per-layer DP expansion, and per-worker
-      validation all share the pool).
-  --hotpath-profile FILE  Load calibrated hot-path knobs (scan/emission
-      kernel selection and conflict-index crossover thresholds) from a
-      JSON profile, e.g. the `profile` object of BENCH_hotpath.json
-      written by the hotpath_snapshot bench. Without it the compiled-in
-      defaults apply; every profile produces bit-identical assignments.";
+      validation all share the pool).";
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,8 +161,6 @@ pub enum Command {
         epsilon: Option<f64>,
         /// VDPS length cap.
         max_len: usize,
-        /// VDPS generator engine.
-        engine: VdpsEngine,
         /// Best-response engine of the equilibrium loops (`--br-engine`;
         /// `auto` resolves to the self-guarding fast path).
         br_engine: BestResponseEngine,
@@ -190,8 +180,6 @@ pub enum Command {
         metrics_out: Option<PathBuf>,
         /// Optional solve ledger output path (JSONL, schema `fta-ledger`).
         ledger_out: Option<PathBuf>,
-        /// Optional calibrated hot-path profile to install before solving.
-        hotpath_profile: Option<PathBuf>,
         /// Deliberately panic the given center's solve (forensics
         /// testing; the panic is quarantined).
         inject_panic: Option<u32>,
@@ -297,8 +285,6 @@ pub enum Command {
         epsilon: Option<f64>,
         /// VDPS length cap.
         max_len: usize,
-        /// VDPS generator engine.
-        engine: VdpsEngine,
         /// Per-center threading.
         parallel: bool,
     },
@@ -317,11 +303,6 @@ pub fn algorithm_by_name(name: &str) -> Option<Algorithm> {
     })
 }
 
-fn parse_engine(raw: &str) -> Result<VdpsEngine, String> {
-    VdpsEngine::by_name(raw)
-        .ok_or_else(|| format!("unknown engine `{raw}`; expected flat | hashmap"))
-}
-
 fn parse_br_engine(raw: &str) -> Result<BestResponseEngine, String> {
     Ok(match raw {
         // `auto` and `fastpath` are the same engine: FastPath guards its
@@ -330,10 +311,9 @@ fn parse_br_engine(raw: &str) -> Result<BestResponseEngine, String> {
         // CLI to decide.
         "auto" | "fastpath" => BestResponseEngine::FastPath,
         "incremental" => BestResponseEngine::Incremental,
-        "exhaustive" => BestResponseEngine::Rebuild,
         other => {
             return Err(format!(
-                "unknown best-response engine `{other}`; expected auto | exhaustive | incremental | fastpath"
+                "unknown best-response engine `{other}`; expected auto | incremental | fastpath"
             ))
         }
     })
@@ -408,7 +388,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut algorithm_name = "iegt".to_owned();
             let mut epsilon = Some(2.0);
             let mut max_len = 8usize;
-            let mut engine = VdpsEngine::default();
             let mut br_engine = BestResponseEngine::default();
             let mut parallel = false;
             let mut budget_ms = None;
@@ -418,7 +397,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut trace_out = None;
             let mut metrics_out = None;
             let mut ledger_out = None;
-            let mut hotpath_profile = None;
             let mut inject_panic = None;
             let mut shards = None;
             let mut shard_by = ShardBy::default();
@@ -437,7 +415,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         };
                     }
                     "--max-len" => max_len = parse_num(value("--max-len")?, "--max-len")?,
-                    "--engine" => engine = parse_engine(value("--engine")?)?,
                     "--br-engine" => br_engine = parse_br_engine(value("--br-engine")?)?,
                     "--parallel" => parallel = true,
                     "--budget-ms" => {
@@ -453,9 +430,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     "--trace-out" => trace_out = Some(PathBuf::from(value("--trace-out")?)),
                     "--metrics-out" => metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
                     "--ledger-out" => ledger_out = Some(PathBuf::from(value("--ledger-out")?)),
-                    "--hotpath-profile" => {
-                        hotpath_profile = Some(PathBuf::from(value("--hotpath-profile")?));
-                    }
                     "--inject-panic" => {
                         inject_panic = Some(parse_num(value("--inject-panic")?, "--inject-panic")?);
                     }
@@ -472,7 +446,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 algorithm_name,
                 epsilon,
                 max_len,
-                engine,
                 br_engine,
                 parallel,
                 budget_ms,
@@ -482,7 +455,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 trace_out,
                 metrics_out,
                 ledger_out,
-                hotpath_profile,
                 inject_panic,
                 shards,
                 shard_by,
@@ -705,7 +677,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let instance = it.next().ok_or("compare needs an instance path")?;
             let mut epsilon = Some(2.0);
             let mut max_len = 8usize;
-            let mut engine = VdpsEngine::default();
             let mut parallel = false;
             while let Some(arg) = it.next() {
                 let mut value = |flag: &str| -> Result<&String, String> {
@@ -721,7 +692,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         };
                     }
                     "--max-len" => max_len = parse_num(value("--max-len")?, "--max-len")?,
-                    "--engine" => engine = parse_engine(value("--engine")?)?,
                     "--parallel" => parallel = true,
                     other => return Err(format!("unknown compare flag `{other}`")),
                 }
@@ -730,7 +700,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 instance: PathBuf::from(instance),
                 epsilon,
                 max_len,
-                engine,
                 parallel,
             })
         }
@@ -852,21 +821,15 @@ mod tests {
     }
 
     #[test]
-    fn engine_flag_selects_generator_engine() {
-        match parse(&argv("solve city.json")).unwrap() {
-            Command::Solve { engine, .. } => assert_eq!(engine, VdpsEngine::Flat),
-            other => panic!("wrong command {other:?}"),
+    fn retired_engine_and_profile_flags_are_rejected() {
+        for flags in [
+            "solve city.json --engine flat",
+            "solve city.json --hotpath-profile hp.json",
+            "solve city.json --br-engine exhaustive",
+            "compare city.json --engine hashmap",
+        ] {
+            assert!(parse(&argv(flags)).is_err(), "{flags} was accepted");
         }
-        match parse(&argv("solve city.json --engine hashmap")).unwrap() {
-            Command::Solve { engine, .. } => assert_eq!(engine, VdpsEngine::Hashmap),
-            other => panic!("wrong command {other:?}"),
-        }
-        match parse(&argv("compare city.json --engine flat")).unwrap() {
-            Command::Compare { engine, .. } => assert_eq!(engine, VdpsEngine::Flat),
-            other => panic!("wrong command {other:?}"),
-        }
-        let err = parse(&argv("solve city.json --engine turbo")).unwrap_err();
-        assert!(err.contains("unknown engine"));
     }
 
     #[test]
@@ -882,7 +845,6 @@ mod tests {
             ("auto", BestResponseEngine::FastPath),
             ("fastpath", BestResponseEngine::FastPath),
             ("incremental", BestResponseEngine::Incremental),
-            ("exhaustive", BestResponseEngine::Rebuild),
         ];
         for (name, expected) in cases {
             match parse(&argv(&format!("solve city.json --br-engine {name}"))).unwrap() {
@@ -923,24 +885,6 @@ mod tests {
             }
             other => panic!("wrong command {other:?}"),
         }
-    }
-
-    #[test]
-    fn solve_accepts_hotpath_profile() {
-        match parse(&argv("solve city.json --hotpath-profile hp.json")).unwrap() {
-            Command::Solve {
-                hotpath_profile, ..
-            } => assert_eq!(hotpath_profile, Some(PathBuf::from("hp.json"))),
-            other => panic!("wrong command {other:?}"),
-        }
-        match parse(&argv("solve city.json")).unwrap() {
-            Command::Solve {
-                hotpath_profile, ..
-            } => assert!(hotpath_profile.is_none()),
-            other => panic!("wrong command {other:?}"),
-        }
-        let err = parse(&argv("solve city.json --hotpath-profile")).unwrap_err();
-        assert!(err.contains("--hotpath-profile needs a value"));
     }
 
     #[test]

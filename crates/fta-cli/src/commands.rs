@@ -376,7 +376,6 @@ pub fn execute(command: &Command) -> Result<String, String> {
             algorithm_name,
             epsilon,
             max_len,
-            engine,
             br_engine,
             parallel,
             budget_ms,
@@ -386,17 +385,13 @@ pub fn execute(command: &Command) -> Result<String, String> {
             trace_out,
             metrics_out,
             ledger_out,
-            hotpath_profile,
             inject_panic,
             shards,
             shard_by,
         } => {
-            use fta_algorithms::{fastpath_sound, solve_sharded, Algorithm, PanicInjection};
-            if let Some(path) = hotpath_profile {
-                let profile = fta_vdps::hotpath::load(path)
-                    .map_err(|e| format!("--hotpath-profile {}: {e}", path.display()))?;
-                fta_vdps::hotpath::install(&profile);
-            }
+            use fta_algorithms::{
+                fastpath_sound, solve_sharded, Algorithm, LadderRung, PanicInjection,
+            };
             let inst = load_instance(instance).map_err(|e| e.to_string())?;
             // Thread the requested best-response engine into whichever
             // equilibrium loop the algorithm runs (baselines have none),
@@ -422,7 +417,6 @@ pub fn execute(command: &Command) -> Result<String, String> {
             let vdps = VdpsConfig {
                 epsilon: *epsilon,
                 max_len: *max_len,
-                engine: *engine,
             };
             let budget = SolveBudget {
                 wall_ms: *budget_ms,
@@ -457,7 +451,6 @@ pub fn execute(command: &Command) -> Result<String, String> {
             let mut text = String::new();
             let report = fta_algorithms::SolveReport::new(&outcome)
                 .label(&label)
-                .engine(engine.name())
                 .br_engine(br_engine.name(), fastpath_eligible)
                 .to_string();
             // Header first, assignment summary, then the stats lines.
@@ -494,7 +487,7 @@ pub fn execute(command: &Command) -> Result<String, String> {
                         &inst,
                         &outcome,
                         algorithm_name,
-                        engine.name(),
+                        br_engine.name(),
                     )],
                 };
                 fta_obs::ledger::write_file(&ledger, path).map_err(|e| e.to_string())?;
@@ -505,7 +498,23 @@ pub fn execute(command: &Command) -> Result<String, String> {
                     path.display()
                 );
             }
-            Ok(text)
+            // A skipped center contributes nothing: the solve failed there,
+            // which a budget degradation never does.
+            let skipped: Vec<String> = outcome
+                .rungs
+                .iter()
+                .filter(|&&(_, rung)| rung == LadderRung::Skipped)
+                .map(|(center, _)| center.to_string())
+                .collect();
+            if skipped.is_empty() {
+                Ok(text)
+            } else {
+                Err(format!(
+                    "{text}solve failed: {} center(s) skipped after repeated panics: {}",
+                    skipped.len(),
+                    skipped.join(", ")
+                ))
+            }
         }
         Command::Simulate {
             policy,
@@ -880,7 +889,6 @@ pub fn execute(command: &Command) -> Result<String, String> {
             instance,
             epsilon,
             max_len,
-            engine,
             parallel,
         } => {
             use fta_algorithms::{Algorithm, FgtConfig, IegtConfig, MptaConfig};
@@ -889,7 +897,6 @@ pub fn execute(command: &Command) -> Result<String, String> {
             let vdps = VdpsConfig {
                 epsilon: *epsilon,
                 max_len: *max_len,
-                engine: *engine,
             };
             let mut text = format!(
                 "{:<6} {:>10} {:>11} {:>8} {:>10} {:>11}\n",
@@ -1094,11 +1101,11 @@ mod tests {
             execute(&cmd).unwrap()
         };
         let fast = run(" --br-engine fastpath");
-        let exhaustive = run(" --br-engine exhaustive");
+        let exhaustive = run(" --br-engine incremental");
         assert!(fast.contains("best-response engine: fastpath"));
-        assert!(exhaustive.contains("best-response engine: exhaustive"));
+        assert!(exhaustive.contains("best-response engine: incremental"));
 
-        // All engines converge to the same equilibrium; the rendered
+        // Both engines converge to the same equilibrium; the rendered
         // convergence line (P_dif, average payoff) must agree.
         let convergence = |out: &str| {
             out.lines()
@@ -1112,7 +1119,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_reports_generation_work_for_both_engines() {
+    fn solve_reports_the_same_generation_work_at_every_thread_count() {
         let instance_path = temp("genwork.json");
         let cmd = parse(&argv(&format!(
             "generate syn --seed 33 --centers 1 --workers 6 --tasks 60 --dps 10 --out {}",
@@ -1122,19 +1129,19 @@ mod tests {
         execute(&cmd).unwrap();
 
         let mut summaries = Vec::new();
-        for engine in ["flat", "hashmap"] {
+        for flag in ["", " --parallel"] {
             let cmd = parse(&argv(&format!(
-                "solve {} --algo gta --engine {engine}",
+                "solve {} --algo gta{flag}",
                 instance_path.display()
             )))
             .unwrap();
             let out = execute(&cmd).unwrap();
             assert!(
-                out.contains(&format!("vdps generation ({engine} engine):")),
+                out.contains("vdps generation: "),
                 "missing generation stats in:\n{out}"
             );
             // The work-counter prefix of the stats line (everything before
-            // the timings) must be engine-independent.
+            // the timings) must not depend on the thread count.
             let line = out
                 .lines()
                 .find(|l| l.starts_with("vdps generation"))
@@ -1264,6 +1271,34 @@ mod tests {
         .unwrap();
         let out = execute(&cmd).unwrap();
         assert!(!out.contains("degradation:"));
+
+        let _ = std::fs::remove_file(&instance_path);
+    }
+
+    #[test]
+    fn solve_fails_when_a_center_is_skipped() {
+        // 187 task-bearing delivery points on one center: past the u128
+        // DP's 128-point limit, so the center panics on both attempts and
+        // is skipped. That is a failed solve, not a degraded one.
+        let instance_path = temp("skipped.json");
+        let cmd = parse(&argv(&format!(
+            "generate syn --seed 3 --centers 1 --workers 50 --tasks 600 --dps 200 --out {}",
+            instance_path.display()
+        )))
+        .unwrap();
+        execute(&cmd).unwrap();
+
+        let cmd = parse(&argv(&format!(
+            "solve {} --algo gta",
+            instance_path.display()
+        )))
+        .unwrap();
+        let err = execute(&cmd).unwrap_err();
+        assert!(err.contains("skipped after repeated panic"), "{err}");
+        assert!(
+            err.contains("solve failed: 1 center(s) skipped after repeated panics: dc0"),
+            "{err}"
+        );
 
         let _ = std::fs::remove_file(&instance_path);
     }

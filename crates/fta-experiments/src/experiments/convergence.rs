@@ -51,7 +51,6 @@ pub fn run(opts: &RunnerOptions) -> FigureData {
             s.evaluator_updates,
             s.candidates_scanned,
             s.early_exits,
-            s.index_updates,
             s.fastpath_rounds,
         ];
         for (i, &value) in counters.iter().enumerate() {
@@ -65,7 +64,7 @@ pub fn run(opts: &RunnerOptions) -> FigureData {
 /// the counters in the order listed here.
 pub const WORK_PANEL: &str = "best-response work [0=rounds, 1=cand evals, 2=switches, \
      3=null adoptions, 4=eval builds, 5=eval updates, 6=cand scanned, 7=early exits, \
-     8=index updates, 9=fastpath rounds]";
+     8=fastpath rounds]";
 
 #[cfg(test)]
 mod tests {
@@ -98,7 +97,7 @@ mod tests {
         let work = fig.panel_of(WORK_PANEL).unwrap();
         for label in ["FGT", "IEGT"] {
             let s = work.series_of(label).unwrap();
-            assert_eq!(s.points.len(), 10, "{label} missing counters");
+            assert_eq!(s.points.len(), 9, "{label} missing counters");
             // rounds (x=0) and candidates scanned (x=6) must be > 0. (The
             // IEGT fast path evolves without evaluating IAU utilities, so
             // candidate evaluations may legitimately be zero for it.)
@@ -106,7 +105,7 @@ mod tests {
             assert!(s.points[6].1 > 0.0, "{label} reported zero scans");
             // Both default configurations are fast-path eligible: every
             // recorded round ran under the monotone loop.
-            assert_eq!(s.points[9].1, s.points[0].1, "{label} left the fast path");
+            assert_eq!(s.points[8].1, s.points[0].1, "{label} left the fast path");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests of the simulation engine: conservation laws and
 //! physical plausibility must hold for every scenario and policy.
 
-use fta_algorithms::{Algorithm, IegtConfig};
+use fta_algorithms::{Algorithm, FgtConfig, IegtConfig, MptaConfig};
 use fta_sim::{run, FaultPlan, Scenario, ScenarioConfig, SimConfig};
 use fta_vdps::VdpsConfig;
 use proptest::prelude::*;
@@ -142,5 +142,46 @@ proptest! {
         prop_assert_eq!(delivered, m.tasks_completed);
         // Same scenario + same fault seed reproduces the same day.
         prop_assert_eq!(m, run(&scenario, &cfg));
+    }
+
+    /// Incremental re-solving is a speed path. The deterministic
+    /// algorithms (GTA, MPTA, Random) must reproduce the cold day bit for
+    /// bit. A warm start may lead the iterative games (FGT, IEGT) to a
+    /// different equilibrium, but never to a day that drops most of the
+    /// work: the incremental day completes at least half the tasks the
+    /// cold day does.
+    #[test]
+    fn incremental_day_keeps_up_with_the_cold_day(
+        scenario in arb_scenario(),
+        period in 0.1f64..0.6,
+        algorithm in 0usize..5,
+    ) {
+        let algorithm = [
+            Algorithm::Gta,
+            Algorithm::Mpta(MptaConfig::default()),
+            Algorithm::Random { seed: 3 },
+            Algorithm::Fgt(FgtConfig::default()),
+            Algorithm::Iegt(IegtConfig::default()),
+        ][algorithm];
+        let config = SimConfig {
+            horizon: 2.0,
+            assignment_period: period,
+            vdps: VdpsConfig::pruned(1.5, 3),
+            ..SimConfig::day(algorithm)
+        };
+        let cold = run(&scenario, &config);
+        let warm = run(&scenario, &config.clone().with_incremental());
+        match algorithm {
+            Algorithm::Fgt(_) | Algorithm::Iegt(_) => {
+                prop_assert!(
+                    2 * warm.tasks_completed >= cold.tasks_completed,
+                    "{}: incremental day completed {} of the cold day's {}",
+                    algorithm.name(),
+                    warm.tasks_completed,
+                    cold.tasks_completed
+                );
+            }
+            _ => prop_assert_eq!(cold, warm, "{} diverged", algorithm.name()),
+        }
     }
 }

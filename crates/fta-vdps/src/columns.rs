@@ -205,8 +205,9 @@ impl VdpsPool {
         )
     }
 
-    /// Appends `route` as a row for `mask`.
-    pub(crate) fn push_route(&mut self, mask: u128, route: &Route) {
+    /// Appends `route` as a row for `mask` (the route's center must be the
+    /// pool's).
+    pub fn push_route(&mut self, mask: u128, route: &Route) {
         debug_assert_eq!(route.center(), self.center, "route from another center");
         self.stops.extend_from_slice(route.dps());
         self.offsets.extend_from_slice(route.arrival_offsets());
@@ -251,18 +252,6 @@ impl VdpsPool {
             None => (src.rewards[r], src.slacks[r]),
         };
         self.close_row(mask, reward, slack);
-    }
-
-    /// Overwrites the last row's offsets, reward and slack with `route`'s
-    /// (whose stops must equal the row's).
-    pub(crate) fn overwrite_last(&mut self, route: &Route) {
-        let r = self.len() - 1;
-        debug_assert_eq!(self.stops(r), route.dps());
-        let span = self.span(r);
-        self.offsets[span].copy_from_slice(route.arrival_offsets());
-        self.rewards[r] = route.total_reward();
-        self.slacks[r] = route.slack();
-        self.travels[r] = route.travel_from_dc();
     }
 
     fn close_row(&mut self, mask: u128, reward: f64, slack: f64) {

@@ -1,13 +1,14 @@
 //! The flat-frontier C-VDPS engine: a cache-friendly, optionally parallel
-//! rewrite of Algorithm 1's subset dynamic program.
+//! implementation of Algorithm 1's subset dynamic program, run by every
+//! generator entry point in [`crate::generator`].
 //!
-//! The original engine ([`crate::generator::generate_c_vdps_hashmap`])
-//! keeps each DP layer in a `HashMap<(u128, u8), State>`: every candidate
-//! extension pays a SipHash of a 17-byte key plus entry-API churn, and a
-//! second full pass over all layers builds a `best_per_mask` HashMap
-//! before routes are reconstructed. This module removes those costs while
-//! producing a **bit-identical pool** (same masks, same routes, same
-//! size-then-mask ordering) and identical work counters:
+//! The textbook layout keeps each DP layer in a
+//! `HashMap<(u128, u8), State>`: every candidate extension pays a SipHash
+//! of a 17-byte key plus entry-API churn, and a second full pass over all
+//! layers builds a `best_per_mask` map before routes are reconstructed.
+//! That layout survives only as a test oracle; this module removes its
+//! costs while producing a **bit-identical pool** (same masks, same
+//! routes, same size-then-mask ordering) and identical work counters:
 //!
 //! * **Fused ε-adjacency.** One pass builds a CSR [`Adjacency`]: per
 //!   delivery point, its ε-neighbours ascending and the travel time
@@ -15,7 +16,7 @@
 //!   Each pair's distance is computed once, and only ε-neighbours'
 //!   distances are computed at all. The inner loop walks one contiguous
 //!   row: one add, one compare, and a table relax. The row stores exactly
-//!   the expression the hash-map engine evaluates, so arrivals are
+//!   the expression the hash-map oracle evaluates, so arrivals are
 //!   bit-identical.
 //!
 //! * **Mask-bucketed flat frontier.** A layer of subset size `L` is a
@@ -41,9 +42,8 @@
 //!   center-origin arrival offset at member `j`: the backwalk writes stops
 //!   and offsets straight into the row (last stop first), and reward and
 //!   slack are folded in [`Route::build`]'s order — no per-leg `hypot`
-//!   re-derivation, bit-identical by construction. The rebuild path stays
-//!   selectable via [`crate::hotpath::EmissionKernel`] as the measured
-//!   reference: it writes `Route::build`'s fields into the row.
+//!   re-derivation, bit-identical by construction (the unit tests compare
+//!   every row against `Route::build` over its stops).
 //!
 //! * **O(1) backwalk.** Each slot's `group` names its source group in the
 //!   previous, already sorted layer, so every hop of the backwalk indexes
@@ -58,11 +58,11 @@
 //!   commutative, the merged frontier is independent of chunking and
 //!   thread count — pooled and sequential runs produce the same pool.
 //!   Source-group indices refer to the whole previous layer, so they
-//!   survive the merge unchanged. The go-parallel floor and
-//!   chunks-per-thread come from the installed
-//!   [`crate::hotpath::HotpathProfile`].
+//!   survive the merge unchanged. A layer goes parallel at
+//!   [`PAR_MIN_GROUPS`] mask groups and is cut into about
+//!   [`CHUNKS_PER_THREAD`] chunks per pool thread.
 //!
-//! Ties deserve a note: on *exactly* equal arrivals the hash-map engine
+//! Ties deserve a note: on *exactly* equal arrivals the hash-map oracle
 //! keeps whichever predecessor its nondeterministic iteration order saw
 //! first, while this engine always keeps the smallest predecessor index.
 //! Both choices yield the same travel time; generated instances
@@ -74,12 +74,18 @@ use crate::config::VdpsConfig;
 use crate::dedup::{rank, DedupTable, Slot, BIT, EMPTY};
 use crate::generator::{GenControl, GenerationStats};
 use crate::grid::Adjacency;
-use crate::hotpath::{EmissionKernel, HotpathProfile};
 use crate::pool::TaskScope;
 use fta_core::instance::{CenterView, DpAggregate, Instance};
-use fta_core::route::Route;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A layer is expanded on the pool once it holds this many mask groups;
+/// smaller layers expand sequentially.
+const PAR_MIN_GROUPS: usize = 64;
+
+/// Parallel expansion aims for this many chunks per pool thread, so a
+/// thread that finishes early can steal work.
+const CHUNKS_PER_THREAD: usize = 4;
 
 /// One finished DP layer: all feasible subsets of size `size`, sorted by
 /// mask, with `size` slots per mask.
@@ -143,7 +149,7 @@ impl ChunkCounters {
 }
 
 /// Expands the source groups `range` of `layer` into `table`, applying
-/// deadline and ε pruning exactly as the hash-map engine does. A point
+/// deadline and ε pruning exactly as the hash-map oracle does. A point
 /// outside the mask but not in the last member's adjacency row counts as
 /// distance-pruned (never, when unpruned: the row is every other point).
 fn expand_range(
@@ -281,12 +287,11 @@ fn next_layer_pooled(
     layer: Arc<Frontier>,
     out_size: usize,
     scope: &TaskScope<'_>,
-    chunks_per_thread: usize,
     stats: &mut GenerationStats,
 ) -> Frontier {
     let groups = layer.masks.len();
     let threads = scope.threads();
-    let chunk_size = (groups / (threads * chunks_per_thread)).max(32);
+    let chunk_size = (groups / (threads * CHUNKS_PER_THREAD)).max(32);
     let chunk_count = groups.div_ceil(chunk_size);
     let expected_per_chunk = (chunk_size * out_size).min(1 << 16);
 
@@ -406,66 +411,24 @@ fn next_layer_sequential(
     }
 }
 
-/// Generates all C-VDPSs of one distribution center with the
-/// flat-frontier engine, optionally parallelising layer expansion on
-/// `scope` (see the module docs for the data layout).
+/// Generates all C-VDPSs of one distribution center, optionally
+/// parallelising layer expansion on `scope` (see the module docs for the
+/// data layout), with `control` checked between DP layers: once it trips
+/// (state cap reached or the cancellation token fired), no further layer
+/// is expanded and the completed layers emit as a valid, truncated pool.
 ///
-/// The pool is ordered by subset size, then by mask — bit-identical to
-/// [`crate::generator::generate_c_vdps_hashmap`] — and the work counters
-/// of [`GenerationStats`] match the hash-map engine's exactly.
-///
-/// # Panics
-///
-/// Panics if the center has more than 128 task-bearing delivery points.
-#[must_use]
-pub fn generate_c_vdps_flat(
-    instance: &Instance,
-    aggregates: &[DpAggregate],
-    view: &CenterView,
-    config: &VdpsConfig,
-    scope: Option<&TaskScope<'_>>,
-) -> (VdpsPool, GenerationStats) {
-    generate_c_vdps_flat_budgeted(instance, aggregates, view, config, scope, GenControl::NONE)
-}
-
-/// [`generate_c_vdps_flat`] with a [`GenControl`] checked between DP
-/// layers: once the control trips (state cap reached or the cancellation
-/// token fired), no further layer is expanded and the completed layers
-/// emit as a valid, truncated pool.
-///
-/// The run is steered by the process-wide installed
-/// [`HotpathProfile`] (parallelism floor, chunking, emission kernel),
-/// read once per generation.
+/// The pool is ordered by subset size, then by mask.
 ///
 /// # Panics
 ///
 /// Panics if the center has more than 128 task-bearing delivery points.
-#[must_use]
-pub fn generate_c_vdps_flat_budgeted(
+pub(crate) fn generate(
     instance: &Instance,
     aggregates: &[DpAggregate],
     view: &CenterView,
     config: &VdpsConfig,
     scope: Option<&TaskScope<'_>>,
     control: GenControl<'_>,
-) -> (VdpsPool, GenerationStats) {
-    let profile = crate::hotpath::current();
-    generate_c_vdps_flat_with_profile(instance, aggregates, view, config, scope, control, &profile)
-}
-
-/// [`generate_c_vdps_flat_budgeted`] against an explicit profile instead
-/// of the installed one. Calibration and equivalence tests use this to
-/// compare kernels without mutating process-wide state.
-#[doc(hidden)]
-#[must_use]
-pub fn generate_c_vdps_flat_with_profile(
-    instance: &Instance,
-    aggregates: &[DpAggregate],
-    view: &CenterView,
-    config: &VdpsConfig,
-    scope: Option<&TaskScope<'_>>,
-    control: GenControl<'_>,
-    profile: &HotpathProfile,
 ) -> (VdpsPool, GenerationStats) {
     let n = view.dps.len();
     assert!(
@@ -482,7 +445,7 @@ pub fn generate_c_vdps_flat_with_profile(
     let dp_span = fta_obs::span_center("vdps.dp", center_u32);
     let dp_start = Instant::now();
     let layers = dp_layers(
-        instance, aggregates, view, config, scope, control, profile, &mut stats,
+        instance, aggregates, view, config, scope, control, &mut stats,
     );
     stats.states = layers.iter().map(|l| l.occupied()).sum();
     stats.dp_nanos = u64::try_from(dp_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -490,7 +453,7 @@ pub fn generate_c_vdps_flat_with_profile(
 
     let route_span = fta_obs::span_center("vdps.routes", center_u32);
     let route_start = Instant::now();
-    let pool = emit(instance, aggregates, view, &layers, profile.emission_kernel);
+    let pool = emit(aggregates, view, &layers);
     stats.route_nanos = u64::try_from(route_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     drop(route_span);
     stats.vdps_count = pool.len();
@@ -507,7 +470,6 @@ pub fn generate_c_vdps_flat_with_profile(
 /// Runs the subset DP (Algorithm 1, lines 1–12) into its finished layers,
 /// layer `k` holding the subsets of size `k + 1`. Work counters other than
 /// `states` and `vdps_count` accumulate into `stats`.
-#[allow(clippy::too_many_arguments)]
 fn dp_layers(
     instance: &Instance,
     aggregates: &[DpAggregate],
@@ -515,7 +477,6 @@ fn dp_layers(
     config: &VdpsConfig,
     scope: Option<&TaskScope<'_>>,
     control: GenControl<'_>,
-    profile: &HotpathProfile,
     stats: &mut GenerationStats,
 ) -> Vec<Arc<Frontier>> {
     let n = view.dps.len();
@@ -576,18 +537,11 @@ fn dp_layers(
         let _layer_span = fta_obs::span_layer("vdps.layer", center_u32, len as u32);
         let layer = Arc::clone(&layers[len - 2]);
         let parallel = scope
-            .filter(|s| s.threads() > 1 && layer.masks.len() >= profile.flat_par_min_groups)
+            .filter(|s| s.threads() > 1 && layer.masks.len() >= PAR_MIN_GROUPS)
             .is_some();
         let next = if parallel {
             let scope = scope.expect("parallel implies a scope");
-            next_layer_pooled(
-                &ctx,
-                layer,
-                len,
-                scope,
-                profile.flat_chunks_per_thread,
-                stats,
-            )
+            next_layer_pooled(&ctx, layer, len, scope, stats)
         } else {
             next_layer_sequential(&ctx, &layer, len, stats)
         };
@@ -609,13 +563,7 @@ fn dp_layers(
 /// pool order (size, then mask) needs no sort. The per-mask best ending is
 /// the lexicographic minimum over the group's occupied slots, folding the
 /// old `best_per_mask` pass into the walk.
-fn emit(
-    instance: &Instance,
-    aggregates: &[DpAggregate],
-    view: &CenterView,
-    layers: &[Arc<Frontier>],
-    kernel: EmissionKernel,
-) -> VdpsPool {
+fn emit(aggregates: &[DpAggregate], view: &CenterView, layers: &[Arc<Frontier>]) -> VdpsPool {
     let rows = layers.iter().map(|l| l.masks.len()).sum();
     let stops = layers.iter().map(|l| l.masks.len() * l.size).sum();
     let mut pool = VdpsPool::with_capacity(view.center, rows, stops);
@@ -660,11 +608,6 @@ fn emit(
                 }
             });
             let r = pool.len() - 1;
-            if kernel == EmissionKernel::Rebuild {
-                let route = Route::build(instance, aggregates, view.center, pool.stops(r).to_vec())
-                    .expect("DP states only reference valid delivery points");
-                pool.overwrite_last(&route);
-            }
             debug_assert!(
                 pool.slacks()[r] >= 0.0,
                 "the DP must only emit deadline-feasible sequences"
@@ -677,12 +620,13 @@ fn emit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::generate_c_vdps_hashmap;
-    use crate::hotpath::ScanKernel;
+    use crate::generator::generate_c_vdps_in;
+    use crate::hashmap_oracle::generate_c_vdps_hashmap;
     use crate::pool::WorkerPool;
     use fta_core::entities::{DeliveryPoint, DistributionCenter, SpatialTask, Worker};
     use fta_core::geometry::Point;
     use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
+    use fta_core::route::Route;
 
     /// A deterministic pseudo-random scatter of `n` delivery points.
     fn scatter_instance(n: usize, seed: u64) -> Instance {
@@ -752,7 +696,7 @@ mod tests {
                     let inst = scatter_instance(n, seed);
                     let aggs = inst.dp_aggregates();
                     let views = inst.center_views();
-                    let (flat, fs) = generate_c_vdps_flat(&inst, &aggs, &views[0], &config, None);
+                    let (flat, fs) = generate_c_vdps_in(&inst, &aggs, &views[0], &config, None);
                     let (hash, hs) = generate_c_vdps_hashmap(&inst, &aggs, &views[0], &config);
                     let label = format!("seed {seed}, n {n}, cfg {config:?}");
                     assert_pools_identical(&flat, &hash, &label);
@@ -766,37 +710,28 @@ mod tests {
         }
     }
 
+    /// Offsets emission writes the DP's arrivals straight into each row;
+    /// every row must equal the one [`Route::build`] derives leg by leg
+    /// over the same stops.
     #[test]
     fn emission_kernels_are_bit_identical() {
-        let offsets_profile = HotpathProfile::default();
-        let rebuild_profile = HotpathProfile {
-            emission_kernel: EmissionKernel::Rebuild,
-            scan_kernel: ScanKernel::Scalar,
-            ..HotpathProfile::default()
-        };
         for seed in [3u64, 11] {
             for n in [6usize, 18] {
                 let inst = scatter_instance(n, seed);
                 let aggs = inst.dp_aggregates();
                 let views = inst.center_views();
                 let config = VdpsConfig::pruned(2.5, 4);
-                let run = |p: &HotpathProfile| {
-                    generate_c_vdps_flat_with_profile(
-                        &inst,
-                        &aggs,
-                        &views[0],
-                        &config,
-                        None,
-                        GenControl::NONE,
-                        p,
-                    )
-                };
-                let (fast, fast_stats) = run(&offsets_profile);
-                let (slow, slow_stats) = run(&rebuild_profile);
+                let (fast, _) = generate_c_vdps_in(&inst, &aggs, &views[0], &config, None);
+                let mut rebuilt = VdpsPool::new(fast.center());
+                for (r, &mask) in fast.masks().iter().enumerate() {
+                    let route = Route::build(&inst, &aggs, views[0].center, fast.stops(r).to_vec())
+                        .expect("generated stops are valid delivery points");
+                    rebuilt.push_route(mask, &route);
+                }
                 let label = format!("seed {seed}, n {n}");
-                assert_pools_identical(&fast, &slow, &label);
-                assert_eq!(fast, slow, "{label}: route payloads differ");
-                assert_eq!(fast_stats.work_counters(), slow_stats.work_counters());
+                assert!(fast.len() > n, "{label}: too few sets to test");
+                assert_pools_identical(&fast, &rebuilt, &label);
+                assert_eq!(fast, rebuilt, "{label}: route payloads differ");
             }
         }
     }
@@ -810,12 +745,12 @@ mod tests {
         let config = VdpsConfig::pruned(2.5, 4);
         // Two warm-up generations: the first populates the arena, the
         // second lets recycled capacities settle to their fixed point.
-        let (warm, _) = generate_c_vdps_flat(&inst, &aggs, &views[0], &config, None);
-        let (warm2, _) = generate_c_vdps_flat(&inst, &aggs, &views[0], &config, None);
+        let (warm, _) = generate_c_vdps_in(&inst, &aggs, &views[0], &config, None);
+        let (warm2, _) = generate_c_vdps_in(&inst, &aggs, &views[0], &config, None);
         assert_eq!(warm.len(), warm2.len());
         let after_warm = arena::stats();
         for round in 0..3 {
-            let (pool, _) = generate_c_vdps_flat(&inst, &aggs, &views[0], &config, None);
+            let (pool, _) = generate_c_vdps_in(&inst, &aggs, &views[0], &config, None);
             assert_eq!(pool.len(), warm.len());
             let s = arena::stats();
             assert_eq!(
@@ -836,11 +771,11 @@ mod tests {
         let aggs = inst.dp_aggregates();
         let views = inst.center_views();
         for config in [VdpsConfig::unpruned(3), VdpsConfig::pruned(2.5, 4)] {
-            let (seq, seq_stats) = generate_c_vdps_flat(&inst, &aggs, &views[0], &config, None);
+            let (seq, seq_stats) = generate_c_vdps_in(&inst, &aggs, &views[0], &config, None);
             for threads in [2, 4] {
                 let pool = WorkerPool::with_threads(threads);
-                let (par, par_stats) = pool
-                    .scope(|ts| generate_c_vdps_flat(&inst, &aggs, &views[0], &config, Some(ts)));
+                let (par, par_stats) =
+                    pool.scope(|ts| generate_c_vdps_in(&inst, &aggs, &views[0], &config, Some(ts)));
                 let label = format!("{config:?}, threads {threads}");
                 assert_pools_identical(&seq, &par, &label);
                 assert_eq!(seq, par, "{label}: rows not bit-identical");
@@ -860,7 +795,6 @@ mod tests {
         let inst = scatter_instance(40, 9);
         let aggs = inst.dp_aggregates();
         let views = inst.center_views();
-        let profile = HotpathProfile::default();
         let workers = WorkerPool::with_threads(2);
         for config in [VdpsConfig::unpruned(3), VdpsConfig::pruned(2.5, 4)] {
             let sequential = dp_layers(
@@ -870,7 +804,6 @@ mod tests {
                 &config,
                 None,
                 GenControl::NONE,
-                &profile,
                 &mut GenerationStats::default(),
             );
             let pooled = workers.scope(|ts| {
@@ -881,7 +814,6 @@ mod tests {
                     &config,
                     Some(ts),
                     GenControl::NONE,
-                    &profile,
                     &mut GenerationStats::default(),
                 )
             });
@@ -926,9 +858,9 @@ mod tests {
         let config = VdpsConfig::pruned(2.5, 4);
         let pool = WorkerPool::with_threads(4);
         let (a, _) =
-            pool.scope(|ts| generate_c_vdps_flat(&inst, &aggs, &views[0], &config, Some(ts)));
+            pool.scope(|ts| generate_c_vdps_in(&inst, &aggs, &views[0], &config, Some(ts)));
         let (b, _) =
-            pool.scope(|ts| generate_c_vdps_flat(&inst, &aggs, &views[0], &config, Some(ts)));
+            pool.scope(|ts| generate_c_vdps_in(&inst, &aggs, &views[0], &config, Some(ts)));
         assert_eq!(a, b);
     }
 
@@ -938,12 +870,12 @@ mod tests {
         let aggs = inst.dp_aggregates();
         let views = inst.center_views();
         let (pool, stats) =
-            generate_c_vdps_flat(&inst, &aggs, &views[0], &VdpsConfig::unpruned(0), None);
+            generate_c_vdps_in(&inst, &aggs, &views[0], &VdpsConfig::unpruned(0), None);
         assert!(pool.is_empty());
         assert_eq!(stats.states, 0);
 
         let (one, one_stats) =
-            generate_c_vdps_flat(&inst, &aggs, &views[0], &VdpsConfig::unpruned(1), None);
+            generate_c_vdps_in(&inst, &aggs, &views[0], &VdpsConfig::unpruned(1), None);
         let (href, href_stats) =
             generate_c_vdps_hashmap(&inst, &aggs, &views[0], &VdpsConfig::unpruned(1));
         assert_pools_identical(&one, &href, "max_len 1");

@@ -2,12 +2,8 @@
 
 use crate::columns::VdpsPool;
 use crate::config::VdpsConfig;
-use crate::grid::Adjacency;
 use fta_core::budget::CancelToken;
 use fta_core::instance::{CenterView, DpAggregate, Instance};
-use fta_core::route::Route;
-use fta_core::DeliveryPointId;
-use std::collections::HashMap;
 
 /// Optional budget controls for one generation run, checked at *layer*
 /// boundaries of the subset DP. The default (`GenControl::NONE`) performs
@@ -46,11 +42,12 @@ impl GenControl<'_> {
 
 /// Counters describing one generator run, used by the benchmark harness to
 /// compare pruned and unpruned generation (the paper's Figures 2–3 CPU-time
-/// panels) and, since the flat engine landed, to observe where generation
-/// time goes and how much intra-center parallelism contributed.
+/// panels), and to observe where generation time goes and how much
+/// intra-center parallelism contributed.
 ///
 /// The first five fields are *work counters*: they describe the dynamic
-/// program itself and are identical across engines and thread counts (see
+/// program itself and are identical across thread counts and equal to the
+/// test oracles' (see
 /// [`GenerationStats::work_counters`]). The remaining fields are timing and
 /// parallelism diagnostics and naturally vary run to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -71,8 +68,7 @@ pub struct GenerationStats {
     /// Wall time spent reconstructing the minimum-travel routes from the
     /// finished frontiers, nanoseconds.
     pub route_nanos: u64,
-    /// Frontier-expansion chunks scheduled (1 per layer when sequential;
-    /// 0 for the hash-map engine, which does not chunk).
+    /// Frontier-expansion chunks scheduled (1 per layer when sequential).
     pub chunks: usize,
     /// Expansion/merge jobs of this generation executed by a pool thread
     /// other than the one that submitted them (work-stealing events).
@@ -82,8 +78,8 @@ pub struct GenerationStats {
     /// together (each extra occurrence counts once).
     pub merge_collisions: usize,
     /// Wall time spent in the parallel shard-merge phase (a subset of
-    /// [`GenerationStats::dp_nanos`]), nanoseconds. 0 for sequential and
-    /// hash-map runs, which never shard.
+    /// [`GenerationStats::dp_nanos`]), nanoseconds. 0 for sequential runs,
+    /// which never shard.
     pub merge_nanos: u64,
     /// Generation runs that stopped at a layer boundary because a
     /// [`GenControl`] tripped (0 or 1 per center; additive under
@@ -110,9 +106,9 @@ impl GenerationStats {
         self.truncations += other.truncations;
     }
 
-    /// The engine-independent work counters
+    /// The thread-independent work counters
     /// `(states, extensions_tried, pruned_by_distance, pruned_by_deadline,
-    /// vdps_count)` — equal across engines and thread counts for the same
+    /// vdps_count)` — equal across thread counts and oracles for the same
     /// input, unlike the timing/parallelism diagnostics.
     #[must_use]
     pub fn work_counters(&self) -> (usize, usize, usize, usize, usize) {
@@ -128,8 +124,8 @@ impl GenerationStats {
 
 /// Publishes one generation run's counters to the installed telemetry
 /// recorder (no-op when none is installed). Called once per
-/// center-generation by both engines, so the hot loops stay plain-field
-/// counter arithmetic.
+/// center-generation, so the hot loops stay plain-field counter
+/// arithmetic.
 pub(crate) fn emit_generation_counters(stats: &GenerationStats) {
     if !fta_obs::enabled() {
         return;
@@ -147,22 +143,11 @@ pub(crate) fn emit_generation_counters(stats: &GenerationStats) {
     }
 }
 
-/// A dynamic-program state: minimal arrival time at `last` over all
-/// feasible orderings of the subset, plus the predecessor (`pre` in the
-/// paper's Algorithm 1) for route reconstruction.
-#[derive(Debug, Clone, Copy)]
-struct State {
-    arrival: f64,
-    /// Local index of the previous delivery point; `u8::MAX` for the first.
-    parent: u8,
-}
-
-/// Generates all C-VDPSs of one distribution center (Algorithm 1),
-/// dispatching to the engine selected by [`VdpsConfig::engine`].
+/// Generates all C-VDPSs of one distribution center (Algorithm 1) with the
+/// flat-frontier engine (`flat.rs`; see the crate docs).
 ///
 /// Returns the VDPS pool together with generation statistics. The pool is
-/// ordered deterministically: by subset size, then by bitmask value —
-/// identically for every engine.
+/// ordered deterministically: by subset size, then by bitmask value.
 ///
 /// # Panics
 ///
@@ -179,8 +164,8 @@ pub fn generate_c_vdps(
 }
 
 /// Like [`generate_c_vdps`], optionally running frontier expansion and
-/// shard merges on an active worker-pool scope (flat engine only; the
-/// hash-map oracle is always sequential).
+/// shard merges on an active worker-pool scope. The pool and the work
+/// counters are the same at every thread count.
 ///
 /// # Panics
 ///
@@ -197,7 +182,7 @@ pub fn generate_c_vdps_in(
 }
 
 /// Like [`generate_c_vdps_in`], additionally honouring a [`GenControl`]:
-/// the layer loop of either engine checks the control between DP layers
+/// the layer loop checks the control between DP layers
 /// and truncates the pool when it trips (see [`GenControl`] for the
 /// semantics). With `GenControl::NONE` the output is bit-identical to
 /// [`generate_c_vdps_in`].
@@ -214,219 +199,7 @@ pub fn generate_c_vdps_budgeted(
     scope: Option<&crate::pool::TaskScope<'_>>,
     control: GenControl<'_>,
 ) -> (VdpsPool, GenerationStats) {
-    match config.engine {
-        crate::config::VdpsEngine::Flat => crate::flat::generate_c_vdps_flat_budgeted(
-            instance, aggregates, view, config, scope, control,
-        ),
-        crate::config::VdpsEngine::Hashmap => {
-            generate_c_vdps_hashmap_budgeted(instance, aggregates, view, config, control)
-        }
-    }
-}
-
-/// The original per-layer `HashMap<(mask, last), State>` implementation of
-/// Algorithm 1, kept as a correctness oracle next to [`crate::naive`]: the
-/// flat engine must reproduce its pool (order included) and its work
-/// counters exactly.
-///
-/// # Panics
-///
-/// Panics if the center has more than 128 task-bearing delivery points.
-#[must_use]
-pub fn generate_c_vdps_hashmap(
-    instance: &Instance,
-    aggregates: &[DpAggregate],
-    view: &CenterView,
-    config: &VdpsConfig,
-) -> (VdpsPool, GenerationStats) {
-    generate_c_vdps_hashmap_budgeted(instance, aggregates, view, config, GenControl::NONE)
-}
-
-/// [`generate_c_vdps_hashmap`] with a [`GenControl`] checked between DP
-/// layers.
-///
-/// # Panics
-///
-/// Panics if the center has more than 128 task-bearing delivery points.
-#[must_use]
-pub fn generate_c_vdps_hashmap_budgeted(
-    instance: &Instance,
-    aggregates: &[DpAggregate],
-    view: &CenterView,
-    config: &VdpsConfig,
-    control: GenControl<'_>,
-) -> (VdpsPool, GenerationStats) {
-    let dp_start = std::time::Instant::now();
-    let n = view.dps.len();
-    assert!(
-        n <= 128,
-        "center {} has {n} delivery points; the bitmask DP supports at most 128",
-        view.center
-    );
-    let mut stats = GenerationStats::default();
-    if n == 0 || config.max_len == 0 {
-        return (VdpsPool::new(view.center), stats);
-    }
-    let center_u32 = view.center.index() as u32;
-    let _generate_span = fta_obs::span_center("vdps.generate", center_u32);
-    let dp_span = fta_obs::span_center("vdps.dp", center_u32);
-
-    let dc = instance.centers[view.center.index()].location;
-    let speed = instance.speed;
-
-    // Center-local working arrays.
-    let locs: Vec<_> = view
-        .dps
-        .iter()
-        .map(|dp| instance.delivery_points[dp.index()].location)
-        .collect();
-    let expiry: Vec<f64> = view
-        .dps
-        .iter()
-        .map(|dp| aggregates[dp.index()].earliest_expiry)
-        .collect();
-    let from_dc: Vec<f64> = locs.iter().map(|&l| dc.travel_time(l, speed)).collect();
-
-    // The shared ε-adjacency (the complete graph when unpruned) narrows
-    // each extension scan to the actual neighbours and carries each hop's
-    // travel time.
-    let adjacency = {
-        let _span = fta_obs::span_center("vdps.adjacency", center_u32);
-        Adjacency::build(&locs, config.epsilon, speed)
-    };
-
-    // Layer 1 (Algorithm 1, lines 2–5): singletons reachable before expiry.
-    let mut layers: Vec<HashMap<(u128, u8), State>> = Vec::with_capacity(config.max_len);
-    let mut first = HashMap::new();
-    for j in 0..n {
-        stats.extensions_tried += 1;
-        if from_dc[j] <= expiry[j] {
-            first.insert(
-                (1u128 << j, j as u8),
-                State {
-                    arrival: from_dc[j],
-                    parent: u8::MAX,
-                },
-            );
-        } else {
-            stats.pruned_by_deadline += 1;
-        }
-    }
-    layers.push(first);
-
-    // Layers 2..=max_len (Algorithm 1, lines 6–12). The budget control is
-    // checked at layer granularity: completed layers always emit, so a
-    // truncated run still yields a valid (smaller) pool.
-    let mut states_so_far = layers[0].len();
-    for len in 2..=config.max_len.min(n) {
-        if control.should_stop(states_so_far) {
-            stats.truncations = 1;
-            break;
-        }
-        let mut next: HashMap<(u128, u8), State> = HashMap::new();
-        for (&(mask, last), state) in &layers[len - 2] {
-            let last = last as usize;
-            // Points outside the mask but not adjacent to `last` count as
-            // distance-pruned (none when unpruned).
-            let free = n - mask.count_ones() as usize;
-            let mut considered = 0usize;
-            let neighbors = adjacency.neighbors(last);
-            for (&j, &tt) in neighbors.iter().zip(adjacency.travel_times(last)) {
-                let j = j as usize;
-                if mask & (1u128 << j) != 0 {
-                    continue;
-                }
-                considered += 1;
-                let arrival = state.arrival + tt;
-                if arrival > expiry[j] {
-                    stats.pruned_by_deadline += 1;
-                    continue;
-                }
-                let key = (mask | (1u128 << j), j as u8);
-                let candidate = State {
-                    arrival,
-                    parent: last as u8,
-                };
-                next.entry(key)
-                    .and_modify(|s| {
-                        if candidate.arrival < s.arrival {
-                            *s = candidate;
-                        }
-                    })
-                    .or_insert(candidate);
-            }
-            stats.extensions_tried += free;
-            stats.pruned_by_distance += free - considered;
-        }
-        if next.is_empty() {
-            break;
-        }
-        states_so_far += next.len();
-        layers.push(next);
-    }
-    adjacency.recycle();
-    stats.states = layers.iter().map(HashMap::len).sum();
-
-    // Per mask, select the ending with minimal total travel (the paper keeps
-    // only the minimum-travel-time sequence per VDPS) and reconstruct the
-    // route via the `parent` pointers (Algorithm 1, line 13).
-    let mut best_per_mask: HashMap<u128, (u8, f64)> = HashMap::new();
-    for layer in &layers {
-        for (&(mask, last), state) in layer {
-            best_per_mask
-                .entry(mask)
-                .and_modify(|(l, a)| {
-                    if state.arrival < *a {
-                        *l = last;
-                        *a = state.arrival;
-                    }
-                })
-                .or_insert((last, state.arrival));
-        }
-    }
-
-    let mut masks: Vec<u128> = best_per_mask.keys().copied().collect();
-    masks.sort_by_key(|m| (m.count_ones(), *m));
-    stats.dp_nanos = u64::try_from(dp_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    drop(dp_span);
-
-    let route_span = fta_obs::span_center("vdps.routes", center_u32);
-    let route_start = std::time::Instant::now();
-    let stops = masks.iter().map(|m| m.count_ones() as usize).sum();
-    let mut pool = VdpsPool::with_capacity(view.center, masks.len(), stops);
-    for mask in masks {
-        let (mut last, _) = best_per_mask[&mask];
-        // Walk parents backwards through the layers.
-        let mut order_rev: Vec<u8> = Vec::with_capacity(mask.count_ones() as usize);
-        let mut cur_mask = mask;
-        loop {
-            order_rev.push(last);
-            let layer = &layers[cur_mask.count_ones() as usize - 1];
-            let state = layer[&(cur_mask, last)];
-            if state.parent == u8::MAX {
-                break;
-            }
-            cur_mask &= !(1u128 << last);
-            last = state.parent;
-        }
-        order_rev.reverse();
-        let dps: Vec<DeliveryPointId> = order_rev
-            .into_iter()
-            .map(|local| view.dps[local as usize])
-            .collect();
-        let route = Route::build(instance, aggregates, view.center, dps)
-            .expect("DP states only reference valid delivery points");
-        debug_assert!(
-            route.is_center_origin_valid(),
-            "the DP must only emit deadline-feasible sequences"
-        );
-        pool.push_route(mask, &route);
-    }
-    stats.route_nanos = u64::try_from(route_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    drop(route_span);
-    stats.vdps_count = pool.len();
-    emit_generation_counters(&stats);
-    (pool, stats)
+    crate::flat::generate(instance, aggregates, view, config, scope, control)
 }
 
 #[cfg(test)]
@@ -435,6 +208,7 @@ mod tests {
     use fta_core::entities::{DeliveryPoint, DistributionCenter, SpatialTask, Worker};
     use fta_core::geometry::Point;
     use fta_core::ids::{CenterId, TaskId, WorkerId};
+    use fta_core::DeliveryPointId;
 
     /// dc at origin; dps on a line at x = 1, 2, 3; one task each, generous
     /// deadlines; speed 1.

@@ -36,37 +36,32 @@
 //! * **Length cap**: subsets larger than the largest `maxDP` among the
 //!   center's workers can never be assigned, so generation stops there.
 //!
-//! ## Engines
+//! ## The engine
 //!
-//! Two interchangeable implementations of the DP live side by side,
-//! selected by [`VdpsConfig::engine`]:
+//! Every generator entry point ([`generate_c_vdps`], [`generate_c_vdps_in`],
+//! [`generate_c_vdps_budgeted`]) runs the flat-frontier engine of
+//! `flat.rs`. It builds a fused ε-adjacency ([`grid::Adjacency`]: per
+//! point, its neighbours and the travel time to each) plus per-point
+//! expiry arrays, and keeps each DP layer as a *mask-bucketed flat
+//! frontier*: states of one layer are grouped per subset mask (masks kept
+//! sorted ascending) with a dense per-last-point slot array, so a state is
+//! addressed by `(group, rank(mask, last))` with no hashing on the read
+//! side. New masks are deduplicated through an open-addressed
+//! `u128 → group` table with an inline multiply-shift hash. The per-mask
+//! best route falls out of the layout during emission, and every slot
+//! points at its predecessor's group, so the route backwalk is O(1) per
+//! hop. Large layers are expanded in chunks on the shared
+//! [`pool::WorkerPool`]; per-thread shard tables are merged by
+//! deterministic mask-range partition, which keeps the result
+//! bit-identical to a sequential run regardless of thread count or
+//! chunking.
 //!
-//! * [`flat`] (default) — the production engine. It builds a fused
-//!   ε-adjacency ([`grid::Adjacency`]: per point, its neighbours and the
-//!   travel time to each) plus per-point expiry arrays, and replaces the per-layer `HashMap<(mask, last), State>` with a
-//!   *mask-bucketed flat frontier*: states of one layer are grouped per
-//!   subset mask (masks kept sorted ascending) with a dense per-last-point
-//!   slot array, so a state is addressed by `(group, rank(mask, last))`
-//!   with no hashing on the read side. New masks are deduplicated through
-//!   an open-addressed `u128 → group` table with an inline multiply-shift
-//!   hash. The per-mask best route falls out of the layout during
-//!   emission, so no second `best_per_mask` pass is needed, and every
-//!   slot points at its predecessor's group, so the route backwalk is
-//!   O(1) per hop. Large layers
-//!   are expanded in chunks on the shared [`pool::WorkerPool`]; per-thread
-//!   shard tables are merged by deterministic mask-range partition, which
-//!   keeps the result bit-identical to a sequential run regardless of
-//!   thread count or chunking.
-//! * [`generator::generate_c_vdps_hashmap`] — the original per-layer
-//!   hash-map DP, retained as a fast correctness oracle next to the
-//!   brute-force reference in [`naive`].
-//!
-//! Both engines produce pools that are bit-identical in content *and*
-//! order (subset size, then mask), so downstream FGT/PFGT/IEGT strategy
-//! selections are unchanged by the engine choice. A pool is a
-//! [`VdpsPool`]: one set per row of flat columns (mask, stops, arrival
-//! offsets, reward, slack, travel), so generating it allocates per
-//! center, not per set.
+//! The pool is ordered by subset size, then mask. The tests hold it
+//! bit-identical, order included, to two oracles: the brute force of
+//! [`naive`] on small centers and a per-layer hash-map DP (test-only
+//! code) on larger ones. A pool is a [`VdpsPool`]: one set per row of flat
+//! columns (mask, stops, arrival offsets, reward, slack, travel), so
+//! generating it allocates per center, not per set.
 //!
 //! ## Worker pool
 //!
@@ -83,15 +78,22 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+// Lets the test-only oracles under `tests/support/`, written against the
+// public API, compile inside the unit tests too.
+#[cfg(test)]
+extern crate self as fta_vdps;
+#[cfg(test)]
+#[path = "../tests/support/hashmap_dp.rs"]
+mod hashmap_oracle;
+
 pub mod arena;
 pub mod columns;
 pub mod config;
 pub mod dedup;
 pub mod delta;
-pub mod flat;
+mod flat;
 pub mod generator;
 pub mod grid;
-pub mod hotpath;
 pub mod kernel;
 pub mod naive;
 pub mod pool;
@@ -100,17 +102,11 @@ pub mod strategy;
 
 pub use arena::ArenaStats;
 pub use columns::{VdpsPool, VdpsRow};
-pub use config::{VdpsConfig, VdpsEngine};
+pub use config::VdpsConfig;
 pub use delta::{delta_update, delta_update_with_provenance, DeltaStats, PoolCache};
-pub use flat::{generate_c_vdps_flat, generate_c_vdps_flat_budgeted};
 pub use generator::{
-    generate_c_vdps, generate_c_vdps_budgeted, generate_c_vdps_hashmap,
-    generate_c_vdps_hashmap_budgeted, generate_c_vdps_in, GenControl, GenerationStats,
+    generate_c_vdps, generate_c_vdps_budgeted, generate_c_vdps_in, GenControl, GenerationStats,
 };
-pub use hotpath::{EmissionKernel, HotpathProfile, ScanKernel};
 pub use pool::{TaskScope, WorkerPool};
 pub use schedule::schedule_route;
-pub use strategy::{
-    ConflictSets, SlotCache, StrategySpace, CONFLICT_INDEX_MAX_SLOTS_PER_BIT,
-    CONFLICT_INDEX_MIN_SLOTS,
-};
+pub use strategy::{SlotCache, StrategySpace};

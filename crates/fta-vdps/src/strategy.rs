@@ -22,98 +22,6 @@ use std::sync::Arc;
 /// is worth farming out to the worker pool.
 const PAR_MIN_VALIDATION_WORK: usize = 1 << 12;
 
-/// Crossover heuristic for the incremental conflict index: below this many
-/// total (worker, strategy) slots the plain `mask & other_taken` scan is
-/// already cache-resident and cheaper than maintaining per-slot conflict
-/// counters, so no index is built and `GameContext` falls back to the mask
-/// scan. At or above it, availability flips are propagated in O(affected
-/// slots) through the inverted DP-bit → slot lists instead of re-deriving
-/// availability from scratch per probe.
-///
-/// This is the compiled-in *default*; the effective value is the
-/// installed [`crate::hotpath::HotpathProfile`]'s
-/// `conflict_index_min_slots`, which the calibration bench derives from
-/// measured scan/maintenance costs on the current machine.
-pub const CONFLICT_INDEX_MIN_SLOTS: usize = 1 << 12;
-
-/// Density half of the crossover heuristic: the conflict index is only
-/// built when each delivery-point bit appears in at most this many slots
-/// on average. An availability probe through the index (one `u32` load)
-/// costs about the same as the `u128` mask AND it replaces, so the index's
-/// value is bounded — while its maintenance cost on every strategy switch
-/// is O(Σ posting-list length over the affected bits). In dense spaces
-/// (few DPs shared by tens of thousands of strategy slots, the typical
-/// shape of an FTA center at paper scale) that per-switch walk dwarfs any
-/// probe savings and the mask scan wins outright, so the index is reserved
-/// for sparse spaces where posting lists stay short.
-///
-/// Like [`CONFLICT_INDEX_MIN_SLOTS`], this is the compiled-in default
-/// behind the installed [`crate::hotpath::HotpathProfile`].
-pub const CONFLICT_INDEX_MAX_SLOTS_PER_BIT: usize = 64;
-
-/// Immutable inverted index from delivery-point bit to the strategy slots
-/// whose masks contain that bit, in CSR layout over the center-local bit
-/// space. Built once per [`StrategySpace`] (when the space is large enough
-/// to clear [`CONFLICT_INDEX_MIN_SLOTS`]); the *mutable* per-slot conflict
-/// counters live in the game context that plays over the space.
-#[derive(Debug, Clone, Default)]
-pub struct ConflictSets {
-    /// CSR row starts: bit `b`'s slots are
-    /// `slots[starts[b] as usize..starts[b + 1] as usize]`.
-    starts: Vec<u32>,
-    /// Concatenated global slot ids, ascending within each bit row.
-    slots: Vec<u32>,
-}
-
-impl ConflictSets {
-    /// The global slot ids whose masks contain delivery-point bit `bit`.
-    #[must_use]
-    pub fn slots_of(&self, bit: u32) -> &[u32] {
-        let b = bit as usize;
-        &self.slots[self.starts[b] as usize..self.starts[b + 1] as usize]
-    }
-
-    /// Number of delivery-point bits indexed.
-    #[must_use]
-    pub fn n_bits(&self) -> usize {
-        self.starts.len().saturating_sub(1)
-    }
-
-    /// Total number of (bit, slot) incidences.
-    #[must_use]
-    pub fn n_entries(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn build(n_bits: usize, slot_masks: &[u128]) -> Self {
-        let mut counts = vec![0u32; n_bits + 1];
-        for &mask in slot_masks {
-            let mut m = mask;
-            while m != 0 {
-                let bit = m.trailing_zeros() as usize;
-                counts[bit + 1] += 1;
-                m &= m - 1;
-            }
-        }
-        for b in 0..n_bits {
-            counts[b + 1] += counts[b];
-        }
-        let starts = counts;
-        let mut cursor = starts.clone();
-        let mut slots = vec![0u32; *starts.last().unwrap_or(&0) as usize];
-        for (slot, &mask) in slot_masks.iter().enumerate() {
-            let mut m = mask;
-            while m != 0 {
-                let bit = m.trailing_zeros() as usize;
-                slots[cursor[bit] as usize] = slot as u32;
-                cursor[bit] += 1;
-                m &= m - 1;
-            }
-        }
-        Self { starts, slots }
-    }
-}
-
 /// Flat per-slot columns: `offsets` delimits each worker's *slot range*
 /// in the three parallel vectors. Validation appends one worker's slots
 /// at a time and closes the range with [`SlotColumns::end_worker`].
@@ -194,9 +102,6 @@ pub struct StrategySpace {
     pub worker_to_dc: Vec<f64>,
     /// Every worker's valid slots.
     slots: SlotColumns,
-    /// Inverted DP-bit → slot index; `None` below the
-    /// [`CONFLICT_INDEX_MIN_SLOTS`] crossover.
-    conflict_sets: Option<ConflictSets>,
     /// Statistics from the underlying C-VDPS generation run.
     pub gen_stats: GenerationStats,
 }
@@ -329,7 +234,13 @@ impl StrategySpace {
             n_slots,
             "slot count drifted from validation"
         );
-        Self::assemble(view, pool, worker_to_dc, slots, gen_stats)
+        Self {
+            view,
+            pool,
+            worker_to_dc,
+            slots,
+            gen_stats,
+        }
     }
 
     /// Rebuilds the space around a delta-updated `pool`, reusing each
@@ -438,50 +349,11 @@ impl StrategySpace {
         if fta_obs::enabled() {
             fta_obs::counter("vdps.slots_reused", reused_slots);
         }
-        Self::assemble(view, pool, worker_to_dc, slots, gen_stats)
-    }
-
-    /// Wraps validated slot columns into a space, building the conflict
-    /// index when the space clears the crossover.
-    fn assemble(
-        view: CenterView,
-        pool: VdpsPool,
-        worker_to_dc: Vec<f64>,
-        slots: SlotColumns,
-        gen_stats: GenerationStats,
-    ) -> Self {
-        // Two-sided crossover: the index must be big enough to beat the
-        // cache-resident mask scan, yet sparse enough that per-switch
-        // maintenance (a walk of every affected bit's posting list) stays
-        // cheap relative to the probes it accelerates. Thresholds come
-        // from the installed hotpath profile; its defaults are the
-        // [`CONFLICT_INDEX_MIN_SLOTS`] / [`CONFLICT_INDEX_MAX_SLOTS_PER_BIT`]
-        // constants, so an uncalibrated process behaves exactly as before.
-        // Every pool mask has at least one bit, so the (bit, slot)
-        // incidence count is at least the slot count: a space whose slot
-        // count alone breaks the sparsity cap skips the popcount pass.
-        let profile = crate::hotpath::current();
-        let total = slots.pool.len();
-        let cap = view
-            .dps
-            .len()
-            .max(1)
-            .saturating_mul(profile.conflict_index_max_slots_per_bit);
-        let sparse = total <= cap
-            && slots
-                .masks
-                .iter()
-                .map(|m| m.count_ones() as usize)
-                .sum::<usize>()
-                <= cap;
-        let conflict_sets = (total >= profile.conflict_index_min_slots && sparse)
-            .then(|| ConflictSets::build(view.dps.len(), &slots.masks));
         Self {
             view,
             pool,
             worker_to_dc,
             slots,
-            conflict_sets,
             gen_stats,
         }
     }
@@ -542,14 +414,6 @@ impl StrategySpace {
     #[must_use]
     pub fn slot_pool(&self) -> &[u32] {
         &self.slots.pool
-    }
-
-    /// The inverted DP-bit → slot index, present when the space is large
-    /// enough that incremental conflict maintenance beats the mask scan
-    /// (the [`CONFLICT_INDEX_MIN_SLOTS`] crossover heuristic).
-    #[must_use]
-    pub fn conflict_sets(&self) -> Option<&ConflictSets> {
-        self.conflict_sets.as_ref()
     }
 
     /// Number of non-null strategies available to the `local`-th worker.

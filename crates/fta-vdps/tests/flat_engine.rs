@@ -11,8 +11,11 @@
 use fta_core::route::Route;
 use fta_core::Instance;
 use fta_data::{generate_syn, SynConfig};
-use fta_vdps::generator::generate_c_vdps_hashmap;
-use fta_vdps::{generate_c_vdps_flat, StrategySpace, VdpsConfig, VdpsPool, WorkerPool};
+use fta_vdps::{generate_c_vdps_in, StrategySpace, VdpsConfig, VdpsPool, WorkerPool};
+
+#[path = "support/hashmap_dp.rs"]
+mod hashmap_dp;
+use hashmap_dp::generate_c_vdps_hashmap;
 
 /// One SYN center at the scale of the paper's experiments (80 delivery
 /// points, every one task-bearing).
@@ -65,13 +68,13 @@ fn paper_scale_counters_are_pinned_and_engine_independent() {
         // The unpruned `-W` variant.
         (VdpsConfig::unpruned(3), PINNED_UNPRUNED),
     ] {
-        let (flat, flat_stats) = generate_c_vdps_flat(&inst, &aggs, &views[0], &config, None);
+        let (flat, flat_stats) = generate_c_vdps_in(&inst, &aggs, &views[0], &config, None);
         let (hashed, hashed_stats) = generate_c_vdps_hashmap(&inst, &aggs, &views[0], &config);
-        assert_pools_bit_identical(&flat, &hashed, "flat vs hashmap");
+        assert_pools_bit_identical(&flat, &hashed, "flat vs hash-map oracle");
         assert_eq!(
             flat_stats.work_counters(),
             hashed_stats.work_counters(),
-            "engines disagree on work counters (ε = {:?})",
+            "engine and oracle disagree on work counters (ε = {:?})",
             config.epsilon
         );
         assert_eq!(
@@ -102,12 +105,12 @@ fn paper_scale_pools_are_thread_count_invariant() {
     let views = inst.center_views();
     let config = VdpsConfig::unpruned(3);
 
-    let (seq, seq_stats) = generate_c_vdps_flat(&inst, &aggs, &views[0], &config, None);
+    let (seq, seq_stats) = generate_c_vdps_in(&inst, &aggs, &views[0], &config, None);
     assert!(!seq.is_empty());
     for threads in [2, 4, 8] {
         let pool = WorkerPool::with_threads(threads);
         let (par, par_stats) =
-            pool.scope(|ts| generate_c_vdps_flat(&inst, &aggs, &views[0], &config, Some(ts)));
+            pool.scope(|ts| generate_c_vdps_in(&inst, &aggs, &views[0], &config, Some(ts)));
         assert_pools_bit_identical(&seq, &par, &format!("sequential vs {threads} threads"));
         assert_eq!(seq_stats.work_counters(), par_stats.work_counters());
         // At this scale the frontier passes the chunking threshold, so the
@@ -121,7 +124,8 @@ fn paper_scale_pools_are_thread_count_invariant() {
     }
 }
 
-/// Every row of a paper-scale pool — sequential, pooled, and hash-map —
+/// Every row of a paper-scale pool — sequential, pooled, and the hash-map
+/// oracle's —
 /// equals a full `Route::build` of its stops, bit for bit in every field.
 #[test]
 fn paper_scale_rows_equal_full_rebuilds() {
@@ -130,9 +134,9 @@ fn paper_scale_rows_equal_full_rebuilds() {
     let view = &inst.center_views()[0];
     let workers = WorkerPool::with_threads(2);
     for config in [VdpsConfig::pruned(2.0, 3), VdpsConfig::unpruned(3)] {
-        let (seq, seq_stats) = generate_c_vdps_flat(&inst, &aggs, view, &config, None);
+        let (seq, seq_stats) = generate_c_vdps_in(&inst, &aggs, view, &config, None);
         let (par, par_stats) =
-            workers.scope(|ts| generate_c_vdps_flat(&inst, &aggs, view, &config, Some(ts)));
+            workers.scope(|ts| generate_c_vdps_in(&inst, &aggs, view, &config, Some(ts)));
         assert!(
             par_stats.chunks > seq_stats.chunks,
             "pooled run did not chunk"

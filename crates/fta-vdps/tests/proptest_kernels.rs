@@ -6,8 +6,28 @@
 
 use fta_core::payoff::payoff_for_travel;
 use fta_data::{generate_syn, SynConfig};
-use fta_vdps::{generate_c_vdps_flat, kernel, StrategySpace, VdpsConfig};
+use fta_vdps::{generate_c_vdps_in, kernel, StrategySpace, VdpsConfig};
 use proptest::prelude::*;
+
+/// The one-branch-per-candidate loop `kernel::for_each_open_chunked`
+/// replaces: the positions in `masks[..limit]` disjoint from `taken`.
+fn open_positions_scalar(masks: &[u128], limit: usize, taken: u128) -> Vec<usize> {
+    (0..limit).filter(|&p| masks[p] & taken == 0).collect()
+}
+
+/// The plain argmax `kernel::best_open_chunked` replaces: the first strict
+/// payoff maximum among the slots disjoint from `taken`.
+fn best_open_scalar(masks: &[u128], payoffs: &[f64], taken: u128) -> Option<usize> {
+    let mut best = None;
+    let mut best_p = f64::NEG_INFINITY;
+    for (pos, &p) in payoffs.iter().enumerate() {
+        if p > best_p && masks[pos] & taken == 0 {
+            best = Some(pos);
+            best_p = p;
+        }
+    }
+    best
+}
 
 /// Random mask lists: limb pairs shifted to varying density so fixtures
 /// cover near-empty, half-full, and dense masks.
@@ -23,8 +43,8 @@ fn arb_masks() -> impl Strategy<Value = Vec<u128>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The open-mask kernels must agree with their scalar twins for any
-    /// mask list, taken mask, and sweep limit.
+    /// The open-mask sweep must visit exactly the positions the scalar
+    /// loop visits, in order, for any mask list, taken mask, and limit.
     #[test]
     fn open_kernels_match_scalar_reference(
         masks in arb_masks(),
@@ -34,43 +54,13 @@ proptest! {
         limit_seed in 0usize..1000,
     ) {
         let taken = ((u128::from(taken_hi) << 64) | u128::from(taken_lo)) >> taken_shift;
-        prop_assert_eq!(
-            kernel::first_open_scalar(&masks, taken),
-            kernel::first_open_chunked(&masks, taken)
-        );
         let limit = limit_seed % (masks.len() + 1);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        kernel::for_each_open_scalar(&masks, limit, taken, |p| a.push(p));
-        kernel::for_each_open_chunked(&masks, limit, taken, |p| b.push(p));
-        prop_assert_eq!(a, b);
+        let mut got = Vec::new();
+        kernel::for_each_open_chunked(&masks, limit, taken, |p| got.push(p));
+        prop_assert_eq!(open_positions_scalar(&masks, limit, taken), got);
     }
 
-    /// The conflict-counter gather kernels must agree with their scalar
-    /// twins for any slot list, counter table, and sweep limit.
-    #[test]
-    fn zero_kernels_match_scalar_reference(
-        conflicts in prop::collection::vec(0u32..3, 1..50),
-        slot_seeds in prop::collection::vec(0usize..1000, 0..70),
-        limit_seed in 0usize..1000,
-    ) {
-        let slots: Vec<u32> = slot_seeds
-            .iter()
-            .map(|s| (s % conflicts.len()) as u32)
-            .collect();
-        prop_assert_eq!(
-            kernel::first_zero_scalar(&slots, &conflicts),
-            kernel::first_zero_chunked(&slots, &conflicts)
-        );
-        let limit = limit_seed % (slots.len() + 1);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        kernel::for_each_zero_scalar(&slots, limit, &conflicts, |p| a.push(p));
-        kernel::for_each_zero_chunked(&slots, limit, &conflicts, |p| b.push(p));
-        prop_assert_eq!(a, b);
-    }
-
-    /// The argmax kernels answer the monotone best response exactly as the
+    /// The argmax kernel answers the monotone best response exactly as the
     /// retired payoff-sorted first-hit scan did: same slot, and
     /// `desc_rank` equals that slot's position in the sorted list. A small
     /// payoff alphabet (with zero) makes ties common; lengths start at 0.
@@ -83,7 +73,6 @@ proptest! {
         let masks: Vec<u128> = slots.iter().map(|&(m, _)| u128::from(m)).collect();
         let payoffs: Vec<f64> = slots.iter().map(|&(_, p)| PAYOFFS[p]).collect();
         let taken = u128::from(taken);
-        let conflicts: Vec<u32> = masks.iter().map(|&m| (m & taken).count_ones()).collect();
 
         let mut order: Vec<usize> = (0..payoffs.len()).collect();
         order.sort_by(|&a, &b| payoffs[b].total_cmp(&payoffs[a]));
@@ -93,10 +82,8 @@ proptest! {
             .map(|rank| (order[rank], rank));
 
         let with_rank = |pos: Option<usize>| pos.map(|p| (p, kernel::desc_rank(&payoffs, p)));
-        prop_assert_eq!(with_rank(kernel::best_open_scalar(&masks, &payoffs, taken)), want);
+        prop_assert_eq!(with_rank(best_open_scalar(&masks, &payoffs, taken)), want);
         prop_assert_eq!(with_rank(kernel::best_open_chunked(&masks, &payoffs, taken)), want);
-        prop_assert_eq!(with_rank(kernel::best_zero_scalar(&conflicts, &payoffs)), want);
-        prop_assert_eq!(with_rank(kernel::best_zero_chunked(&conflicts, &payoffs)), want);
     }
 
     /// The arena-backed columnar validation inside `StrategySpace` must
@@ -131,7 +118,7 @@ proptest! {
         // identical answers.
         for pass in 0..2 {
             let (pool, stats) =
-                generate_c_vdps_flat(&instance, &aggregates, &view, &config, None);
+                generate_c_vdps_in(&instance, &aggregates, &view, &config, None);
             let space = StrategySpace::from_pool(&instance, &view, pool.clone(), stats);
             for (local, &w) in view.workers.iter().enumerate() {
                 let worker = &instance.workers[w.index()];

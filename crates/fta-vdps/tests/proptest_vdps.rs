@@ -6,9 +6,13 @@ use fta_core::geometry::Point;
 use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
 use fta_core::instance::{CenterView, Instance};
 use fta_core::route::Route;
-use fta_vdps::generator::{generate_c_vdps, generate_c_vdps_hashmap};
+use fta_vdps::generator::generate_c_vdps;
 use fta_vdps::naive::generate_naive;
-use fta_vdps::{generate_c_vdps_flat, StrategySpace, VdpsConfig, VdpsEngine, VdpsPool, WorkerPool};
+use fta_vdps::{generate_c_vdps_in, StrategySpace, VdpsConfig, VdpsPool, WorkerPool};
+
+#[path = "support/hashmap_dp.rs"]
+mod hashmap_dp;
+use hashmap_dp::generate_c_vdps_hashmap;
 use proptest::prelude::*;
 
 /// Every row of `pool` equals a full [`Route::build`] of its stops, bit
@@ -91,11 +95,8 @@ fn arb_center() -> impl Strategy<Value = Instance> {
 }
 
 fn arb_config() -> impl Strategy<Value = VdpsConfig> {
-    (prop::option::of(0.5f64..12.0), 1usize..6).prop_map(|(epsilon, max_len)| VdpsConfig {
-        epsilon,
-        max_len,
-        engine: VdpsEngine::default(),
-    })
+    (prop::option::of(0.5f64..12.0), 1usize..6)
+        .prop_map(|(epsilon, max_len)| VdpsConfig { epsilon, max_len })
 }
 
 proptest! {
@@ -173,7 +174,7 @@ proptest! {
         let (hashed, hashed_stats) =
             generate_c_vdps_hashmap(&instance, &aggs, &views[0], &config);
         let (flat, flat_stats) =
-            generate_c_vdps_flat(&instance, &aggs, &views[0], &config, None);
+            generate_c_vdps_in(&instance, &aggs, &views[0], &config, None);
 
         // Flat vs hashmap: bit-identical pools (mask, route, travel time)
         // and identical work/pruning counters.
@@ -207,7 +208,7 @@ proptest! {
     fn every_row_equals_a_full_rebuild(instance in arb_center(), config in arb_config()) {
         let aggs = instance.dp_aggregates();
         let views = instance.center_views();
-        let (flat, _) = generate_c_vdps_flat(&instance, &aggs, &views[0], &config, None);
+        let (flat, _) = generate_c_vdps_in(&instance, &aggs, &views[0], &config, None);
         let (hashed, _) = generate_c_vdps_hashmap(&instance, &aggs, &views[0], &config);
         assert_rows_are_rebuilds(&instance, &views[0], &flat);
         assert_rows_are_rebuilds(&instance, &views[0], &hashed);
@@ -224,10 +225,10 @@ proptest! {
         let aggs = instance.dp_aggregates();
         let views = instance.center_views();
         let (seq, seq_stats) =
-            generate_c_vdps_flat(&instance, &aggs, &views[0], &config, None);
+            generate_c_vdps_in(&instance, &aggs, &views[0], &config, None);
         let pool = WorkerPool::with_threads(threads);
         let (par, par_stats) = pool.scope(|ts| {
-            generate_c_vdps_flat(&instance, &aggs, &views[0], &config, Some(ts))
+            generate_c_vdps_in(&instance, &aggs, &views[0], &config, Some(ts))
         });
         prop_assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(par.iter()) {
