@@ -12,7 +12,7 @@ use fta_vdps::{kernel, StrategySpace};
 /// Work counters of one monotone best-response query, stated as a
 /// first-hit scan over the worker's list in (payoff descending, pool index
 /// ascending) order would have done it. The query itself is one pass over
-/// the ascending list; the counters keep the payoff-order meaning so
+/// the worker's valid rows; the counters keep the payoff-order meaning so
 /// `BestResponseStats` stays comparable across versions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DescScan {
@@ -58,10 +58,10 @@ pub struct GameContext<'a> {
     /// call). Floating-point drift versus a fresh fold is bounded by a few
     /// ulps per switch, far below every decision margin in this crate.
     total: f64,
-    /// Per local worker: the slot position of the last
+    /// Per local worker: the pool index of the last
     /// [`GameContext::best_available`] winner and its payoff-order rank
     /// (`u32::MAX` before the first). The rank depends only on the
-    /// worker's fixed payoff list, so a repeated winner — the common case
+    /// worker's fixed strategy set, so a repeated winner — the common case
     /// once the game settles — skips the counting pass.
     last_rank: Vec<(u32, u32)>,
 }
@@ -179,43 +179,85 @@ impl<'a> GameContext<'a> {
     }
 
     /// Iterator over the pool indices of the `local`-th worker's valid
-    /// strategies that are currently available (disjoint from others), in
-    /// ascending pool-index order: a linear mask scan over the space's
-    /// flat SoA slices.
+    /// strategies that are currently available (disjoint from others), with
+    /// their payoffs, in ascending pool-index order: a scan of the pool with
+    /// the availability and validity tests inline.
     pub fn available_strategies(&self, local: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let valid = self.space.valid_of(local);
-        let payoffs = self.space.payoffs_of(local);
-        let masks = self.space.masks_of(local);
+        let masks = self.space.pool.masks();
         let other_taken = self.taken & !self.own_masks[local];
-        (0..valid.len())
-            .filter(move |&pos| masks[pos] & other_taken == 0)
-            .map(move |pos| (valid[pos], payoffs[pos]))
+        (0..masks.len() as u32)
+            .filter(move |&idx| masks[idx as usize] & other_taken == 0)
+            .filter_map(move |idx| Some((idx, self.space.payoff_of(local, idx)?)))
+    }
+
+    /// The pool indices of the `local`-th worker's available strategies
+    /// that visit exactly `len` delivery points, in sorted-pool order (not
+    /// pool-index order).
+    #[must_use]
+    pub fn available_of_len(&self, local: usize, len: usize) -> Vec<u32> {
+        let rows = self.space.rows(local);
+        let other_taken = self.taken & !self.own_masks[local];
+        let mut out = Vec::new();
+        if let Some(range) = rows.ranges().nth(len) {
+            let masks = &rows.masks[range.clone()];
+            kernel::for_each_open_chunked(masks, masks.len(), other_taken, |k| {
+                out.push(rows.pool_idx[range.start + k]);
+            });
+        }
+        out
+    }
+
+    /// The available strategy [`Iterator::max_by`] with
+    /// [`f64::total_cmp`] picks from [`GameContext::available_strategies`]
+    /// — the greatest payoff in IEEE total order, ties to the *highest*
+    /// pool index — found over the worker's valid rows only.
+    #[must_use]
+    pub fn max_available(&self, local: usize) -> Option<(u32, f64)> {
+        let rows = self.space.rows(local);
+        let other_taken = self.taken & !self.own_masks[local];
+        let mut best: Option<(u32, f64)> = None;
+        for range in rows.ranges() {
+            let masks = &rows.masks[range.clone()];
+            kernel::for_each_open_chunked(masks, masks.len(), other_taken, |k| {
+                let pos = range.start + k;
+                let cand = (rows.pool_idx[pos], rows.payoff(pos));
+                if best.is_none_or(|b| cand.1.total_cmp(&b.1).then(cand.0.cmp(&b.0)).is_gt()) {
+                    best = Some(cand);
+                }
+            });
+        }
+        best
     }
 
     /// The highest-payoff *available* strategy of the `local`-th worker,
     /// payoff ties to the lowest pool index (exhaustive evaluation's
-    /// first-strict-maximum rule): one argmax pass over the worker's
-    /// ascending slots. Returns the winning `(pool index, payoff)` — or
-    /// `None` when nothing is available — plus the scan counters: the
-    /// winner's payoff-order rank plus one, or the list length when
+    /// first-strict-maximum rule), or `None` when nothing is available:
+    /// one argmax pass over the worker's valid rows.
+    #[must_use]
+    pub fn best_open(&self, local: usize) -> Option<(u32, f64)> {
+        let rows = self.space.rows(local);
+        let other_taken = self.taken & !self.own_masks[local];
+        kernel::best_open(&rows, other_taken).map(|(pos, p)| (rows.pool_idx[pos], p))
+    }
+
+    /// [`GameContext::best_open`] plus the scan counters: the winner's
+    /// payoff-order rank plus one, or the number of valid strategies when
     /// nothing is open.
     #[must_use]
     pub fn best_available(&mut self, local: usize) -> (Option<(u32, f64)>, DescScan) {
-        let pool_idx = self.space.valid_of(local);
-        let payoffs = self.space.payoffs_of(local);
-        let masks = self.space.masks_of(local);
-        let other_taken = self.taken & !self.own_masks[local];
-        let best = kernel::best_open_chunked(masks, payoffs, other_taken);
-        let rank = best.map(|pos| {
-            let (last_pos, last_rank) = &mut self.last_rank[local];
-            if *last_pos != pos as u32 {
-                *last_pos = pos as u32;
-                *last_rank = kernel::desc_rank(payoffs, pos) as u32;
+        let best = self.best_open(local);
+        let rank = best.map(|(idx, p)| {
+            let (last_idx, last_rank) = &mut self.last_rank[local];
+            if *last_idx != idx {
+                *last_idx = idx;
+                *last_rank = kernel::payoff_rank(&self.space.rows(local), idx, p) as u32;
             }
             *last_rank as usize
         });
-        let scan = DescScan::stopped_at(rank, payoffs.len());
-        (best.map(|pos| (pool_idx[pos], payoffs[pos])), scan)
+        (
+            best,
+            DescScan::stopped_at(rank, self.space.strategy_count(local)),
+        )
     }
 
     /// Collects every *available* strategy of the `local`-th worker whose
@@ -230,20 +272,15 @@ impl<'a> GameContext<'a> {
         out: &mut Vec<(u32, f64)>,
     ) -> DescScan {
         out.clear();
-        let pool_idx = self.space.valid_of(local);
-        let payoffs = self.space.payoffs_of(local);
-        let len = pool_idx.len();
-        let masks = self.space.masks_of(local);
+        let rows = self.space.rows(local);
         let other_taken = self.taken & !self.own_masks[local];
-        kernel::for_each_open_chunked(masks, len, other_taken, |pos| {
-            if payoffs[pos] > threshold {
-                out.push((pool_idx[pos], payoffs[pos]));
-            }
+        let above = kernel::for_each_better(&rows, threshold, other_taken, |pos, p| {
+            out.push((rows.pool_idx[pos], p));
         });
-        // The payoff-order scan examines every slot above the threshold,
-        // then stops on the first one that is not.
-        let above = payoffs.iter().filter(|&&p| p > threshold).count();
-        DescScan::stopped_at(Some(above), len)
+        out.sort_unstable_by_key(|&(idx, _)| idx);
+        // The payoff-order scan examines every strategy above the
+        // threshold, then stops on the first one that is not.
+        DescScan::stopped_at(Some(above), self.space.strategy_count(local))
     }
 
     /// Materialises the current selection as an [`Assignment`].

@@ -68,9 +68,8 @@ pub fn exact_search(
         for local in (0..n).rev() {
             let own_max = ctx
                 .space()
-                .payoffs_of(local)
-                .iter()
-                .copied()
+                .strategies(local)
+                .map(|(_, p)| p)
                 .fold(0.0_f64, f64::max);
             suffix[local] = suffix[local + 1] + own_max;
         }

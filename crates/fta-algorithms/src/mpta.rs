@@ -102,9 +102,7 @@ fn climb(ctx: &mut GameContext<'_>, max_rounds: usize) {
         let mut moved = false;
         for local in 0..ctx.n_workers() {
             let current = ctx.payoff(local);
-            let best = ctx
-                .available_strategies(local)
-                .max_by(|a, b| a.1.total_cmp(&b.1));
+            let best = ctx.max_available(local);
             if let Some((idx, payoff)) = best {
                 if payoff > current + 1e-12 {
                     ctx.set_strategy(local, Some(idx));

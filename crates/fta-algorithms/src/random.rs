@@ -35,11 +35,8 @@ pub(crate) fn random_init_nulls(ctx: &mut GameContext<'_>, rng: &mut StdRng) {
 /// Gives the `local`-th worker a uniformly random available
 /// single-delivery-point VDPS, or the null strategy if none remains.
 fn random_single(ctx: &mut GameContext<'_>, local: usize, rng: &mut StdRng) {
-    let singles: Vec<u32> = ctx
-        .available_strategies(local)
-        .filter(|&(idx, _)| ctx.space().pool.row_len(idx as usize) == 1)
-        .map(|(idx, _)| idx)
-        .collect();
+    let mut singles = ctx.available_of_len(local, 1);
+    singles.sort_unstable();
     let choice = singles.choose(rng).copied();
     ctx.set_strategy(local, choice);
 }

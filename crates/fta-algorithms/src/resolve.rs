@@ -50,9 +50,7 @@ use crate::trace::ConvergenceTrace;
 use crate::warm::WarmStart;
 use fta_core::instance::{CenterView, DpAggregate};
 use fta_core::{CancelToken, CenterId, ChurnSet, DeliveryPointId, Instance};
-use fta_vdps::{
-    delta_update_with_provenance, GenControl, PoolCache, SlotCache, StrategySpace, VdpsConfig,
-};
+use fta_vdps::{delta_update, GenControl, PoolCache, StrategySpace, VdpsConfig};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -342,7 +340,6 @@ impl Solver {
                     &space.pool,
                     &space.gen_stats,
                 ),
-                slots: SlotCache::capture(&space),
                 selections: center_seed.selections.clone(),
                 workers: space.view.workers.clone(),
             };
@@ -682,39 +679,10 @@ fn warm_center(
     let center_u32 = center.index() as u32;
     let _span = fta_obs::span_center("solver.center_warm", center_u32);
     let t0 = Instant::now();
-    let delta = delta_update_with_provenance(instance, aggregates, &view, vdps_cfg, pool_cache);
-    let space = match delta {
-        Some((pool, provenance, dstats)) => {
+    let space = match delta_update(instance, aggregates, &view, vdps_cfg, pool_cache) {
+        Some((pool, dstats)) => {
             let gen_stats = dstats.as_gen_stats(pool.len());
-            // The per-worker slot cache is reusable only when the worker
-            // side is bitwise-stable: same workers in the same local order
-            // with unchanged location and `maxDP` (travel times to the
-            // center are then equal bit for bit, since a fitting cache
-            // guarantees the center and speed are unchanged). Otherwise
-            // validate the pool from scratch.
-            let workers_stable = view.workers.len() == cache.worker_keys.len()
-                && cache.capture.slots.n_workers() == cache.worker_keys.len()
-                && view.workers.iter().enumerate().all(|(local, &w)| {
-                    let worker = &instance.workers[w.index()];
-                    keys[w.index()] == cache.worker_keys[local]
-                        && (
-                            worker.location.x.to_bits(),
-                            worker.location.y.to_bits(),
-                            worker.max_dp as u64,
-                        ) == cache.worker_bits[local]
-                });
-            if workers_stable {
-                StrategySpace::from_pool_delta(
-                    instance,
-                    view,
-                    pool,
-                    &provenance,
-                    &cache.capture.slots,
-                    gen_stats,
-                )
-            } else {
-                StrategySpace::from_pool_in(instance, view, pool, gen_stats, None)
-            }
+            StrategySpace::from_pool_in(instance, view, pool, gen_stats, None)
         }
         None => {
             // The churn needs rediscovery: regenerating with the flat
@@ -778,7 +746,6 @@ fn warm_center(
             &space.pool,
             &space.gen_stats,
         ),
-        slots: SlotCache::capture(&space),
         selections,
         workers: space.view.workers.clone(),
     };

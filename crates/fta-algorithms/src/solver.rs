@@ -8,7 +8,7 @@
 //! With `parallel = true` all per-center jobs are submitted to one shared
 //! [`WorkerPool`] bounded by `available_parallelism()` — never one OS
 //! thread per center — and the *same* pool also serves intra-center DP
-//! layer expansion and per-worker validation inside `fta-vdps`, so a
+//! layer expansion inside `fta-vdps`, so a
 //! single giant center no longer serialises a run and a thousand-center
 //! instance no longer oversubscribes the machine. Results are merged in
 //! center order and per-center seeds are salted by center id, so the
@@ -27,8 +27,7 @@ use crate::trace::ConvergenceTrace;
 use fta_core::instance::{CenterView, DpAggregate};
 use fta_core::{Assignment, CancelToken, CenterId, Instance, SolveBudget, WorkerId};
 use fta_vdps::{
-    GenControl, GenerationStats, PoolCache, SlotCache, StrategySpace, TaskScope, VdpsConfig,
-    WorkerPool,
+    GenControl, GenerationStats, PoolCache, StrategySpace, TaskScope, VdpsConfig, WorkerPool,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -310,9 +309,6 @@ pub(crate) struct CenterOutcome {
 pub(crate) struct CenterCapture {
     /// Bitwise snapshot of the generated pool and its inputs.
     pub(crate) pool_cache: PoolCache,
-    /// Per-worker (validity, payoff) slot data of the solved space, for
-    /// provenance-guided revalidation skips on the next delta update.
-    pub(crate) slots: SlotCache,
     /// Selected strategy per local worker, as the strategy's dp mask.
     pub(crate) selections: Vec<Option<u128>>,
     /// The center's workers in local order.
@@ -574,7 +570,6 @@ fn solve_center_attempt(
                 &space.pool,
                 &space.gen_stats,
             ),
-            slots: SlotCache::capture(&space),
             selections,
             workers: space.view.workers.clone(),
         })
@@ -627,8 +622,8 @@ pub(crate) fn install_exhaustion_hook() {
 
 /// Like [`solve`], on a caller-provided [`WorkerPool`].
 ///
-/// Every piece of parallelism in the run — per-center jobs, intra-center
-/// DP layer expansion, per-worker validation — shares `pool`, so the
+/// Every piece of parallelism in the run — per-center jobs and
+/// intra-center DP layer expansion — shares `pool`, so the
 /// number of live OS threads never exceeds `pool.threads()` regardless of
 /// how many centers the instance has. A sequential pool
 /// ([`WorkerPool::sequential`]) runs everything inline on the caller's

@@ -1,16 +1,29 @@
-//! The monotone best-response queries against the scan they replaced.
+//! The implicit strategy space against the materialised one it replaced.
 //!
 //! `GameContext::best_available` and `GameContext::better_available`
-//! answer in one pass over a worker's ascending slots. They used to scan a
-//! payoff-descending copy of the list (stable sort, so payoff ties keep
-//! ascending pool index): first open slot for FGT/PFGT, the prefix above
-//! a threshold for IEGT. That scan lives on here as the oracle. For random
-//! spaces and random selections of the other workers, both queries must
-//! return the same pool indices, payoff bits, `scanned` and `early_exit`.
+//! answer in one pass over a worker's valid prefixes of the sorted pool.
+//! They used to scan a payoff-descending copy of the worker's materialised
+//! slot list (stable sort, so payoff ties keep ascending pool index):
+//! first open slot for FGT/PFGT, the prefix above a threshold for IEGT.
+//! That scan lives on here as the oracle. For random spaces and random
+//! selections of the other workers, both queries must return the same pool
+//! indices, payoff bits, `scanned` and `early_exit`.
+//!
+//! On top of the queries, the production game code runs over both
+//! representations: `fgt.rs`, `iegt.rs`, `gta.rs`, `mpta.rs`, `random.rs`
+//! and `warm.rs` are compiled a second time in this test against the
+//! retired context (`support/slot_context.rs`), and FGT on both engines,
+//! IEGT, GTA, MPTA and Random must make identical selections with
+//! identical `BestResponseStats`.
+//! The included files bring their unit tests along, so those run over
+//! the retired context as well.
 //!
 //! Instances sit on a small lattice with rewards drawn from {0, 1, 2}, so
 //! payoff ties (mirror-image routes) and zero payoffs are common, and
 //! far-away workers or tight deadlines leave some lists empty.
+
+// Items of the included production modules that only the library uses.
+#![allow(dead_code)]
 
 use fta_algorithms::{DescScan, GameContext};
 use fta_core::entities::{DeliveryPoint, DistributionCenter, SpatialTask, Worker};
@@ -19,6 +32,36 @@ use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
 use fta_core::Instance;
 use fta_vdps::{StrategySpace, VdpsConfig};
 use proptest::prelude::*;
+
+#[path = "../../fta-vdps/tests/support/materialised.rs"]
+mod materialised;
+#[path = "support/slot_context.rs"]
+mod slot_context;
+use materialised::SlotColumns;
+
+// The production game code over the retired context: the included files
+// name their dependencies as `crate::...`, which resolve here.
+mod context {
+    pub use crate::slot_context::GameContext;
+}
+mod stats {
+    pub use fta_algorithms::BestResponseStats;
+}
+mod trace {
+    pub use fta_algorithms::ConvergenceTrace;
+}
+#[path = "../src/fgt.rs"]
+mod fgt;
+#[path = "../src/gta.rs"]
+mod gta;
+#[path = "../src/iegt.rs"]
+mod iegt;
+#[path = "../src/mpta.rs"]
+mod mpta;
+#[path = "../src/random.rs"]
+mod random;
+#[path = "../src/warm.rs"]
+mod warm;
 
 /// Lattice points around the center at the origin; mirrored pairs give
 /// equal travel times.
@@ -100,27 +143,19 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
         })
 }
 
-/// The retired payoff-descending order of `local`'s slot positions.
-fn desc_order(space: &StrategySpace, local: usize) -> Vec<usize> {
-    let payoffs = space.payoffs_of(local);
-    let mut order: Vec<usize> = (0..payoffs.len()).collect();
-    order.sort_by(|&a, &b| payoffs[b].total_cmp(&payoffs[a]));
-    order
-}
-
 /// The retired FGT/PFGT query: first available slot in payoff order.
 fn oracle_best(ctx: &GameContext<'_>, local: usize) -> (Option<(u32, u64)>, DescScan) {
-    let space = ctx.space();
-    let order = desc_order(space, local);
+    let slots = SlotColumns::of(ctx.space());
+    let order = slots.desc_order(local);
     let len = order.len();
     for (rank, &pos) in order.iter().enumerate() {
-        let idx = space.valid_of(local)[pos];
+        let idx = slots.valid_of(local)[pos];
         if ctx.is_available(local, idx) {
             let scan = DescScan {
                 scanned: (rank + 1) as u64,
                 early_exit: rank + 1 < len,
             };
-            return (Some((idx, space.payoffs_of(local)[pos].to_bits())), scan);
+            return (Some((idx, slots.payoffs_of(local)[pos].to_bits())), scan);
         }
     }
     let scan = DescScan {
@@ -137,18 +172,18 @@ fn oracle_better(
     local: usize,
     threshold: f64,
 ) -> (Vec<(u32, u64)>, DescScan) {
-    let space = ctx.space();
-    let order = desc_order(space, local);
+    let slots = SlotColumns::of(ctx.space());
+    let order = slots.desc_order(local);
     let len = order.len();
     let mut out = Vec::new();
     let mut scanned = 0usize;
     for &pos in &order {
         scanned += 1;
-        let p = space.payoffs_of(local)[pos];
+        let p = slots.payoffs_of(local)[pos];
         if p <= threshold {
             break;
         }
-        let idx = space.valid_of(local)[pos];
+        let idx = slots.valid_of(local)[pos];
         if ctx.is_available(local, idx) {
             out.push((idx, p.to_bits()));
         }
@@ -198,7 +233,7 @@ fn check_worker(ctx: &mut GameContext<'_>, local: usize) {
     prop_assert_eq!((got, scan), want, "best, worker {}", local);
 
     let mut thresholds = vec![-1.0, 0.0, ctx.payoff(local), f64::INFINITY];
-    thresholds.extend(ctx.space().payoffs_of(local).iter().take(3));
+    thresholds.extend(ctx.space().strategies(local).map(|(_, p)| p).take(3));
     let mut out = Vec::new();
     for threshold in thresholds {
         let want = oracle_better(ctx, local, threshold);
@@ -224,5 +259,96 @@ proptest! {
         let view = &instance.center_views()[0];
         let space = StrategySpace::build(&instance, view, &VdpsConfig::unpruned(3));
         check_space(&space, &picks);
+    }
+}
+
+/// What one algorithm left behind: every worker's selection and payoff
+/// bits, plus the best-response counters.
+type Outcome = (Vec<(Option<u32>, u64)>, fta_algorithms::BestResponseStats);
+
+/// Plays algorithm `which` over the implicit space.
+fn play_implicit(space: &StrategySpace, which: usize) -> Outcome {
+    use fta_algorithms::{BestResponseEngine as E, FgtConfig, IegtConfig, MptaConfig};
+    let mut ctx = GameContext::new(space);
+    let fgt_on = |engine| FgtConfig {
+        engine,
+        ..FgtConfig::default()
+    };
+    let stats = match which {
+        0 => fta_algorithms::fgt(&mut ctx, &fgt_on(E::FastPath)).stats,
+        1 => fta_algorithms::fgt(&mut ctx, &fgt_on(E::Incremental)).stats,
+        2 => fta_algorithms::iegt(&mut ctx, &IegtConfig::default()).stats,
+        3 => {
+            fta_algorithms::gta(&mut ctx);
+            Default::default()
+        }
+        4 => {
+            fta_algorithms::mpta(&mut ctx, &MptaConfig::default());
+            Default::default()
+        }
+        _ => {
+            fta_algorithms::random_assignment(&mut ctx, 11);
+            Default::default()
+        }
+    };
+    let picks = (0..ctx.n_workers())
+        .map(|l| (ctx.selection(l), ctx.payoff(l).to_bits()))
+        .collect();
+    (picks, stats)
+}
+
+/// Plays the same algorithm's code over the materialised slots.
+fn play_materialised(space: &StrategySpace, which: usize) -> Outcome {
+    use fgt::{BestResponseEngine as E, FgtConfig};
+    let mut ctx = slot_context::GameContext::new(space);
+    let fgt_on = |engine| FgtConfig {
+        engine,
+        ..FgtConfig::default()
+    };
+    let stats = match which {
+        0 => fgt::fgt(&mut ctx, &fgt_on(E::FastPath)).stats,
+        1 => fgt::fgt(&mut ctx, &fgt_on(E::Incremental)).stats,
+        2 => iegt::iegt(&mut ctx, &iegt::IegtConfig::default()).stats,
+        3 => {
+            gta::gta(&mut ctx);
+            Default::default()
+        }
+        4 => {
+            mpta::mpta(&mut ctx, &mpta::MptaConfig::default());
+            Default::default()
+        }
+        _ => {
+            random::random_assignment(&mut ctx, 11);
+            Default::default()
+        }
+    };
+    let picks = (0..ctx.n_workers())
+        .map(|l| (ctx.selection(l), ctx.payoff(l).to_bits()))
+        .collect();
+    (picks, stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// FGT (both engines), IEGT, GTA, MPTA and Random make the same
+    /// selections with the same counters over both representations. (The
+    /// GTA heap pass against its retired rescan is `gta.rs`'s own
+    /// proptest, which the inclusion above runs over both too.)
+    #[test]
+    fn algorithms_play_identically_over_both_representations(
+        instance in arb_instance(),
+        max_len in 1usize..4,
+    ) {
+        let view = &instance.center_views()[0];
+        let space = StrategySpace::build(&instance, view, &VdpsConfig::unpruned(max_len));
+        for which in 0..6 {
+            prop_assert_eq!(
+                play_implicit(&space, which),
+                play_materialised(&space, which),
+                "algorithm {}",
+                which
+            );
+        }
     }
 }

@@ -1,12 +1,12 @@
-//! Property-based equivalence of the chunked-limb scan kernels against
-//! the scalar loops they replaced, in the game states every assignment
-//! algorithm reaches: for any random instance, after any algorithm has
-//! played, and again as its workers drop out one by one, each worker's
+//! Property-based equivalence of the scan kernels against the scalar
+//! loops they replaced, in the game states every assignment algorithm
+//! reaches: for any random instance, after any algorithm has played, and
+//! again as its workers drop out one by one, each worker's
 //! `GameContext::best_available` and `GameContext::better_available`
 //! must return *bit-identically* what a one-branch-per-slot loop over the
-//! worker's slots returns. The kernels are a pure representation change;
-//! any divergence is a kernel bug, never an acceptable rounding
-//! difference.
+//! worker's materialised slots (`fta-vdps/tests/support/materialised.rs`)
+//! returns. The kernels are a pure representation change; any divergence
+//! is a kernel bug, never an acceptable rounding difference.
 
 use fta_algorithms::{
     fgt, gta, iegt, mpta, pfgt, random_assignment, FgtConfig, GameContext, IegtConfig, MptaConfig,
@@ -16,6 +16,10 @@ use fta_core::Instance;
 use fta_data::{generate_syn, SynConfig};
 use fta_vdps::{StrategySpace, VdpsConfig};
 use proptest::prelude::*;
+
+#[path = "../../fta-vdps/tests/support/materialised.rs"]
+mod materialised;
+use materialised::SlotColumns;
 
 /// Random small instances driven by a seed and size knobs.
 fn arb_instance() -> impl Strategy<Value = Instance> {
@@ -77,12 +81,12 @@ fn play(ctx: &mut GameContext<'_>, algorithm: usize) {
 /// Every worker's chunked queries against the scalar loops in the
 /// context's current state.
 fn check_queries(ctx: &mut GameContext<'_>) {
-    let space = ctx.space();
+    let slots = SlotColumns::of(ctx.space());
     for local in 0..ctx.n_workers() {
         let (valid, payoffs, masks) = (
-            space.valid_of(local),
-            space.payoffs_of(local),
-            space.masks_of(local),
+            slots.valid_of(local),
+            slots.payoffs_of(local),
+            slots.masks_of(local),
         );
         let taken = ctx.taken_mask() & !ctx.own_mask(local);
         let want =

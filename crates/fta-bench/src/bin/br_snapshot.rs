@@ -18,7 +18,7 @@
 //! must exhaust their lists under every engine and no scan policy helps.
 
 use fta_algorithms::{fgt, BestResponseEngine, BestResponseStats, FgtConfig, GameContext};
-use fta_bench::{best_secs, obj};
+use fta_bench::{best_secs, hw_threads, obj};
 use fta_data::SynConfig;
 use fta_vdps::{StrategySpace, VdpsConfig};
 use serde_json::Value;
@@ -173,6 +173,7 @@ fn main() -> std::io::Result<()> {
             ),
         ),
         ("reps", Value::UInt(reps as u64)),
+        ("hw_threads", Value::UInt(hw_threads())),
         ("grid", Value::Array(grid)),
     ]);
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");

@@ -7,7 +7,8 @@
 //!   [`fta_vdps::kernel`] against bench-local scalar loops (one branch per
 //!   candidate), kept here purely as the measurable "before" side:
 //!   `best_open`, the monotone best response's argmax over a worker's
-//!   slots, and `sweep`, the `for_each_open` pass behind IEGT's
+//!   valid rows with payoffs computed on demand (the scalar loop divides
+//!   every open row), and `sweep`, the `for_each_open` pass behind IEGT's
 //!   strictly-better candidate set.
 //! * **dedup** — the rewritten [`fta_vdps::dedup::DedupTable`]
 //!   (limb-split keys, batched probes, folds stored across rehash) vs a
@@ -22,9 +23,9 @@
 //! writing, and `tests/bench_snapshots.rs` re-asserts them against the
 //! committed file.
 
-use fta_bench::{best_secs, gates, obj};
+use fta_bench::{best_secs, gates, hw_threads, obj};
 use fta_vdps::dedup::{fold_mask, rank, DedupTable, Slot, EMPTY};
-use fta_vdps::kernel;
+use fta_vdps::{kernel, WorkerRows};
 use serde_json::Value;
 use std::hint::black_box;
 
@@ -150,14 +151,19 @@ impl LegacyTable {
 // kernels replaced, kept here (not in the library) as the "before" side.
 // ---------------------------------------------------------------------
 
-/// First strict payoff maximum among the slots disjoint from `taken`.
-fn best_open_scalar(masks: &[u128], payoffs: &[f64], taken: u128) -> Option<usize> {
+/// Highest payoff among the rows disjoint from `taken`, ties to the
+/// lowest pool index, dividing every open row.
+fn best_open_scalar(rows: &WorkerRows<'_>, taken: u128) -> Option<(usize, f64)> {
     let mut best = None;
     let mut best_p = f64::NEG_INFINITY;
-    for (pos, &p) in payoffs.iter().enumerate() {
-        if p > best_p && masks[pos] & taken == 0 {
-            best = Some(pos);
-            best_p = p;
+    let mut best_idx = 0;
+    for pos in rows.ranges().flatten() {
+        if rows.masks[pos] & taken == 0 {
+            let (p, idx) = (rows.payoff(pos), rows.pool_idx[pos]);
+            if p > best_p || (p == best_p && idx < best_idx) {
+                best = Some((pos, p));
+                (best_p, best_idx) = (p, idx);
+            }
         }
     }
     best
@@ -190,6 +196,20 @@ fn main() -> std::io::Result<()> {
     let masks: Vec<u128> = (0..scan_len).map(|_| sparse_mask(&mut next, 8)).collect();
     let pool_idx: Vec<u32> = (0..scan_len as u32).rev().collect();
     let payoffs: Vec<f64> = (0..scan_len).map(|p| 1.0 / (p + 1) as f64).collect();
+    // The same rows as a worker's valid set: rewards and travel times of
+    // a few km, payoffs computed on demand.
+    let unit = |next: &mut dyn FnMut() -> u64| (next() >> 11) as f64 / (1u64 << 53) as f64;
+    let rewards: Vec<f64> = (0..scan_len).map(|_| 1.0 + 9.0 * unit(&mut next)).collect();
+    let travels: Vec<f64> = (0..scan_len).map(|_| 0.5 + 2.5 * unit(&mut next)).collect();
+    let rows = WorkerRows {
+        pool_idx: &pool_idx,
+        masks: &masks,
+        rewards: &rewards,
+        travels: &travels,
+        starts: &[0],
+        ends: &[scan_len as u32],
+        to_dc: 0.7,
+    };
     // ~24 of 128 DP bits taken: about a fifth of the slots stay open, so
     // the scalar loops' per-candidate branch is data-dependent.
     let takens: Vec<u128> = (0..64).map(|_| sparse_mask(&mut next, 24)).collect();
@@ -199,28 +219,29 @@ fn main() -> std::io::Result<()> {
         .sum::<f64>()
         / takens.len() as f64;
 
-    // The monotone best response: argmax of payoff over the open slots.
-    // Payoffs fall with the position, so once the first open slot is
-    // found almost no later lane out-pays it — the case where the chunked
-    // kernel skips the availability test a chunk at a time.
+    // The monotone best response: argmax of payoff over the open rows.
+    // Once a good open row is found, most later lanes are certainly
+    // out-paid — the case where the chunked kernel drops a chunk with
+    // one multiply per lane, before the availability test and without
+    // dividing.
     for &t in &takens {
         assert_eq!(
-            best_open_scalar(&masks, &payoffs, t),
-            kernel::best_open_chunked(&masks, &payoffs, t),
+            best_open_scalar(&rows, t).map(|(pos, p)| (pos, p.to_bits())),
+            kernel::best_open(&rows, t).map(|(pos, p)| (pos, p.to_bits())),
             "best_open kernels diverged"
         );
     }
     let best_scalar_s = best_secs(reps, || {
         let mut acc = 0usize;
         for &t in &takens {
-            acc += best_open_scalar(&masks, &payoffs, t).unwrap_or(scan_len);
+            acc += best_open_scalar(&rows, t).map_or(scan_len, |(pos, _)| pos);
         }
         acc
     });
     let best_chunked_s = best_secs(reps, || {
         let mut acc = 0usize;
         for &t in &takens {
-            acc += kernel::best_open_chunked(&masks, &payoffs, t).unwrap_or(scan_len);
+            acc += kernel::best_open(&rows, t).map_or(scan_len, |(pos, _)| pos);
         }
         acc
     });
@@ -349,12 +370,14 @@ fn main() -> std::io::Result<()> {
         (
             "description",
             Value::String(
-                "Chunked-limb availability-scan kernels and the dedup table \
-                 vs the scalar loops and table layout they replaced, best-of-N"
+                "Scan kernels (best-response argmax over on-demand payoffs, \
+                 chunked-limb availability sweep) and the dedup table vs \
+                 the scalar loops and table layout they replaced, best-of-N"
                     .to_owned(),
             ),
         ),
         ("reps", Value::UInt(reps as u64)),
+        ("hw_threads", Value::UInt(hw_threads())),
         (
             "microkernels",
             obj(vec![

@@ -28,7 +28,7 @@
 //! cached outcome — CI runs it in quick mode as a regression gate.
 
 use fta_algorithms::{solve, Algorithm, FgtConfig, ResolveStats, SolveConfig, Solver};
-use fta_bench::{best_secs, gates, obj};
+use fta_bench::{best_secs, gates, hw_threads, obj};
 use fta_core::{ChurnSet, Instance};
 use fta_data::SynConfig;
 use fta_vdps::VdpsConfig;
@@ -263,6 +263,7 @@ fn main() -> std::io::Result<()> {
         ),
         ("algorithm", Value::String("fgt".to_owned())),
         ("reps", Value::UInt(reps as u64)),
+        ("hw_threads", Value::UInt(hw_threads())),
         ("grid", Value::Array(grid)),
     ]);
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");

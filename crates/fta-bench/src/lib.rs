@@ -39,6 +39,13 @@ pub fn best_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
+/// Hardware threads of the machine a snapshot was recorded on, so a
+/// reader can tell the timings' context apart.
+#[must_use]
+pub fn hw_threads() -> u64 {
+    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
+}
+
 /// A `serde_json` object from `(key, value)` pairs, preserving insertion
 /// order (the snapshot writers keep fields in a stable, diff-friendly
 /// order).

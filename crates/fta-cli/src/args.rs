@@ -64,6 +64,9 @@ COMMANDS
       flush policy (always | never | flush every N frames, default 8);
       --snapshot-every sets the snapshot cadence in journaled rounds
       (default 16). Journaling observes the day, it never changes it.
+      Exits non-zero after its report, naming them, when any round had
+      to skip a center (its solve panicked twice); budget-degraded days
+      still exit 0.
 
   recover <DIR> [--ledger-out FILE]
       Resume a crashed `simulate --durable-dir DIR` day from its

@@ -604,7 +604,19 @@ pub fn execute(command: &Command) -> Result<String, String> {
                     path.display()
                 );
             }
-            Ok(text)
+            // As for `solve`: a skipped center is a failure, a budget
+            // degradation is not.
+            let skipped = &metrics.skipped_centers;
+            if skipped.is_empty() {
+                Ok(text)
+            } else {
+                let names: Vec<String> = skipped.iter().map(ToString::to_string).collect();
+                Err(format!(
+                    "{text}simulate failed: {} center(s) skipped after repeated panics: {}",
+                    skipped.len(),
+                    names.join(", ")
+                ))
+            }
         }
         Command::Recover { dir, ledger_out } => {
             let (params, fsync, snapshot_every) = SimParams::from_meta(&dir.join(META_FILE))?;
@@ -1301,6 +1313,22 @@ mod tests {
         );
 
         let _ = std::fs::remove_file(&instance_path);
+    }
+
+    #[test]
+    fn simulate_fails_when_a_center_is_skipped() {
+        // 1 564 delivery points on dc0: the center panics on both attempts
+        // in every round and is skipped, so nothing is ever completed.
+        let cmd = parse(&argv(
+            "simulate --algo gta --workers 100 --dps 2000 --rate 3000 --hours 1 --period-min 30",
+        ))
+        .unwrap();
+        let err = execute(&cmd).unwrap_err();
+        assert!(err.contains("0 completed"), "{err}");
+        assert!(
+            err.contains("simulate failed: 1 center(s) skipped after repeated panics: dc0"),
+            "{err}"
+        );
     }
 
     #[test]

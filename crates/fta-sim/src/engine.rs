@@ -5,11 +5,12 @@ use crate::metrics::{DayMetrics, WorkerLedger};
 use crate::scenario::{ArrivingTask, Scenario};
 use crate::state::{self, LoopState};
 use fta_algorithms::{
-    solve, solve_sharded, Algorithm, CacheSeed, ShardedSolver, SolveConfig, SolveOutcome, Solver,
+    solve, solve_sharded, Algorithm, CacheSeed, LadderRung, ShardedSolver, SolveConfig,
+    SolveOutcome, Solver,
 };
 use fta_core::entities::{SpatialTask, Worker};
 use fta_core::geometry::Point;
-use fta_core::ids::{DeliveryPointId, TaskId, WorkerId};
+use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
 use fta_core::route::Route;
 use fta_core::{CenterChurn, ChurnSet, Instance, ShardBy, SolveBudget};
 use fta_durable::{DurableError, FsyncPolicy, Journal};
@@ -17,6 +18,7 @@ use fta_obs::ledger::SolveRecord;
 use fta_vdps::VdpsConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -744,6 +746,7 @@ fn drive(
 ) -> SimReport {
     let n_workers = scenario.workers.len();
     let plan = config.faults;
+    let mut skipped_centers = BTreeSet::<CenterId>::new();
     while st.now <= config.horizon + 1e-12 {
         let now = st.now;
         // Ingest arrivals up to this round.
@@ -847,6 +850,13 @@ fn drive(
                             st.degraded_rounds += 1;
                             fta_obs::counter("sim.degraded_rounds", 1);
                         }
+                        skipped_centers.extend(
+                            outcome
+                                .rungs
+                                .iter()
+                                .filter(|&&(_, rung)| rung == LadderRung::Skipped)
+                                .map(|&(center, _)| center),
+                        );
                         if ledger_sink.is_some() || durable.is_some() {
                             round_record = Some(SolveRecord {
                                 round: Some(st.rounds as u64),
@@ -951,6 +961,7 @@ fn drive(
         worker_no_shows: st.worker_no_shows,
         route_dropouts: st.route_dropouts,
         degraded_rounds: st.degraded_rounds,
+        skipped_centers: skipped_centers.into_iter().collect(),
         rounds: st.rounds,
         horizon: config.horizon,
     }

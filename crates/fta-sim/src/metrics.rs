@@ -1,7 +1,7 @@
 //! Longitudinal outcomes of a simulated day.
 
 use fta_core::fairness::FairnessReport;
-use fta_core::WorkerId;
+use fta_core::{CenterId, WorkerId};
 
 /// Per-worker running totals.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -48,6 +48,11 @@ pub struct DayMetrics {
     /// Assignment rounds whose solve degraded down the ladder (budgeted
     /// runs only; see `fta_algorithms::DegradationReport`).
     pub degraded_rounds: usize,
+    /// Centers skipped in at least one round this run solved (the solve
+    /// panicked twice there, so it assigned nothing), ascending. A day
+    /// resumed from a journal counts only the rounds solved after the
+    /// resume.
+    pub skipped_centers: Vec<CenterId>,
     /// Number of assignment rounds executed.
     pub rounds: usize,
     /// Simulated horizon, hours.

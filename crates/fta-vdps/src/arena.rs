@@ -105,7 +105,6 @@ pub(crate) struct GenArena {
     pub(crate) folds: Recycler<u64>,
     pub(crate) indices: Recycler<u32>,
     pub(crate) floats: Recycler<f64>,
-    pub(crate) flags: Recycler<bool>,
     pub(crate) slots: Recycler<crate::dedup::Slot>,
 }
 
@@ -135,7 +134,6 @@ impl GenArena {
             acc(&self.folds),
             acc(&self.indices),
             acc(&self.floats),
-            acc(&self.flags),
             acc(&self.slots),
         ];
         let mut s = ArenaStats::default();

@@ -11,8 +11,9 @@ use fta_core::route::Route;
 /// reward, slack, and travel time to the last stop.
 ///
 /// A generation fills the columns in a handful of allocations, however
-/// many sets it emits, and per-worker validation streams the mask, slack,
-/// reward and travel columns directly. Only a set that wins a worker
+/// many sets it emits, and strategy spaces sort the mask, slack, reward and
+/// travel columns once per pool to validate them for every worker. Only a
+/// set that wins a worker
 /// becomes a [`Route`] ([`VdpsPool::route`]). Every row's reward and
 /// slack are folded in [`Route::build`]'s order, so a row is bit for bit
 /// the route `build` would produce for its stops.

@@ -185,29 +185,6 @@ pub fn delta_update(
     config: &VdpsConfig,
     cache: &PoolCache,
 ) -> Option<(VdpsPool, DeltaStats)> {
-    delta_update_with_provenance(instance, aggregates, view, config, cache)
-        .map(|(pool, _, stats)| (pool, stats))
-}
-
-/// [`delta_update`] that additionally reports, for every entry of the
-/// updated pool, which cached pool index it was reused from *verbatim*
-/// (`Some(old_index)` only for [`DeltaStats::reused`] entries — the mask
-/// members, visiting order, and route payload are all bit-identical to
-/// the cached entry, with only the local bit numbering remapped).
-/// Retimed entries report `None`: their payoffs changed, so downstream
-/// per-worker caches must not carry over.
-///
-/// The provenance vector is parallel to the returned pool and lets the
-/// strategy-space builder skip per-worker revalidation of unchanged
-/// entries (see `StrategySpace::from_pool_delta`).
-#[must_use]
-pub fn delta_update_with_provenance(
-    instance: &Instance,
-    aggregates: &[DpAggregate],
-    view: &CenterView,
-    config: &VdpsConfig,
-    cache: &PoolCache,
-) -> Option<(VdpsPool, Vec<Option<u32>>, DeltaStats)> {
     let n = view.dps.len();
     assert!(
         n <= 128,
@@ -219,7 +196,7 @@ pub fn delta_update_with_provenance(
     }
     let mut stats = DeltaStats::default();
     if n == 0 || config.max_len == 0 {
-        return Some((VdpsPool::new(view.center), Vec::new(), stats));
+        return Some((VdpsPool::new(view.center), stats));
     }
     let dp_start = Instant::now();
 
@@ -308,16 +285,13 @@ pub fn delta_update_with_provenance(
     let route_start = Instant::now();
     let stops = kept.iter().map(|&(_, r, _)| old.row_len(r as usize)).sum();
     let mut pool = VdpsPool::with_capacity(view.center, kept.len(), stops);
-    // Cached row each entry was reused from verbatim; `None` when retimed.
-    let mut prov: Vec<Option<u32>> = Vec::with_capacity(kept.len());
     for &(mask, r, retime) in &kept {
         pool.push_copy(old, r as usize, mask, retime.then_some(aggregates));
-        prov.push((!retime).then_some(r));
     }
     stats.route_nanos = elapsed_nanos(route_start);
     stats.dp_nanos = elapsed_nanos(dp_start).saturating_sub(stats.route_nanos);
     emit_delta_counters(&stats);
-    Some((pool, prov, stats))
+    Some((pool, stats))
 }
 
 fn elapsed_nanos(start: Instant) -> u64 {

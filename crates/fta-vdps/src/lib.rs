@@ -4,8 +4,9 @@
 //! subsets that enumerates, per distribution center, every *center-origin*
 //! Valid Delivery Point Set (C-VDPS) together with its minimum-travel-time
 //! visiting sequence, plus the distance-constrained pruning strategy (`ε`)
-//! and the per-worker validation step that turns C-VDPSs into each worker's
-//! strategy space.
+//! and the validation step that turns C-VDPSs into each worker's strategy
+//! space (one sort of the pool, then one prefix per worker and row length;
+//! see [`strategy`]).
 //!
 //! ## Algorithm sketch
 //!
@@ -67,10 +68,10 @@
 //!
 //! [`pool::WorkerPool`] is a bounded, std-only work-stealing pool (no
 //! external dependencies). One pool instance is shared across *all*
-//! parallelism in a solve: per-center strategy-space jobs, intra-center DP
-//! layer expansion, and per-worker validation all submit to the same
-//! scoped queue, so a run never holds more OS threads than
-//! `available_parallelism()` no matter how many centers an instance has.
+//! parallelism in a solve: per-center strategy-space jobs and intra-center
+//! DP layer expansion all submit to the same scoped queue, so a run never
+//! holds more OS threads than `available_parallelism()` no matter how many
+//! centers an instance has.
 //! Submitters help drain the queue while waiting (helping join), which
 //! makes nested submission deadlock-free and keeps one giant center from
 //! serializing the rest of a run.
@@ -103,10 +104,10 @@ pub mod strategy;
 pub use arena::ArenaStats;
 pub use columns::{VdpsPool, VdpsRow};
 pub use config::VdpsConfig;
-pub use delta::{delta_update, delta_update_with_provenance, DeltaStats, PoolCache};
+pub use delta::{delta_update, DeltaStats, PoolCache};
 pub use generator::{
     generate_c_vdps, generate_c_vdps_budgeted, generate_c_vdps_in, GenControl, GenerationStats,
 };
 pub use pool::{TaskScope, WorkerPool};
 pub use schedule::schedule_route;
-pub use strategy::{SlotCache, StrategySpace};
+pub use strategy::{StrategySpace, WorkerRows};

@@ -1,14 +1,31 @@
 //! Per-worker strategy spaces (Section V-B).
 //!
 //! After C-VDPS generation, each worker's strategy set `ST_i` consists of
-//! the C-VDPSs that are valid *for that worker* — the worker can reach the
-//! distribution center early enough that every deadline on the route still
-//! holds, and the set is no larger than the worker's `maxDP` — plus the
-//! `null` strategy. [`StrategySpace`] materialises this once per center and
-//! precomputes each worker's payoff for each of its strategies, which the
-//! game-theoretic algorithms then consume.
+//! the C-VDPSs that are valid *for that worker* plus the `null` strategy.
+//! A pool row `r` is valid for worker `w` iff `len(r) ≤ maxDP(w)` and
+//! `to_dc(w) ≤ slack(r)`, and it pays
+//! `reward(r) / (to_dc(w) + travel(r))` ([`payoff_from_parts`]): the
+//! worker enters only through two scalars. [`StrategySpace`] therefore
+//! validates once per *pool*, not once per (worker, row):
+//!
+//! * **Sorted order.** The pool's scan columns are permuted once into
+//!   (row length, slack descending with NaN last, pool index) order.
+//! * **Prefix validity.** Within one row length, the rows a worker may
+//!   take are then a prefix — the rows whose slack is at least its travel
+//!   time to the center — found by one binary search. A worker's valid set
+//!   is one prefix per length `≤ maxDP`, stored as its end, one `u32` per
+//!   (worker, length).
+//!   A NaN slack sorts last and is never valid; a NaN travel time makes
+//!   every prefix empty.
+//! * **On-demand payoff.** Payoffs are not stored; the scan kernels
+//!   ([`crate::kernel`]) compute them with [`payoff_from_parts`] — the
+//!   same expression as [`fta_core::payoff::payoff_for_travel`], so every
+//!   payoff is bit-identical to validating the row's
+//!   [`fta_core::route::Route`].
+//! * **Tie rule.** Because the sorted order is not the pool order,
+//!   candidates compare by (payoff, then lowest pool index), which is the
+//!   first strict maximum of an ascending pool-index scan.
 
-use crate::arena;
 use crate::columns::VdpsPool;
 use crate::config::VdpsConfig;
 use crate::generator::{generate_c_vdps_budgeted, GenControl, GenerationStats};
@@ -16,82 +33,133 @@ use crate::pool::TaskScope;
 use fta_core::instance::{CenterView, DpAggregate, Instance};
 use fta_core::payoff::payoff_from_parts;
 use fta_core::WorkerId;
-use std::sync::Arc;
+use std::ops::Range;
 
-/// Minimum `workers × pool entries` product before per-worker validation
-/// is worth farming out to the worker pool.
-const PAR_MIN_VALIDATION_WORK: usize = 1 << 12;
-
-/// Flat per-slot columns: `offsets` delimits each worker's *slot range*
-/// in the three parallel vectors. Validation appends one worker's slots
-/// at a time and closes the range with [`SlotColumns::end_worker`].
-#[derive(Debug, Clone)]
-struct SlotColumns {
-    /// Worker `local` owns slots `offsets[local]..offsets[local + 1]`.
-    offsets: Vec<u32>,
-    /// Pool indices, ascending within each worker's range.
-    pool: Vec<u32>,
-    /// Payoffs, parallel to `pool`.
-    payoffs: Vec<f64>,
-    /// Delivery-point masks (`pool.mask(idx)` memoised), parallel to
-    /// `pool`.
+/// The pool's scan columns permuted into validity order: row length
+/// ascending, then slack descending (NaN last), then pool index.
+#[derive(Debug, Clone, Default)]
+struct SortedPool {
+    /// Rows of length `l` occupy `bounds[l]..bounds[l + 1]`.
+    bounds: Vec<u32>,
+    /// Pool index of each sorted row.
+    pool_idx: Vec<u32>,
+    /// Delivery-point masks, parallel to `pool_idx`.
     masks: Vec<u128>,
+    /// Total rewards, parallel to `pool_idx`.
+    rewards: Vec<f64>,
+    /// Travel times from the center, parallel to `pool_idx`.
+    travels: Vec<f64>,
 }
 
-impl SlotColumns {
-    /// Empty columns sized for `n_workers` ranges holding `n_slots` slots
-    /// in total, so validation appends without reallocating.
-    fn with_capacity(n_workers: usize, n_slots: usize) -> Self {
-        let mut offsets = Vec::with_capacity(n_workers + 1);
-        offsets.push(0);
-        Self {
-            offsets,
-            pool: Vec::with_capacity(n_slots),
-            payoffs: Vec::with_capacity(n_slots),
-            masks: Vec::with_capacity(n_slots),
+impl SortedPool {
+    /// Sorts `pool` into validity order. Returns the sorted columns and
+    /// the slacks in the same order (only the per-worker binary searches
+    /// need them).
+    fn build(pool: &VdpsPool) -> (Self, Vec<f64>) {
+        let slacks = pool.slacks();
+        // One packed key per row: length, then a slack key that ascends
+        // as the slack descends (NaN at the very end), then the index.
+        let mut keys: Vec<u128> = (0..pool.len())
+            .map(|r| {
+                let slack = slacks[r];
+                let desc = if slack.is_nan() {
+                    u64::MAX
+                } else {
+                    // Ascending total-order bits, then inverted.
+                    let bits = slack.to_bits();
+                    let asc = if bits >> 63 == 1 {
+                        !bits
+                    } else {
+                        bits | 1 << 63
+                    };
+                    !asc
+                };
+                (pool.row_len(r) as u128) << 96 | u128::from(desc) << 32 | r as u128
+            })
+            .collect();
+        keys.sort_unstable();
+        let max_len = keys.last().map_or(0, |&k| (k >> 96) as usize);
+        let mut bounds = vec![0u32; max_len + 2];
+        for &k in &keys {
+            bounds[(k >> 96) as usize + 1] += 1;
         }
+        for l in 1..bounds.len() {
+            bounds[l] += bounds[l - 1];
+        }
+        let pool_idx: Vec<u32> = keys.iter().map(|&k| k as u32).collect();
+        let gather =
+            |col: &[f64]| -> Vec<f64> { pool_idx.iter().map(|&r| col[r as usize]).collect() };
+        let (rewards, travels, slacks) = (
+            gather(pool.rewards()),
+            gather(pool.travels()),
+            gather(slacks),
+        );
+        let sorted = Self {
+            masks: pool_idx.iter().map(|&r| pool.mask(r as usize)).collect(),
+            rewards,
+            travels,
+            bounds,
+            pool_idx,
+        };
+        (sorted, slacks)
     }
 
-    fn push(&mut self, idx: u32, payoff: f64, mask: u128) {
-        self.pool.push(idx);
-        self.payoffs.push(payoff);
-        self.masks.push(mask);
+    /// Number of row lengths (`0..=max_len`) with a bucket.
+    fn n_lens(&self) -> usize {
+        self.bounds.len().saturating_sub(1)
     }
 
-    fn end_worker(&mut self) {
-        self.offsets.push(self.pool.len() as u32);
-    }
-
-    /// Appends the workers of `chunk`, rebasing its offsets.
-    fn append(&mut self, chunk: &Self) {
-        let base = self.pool.len() as u32;
-        self.pool.extend_from_slice(&chunk.pool);
-        self.payoffs.extend_from_slice(&chunk.payoffs);
-        self.masks.extend_from_slice(&chunk.masks);
-        self.offsets
-            .extend(chunk.offsets[1..].iter().map(|&o| o + base));
-    }
-
-    fn range(&self, local: usize) -> std::ops::Range<usize> {
-        worker_range(&self.offsets, local)
+    fn bucket(&self, len: usize) -> Range<usize> {
+        self.bounds[len] as usize..self.bounds[len + 1] as usize
     }
 }
 
-/// Worker `local`'s slot range under CSR `offsets`.
-fn worker_range(offsets: &[u32], local: usize) -> std::ops::Range<usize> {
-    offsets[local] as usize..offsets[local + 1] as usize
+/// One worker's valid strategies in a [`StrategySpace`]: the sorted
+/// pool's scan columns plus the worker's valid prefix of each row-length
+/// bucket (`starts[l]..ends[l]`) and its travel time to the center. This
+/// is what the scan kernels in [`crate::kernel`] take.
+#[derive(Debug, Clone, Copy)]
+pub struct WorkerRows<'a> {
+    /// Pool index of each sorted row.
+    pub pool_idx: &'a [u32],
+    /// Delivery-point masks, parallel to `pool_idx`.
+    pub masks: &'a [u128],
+    /// Total rewards, parallel to `pool_idx`.
+    pub rewards: &'a [f64],
+    /// Travel times from the center, parallel to `pool_idx`.
+    pub travels: &'a [f64],
+    /// First sorted row of each row-length bucket.
+    pub starts: &'a [u32],
+    /// End of the worker's valid prefix of each bucket.
+    pub ends: &'a [u32],
+    /// The worker's travel time to the center.
+    pub to_dc: f64,
+}
+
+impl<'a> WorkerRows<'a> {
+    /// The worker's valid prefixes, one per row length, as ranges of
+    /// sorted positions.
+    pub fn ranges(self) -> impl Iterator<Item = Range<usize>> + 'a {
+        self.starts
+            .iter()
+            .zip(self.ends)
+            .map(|(&s, &e)| s as usize..e as usize)
+    }
+
+    /// The worker's payoff for the sorted row at `pos`.
+    #[inline]
+    #[must_use]
+    pub fn payoff(&self, pos: usize) -> f64 {
+        payoff_from_parts(self.rewards[pos], self.travels[pos], self.to_dc)
+    }
 }
 
 /// The strategy spaces of all workers of one distribution center.
 ///
-/// Per-worker strategy data lives in a structure-of-arrays layout: one
-/// flat, contiguous vector per attribute (pool index, payoff, delivery-point
-/// mask) with offsets delimiting each worker's *slot range* — 28 bytes per
-/// slot. Within a worker's range the slots are ordered by ascending pool
-/// index, the canonical iteration order every algorithm observes. The
-/// monotone best response (highest payoff among open slots, ties to the
-/// lowest pool index) is one argmax pass over that order; scans stream
-/// cache-linear memory instead of indexing back into the pool's columns.
+/// Holds the pool once, sorted into validity order (see the module docs),
+/// and per worker only the end of its valid prefix in each row-length
+/// bucket: the space costs 36 B per pool row plus 4 B per (worker, row
+/// length), whatever the number of (worker, strategy) pairs.
 #[derive(Debug, Clone)]
 pub struct StrategySpace {
     /// The center view this space was built from.
@@ -100,8 +168,15 @@ pub struct StrategySpace {
     pub pool: VdpsPool,
     /// Travel time from each local worker to the distribution center.
     pub worker_to_dc: Vec<f64>,
-    /// Every worker's valid slots.
-    slots: SlotColumns,
+    /// Each local worker's `maxDP`.
+    max_dp: Vec<usize>,
+    /// The pool's scan columns in validity order.
+    sorted: SortedPool,
+    /// Worker `local`'s valid prefix of bucket `l` ends at sorted position
+    /// `ends[local * n_lens + l]`.
+    ends: Vec<u32>,
+    /// Number of (worker, strategy) pairs.
+    total_slots: usize,
     /// Statistics from the underlying C-VDPS generation run.
     pub gen_stats: GenerationStats,
 }
@@ -120,7 +195,7 @@ impl StrategySpace {
     /// Generates the C-VDPS pool for `view` and validates it per worker,
     /// re-using pre-computed delivery-point `aggregates` (computed once per
     /// *instance*, not once per center) and optionally running generation
-    /// and validation on an active worker-pool scope.
+    /// on an active worker-pool scope.
     ///
     /// Takes `view` by value: the solver hands each center job its owned
     /// view, so no clone happens on this path.
@@ -165,195 +240,76 @@ impl StrategySpace {
         Self::from_pool_in(instance, view.clone(), pool, gen_stats, None)
     }
 
-    /// Validates a pre-generated pool per worker, optionally fanning the
-    /// per-worker validation/payoff precompute out over an active
-    /// worker-pool scope. Results are identical to the sequential path:
-    /// workers are processed in index chunks and reassembled in order.
+    /// Validates a pre-generated pool per worker: one sort of the pool,
+    /// then one binary search per (worker, row length). The work is too
+    /// small to split, so `_scope` is accepted for callers that hold one
+    /// and otherwise unused.
     #[must_use]
     pub fn from_pool_in(
         instance: &Instance,
         view: CenterView,
         pool: VdpsPool,
         gen_stats: GenerationStats,
-        scope: Option<&TaskScope<'_>>,
+        _scope: Option<&TaskScope<'_>>,
     ) -> Self {
         let _span = fta_obs::span_center("vdps.strategy_space", view.center.index() as u32);
         let dc = instance.centers[view.center.index()].location;
-        let worker_to_dc: Vec<f64> = view
+        let (worker_to_dc, max_dp) = view
             .workers
             .iter()
-            .map(|&w| instance.travel_time(instance.workers[w.index()].location, dc))
-            .collect();
-        let n_workers = view.workers.len();
-        let params = validation_params(instance, &view, &worker_to_dc);
-        let slack_index = SlackIndex::build(&pool);
-        let n_slots = slack_index.count_valid(&params);
-
-        let parallel = scope.is_some_and(|s| s.threads() > 1)
-            && n_workers > 1
-            && n_workers.saturating_mul(pool.len()) >= PAR_MIN_VALIDATION_WORK;
-
-        let (pool, slots) = if parallel {
-            let scope = scope.expect("parallel implies an active scope");
-            // Per-worker parameters are tiny copies; the pool's columns
-            // are shared read-only via `Arc` so chunk jobs satisfy the
-            // scope's `'env` bound without copying them.
-            let pool = Arc::new(pool);
-            let chunk = n_workers.div_ceil(scope.threads() * 2).max(1);
-            let jobs: Vec<_> = params
-                .chunks(chunk)
-                .map(|chunk_params| {
-                    let pool = Arc::clone(&pool);
-                    let chunk_params = chunk_params.to_vec();
-                    let n_slots = slack_index.count_valid(&chunk_params);
-                    move |_: &TaskScope<'_>| {
-                        let mut chunk = SlotColumns::with_capacity(chunk_params.len(), n_slots);
-                        for (max_dp, to_dc) in chunk_params {
-                            validate_worker(&pool, max_dp, to_dc, &mut chunk);
-                        }
-                        chunk
-                    }
-                })
-                .collect();
-            let mut slots = SlotColumns::with_capacity(n_workers, n_slots);
-            for chunk in scope.map(jobs) {
-                slots.append(&chunk);
-            }
-            // Every job has finished, so this is the last reference.
-            let pool = Arc::try_unwrap(pool).unwrap_or_else(|shared| (*shared).clone());
-            (pool, slots)
-        } else {
-            let mut slots = SlotColumns::with_capacity(n_workers, n_slots);
-            for &(max_dp, to_dc) in &params {
-                validate_worker(&pool, max_dp, to_dc, &mut slots);
-            }
-            (pool, slots)
-        };
-        debug_assert_eq!(
-            slots.pool.len(),
-            n_slots,
-            "slot count drifted from validation"
-        );
-        Self {
-            view,
-            pool,
-            worker_to_dc,
-            slots,
-            gen_stats,
-        }
+            .map(|&w| {
+                let worker = &instance.workers[w.index()];
+                (instance.travel_time(worker.location, dc), worker.max_dp)
+            })
+            .unzip();
+        Self::from_parts(view, pool, worker_to_dc, max_dp, gen_stats)
     }
 
-    /// Rebuilds the space around a delta-updated `pool`, reusing each
-    /// worker's cached (validity, payoff) pair for every entry the delta
-    /// update carried over verbatim (`provenance[j] = Some(old_index)`,
-    /// see [`crate::delta_update_with_provenance`]); only entries with a
-    /// rebuilt route payload go through per-worker validation again.
-    ///
-    /// Bit-identical to [`StrategySpace::from_pool_in`] on the same
-    /// `(instance, view, pool)` **provided the worker side is unchanged**
-    /// from the space `prev` was captured from: same workers in the same
-    /// local order, each with bitwise-equal location, `maxDP`, and travel
-    /// time to the (unchanged) center. The caller asserts this — the
-    /// typical caller is the incremental solver, which compares worker
-    /// identity bits before taking this path and falls back to
-    /// [`StrategySpace::from_pool_in`] otherwise.
-    ///
-    /// Only a pool the delta updater produced has provenance. When the
-    /// churn dirtied a delivery point (new, relocated, or loosened) or
-    /// broke a tightened entry's order, the updater declines and the
-    /// solver regenerates the pool and validates it in full
-    /// ([`StrategySpace::build_in`]); its equilibrium warm start stays.
+    /// Validates `pool` for workers given directly by their travel times
+    /// to the center and their `maxDP` (both parallel to `view.workers`),
+    /// as [`StrategySpace::from_pool_in`] derives them from an instance.
     ///
     /// # Panics
     ///
-    /// Panics if `provenance` is not parallel to `pool` or `prev` was
-    /// captured over a different worker population size.
+    /// Panics if the two vectors are not as long as `view.workers`.
     #[must_use]
-    pub fn from_pool_delta(
-        instance: &Instance,
+    pub fn from_parts(
         view: CenterView,
         pool: VdpsPool,
-        provenance: &[Option<u32>],
-        prev: &SlotCache,
+        worker_to_dc: Vec<f64>,
+        max_dp: Vec<usize>,
         gen_stats: GenerationStats,
     ) -> Self {
-        let _span = fta_obs::span_center("vdps.strategy_space_delta", view.center.index() as u32);
         assert_eq!(
-            provenance.len(),
-            pool.len(),
-            "provenance not parallel to pool"
-        );
-        assert_eq!(
-            prev.n_workers(),
+            worker_to_dc.len(),
             view.workers.len(),
-            "slot cache captured over a different worker population"
+            "one travel time per worker"
         );
-        let dc = instance.centers[view.center.index()].location;
-        let worker_to_dc: Vec<f64> = view
-            .workers
-            .iter()
-            .map(|&w| instance.travel_time(instance.workers[w.index()].location, dc))
-            .collect();
-
-        // Dense (validity, payoff) lookup over the *previous* pool,
-        // refilled per worker and wiped through the same valid list so
-        // the reset is O(previous valid slots), not O(previous pool).
-        // The dense arrays come from the generation arena, so
-        // steady-state re-solves under churn revalidate slots without
-        // allocating them afresh.
-        let (mut dense_valid, mut dense_payoff) =
-            arena::with(|a| (a.flags.take(prev.pool_len), a.floats.take(prev.pool_len)));
-        dense_valid.resize(prev.pool_len, false);
-        dense_payoff.resize(prev.pool_len, 0.0);
-        let slack_index = SlackIndex::build(&pool);
-        let params = validation_params(instance, &view, &worker_to_dc);
-        let mut reused_slots = 0u64;
-        let mut slots = SlotColumns::with_capacity(params.len(), slack_index.count_valid(&params));
-        let (masks, starts) = (pool.masks(), pool.starts());
-        let (rewards, slacks, travels) = (pool.rewards(), pool.slacks(), pool.travels());
-        for (local, &(max_dp, to_dc)) in params.iter().enumerate() {
-            let prev_valid = prev.valid_of(local);
-            for (&idx, &payoff) in prev_valid.iter().zip(prev.payoffs_of(local)) {
-                dense_valid[idx as usize] = true;
-                dense_payoff[idx as usize] = payoff;
+        assert_eq!(max_dp.len(), view.workers.len(), "one maxDP per worker");
+        let (sorted, slacks) = SortedPool::build(&pool);
+        let n_lens = sorted.n_lens();
+        let mut ends = Vec::with_capacity(view.workers.len() * n_lens);
+        let mut total_slots = 0;
+        for (&max_dp, &to_dc) in max_dp.iter().zip(&worker_to_dc) {
+            for len in 0..n_lens {
+                let bucket = sorted.bucket(len);
+                let valid = if len <= max_dp {
+                    slacks[bucket.clone()].partition_point(|&slack| to_dc <= slack)
+                } else {
+                    0
+                };
+                total_slots += valid;
+                ends.push((bucket.start + valid) as u32);
             }
-            for (j, &prov) in provenance.iter().enumerate() {
-                match prov {
-                    Some(old) => {
-                        // Verbatim-reused entry: same route payload, same
-                        // worker parameters — the cached verdict and
-                        // payoff are bit-identical to recomputing.
-                        if dense_valid[old as usize] {
-                            slots.push(j as u32, dense_payoff[old as usize], masks[j]);
-                            reused_slots += 1;
-                        }
-                    }
-                    None => {
-                        let len = (starts[j + 1] - starts[j]) as usize;
-                        if len <= max_dp && to_dc <= slacks[j] {
-                            let payoff = payoff_from_parts(rewards[j], travels[j], to_dc);
-                            slots.push(j as u32, payoff, masks[j]);
-                        }
-                    }
-                }
-            }
-            slots.end_worker();
-            for &idx in prev_valid {
-                dense_valid[idx as usize] = false;
-            }
-        }
-        arena::with(|a| {
-            a.flags.put(dense_valid);
-            a.floats.put(dense_payoff);
-        });
-        if fta_obs::enabled() {
-            fta_obs::counter("vdps.slots_reused", reused_slots);
         }
         Self {
             view,
             pool,
             worker_to_dc,
-            slots,
+            max_dp,
+            sorted,
+            ends,
+            total_slots,
             gen_stats,
         }
     }
@@ -370,56 +326,60 @@ impl StrategySpace {
         self.view.workers[local]
     }
 
-    /// The slot range (indices into the flat vectors) owned by the
-    /// `local`-th worker.
+    /// The `maxDP` of the `local`-th worker.
     #[must_use]
-    pub fn slot_range(&self, local: usize) -> std::ops::Range<usize> {
-        self.slots.range(local)
+    pub fn max_dp(&self, local: usize) -> usize {
+        self.max_dp[local]
     }
 
-    /// Total number of (worker, strategy) slots across all workers.
+    /// Total number of (worker, strategy) pairs across all workers.
     #[must_use]
     pub fn total_slots(&self) -> usize {
-        self.slots.pool.len()
+        self.total_slots
     }
 
-    /// The pool indices of the `local`-th worker's valid strategies,
-    /// ascending (the canonical iteration order).
+    /// The `local`-th worker's valid strategies in sorted order, for the
+    /// scan kernels.
     #[must_use]
-    pub fn valid_of(&self, local: usize) -> &[u32] {
-        &self.slots.pool[self.slot_range(local)]
+    pub fn rows(&self, local: usize) -> WorkerRows<'_> {
+        let n_lens = self.sorted.n_lens();
+        let s = &self.sorted;
+        WorkerRows {
+            pool_idx: &s.pool_idx,
+            masks: &s.masks,
+            rewards: &s.rewards,
+            travels: &s.travels,
+            starts: &s.bounds[..n_lens],
+            ends: &self.ends[local * n_lens..(local + 1) * n_lens],
+            to_dc: self.worker_to_dc[local],
+        }
     }
 
-    /// Payoffs parallel to [`StrategySpace::valid_of`].
+    /// The payoff the `local`-th worker obtains from pool entry
+    /// `pool_idx`, if that strategy is valid for the worker: in the pool,
+    /// no longer than its `maxDP`, and its slack covers the worker's travel
+    /// time to the center.
+    #[inline]
     #[must_use]
-    pub fn payoffs_of(&self, local: usize) -> &[f64] {
-        &self.slots.payoffs[self.slot_range(local)]
+    pub fn payoff_of(&self, local: usize, pool_idx: u32) -> Option<f64> {
+        let (r, to_dc) = (pool_idx as usize, self.worker_to_dc[local]);
+        let valid = r < self.pool.len()
+            && self.pool.row_len(r) <= self.max_dp[local]
+            && to_dc <= self.pool.slacks()[r];
+        valid.then(|| payoff_from_parts(self.pool.rewards()[r], self.pool.travels()[r], to_dc))
     }
 
-    /// Delivery-point masks parallel to [`StrategySpace::valid_of`].
-    #[must_use]
-    pub fn masks_of(&self, local: usize) -> &[u128] {
-        &self.slots.masks[self.slot_range(local)]
-    }
-
-    /// The full flat mask vector (all workers' slots, ascending pool index
-    /// within each worker's [`StrategySpace::slot_range`]).
-    #[must_use]
-    pub fn slot_masks(&self) -> &[u128] {
-        &self.slots.masks
-    }
-
-    /// The full flat pool-index vector, parallel to
-    /// [`StrategySpace::slot_masks`].
-    #[must_use]
-    pub fn slot_pool(&self) -> &[u32] {
-        &self.slots.pool
+    /// The `local`-th worker's valid strategies with their payoffs, in
+    /// ascending pool-index order (the canonical iteration order): a scan
+    /// of the pool with the validity test inline.
+    pub fn strategies(&self, local: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
+        (0..self.pool.len() as u32).filter_map(move |idx| Some((idx, self.payoff_of(local, idx)?)))
     }
 
     /// Number of non-null strategies available to the `local`-th worker.
     #[must_use]
     pub fn strategy_count(&self, local: usize) -> usize {
-        self.slot_range(local).len()
+        self.rows(local).ranges().map(|r| r.len()).sum()
     }
 
     /// The largest strategy-set size across workers (`|maxVDPS|` in the
@@ -431,156 +391,6 @@ impl StrategySpace {
             .max()
             .unwrap_or(0)
     }
-
-    /// The payoff the `local`-th worker obtains from pool entry
-    /// `pool_idx`, if that strategy is valid for the worker.
-    #[must_use]
-    pub fn payoff_of(&self, local: usize, pool_idx: u32) -> Option<f64> {
-        let valid = self.valid_of(local);
-        let pos = valid.binary_search(&pool_idx).ok()?;
-        Some(self.payoffs_of(local)[pos])
-    }
-
-    /// The mask of the `local`-th worker's strategy at `pool_idx`, looked
-    /// up through the flat slot layout (avoids the `pool` indirection).
-    #[must_use]
-    pub fn mask_of_pool(&self, pool_idx: u32) -> u128 {
-        self.pool.mask(pool_idx as usize)
-    }
-}
-
-/// Per-worker validation results captured from a built [`StrategySpace`],
-/// keyed by the pool indices of the space they were captured from. Feeds
-/// [`StrategySpace::from_pool_delta`], which maps them through a delta
-/// update's provenance so verbatim-reused pool entries skip per-worker
-/// revalidation entirely.
-#[derive(Debug, Clone, Default)]
-pub struct SlotCache {
-    /// Length of the pool the cached space was built over (the index
-    /// space the cached pool indices live in).
-    pool_len: usize,
-    /// Slot ranges, as in [`StrategySpace`].
-    offsets: Vec<u32>,
-    /// Valid pool indices, ascending within each worker's range.
-    valid: Vec<u32>,
-    /// Payoffs, parallel to `valid`.
-    payoffs: Vec<f64>,
-}
-
-impl SlotCache {
-    /// Captures the per-worker slot data of `space`.
-    #[must_use]
-    pub fn capture(space: &StrategySpace) -> Self {
-        Self {
-            pool_len: space.pool.len(),
-            offsets: space.slots.offsets.clone(),
-            valid: space.slots.pool.clone(),
-            payoffs: space.slots.payoffs.clone(),
-        }
-    }
-
-    /// Number of local workers the cache covers.
-    #[must_use]
-    pub fn n_workers(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Total cached (worker, strategy) slots.
-    #[must_use]
-    pub fn total_slots(&self) -> usize {
-        self.valid.len()
-    }
-
-    fn valid_of(&self, local: usize) -> &[u32] {
-        &self.valid[worker_range(&self.offsets, local)]
-    }
-
-    fn payoffs_of(&self, local: usize) -> &[f64] {
-        &self.payoffs[worker_range(&self.offsets, local)]
-    }
-}
-
-/// Every pool row's slack, grouped by row length and sorted ascending
-/// within each length, so the number of slots a worker will get is a
-/// binary search per length (see [`SlackIndex::count_valid`]). The slot
-/// columns are sized from it exactly; without that, their growth cost
-/// about 30% of validation on dense centers.
-struct SlackIndex {
-    /// `by_len[l]`: the slacks of the `l`-point rows, ascending.
-    by_len: Vec<Vec<f64>>,
-}
-
-impl SlackIndex {
-    fn build(pool: &VdpsPool) -> Self {
-        let mut by_len: Vec<Vec<f64>> = Vec::new();
-        for (r, &slack) in pool.slacks().iter().enumerate() {
-            let len = pool.row_len(r);
-            if by_len.len() <= len {
-                by_len.resize_with(len + 1, Vec::new);
-            }
-            by_len[len].push(slack);
-        }
-        for bucket in &mut by_len {
-            bucket.sort_unstable_by(f64::total_cmp);
-        }
-        Self { by_len }
-    }
-
-    /// How many slots [`validate_worker`] will emit for workers with these
-    /// `(maxDP, travel to the center)` parameters: per row length up to
-    /// `maxDP`, a binary search for the slacks `≥ to_dc`. Exact for
-    /// non-NaN inputs; it only sizes allocations, so it can never change
-    /// which slots are emitted.
-    fn count_valid(&self, params: &[(usize, f64)]) -> usize {
-        params
-            .iter()
-            .map(|&(max_dp, to_dc)| {
-                self.by_len
-                    .iter()
-                    .take(max_dp.saturating_add(1))
-                    .map(|b| b.len() - b.partition_point(|&s| s < to_dc))
-                    .sum::<usize>()
-            })
-            .sum()
-    }
-}
-
-/// Each local worker's validation parameters: `(maxDP, travel time to the
-/// center)`.
-fn validation_params(
-    instance: &Instance,
-    view: &CenterView,
-    worker_to_dc: &[f64],
-) -> Vec<(usize, f64)> {
-    view.workers
-        .iter()
-        .zip(worker_to_dc)
-        .map(|(&w, &to_dc)| (instance.workers[w.index()].max_dp, to_dc))
-        .collect()
-}
-
-/// One worker's validation pass over the shared pool: which strategies the
-/// worker can execute within every deadline (given its travel time to the
-/// center and its `maxDP`), and the payoff of each, appended to `slots` as
-/// the worker's range.
-///
-/// Streams the pool's columns — a row's length `≤ max_dp` and
-/// `to_dc <= slack` are exactly the set size check and
-/// [`fta_core::route::Route::is_valid_for_travel`], and
-/// [`payoff_from_parts`] is the same expression as
-/// [`fta_core::payoff::payoff_for_travel`] — so the results are
-/// bit-identical to validating each row's [`fta_core::route::Route`].
-fn validate_worker(pool: &VdpsPool, max_dp: usize, to_dc: f64, slots: &mut SlotColumns) {
-    let (masks, starts) = (pool.masks(), pool.starts());
-    let (rewards, slacks, travels) = (pool.rewards(), pool.slacks(), pool.travels());
-    for idx in 0..masks.len() {
-        let len = (starts[idx + 1] - starts[idx]) as usize;
-        if len <= max_dp && to_dc <= slacks[idx] {
-            let payoff = payoff_from_parts(rewards[idx], travels[idx], to_dc);
-            slots.push(idx as u32, payoff, masks[idx]);
-        }
-    }
-    slots.end_worker();
 }
 
 #[cfg(test)]
@@ -665,9 +475,8 @@ mod tests {
         // Worker 1 is 5.0 from dc; {dp0} has slack 2.5-1.0 = 1.5 < 5 →
         // invalid; {dp1} has slack 98 → valid; {dp0,dp1} exceeds maxDP=1.
         assert_eq!(s.strategy_count(1), 1);
-        let idx = s.valid_of(1)[0];
+        let (idx, _) = s.strategies(1).next().unwrap();
         assert_eq!(s.pool.mask(idx as usize), 0b10);
-        assert_eq!(s.masks_of(1)[0], 0b10);
     }
 
     #[test]
@@ -675,16 +484,12 @@ mod tests {
         let inst = instance();
         let s = space(&inst);
         // Worker 0 taking {dp1}: reward 3, travel 0.5 + 2.0 = 2.5 → 1.2.
-        let idx = s
-            .valid_of(0)
-            .iter()
-            .position(|&i| s.pool.mask(i as usize) == 0b10)
+        let (idx, payoff) = s
+            .strategies(0)
+            .find(|&(i, _)| s.pool.mask(i as usize) == 0b10)
             .unwrap();
-        assert!((s.payoffs_of(0)[idx] - 1.2).abs() < 1e-12);
-        assert_eq!(
-            s.payoff_of(0, s.valid_of(0)[idx]),
-            Some(s.payoffs_of(0)[idx])
-        );
+        assert!((payoff - 1.2).abs() < 1e-12);
+        assert_eq!(s.payoff_of(0, idx), Some(payoff));
     }
 
     #[test]
@@ -711,17 +516,21 @@ mod tests {
         let s = space(&inst);
         assert_eq!(s.total_slots(), s.strategy_count(0) + s.strategy_count(1));
         for local in 0..s.n_workers() {
-            let valid = s.valid_of(local);
-            let payoffs = s.payoffs_of(local);
-            let masks = s.masks_of(local);
-            assert_eq!(valid.len(), s.strategy_count(local));
-            assert_eq!(payoffs.len(), valid.len());
-            assert_eq!(masks.len(), valid.len());
-            // Ascending pool index in the canonical order; masks memoised.
-            assert!(valid.windows(2).all(|w| w[0] < w[1]));
-            for (pos, &idx) in valid.iter().enumerate() {
-                assert_eq!(masks[pos], s.pool.mask(idx as usize));
-                assert_eq!(s.payoff_of(local, idx), Some(payoffs[pos]));
+            let rows = s.rows(local);
+            let mut from_prefixes: Vec<(u32, u64)> = rows
+                .ranges()
+                .flatten()
+                .map(|pos| (rows.pool_idx[pos], rows.payoff(pos).to_bits()))
+                .collect();
+            from_prefixes.sort_unstable();
+            let scanned: Vec<(u32, u64)> = s
+                .strategies(local)
+                .map(|(idx, p)| (idx, p.to_bits()))
+                .collect();
+            assert_eq!(from_prefixes, scanned, "worker {local}");
+            assert_eq!(scanned.len(), s.strategy_count(local));
+            for pos in 0..rows.pool_idx.len() {
+                assert_eq!(rows.masks[pos], s.pool.mask(rows.pool_idx[pos] as usize));
             }
         }
     }

@@ -6,21 +6,30 @@
 //! delta-updated pool is bit-identical — content and (size, mask) order —
 //! to [`fta_vdps::generate_c_vdps`] on the churned instance.
 //!
+//! Whenever the delta applies, the strategy space built from the updated
+//! pool is the cold build's — and the materialised oracle's — worker for
+//! worker, and every assignment algorithm plays identically over both.
+//!
 //! Each property tallies how many cases took the update path and asserts
 //! a floor on it, so none can pass by declining everything.
 
+use fta_algorithms::{
+    fgt, gta, iegt, mpta, random_assignment, BestResponseEngine, BestResponseStats, FgtConfig,
+    GameContext, IegtConfig, MptaConfig,
+};
 use fta_core::entities::{DeliveryPoint, DistributionCenter, SpatialTask, Worker};
 use fta_core::geometry::Point;
 use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
 use fta_core::instance::Instance;
 use fta_core::route::Route;
 use fta_vdps::generator::generate_c_vdps;
-use fta_vdps::{
-    delta_update, delta_update_with_provenance, kernel, PoolCache, SlotCache, StrategySpace,
-    VdpsConfig,
-};
+use fta_vdps::{delta_update, kernel, PoolCache, StrategySpace, VdpsConfig};
 use proptest::prelude::*;
 use std::cell::Cell;
+
+#[path = "support/materialised.rs"]
+mod materialised;
+use materialised::SlotColumns;
 
 /// One churn step applied to a task index (modulo the live task count).
 #[derive(Debug, Clone)]
@@ -40,17 +49,72 @@ enum Churn {
     Loosen(usize, f64),
 }
 
-/// Reference best response: sort `local`'s slots by payoff descending
-/// (stable, so ties keep ascending pool index) and take the first one
-/// disjoint from `taken`. Returns its pool index and payoff-order rank.
-fn first_hit_by_payoff(space: &StrategySpace, local: usize, taken: u128) -> Option<(u32, usize)> {
-    let payoffs = space.payoffs_of(local);
-    let mut order: Vec<usize> = (0..payoffs.len()).collect();
-    order.sort_by(|&a, &b| payoffs[b].total_cmp(&payoffs[a]));
+/// Reference best response over the materialised oracle: sort `local`'s
+/// slots by payoff descending (stable, so ties keep ascending pool index)
+/// and take the first one disjoint from `taken`. Returns its pool index
+/// and payoff-order rank.
+fn first_hit_by_payoff(slots: &SlotColumns, local: usize, taken: u128) -> Option<(u32, usize)> {
+    let order = slots.desc_order(local);
     order
         .iter()
-        .position(|&pos| space.masks_of(local)[pos] & taken == 0)
-        .map(|rank| (space.valid_of(local)[order[rank]], rank))
+        .position(|&pos| slots.masks_of(local)[pos] & taken == 0)
+        .map(|rank| (slots.valid_of(local)[order[rank]], rank))
+}
+
+/// Every algorithm's selections and best-response counters over `space`:
+/// FGT on both engines, IEGT, GTA, MPTA and Random.
+fn play_all(space: &StrategySpace) -> Vec<(Vec<Option<u32>>, BestResponseStats)> {
+    let fgt_on = |engine| FgtConfig {
+        engine,
+        ..FgtConfig::default()
+    };
+    let runs: [&dyn Fn(&mut GameContext<'_>) -> BestResponseStats; 6] = [
+        &|ctx| fgt(ctx, &fgt_on(BestResponseEngine::FastPath)).stats,
+        &|ctx| fgt(ctx, &fgt_on(BestResponseEngine::Incremental)).stats,
+        &|ctx| iegt(ctx, &IegtConfig::default()).stats,
+        &|ctx| {
+            gta(ctx);
+            BestResponseStats::default()
+        },
+        &|ctx| {
+            mpta(ctx, &MptaConfig::default());
+            BestResponseStats::default()
+        },
+        &|ctx| {
+            random_assignment(ctx, 7);
+            BestResponseStats::default()
+        },
+    ];
+    runs.iter()
+        .map(|run| {
+            let mut ctx = GameContext::new(space);
+            let stats = run(&mut ctx);
+            let selections = (0..ctx.n_workers()).map(|l| ctx.selection(l)).collect();
+            (selections, stats)
+        })
+        .collect()
+}
+
+/// `instance` with `workers` (location, maxDP) appended at its center.
+fn with_workers(instance: &Instance, workers: &[(f64, f64, usize)]) -> Instance {
+    let mut all = instance.workers.clone();
+    all.extend(workers.iter().map(|&(x, y, max_dp)| Worker {
+        id: WorkerId(0), // re-numbered below
+        location: Point::new(x, y),
+        max_dp,
+        center: CenterId(0),
+    }));
+    for (i, w) in all.iter_mut().enumerate() {
+        w.id = WorkerId(i as u32);
+    }
+    Instance::new(
+        instance.centers.clone(),
+        all,
+        instance.delivery_points.clone(),
+        instance.tasks.clone(),
+        instance.speed,
+    )
+    .expect("workers inside the lattice are valid")
 }
 
 fn arb_instance() -> impl Strategy<Value = Instance> {
@@ -361,55 +425,57 @@ proptest! {
         check_delta(&apply_churn(&base, &[], age), &config, &cache);
     }
 
-    /// Whenever the delta applies, the provenance-guided strategy-space
-    /// rebuild ([`StrategySpace::from_pool_delta`]) is bit-identical to a
-    /// full [`StrategySpace::from_pool`] over the same delta-updated pool:
-    /// slots, payoffs, masks, and the monotone best response.
-    fn from_pool_delta_cases(
+    /// Whenever the delta applies, the strategy space built from the
+    /// delta-updated pool equals the cold build's and the materialised
+    /// oracle's (strategies and payoff bits per worker, the monotone best
+    /// response), and every algorithm gives identical selections and
+    /// counters over the two spaces.
+    fn delta_space_cases(
         base in arb_instance(),
+        workers in prop::collection::vec((0.0f64..8.0, 0.0f64..8.0, 1usize..4), 0..6),
         script in prop::collection::vec(arb_churn(), 0..6),
         age in 0.0f64..3.0,
         pruned in prop::bool::ANY,
     ) {
         let config = config_for(pruned);
-        let aggs = base.dp_aggregates();
-        let views = base.center_views();
-        prop_assert!(!views.is_empty());
-        let (pool, stats) = generate_c_vdps(&base, &aggs, &views[0], &config);
-        let cache = PoolCache::capture(&base, &aggs, &views[0], &config, &pool, &stats);
-        let base_space = StrategySpace::from_pool(&base, &views[0], pool, stats);
-        let slots = SlotCache::capture(&base_space);
-
+        let base = with_workers(&base, &workers);
+        let cache = cache_of(&base, &config);
         let churned = apply_churn(&base, &script, age);
-        let aggs2 = churned.dp_aggregates();
-        let view2 = first_view(&churned);
-        let delta = delta_update_with_provenance(&churned, &aggs2, &view2, &config, &cache);
+        let aggs = churned.dp_aggregates();
+        let view = first_view(&churned);
+        let delta = delta_update(&churned, &aggs, &view, &config, &cache);
         tally(delta.is_some());
-        if let Some((pool2, prov, dstats)) = delta {
-            let gen2 = dstats.as_gen_stats(pool2.len());
-            let cold = StrategySpace::from_pool(&churned, &view2, pool2.clone(), gen2);
-            let warm =
-                StrategySpace::from_pool_delta(&churned, view2.clone(), pool2, &prov, &slots, gen2);
+        if let Some((pool, dstats)) = delta {
+            let gen = dstats.as_gen_stats(pool.len());
+            let warm = StrategySpace::from_pool(&churned, &view, pool, gen);
+            let (cold_pool, cold_stats) = generate_c_vdps(&churned, &aggs, &view, &config);
+            let cold = StrategySpace::from_pool(&churned, &view, cold_pool, cold_stats);
+            let oracle = SlotColumns::of(&cold);
 
             prop_assert_eq!(warm.total_slots(), cold.total_slots());
+            prop_assert_eq!(warm.total_slots(), oracle.total_slots());
             for local in 0..cold.n_workers() {
-                prop_assert_eq!(warm.valid_of(local), cold.valid_of(local), "valid sets differ");
-                prop_assert_eq!(warm.masks_of(local), cold.masks_of(local), "masks differ");
-                for (a, b) in warm.payoffs_of(local).iter().zip(cold.payoffs_of(local)) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "payoffs not bit-identical");
+                let want: Vec<(u32, u64)> = oracle
+                    .valid_of(local)
+                    .iter()
+                    .zip(oracle.payoffs_of(local))
+                    .map(|(&i, p)| (i, p.to_bits()))
+                    .collect();
+                for space in [&warm, &cold] {
+                    let got: Vec<(u32, u64)> =
+                        space.strategies(local).map(|(i, p)| (i, p.to_bits())).collect();
+                    prop_assert_eq!(&got, &want, "strategies differ from the oracle");
                 }
                 // The warm space answers the monotone best response exactly
-                // as a first-hit scan over the cold space's payoff-sorted
-                // list.
+                // as a first-hit scan over the oracle's payoff-sorted list.
                 for taken in [0, cold.pool.masks().first().copied().unwrap_or(0)] {
-                    let best = kernel::best_open_chunked(warm.masks_of(local), warm.payoffs_of(local), taken)
-                        .map(|pos| (warm.valid_of(local)[pos], kernel::desc_rank(warm.payoffs_of(local), pos)));
-                    prop_assert_eq!(best, first_hit_by_payoff(&cold, local, taken), "best response differs");
+                    let rows = warm.rows(local);
+                    let best = kernel::best_open(&rows, taken)
+                        .map(|(pos, p)| (rows.pool_idx[pos], kernel::payoff_rank(&rows, rows.pool_idx[pos], p)));
+                    prop_assert_eq!(best, first_hit_by_payoff(&oracle, local, taken), "best response differs");
                 }
             }
-            for (a, b) in warm.worker_to_dc.iter().zip(&cold.worker_to_dc) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "travel times not bit-identical");
-            }
+            prop_assert_eq!(play_all(&warm), play_all(&cold), "an algorithm diverged");
         }
     }
 }
@@ -434,7 +500,7 @@ fn pure_aging_matches_regen_without_discovery() {
 }
 
 #[test]
-fn from_pool_delta_space_matches_cold_build() {
-    let (applied, _) = tallied(from_pool_delta_cases);
+fn delta_pool_space_matches_cold_build() {
+    let (applied, _) = tallied(delta_space_cases);
     assert!(applied >= 40, "only {applied} of 256 cases applied");
 }

@@ -4,9 +4,8 @@
 //! the scale of the paper's SYN experiments — is generated
 //! deterministically, and the flat engine must (a) reproduce pinned work
 //! counters exactly, (b) produce pools bit-identical to the hash-map
-//! oracle, and (c) be invariant under pooled parallel execution,
-//! including the parallel per-worker validation path of
-//! `StrategySpace::from_pool_in`.
+//! oracle, and (c) be invariant under pooled parallel execution, down to
+//! the strategy spaces built from the pooled pools.
 
 use fta_core::route::Route;
 use fta_core::Instance;
@@ -168,26 +167,22 @@ fn paper_scale_strategy_space_is_thread_count_invariant() {
     let config = VdpsConfig::unpruned(3);
 
     let seq = StrategySpace::build(&inst, &views[0], &config);
-    // Enough work that `from_pool_in` takes its parallel validation path.
-    assert!(seq.n_workers() * seq.pool.len() >= 1 << 12);
-
     for threads in [2, 4] {
         let pool = WorkerPool::with_threads(threads);
         let par = pool
             .scope(|ts| StrategySpace::build_in(&inst, &aggs, views[0].clone(), &config, Some(ts)));
         assert_eq!(seq.n_workers(), par.n_workers());
         assert_eq!(seq.pool.len(), par.pool.len());
+        assert_eq!(seq.total_slots(), par.total_slots());
         for local in 0..seq.n_workers() {
+            let bits = |s: &StrategySpace| -> Vec<(u32, u64)> {
+                s.strategies(local).map(|(i, p)| (i, p.to_bits())).collect()
+            };
             assert_eq!(
-                seq.valid_of(local),
-                par.valid_of(local),
-                "{threads} threads: valid sets differ"
+                bits(&seq),
+                bits(&par),
+                "{threads} threads: strategies differ"
             );
-            let (a, b) = (seq.payoffs_of(local), par.payoffs_of(local));
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "payoff not bit-identical");
-            }
         }
     }
 }

@@ -1,12 +1,12 @@
-//! Property-based equivalence of the chunked-limb kernels and the
-//! arena-backed columnar `StrategySpace` validation against scalar /
-//! per-route / payoff-sorted references, on randomized fixtures and
-//! instances. These complement the unit fixtures in `kernel.rs`: proptest
-//! drives lengths, densities, and limits the hand-picked cases miss.
+//! Property-based equivalence of the scan kernels and the sorted-pool
+//! `StrategySpace` validation against scalar / per-route /
+//! payoff-sorted references, on randomized fixtures and instances. These
+//! complement the unit fixtures in `kernel.rs`: proptest drives lengths,
+//! densities, limits and payoff values the hand-picked cases miss.
 
 use fta_core::payoff::payoff_for_travel;
 use fta_data::{generate_syn, SynConfig};
-use fta_vdps::{generate_c_vdps_in, kernel, StrategySpace, VdpsConfig};
+use fta_vdps::{generate_c_vdps_in, kernel, StrategySpace, VdpsConfig, WorkerRows};
 use proptest::prelude::*;
 
 /// The one-branch-per-candidate loop `kernel::for_each_open_chunked`
@@ -15,18 +15,31 @@ fn open_positions_scalar(masks: &[u128], limit: usize, taken: u128) -> Vec<usize
     (0..limit).filter(|&p| masks[p] & taken == 0).collect()
 }
 
-/// The plain argmax `kernel::best_open_chunked` replaces: the first strict
-/// payoff maximum among the slots disjoint from `taken`.
-fn best_open_scalar(masks: &[u128], payoffs: &[f64], taken: u128) -> Option<usize> {
-    let mut best = None;
-    let mut best_p = f64::NEG_INFINITY;
-    for (pos, &p) in payoffs.iter().enumerate() {
-        if p > best_p && masks[pos] & taken == 0 {
-            best = Some(pos);
-            best_p = p;
-        }
-    }
-    best
+/// Rewards, travel times and worker travel times from small alphabets, so
+/// equal payoffs are common; the extremes give zero and infinite
+/// denominators, overflowing and NaN (∞/∞) payoffs, and values within the
+/// kernels' 1e-9 margin of each other.
+const REWARDS: [f64; 7] = [0.0, 1.0, 2.0, 3.0, 3.0 + 1e-12, 1e300, f64::INFINITY];
+const TRAVELS: [f64; 7] = [0.0, 0.5, 1.0, 1.5, 2.0, 1e-300, f64::INFINITY];
+const TO_DC: [f64; 3] = [0.0, 0.5, 1.0];
+
+/// The payoff-sorted first-hit scan the kernels replaced, over the rows in
+/// `ranges`: NaN payoffs never count or win, the rest sorted by (payoff
+/// descending, pool index ascending). Returns the first open row's sorted
+/// position and payoff-order rank.
+fn first_hit(rows: &WorkerRows<'_>, taken: u128) -> Option<(usize, usize)> {
+    let mut order: Vec<usize> = rows
+        .ranges()
+        .flatten()
+        .filter(|&pos| !rows.payoff(pos).is_nan())
+        .collect();
+    order.sort_by(|&a, &b| {
+        rows.payoff(b)
+            .total_cmp(&rows.payoff(a))
+            .then(rows.pool_idx[a].cmp(&rows.pool_idx[b]))
+    });
+    let rank = order.iter().position(|&pos| rows.masks[pos] & taken == 0)?;
+    Some((order[rank], rank))
 }
 
 /// Random mask lists: limb pairs shifted to varying density so fixtures
@@ -61,33 +74,76 @@ proptest! {
     }
 
     /// The argmax kernel answers the monotone best response exactly as the
-    /// retired payoff-sorted first-hit scan did: same slot, and
-    /// `desc_rank` equals that slot's position in the sorted list. A small
-    /// payoff alphabet (with zero) makes ties common; lengths start at 0.
+    /// retired payoff-sorted first-hit scan did: same row, and
+    /// `payoff_rank` equals that row's position in the sorted list, for
+    /// rows split into several length buckets with arbitrary valid
+    /// prefixes. `for_each_better` visits exactly the open rows above a
+    /// threshold and counts what the sorted scan passes before stopping
+    /// there.
     #[test]
     fn best_kernels_match_sorted_first_hit(
-        slots in prop::collection::vec((1u8..=u8::MAX, 0usize..4), 0..40),
+        slots in prop::collection::vec((1u8..=u8::MAX, 0usize..7, 0usize..7), 0..40),
+        cuts in prop::collection::vec(0usize..41, 0..4),
+        cut_ends in prop::collection::vec(0usize..41, 4..5),
+        to_dc in 0usize..3,
         taken in 0u8..=u8::MAX,
     ) {
-        const PAYOFFS: [f64; 4] = [0.0, 0.5, 1.0, 2.0];
-        let masks: Vec<u128> = slots.iter().map(|&(m, _)| u128::from(m)).collect();
-        let payoffs: Vec<f64> = slots.iter().map(|&(_, p)| PAYOFFS[p]).collect();
+        let n = slots.len();
+        let masks: Vec<u128> = slots.iter().map(|&(m, _, _)| u128::from(m)).collect();
+        let rewards: Vec<f64> = slots.iter().map(|&(_, r, _)| REWARDS[r]).collect();
+        let travels: Vec<f64> = slots.iter().map(|&(_, _, t)| TRAVELS[t]).collect();
+        // Sorted positions carry a scrambled pool index.
+        let pool_idx: Vec<u32> = (0..n as u32).map(|i| (i * 7919) % 65_521).collect();
+        let mut starts: Vec<u32> = cuts.iter().map(|&c| (c % (n + 1)) as u32).collect();
+        starts.push(0);
+        starts.sort_unstable();
+        starts.dedup();
+        let ends: Vec<u32> = starts
+            .iter()
+            .enumerate()
+            .map(|(b, &s)| {
+                let limit = starts.get(b + 1).map_or(n as u32, |&next| next);
+                s + (cut_ends[b] as u32) % (limit - s + 1)
+            })
+            .collect();
+        let rows = WorkerRows {
+            pool_idx: &pool_idx,
+            masks: &masks,
+            rewards: &rewards,
+            travels: &travels,
+            starts: &starts,
+            ends: &ends,
+            to_dc: TO_DC[to_dc],
+        };
         let taken = u128::from(taken);
 
-        let mut order: Vec<usize> = (0..payoffs.len()).collect();
-        order.sort_by(|&a, &b| payoffs[b].total_cmp(&payoffs[a]));
-        let want = order
-            .iter()
-            .position(|&pos| masks[pos] & taken == 0)
-            .map(|rank| (order[rank], rank));
+        let want = first_hit(&rows, taken);
+        let best = kernel::best_open(&rows, taken);
+        if let Some((pos, p)) = best {
+            prop_assert_eq!(p.to_bits(), rows.payoff(pos).to_bits());
+        }
+        let got = best.map(|(pos, p)| (pos, kernel::payoff_rank(&rows, rows.pool_idx[pos], p)));
+        prop_assert_eq!(got, want);
 
-        let with_rank = |pos: Option<usize>| pos.map(|p| (p, kernel::desc_rank(&payoffs, p)));
-        prop_assert_eq!(with_rank(best_open_scalar(&masks, &payoffs, taken)), want);
-        prop_assert_eq!(with_rank(kernel::best_open_chunked(&masks, &payoffs, taken)), want);
+        let mut thresholds: Vec<f64> = vec![-1.0, 0.0, 5e-324, 1.0, 2.0 + 1e-10, f64::INFINITY, f64::NAN];
+        thresholds.extend(rows.ranges().flatten().map(|pos| rows.payoff(pos)).take(6));
+        for threshold in thresholds {
+            let above: Vec<usize> =
+                rows.ranges().flatten().filter(|&pos| rows.payoff(pos) > threshold).collect();
+            let open: Vec<(usize, u64)> = above
+                .iter()
+                .filter(|&&pos| masks[pos] & taken == 0)
+                .map(|&pos| (pos, rows.payoff(pos).to_bits()))
+                .collect();
+            let mut got = Vec::new();
+            let n = kernel::for_each_better(&rows, threshold, taken, |pos, p| got.push((pos, p.to_bits())));
+            prop_assert_eq!(n, above.len(), "threshold {}", threshold);
+            prop_assert_eq!(got, open, "threshold {}", threshold);
+        }
     }
 
-    /// The arena-backed columnar validation inside `StrategySpace` must
-    /// be bit-identical to the per-route reference predicate
+    /// The sorted-pool validation inside `StrategySpace` must be
+    /// bit-identical to the per-route reference predicate
     /// (`len ≤ max_dp && route.is_valid_for_travel(to_dc)`, payoff via
     /// `payoff_for_travel`) for every worker of a random instance —
     /// including when the space is rebuilt from a warm arena.
@@ -132,10 +188,8 @@ proptest! {
                     .map(|(j, r)| (j as u32, payoff_for_travel(&r, to_dc).to_bits()))
                     .collect();
                 let got: Vec<(u32, u64)> = space
-                    .valid_of(local)
-                    .iter()
-                    .zip(space.payoffs_of(local))
-                    .map(|(&j, p)| (j, p.to_bits()))
+                    .strategies(local)
+                    .map(|(j, p)| (j, p.to_bits()))
                     .collect();
                 prop_assert_eq!(
                     expected, got,

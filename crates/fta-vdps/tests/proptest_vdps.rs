@@ -252,12 +252,11 @@ proptest! {
         let space = StrategySpace::build(&instance, &views[0], &config);
         for local in 0..space.n_workers() {
             let worker = space.worker_id(local);
-            let payoffs = space.payoffs_of(local);
-            for (pos, &idx) in space.valid_of(local).iter().enumerate() {
+            for (idx, payoff) in space.strategies(local) {
                 let route = &space.pool.route(idx as usize);
                 prop_assert!(route.is_valid_for(&instance, worker));
                 let direct = worker_payoff(&instance, worker, route);
-                prop_assert!((payoffs[pos] - direct).abs() < 1e-9);
+                prop_assert!((payoff - direct).abs() < 1e-9);
             }
         }
     }
