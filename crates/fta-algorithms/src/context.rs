@@ -190,33 +190,35 @@ impl<'a> GameContext<'a> {
             .filter_map(move |idx| Some((idx, self.space.payoff_of(local, idx)?)))
     }
 
-    /// The pool indices of the `local`-th worker's available strategies
-    /// that visit exactly `len` delivery points, in sorted-pool order (not
-    /// pool-index order).
-    #[must_use]
-    pub fn available_of_len(&self, local: usize, len: usize) -> Vec<u32> {
+    /// Replaces `out` with the pool indices of the `local`-th worker's
+    /// available strategies that visit exactly `len` delivery points, in
+    /// sorted-pool order (not pool-index order). A prefix its reach proves
+    /// closed costs one test.
+    pub fn available_of_len(&self, local: usize, len: usize, out: &mut Vec<u32>) {
+        out.clear();
         let rows = self.space.rows(local);
         let other_taken = self.taken & !self.own_masks[local];
-        let mut out = Vec::new();
         if let Some(range) = rows.ranges().nth(len) {
-            let masks = &rows.masks[range.clone()];
-            kernel::for_each_open_chunked(masks, masks.len(), other_taken, |k| {
-                out.push(rows.pool_idx[range.start + k]);
-            });
+            if rows.may_open(&range, other_taken) {
+                let masks = &rows.masks[range.clone()];
+                kernel::for_each_open_chunked(masks, masks.len(), other_taken, |k| {
+                    out.push(rows.pool_idx[range.start + k]);
+                });
+            }
         }
-        out
     }
 
     /// The available strategy [`Iterator::max_by`] with
     /// [`f64::total_cmp`] picks from [`GameContext::available_strategies`]
     /// — the greatest payoff in IEEE total order, ties to the *highest*
-    /// pool index — found over the worker's valid rows only.
+    /// pool index — found over the worker's valid rows only, skipping the
+    /// prefixes their reach proves closed.
     #[must_use]
     pub fn max_available(&self, local: usize) -> Option<(u32, f64)> {
         let rows = self.space.rows(local);
         let other_taken = self.taken & !self.own_masks[local];
         let mut best: Option<(u32, f64)> = None;
-        for range in rows.ranges() {
+        for range in rows.open_ranges(other_taken) {
             let masks = &rows.masks[range.clone()];
             kernel::for_each_open_chunked(masks, masks.len(), other_taken, |k| {
                 let pos = range.start + k;

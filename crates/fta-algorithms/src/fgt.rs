@@ -41,7 +41,9 @@ pub enum BestResponseEngine {
     /// own payoff whenever `β < 1` and `α ≥ 0` (see
     /// [`fastpath_sound`]), the best response is simply the
     /// highest-payoff available strategy — one argmax pass over the
-    /// worker's slots and exactly two IAU evaluations per turn. When the IAU parameters leave the sound
+    /// worker's valid rows (one test per row length when nothing is open)
+    /// and at most two IAU evaluations per turn, made only when the
+    /// candidate differs from the current selection. When the IAU parameters leave the sound
     /// regime the run transparently falls back to the [`Incremental`]
     /// loop, bit-identically (observable as
     /// `BestResponseStats::fastpath_rounds == 0`).
@@ -373,10 +375,12 @@ fn fgt_once_incremental(
 /// IAU of every candidate: by the monotonicity argument documented on
 /// [`fastpath_sound`], the utility-argmax equals the payoff-argmax, so a
 /// single argmax pass over the worker's slots (first strict payoff maximum
-/// among the available ones) identifies the candidate, and only two IAU
-/// evaluations remain per turn — the current utility and the candidate's.
-/// The strict-improvement switch rule is then applied to the same floats
-/// the exhaustive evaluation would have computed.
+/// among the available ones) identifies the candidate. The switch rule
+/// then needs two IAU evaluations, the current utility and the
+/// candidate's, and only when the candidate differs from the current
+/// selection (otherwise no switch is possible, whatever they are). It is
+/// applied to the same floats the exhaustive evaluation would have
+/// computed. `candidate_evaluations` counts the two on every turn.
 ///
 /// Only dispatched when [`fastpath_sound`] holds for the configured IAU
 /// weights; [`fgt_once`] otherwise falls back to the incremental loop.
@@ -414,7 +418,6 @@ fn fgt_once_fastpath(
             rivals.remove(own);
             trace.stats.evaluator_updates += 1;
 
-            let current_utility = rivals.eval(own);
             // Monotone best response: highest-payoff available strategy,
             // null unless its payoff strictly exceeds 0.
             let (found, scan) = ctx.best_available(local);
@@ -422,12 +425,16 @@ fn fgt_once_fastpath(
             if scan.early_exit {
                 trace.stats.early_exits += 1;
             }
-            let (choice, utility) = match found {
-                Some((idx, payoff)) if payoff > 0.0 => (Some(idx), rivals.eval(payoff)),
-                _ => (None, rivals.eval(0.0)),
+            let (choice, payoff) = match found {
+                Some((idx, payoff)) if payoff > 0.0 => (Some(idx), payoff),
+                _ => (None, 0.0),
             };
+            // The switch rule is defined over the current utility and the
+            // candidate's; both are pure, so they are only computed when a
+            // switch is possible at all.
             trace.stats.candidate_evaluations += 2;
-            if utility > current_utility + config.min_improvement && choice != ctx.selection(local)
+            if choice != ctx.selection(local)
+                && rivals.eval(payoff) > rivals.eval(own) + config.min_improvement
             {
                 ctx.set_strategy(local, choice);
                 moves += 1;
@@ -863,7 +870,8 @@ mod tests {
             fast.candidates_scanned,
             incremental.candidates_scanned
         );
-        // Exactly two IAU evaluations per worker turn on the fast path.
+        // Exactly two IAU evaluations counted per worker turn on the fast
+        // path.
         assert_eq!(
             fast.candidate_evaluations,
             2 * fast.rounds * s.n_workers() as u64

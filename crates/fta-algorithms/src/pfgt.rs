@@ -341,19 +341,20 @@ fn pfgt_once_fastpath(
             q_rivals.remove(own, rho);
             trace.stats.evaluator_updates += 1;
 
-            let current_utility = q_rivals.eval(own, rho);
             let (found, scan) = ctx.best_available(local);
             trace.stats.candidates_scanned += scan.scanned;
             if scan.early_exit {
                 trace.stats.early_exits += 1;
             }
-            let (choice, utility) = match found {
-                Some((idx, payoff)) if payoff > 0.0 => (Some(idx), q_rivals.eval(payoff, rho)),
-                _ => (None, q_rivals.eval(0.0, rho)),
+            let (choice, payoff) = match found {
+                Some((idx, payoff)) if payoff > 0.0 => (Some(idx), payoff),
+                _ => (None, 0.0),
             };
+            // Counted whether or not the switch rule needs them.
             trace.stats.candidate_evaluations += 2;
-            if utility > current_utility + config.base.min_improvement
-                && choice != ctx.selection(local)
+            if choice != ctx.selection(local)
+                && q_rivals.eval(payoff, rho)
+                    > q_rivals.eval(own, rho) + config.base.min_improvement
             {
                 ctx.set_strategy(local, choice);
                 moves += 1;

@@ -15,8 +15,9 @@ use rand::{Rng, SeedableRng};
 /// in local order, receives a uniformly random *available*
 /// single-delivery-point VDPS, or the null strategy if none remains.
 pub fn random_init(ctx: &mut GameContext<'_>, rng: &mut StdRng) {
+    let mut singles = Vec::new();
     for local in 0..ctx.n_workers() {
-        random_single(ctx, local, rng);
+        random_single(ctx, local, rng, &mut singles);
     }
 }
 
@@ -25,17 +26,25 @@ pub fn random_init(ctx: &mut GameContext<'_>, rng: &mut StdRng) {
 /// from the same kind of rng stream as [`random_init`]; the others keep
 /// their replayed strategy.
 pub(crate) fn random_init_nulls(ctx: &mut GameContext<'_>, rng: &mut StdRng) {
+    let mut singles = Vec::new();
     for local in 0..ctx.n_workers() {
         if ctx.selection(local).is_none() {
-            random_single(ctx, local, rng);
+            random_single(ctx, local, rng, &mut singles);
         }
     }
 }
 
 /// Gives the `local`-th worker a uniformly random available
 /// single-delivery-point VDPS, or the null strategy if none remains.
-fn random_single(ctx: &mut GameContext<'_>, local: usize, rng: &mut StdRng) {
-    let mut singles = ctx.available_of_len(local, 1);
+/// `singles` is scratch space reused across workers. A worker with none
+/// left draws nothing from `rng` (`choose` on an empty slice).
+fn random_single(
+    ctx: &mut GameContext<'_>,
+    local: usize,
+    rng: &mut StdRng,
+    singles: &mut Vec<u32>,
+) {
+    ctx.available_of_len(local, 1, singles);
     singles.sort_unstable();
     let choice = singles.choose(rng).copied();
     ctx.set_strategy(local, choice);

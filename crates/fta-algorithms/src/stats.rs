@@ -21,8 +21,11 @@
 pub struct BestResponseStats {
     /// Best-response / evolution rounds executed (round 0 excluded).
     pub rounds: u64,
-    /// Candidate utilities evaluated (current strategy, null, and every
-    /// available VDPS each count once).
+    /// Candidate utilities the switch rule is defined over (current
+    /// strategy, null, and every available VDPS each count once), whether
+    /// or not the engine computes them: the monotone fast path counts two
+    /// per turn, the current utility and the candidate's, but evaluates
+    /// them only when the candidate differs from the current selection.
     pub candidate_evaluations: u64,
     /// Strategy switches actually performed.
     pub switches: u64,

@@ -94,6 +94,27 @@ fn check_queries(ctx: &mut GameContext<'_>) {
         let got = ctx.best_available(local).0.map(|(i, p)| (i, p.to_bits()));
         prop_assert_eq!(got, want, "best_available, worker {}", local);
 
+        // MPTA's climb step and the random initialisation's draw, which
+        // skip the prefixes their reach proves closed, against exhaustive
+        // filtering of the open strategies.
+        let want = ctx
+            .available_strategies(local)
+            .max_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+            .map(|(i, p)| (i, p.to_bits()));
+        let got = ctx.max_available(local).map(|(i, p)| (i, p.to_bits()));
+        prop_assert_eq!(got, want, "max_available, worker {}", local);
+        let mut of_len = Vec::new();
+        for len in 0..=ctx.space().max_dp(local) + 1 {
+            let want: Vec<u32> = ctx
+                .available_strategies(local)
+                .map(|(i, _)| i)
+                .filter(|&i| ctx.space().pool.row_len(i as usize) == len)
+                .collect();
+            ctx.available_of_len(local, len, &mut of_len);
+            of_len.sort_unstable();
+            prop_assert_eq!(&of_len, &want, "available_of_len {}, worker {}", len, local);
+        }
+
         let mut out = Vec::new();
         for threshold in [-1.0, 0.0, ctx.payoff(local)] {
             let want: Vec<(u32, u64)> = better_open_scalar(masks, payoffs, taken, threshold)
@@ -132,4 +153,48 @@ proptest! {
             check_queries(&mut ctx);
         }
     }
+}
+
+/// Valid prefixes the reach test rejects although they hold rows: the
+/// cases where the scans skip work.
+fn skipped_prefixes(ctx: &GameContext<'_>) -> usize {
+    (0..ctx.n_workers())
+        .map(|local| {
+            let rows = ctx.space().rows(local);
+            let taken = ctx.taken_mask() & !ctx.own_mask(local);
+            rows.ranges()
+                .filter(|r| !r.is_empty() && !rows.may_open(r, taken))
+                .count()
+        })
+        .sum()
+}
+
+/// Worker-heavy centers leave most workers with every point of their
+/// valid rows taken, so the reach skip answers most of their queries;
+/// the queries must still match the scalar loops there.
+#[test]
+fn queries_match_where_the_reach_skip_fires() {
+    let mut skipped = 0;
+    for seed in 1..6 {
+        let instance = generate_syn(
+            &SynConfig {
+                n_centers: 1,
+                n_workers: 40,
+                n_tasks: 60,
+                n_delivery_points: 10,
+                max_dp: 3,
+                extent: 3.0,
+                ..SynConfig::bench_scale()
+            },
+            seed,
+        );
+        let s = space(&instance);
+        for algorithm in 0..6 {
+            let mut ctx = GameContext::new(&s);
+            play(&mut ctx, algorithm);
+            skipped += skipped_prefixes(&ctx);
+            check_queries(&mut ctx);
+        }
+    }
+    assert!(skipped > 0, "no state exercised the reach skip");
 }

@@ -117,12 +117,14 @@ impl<'a> GameContext<'a> {
             .map(move |pos| (slots.valid_of(local)[pos], slots.payoffs_of(local)[pos]))
     }
 
-    /// Open slots of `len` points, ascending pool index.
-    pub fn available_of_len(&self, local: usize, len: usize) -> Vec<u32> {
-        self.available_strategies(local)
-            .map(|(idx, _)| idx)
-            .filter(|&idx| self.space.pool.row_len(idx as usize) == len)
-            .collect()
+    /// Open slots of `len` points, ascending pool index, into `out`.
+    pub fn available_of_len(&self, local: usize, len: usize, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(
+            self.available_strategies(local)
+                .map(|(idx, _)| idx)
+                .filter(|&idx| self.space.pool.row_len(idx as usize) == len),
+        );
     }
 
     /// MPTA's climb step as it was written: `max_by` over the open slots.

@@ -12,10 +12,12 @@
 //! that the fast path is never slower than the incremental engine on any
 //! row — CI runs it in quick mode as a regression gate.
 //!
-//! The rows keep the paper's worker-to-delivery-point ratio (Table I:
-//! 2 000 workers / 5 000 DPs / 50 centers) rather than an over-subscribed
-//! shape: when supply is starved, workers without any available strategy
-//! must exhaust their lists under every engine and no scan policy helps.
+//! The `small` and `paper` rows keep the paper's worker-to-delivery-point
+//! ratio (Table I: 2 000 workers / 5 000 DPs / 50 centers). The `dense`
+//! row is perfbench's `dense` shape (8 centers, 2 400 workers, 480
+//! delivery points): supply is starved, so most workers find every point
+//! of their valid rows taken, and the reach test answers their best
+//! response with one test per row length.
 
 use fta_algorithms::{fgt, BestResponseEngine, BestResponseStats, FgtConfig, GameContext};
 use fta_bench::{best_secs, hw_threads, obj};
@@ -25,10 +27,20 @@ use serde_json::Value;
 
 struct Row {
     label: &'static str,
-    n_centers: usize,
-    n_workers: usize,
-    n_dps: usize,
+    syn: SynConfig,
     seed: u64,
+}
+
+/// A Table I-ratio shape: 20 tasks per delivery point over 4 km.
+fn paper_ratio(n_centers: usize, n_workers: usize, n_dps: usize) -> SynConfig {
+    SynConfig {
+        n_centers,
+        n_workers,
+        n_tasks: n_dps * 20,
+        n_delivery_points: n_dps,
+        extent: 4.0,
+        ..SynConfig::bench_scale()
+    }
 }
 
 fn main() -> std::io::Result<()> {
@@ -42,33 +54,30 @@ fn main() -> std::io::Result<()> {
     let rows = [
         Row {
             label: "small",
-            n_centers: 20,
-            n_workers: 200,
-            n_dps: 1200,
+            syn: paper_ratio(20, 200, 1200),
             seed: 5,
         },
         Row {
             label: "paper",
-            n_centers: 100,
-            n_workers: 1000,
-            n_dps: 6000,
+            syn: paper_ratio(100, 1000, 6000),
             seed: 3,
+        },
+        Row {
+            label: "dense",
+            syn: SynConfig {
+                n_centers: 8,
+                n_workers: 2_400,
+                n_tasks: 12_000,
+                n_delivery_points: 480,
+                ..SynConfig::bench_scale()
+            },
+            seed: 5,
         },
     ];
 
     let mut grid = Vec::new();
     for row in &rows {
-        let instance = fta_data::generate_syn(
-            &SynConfig {
-                n_centers: row.n_centers,
-                n_workers: row.n_workers,
-                n_tasks: row.n_dps * 20,
-                n_delivery_points: row.n_dps,
-                extent: 4.0,
-                ..SynConfig::bench_scale()
-            },
-            row.seed,
-        );
+        let instance = fta_data::generate_syn(&row.syn, row.seed);
         let views = instance.center_views();
         let spaces: Vec<StrategySpace> = views
             .iter()
@@ -109,7 +118,7 @@ fn main() -> std::io::Result<()> {
             "{}: n={} |ST|={} — incremental {:.2} ms, \
              fastpath {:.2} ms ({:.2}x vs incremental, {:.1}x fewer scans)",
             row.label,
-            row.n_workers,
+            row.syn.n_workers,
             total_slots,
             incremental_s * 1e3,
             fastpath_s * 1e3,
@@ -130,9 +139,9 @@ fn main() -> std::io::Result<()> {
 
         grid.push(obj(vec![
             ("label", Value::String(row.label.to_owned())),
-            ("n_workers", Value::UInt(row.n_workers as u64)),
-            ("n_centers", Value::UInt(row.n_centers as u64)),
-            ("n_dps", Value::UInt(row.n_dps as u64)),
+            ("n_workers", Value::UInt(row.syn.n_workers as u64)),
+            ("n_centers", Value::UInt(row.syn.n_centers as u64)),
+            ("n_dps", Value::UInt(row.syn.n_delivery_points as u64)),
             ("total_slots", Value::UInt(total_slots as u64)),
             ("incremental_ms", Value::Float(incremental_s * 1e3)),
             ("fastpath_ms", Value::Float(fastpath_s * 1e3)),

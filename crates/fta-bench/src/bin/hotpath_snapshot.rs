@@ -201,9 +201,17 @@ fn main() -> std::io::Result<()> {
     let unit = |next: &mut dyn FnMut() -> u64| (next() >> 11) as f64 / (1u64 << 53) as f64;
     let rewards: Vec<f64> = (0..scan_len).map(|_| 1.0 + 9.0 * unit(&mut next)).collect();
     let travels: Vec<f64> = (0..scan_len).map(|_| 0.5 + 2.5 * unit(&mut next)).collect();
+    let reach: Vec<u128> = masks
+        .iter()
+        .scan(0, |union, &m| {
+            *union |= m;
+            Some(*union)
+        })
+        .collect();
     let rows = WorkerRows {
         pool_idx: &pool_idx,
         masks: &masks,
+        reach: &reach,
         rewards: &rewards,
         travels: &travels,
         starts: &[0],

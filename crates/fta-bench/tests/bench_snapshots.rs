@@ -1,6 +1,8 @@
 //! Schema validation of the committed perf snapshots at the repo root:
-//! `BENCH_incremental.json` (incremental re-solve), `BENCH_hotpath.json`
-//! (chunked scan kernels and the dedup table), `BENCH_durable.json`
+//! `BENCH_incremental.json` (incremental re-solve), `BENCH_br.json`
+//! (best-response engines over prebuilt strategy spaces),
+//! `BENCH_hotpath.json` (chunked scan kernels and the dedup table),
+//! `BENCH_durable.json`
 //! (journaling overhead per fsync policy), `BENCH_scale.json`
 //! (geo-sharded concurrent solves up to 10^5 workers), and the
 //! multi-center block of `BENCH_vdps.json` must parse, carry every field
@@ -321,4 +323,77 @@ fn bench_hotpath_snapshot_is_schema_valid() {
         "committed dedup speedup {speedup:.2}x below its {:.2}x floor",
         gates::hotpath_dedup_floor(false)
     );
+}
+
+#[test]
+fn bench_br_snapshot_is_schema_valid() {
+    let raw = std::fs::read_to_string(snapshot_path("BENCH_br.json"))
+        .expect("BENCH_br.json is committed at the repo root");
+    let v: Value = serde_json::from_str(&raw).expect("snapshot parses as JSON");
+
+    assert!(v["description"].as_str().is_some(), "missing description");
+    assert!(v["reps"].as_u64().unwrap_or(0) >= 1, "reps must be >= 1");
+    assert!(
+        v["hw_threads"].as_u64().unwrap_or(0) >= 1,
+        "hw_threads must be recorded"
+    );
+
+    let grid = v["grid"].as_array().expect("grid is an array");
+    let labels: Vec<&str> = grid
+        .iter()
+        .filter_map(|row| row["label"].as_str())
+        .collect();
+    for label in ["small", "paper", "dense"] {
+        assert!(labels.contains(&label), "grid missing the {label} row");
+    }
+    for row in grid {
+        let label = row["label"].as_str().expect("row missing label");
+        for key in ["n_workers", "n_centers", "n_dps", "total_slots"] {
+            assert!(
+                row[key].as_u64().unwrap_or(0) > 0,
+                "{label}: missing positive integer field {key}"
+            );
+        }
+        let incremental = row["incremental_ms"].as_f64().expect("incremental_ms");
+        let fastpath = row["fastpath_ms"].as_f64().expect("fastpath_ms");
+        let speedup = row["speedup_fastpath_vs_incremental"]
+            .as_f64()
+            .expect("speedup_fastpath_vs_incremental");
+        assert!(incremental > 0.0 && fastpath > 0.0);
+        assert!(
+            fastpath <= incremental,
+            "{label}: fast path ({fastpath:.3} ms) slower than incremental ({incremental:.3} ms)"
+        );
+        assert!(
+            (speedup - incremental / fastpath).abs() <= speedup * 1e-6,
+            "{label}: speedup inconsistent with its timings"
+        );
+
+        let counters = &row["fastpath_counters"];
+        let field = |key: &str| {
+            counters[key]
+                .as_u64()
+                .unwrap_or_else(|| panic!("{label}: fastpath_counters missing {key}"))
+        };
+        let rounds = field("rounds");
+        assert!(rounds > 0, "{label}: no rounds");
+        assert_eq!(
+            field("fastpath_rounds"),
+            rounds,
+            "{label}: default weights run every round on the fast path"
+        );
+        let scanned = field("candidates_scanned");
+        assert!(field("early_exits") <= field("candidate_evaluations") / 2);
+        // Two evaluations counted per worker turn.
+        assert_eq!(field("candidate_evaluations") % 2, 0);
+        let exhaustive = row["exhaustive_candidates_scanned"]
+            .as_u64()
+            .expect("exhaustive_candidates_scanned");
+        assert!(scanned <= exhaustive, "{label}: fast path scanned more");
+        let reduction = row["scan_reduction"].as_f64().expect("scan_reduction");
+        assert!(
+            (reduction - exhaustive as f64 / scanned.max(1) as f64).abs() <= reduction * 1e-6,
+            "{label}: scan_reduction inconsistent with its counters"
+        );
+    }
 }

@@ -832,9 +832,13 @@ fn drive(
                             ..SolveConfig::new(Algorithm::Gta)
                         };
                         let outcome = if config.incremental {
-                            let shape = RoundShape::of(scenario, &idle, &instance, now);
-                            let churn = churn_between(st.last_round.as_ref(), &shape, &idle);
-                            st.last_round = Some(shape);
+                            let churn = {
+                                let _span = fta_obs::span("sim.churn");
+                                let shape = RoundShape::of(scenario, &idle, &instance, now);
+                                let churn = churn_between(st.last_round.as_ref(), &shape, &idle);
+                                st.last_round = Some(shape);
+                                churn
+                            };
                             inc_solver
                                 .get_or_insert_with(|| {
                                     RoundSolver::new(solve_config, config.shards, config.shard_by)
@@ -887,6 +891,7 @@ fn drive(
 
             apply_routes(scenario, plan.as_ref(), st, &planned);
             let record = round_record.map(|mut record| {
+                let _span = fta_obs::span("sim.fairness");
                 let incomes: Vec<f64> = st.ledgers.iter().map(|l| l.earnings).collect();
                 record.fairness = fta_algorithms::ledger::fairness_from_incomes(&incomes);
                 record
@@ -1040,21 +1045,24 @@ fn restore_inner(
         .as_ref()
         .expect("restore requires SimConfig::durable");
     let fingerprint = state::fingerprint(scenario, config);
-    let rec = fta_durable::recover(&d.dir, Some(fingerprint))?;
-
     // Decode every surviving recovery point and order by round: a crash
     // between snapshot write and log truncation legitimately leaves log
     // frames older than the snapshot, which must not regress the resume
     // point or duplicate replayed ledger records.
-    let mut decoded: Vec<state::DecodedFrame> = Vec::new();
-    if let Some(snap) = &rec.snapshot {
-        decoded.push(state::decode_frame(&snap.payload)?);
-    }
-    for frame in &rec.frames {
-        decoded.push(state::decode_frame(frame)?);
-    }
-    decoded.sort_by_key(|f| f.round);
-    decoded.dedup_by_key(|f| f.round);
+    let (rec, mut decoded) = {
+        let _span = fta_obs::span("durable.recover");
+        let rec = fta_durable::recover(&d.dir, Some(fingerprint))?;
+        let mut decoded: Vec<state::DecodedFrame> = Vec::new();
+        if let Some(snap) = &rec.snapshot {
+            decoded.push(state::decode_frame(&snap.payload)?);
+        }
+        for frame in &rec.frames {
+            decoded.push(state::decode_frame(frame)?);
+        }
+        decoded.sort_by_key(|f| f.round);
+        decoded.dedup_by_key(|f| f.round);
+        (rec, decoded)
+    };
 
     let mut replayed_records = 0usize;
     if let Some(records) = ledger_sink.as_deref_mut() {

@@ -12,7 +12,8 @@
 //! division. They work in chunks of [`LANES`] rows, classified without a
 //! branch per lane, so one branch skips a chunk the bracket rules out.
 //! The monotone best response ([`best_open`]) breaks payoff ties to the
-//! lowest pool index, whatever the scan order.
+//! lowest pool index, whatever the scan order, and skips a prefix whose
+//! reach (the union of its masks) the taken mask covers.
 //!
 //! [`for_each_open_chunked`] splits every `u128` into its two `u64` limbs
 //! (`m & t == 0` iff `(m_lo & t_lo) | (m_hi & t_hi) == 0`) and reduces a
@@ -23,6 +24,7 @@
 //! `hotpath_snapshot` benchmarks them head-to-head against such loops.
 
 use crate::strategy::WorkerRows;
+use std::ops::Range;
 
 /// Candidates per chunk. Eight `u128`s is 128 bytes — two cache lines —
 /// and gives the reduction enough lanes to fill 2×64-bit vector ALUs.
@@ -103,9 +105,23 @@ struct Prefix<'a> {
 }
 
 impl<'a> Prefix<'a> {
+    /// Every valid prefix of `rows`.
     fn all(rows: &WorkerRows<'a>) -> impl Iterator<Item = Self> + 'a {
+        Self::over(rows, rows.ranges())
+    }
+
+    /// The valid prefixes of `rows` that may hold a row open against
+    /// `taken`; a prefix its reach proves closed is skipped whole.
+    fn open(rows: &WorkerRows<'a>, taken: u128) -> impl Iterator<Item = Self> + 'a {
+        Self::over(rows, rows.open_ranges(taken))
+    }
+
+    fn over(
+        rows: &WorkerRows<'a>,
+        ranges: impl Iterator<Item = Range<usize>> + 'a,
+    ) -> impl Iterator<Item = Self> + 'a {
         let rows = *rows;
-        rows.ranges().map(move |r| Self {
+        ranges.map(move |r| Self {
             start: r.start,
             pool_idx: &rows.pool_idx[r.clone()],
             masks: &rows.masks[r.clone()],
@@ -174,10 +190,12 @@ impl Best {
 /// index (the first strict maximum of an ascending pool-index scan).
 /// Returns its sorted position and payoff.
 ///
-/// Per chunk of [`LANES`] rows, the lanes the running maximum certainly
-/// out-pays (a `Bracket`, one multiply per lane) are dropped before the
-/// availability test; a chunk of them costs one branch, and only open
-/// survivors are divided.
+/// A prefix whose reach lies inside `taken` is skipped before any of its
+/// rows is read, so a worker with nothing open costs one test per row
+/// length. Within the other prefixes, per chunk of [`LANES`] rows, the
+/// lanes the running maximum certainly out-pays (a `Bracket`, one
+/// multiply per lane) are dropped before the availability test; a chunk
+/// of them costs one branch, and only open survivors are divided.
 #[must_use]
 pub fn best_open(rows: &WorkerRows<'_>, taken: u128) -> Option<(usize, f64)> {
     let mut best = Best {
@@ -186,7 +204,7 @@ pub fn best_open(rows: &WorkerRows<'_>, taken: u128) -> Option<(usize, f64)> {
         idx: 0,
         bracket: Bracket::around(f64::NAN),
     };
-    for prefix in Prefix::all(rows) {
+    for prefix in Prefix::open(rows, taken) {
         let full = prefix.full();
         for base in (0..full).step_by(LANES) {
             let (rewards, travels) = prefix.chunk(base);
@@ -378,12 +396,29 @@ mod tests {
         }
     }
 
+    /// The running OR of `masks`: the reach column of one bucket.
+    fn running_or(masks: &[u128]) -> Vec<u128> {
+        masks
+            .iter()
+            .scan(0, |u, &m| {
+                *u |= m;
+                Some(*u)
+            })
+            .collect()
+    }
+
     /// Rows paying `rewards` exactly (travel 1, worker at the center),
     /// with their pool indices scrambled against the sorted order.
-    fn rows<'a>(rewards: &'a [f64], pool_idx: &'a [u32], masks: &'a [u128]) -> WorkerRows<'a> {
+    fn rows<'a>(
+        rewards: &'a [f64],
+        pool_idx: &'a [u32],
+        masks: &'a [u128],
+        reach: &'a [u128],
+    ) -> WorkerRows<'a> {
         WorkerRows {
             pool_idx,
             masks,
+            reach,
             rewards,
             travels: &[1.0; 8][..rewards.len()],
             starts: &[0],
@@ -396,7 +431,8 @@ mod tests {
     fn payoff_rank_counts_better_and_lower_index_ties() {
         let rewards = [2.0, 5.0, 2.0, 7.0, 2.0];
         let pool_idx = [4, 1, 0, 3, 2];
-        let r = rows(&rewards, &pool_idx, &[1; 5]);
+        let reach = running_or(&[1; 5]);
+        let r = rows(&rewards, &pool_idx, &[1; 5], &reach);
         let rank = |pos: usize| payoff_rank(&r, pool_idx[pos], rewards[pos]);
         assert_eq!(rank(3), 0);
         assert_eq!(rank(1), 1);
@@ -406,8 +442,10 @@ mod tests {
         // The tie goes to the lowest pool index whatever the scan order.
         assert_eq!(best_open(&r, 0b1), None, "every row closed");
         let open: Vec<u128> = vec![1, 2, 1, 2, 1];
-        let r = rows(&rewards, &pool_idx, &open);
+        let reach = running_or(&open);
+        let r = rows(&rewards, &pool_idx, &open, &reach);
         assert_eq!(best_open(&r, 0b10), Some((2, 2.0)));
+        assert_eq!(best_open(&r, 0b11), None, "reach covered: prefix skipped");
         let better = |threshold| {
             let mut open = Vec::new();
             let n = for_each_better(&r, threshold, 0b10, |pos, p| open.push((pos, p)));

@@ -25,6 +25,12 @@
 //! * **Tie rule.** Because the sorted order is not the pool order,
 //!   candidates compare by (payoff, then lowest pool index), which is the
 //!   first strict maximum of an ascending pool-index scan.
+//! * **Reach.** Next to the masks, the sorted pool keeps their running OR
+//!   within each row-length bucket, so the union of a worker's valid
+//!   prefix is one load. Every row visits at least one point, so when that
+//!   union lies inside the taken mask every row of the prefix is closed,
+//!   and the scans skip it without touching its rows
+//!   ([`WorkerRows::may_open`]).
 
 use crate::columns::VdpsPool;
 use crate::config::VdpsConfig;
@@ -45,6 +51,8 @@ struct SortedPool {
     pool_idx: Vec<u32>,
     /// Delivery-point masks, parallel to `pool_idx`.
     masks: Vec<u128>,
+    /// Running OR of `masks` within each row-length bucket.
+    reach: Vec<u128>,
     /// Total rewards, parallel to `pool_idx`.
     rewards: Vec<f64>,
     /// Travel times from the center, parallel to `pool_idx`.
@@ -55,6 +63,11 @@ impl SortedPool {
     /// Sorts `pool` into validity order. Returns the sorted columns and
     /// the slacks in the same order (only the per-worker binary searches
     /// need them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row's mask is empty: the reach test that skips closed
+    /// prefixes is only sound when every row visits a point.
     fn build(pool: &VdpsPool) -> (Self, Vec<f64>) {
         let slacks = pool.slacks();
         // One packed key per row: length, then a slack key that ascends
@@ -94,8 +107,22 @@ impl SortedPool {
             gather(pool.travels()),
             gather(slacks),
         );
+        // Masks and their running OR per bucket, in one pass.
+        let mut masks = Vec::with_capacity(pool_idx.len());
+        let mut reach = Vec::with_capacity(pool_idx.len());
+        for bucket in bounds.windows(2) {
+            let mut union = 0;
+            for &r in &pool_idx[bucket[0] as usize..bucket[1] as usize] {
+                let mask = pool.mask(r as usize);
+                assert!(mask != 0, "every pool row visits a point");
+                union |= mask;
+                masks.push(mask);
+                reach.push(union);
+            }
+        }
         let sorted = Self {
-            masks: pool_idx.iter().map(|&r| pool.mask(r as usize)).collect(),
+            masks,
+            reach,
             rewards,
             travels,
             bounds,
@@ -124,6 +151,9 @@ pub struct WorkerRows<'a> {
     pub pool_idx: &'a [u32],
     /// Delivery-point masks, parallel to `pool_idx`.
     pub masks: &'a [u128],
+    /// Running OR of `masks` from the start of each bucket: `reach[p]` is
+    /// the union of the masks at `starts[l]..=p` for `p` in bucket `l`.
+    pub reach: &'a [u128],
     /// Total rewards, parallel to `pool_idx`.
     pub rewards: &'a [f64],
     /// Travel times from the center, parallel to `pool_idx`.
@@ -146,6 +176,23 @@ impl<'a> WorkerRows<'a> {
             .map(|(&s, &e)| s as usize..e as usize)
     }
 
+    /// Whether the valid prefix `range` (one of [`WorkerRows::ranges`])
+    /// may hold a row disjoint from `taken`. `false` proves it holds none:
+    /// the prefix is empty, or the union of its masks, `reach[end − 1]`,
+    /// lies inside `taken`, and since no row's mask is empty every row then
+    /// intersects `taken`.
+    #[inline]
+    #[must_use]
+    pub fn may_open(&self, range: &Range<usize>, taken: u128) -> bool {
+        !range.is_empty() && self.reach[range.end - 1] & !taken != 0
+    }
+
+    /// The worker's valid prefixes that [`WorkerRows::may_open`] against
+    /// `taken`: every row disjoint from `taken` lies in one of them.
+    pub fn open_ranges(self, taken: u128) -> impl Iterator<Item = Range<usize>> + 'a {
+        self.ranges().filter(move |r| self.may_open(r, taken))
+    }
+
     /// The worker's payoff for the sorted row at `pos`.
     #[inline]
     #[must_use]
@@ -158,7 +205,7 @@ impl<'a> WorkerRows<'a> {
 ///
 /// Holds the pool once, sorted into validity order (see the module docs),
 /// and per worker only the end of its valid prefix in each row-length
-/// bucket: the space costs 36 B per pool row plus 4 B per (worker, row
+/// bucket: the space costs 52 B per pool row plus 4 B per (worker, row
 /// length), whatever the number of (worker, strategy) pairs.
 #[derive(Debug, Clone)]
 pub struct StrategySpace {
@@ -347,6 +394,7 @@ impl StrategySpace {
         WorkerRows {
             pool_idx: &s.pool_idx,
             masks: &s.masks,
+            reach: &s.reach,
             rewards: &s.rewards,
             travels: &s.travels,
             starts: &s.bounds[..n_lens],
@@ -533,5 +581,33 @@ mod tests {
                 assert_eq!(rows.masks[pos], s.pool.mask(rows.pool_idx[pos] as usize));
             }
         }
+    }
+
+    #[test]
+    fn reach_is_the_union_of_every_prefix() {
+        let inst = instance();
+        let s = space(&inst);
+        let rows = s.rows(0);
+        assert_eq!(rows.reach.len(), rows.masks.len());
+        for (&start, &end) in rows.starts.iter().zip(&s.sorted.bounds[1..]) {
+            for e in start as usize + 1..=end as usize {
+                let union = rows.masks[start as usize..e].iter().fold(0, |u, &m| u | m);
+                assert_eq!(rows.reach[e - 1], union, "prefix {start}..{e}");
+                let prefix = start as usize..e;
+                assert!(!rows.may_open(&prefix, union), "a covered prefix is closed");
+                assert!(rows.may_open(&prefix, 0));
+            }
+        }
+        assert!(!rows.may_open(&(0..0), 0), "an empty prefix holds nothing");
+    }
+
+    #[test]
+    #[should_panic(expected = "every pool row visits a point")]
+    fn an_empty_mask_is_rejected() {
+        let inst = instance();
+        let s = space(&inst);
+        let mut pool = VdpsPool::new(CenterId(0));
+        pool.push_route(0, &s.pool.route(0));
+        let _ = StrategySpace::from_parts(s.view, pool, vec![0.0; 2], vec![1; 2], s.gen_stats);
     }
 }

@@ -42,6 +42,59 @@ fn first_hit(rows: &WorkerRows<'_>, taken: u128) -> Option<(usize, usize)> {
     Some((order[rank], rank))
 }
 
+/// Length buckets over `n` sorted rows: a bucket starts at 0 and at each
+/// cut (mod `n + 1`), and its valid prefix ends `cut_ends[b]` rows in
+/// (mod the bucket's size + 1). Returns the starts and the prefix ends.
+fn buckets(n: usize, cuts: &[usize], cut_ends: &[usize]) -> (Vec<u32>, Vec<u32>) {
+    let mut starts: Vec<u32> = cuts.iter().map(|&c| (c % (n + 1)) as u32).collect();
+    starts.push(0);
+    starts.sort_unstable();
+    starts.dedup();
+    let ends = starts
+        .iter()
+        .enumerate()
+        .map(|(b, &s)| {
+            let limit = starts.get(b + 1).map_or(n as u32, |&next| next);
+            s + (cut_ends[b] as u32) % (limit - s + 1)
+        })
+        .collect();
+    (starts, ends)
+}
+
+/// The reach column of buckets starting at `starts` (ascending, the first
+/// at 0, the last running to the end of `masks`): the running OR of the
+/// masks, restarted at every bucket start.
+fn reach_of(masks: &[u128], starts: &[u32]) -> Vec<u128> {
+    let mut reach = Vec::with_capacity(masks.len());
+    let mut union = 0;
+    for (pos, &m) in masks.iter().enumerate() {
+        if starts.contains(&(pos as u32)) {
+            union = 0;
+        }
+        union |= m;
+        reach.push(union);
+    }
+    reach
+}
+
+/// The plain argmax loop `kernel::best_open` replaces: the highest payoff
+/// among the valid rows disjoint from `taken`, ties to the lowest pool
+/// index, dividing every open row and reading no reach.
+fn best_open_plain(rows: &WorkerRows<'_>, taken: u128) -> Option<(usize, f64)> {
+    let mut best = None;
+    let (mut best_p, mut best_idx) = (f64::NEG_INFINITY, 0);
+    for pos in rows.ranges().flatten() {
+        if rows.masks[pos] & taken == 0 {
+            let (p, idx) = (rows.payoff(pos), rows.pool_idx[pos]);
+            if p > best_p || (p == best_p && idx < best_idx) {
+                best = Some((pos, p));
+                (best_p, best_idx) = (p, idx);
+            }
+        }
+    }
+    best
+}
+
 /// Random mask lists: limb pairs shifted to varying density so fixtures
 /// cover near-empty, half-full, and dense masks.
 fn arb_masks() -> impl Strategy<Value = Vec<u128>> {
@@ -94,21 +147,12 @@ proptest! {
         let travels: Vec<f64> = slots.iter().map(|&(_, _, t)| TRAVELS[t]).collect();
         // Sorted positions carry a scrambled pool index.
         let pool_idx: Vec<u32> = (0..n as u32).map(|i| (i * 7919) % 65_521).collect();
-        let mut starts: Vec<u32> = cuts.iter().map(|&c| (c % (n + 1)) as u32).collect();
-        starts.push(0);
-        starts.sort_unstable();
-        starts.dedup();
-        let ends: Vec<u32> = starts
-            .iter()
-            .enumerate()
-            .map(|(b, &s)| {
-                let limit = starts.get(b + 1).map_or(n as u32, |&next| next);
-                s + (cut_ends[b] as u32) % (limit - s + 1)
-            })
-            .collect();
+        let (starts, ends) = buckets(n, &cuts, &cut_ends);
+        let reach = reach_of(&masks, &starts);
         let rows = WorkerRows {
             pool_idx: &pool_idx,
             masks: &masks,
+            reach: &reach,
             rewards: &rewards,
             travels: &travels,
             starts: &starts,
@@ -139,6 +183,68 @@ proptest! {
             let n = kernel::for_each_better(&rows, threshold, taken, |pos, p| got.push((pos, p.to_bits())));
             prop_assert_eq!(n, above.len(), "threshold {}", threshold);
             prop_assert_eq!(got, open, "threshold {}", threshold);
+        }
+    }
+
+    /// The reach skip against the plain loop, on taken masks that cover
+    /// whole valid prefixes — random taken masks almost never do: the
+    /// union of the reach of some prefixes, plus a few random bits. Row
+    /// masks span both `u64` limbs. `best_open` must answer exactly as the
+    /// plain loop, every prefix `may_open` rejects must hold no open row,
+    /// and every covered prefix must be rejected.
+    #[test]
+    fn reach_skip_matches_the_plain_loop(
+        slots in prop::collection::vec((1u64..u64::MAX, 0u32..65, 0usize..7, 0usize..7), 0..60),
+        cuts in prop::collection::vec(0usize..61, 0..4),
+        cut_ends in prop::collection::vec(0usize..61, 4..5),
+        cover in 0u32..16,
+        extra in 0u64..u64::MAX,
+        extra_shift in 0u32..128,
+        to_dc in 0usize..3,
+    ) {
+        let n = slots.len();
+        // Sparse masks (a few bits, anywhere in the 128) so prefixes
+        // overlap and covering one leaves others partly open.
+        let masks: Vec<u128> = slots
+            .iter()
+            .map(|&(m, shift, _, _)| u128::from(m & m.rotate_left(17) | 1) << shift)
+            .collect();
+        let rewards: Vec<f64> = slots.iter().map(|&(_, _, r, _)| REWARDS[r]).collect();
+        let travels: Vec<f64> = slots.iter().map(|&(_, _, _, t)| TRAVELS[t]).collect();
+        let pool_idx: Vec<u32> = (0..n as u32).map(|i| (i * 7919) % 65_521).collect();
+        let (starts, ends) = buckets(n, &cuts, &cut_ends);
+        let reach = reach_of(&masks, &starts);
+        let rows = WorkerRows {
+            pool_idx: &pool_idx,
+            masks: &masks,
+            reach: &reach,
+            rewards: &rewards,
+            travels: &travels,
+            starts: &starts,
+            ends: &ends,
+            to_dc: TO_DC[to_dc],
+        };
+        let covered = |b: usize| cover >> b & 1 == 1;
+        let mut taken = (u128::from(extra) << 64 | u128::from(extra.rotate_left(29))) >> extra_shift;
+        taken &= taken >> 3;
+        for (b, range) in rows.ranges().enumerate() {
+            if covered(b) && !range.is_empty() {
+                taken |= reach[range.end - 1];
+            }
+        }
+
+        let want = best_open_plain(&rows, taken).map(|(pos, p)| (pos, p.to_bits()));
+        let got = kernel::best_open(&rows, taken).map(|(pos, p)| (pos, p.to_bits()));
+        prop_assert_eq!(got, want);
+        for (b, range) in rows.ranges().enumerate() {
+            let union = masks[range.clone()].iter().fold(0, |u, &m| u | m);
+            prop_assert_eq!(range.is_empty() || reach[range.end - 1] == union, true);
+            if !rows.may_open(&range, taken) {
+                prop_assert!(range.clone().all(|pos| masks[pos] & taken != 0), "bucket {} skipped with an open row", b);
+            }
+            if covered(b) {
+                prop_assert!(!rows.may_open(&range, taken), "covered bucket {} not skipped", b);
+            }
         }
     }
 
