@@ -23,8 +23,10 @@
 //!
 //! All algorithms operate on a [`context::GameContext`] over a
 //! per-center [`StrategySpace`](fta_vdps::StrategySpace); the [`solver`]
-//! module orchestrates VDPS generation and per-center (optionally
-//! threaded) assignment over a whole [`Instance`](fta_core::Instance).
+//! module solves one center and merges the centers' results, and
+//! [`Solver`] runs the round loop over a whole
+//! [`Instance`](fta_core::Instance): per-center (optionally threaded or
+//! sharded) jobs, with per-center caches between rounds.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -58,7 +60,7 @@ pub use pfgt::{pfgt, pfgt_bounded, pfgt_warm_bounded, PfgtConfig, PrioritySpec};
 pub use random::random_assignment;
 pub use report::SolveReport;
 pub use resolve::{CacheSeed, CenterSeed, ResolveStats, Solver};
-pub use shard::{estimate_center_cost, solve_sharded, solve_sharded_with_pool, ShardedSolver};
+pub use shard::estimate_center_cost;
 pub use solver::{
     solve, solve_with_pool, Algorithm, CenterSolveSummary, PanicInjection, SolveConfig,
     SolveOutcome,

@@ -1,11 +1,20 @@
-//! Incremental round-over-round solving: [`Solver`] keeps per-center
-//! caches between rounds and spends work only where the instance changed.
+//! The round loop: [`Solver`] solves every round of a day, caching per
+//! center between rounds and spending work only where the instance
+//! changed.
 //!
-//! A round loop (the sim engine, a dispatcher) calls [`Solver::solve`]
-//! once and then [`Solver::resolve`] every subsequent round, handing it a
-//! [`ChurnSet`] whose `worker_keys` identify physical workers across the
-//! dense renumbering each snapshot performs. Per center, `resolve`
-//! descends a three-step ladder:
+//! A round loop (the sim engine, a dispatcher) calls [`Solver::resolve`]
+//! every round, handing it a [`ChurnSet`] whose `worker_keys` identify
+//! physical workers across the dense renumbering each snapshot performs.
+//! Every round runs the same steps, whether the solver has one shard or
+//! many and whether its cache is empty or primed:
+//!
+//! 1. group the center views into pool jobs — one per center, or one per
+//!    shard when [`SolveConfig::shards`] is set (see [`mod@crate::shard`]);
+//! 2. run the jobs heaviest first on the configured pool;
+//! 3. walk each center down the clean/warm/cold ladder;
+//! 4. merge the centers' outcomes once, in center order.
+//!
+//! The per-center ladder:
 //!
 //! 1. **clean** — every input the solve depends on (delivery points,
 //!    aggregates, workers, geometry, configuration) is bitwise identical
@@ -19,20 +28,18 @@
 //!    masks → new pool indices), and the game restarts *from that
 //!    profile* with a single best-response run — only workers the churn
 //!    actually disturbed re-deliberate;
-//! 3. **cold** — a cache that does not fit the new round
+//! 3. **cold** — no cache, a cache that does not fit the new round
 //!    ([`PoolCache::fits`]: ε change, grown length cap, relocated center,
-//!    changed speed, truncated cache), or a panic in the warm path, falls
-//!    back to the ordinary full per-center solve.
+//!    changed speed, truncated cache), or a panic in the warm path: the
+//!    ordinary full per-center solve.
 //!
 //! Caching is only attempted under an unlimited budget and without fault
 //! injection: a degraded or quarantined center must be re-solved cold
 //! anyway, and budget tokens are wall-clock-dependent, which would poison
 //! the bitwise clean check. In those configurations every call simply
-//! performs a full solve.
-//!
-//! The merged [`SolveOutcome`] is assembled by the same code path as
-//! [`crate::solver::solve`], so reports, traces, and telemetry look the
-//! same to callers either way.
+//! performs a full solve. The one-shot [`crate::solver::solve`] and
+//! [`crate::solver::solve_with_pool`] run one round of the same loop with
+//! no cache and no capture.
 
 use crate::context::GameContext;
 use crate::degrade::{DegradationReport, LadderRung};
@@ -42,15 +49,18 @@ use crate::iegt::iegt_warm_bounded;
 use crate::mpta::mpta;
 use crate::pfgt::pfgt_warm_bounded;
 use crate::random::random_assignment;
+use crate::shard::{estimate_center_cost, group_into_jobs};
 use crate::solver::{
-    merge_outcomes, solve_center, Algorithm, CenterCapture, CenterOutcome, SolveConfig,
-    SolveOutcome,
+    install_exhaustion_hook, merge_outcomes, solve_center, Algorithm, CenterCapture, CenterOutcome,
+    SolveConfig, SolveOutcome,
 };
 use crate::trace::ConvergenceTrace;
 use crate::warm::WarmStart;
 use fta_core::instance::{CenterView, DpAggregate};
 use fta_core::{CancelToken, CenterId, ChurnSet, DeliveryPointId, Instance};
-use fta_vdps::{delta_update, GenControl, PoolCache, StrategySpace, VdpsConfig};
+use fta_vdps::{
+    delta_update, GenControl, PoolCache, StrategySpace, TaskScope, VdpsConfig, WorkerPool,
+};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -102,7 +112,7 @@ pub struct CenterSeed {
 
 /// Everything remembered about one fully solved center between rounds.
 #[derive(Clone)]
-struct CenterCache {
+pub(crate) struct CenterCache {
     center: CenterId,
     capture: CenterCapture,
     /// Stable key per local worker (parallel to `capture.workers`).
@@ -151,13 +161,13 @@ impl CenterCache {
 #[derive(Clone)]
 pub struct Solver {
     config: SolveConfig,
+    /// Cached centers, in center order.
     centers: Vec<CenterCache>,
     last: ResolveStats,
 }
 
 impl Solver {
-    /// A solver with no cache yet; the first call (either [`Self::solve`]
-    /// or [`Self::resolve`]) primes it.
+    /// A solver with no cache yet; the first [`Self::resolve`] primes it.
     #[must_use]
     pub fn new(config: SolveConfig) -> Self {
         Self {
@@ -165,12 +175,6 @@ impl Solver {
             centers: Vec::new(),
             last: ResolveStats::default(),
         }
-    }
-
-    /// The configuration every round is solved under.
-    #[must_use]
-    pub fn config(&self) -> &SolveConfig {
-        &self.config
     }
 
     /// Whether at least one center currently has a cache entry.
@@ -190,59 +194,11 @@ impl Solver {
         self.centers.clear();
     }
 
-    /// Full cold solve with workers keyed by their own indices. Equivalent
-    /// to [`crate::solver::solve`] (sequential) plus cache capture.
-    pub fn solve(&mut self, instance: &Instance) -> SolveOutcome {
-        let keys: Vec<u64> = (0..instance.workers.len() as u64).collect();
-        self.solve_keyed(instance, &keys)
-    }
-
-    /// Full cold solve with caller-provided stable worker keys (parallel
-    /// to `instance.workers`). The cache is captured under these keys, so
-    /// a later [`Self::resolve`] can match workers across renumbering.
-    pub fn solve_keyed(&mut self, instance: &Instance, keys: &[u64]) -> SolveOutcome {
-        let _span = fta_obs::span("solver.solve");
-        let token = if self.config.budget.is_unlimited() {
-            None
-        } else {
-            Some(self.config.budget.token())
-        };
-        let cancel = token.as_ref();
-        let views = instance.center_views();
-        let aggregates = instance.dp_aggregates();
-        let capture_ok = keys.len() == instance.workers.len()
-            && self.config.budget.is_unlimited()
-            && self.config.inject_panic.is_none();
-        let mut outcomes = Vec::with_capacity(views.len());
-        let mut caches = Vec::new();
-        for view in views {
-            let (outcome, capture) = solve_center(
-                instance,
-                &aggregates,
-                view,
-                &self.config,
-                None,
-                cancel,
-                capture_ok,
-            );
-            if let Some(capture) = capture {
-                caches.push(CenterCache::build(instance, keys, capture, outcome.clone()));
-            }
-            outcomes.push(outcome);
-        }
-        self.centers = caches;
-        self.last = ResolveStats {
-            centers_cold: outcomes.len(),
-            ..ResolveStats::default()
-        };
-        let budget_cancelled = cancel.is_some_and(CancelToken::is_cancelled);
-        merge_outcomes(outcomes, budget_cancelled)
-    }
-
-    /// Exports the cached equilibria as a serializable [`CacheSeed`], or
-    /// `None` when the cache is unprimed. The durability layer journals
-    /// this next to the solved instance and worker keys so a recovered
-    /// process keeps its warm-path speedup.
+    /// Exports the cached equilibria as a serializable [`CacheSeed`]
+    /// (sorted by center, whatever the shard configuration), or `None`
+    /// when the cache is unprimed. The durability layer journals this
+    /// next to the solved instance and worker keys so a recovered process
+    /// keeps its warm-path speedup.
     #[must_use]
     pub fn cache_seed(&self) -> Option<CacheSeed> {
         if self.centers.is_empty() {
@@ -268,17 +224,23 @@ impl Solver {
     /// and bit-identical to the delta-updated pools it caches otherwise —
     /// and the seeded equilibria are installed on top, so the next
     /// `resolve` sees exactly the cache an uninterrupted process would
-    /// hold.
+    /// hold. The shard configuration plays no part: a seed exported
+    /// under one shape rehydrates any other.
     ///
-    /// Returns `false` — leaving the solver unprimed, which is always
-    /// safe (the next round merely solves cold) — when the seed does not
-    /// fit the instance, or when this configuration would never have
-    /// cached in the first place (bounded budget or panic injection).
+    /// All-or-nothing: returns `false` — leaving the solver unprimed,
+    /// which is always safe (the next round merely solves cold) — when
+    /// any part of the seed does not fit the instance (a center it lacks,
+    /// a worker count or strategy mask its pools do not have), or when
+    /// this configuration would never have cached in the first place
+    /// (bounded budget or panic injection).
     pub fn rehydrate(&mut self, instance: &Instance, keys: &[u64], seed: &CacheSeed) -> bool {
         self.centers.clear();
         if keys.len() != instance.workers.len()
-            || !self.config.budget.is_unlimited()
-            || self.config.inject_panic.is_some()
+            || !self.config.can_cache()
+            || seed
+                .centers
+                .iter()
+                .any(|c| c.center as usize >= instance.centers.len())
         {
             return false;
         }
@@ -290,199 +252,227 @@ impl Solver {
             let Some(center_seed) = by_center.get(&(view.center.index() as u32)) else {
                 continue;
             };
-            let vdps_cfg = clamped_cfg(instance, &view, &self.config);
-            let control = GenControl {
-                token: None,
-                max_states: self.config.budget.max_states,
-            };
-            let center = view.center;
-            let space = StrategySpace::build_budgeted(
-                instance,
-                &aggregates,
-                view,
-                &vdps_cfg,
-                None,
-                control,
-            );
-            if space.gen_stats.truncations > 0 {
-                // A truncated pool is never captured live; a seed claiming
-                // one means instance and seed do not belong together.
-                self.centers.clear();
-                return false;
+            match rehydrate_center(instance, &aggregates, view, keys, center_seed, &self.config) {
+                Some(cache) => caches.push(cache),
+                None => return false,
             }
-            if center_seed.selections.len() != space.view.workers.len() {
-                self.centers.clear();
-                return false;
-            }
-            let idx_of_mask: HashMap<u128, u32> = space
-                .pool
-                .masks()
-                .iter()
-                .enumerate()
-                .map(|(i, &mask)| (mask, i as u32))
-                .collect();
-            let mut ctx = GameContext::new(&space);
-            for (local, sel) in center_seed.selections.iter().enumerate() {
-                if let Some(mask) = sel {
-                    let Some(&idx) = idx_of_mask.get(mask) else {
-                        self.centers.clear();
-                        return false;
-                    };
-                    ctx.set_strategy(local, Some(idx));
-                }
-            }
-            let capture = CenterCapture {
-                pool_cache: PoolCache::capture(
-                    instance,
-                    &aggregates,
-                    &space.view,
-                    &vdps_cfg,
-                    &space.pool,
-                    &space.gen_stats,
-                ),
-                selections: center_seed.selections.clone(),
-                workers: space.view.workers.clone(),
-            };
-            let outcome = CenterOutcome {
-                center,
-                assignment: ctx.to_assignment(),
-                vdps_time: Duration::ZERO,
-                assign_time: Duration::ZERO,
-                gen_stats: space.gen_stats,
-                trace: ConvergenceTrace::default(),
-                report: DegradationReport::default(),
-                rung: LadderRung::Full,
-            };
-            caches.push(CenterCache::build(instance, keys, capture, outcome));
         }
         self.centers = caches;
         fta_obs::counter("resolve.rehydrated_centers", self.centers.len() as u64);
         self.is_primed()
     }
 
-    /// Incremental re-solve of `instance` given what changed since the
-    /// cached round. Centers whose inputs are bitwise unchanged return
-    /// their cached outcome; churned centers delta-update or regenerate
-    /// their pool and warm-start from the cached equilibrium; everything
-    /// else (including an unprimed cache) solves cold. The result is
-    /// always a complete, valid solve of `instance` — the cache only
-    /// changes how much work that takes.
+    /// Solves `instance` given what changed since the cached round.
+    /// Centers whose inputs are bitwise unchanged return their cached
+    /// outcome; churned centers delta-update or regenerate their pool
+    /// and warm-start from the cached equilibrium; everything else
+    /// (including every center of an unprimed cache) solves cold. The
+    /// result is always a complete, valid solve of `instance` — the
+    /// cache only changes how much work that takes. Worker keys of the
+    /// wrong length fall back to identity keys and a cold round.
     pub fn resolve(&mut self, instance: &Instance, churn: &ChurnSet) -> SolveOutcome {
-        let keys_ok = churn.worker_keys.len() == instance.workers.len();
-        if self.centers.is_empty()
-            || !keys_ok
-            || !self.config.budget.is_unlimited()
-            || self.config.inject_panic.is_some()
-        {
-            let identity: Vec<u64>;
-            let keys: &[u64] = if keys_ok {
-                &churn.worker_keys
-            } else {
-                identity = (0..instance.workers.len() as u64).collect();
-                &identity
-            };
-            return self.solve_keyed(instance, keys);
-        }
-        let _span = fta_obs::span("solver.resolve");
-        let keys = &churn.worker_keys;
-        let views = instance.center_views();
-        let aggregates = instance.dp_aggregates();
-        let mut prev: HashMap<CenterId, CenterCache> = std::mem::take(&mut self.centers)
-            .into_iter()
-            .map(|c| (c.center, c))
-            .collect();
-        let mut stats = ResolveStats::default();
-        let mut outcomes = Vec::with_capacity(views.len());
-        let mut caches = Vec::with_capacity(views.len());
-        let mut paths = Vec::with_capacity(views.len());
-        for view in views {
-            let cached = prev.remove(&view.center);
-            let (outcome, cache, path) = resolve_center(
-                instance,
-                &aggregates,
-                view,
-                keys,
-                cached,
-                &self.config,
-                &mut stats,
-            );
-            if let Some(c) = cache {
-                caches.push(c);
-            }
-            outcomes.push(outcome);
-            paths.push(path);
-        }
-        self.centers = caches;
-        self.last = stats;
-        if fta_obs::enabled() {
-            fta_obs::counter("solve.centers_clean", stats.centers_clean as u64);
-            fta_obs::counter("solve.centers_warm", stats.centers_warm as u64);
-            fta_obs::counter("solve.centers_cold", stats.centers_cold as u64);
-            fta_obs::counter("br.warm_adopted", stats.warm_adopted as u64);
-            fta_obs::counter("br.warm_rejected", stats.warm_rejected as u64);
-        }
-        let mut merged = merge_outcomes(outcomes, false);
-        for (summary, path) in merged.centers.iter_mut().zip(paths) {
-            summary.resolve_path = path;
-        }
-        merged
+        self.resolve_on(instance, churn, &self.config.pool())
     }
 
-    /// Shard-scoped [`Solver::resolve`]: incrementally re-solves only the
-    /// given `views` (one shard's centers), replacing the cache with this
-    /// round's captures for exactly those centers. The caller (the
-    /// sharded solver in [`crate::shard`]) guarantees this solver only
-    /// ever sees the same shard's views, an unlimited budget, no panic
-    /// injection, and `keys` parallel to `instance.workers` — the
-    /// preconditions under which [`Solver::resolve`] takes its
-    /// incremental path. Per-center semantics (clean short-circuit, warm
-    /// delta-update, cold fallback) are byte-for-byte those of
-    /// [`Solver::resolve`]; the clean/warm/cold telemetry counters fire
-    /// here, once per shard. Returns per-view outcomes and resolve
-    /// paths in the order given, leaving merging to the caller.
-    pub(crate) fn resolve_views(
+    /// [`Self::resolve`] on a caller-provided pool.
+    fn resolve_on(
         &mut self,
         instance: &Instance,
-        keys: &[u64],
-        views: Vec<CenterView>,
-        aggregates: &[DpAggregate],
-    ) -> (Vec<CenterOutcome>, Vec<&'static str>) {
-        debug_assert!(self.config.budget.is_unlimited() && self.config.inject_panic.is_none());
-        let mut prev: HashMap<CenterId, CenterCache> = std::mem::take(&mut self.centers)
-            .into_iter()
-            .map(|c| (c.center, c))
-            .collect();
-        let mut stats = ResolveStats::default();
-        let mut outcomes = Vec::with_capacity(views.len());
-        let mut caches = Vec::with_capacity(views.len());
-        let mut paths = Vec::with_capacity(views.len());
-        for view in views {
+        churn: &ChurnSet,
+        pool: &WorkerPool,
+    ) -> SolveOutcome {
+        let mut prev = std::mem::take(&mut self.centers);
+        let identity: Vec<u64>;
+        let keys: &[u64] = if churn.worker_keys.len() == instance.workers.len() {
+            &churn.worker_keys
+        } else {
+            prev.clear();
+            identity = (0..instance.workers.len() as u64).collect();
+            &identity
+        };
+        let capture = self.config.can_cache().then_some(keys);
+        let round = solve_round(instance, &self.config, pool, capture, prev);
+        self.centers = round.caches;
+        self.last = round.stats;
+        round.outcome
+    }
+}
+
+/// Rebuilds one center's cache from its seed, or `None` when the seed
+/// does not fit the center.
+fn rehydrate_center(
+    instance: &Instance,
+    aggregates: &[DpAggregate],
+    view: CenterView,
+    keys: &[u64],
+    seed: &CenterSeed,
+    config: &SolveConfig,
+) -> Option<CenterCache> {
+    let vdps_cfg = clamped_cfg(instance, &view, config);
+    let control = GenControl {
+        token: None,
+        max_states: config.budget.max_states,
+    };
+    let center = view.center;
+    let space = StrategySpace::build_budgeted(instance, aggregates, view, &vdps_cfg, None, control);
+    // A truncated pool is never captured live; a seed claiming one means
+    // instance and seed do not belong together.
+    if space.gen_stats.truncations > 0 || seed.selections.len() != space.view.workers.len() {
+        return None;
+    }
+    let idx_of_mask: HashMap<u128, u32> = space
+        .pool
+        .masks()
+        .iter()
+        .enumerate()
+        .map(|(i, &mask)| (mask, i as u32))
+        .collect();
+    let mut ctx = GameContext::new(&space);
+    for (local, sel) in seed.selections.iter().enumerate() {
+        if let Some(mask) = sel {
+            ctx.set_strategy(local, Some(*idx_of_mask.get(mask)?));
+        }
+    }
+    let capture = CenterCapture {
+        pool_cache: PoolCache::capture(
+            instance,
+            aggregates,
+            &space.view,
+            &vdps_cfg,
+            &space.pool,
+            &space.gen_stats,
+        ),
+        selections: seed.selections.clone(),
+        workers: space.view.workers.clone(),
+    };
+    let outcome = CenterOutcome {
+        center,
+        assignment: ctx.to_assignment(),
+        vdps_time: Duration::ZERO,
+        assign_time: Duration::ZERO,
+        gen_stats: space.gen_stats,
+        trace: ConvergenceTrace::default(),
+        report: DegradationReport::default(),
+        rung: LadderRung::Full,
+    };
+    Some(CenterCache::build(instance, keys, capture, outcome))
+}
+
+/// What one round produced: the merged outcome, the caches it captured
+/// (in center order) and its ladder tally.
+pub(crate) struct Round {
+    pub(crate) outcome: SolveOutcome,
+    caches: Vec<CenterCache>,
+    stats: ResolveStats,
+}
+
+/// One center's result within a round.
+struct CenterResult {
+    outcome: CenterOutcome,
+    cache: Option<CenterCache>,
+    /// `"clean"`, `"warm"` or `"cold"`.
+    path: &'static str,
+    warm: WarmStart,
+}
+
+/// The round loop every solve runs: group the centers into pool jobs
+/// (per center, or per shard), run them heaviest first on `pool`, walk
+/// each center down the clean/warm/cold ladder against `prev`, and merge
+/// once in center order. `capture` carries the stable worker keys the
+/// round's caches are captured under; `None` captures nothing (and then
+/// `prev` must be empty).
+pub(crate) fn solve_round(
+    instance: &Instance,
+    config: &SolveConfig,
+    pool: &WorkerPool,
+    capture: Option<&[u64]>,
+    prev: Vec<CenterCache>,
+) -> Round {
+    debug_assert!(capture.is_some() || prev.is_empty());
+    let _solve_span = fta_obs::span("solver.solve");
+    install_exhaustion_hook();
+    // One cancellation token per solve; `None` when the budget is
+    // unlimited so the hot paths skip even the atomic load.
+    let token = (!config.budget.is_unlimited()).then(|| config.budget.token());
+    let cancel = token.as_ref();
+    // Computed once per instance, shared by every center job.
+    let aggregates = instance.dp_aggregates();
+    let mut prev: HashMap<CenterId, CenterCache> =
+        prev.into_iter().map(|c| (c.center, c)).collect();
+    let entries = instance
+        .center_views()
+        .into_iter()
+        .enumerate()
+        .map(|(gi, view)| {
             let cached = prev.remove(&view.center);
-            let (outcome, cache, path) = resolve_center(
-                instance,
-                aggregates,
-                view,
-                keys,
-                cached,
-                &self.config,
-                &mut stats,
-            );
-            if let Some(c) = cache {
-                caches.push(c);
-            }
-            outcomes.push(outcome);
-            paths.push(path);
+            let measured = cached
+                .as_ref()
+                .map(|c| (c.outcome.vdps_time + c.outcome.assign_time).as_nanos() as u64);
+            let cost = estimate_center_cost(instance, &view, config, measured);
+            (gi, (view, cached), cost)
+        })
+        .collect();
+    let jobs = group_into_jobs(instance, config.shards, entries);
+
+    let per_job: Vec<Vec<(usize, Option<u32>, CenterResult)>> = pool.scope(|ts| {
+        let aggregates = &aggregates;
+        let jobs: Vec<(u64, _)> = jobs
+            .into_iter()
+            .map(|job| {
+                let cost = job.cost();
+                let run = move |ts: &TaskScope<'_>| {
+                    let _shard_span = job.shard.map(|si| fta_obs::span_center("solver.shard", si));
+                    job.entries
+                        .into_iter()
+                        .map(|(gi, (view, cached), _)| {
+                            let result = resolve_center(
+                                instance, aggregates, view, capture, cached, config, ts, cancel,
+                            );
+                            (gi, job.shard, result)
+                        })
+                        .collect::<Vec<_>>()
+                };
+                (cost, run)
+            })
+            .collect();
+        ts.map_prioritized(jobs)
+    });
+    let mut results: Vec<_> = per_job.into_iter().flatten().collect();
+    results.sort_by_key(|r| r.0);
+
+    let mut stats = ResolveStats::default();
+    let mut outcomes = Vec::with_capacity(results.len());
+    let mut caches = Vec::with_capacity(results.len());
+    let mut attribution = Vec::with_capacity(results.len());
+    for (_, shard, result) in results {
+        match result.path {
+            "clean" => stats.centers_clean += 1,
+            "warm" => stats.centers_warm += 1,
+            _ => stats.centers_cold += 1,
         }
-        self.centers = caches;
-        self.last = stats;
-        if fta_obs::enabled() {
-            fta_obs::counter("solve.centers_clean", stats.centers_clean as u64);
-            fta_obs::counter("solve.centers_warm", stats.centers_warm as u64);
-            fta_obs::counter("solve.centers_cold", stats.centers_cold as u64);
-            fta_obs::counter("br.warm_adopted", stats.warm_adopted as u64);
-            fta_obs::counter("br.warm_rejected", stats.warm_rejected as u64);
-        }
-        (outcomes, paths)
+        stats.warm_adopted += result.warm.adopted;
+        stats.warm_rejected += result.warm.rejected;
+        caches.extend(result.cache);
+        outcomes.push(result.outcome);
+        attribution.push((result.path, shard));
+    }
+    if fta_obs::enabled() {
+        fta_obs::counter("solve.centers_clean", stats.centers_clean as u64);
+        fta_obs::counter("solve.centers_warm", stats.centers_warm as u64);
+        fta_obs::counter("solve.centers_cold", stats.centers_cold as u64);
+        fta_obs::counter("br.warm_adopted", stats.warm_adopted as u64);
+        fta_obs::counter("br.warm_rejected", stats.warm_rejected as u64);
+    }
+    let budget_cancelled = cancel.is_some_and(CancelToken::is_cancelled);
+    let mut outcome = merge_outcomes(outcomes, budget_cancelled);
+    for (summary, (path, shard)) in outcome.centers.iter_mut().zip(attribution) {
+        summary.resolve_path = path;
+        summary.shard = shard;
+    }
+    Round {
+        outcome,
+        caches,
+        stats,
     }
 }
 
@@ -550,29 +540,34 @@ fn center_is_clean(
     (dc.x.to_bits(), dc.y.to_bits()) == pc.center_bits && instance.speed.to_bits() == pc.speed_bits
 }
 
-/// One center of [`Solver::resolve`]: clean short-circuit, then the warm
-/// path (panic-isolated), then the cold fallback. The third element is
-/// the resolve path taken (`"clean"` / `"warm"` / `"cold"`) for ledger
-/// attribution.
+/// One center of a round: clean short-circuit, then the warm path
+/// (panic-isolated), then the cold fallback. With `capture` unset there
+/// is no cache to consult and none is kept.
+#[allow(clippy::too_many_arguments)]
 fn resolve_center(
     instance: &Instance,
     aggregates: &[DpAggregate],
     view: CenterView,
-    keys: &[u64],
+    capture: Option<&[u64]>,
     cached: Option<CenterCache>,
     config: &SolveConfig,
-    stats: &mut ResolveStats,
-) -> (CenterOutcome, Option<CenterCache>, &'static str) {
-    if let Some(cache) = cached {
+    scope: &TaskScope<'_>,
+    cancel: Option<&CancelToken>,
+) -> CenterResult {
+    if let (Some(cache), Some(keys)) = (cached, capture) {
         let vdps_cfg = clamped_cfg(instance, &view, config);
         if center_is_clean(instance, aggregates, &view, keys, &cache, &vdps_cfg) {
-            stats.centers_clean += 1;
             let mut outcome = cache.outcome.clone();
             // The cached result is returned verbatim, but no time was
             // spent this round.
             outcome.vdps_time = Duration::ZERO;
             outcome.assign_time = Duration::ZERO;
-            return (outcome, Some(cache), "clean");
+            return CenterResult {
+                outcome,
+                cache: Some(cache),
+                path: "clean",
+                warm: WarmStart::default(),
+            };
         }
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             warm_center(
@@ -583,14 +578,17 @@ fn resolve_center(
                 &cache,
                 config,
                 &vdps_cfg,
+                scope,
             )
         }));
         match attempt {
             Ok(Some((outcome, warm, new_cache))) => {
-                stats.centers_warm += 1;
-                stats.warm_adopted += warm.adopted;
-                stats.warm_rejected += warm.rejected;
-                return (outcome, Some(new_cache), "warm");
+                return CenterResult {
+                    outcome,
+                    cache: Some(new_cache),
+                    path: "warm",
+                    warm,
+                };
             }
             Ok(None) => {}
             Err(_) => {
@@ -598,10 +596,24 @@ fn resolve_center(
             }
         }
     }
-    stats.centers_cold += 1;
-    let (outcome, capture) = solve_center(instance, aggregates, view, config, None, None, true);
-    let cache = capture.map(|cap| CenterCache::build(instance, keys, cap, outcome.clone()));
-    (outcome, cache, "cold")
+    let (outcome, captured) = solve_center(
+        instance,
+        aggregates,
+        view,
+        config,
+        scope,
+        cancel,
+        capture.is_some(),
+    );
+    let cache = captured
+        .zip(capture)
+        .map(|(cap, keys)| CenterCache::build(instance, keys, cap, outcome.clone()));
+    CenterResult {
+        outcome,
+        cache,
+        path: "cold",
+        warm: WarmStart::default(),
+    }
 }
 
 /// Remaps the cached equilibrium onto the freshly built space: each
@@ -661,6 +673,7 @@ fn remap_profile(cache: &CenterCache, keys: &[u64], space: &StrategySpace) -> Ve
 /// around it, replay the remapped equilibrium, and run a single warm
 /// best-response pass. Returns `None` when the cached pool does not fit
 /// this round at all ([`PoolCache::fits`]), sending the center cold.
+#[allow(clippy::too_many_arguments)]
 fn warm_center(
     instance: &Instance,
     aggregates: &[DpAggregate],
@@ -669,6 +682,7 @@ fn warm_center(
     cache: &CenterCache,
     config: &SolveConfig,
     vdps_cfg: &VdpsConfig,
+    scope: &TaskScope<'_>,
 ) -> Option<(CenterOutcome, WarmStart, CenterCache)> {
     let pool_cache = &cache.capture.pool_cache;
     if !pool_cache.fits(instance, &view, vdps_cfg) {
@@ -682,14 +696,14 @@ fn warm_center(
     let space = match delta_update(instance, aggregates, &view, vdps_cfg, pool_cache) {
         Some((pool, dstats)) => {
             let gen_stats = dstats.as_gen_stats(pool.len());
-            StrategySpace::from_pool_in(instance, view, pool, gen_stats, None)
+            StrategySpace::from_pool_in(instance, view, pool, gen_stats, Some(scope))
         }
         None => {
             // The churn needs rediscovery: regenerating with the flat
             // engine is cheaper than any search seeded by the changed
             // points, and the warm start below still applies.
             fta_obs::counter("vdps.delta_regenerated", 1);
-            StrategySpace::build_in(instance, aggregates, view, vdps_cfg, None)
+            StrategySpace::build_in(instance, aggregates, view, vdps_cfg, Some(scope))
         }
     };
     let vdps_time = t0.elapsed();
@@ -787,6 +801,13 @@ mod tests {
         ChurnSet::empty(instance.workers.len())
     }
 
+    fn keyed_churn(keys: &[u64]) -> ChurnSet {
+        ChurnSet {
+            worker_keys: keys.to_vec(),
+            ..ChurnSet::empty(keys.len())
+        }
+    }
+
     /// Drops the last `1/frac` of the tasks: removal-only churn, which the
     /// delta updater applies.
     fn drop_tail(instance: &Instance, frac: usize) -> Instance {
@@ -830,7 +851,7 @@ mod tests {
         ] {
             let inst = instance(1);
             let mut solver = Solver::new(SolveConfig::new(algorithm));
-            let first = solver.solve(&inst);
+            let first = solver.resolve(&inst, &identity_churn(&inst));
             assert!(solver.is_primed());
             let second = solver.resolve(&inst, &identity_churn(&inst));
             let stats = solver.last_stats();
@@ -866,7 +887,7 @@ mod tests {
         let inst = instance(3);
         for churned in [drop_tail(&inst, 10), arrivals(&inst)] {
             let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
-            solver.solve(&inst);
+            solver.resolve(&inst, &identity_churn(&inst));
             let warm = solver.resolve(&churned, &identity_churn(&churned));
             let stats = solver.last_stats();
             assert!(
@@ -893,7 +914,7 @@ mod tests {
         moved.centers[0].location.x += 0.25;
         for (churned, cold) in [(faster, inst.centers.len()), (moved, 1)] {
             let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
-            solver.solve(&inst);
+            solver.resolve(&inst, &identity_churn(&inst));
             solver.resolve(&churned, &identity_churn(&churned));
             let stats = solver.last_stats();
             assert_eq!(stats.centers_cold, cold, "{stats:?}");
@@ -908,7 +929,7 @@ mod tests {
     fn fgt_warm_resolve_is_valid_and_mostly_adopts() {
         let inst = instance(4);
         let mut solver = Solver::new(SolveConfig::new(Algorithm::Fgt(FgtConfig::default())));
-        solver.solve(&inst);
+        solver.resolve(&inst, &identity_churn(&inst));
 
         let mut churned = inst.clone();
         let n = churned.tasks.len();
@@ -930,7 +951,7 @@ mod tests {
         // valid assignment and keep the cache primed.
         let inst = instance(5);
         let mut solver = Solver::new(SolveConfig::new(Algorithm::Fgt(FgtConfig::default())));
-        solver.solve(&inst);
+        solver.resolve(&inst, &identity_churn(&inst));
         let mut current = inst;
         for round in 0..3 {
             let n = current.tasks.len();
@@ -950,7 +971,7 @@ mod tests {
         let config =
             SolveConfig::new(Algorithm::Gta).with_budget(fta_core::SolveBudget::wall_ms(10_000));
         let mut solver = Solver::new(config);
-        solver.solve(&inst);
+        solver.resolve(&inst, &identity_churn(&inst));
         assert!(!solver.is_primed(), "budgeted solve must not cache");
         let out = solver.resolve(&inst, &identity_churn(&inst));
         assert!(out.assignment.validate(&inst).is_ok());
@@ -961,7 +982,7 @@ mod tests {
     fn invalidate_forces_the_next_round_cold() {
         let inst = instance(7);
         let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
-        solver.solve(&inst);
+        solver.resolve(&inst, &identity_churn(&inst));
         solver.invalidate();
         assert!(!solver.is_primed());
         solver.resolve(&inst, &identity_churn(&inst));
@@ -981,7 +1002,7 @@ mod tests {
             let inst = instance(9);
             let keys: Vec<u64> = (100..100 + inst.workers.len() as u64).collect();
             let mut live = Solver::new(SolveConfig::new(algorithm));
-            live.solve_keyed(&inst, &keys);
+            live.resolve(&inst, &keyed_churn(&keys));
             let seed = live.cache_seed().expect("live solver is primed");
 
             let mut restored = Solver::new(SolveConfig::new(algorithm));
@@ -992,10 +1013,7 @@ mod tests {
             );
 
             // Zero churn: the rehydrated cache must be judged clean.
-            let churn = ChurnSet {
-                worker_keys: keys.clone(),
-                ..ChurnSet::empty(inst.workers.len())
-            };
+            let churn = keyed_churn(&keys);
             let a = live.resolve(&inst, &churn);
             let b = restored.resolve(&inst, &churn);
             assert_eq!(
@@ -1037,7 +1055,7 @@ mod tests {
         let inst = instance(10);
         let keys: Vec<u64> = (0..inst.workers.len() as u64).collect();
         let mut live = Solver::new(SolveConfig::new(Algorithm::Gta));
-        live.solve_keyed(&inst, &keys);
+        live.resolve(&inst, &keyed_churn(&keys));
         let mut seed = live.cache_seed().unwrap();
         // A mask no pool of this instance contains.
         seed.centers[0].selections[0] = Some(u128::MAX);
@@ -1050,10 +1068,71 @@ mod tests {
     }
 
     #[test]
+    fn rehydrate_refuses_a_seed_for_a_center_the_instance_lacks() {
+        let inst = instance(12);
+        let keys: Vec<u64> = (0..inst.workers.len() as u64).collect();
+        for shards in [None, Some((2, fta_core::ShardBy::Geo))] {
+            let config = SolveConfig {
+                shards,
+                ..SolveConfig::new(Algorithm::Gta)
+            };
+            let mut live = Solver::new(config);
+            live.resolve(&inst, &keyed_churn(&keys));
+            let mut seed = live.cache_seed().unwrap();
+            seed.centers.push(CenterSeed {
+                center: 999,
+                selections: Vec::new(),
+            });
+            let mut restored = Solver::new(config);
+            assert!(!restored.rehydrate(&inst, &keys, &seed), "{shards:?}");
+            assert!(!restored.is_primed(), "{shards:?}");
+        }
+    }
+
+    #[test]
+    fn pool_width_does_not_change_incremental_results() {
+        // Churned rounds on a four-thread pool — center jobs and warm and
+        // cold generation alike fan out — must equal the sequential ones,
+        // cache included.
+        let inst = instance(13);
+        let removed = drop_tail(&inst, 12);
+        let rounds = [
+            inst.clone(),
+            inst.clone(),
+            removed.clone(),
+            arrivals(&removed),
+        ];
+        for algorithm in [
+            Algorithm::Gta,
+            Algorithm::Fgt(FgtConfig::default()),
+            Algorithm::Iegt(crate::iegt::IegtConfig::default()),
+        ] {
+            let sequential = SolveConfig::new(algorithm);
+            let parallel = SolveConfig {
+                parallel: true,
+                ..sequential
+            };
+            let pool = WorkerPool::with_threads(4);
+            let mut seq = Solver::new(sequential);
+            let mut par = Solver::new(parallel);
+            for (i, round) in rounds.iter().enumerate() {
+                let churn = identity_churn(round);
+                let a = seq.resolve(round, &churn);
+                let b = par.resolve_on(round, &churn, &pool);
+                let name = algorithm.name();
+                assert_eq!(a.assignment, b.assignment, "{name} round {i}");
+                assert_eq!(seq.last_stats(), par.last_stats(), "{name} round {i}");
+                assert_eq!(seq.cache_seed(), par.cache_seed(), "{name} round {i}");
+            }
+            assert!(seq.last_stats().centers_warm > 0, "{}", algorithm.name());
+        }
+    }
+
+    #[test]
     fn worker_key_mismatch_falls_back_to_cold() {
         let inst = instance(8);
         let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
-        solver.solve(&inst);
+        solver.resolve(&inst, &identity_churn(&inst));
         let bad = ChurnSet {
             worker_keys: vec![0; 3], // wrong length
             ..ChurnSet::default()

@@ -1,9 +1,14 @@
 //! Whole-instance orchestration: VDPS generation + per-center assignment.
 //!
-//! Task assignment across distribution centers is independent, so the
-//! solver decomposes an [`Instance`] into [`CenterView`]s, builds each
+//! Task assignment across distribution centers is independent, so a
+//! round decomposes an [`Instance`] into [`CenterView`]s, builds each
 //! center's [`StrategySpace`], runs the selected algorithm per center,
-//! and merges the per-center assignments and convergence traces.
+//! and merges the per-center assignments and convergence traces. This
+//! module holds the per-center cold solve (`solve_center`, with its
+//! degradation ladder and panic quarantine) and the merge
+//! (`merge_outcomes`); the round loop that schedules centers onto the
+//! pool is [`crate::resolve::Solver`]'s. [`solve`] and
+//! [`solve_with_pool`] run that same loop once, with no cache.
 //!
 //! With `parallel = true` all per-center jobs are submitted to one shared
 //! [`WorkerPool`] bounded by `available_parallelism()` — never one OS
@@ -25,7 +30,7 @@ use crate::random::random_assignment;
 use crate::stats::BestResponseStats;
 use crate::trace::ConvergenceTrace;
 use fta_core::instance::{CenterView, DpAggregate};
-use fta_core::{Assignment, CancelToken, CenterId, Instance, SolveBudget, WorkerId};
+use fta_core::{Assignment, CancelToken, CenterId, Instance, ShardBy, SolveBudget, WorkerId};
 use fta_vdps::{
     GenControl, GenerationStats, PoolCache, StrategySpace, TaskScope, VdpsConfig, WorkerPool,
 };
@@ -158,13 +163,18 @@ pub struct SolveConfig {
     pub vdps: VdpsConfig,
     /// The assignment algorithm.
     pub algorithm: Algorithm,
-    /// Run distribution centers on separate threads.
+    /// Run distribution centers on separate threads (one-shot and
+    /// incremental solves alike).
     pub parallel: bool,
     /// Resource caps; [`SolveBudget::UNLIMITED`] (the default) makes the
     /// solve bit-identical to an unbudgeted build.
     pub budget: SolveBudget,
     /// Test-only fault injection; `None` (the default) in production.
     pub inject_panic: Option<PanicInjection>,
+    /// Group centers into `k` shards with the given partitioner, one pool
+    /// job per shard (see [`mod@crate::shard`]); `None` (the default) runs
+    /// one job per center. Never changes results.
+    pub shards: Option<(usize, ShardBy)>,
 }
 
 impl SolveConfig {
@@ -178,6 +188,7 @@ impl SolveConfig {
             parallel: false,
             budget: SolveBudget::UNLIMITED,
             inject_panic: None,
+            shards: None,
         }
     }
 
@@ -185,6 +196,25 @@ impl SolveConfig {
     #[must_use]
     pub fn with_budget(self, budget: SolveBudget) -> Self {
         Self { budget, ..self }
+    }
+
+    /// Whether rounds under this configuration may be cached: only with
+    /// an unlimited budget and no panic injection. A degraded or
+    /// quarantined center must be re-solved cold anyway, and budget
+    /// tokens are wall-clock-dependent, which would poison the bitwise
+    /// clean check.
+    pub(crate) fn can_cache(&self) -> bool {
+        self.budget.is_unlimited() && self.inject_panic.is_none()
+    }
+
+    /// The pool a solve under this configuration runs on: bounded by
+    /// `available_parallelism()` with `parallel`, inline otherwise.
+    pub(crate) fn pool(&self) -> WorkerPool {
+        if self.parallel {
+            WorkerPool::new()
+        } else {
+            WorkerPool::sequential()
+        }
     }
 }
 
@@ -232,12 +262,12 @@ pub struct CenterSolveSummary {
     /// most severe wins (`panic` > `wall_ms` > `max_rounds` >
     /// `max_states`).
     pub budget_axis: Option<&'static str>,
-    /// Resolve path taken: `"cold"` for a from-scratch solve, patched
-    /// to `"clean"`/`"warm"` by the incremental
-    /// [`crate::resolve::Solver`].
+    /// Resolve path taken: `"cold"` for a from-scratch solve,
+    /// `"clean"`/`"warm"` when the incremental [`crate::resolve::Solver`]
+    /// reused its cache.
     pub resolve_path: &'static str,
-    /// The shard this center was solved on, patched in by the sharded
-    /// solver (see [`crate::shard`]); `None` on unsharded solves.
+    /// The shard this center was solved on (see [`mod@crate::shard`]);
+    /// `None` on unsharded solves.
     pub shard: Option<u32>,
     /// Best-response rounds run for this center (all restarts).
     pub br_rounds: u64,
@@ -288,7 +318,7 @@ impl SolveOutcome {
     }
 }
 
-/// Per-center result, merged by [`solve`].
+/// Per-center result, merged by [`merge_outcomes`].
 #[derive(Clone)]
 pub(crate) struct CenterOutcome {
     pub(crate) center: CenterId,
@@ -347,7 +377,7 @@ pub(crate) fn solve_center(
     aggregates: &[DpAggregate],
     view: CenterView,
     config: &SolveConfig,
-    scope: Option<&TaskScope<'_>>,
+    scope: &TaskScope<'_>,
     cancel: Option<&CancelToken>,
     want_capture: bool,
 ) -> (CenterOutcome, Option<CenterCapture>) {
@@ -428,7 +458,7 @@ fn solve_center_attempt(
     aggregates: &[DpAggregate],
     view: CenterView,
     config: &SolveConfig,
-    scope: Option<&TaskScope<'_>>,
+    scope: &TaskScope<'_>,
     cancel: Option<&CancelToken>,
     retrying: bool,
     want_capture: bool,
@@ -471,7 +501,7 @@ fn solve_center_attempt(
         max_states: config.budget.max_states,
     };
     let space =
-        StrategySpace::build_budgeted(instance, aggregates, view, &vdps_cfg, scope, control);
+        StrategySpace::build_budgeted(instance, aggregates, view, &vdps_cfg, Some(scope), control);
     let vdps_time = t0.elapsed();
     if space.gen_stats.truncations > 0 {
         rung = rung.max(LadderRung::DegradedVdps);
@@ -592,20 +622,16 @@ fn solve_center_attempt(
 
 /// Solves a whole instance with the configured algorithm.
 ///
-/// Deterministic regardless of `config.parallel`: per-center randomness is
-/// salted by the center id, and results are merged in center order.
+/// Deterministic regardless of `config.parallel` and `config.shards`:
+/// per-center randomness is salted by the center id, and results are
+/// merged in center order.
 ///
 /// With `parallel = true` this runs on a [`WorkerPool`] bounded by
 /// `available_parallelism()`; pass a pool explicitly via
 /// [`solve_with_pool`] to control the thread count.
 #[must_use]
 pub fn solve(instance: &Instance, config: &SolveConfig) -> SolveOutcome {
-    let pool = if config.parallel {
-        WorkerPool::new()
-    } else {
-        WorkerPool::sequential()
-    };
-    solve_with_pool(instance, config, &pool)
+    solve_with_pool(instance, config, &config.pool())
 }
 
 /// Routes fta-core budget exhaustion into a flight-recorder dump. The
@@ -620,10 +646,11 @@ pub(crate) fn install_exhaustion_hook() {
     });
 }
 
-/// Like [`solve`], on a caller-provided [`WorkerPool`].
+/// Like [`solve`], on a caller-provided [`WorkerPool`]: one round of the
+/// [`crate::resolve::Solver`] loop with no cache and no capture.
 ///
-/// Every piece of parallelism in the run — per-center jobs and
-/// intra-center DP layer expansion — shares `pool`, so the
+/// Every piece of parallelism in the run — per-center (or per-shard)
+/// jobs and intra-center DP layer expansion — shares `pool`, so the
 /// number of live OS threads never exceeds `pool.threads()` regardless of
 /// how many centers the instance has. A sequential pool
 /// ([`WorkerPool::sequential`]) runs everything inline on the caller's
@@ -634,39 +661,13 @@ pub fn solve_with_pool(
     config: &SolveConfig,
     pool: &WorkerPool,
 ) -> SolveOutcome {
-    let _solve_span = fta_obs::span("solver.solve");
-    install_exhaustion_hook();
-    // One cancellation token per solve; `None` when the budget is
-    // unlimited so the hot paths skip even the atomic load.
-    let token = if config.budget.is_unlimited() {
-        None
-    } else {
-        Some(config.budget.token())
-    };
-    let cancel = token.as_ref();
-    let views = instance.center_views();
-    // Computed once per instance, shared by every center job (previously
-    // recomputed inside each center's StrategySpace::build).
-    let aggregates = instance.dp_aggregates();
-    let outcomes: Vec<CenterOutcome> = pool.scope(|ts| {
-        let aggregates = &aggregates;
-        let jobs: Vec<_> = views
-            .into_iter()
-            .map(|view| {
-                move |ts: &TaskScope<'_>| {
-                    solve_center(instance, aggregates, view, config, Some(ts), cancel, false).0
-                }
-            })
-            .collect();
-        ts.map(jobs)
-    });
-    let budget_cancelled = token.as_ref().is_some_and(CancelToken::is_cancelled);
-    merge_outcomes(outcomes, budget_cancelled)
+    crate::resolve::solve_round(instance, config, pool, None, Vec::new()).outcome
 }
 
 /// Merges per-center outcomes (in the order given — center order) into one
-/// [`SolveOutcome`] and emits the aggregated telemetry counters. Shared by
-/// [`solve_with_pool`] and the incremental [`crate::resolve::Solver`].
+/// [`SolveOutcome`] and emits the aggregated telemetry counters. Every
+/// summary starts out `"cold"` and unsharded; the round loop patches in
+/// the resolve path and shard.
 pub(crate) fn merge_outcomes(outcomes: Vec<CenterOutcome>, budget_cancelled: bool) -> SolveOutcome {
     let mut assignment = Assignment::new();
     let mut vdps_time = Duration::ZERO;

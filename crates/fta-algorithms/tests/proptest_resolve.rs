@@ -59,7 +59,7 @@ proptest! {
             Algorithm::Random { seed: 9 },
         ] {
             let mut solver = Solver::new(SolveConfig::new(algorithm));
-            let first = solver.solve(&instance);
+            let first = solver.resolve(&instance, &ChurnSet::empty(instance.workers.len()));
             let again = solver.resolve(&instance, &ChurnSet::empty(instance.workers.len()));
             let stats = solver.last_stats();
             prop_assert_eq!(
@@ -93,7 +93,7 @@ proptest! {
     ) {
         let config = SolveConfig::new(Algorithm::Gta);
         let mut solver = Solver::new(config);
-        solver.solve(&instance);
+        solver.resolve(&instance, &ChurnSet::empty(instance.workers.len()));
         let churned = churn_instance(&instance, drop_every, age);
         let warm = solver.resolve(&churned, &ChurnSet::empty(churned.workers.len()));
         let cold = fta_algorithms::solve(&churned, &config);
@@ -124,11 +124,11 @@ proptest! {
         let churn = ChurnSet::empty(churned.workers.len());
 
         let mut a = Solver::new(config);
-        a.solve(&instance);
+        a.resolve(&instance, &ChurnSet::empty(instance.workers.len()));
         let wa = a.resolve(&churned, &churn);
 
         let mut b = Solver::new(config);
-        b.solve(&instance);
+        b.resolve(&instance, &ChurnSet::empty(instance.workers.len()));
         let wb = b.resolve(&churned, &churn);
 
         prop_assert!(wa.assignment.validate(&churned).is_ok());

@@ -24,9 +24,7 @@
 //! [OUT]` (default OUT: `BENCH_scale.json`). Set `FTA_BENCH_QUICK=1`
 //! to shrink the sweep (CI smoke mode).
 
-use fta_algorithms::{
-    estimate_center_cost, solve, solve_sharded_with_pool, Algorithm, SolveConfig,
-};
+use fta_algorithms::{estimate_center_cost, solve, solve_with_pool, Algorithm, SolveConfig};
 use fta_bench::{best_secs, gates, obj};
 use fta_core::{ShardBy, ShardPlan};
 use fta_data::SynConfig;
@@ -140,24 +138,21 @@ fn main() -> std::io::Result<()> {
         let hash_imbalance = hash_plan.imbalance_pct(cost);
 
         let sequential_s = best_secs(reps, || black_box(solve(&instance, &config)));
+        let sharded = |by| SolveConfig {
+            shards: Some((shards, by)),
+            ..config
+        };
         let sharded_s = best_secs(reps, || {
-            black_box(solve_sharded_with_pool(
-                &instance,
-                &config,
-                &pool,
-                shards,
-                ShardBy::Geo,
-                None,
-            ))
+            black_box(solve_with_pool(&instance, &sharded(ShardBy::Geo), &pool))
         });
 
         // Determinism gate: sharding must not change the assignment, on
         // either partitioner.
         let flat = solve(&instance, &config);
         for by in [ShardBy::Geo, ShardBy::Hash] {
-            let sharded = solve_sharded_with_pool(&instance, &config, &pool, shards, by, None);
+            let outcome = solve_with_pool(&instance, &sharded(by), &pool);
             assert_eq!(
-                sharded.assignment, flat.assignment,
+                outcome.assignment, flat.assignment,
                 "{}: sharded GTA diverged from sequential ({by:?}, {shards} shards)",
                 row.label
             );

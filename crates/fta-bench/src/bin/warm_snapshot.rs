@@ -112,7 +112,7 @@ fn main() -> std::io::Result<()> {
         // Prime one solver on round 0; every timed repetition branches a
         // clone off this state so warm reps all start from the same cache.
         let mut primed = Solver::new(config);
-        let round0 = primed.solve(&base);
+        let round0 = primed.resolve(&base, &ChurnSet::empty(base.workers.len()));
 
         // Zero-churn equivalence gate: a resolve of the identical
         // instance must be a pure cache hit, bit for bit.

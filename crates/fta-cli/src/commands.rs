@@ -389,9 +389,7 @@ pub fn execute(command: &Command) -> Result<String, String> {
             shards,
             shard_by,
         } => {
-            use fta_algorithms::{
-                fastpath_sound, solve_sharded, Algorithm, LadderRung, PanicInjection,
-            };
+            use fta_algorithms::{fastpath_sound, Algorithm, LadderRung, PanicInjection};
             let inst = load_instance(instance).map_err(|e| e.to_string())?;
             // Thread the requested best-response engine into whichever
             // equilibrium loop the algorithm runs (baselines have none),
@@ -435,12 +433,10 @@ pub fn execute(command: &Command) -> Result<String, String> {
                     center,
                     also_on_retry: false,
                 }),
+                shards: shards.map(|k| (k, *shard_by)),
                 ..SolveConfig::new(algorithm)
             };
-            let outcome = match shards {
-                Some(k) => solve_sharded(&inst, &solve_config, *k, *shard_by),
-                None => solve(&inst, &solve_config),
-            };
+            let outcome = solve(&inst, &solve_config);
             let snapshot = recorder.map(fta_obs::Recorder::finish);
             outcome
                 .assignment
@@ -788,7 +784,7 @@ pub fn execute(command: &Command) -> Result<String, String> {
                 }
                 // Per-shard attribution: `solver.shard` spans carry the
                 // shard index in their center attribute — one span per
-                // shard per sharded solve.
+                // non-empty shard per sharded solve.
                 let mut shard_spans: std::collections::BTreeMap<u32, (u64, u64)> =
                     std::collections::BTreeMap::new();
                 for span in &parsed.spans {

@@ -63,9 +63,8 @@ pub struct ChurnSet {
 
 impl ChurnSet {
     /// A churn set declaring "nothing changed" for an instance of
-    /// `n_workers` workers keyed by their own indices (the convention of
-    /// [`Solver::solve`](../../fta_algorithms/solver/index.html) when no
-    /// explicit keys are given).
+    /// `n_workers` workers keyed by their own indices — what a caller
+    /// without stable worker identities hands the incremental solver.
     #[must_use]
     pub fn empty(n_workers: usize) -> Self {
         Self {

@@ -3,7 +3,7 @@
 //! A std-only telemetry layer with three primitives, all near-zero cost
 //! when no recorder is installed:
 //!
-//! * **Spans** — scoped RAII timers ([`span!`], [`span`], [`span_center`],
+//! * **Spans** — scoped RAII timers ([`span!`], [`span()`], [`span_center`],
 //!   [`span_layer`]) carrying nanosecond start/duration, the emitting
 //!   thread, and the parent span (tracked per-thread in a span stack).
 //! * **Counters** — monotonic named counters ([`counter`]) and

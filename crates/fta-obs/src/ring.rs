@@ -1,9 +1,7 @@
 //! The flight recorder: an always-on, bounded, per-thread ring buffer of
 //! recent telemetry events, dumped to a versioned JSONL snapshot when an
-//! anomaly fires (a quarantined panic, an exhausted [`SolveBudget`],
-//! or a degradation rung below `Full`).
-//!
-//! [`SolveBudget`]: https://docs.rs/fta-core — `fta_core::SolveBudget`
+//! anomaly fires (a quarantined panic, an exhausted solve budget
+//! (`fta_core::SolveBudget`), or a degradation rung below `Full`).
 //!
 //! ## Why a second recorder?
 //!

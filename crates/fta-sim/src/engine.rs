@@ -4,10 +4,7 @@ use crate::faults::FaultPlan;
 use crate::metrics::{DayMetrics, WorkerLedger};
 use crate::scenario::{ArrivingTask, Scenario};
 use crate::state::{self, LoopState};
-use fta_algorithms::{
-    solve, solve_sharded, Algorithm, CacheSeed, LadderRung, ShardedSolver, SolveConfig,
-    SolveOutcome, Solver,
-};
+use fta_algorithms::{solve, Algorithm, LadderRung, SolveConfig, Solver};
 use fta_core::entities::{SpatialTask, Worker};
 use fta_core::geometry::Point;
 use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
@@ -136,12 +133,11 @@ pub struct SimConfig {
     /// [`Solver`] keeps per-center VDPS pools and equilibrium profiles
     /// between rounds, delta-updates them against the computed
     /// [`ChurnSet`], and warm-starts the game from the previous round's
-    /// equilibrium. Incremental rounds solve centers sequentially (the
-    /// `parallel` flag only affects cold solves). For deterministic
-    /// single-attempt algorithms (GTA, MPTA, Random) the incremental day
-    /// is bit-identical to the cold day; the iterative games may converge
-    /// to a different — equally valid — equilibrium because the warm path
-    /// runs a single best-response pass instead of multi-restart search.
+    /// equilibrium. For deterministic single-attempt algorithms (GTA,
+    /// MPTA, Random) the incremental day is bit-identical to the cold day;
+    /// the iterative games may converge to a different — equally valid —
+    /// equilibrium because the warm path runs a single best-response pass
+    /// instead of multi-restart search.
     pub incremental: bool,
     /// Optional durability: journal every solved round's full state (plus
     /// the incremental solver's cache seed) to a checksummed commit log
@@ -153,10 +149,10 @@ pub struct SimConfig {
     /// Solve each round's centers in geo-sharded groups (batch policies
     /// only): `Some(k)` partitions the centers into `k` shards (see
     /// [`ShardBy`]) and solves the shards concurrently with cost-aware
-    /// scheduling. `None` — the default — uses the flat per-center path.
-    /// Sharding never changes a deterministic algorithm's assignment
-    /// (GTA, MPTA, Random are bit-identical at any shard count); the
-    /// iterative games may converge to an equally valid equilibrium.
+    /// scheduling. `None` — the default — runs one job per center.
+    /// Sharding only regroups work: every algorithm's day, the iterative
+    /// games included, is bit-identical at any shard count, cold and
+    /// incremental.
     pub shards: Option<usize>,
     /// Shard partitioner used when [`SimConfig::shards`] is set.
     pub shard_by: ShardBy,
@@ -216,46 +212,6 @@ impl SimConfig {
         self.shards = Some(shards);
         self.shard_by = by;
         self
-    }
-}
-
-/// The persistent round-over-round solver held by incremental days:
-/// either the flat per-center [`Solver`] or the geo-sharded
-/// [`ShardedSolver`], chosen once from [`SimConfig::shards`]. Both
-/// produce interchangeable cache seeds (center-sorted), so a journal
-/// written by one shape can be rehydrated by the other.
-enum RoundSolver {
-    Flat(Solver),
-    Sharded(ShardedSolver),
-}
-
-impl RoundSolver {
-    fn new(config: SolveConfig, shards: Option<usize>, by: ShardBy) -> Self {
-        match shards {
-            Some(k) => Self::Sharded(ShardedSolver::new(config, k, by)),
-            None => Self::Flat(Solver::new(config)),
-        }
-    }
-
-    fn resolve(&mut self, instance: &Instance, churn: &ChurnSet) -> SolveOutcome {
-        match self {
-            Self::Flat(s) => s.resolve(instance, churn),
-            Self::Sharded(s) => s.resolve(instance, churn),
-        }
-    }
-
-    fn cache_seed(&self) -> Option<CacheSeed> {
-        match self {
-            Self::Flat(s) => s.cache_seed(),
-            Self::Sharded(s) => s.cache_seed(),
-        }
-    }
-
-    fn rehydrate(&mut self, instance: &Instance, keys: &[u64], seed: &CacheSeed) -> bool {
-        match self {
-            Self::Flat(s) => s.rehydrate(instance, keys, seed),
-            Self::Sharded(s) => s.rehydrate(instance, keys, seed),
-        }
     }
 }
 
@@ -703,6 +659,17 @@ fn validate_config(config: &SimConfig) {
     }
 }
 
+/// The solver configuration of a batch round of `config`.
+fn solve_config(config: &SimConfig, algorithm: Algorithm) -> SolveConfig {
+    SolveConfig {
+        vdps: config.vdps,
+        parallel: config.parallel,
+        budget: config.budget,
+        shards: config.shards.map(|k| (k, config.shard_by)),
+        ..SolveConfig::new(algorithm)
+    }
+}
+
 fn run_inner(
     scenario: &Scenario,
     config: &SimConfig,
@@ -710,7 +677,7 @@ fn run_inner(
 ) -> SimReport {
     validate_config(config);
     let mut st = LoopState::fresh(scenario, config);
-    let mut inc_solver: Option<RoundSolver> = None;
+    let mut inc_solver: Option<Solver> = None;
     // A journal that cannot even be *created* is a configuration error
     // (unwritable directory), not a mid-day fault — fail loudly up front
     // rather than run a day the caller believes is durable.
@@ -740,7 +707,7 @@ fn drive(
     scenario: &Scenario,
     config: &SimConfig,
     st: &mut LoopState,
-    inc_solver: &mut Option<RoundSolver>,
+    inc_solver: &mut Option<Solver>,
     mut ledger_sink: Option<&mut Vec<SolveRecord>>,
     mut durable: Option<&mut DurableSink>,
 ) -> SimReport {
@@ -824,13 +791,7 @@ fn drive(
                 let _assign_timer = fta_obs::hist_timer("sim.assign_nanos");
                 match config.policy {
                     DispatchPolicy::Batch(algorithm) => {
-                        let solve_config = SolveConfig {
-                            vdps: config.vdps,
-                            algorithm,
-                            parallel: config.parallel,
-                            budget: config.budget,
-                            ..SolveConfig::new(Algorithm::Gta)
-                        };
+                        let solve_config = solve_config(config, algorithm);
                         let outcome = if config.incremental {
                             let churn = {
                                 let _span = fta_obs::span("sim.churn");
@@ -840,12 +801,8 @@ fn drive(
                                 churn
                             };
                             inc_solver
-                                .get_or_insert_with(|| {
-                                    RoundSolver::new(solve_config, config.shards, config.shard_by)
-                                })
+                                .get_or_insert_with(|| Solver::new(solve_config))
                                 .resolve(&instance, &churn)
-                        } else if let Some(shards) = config.shards {
-                            solve_sharded(&instance, &solve_config, shards, config.shard_by)
                         } else {
                             solve(&instance, &solve_config)
                         };
@@ -910,7 +867,7 @@ fn drive(
                         .as_ref()
                         .map(|r| fta_obs::ledger::record_to_json(r).into_bytes())
                         .unwrap_or_default();
-                    let cache = inc_solver.as_ref().and_then(RoundSolver::cache_seed);
+                    let cache = inc_solver.as_ref().and_then(Solver::cache_seed);
                     let solver_seed = cache.as_ref().map(|cache| state::SeedRef {
                         idle: &idle,
                         instance: &instance,
@@ -1091,20 +1048,13 @@ fn restore_inner(
     // Re-hydrate the incremental solver's warm caches so the resumed
     // rounds take the same (17× faster, and for iterative games
     // differently-converged) warm path the uninterrupted day would have.
-    let mut inc_solver: Option<RoundSolver> = None;
+    let mut inc_solver: Option<Solver> = None;
     let mut cache_rehydrated = false;
     if config.incremental {
         if let (DispatchPolicy::Batch(algorithm), Some(seed), Some(instance)) =
             (config.policy, &solver_seed, &solved_instance)
         {
-            let solve_config = SolveConfig {
-                vdps: config.vdps,
-                algorithm,
-                parallel: config.parallel,
-                budget: config.budget,
-                ..SolveConfig::new(Algorithm::Gta)
-            };
-            let mut solver = RoundSolver::new(solve_config, config.shards, config.shard_by);
+            let mut solver = Solver::new(solve_config(config, algorithm));
             cache_rehydrated = solver.rehydrate(instance, &seed.worker_keys, &seed.cache);
             if cache_rehydrated {
                 inc_solver = Some(solver);
@@ -1146,7 +1096,7 @@ fn restore_inner(
 mod tests {
     use super::*;
     use crate::scenario::ScenarioConfig;
-    use fta_algorithms::IegtConfig;
+    use fta_algorithms::{FgtConfig, IegtConfig};
 
     fn small_scenario(seed: u64) -> Scenario {
         Scenario::generate(
@@ -1302,16 +1252,30 @@ mod tests {
     }
 
     #[test]
-    fn sharded_iterative_day_is_valid_and_deterministic() {
+    fn sharded_iterative_day_is_bit_identical_to_flat() {
+        // Shards only regroup where each center solves: the iterative
+        // games' days equal the flat ones too, cold and incremental.
         let scenario = small_scenario(24);
-        let cfg = config(Algorithm::Iegt(IegtConfig::default()))
-            .with_shards(2, ShardBy::Geo)
-            .with_incremental();
-        let a = run(&scenario, &cfg);
-        let b = run(&scenario, &cfg);
-        assert_eq!(a, b, "sharded incremental runs must be reproducible");
-        assert!(a.is_conserved(), "accounting broken: {a:?}");
-        assert!(a.tasks_completed > 0, "sharded day delivered nothing");
+        for algorithm in [
+            Algorithm::Fgt(FgtConfig::default()),
+            Algorithm::Iegt(IegtConfig::default()),
+        ] {
+            for incremental in [false, true] {
+                let mut flat_cfg = config(algorithm);
+                flat_cfg.incremental = incremental;
+                let flat = run(&scenario, &flat_cfg);
+                assert!(flat.tasks_completed > 0, "day delivered nothing");
+                for (k, by) in [(2, ShardBy::Geo), (3, ShardBy::Hash)] {
+                    let sharded = run(&scenario, &flat_cfg.clone().with_shards(k, by));
+                    assert_eq!(
+                        flat,
+                        sharded,
+                        "{} day diverged at {k} shards ({by:?}, incremental {incremental})",
+                        algorithm.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1927,9 +1891,9 @@ mod tests {
 
     #[test]
     fn restore_rehydrates_sharded_incremental_caches() {
-        // A sharded incremental day journals a center-sorted cache seed
-        // interchangeable with the flat solver's; recovery must partition
-        // it back per shard and resume bit-for-bit.
+        // A sharded incremental day journals the same center-sorted cache
+        // seed as a flat one; recovery must rehydrate it and resume
+        // bit-for-bit.
         let scenario = small_scenario(57);
         let dir = durable_dir("inc-sharded");
         let cfg = journaled_config(Algorithm::Iegt(IegtConfig::default()), &dir)

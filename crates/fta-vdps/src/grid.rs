@@ -49,7 +49,7 @@ impl Adjacency {
     /// Builds the adjacency of `points` under radius `epsilon` (`None` =
     /// the complete graph) with hop travel times at `speed`. Every buffer
     /// comes from the calling thread's generation arena; hand them back
-    /// with [`Adjacency::recycle`] (dropping them instead is harmless).
+    /// with `Adjacency::recycle` (dropping them instead is harmless).
     ///
     /// # Panics
     ///

@@ -224,7 +224,16 @@ fn warm_resolve_counts_regenerated_pools() {
     let inst = instance(3, 17);
     let resolve_recorded = |churned: &Instance| {
         let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
-        solver.solve(&inst);
+        let recorder = Recorder::install();
+        solver.resolve(&inst, &ChurnSet::empty(inst.workers.len()));
+        let priming = recorder.finish();
+        // The priming round reports its cold centers, under the one root
+        // span every round opens.
+        assert_eq!(
+            priming.counter("solve.centers_cold"),
+            inst.centers.len() as u64
+        );
+        assert_eq!(priming.span_count("solver.solve"), 1);
         let recorder = Recorder::install();
         solver.resolve(churned, &ChurnSet::empty(churned.workers.len()));
         (solver.last_stats(), recorder.finish())
