@@ -116,3 +116,12 @@ pub fn scale_noise_band(quick: bool) -> f64 {
         1.15
     }
 }
+
+/// Ceiling on the ε-adjacency build's share of the dp span in pruned
+/// generation over a paper-shape snapshot (`BENCH_vdps.json`,
+/// `generation_pruned`): `vdps.adjacency` must stay at most this
+/// fraction of `vdps.dp`, which contains it. One pass over a center's
+/// point pairs measures 0.09–0.11 on a 2-core x86-64 box; the cell grid
+/// it replaced measured 0.37–0.41. The ratio compares two spans of the
+/// same run, so quick mode needs no wider band.
+pub const PRUNED_ADJACENCY_SHARE: f64 = 0.2;

@@ -5,9 +5,10 @@
 //! `BENCH_durable.json`
 //! (journaling overhead per fsync policy), `BENCH_scale.json`
 //! (geo-sharded concurrent solves up to 10^5 workers), and the
-//! multi-center block of `BENCH_vdps.json` must parse, carry every field
-//! downstream tooling reads, stay internally consistent, and keep the
-//! speedup floors the acceptance criteria pin. The floors live in
+//! pruned-generation and multi-center blocks of `BENCH_vdps.json` must
+//! parse, carry every field downstream tooling reads, stay internally
+//! consistent, and keep the floors and ceilings the acceptance criteria
+//! pin. The floors live in
 //! `fta_bench::gates`, shared with the snapshot writers, so the writer
 //! and this re-check can never drift apart. Parallel floors are
 //! capability-conditioned on the thread count the snapshot records —
@@ -273,6 +274,31 @@ fn bench_vdps_snapshot_multi_center_is_honest_about_threads() {
             "speedup inconsistent with its timings"
         );
     }
+}
+
+/// The pruned block covers one paper-shape snapshot and keeps the
+/// adjacency build within its gate of the dp span.
+#[test]
+fn bench_vdps_snapshot_pruned_generation_passes_its_gate() {
+    let raw = std::fs::read_to_string(snapshot_path("BENCH_vdps.json"))
+        .expect("BENCH_vdps.json is committed at the repo root");
+    let v: Value = serde_json::from_str(&raw).expect("snapshot parses as JSON");
+
+    let pruned = &v["generation_pruned"];
+    for key in ["centers", "vdps_count", "hw_threads"] {
+        assert!(pruned[key].as_u64().unwrap_or(0) > 0, "missing {key}");
+    }
+    assert!(pruned["ms"].as_f64().unwrap_or(0.0) > 0.0, "missing ms");
+    let split = &pruned["span_breakdown_ms"];
+    let dp = split["dp"].as_f64().expect("missing dp span");
+    let adjacency = split["adjacency"].as_f64().expect("missing adjacency span");
+    assert!(split["routes"].as_f64().is_some(), "missing routes span");
+    assert!(dp > 0.0 && adjacency > 0.0);
+    assert!(
+        adjacency <= gates::PRUNED_ADJACENCY_SHARE * dp,
+        "adjacency {adjacency} ms is above {} of dp {dp} ms",
+        gates::PRUNED_ADJACENCY_SHARE
+    );
 }
 
 #[test]

@@ -250,11 +250,10 @@ struct RingHandle(Arc<Mutex<Ring>>);
 
 impl Drop for RingHandle {
     fn drop(&mut self) {
-        // A dumper holding the lock at thread exit is a teardown race;
-        // losing this ring's tail then is acceptable.
-        let Ok(ring) = self.0.try_lock() else {
-            return;
-        };
+        // Wait out a dumper that holds the lock: it reads one ring at a
+        // time and takes no other lock meanwhile, and skipping would lose
+        // this thread's events from every later dump.
+        let ring = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         let retired = RetiredRing {
             thread: ring.thread,
             dropped: ring.dropped + ring.next_seq.saturating_sub(ring.buf.len() as u64),
@@ -365,18 +364,21 @@ pub fn dump(reason: &str, center: Option<u32>) -> String {
     let mut events: Vec<(u64, FlightEvent)> = Vec::new();
     let mut dropped =
         CONTENDED_DROPS.load(Ordering::Relaxed) + RETIRED_EVICTED.load(Ordering::Relaxed);
-    let mut threads = 0u64;
+    let mut live = Vec::with_capacity(rings.len());
     for ring in rings {
         let ring = ring.lock().unwrap_or_else(PoisonError::into_inner);
-        threads += 1;
+        live.push(ring.thread);
         dropped += ring.dropped + ring.next_seq.saturating_sub(ring.buf.len() as u64);
         for event in ring.snapshot() {
             events.push((ring.thread, event));
         }
     }
+    let mut threads = live.len() as u64;
     {
+        // A thread that exited after its ring was read above retired the
+        // same events again: keep the live read.
         let retired = lock_retired();
-        for ring in retired.iter() {
+        for ring in retired.iter().filter(|r| !live.contains(&r.thread)) {
             threads += 1;
             dropped += ring.dropped;
             for event in &ring.events {
@@ -806,6 +808,77 @@ mod tests {
         // parse() itself enforces per-thread strictly-increasing seq.
         let parsed = parse(&dump("mt-test", None)).expect("no torn events");
         assert!(parsed.events.iter().filter(|e| e.name == "ring.mt").count() >= 4 * 200);
+    }
+
+    /// Threads that exit while a dump walks the live rings retire their
+    /// ring mid-dump; the dump must still write each thread once.
+    #[test]
+    fn dump_while_threads_exit_writes_each_thread_once() {
+        let _guard = serialize_recorder_tests();
+        set_armed(true);
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let spawner = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    let batch: Vec<_> = (0..4u64)
+                        .map(|t| {
+                            std::thread::spawn(move || {
+                                for i in 0..8 {
+                                    record(FlightKind::Counter, "ring.churn", t * 100 + i, None);
+                                }
+                            })
+                        })
+                        .collect();
+                    for h in batch {
+                        h.join().unwrap();
+                    }
+                }
+            })
+        };
+        let mut failure = None;
+        for _ in 0..400 {
+            if let Err(e) = parse(&dump("churn-test", None)) {
+                failure = Some(e);
+                break;
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        spawner.join().unwrap();
+        if let Some(e) = failure {
+            panic!("dump raced a thread exit: {e}");
+        }
+    }
+
+    /// A thread that exits while a dumper holds its ring still retires
+    /// its events instead of losing them.
+    #[test]
+    fn thread_exiting_under_a_dump_lock_still_retires() {
+        let _guard = serialize_recorder_tests();
+        set_armed(true);
+        let (ring_tx, ring_rx) = std::sync::mpsc::channel();
+        let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+        let thread = std::thread::spawn(move || {
+            record(FlightKind::Counter, "ring.retire_probe", 1, None);
+            let ring = RING.with(|cell| Arc::clone(&cell.borrow().as_ref().unwrap().0));
+            ring_tx.send(ring).unwrap();
+            exit_rx.recv().unwrap();
+        });
+        let ring = ring_rx.recv().unwrap();
+        {
+            let _held = ring.lock().unwrap();
+            exit_tx.send(()).unwrap();
+            // Gives a destructor that skips a held lock time to do so;
+            // one that waits passes whatever the timing.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        thread.join().unwrap();
+        drop(ring);
+        let parsed = parse(&dump("retire-test", None)).unwrap();
+        assert!(
+            parsed.events.iter().any(|e| e.name == "ring.retire_probe"),
+            "the exiting thread's events were lost"
+        );
     }
 
     #[test]

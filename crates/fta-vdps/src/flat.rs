@@ -10,11 +10,12 @@
 //! costs while producing a **bit-identical pool** (same masks, same
 //! routes, same size-then-mask ordering) and identical work counters:
 //!
-//! * **Fused ε-adjacency.** One pass builds a CSR [`Adjacency`]: per
-//!   delivery point, its ε-neighbours ascending and the travel time
-//!   `d(dp_i, dp_j) / speed` to each (the complete graph when unpruned).
-//!   Each pair's distance is computed once, and only ε-neighbours'
-//!   distances are computed at all. The inner loop walks one contiguous
+//! * **Fused ε-adjacency.** One pass over the upper triangle of point
+//!   pairs builds a CSR [`Adjacency`]: per delivery point, its
+//!   ε-neighbours ascending and the travel time `d(dp_i, dp_j) / speed`
+//!   to each (the complete graph when unpruned). A squared-distance cut
+//!   skips the `hypot` of pairs certainly beyond ε, and each kept pair's
+//!   distance is computed once. The inner loop walks one contiguous
 //!   row: one add, one compare, and a table relax. The row stores exactly
 //!   the expression the hash-map oracle evaluates, so arrivals are
 //!   bit-identical.
@@ -68,12 +69,12 @@
 //! Both choices yield the same travel time; generated instances
 //! (continuous coordinates) make exact ties measure-zero.
 
+use crate::adjacency::Adjacency;
 use crate::arena;
 use crate::columns::VdpsPool;
 use crate::config::VdpsConfig;
 use crate::dedup::{rank, DedupTable, Slot, BIT, EMPTY};
 use crate::generator::{GenControl, GenerationStats};
-use crate::grid::Adjacency;
 use crate::pool::TaskScope;
 use fta_core::instance::{CenterView, DpAggregate, Instance};
 use std::sync::Arc;

@@ -417,8 +417,9 @@ mod tests {
 
     #[test]
     fn grid_index_and_linear_scan_agree_at_boundary_epsilon() {
-        // ε exactly equal to an inter-point distance: the grid index and
-        // the hop filter must treat the boundary identically (inclusive).
+        // ε exactly equal to an inter-point distance: the adjacency's
+        // squared-distance cut must keep the pair for the inclusive
+        // exact test.
         let inst = line_instance(&[100.0, 100.0, 100.0]);
         let (pool_a, _) = run(&inst, &VdpsConfig::pruned(1.0, 3));
         // 1.0 is the exact hop length on the line.

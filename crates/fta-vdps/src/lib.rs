@@ -41,8 +41,9 @@
 //!
 //! Every generator entry point ([`generate_c_vdps`], [`generate_c_vdps_in`],
 //! [`generate_c_vdps_budgeted`]) runs the flat-frontier engine of
-//! `flat.rs`. It builds a fused ε-adjacency ([`grid::Adjacency`]: per
-//! point, its neighbours and the travel time to each) plus per-point
+//! `flat.rs`. It builds a fused ε-adjacency ([`adjacency::Adjacency`],
+//! one pass over the center's point pairs: per point, its neighbours and
+//! the travel time to each) plus per-point
 //! expiry arrays, and keeps each DP layer as a *mask-bucketed flat
 //! frontier*: states of one layer are grouped per subset mask (masks kept
 //! sorted ascending) with a dense per-last-point slot array, so a state is
@@ -87,6 +88,7 @@ extern crate self as fta_vdps;
 #[path = "../tests/support/hashmap_dp.rs"]
 mod hashmap_oracle;
 
+pub mod adjacency;
 pub mod arena;
 pub mod columns;
 pub mod config;
@@ -94,7 +96,6 @@ pub mod dedup;
 pub mod delta;
 mod flat;
 pub mod generator;
-pub mod grid;
 pub mod kernel;
 pub mod naive;
 pub mod pool;

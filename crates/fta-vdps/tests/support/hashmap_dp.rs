@@ -12,7 +12,7 @@
 use fta_core::instance::{CenterView, DpAggregate, Instance};
 use fta_core::route::Route;
 use fta_core::DeliveryPointId;
-use fta_vdps::grid::Adjacency;
+use fta_vdps::adjacency::Adjacency;
 use fta_vdps::{GenerationStats, VdpsConfig, VdpsPool};
 use std::collections::HashMap;
 
