@@ -13,6 +13,15 @@
 //! snapshot + log-truncate cycle inside the timed window — the numbers
 //! cover the whole durability path, not just the append.
 //!
+//! A separate `day` row prices journaling where it costs the most
+//! relative to the solve: the `day` round-benchmark workload's shape
+//! (8 centers, 400 couriers, 640 delivery points, 1 000 tasks/h, an 8 h
+//! shift) solved by incremental FGT and journaled at the production
+//! settings (`every-8`, snapshot every 16). It reports the same timing
+//! and frame-size columns as the grid, plus the audited day's
+//! `durable.encode`/`append`/`snapshot` span totals (append and snapshot
+//! include their fsyncs), and carries no ceiling.
+//!
 //! Usage: `cargo run -p fta-bench --release --bin durable_snapshot --
 //! [OUT]` (default OUT: `BENCH_durable.json`). Set `FTA_BENCH_QUICK=1`
 //! to shrink the day and repetition counts (CI smoke mode). In every
@@ -22,12 +31,13 @@
 //! inside `gates::durable_overhead_ceiling` — CI runs it in quick mode
 //! as a regression gate.
 
-use fta_algorithms::Algorithm;
+use fta_algorithms::{Algorithm, FgtConfig};
 use fta_bench::{gates, obj};
 use fta_durable::{read_log, FsyncPolicy, WAL_FILE};
 use fta_sim::{run, DurableConfig, FaultPlan, Scenario, ScenarioConfig, SimConfig};
 use serde_json::Value;
 use std::hint::black_box;
+use std::path::Path;
 use std::time::Instant;
 
 /// Snapshot cadence under test. Full mode measures the production
@@ -40,6 +50,106 @@ fn snapshot_every(quick: bool) -> u64 {
     } else {
         16
     }
+}
+
+/// Interleaved best-of-`reps` wall times of `plain` and `durable`, in
+/// seconds; see the grid loop in `main` for why they alternate.
+fn best_of_interleaved(
+    scenario: &Scenario,
+    plain: &SimConfig,
+    durable: &[SimConfig],
+    reps: usize,
+) -> (f64, Vec<f64>) {
+    let mut plain_s = f64::INFINITY;
+    let mut durable_s = vec![f64::INFINITY; durable.len()];
+    for _ in 0..reps {
+        let t = Instant::now();
+        black_box(run(scenario, plain));
+        plain_s = plain_s.min(t.elapsed().as_secs_f64());
+        for (best, config) in durable_s.iter_mut().zip(durable) {
+            let t = Instant::now();
+            black_box(run(scenario, config));
+            *best = best.min(t.elapsed().as_secs_f64());
+        }
+    }
+    (plain_s, durable_s)
+}
+
+/// The `day` row: the `day` round-benchmark workload's shape, solved by
+/// incremental FGT and journaled at the production settings
+/// (`DurableConfig::new`: every-8, snapshot every 16). Quick mode
+/// shortens the shift to 2 h.
+fn day_row(quick: bool, reps: usize, scratch: &Path) -> Value {
+    let horizon = if quick { 2.0 } else { 8.0 };
+    let scenario = Scenario::generate(
+        &ScenarioConfig {
+            n_centers: 8,
+            n_workers: 400,
+            n_delivery_points: 640,
+            extent: 10.0,
+            arrival_rate: 1000.0,
+            ..ScenarioConfig::default()
+        },
+        horizon,
+        5,
+    );
+    let plain = SimConfig {
+        horizon,
+        ..SimConfig::day(Algorithm::Fgt(FgtConfig::default()))
+    }
+    .with_incremental();
+    let journal = DurableConfig::new(scratch.join("day"));
+    let (fsync, snapshot_every) = (journal.fsync.to_string(), journal.snapshot_every);
+    let durable = plain.clone().with_durable(journal);
+    let (plain_s, durable_s) =
+        best_of_interleaved(&scenario, &plain, std::slice::from_ref(&durable), reps);
+    let durable_s = durable_s[0];
+
+    let baseline = run(&scenario, &plain);
+    let recorder = fta_obs::Recorder::install();
+    let audited = run(&scenario, &durable);
+    let wal = recorder.finish();
+    assert_eq!(
+        audited, baseline,
+        "day: journaling perturbed the day's metrics"
+    );
+    let frames = wal.counter("wal.frames");
+    assert_eq!(frames, baseline.rounds as u64, "day: one frame per round");
+    let frame_bytes = wal.counter("wal.bytes") as f64 / frames as f64;
+    let overhead = durable_s / plain_s;
+    // Where the audited day's journaling time went, from its spans.
+    let ms = |span: &str| wal.span_nanos(span) as f64 / 1e6;
+    let (encode_ms, append_ms, snapshot_ms) = (
+        ms("durable.encode"),
+        ms("durable.append"),
+        ms("durable.snapshot"),
+    );
+    fta_obs::info!(
+        "day (incremental FGT, {fsync}): plain {:.1} ms, durable {:.1} ms \
+         ({:+.1}% overhead); {frames} frame(s) of {frame_bytes:.0} B; \
+         encode {encode_ms:.1} ms, append {append_ms:.1} ms, snapshot {snapshot_ms:.1} ms",
+        plain_s * 1e3,
+        durable_s * 1e3,
+        (overhead - 1.0) * 1e2,
+    );
+    obj(vec![
+        ("shape", Value::String("day".to_owned())),
+        ("algorithm", Value::String("fgt".to_owned())),
+        ("incremental", Value::Bool(true)),
+        ("fsync", Value::String(fsync)),
+        ("snapshot_every", Value::UInt(snapshot_every)),
+        ("horizon_hours", Value::Float(horizon)),
+        ("workers", Value::UInt(scenario.workers.len() as u64)),
+        ("rounds", Value::UInt(baseline.rounds as u64)),
+        ("plain_ms", Value::Float(plain_s * 1e3)),
+        ("durable_ms", Value::Float(durable_s * 1e3)),
+        ("overhead", Value::Float(overhead)),
+        ("log_frames", Value::UInt(frames)),
+        ("frame_bytes", Value::Float(frame_bytes)),
+        ("encode_ms", Value::Float(encode_ms)),
+        ("append_ms", Value::Float(append_ms)),
+        ("snapshot_ms", Value::Float(snapshot_ms)),
+    ])
 }
 
 fn main() -> std::io::Result<()> {
@@ -101,18 +211,7 @@ fn main() -> std::io::Result<()> {
     // its own contiguous block (plain `best_secs`) lets one noisy block
     // swamp the comparison, whereas interleaving gives every config a
     // rep in each quiet window.
-    let mut plain_s = f64::INFINITY;
-    let mut durable_s = vec![f64::INFINITY; configs.len()];
-    for _ in 0..reps {
-        let t = Instant::now();
-        black_box(run(&scenario, &plain));
-        plain_s = plain_s.min(t.elapsed().as_secs_f64());
-        for (i, config) in configs.iter().enumerate() {
-            let t = Instant::now();
-            black_box(run(&scenario, config));
-            durable_s[i] = durable_s[i].min(t.elapsed().as_secs_f64());
-        }
-    }
+    let (plain_s, durable_s) = best_of_interleaved(&scenario, &plain, &configs, reps);
 
     let mut grid = Vec::new();
     for (&(label, _), (config, &durable_s)) in policies.iter().zip(configs.iter().zip(&durable_s)) {
@@ -180,6 +279,7 @@ fn main() -> std::io::Result<()> {
             ("snapshots", Value::UInt(snapshots as u64)),
         ]));
     }
+    let day = day_row(quick, reps, &scratch);
     let _ = std::fs::remove_dir_all(&scratch);
 
     let snapshot = obj(vec![
@@ -201,6 +301,7 @@ fn main() -> std::io::Result<()> {
         ("workers", Value::UInt(scenario_config.n_workers as u64)),
         ("snapshot_every", Value::UInt(cadence)),
         ("grid", Value::Array(grid)),
+        ("day", day),
     ]);
     let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serialises");
     std::fs::write(&out, json + "\n")?;

@@ -155,6 +155,33 @@ fn bench_durable_snapshot_is_schema_valid() {
         }
     }
     assert!(saw_every8, "grid must include the every-8 row");
+
+    // The `day` row prices journaling on the `day` workload's shape; it
+    // is reported, not gated.
+    let day = &v["day"];
+    assert_eq!(day["shape"].as_str(), Some("day"));
+    assert_eq!(day["algorithm"].as_str(), Some("fgt"));
+    assert_eq!(day["incremental"].as_bool(), Some(true));
+    assert_eq!(day["fsync"].as_str(), Some("every-8"));
+    assert!(day["snapshot_every"].as_u64().unwrap_or(0) >= 1);
+    assert!(day["horizon_hours"].as_f64().unwrap_or(0.0) > 0.0);
+    assert!(day["workers"].as_u64().unwrap_or(0) > 0);
+    assert!(day["rounds"].as_u64().unwrap_or(0) > 0);
+    let plain = day["plain_ms"].as_f64().expect("day row missing plain_ms");
+    let durable = day["durable_ms"]
+        .as_f64()
+        .expect("day row missing durable_ms");
+    let overhead = day["overhead"].as_f64().expect("day row missing overhead");
+    assert!(plain > 0.0 && durable > 0.0 && overhead > 0.0);
+    assert!(
+        (overhead - durable / plain).abs() <= overhead * 1e-6,
+        "day overhead inconsistent with durable_ms/plain_ms"
+    );
+    assert_eq!(day["log_frames"].as_u64(), day["rounds"].as_u64());
+    assert!(day["frame_bytes"].as_f64().unwrap_or(0.0) > 0.0);
+    for key in ["encode_ms", "append_ms", "snapshot_ms"] {
+        assert!(day[key].as_f64().unwrap_or(0.0) > 0.0, "day row {key}");
+    }
 }
 
 #[test]

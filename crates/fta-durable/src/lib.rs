@@ -37,8 +37,22 @@ pub use log::{read_log, CommitLog, FsyncPolicy, LogRead};
 pub use snapshot::{latest_valid_snapshot, read_snapshot, write_snapshot, Snapshot};
 
 use std::fmt;
+use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// The one place this crate calls `fsync(2)` (`fdatasync(2)` when
+/// `data_only`), so every flush is counted as `wal.fsyncs`. Callers
+/// decide whether the policy allows it.
+pub(crate) fn fsync(file: &File, data_only: bool) -> io::Result<()> {
+    if data_only {
+        file.sync_data()?;
+    } else {
+        file.sync_all()?;
+    }
+    fta_obs::counter("wal.fsyncs", 1);
+    Ok(())
+}
 
 /// Name of the commit-log file inside a durable directory.
 pub const WAL_FILE: &str = "wal.fta";
@@ -199,6 +213,8 @@ impl Journal {
     }
 
     /// Flushes frames the fsync policy left buffered in the page cache.
+    /// An explicit request: it flushes under every policy, `Never`
+    /// included.
     pub fn sync(&mut self) -> Result<(), DurableError> {
         self.log.sync()
     }

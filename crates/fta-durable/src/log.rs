@@ -79,7 +79,8 @@ pub struct CommitLog {
 }
 
 impl CommitLog {
-    /// Creates (or truncates) the log at `path` and writes the header.
+    /// Creates (or truncates) the log at `path` and writes the header,
+    /// fsynced unless the policy is [`FsyncPolicy::Never`].
     pub fn create(
         path: &Path,
         fingerprint: u64,
@@ -92,7 +93,9 @@ impl CommitLog {
             .open(path)?;
         file.write_all(&WAL_MAGIC)?;
         file.write_all(&fingerprint.to_le_bytes())?;
-        file.sync_all()?;
+        if policy != FsyncPolicy::Never {
+            crate::fsync(&file, false)?;
+        }
         Ok(Self {
             file,
             policy,
@@ -139,9 +142,8 @@ impl CommitLog {
             FsyncPolicy::Never => false,
         };
         if sync {
-            self.file.sync_data()?;
+            crate::fsync(&self.file, true)?;
             self.since_sync = 0;
-            fta_obs::counter("wal.fsyncs", 1);
         }
         Ok(buf.len() as u64)
     }
@@ -158,17 +160,16 @@ impl CommitLog {
         self.file.set_len(WAL_HEADER_LEN)?;
         self.file.seek(SeekFrom::Start(WAL_HEADER_LEN))?;
         if self.policy != FsyncPolicy::Never {
-            self.file.sync_data()?;
+            crate::fsync(&self.file, true)?;
         }
         self.since_sync = 0;
         Ok(())
     }
 
-    /// Flushes any frames the policy left unsynced.
+    /// Flushes any frames the policy left unsynced, under every policy.
     pub fn sync(&mut self) -> Result<(), DurableError> {
-        self.file.sync_data()?;
+        crate::fsync(&self.file, true)?;
         self.since_sync = 0;
-        fta_obs::counter("wal.fsyncs", 1);
         Ok(())
     }
 

@@ -76,7 +76,7 @@ pub fn write_snapshot(
             .open(&tmp_path)?;
         tmp.write_all(&buf)?;
         if sync {
-            tmp.sync_all()?;
+            crate::fsync(&tmp, false)?;
         }
     }
     fs::rename(&tmp_path, &final_path)?;
@@ -85,7 +85,7 @@ pub fn write_snapshot(
     // previous snapshot plus a longer log tail.
     if sync {
         if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
+            let _ = crate::fsync(&d, false);
         }
     }
     fta_obs::counter("wal.snapshots", 1);

@@ -51,10 +51,20 @@ impl Writer {
         self.u64(v.to_bits());
     }
 
+    /// Appends a `bool` as one byte, 0 or 1.
+    pub fn bool(&mut self, v: bool) {
+        self.u8(u8::from(v));
+    }
+
     /// Appends a length-prefixed byte slice.
     pub fn bytes(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);
         self.buf.extend_from_slice(v);
+    }
+
+    /// Appends a length-prefixed UTF-8 string.
+    pub fn str(&mut self, v: &str) {
+        self.bytes(v.as_bytes());
     }
 
     /// Appends an `Option` discriminant followed by the value if present.
@@ -138,10 +148,25 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Reads a `bool`; any byte but 0 or 1 is corruption.
+    pub fn bool(&mut self) -> Result<bool, DurableError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(DurableError::Corrupt("bad bool byte")),
+        }
+    }
+
     /// Reads a length-prefixed byte slice.
     pub fn bytes(&mut self) -> Result<&'a [u8], DurableError> {
         let len = self.len_prefix()?;
         self.take(len)
+    }
+
+    /// Reads a length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<String, DurableError> {
+        let bytes = self.bytes()?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| DurableError::Corrupt("string is not UTF-8"))
     }
 
     /// Reads an `Option` discriminant and the value if present.
@@ -197,6 +222,8 @@ mod tests {
         w.f64(-0.1f64);
         w.f64(f64::NAN);
         w.bytes(b"frame");
+        w.bool(true);
+        w.str("rung é");
         w.opt(&Some(42u64), |w, v| w.u64(*v));
         w.opt(&None::<u64>, |w, v| w.u64(*v));
         w.seq(&[1u64, 2, 3], |w, v| w.u64(*v));
@@ -210,6 +237,8 @@ mod tests {
         assert_eq!(r.f64().unwrap().to_bits(), (-0.1f64).to_bits());
         assert!(r.f64().unwrap().is_nan());
         assert_eq!(r.bytes().unwrap(), b"frame");
+        assert!(r.bool().unwrap());
+        assert_eq!(r.str().unwrap(), "rung é");
         assert_eq!(r.opt(|r| r.u64()).unwrap(), Some(42));
         assert_eq!(r.opt(|r| r.u64()).unwrap(), None);
         assert_eq!(r.seq(|r| r.u64()).unwrap(), vec![1, 2, 3]);
@@ -232,6 +261,17 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(r.seq(|r| r.u8()).is_err());
+    }
+
+    #[test]
+    fn bad_bool_and_invalid_utf8_are_typed() {
+        let mut w = Writer::new();
+        w.u8(2);
+        w.bytes(&[0xFF, 0xFE]);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert!(r.bool().is_err());
+        assert!(r.str().is_err());
     }
 
     #[test]

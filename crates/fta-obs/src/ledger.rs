@@ -293,26 +293,6 @@ fn record_value(record: &SolveRecord) -> Value {
     ])
 }
 
-/// Serialize one record as a standalone JSON line — the exact line format
-/// [`to_jsonl`] emits for records. The durability layer journals each
-/// round's record this way so `fta recover` can rebuild a ledger.
-#[must_use]
-pub fn record_to_json(record: &SolveRecord) -> String {
-    serde_json::to_string(&record_value(record)).expect("record serializes")
-}
-
-/// Parse one record line produced by [`record_to_json`] (or any `"solve"`
-/// line of a schema-v1 ledger).
-pub fn record_from_json(line: &str) -> Result<SolveRecord, LedgerError> {
-    let fail = |message: String| LedgerError::Line { line: 1, message };
-    let v: Value =
-        serde_json::from_str(line).map_err(|e| fail(format!("not valid JSON: {e:?}")))?;
-    match field_str(&v, "type").map_err(&fail)?.as_str() {
-        "solve" => parse_record(&v).map_err(&fail),
-        other => Err(fail(format!("unknown record type '{other}'"))),
-    }
-}
-
 /// Serialize a ledger as a JSONL string (header first, then one line
 /// per record).
 #[must_use]
@@ -825,6 +805,41 @@ mod tests {
         ));
         // Blank lines are tolerated.
         assert!(parse(&format!("{header}\n\n")).unwrap().records.is_empty());
+    }
+
+    /// [`sample_ledger`] plus a record with non-finite fairness and one
+    /// with no centers: valid input for the mutation proptest.
+    fn rich_ledger_text() -> String {
+        let mut ledger = sample_ledger();
+        let mut second = ledger.records[0].clone();
+        second.round = Some(5);
+        second.fairness.payoff_difference = f64::NAN;
+        second.fairness.incomes.push(f64::INFINITY);
+        ledger.push(second);
+        ledger.push(SolveRecord {
+            algo: "GTA".to_owned(),
+            engine: "batch".to_owned(),
+            ..SolveRecord::default()
+        });
+        to_jsonl(&ledger)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn mutated_ledgers_parse_or_fail_typed(
+            kind in 0u8..6,
+            at in 0.0f64..1.0,
+            span in 0.0f64..1.0,
+            bits in 0u8..=255,
+        ) {
+            // Bit flips, truncation, splices, duplicated and reordered
+            // lines: the reader returns a ledger or a `LedgerError`, and
+            // never panics.
+            let text = rich_ledger_text();
+            let _ = parse(&crate::mutate::mutate(&text, kind, at, span, bits));
+        }
     }
 
     #[test]

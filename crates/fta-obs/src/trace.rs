@@ -281,8 +281,16 @@ fn field_opt_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
+fn to_u32(x: u64, key: &str) -> Result<u32, String> {
+    u32::try_from(x).map_err(|_| format!("field '{key}' out of u32 range"))
+}
+
+fn field_u32(v: &Value, key: &str) -> Result<u32, String> {
+    to_u32(field_u64(v, key)?, key)
+}
+
 fn field_opt_u32(v: &Value, key: &str) -> Result<Option<u32>, String> {
-    Ok(field_opt_u64(v, key)?.map(|x| x as u32))
+    field_opt_u64(v, key)?.map(|x| to_u32(x, key)).transpose()
 }
 
 fn field_str(v: &Value, key: &str) -> Result<String, String> {
@@ -358,8 +366,8 @@ pub fn parse(text: &str) -> Result<ParsedTrace, TraceError> {
             }),
             "round" => trace.rounds.push(ParsedRound {
                 algo: field_str(&v, "algo").map_err(&fail)?,
-                center: field_u64(&v, "center").map_err(&fail)? as u32,
-                round: field_u64(&v, "round").map_err(&fail)? as u32,
+                center: field_u32(&v, "center").map_err(&fail)?,
+                round: field_u32(&v, "round").map_err(&fail)?,
                 moves: field_u64(&v, "moves").map_err(&fail)?,
                 payoff_difference: field_f64(&v, "payoff_difference").map_err(&fail)?,
                 average_payoff: field_f64(&v, "average_payoff").map_err(&fail)?,
@@ -403,7 +411,11 @@ pub fn parse(text: &str) -> Result<ParsedTrace, TraceError> {
                     sum: field_u64(&v, "sum").map_err(&fail)?,
                     buckets,
                 };
-                if hist.buckets.iter().map(|&(_, c)| c).sum::<u64>() != hist.count {
+                let total = hist
+                    .buckets
+                    .iter()
+                    .try_fold(0u64, |sum, &(_, c)| sum.checked_add(c));
+                if total != Some(hist.count) {
                     return Err(fail("bucket counts do not sum to 'count'".to_owned()));
                 }
                 trace
@@ -550,6 +562,57 @@ mod tests {
             value: 450,
         });
         snap
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn mutated_traces_parse_or_fail_typed(
+            kind in 0u8..6,
+            at in 0.0f64..1.0,
+            span in 0.0f64..1.0,
+            bits in 0u8..=255,
+        ) {
+            // Bit flips, truncation, splices, duplicated and reordered
+            // lines: the reader returns a trace or a `TraceError`, and
+            // never panics.
+            let text = to_jsonl(&sample_snapshot());
+            let _ = parse(&crate::mutate::mutate(&text, kind, at, span, bits));
+        }
+    }
+
+    #[test]
+    fn overflowing_bucket_counts_are_a_typed_error() {
+        // Two counts whose sum overflows u64 must not panic the reader.
+        let header = to_jsonl(&Snapshot::default());
+        let text = format!(
+            "{header}{{\"type\":\"hist\",\"name\":\"h\",\"count\":0,\"sum\":0,\
+             \"buckets\":[[0,18446744073709551615],[1,1]]}}\n"
+        );
+        assert!(matches!(
+            parse(&text),
+            Err(TraceError::Line { line: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn out_of_range_u32_fields_are_a_typed_error() {
+        // A center or round past u32 is rejected, not truncated.
+        let header = to_jsonl(&Snapshot::default());
+        let span = "{\"type\":\"span\",\"name\":\"s\",\"id\":1,\"thread\":1,\
+                    \"center\":4294967297,\"start_ns\":0,\"dur_ns\":1}";
+        let round = "{\"type\":\"round\",\"algo\":\"FGT\",\"center\":0,\
+                     \"round\":4294967296,\"moves\":0,\"payoff_difference\":0,\
+                     \"average_payoff\":0,\"potential\":0}";
+        for line in [span, round] {
+            assert!(matches!(
+                parse(&format!("{header}{line}\n")),
+                Err(TraceError::Line { line: 2, .. })
+            ));
+            let fits = line.replace("4294967297", "1").replace("4294967296", "1");
+            assert!(parse(&format!("{header}{fits}\n")).is_ok(), "{fits}");
+        }
     }
 
     #[test]

@@ -863,10 +863,6 @@ fn drive(
             if let Some(sink) = durable.as_deref_mut() {
                 let payload = {
                     let _span = fta_obs::span("durable.encode");
-                    let record_json = record
-                        .as_ref()
-                        .map(|r| fta_obs::ledger::record_to_json(r).into_bytes())
-                        .unwrap_or_default();
                     let cache = inc_solver.as_ref().and_then(Solver::cache_seed);
                     let solver_seed = cache.as_ref().map(|cache| state::SeedRef {
                         idle: &idle,
@@ -874,7 +870,7 @@ fn drive(
                         tasks: &snapshot_tasks,
                         cache,
                     });
-                    state::encode_frame(st.rounds as u64, st, solver_seed, &record_json)
+                    state::encode_frame(st.rounds as u64, st, solver_seed, record.as_ref())
                 };
                 sink.record(st.rounds as u64, &payload);
             }
@@ -1023,14 +1019,7 @@ fn restore_inner(
 
     let mut replayed_records = 0usize;
     if let Some(records) = ledger_sink.as_deref_mut() {
-        for frame in &decoded {
-            if frame.record_json.is_empty() {
-                continue;
-            }
-            let line = std::str::from_utf8(&frame.record_json)
-                .map_err(|_| DurableError::Corrupt("journaled ledger record is not UTF-8"))?;
-            let record = fta_obs::ledger::record_from_json(line)
-                .map_err(|_| DurableError::Corrupt("journaled ledger record does not parse"))?;
+        for record in decoded.iter_mut().filter_map(|f| f.record.take()) {
             records.push(record);
             replayed_records += 1;
         }
@@ -1571,7 +1560,7 @@ mod tests {
             // The encoded frame covers every field of the loop state,
             // floats as bit patterns and the fault-RNG stream position.
             proptest::prop_assert!(
-                state::encode_frame(1, &fast, None, b"") == state::encode_frame(1, &slow, None, b""),
+                state::encode_frame(1, &fast, None, None) == state::encode_frame(1, &slow, None, None),
                 "seed {seed}: linear apply diverged from the scan oracle"
             );
         }
@@ -1922,6 +1911,17 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// `records` with every center's timings zeroed: a resumed round is
+    /// solved again, so only its timings may differ from the live one's.
+    fn without_nanos(records: &[SolveRecord]) -> Vec<SolveRecord> {
+        let mut records = records.to_vec();
+        for c in records.iter_mut().flat_map(|r| &mut r.centers) {
+            c.vdps_nanos = 0;
+            c.assign_nanos = 0;
+        }
+        records
+    }
+
     #[test]
     fn restore_with_ledger_replays_journaled_records() {
         // The recovered ledger is continuous: journaled rounds are
@@ -1941,13 +1941,77 @@ mod tests {
         assert_eq!(recovered, uninterrupted);
         assert_eq!(info.replayed_records, k);
         assert_eq!(records.len(), full_records.len());
-        for (a, b) in records.iter().zip(&full_records) {
-            assert_eq!(a.round, b.round);
-            assert_eq!(a.algo, b.algo);
-            // Fairness is computed from journaled f64 earnings; the JSON
-            // round-trip must preserve them exactly.
-            assert_eq!(a.fairness.incomes, b.fairness.incomes);
+        // Replayed records are the journaled live records, nanos included;
+        // their incomes are rebuilt from the journaled earnings.
+        assert_eq!(records[..k], full_records[..k]);
+        assert_eq!(
+            without_nanos(&records[k..]),
+            without_nanos(&full_records[k..])
+        );
+        let _ = fs::remove_dir_all(&crash);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restore_with_ledger_replays_snapshot_records() {
+        // An incremental FGT day with a snapshot every 3 rounds: records
+        // come back from the snapshot payload as well as from log frames.
+        let scenario = small_scenario(59);
+        let dir = durable_dir("ledger-replay-snap");
+        let mut cfg =
+            journaled_config(Algorithm::Fgt(FgtConfig::default()), &dir).with_incremental();
+        cfg.durable.as_mut().unwrap().snapshot_every = 3;
+        let mut full_records = Vec::new();
+        let uninterrupted = run_with_ledger(&scenario, &cfg, &mut full_records);
+        assert!(
+            full_records.len() > 4,
+            "need a snapshot mid-day and a log tail"
+        );
+        let live = |round: Option<u64>| {
+            full_records
+                .iter()
+                .find(|r| r.round == round)
+                .expect("every replayed round was recorded live")
+        };
+
+        // The finished journal: the newest snapshot plus the log frames
+        // after it, all replayed.
+        let mut records = Vec::new();
+        let (recovered, info) =
+            restore_with_ledger(&scenario, &cfg, &mut records).expect("recovery succeeds");
+        assert_eq!(recovered, uninterrupted);
+        let snapshot_round = info.snapshot_round.expect("the day cut a snapshot");
+        assert!(info.frames > 0, "the log holds frames past the snapshot");
+        assert_eq!(info.replayed_records, 1 + info.frames);
+        assert_eq!(records[0].round, Some(snapshot_round));
+        for record in &records {
+            assert_eq!(record, live(record.round));
         }
+
+        // A crash that left only the snapshot: its record is replayed and
+        // the rest of the day is solved again.
+        let crash = crashed_copy(
+            &dir,
+            "ledger-replay-snap-crash",
+            fta_durable::log::WAL_HEADER_LEN,
+        );
+        let mut cfg_k = cfg.clone();
+        cfg_k.durable.as_mut().unwrap().dir.clone_from(&crash);
+        let mut records = Vec::new();
+        let (recovered, info) =
+            restore_with_ledger(&scenario, &cfg_k, &mut records).expect("recovery succeeds");
+        assert_eq!(recovered, uninterrupted);
+        assert!(info.cache_rehydrated);
+        assert_eq!(
+            (info.resumed_round, info.replayed_records),
+            (snapshot_round, 1)
+        );
+        assert_eq!(&records[0], live(Some(snapshot_round)));
+        let resumed = full_records.len() - snapshot_round as usize;
+        assert_eq!(
+            without_nanos(&records[1..]),
+            without_nanos(&full_records[full_records.len() - resumed..])
+        );
         let _ = fs::remove_dir_all(&crash);
         let _ = fs::remove_dir_all(&dir);
     }

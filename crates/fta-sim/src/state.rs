@@ -3,34 +3,43 @@
 //! Every journaled frame is a *self-contained* recovery point: the full
 //! engine loop state (ledgers, worker positions, pending queue, fault-RNG
 //! state, churn shape), plus — when incremental solving is on — the seed
-//! of the solver's warm caches, plus the round's ledger record as a JSON
-//! line for forensic reconstruction. Recovery therefore never replays
-//! logic; it decodes the newest intact frame and resumes the
+//! of the solver's warm caches, plus the round's ledger record, so
+//! `fta recover` can rebuild the day's ledger. Recovery therefore never
+//! replays logic; it decodes the newest intact frame and resumes the
 //! deterministic event loop, which is what makes the bit-for-bit pin
 //! against an uninterrupted run hold.
 //!
-//! Frames *reference* the scenario instead of copying it (payload
-//! version 2). The scenario is fixed for the day and pinned by the
-//! journal's `fingerprint`, so a pending task is journaled as its index
-//! into [`Scenario::tasks`] plus the fields the day mutates (cancellation
-//! instant, retries, backoff). The solver seed journals the solved
-//! [`Instance`] the same way: each idle worker's scenario index and
-//! location when the round was solved, and each solved task's scenario
-//! index. Centers, delivery points, worker capacities, task rewards and
-//! the speed come back from the scenario, and expiries are recomputed as
-//! `deadline - now` through the same `round_instance` the live round
-//! used, so the rebuilt instance has the same bits.
+//! Frames *reference* the scenario instead of copying it. The scenario
+//! is fixed for the day and pinned by the journal's `fingerprint`, so a
+//! pending task is journaled as its index into [`Scenario::tasks`] plus
+//! the fields the day mutates (cancellation instant, retries, backoff).
+//! The solver seed journals the solved [`Instance`] the same way: each
+//! idle worker's scenario index and location when the round was solved,
+//! and each solved task's scenario index. Centers, delivery points,
+//! worker capacities, task rewards and the speed come back from the
+//! scenario, and expiries are recomputed as `deadline - now` through the
+//! same `round_instance` the live round used, so the rebuilt instance has
+//! the same bits.
+//!
+//! The ledger record is binary too (payload version 3): every field of
+//! the [`SolveRecord`] in the same wire primitives as the state, strings
+//! length-prefixed UTF-8, except `fairness.incomes`. Those are the
+//! workers' cumulative earnings at the end of the round, which the frame
+//! already holds as `ledgers[i].earnings`, so decoding rebuilds them from
+//! the decoded ledgers in worker order (bitwise the live values; encoding
+//! `debug_assert!`s it).
 //!
 //! Decoding is two steps. `decode_frame` needs no scenario (it is what
 //! `fta wal-dump` uses), and `DecodedFrame::resolve` checks every index
 //! against the scenario and rebuilds the solved instance. Either step
 //! fails typed, never panics, on any bytes: a payload of another version
-//! is [`DurableError::BadVersion`], and an index outside the scenario is
-//! [`DurableError::Corrupt`].
+//! is [`DurableError::BadVersion`] (no reader for an older version is
+//! kept), and an index outside the scenario is [`DurableError::Corrupt`].
 //!
 //! Numbers are stored as IEEE-754 bit patterns / fixed-width LE integers
 //! (see [`fta_durable::wire`]): a decimal round-trip would break the
-//! bitwise clean-check the incremental solver performs on restored pools.
+//! bitwise clean-check the incremental solver performs on restored pools,
+//! and the replayed ledger's bit-for-bit equality with the live one.
 
 use crate::engine::{round_instance, Pending, RoundShape, SimConfig};
 use crate::metrics::WorkerLedger;
@@ -40,10 +49,11 @@ use fta_core::geometry::Point;
 use fta_core::Instance;
 use fta_durable::wire::{Reader, Writer};
 use fta_durable::DurableError;
+use fta_obs::ledger::{CenterRecord, FairnessRecord, SolveRecord};
 use rand::rngs::StdRng;
 
 /// Version byte opening every frame payload.
-pub const STATE_VERSION: u8 = 2;
+pub const STATE_VERSION: u8 = 3;
 
 /// The complete mutable state of the engine loop at a round boundary.
 pub(crate) struct LoopState {
@@ -95,7 +105,9 @@ pub(crate) struct DecodedFrame {
     pub(crate) round: u64,
     pub(crate) state: LoopState,
     pub(crate) solver: Option<SolverSeed>,
-    pub(crate) record_json: Vec<u8>,
+    /// The round's ledger record (batch rounds only), its incomes rebuilt
+    /// from `state.ledgers`.
+    pub(crate) record: Option<SolveRecord>,
 }
 
 fn encode_point(w: &mut Writer, p: &Point) {
@@ -214,13 +226,94 @@ fn decode_state(r: &mut Reader<'_>) -> Result<LoopState, DurableError> {
     })
 }
 
-/// Encodes one round's self-contained frame payload.
+/// Encodes every field of `r` but `fairness.incomes`, which the frame's
+/// ledgers already hold.
+fn encode_record(w: &mut Writer, r: &SolveRecord) {
+    w.opt(&r.round, |w, &n| w.u64(n));
+    w.opt(&r.sim_hours, |w, &h| w.f64(h));
+    w.str(&r.algo);
+    w.str(&r.engine);
+    w.bool(r.degraded);
+    w.bool(r.budget_exhausted);
+    w.seq(&r.centers, |w, c| {
+        w.u64(c.center);
+        w.str(&c.rung);
+        w.opt(&c.budget_axis, |w, s| w.str(s));
+        w.str(&c.resolve);
+        w.opt(&c.shard, |w, &s| w.u64(s));
+        w.u64(c.br_rounds);
+        w.u64(c.br_evaluations);
+        w.u64(c.br_switches);
+        w.u64(c.vdps_count);
+        w.u64(c.vdps_states);
+        w.u64(c.vdps_truncations);
+        w.u64(c.vdps_nanos);
+        w.u64(c.assign_nanos);
+        w.seq(&c.events, |w, e| w.str(e));
+    });
+    w.f64(r.fairness.payoff_difference);
+    w.f64(r.fairness.average_payoff);
+    w.f64(r.fairness.gini);
+}
+
+/// Decodes a record written by [`encode_record`]; its incomes are the
+/// earnings of `ledgers`, in worker order.
+fn decode_record(
+    r: &mut Reader<'_>,
+    ledgers: &[WorkerLedger],
+) -> Result<SolveRecord, DurableError> {
+    Ok(SolveRecord {
+        round: r.opt(Reader::u64)?,
+        sim_hours: r.opt(Reader::f64)?,
+        algo: r.str()?,
+        engine: r.str()?,
+        degraded: r.bool()?,
+        budget_exhausted: r.bool()?,
+        centers: r.seq(|r| {
+            Ok(CenterRecord {
+                center: r.u64()?,
+                rung: r.str()?,
+                budget_axis: r.opt(Reader::str)?,
+                resolve: r.str()?,
+                shard: r.opt(Reader::u64)?,
+                br_rounds: r.u64()?,
+                br_evaluations: r.u64()?,
+                br_switches: r.u64()?,
+                vdps_count: r.u64()?,
+                vdps_states: r.u64()?,
+                vdps_truncations: r.u64()?,
+                vdps_nanos: r.u64()?,
+                assign_nanos: r.u64()?,
+                events: r.seq(Reader::str)?,
+            })
+        })?,
+        fairness: FairnessRecord {
+            payoff_difference: r.f64()?,
+            average_payoff: r.f64()?,
+            gini: r.f64()?,
+            incomes: ledgers.iter().map(|l| l.earnings).collect(),
+        },
+    })
+}
+
+/// Encodes one round's self-contained frame payload. `record`'s incomes
+/// must be the earnings of `st.ledgers` (they are not written; see the
+/// module docs).
 pub(crate) fn encode_frame(
     round: u64,
     st: &LoopState,
     solver: Option<SeedRef<'_>>,
-    record_json: &[u8],
+    record: Option<&SolveRecord>,
 ) -> Vec<u8> {
+    debug_assert!(
+        record.is_none_or(|r| r.fairness.incomes.len() == st.ledgers.len()
+            && r.fairness
+                .incomes
+                .iter()
+                .zip(&st.ledgers)
+                .all(|(i, l)| i.to_bits() == l.earnings.to_bits())),
+        "a journaled record's incomes must be the frame's ledger earnings"
+    );
     let mut w = Writer::new();
     w.u8(STATE_VERSION);
     w.u64(round);
@@ -242,7 +335,7 @@ pub(crate) fn encode_frame(
             });
         }
     }
-    w.bytes(record_json);
+    w.opt(&record, |w, r| encode_record(w, r));
     w.into_bytes()
 }
 
@@ -278,13 +371,13 @@ pub(crate) fn decode_frame(payload: &[u8]) -> Result<DecodedFrame, DurableError>
         }
         _ => return Err(DurableError::Corrupt("bad solver-seed discriminant")),
     };
-    let record_json = r.bytes()?.to_vec();
+    let record = r.opt(|r| decode_record(r, &state.ledgers))?;
     r.finish()?;
     Ok(DecodedFrame {
         round,
         state,
         solver,
-        record_json,
+        record,
     })
 }
 
@@ -374,7 +467,7 @@ pub fn frame_info(payload: &[u8]) -> Result<FrameInfo, DurableError> {
         earnings_total: f.state.ledgers.iter().map(|l| l.earnings).sum(),
         has_fault_rng: f.state.fault_rng.is_some(),
         has_solver_cache: f.solver.is_some(),
-        has_ledger_record: !f.record_json.is_empty(),
+        has_ledger_record: f.record.is_some(),
     })
 }
 
@@ -482,10 +575,101 @@ mod tests {
         }
     }
 
+    /// A record of `st`'s round with every field set, its incomes the
+    /// ledgers' earnings.
+    fn sample_record(st: &LoopState) -> SolveRecord {
+        SolveRecord {
+            round: Some(5),
+            sim_hours: Some(st.now),
+            algo: "FGT".to_owned(),
+            engine: "incremental".to_owned(),
+            degraded: true,
+            budget_exhausted: false,
+            centers: vec![
+                CenterRecord {
+                    center: 0,
+                    rung: "full".to_owned(),
+                    budget_axis: None,
+                    resolve: "warm".to_owned(),
+                    shard: Some(1),
+                    br_rounds: 3,
+                    br_evaluations: 40,
+                    br_switches: 7,
+                    vdps_count: 12,
+                    vdps_states: 90,
+                    vdps_truncations: 0,
+                    vdps_nanos: 123_456,
+                    assign_nanos: 78_901,
+                    events: vec![],
+                },
+                CenterRecord {
+                    center: 17,
+                    rung: "gta-fallback".to_owned(),
+                    budget_axis: Some("wall_ms".to_owned()),
+                    resolve: "cold".to_owned(),
+                    shard: None,
+                    vdps_truncations: 2,
+                    events: vec!["center 17: fell back to greedy — ünïcode".to_owned()],
+                    ..CenterRecord::default()
+                },
+            ],
+            fairness: FairnessRecord {
+                payoff_difference: 0.375,
+                average_payoff: 2.25,
+                gini: 0.5,
+                incomes: st.ledgers.iter().map(|l| l.earnings).collect(),
+            },
+        }
+    }
+
+    /// `a == b` with every float compared by its bits (NaN included).
+    fn assert_records_bitwise_eq(a: &SolveRecord, b: &SolveRecord) {
+        let bits = |r: &SolveRecord| {
+            let f = &r.fairness;
+            (
+                r.sim_hours.map(f64::to_bits),
+                [f.payoff_difference, f.average_payoff, f.gini].map(f64::to_bits),
+                f.incomes.iter().map(|i| i.to_bits()).collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(bits(a), bits(b));
+        let strip = |r: &SolveRecord| SolveRecord {
+            sim_hours: None,
+            fairness: FairnessRecord::default(),
+            ..r.clone()
+        };
+        assert_eq!(strip(a), strip(b));
+    }
+
+    #[test]
+    fn record_round_trips_bit_for_bit() {
+        let mut st = sample_state();
+        st.ledgers[1].earnings = -0.0;
+        let mut record = sample_record(&st);
+        for (pdif, avg, gini) in [
+            (0.375, 2.25, 0.5),
+            (f64::NAN, -0.0, f64::from_bits(0x7FF8_0000_0000_0BAD)),
+            (f64::INFINITY, f64::NEG_INFINITY, -f64::NAN),
+        ] {
+            record.fairness.payoff_difference = pdif;
+            record.fairness.average_payoff = avg;
+            record.fairness.gini = gini;
+            let payload = encode_frame(5, &st, None, Some(&record));
+            let decoded = decode_frame(&payload).unwrap().record.unwrap();
+            assert_records_bitwise_eq(&decoded, &record);
+            assert_eq!(decoded.fairness.incomes[1].to_bits(), (-0.0f64).to_bits());
+        }
+        // A frame without a record (an immediate-dispatch round) decodes
+        // to none.
+        let payload = encode_frame(5, &st, None, None);
+        assert!(decode_frame(&payload).unwrap().record.is_none());
+    }
+
     #[test]
     fn frame_round_trips_bitwise() {
         let st = sample_state();
-        let payload = encode_frame(5, &st, None, b"{\"type\":\"solve\"}");
+        let record = sample_record(&st);
+        let payload = encode_frame(5, &st, None, Some(&record));
         let decoded = decode_frame(&payload).unwrap();
         assert_eq!(decoded.round, 5);
         let d = &decoded.state;
@@ -503,7 +687,7 @@ mod tests {
         assert_eq!(d.pending.len(), 1);
         assert_eq!(d.pending[0].task, st.pending[0].task);
         assert_eq!(d.pending[0].cancel_at, st.pending[0].cancel_at);
-        assert_eq!(decoded.record_json, b"{\"type\":\"solve\"}");
+        assert_eq!(decoded.record.as_ref(), Some(&record));
         // The restored RNG continues the exact same stream.
         let mut a = st.fault_rng.clone().unwrap();
         let mut b = d.fault_rng.clone().unwrap();
@@ -518,14 +702,15 @@ mod tests {
     #[test]
     fn version_mismatch_is_typed() {
         let st = sample_state();
-        let mut payload = encode_frame(1, &st, None, b"");
-        // 1 is the retired format that copied the scenario into frames;
-        // no reader for it is kept.
-        for version in [1u8, 9] {
+        let mut payload = encode_frame(1, &st, None, Some(&sample_record(&st)));
+        // 1 is the retired format that copied the scenario into frames and
+        // 2 the one that carried the ledger record as a JSON line; no
+        // reader for either is kept.
+        for version in [1u8, 2, 9] {
             payload[0] = version;
             assert!(matches!(
                 decode_frame(&payload),
-                Err(DurableError::BadVersion { expected: 2, found }) if found == u32::from(version)
+                Err(DurableError::BadVersion { expected: 3, found }) if found == u32::from(version)
             ));
         }
     }
@@ -533,7 +718,7 @@ mod tests {
     #[test]
     fn truncated_payload_is_typed_not_panic() {
         let st = sample_state();
-        let payload = encode_frame(1, &st, None, b"r");
+        let payload = encode_frame(1, &st, None, Some(&sample_record(&st)));
         for cut in [1usize, 8, 20, payload.len() - 1] {
             assert!(decode_frame(&payload[..cut]).is_err());
         }
@@ -542,7 +727,7 @@ mod tests {
     #[test]
     fn frame_info_summarises_without_scenario() {
         let st = sample_state();
-        let payload = encode_frame(5, &st, None, b"{}");
+        let payload = encode_frame(5, &st, None, Some(&sample_record(&st)));
         let info = frame_info(&payload).unwrap();
         assert_eq!(info.round, 5);
         assert_eq!(info.tasks_completed, 9);
@@ -555,7 +740,8 @@ mod tests {
     }
 
     /// The scenario and every clean frame of a journaled incremental,
-    /// faulted FGT day: frames that carry a solver seed.
+    /// faulted FGT day: frames that carry a solver seed and a ledger
+    /// record.
     fn seeded_frames() -> &'static (Scenario, Vec<Vec<u8>>) {
         static FRAMES: std::sync::OnceLock<(Scenario, Vec<Vec<u8>>)> = std::sync::OnceLock::new();
         FRAMES.get_or_init(|| {
@@ -588,6 +774,12 @@ mod tests {
             let _ = crate::run(&scenario, &config);
             let log = fta_durable::read_log(&dir.join(fta_durable::WAL_FILE)).unwrap();
             let _ = std::fs::remove_dir_all(&dir);
+            // The mutation proptest below needs frames with every part:
+            // a solver seed and a ledger record.
+            for payload in &log.frames {
+                let frame = decode_frame(payload).unwrap();
+                assert!(frame.solver.is_some() && frame.record.is_some());
+            }
             (scenario, log.frames)
         })
     }
@@ -639,7 +831,7 @@ mod tests {
                     tasks: &seed.tasks,
                     cache: &seed.cache,
                 }),
-                &f.record_json,
+                f.record.as_ref(),
             )
         };
         // The frame re-encodes to its own bytes: the codec loses nothing.
