@@ -27,7 +27,6 @@ pub fn center_records(outcome: &SolveOutcome) -> Vec<CenterRecord> {
             rung: c.rung.name().to_string(),
             budget_axis: c.budget_axis.map(str::to_string),
             resolve: c.resolve_path.to_string(),
-            shard: c.shard.map(u64::from),
             br_rounds: c.br_rounds,
             br_evaluations: c.br_evaluations,
             br_switches: c.br_switches,

@@ -25,8 +25,8 @@
 //! per-center [`StrategySpace`](fta_vdps::StrategySpace); the [`solver`]
 //! module solves one center and merges the centers' results, and
 //! [`Solver`] runs the round loop over a whole
-//! [`Instance`](fta_core::Instance): per-center (optionally threaded or
-//! sharded) jobs, with per-center caches between rounds.
+//! [`Instance`](fta_core::Instance): one (optionally threaded) job per
+//! center, with per-center caches between rounds.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -43,7 +43,6 @@ pub mod pfgt;
 pub mod random;
 pub mod report;
 pub mod resolve;
-pub mod shard;
 pub mod solver;
 pub mod stats;
 pub mod trace;
@@ -59,8 +58,7 @@ pub use mpta::{mpta, MptaConfig};
 pub use pfgt::{pfgt, pfgt_bounded, pfgt_warm_bounded, PfgtConfig, PrioritySpec};
 pub use random::random_assignment;
 pub use report::SolveReport;
-pub use resolve::{CacheSeed, CenterSeed, ResolveStats, Solver};
-pub use shard::estimate_center_cost;
+pub use resolve::{estimate_center_cost, CacheSeed, CenterSeed, ResolveStats, Solver};
 pub use solver::{
     solve, solve_with_pool, Algorithm, CenterSolveSummary, PanicInjection, SolveConfig,
     SolveOutcome,

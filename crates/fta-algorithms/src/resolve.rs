@@ -5,14 +5,13 @@
 //! A round loop (the sim engine, a dispatcher) calls [`Solver::resolve`]
 //! every round, handing it a [`ChurnSet`] whose `worker_keys` identify
 //! physical workers across the dense renumbering each snapshot performs.
-//! Every round runs the same steps, whether the solver has one shard or
-//! many and whether its cache is empty or primed:
+//! Every round runs the same steps, whether its cache is empty or primed:
 //!
-//! 1. group the center views into pool jobs — one per center, or one per
-//!    shard when [`SolveConfig::shards`] is set (see [`mod@crate::shard`]);
-//! 2. run the jobs heaviest first on the configured pool;
-//! 3. walk each center down the clean/warm/cold ladder;
-//! 4. merge the centers' outcomes once, in center order.
+//! 1. submit one pool job per center, heaviest first by
+//!    [`estimate_center_cost`] (the paper's decomposition makes every
+//!    center an independent game);
+//! 2. walk each center down the clean/warm/cold ladder;
+//! 3. merge the centers' outcomes once, in center order.
 //!
 //! The per-center ladder:
 //!
@@ -49,7 +48,6 @@ use crate::iegt::iegt_warm_bounded;
 use crate::mpta::mpta;
 use crate::pfgt::pfgt_warm_bounded;
 use crate::random::random_assignment;
-use crate::shard::{estimate_center_cost, group_into_jobs};
 use crate::solver::{
     install_exhaustion_hook, merge_outcomes, solve_center, Algorithm, CenterCapture, CenterOutcome,
     SolveConfig, SolveOutcome,
@@ -195,10 +193,9 @@ impl Solver {
     }
 
     /// Exports the cached equilibria as a serializable [`CacheSeed`]
-    /// (sorted by center, whatever the shard configuration), or `None`
-    /// when the cache is unprimed. The durability layer journals this
-    /// next to the solved instance and worker keys so a recovered process
-    /// keeps its warm-path speedup.
+    /// (sorted by center), or `None` when the cache is unprimed. The
+    /// durability layer journals this next to the solved instance and
+    /// worker keys so a recovered process keeps its warm-path speedup.
     #[must_use]
     pub fn cache_seed(&self) -> Option<CacheSeed> {
         if self.centers.is_empty() {
@@ -224,8 +221,7 @@ impl Solver {
     /// and bit-identical to the delta-updated pools it caches otherwise —
     /// and the seeded equilibria are installed on top, so the next
     /// `resolve` sees exactly the cache an uninterrupted process would
-    /// hold. The shard configuration plays no part: a seed exported
-    /// under one shape rehydrates any other.
+    /// hold.
     ///
     /// All-or-nothing: returns `false` — leaving the solver unprimed,
     /// which is always safe (the next round merely solves cold) — when
@@ -375,12 +371,12 @@ struct CenterResult {
     warm: WarmStart,
 }
 
-/// The round loop every solve runs: group the centers into pool jobs
-/// (per center, or per shard), run them heaviest first on `pool`, walk
-/// each center down the clean/warm/cold ladder against `prev`, and merge
-/// once in center order. `capture` carries the stable worker keys the
-/// round's caches are captured under; `None` captures nothing (and then
-/// `prev` must be empty).
+/// The round loop every solve runs: one pool job per center, run
+/// heaviest first on `pool`, each walking its center down the
+/// clean/warm/cold ladder against `prev`, merged once in center order.
+/// `capture` carries the stable worker keys the round's caches are
+/// captured under; `None` captures nothing (and then `prev` must be
+/// empty).
 pub(crate) fn solve_round(
     instance: &Instance,
     config: &SolveConfig,
@@ -399,52 +395,36 @@ pub(crate) fn solve_round(
     let aggregates = instance.dp_aggregates();
     let mut prev: HashMap<CenterId, CenterCache> =
         prev.into_iter().map(|c| (c.center, c)).collect();
-    let entries = instance
-        .center_views()
-        .into_iter()
-        .enumerate()
-        .map(|(gi, view)| {
-            let cached = prev.remove(&view.center);
-            let measured = cached
-                .as_ref()
-                .map(|c| (c.outcome.vdps_time + c.outcome.assign_time).as_nanos() as u64);
-            let cost = estimate_center_cost(instance, &view, config, measured);
-            (gi, (view, cached), cost)
-        })
-        .collect();
-    let jobs = group_into_jobs(instance, config.shards, entries);
 
-    let per_job: Vec<Vec<(usize, Option<u32>, CenterResult)>> = pool.scope(|ts| {
+    // `map_prioritized` runs the jobs heaviest first and returns their
+    // results in submission (center) order.
+    let results: Vec<CenterResult> = pool.scope(|ts| {
         let aggregates = &aggregates;
-        let jobs: Vec<(u64, _)> = jobs
+        let jobs: Vec<(u64, _)> = instance
+            .center_views()
             .into_iter()
-            .map(|job| {
-                let cost = job.cost();
+            .map(|view| {
+                let cached = prev.remove(&view.center);
+                let measured = cached
+                    .as_ref()
+                    .map(|c| (c.outcome.vdps_time + c.outcome.assign_time).as_nanos() as u64);
+                let cost = estimate_center_cost(instance, &view, config, measured);
                 let run = move |ts: &TaskScope<'_>| {
-                    let _shard_span = job.shard.map(|si| fta_obs::span_center("solver.shard", si));
-                    job.entries
-                        .into_iter()
-                        .map(|(gi, (view, cached), _)| {
-                            let result = resolve_center(
-                                instance, aggregates, view, capture, cached, config, ts, cancel,
-                            );
-                            (gi, job.shard, result)
-                        })
-                        .collect::<Vec<_>>()
+                    resolve_center(
+                        instance, aggregates, view, capture, cached, config, ts, cancel,
+                    )
                 };
                 (cost, run)
             })
             .collect();
         ts.map_prioritized(jobs)
     });
-    let mut results: Vec<_> = per_job.into_iter().flatten().collect();
-    results.sort_by_key(|r| r.0);
 
     let mut stats = ResolveStats::default();
     let mut outcomes = Vec::with_capacity(results.len());
     let mut caches = Vec::with_capacity(results.len());
-    let mut attribution = Vec::with_capacity(results.len());
-    for (_, shard, result) in results {
+    let mut paths = Vec::with_capacity(results.len());
+    for result in results {
         match result.path {
             "clean" => stats.centers_clean += 1,
             "warm" => stats.centers_warm += 1,
@@ -454,7 +434,7 @@ pub(crate) fn solve_round(
         stats.warm_rejected += result.warm.rejected;
         caches.extend(result.cache);
         outcomes.push(result.outcome);
-        attribution.push((result.path, shard));
+        paths.push(result.path);
     }
     if fta_obs::enabled() {
         fta_obs::counter("solve.centers_clean", stats.centers_clean as u64);
@@ -465,15 +445,57 @@ pub(crate) fn solve_round(
     }
     let budget_cancelled = cancel.is_some_and(CancelToken::is_cancelled);
     let mut outcome = merge_outcomes(outcomes, budget_cancelled);
-    for (summary, (path, shard)) in outcome.centers.iter_mut().zip(attribution) {
+    for (summary, path) in outcome.centers.iter_mut().zip(paths) {
         summary.resolve_path = path;
-        summary.shard = shard;
     }
     Round {
         outcome,
         caches,
         stats,
     }
+}
+
+/// Estimated cost of solving one center, used to order jobs
+/// largest-first. When `measured_nanos` carries the center's last
+/// measured solve time (and it is non-zero), that is the estimate;
+/// otherwise the cost is a closed-form proxy — the number of candidate
+/// DP subsets up to the effective length cap, times the workers that
+/// will validate them. Only relative magnitudes matter: costs order
+/// work, they never change results.
+#[must_use]
+pub fn estimate_center_cost(
+    instance: &Instance,
+    view: &CenterView,
+    config: &SolveConfig,
+    measured_nanos: Option<u64>,
+) -> u64 {
+    if let Some(measured) = measured_nanos.filter(|&n| n > 0) {
+        return measured;
+    }
+    let d = view.dps.len() as u64;
+    let w = view.workers.len() as u64;
+    let len_cap = (clamped_cfg(instance, view, config).max_len as u64).min(d);
+    let mut subsets: u64 = 0;
+    for l in 1..=len_cap {
+        subsets = subsets.saturating_add(binomial_capped(d, l));
+    }
+    subsets.max(1).saturating_mul(w.max(1)).saturating_add(d)
+}
+
+/// C(n, k), saturating at 2⁴⁰ — beyond that the ordering is settled and
+/// exact magnitudes stop mattering.
+fn binomial_capped(n: u64, k: u64) -> u64 {
+    const CAP: u64 = 1 << 40;
+    let k = k.min(n - k);
+    let mut c: u64 = 1;
+    for i in 0..k {
+        // Multiply-before-divide over consecutive integers stays exact.
+        c = c.saturating_mul(n - i) / (i + 1);
+        if c >= CAP {
+            return CAP;
+        }
+    }
+    c
 }
 
 /// The per-center VDPS config the solver actually generates under: the
@@ -1071,22 +1093,17 @@ mod tests {
     fn rehydrate_refuses_a_seed_for_a_center_the_instance_lacks() {
         let inst = instance(12);
         let keys: Vec<u64> = (0..inst.workers.len() as u64).collect();
-        for shards in [None, Some((2, fta_core::ShardBy::Geo))] {
-            let config = SolveConfig {
-                shards,
-                ..SolveConfig::new(Algorithm::Gta)
-            };
-            let mut live = Solver::new(config);
-            live.resolve(&inst, &keyed_churn(&keys));
-            let mut seed = live.cache_seed().unwrap();
-            seed.centers.push(CenterSeed {
-                center: 999,
-                selections: Vec::new(),
-            });
-            let mut restored = Solver::new(config);
-            assert!(!restored.rehydrate(&inst, &keys, &seed), "{shards:?}");
-            assert!(!restored.is_primed(), "{shards:?}");
-        }
+        let config = SolveConfig::new(Algorithm::Gta);
+        let mut live = Solver::new(config);
+        live.resolve(&inst, &keyed_churn(&keys));
+        let mut seed = live.cache_seed().unwrap();
+        seed.centers.push(CenterSeed {
+            center: 999,
+            selections: Vec::new(),
+        });
+        let mut restored = Solver::new(config);
+        assert!(!restored.rehydrate(&inst, &keys, &seed));
+        assert!(!restored.is_primed());
     }
 
     #[test]
@@ -1140,5 +1157,29 @@ mod tests {
         let out = solver.resolve(&inst, &bad);
         assert!(out.assignment.validate(&inst).is_ok());
         assert_eq!(solver.last_stats().centers_cold, inst.centers.len());
+    }
+
+    #[test]
+    fn cost_estimates_prefer_measured_nanos() {
+        let inst = instance(2);
+        let views = inst.center_views();
+        let config = SolveConfig::new(Algorithm::Gta);
+        let blind = estimate_center_cost(&inst, &views[0], &config, None);
+        assert!(blind > 0);
+        assert_eq!(
+            estimate_center_cost(&inst, &views[0], &config, Some(0)),
+            blind
+        );
+        assert_eq!(
+            estimate_center_cost(&inst, &views[0], &config, Some(1234)),
+            1234
+        );
+    }
+
+    #[test]
+    fn binomials_saturate_instead_of_overflowing() {
+        assert_eq!(binomial_capped(6, 2), 15);
+        assert_eq!(binomial_capped(128, 64), 1 << 40);
+        assert_eq!(binomial_capped(5, 0), 1);
     }
 }

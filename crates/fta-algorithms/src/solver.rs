@@ -30,7 +30,7 @@ use crate::random::random_assignment;
 use crate::stats::BestResponseStats;
 use crate::trace::ConvergenceTrace;
 use fta_core::instance::{CenterView, DpAggregate};
-use fta_core::{Assignment, CancelToken, CenterId, Instance, ShardBy, SolveBudget, WorkerId};
+use fta_core::{Assignment, CancelToken, CenterId, Instance, SolveBudget, WorkerId};
 use fta_vdps::{
     GenControl, GenerationStats, PoolCache, StrategySpace, TaskScope, VdpsConfig, WorkerPool,
 };
@@ -171,10 +171,6 @@ pub struct SolveConfig {
     pub budget: SolveBudget,
     /// Test-only fault injection; `None` (the default) in production.
     pub inject_panic: Option<PanicInjection>,
-    /// Group centers into `k` shards with the given partitioner, one pool
-    /// job per shard (see [`mod@crate::shard`]); `None` (the default) runs
-    /// one job per center. Never changes results.
-    pub shards: Option<(usize, ShardBy)>,
 }
 
 impl SolveConfig {
@@ -188,7 +184,6 @@ impl SolveConfig {
             parallel: false,
             budget: SolveBudget::UNLIMITED,
             inject_panic: None,
-            shards: None,
         }
     }
 
@@ -266,9 +261,6 @@ pub struct CenterSolveSummary {
     /// `"clean"`/`"warm"` when the incremental [`crate::resolve::Solver`]
     /// reused its cache.
     pub resolve_path: &'static str,
-    /// The shard this center was solved on (see [`mod@crate::shard`]);
-    /// `None` on unsharded solves.
-    pub shard: Option<u32>,
     /// Best-response rounds run for this center (all restarts).
     pub br_rounds: u64,
     /// Candidate strategies evaluated for this center.
@@ -622,7 +614,7 @@ fn solve_center_attempt(
 
 /// Solves a whole instance with the configured algorithm.
 ///
-/// Deterministic regardless of `config.parallel` and `config.shards`:
+/// Deterministic regardless of `config.parallel`:
 /// per-center randomness is salted by the center id, and results are
 /// merged in center order.
 ///
@@ -649,8 +641,8 @@ pub(crate) fn install_exhaustion_hook() {
 /// Like [`solve`], on a caller-provided [`WorkerPool`]: one round of the
 /// [`crate::resolve::Solver`] loop with no cache and no capture.
 ///
-/// Every piece of parallelism in the run — per-center (or per-shard)
-/// jobs and intra-center DP layer expansion — shares `pool`, so the
+/// Every piece of parallelism in the run — per-center jobs and
+/// intra-center DP layer expansion — shares `pool`, so the
 /// number of live OS threads never exceeds `pool.threads()` regardless of
 /// how many centers the instance has. A sequential pool
 /// ([`WorkerPool::sequential`]) runs everything inline on the caller's
@@ -666,8 +658,8 @@ pub fn solve_with_pool(
 
 /// Merges per-center outcomes (in the order given — center order) into one
 /// [`SolveOutcome`] and emits the aggregated telemetry counters. Every
-/// summary starts out `"cold"` and unsharded; the round loop patches in
-/// the resolve path and shard.
+/// summary starts out `"cold"`; the round loop patches in the resolve
+/// path.
 pub(crate) fn merge_outcomes(outcomes: Vec<CenterOutcome>, budget_cancelled: bool) -> SolveOutcome {
     let mut assignment = Assignment::new();
     let mut vdps_time = Duration::ZERO;
@@ -689,7 +681,6 @@ pub(crate) fn merge_outcomes(outcomes: Vec<CenterOutcome>, budget_cancelled: boo
             rung: outcome.rung,
             budget_axis: dominant_axis(&outcome.report.events),
             resolve_path: "cold",
-            shard: None,
             br_rounds: outcome.trace.stats.rounds,
             br_evaluations: outcome.trace.stats.candidate_evaluations,
             br_switches: outcome.trace.stats.switches,

@@ -2,31 +2,38 @@
 //! empty churn set must return the cached outcome bit for bit, and warm
 //! re-solves under randomized churn must agree with cold solves — exactly
 //! for the deterministic baselines, and up to equilibrium validity for
-//! the iterative games.
+//! the iterative games. A pooled round must equal the sequential one.
 
-use fta_algorithms::{Algorithm, FgtConfig, IegtConfig, MptaConfig, SolveConfig, Solver};
+use fta_algorithms::{
+    solve, solve_with_pool, Algorithm, FgtConfig, IegtConfig, MptaConfig, SolveConfig, Solver,
+};
 use fta_core::{ChurnSet, Instance, WorkerId};
 use fta_data::{generate_syn, SynConfig};
+use fta_vdps::WorkerPool;
 use proptest::prelude::*;
+use std::ops::Range;
 
 /// Random multi-center instances driven by a seed and size knobs.
 fn arb_instance() -> impl Strategy<Value = Instance> {
-    (1u64..500, 2usize..4, 8usize..24, 16usize..40).prop_map(
-        |(seed, n_centers, n_workers, n_dps)| {
-            generate_syn(
-                &SynConfig {
-                    n_centers,
-                    n_workers,
-                    n_tasks: n_dps * 6,
-                    n_delivery_points: n_dps,
-                    max_dp: 3,
-                    extent: 3.0,
-                    ..SynConfig::bench_scale()
-                },
-                seed,
-            )
-        },
-    )
+    arb_instance_with(2..4)
+}
+
+/// Like [`arb_instance`], with the center count drawn from `centers`.
+fn arb_instance_with(centers: Range<usize>) -> impl Strategy<Value = Instance> {
+    (1u64..500, centers, 8usize..24, 16usize..40).prop_map(|(seed, n_centers, n_workers, n_dps)| {
+        generate_syn(
+            &SynConfig {
+                n_centers,
+                n_workers,
+                n_tasks: n_dps * 6,
+                n_delivery_points: n_dps,
+                max_dp: 3,
+                extent: 3.0,
+                ..SynConfig::bench_scale()
+            },
+            seed,
+        )
+    })
 }
 
 /// A randomized churn: drop a fraction of tasks and age the rest.
@@ -96,7 +103,7 @@ proptest! {
         solver.resolve(&instance, &ChurnSet::empty(instance.workers.len()));
         let churned = churn_instance(&instance, drop_every, age);
         let warm = solver.resolve(&churned, &ChurnSet::empty(churned.workers.len()));
-        let cold = fta_algorithms::solve(&churned, &config);
+        let cold = solve(&churned, &config);
         prop_assert_eq!(&warm.assignment, &cold.assignment);
         let pop: Vec<WorkerId> = churned.workers.iter().map(|w| w.id).collect();
         for (a, b) in warm
@@ -135,5 +142,16 @@ proptest! {
         prop_assert!(wa.trace.converged, "warm FGT did not converge");
         prop_assert_eq!(&wa.assignment, &wb.assignment, "warm resolve not deterministic");
         prop_assert_eq!(a.last_stats(), b.last_stats());
+    }
+
+    /// More centers than pool threads: one job per center on a
+    /// two-thread pool. The queue must drain without deadlock and the
+    /// merge must equal the sequential solve bit for bit.
+    #[test]
+    fn oversubscribed_pool_agrees_with_sequential(instance in arb_instance_with(3..8)) {
+        let config = SolveConfig::new(Algorithm::Gta);
+        let sequential = solve(&instance, &config);
+        let pooled = solve_with_pool(&instance, &config, &WorkerPool::with_threads(2));
+        prop_assert_eq!(&pooled.assignment, &sequential.assignment);
     }
 }

@@ -32,13 +32,12 @@
 //! as a regression gate.
 
 use fta_algorithms::{Algorithm, FgtConfig};
-use fta_bench::{gates, obj};
+use fta_bench::{gates, interleaved_secs, median, obj};
 use fta_durable::{read_log, FsyncPolicy, WAL_FILE};
 use fta_sim::{run, DurableConfig, FaultPlan, Scenario, ScenarioConfig, SimConfig};
 use serde_json::Value;
 use std::hint::black_box;
 use std::path::Path;
-use std::time::Instant;
 
 /// Snapshot cadence under test. Full mode measures the production
 /// default (`DurableConfig::new`: every 16 rounds); the quick-mode day
@@ -52,27 +51,22 @@ fn snapshot_every(quick: bool) -> u64 {
     }
 }
 
-/// Interleaved best-of-`reps` wall times of `plain` and `durable`, in
-/// seconds; see the grid loop in `main` for why they alternate.
-fn best_of_interleaved(
+/// Median wall times, in seconds, of `plain` and of each of `durable`
+/// over `reps` interleaved passes (see the grid in `main` for why).
+fn interleaved_medians(
     scenario: &Scenario,
     plain: &SimConfig,
     durable: &[SimConfig],
     reps: usize,
 ) -> (f64, Vec<f64>) {
-    let mut plain_s = f64::INFINITY;
-    let mut durable_s = vec![f64::INFINITY; durable.len()];
-    for _ in 0..reps {
-        let t = Instant::now();
-        black_box(run(scenario, plain));
-        plain_s = plain_s.min(t.elapsed().as_secs_f64());
-        for (best, config) in durable_s.iter_mut().zip(durable) {
-            let t = Instant::now();
-            black_box(run(scenario, config));
-            *best = best.min(t.elapsed().as_secs_f64());
-        }
-    }
-    (plain_s, durable_s)
+    let config = |r: usize| if r == 0 { plain } else { &durable[r - 1] };
+    let medians: Vec<f64> = interleaved_secs(reps, 1 + durable.len(), |r| {
+        black_box(run(scenario, config(r)));
+    })
+    .iter()
+    .map(|t| median(t))
+    .collect();
+    (medians[0], medians[1..].to_vec())
 }
 
 /// The `day` row: the `day` round-benchmark workload's shape, solved by
@@ -100,14 +94,18 @@ fn day_row(quick: bool, reps: usize, scratch: &Path) -> Value {
     .with_incremental();
     let journal = DurableConfig::new(scratch.join("day"));
     let (fsync, snapshot_every) = (journal.fsync.to_string(), journal.snapshot_every);
-    let durable = plain.clone().with_durable(journal);
-    let (plain_s, durable_s) =
-        best_of_interleaved(&scenario, &plain, std::slice::from_ref(&durable), reps);
+    let durable_config = plain.clone().with_durable(journal);
+    let (plain_s, durable_s) = interleaved_medians(
+        &scenario,
+        &plain,
+        std::slice::from_ref(&durable_config),
+        reps,
+    );
     let durable_s = durable_s[0];
 
     let baseline = run(&scenario, &plain);
     let recorder = fta_obs::Recorder::install();
-    let audited = run(&scenario, &durable);
+    let audited = run(&scenario, &durable_config);
     let wal = recorder.finish();
     assert_eq!(
         audited, baseline,
@@ -157,7 +155,7 @@ fn main() -> std::io::Result<()> {
         .nth(1)
         .unwrap_or_else(|| "BENCH_durable.json".to_owned());
     let quick = gates::quick_mode();
-    let reps = if quick { 3 } else { 12 };
+    let reps = if quick { 5 } else { 21 };
     let horizon = if quick { 2.0 } else { 8.0 };
     let cadence = snapshot_every(quick);
 
@@ -204,14 +202,16 @@ fn main() -> std::io::Result<()> {
         })
         .collect();
 
-    // Interleaved best-of-reps: one plain day and one day per policy per
-    // round-robin pass, keeping each config's minimum. The journaling
-    // delta is microseconds against a ~100 ms day, while this machine's
-    // load drifts tens of percent over seconds — timing each config in
-    // its own contiguous block (plain `best_secs`) lets one noisy block
-    // swamp the comparison, whereas interleaving gives every config a
-    // rep in each quiet window.
-    let (plain_s, durable_s) = best_of_interleaved(&scenario, &plain, &configs, reps);
+    // Interleaved passes: one plain day and one day per policy per pass,
+    // the order reversed every other pass, and each config's median day.
+    // The journaling delta is a few milliseconds against a 60–90 ms day,
+    // while this machine's load drifts tens of percent over seconds:
+    // timing each config in its own block lets one noisy block swamp the
+    // comparison, and even interleaved best-of-12 minima swung the
+    // overhead by ±15% from run to run. Medians over many interleaved
+    // passes see every config under the same load and ignore the passes
+    // a burst hit.
+    let (plain_s, durable_s) = interleaved_medians(&scenario, &plain, &configs, reps);
 
     let mut grid = Vec::new();
     for (&(label, _), (config, &durable_s)) in policies.iter().zip(configs.iter().zip(&durable_s)) {
@@ -290,7 +290,8 @@ fn main() -> std::io::Result<()> {
                  journaled round-by-round through fta-durable (checksummed \
                  commit log + periodic snapshots at the production \
                  cadence) vs the \
-                 identical un-journaled day, per fsync policy, best-of-N; \
+                 identical un-journaled day, per fsync policy, medians of N \
+                 interleaved passes; \
                  metrics pinned bit-identical across all rows"
                     .to_owned(),
             ),

@@ -1,14 +1,13 @@
-//! Writes `BENCH_scale.json`: the geo-sharded scale-out snapshot —
-//! concurrent shard solves with cost-aware (largest-first) scheduling
-//! against the flat sequential per-center path, swept up to 10⁵ workers
-//! across 200 distribution centers.
+//! Writes `BENCH_scale.json`: the pooled multi-center solve — one pool
+//! job per center, heaviest first — against the sequential per-center
+//! path, swept up to 10⁵ workers across 200 distribution centers.
 //!
-//! Each grid row generates one synthetic city, solves it twice — flat
-//! sequential, then sharded on a `WorkerPool` bounded by the machine's
-//! hardware threads — asserts the two assignments are bit-identical
-//! (GTA is deterministic and the shard layer only regroups *where* each
-//! center solves), and records wall times, worker throughput, the
-//! shard-balance figure of merit, and the process's peak RSS.
+//! Each grid row generates one synthetic city, times it sequentially and
+//! on a `WorkerPool` bounded by the machine's hardware threads (the two
+//! alternate, best-of-N each), asserts the two assignments are
+//! bit-identical (GTA is deterministic and the pool only changes *where*
+//! each center solves), and records wall times, worker throughput and
+//! the process's peak RSS.
 //!
 //! Parallel speedup is a property of the hardware as much as the code,
 //! so the headline gate is capability-conditioned (see
@@ -24,9 +23,8 @@
 //! [OUT]` (default OUT: `BENCH_scale.json`). Set `FTA_BENCH_QUICK=1`
 //! to shrink the sweep (CI smoke mode).
 
-use fta_algorithms::{estimate_center_cost, solve, solve_with_pool, Algorithm, SolveConfig};
-use fta_bench::{best_secs, gates, obj};
-use fta_core::{ShardBy, ShardPlan};
+use fta_algorithms::{solve, solve_with_pool, Algorithm, SolveConfig};
+use fta_bench::{gates, interleaved_secs, obj};
 use fta_data::SynConfig;
 use fta_vdps::{VdpsConfig, WorkerPool};
 use serde_json::Value;
@@ -55,7 +53,7 @@ fn main() -> std::io::Result<()> {
         .nth(1)
         .unwrap_or_else(|| "BENCH_scale.json".to_owned());
     let quick = gates::quick_mode();
-    let reps = if quick { 2 } else { 3 };
+    let reps = if quick { 4 } else { 11 };
     let config = SolveConfig {
         vdps: VdpsConfig::pruned(2.0, 3),
         ..SolveConfig::new(Algorithm::Gta)
@@ -126,59 +124,46 @@ fn main() -> std::io::Result<()> {
             },
             row.seed,
         );
-        let shards = (threads * 2).clamp(2, row.n_centers);
-
-        // Shard-balance figure of merit under the same cost model the
-        // scheduler uses; both partitioners, but geo is the headline.
-        let views = instance.center_views();
-        let cost = |ci: usize| estimate_center_cost(&instance, &views[ci], &config, None);
-        let geo_plan = ShardPlan::build(&instance.centers, shards, ShardBy::Geo);
-        let hash_plan = ShardPlan::build(&instance.centers, shards, ShardBy::Hash);
-        let geo_imbalance = geo_plan.imbalance_pct(cost);
-        let hash_imbalance = hash_plan.imbalance_pct(cost);
-
-        let sequential_s = best_secs(reps, || black_box(solve(&instance, &config)));
-        let sharded = |by| SolveConfig {
-            shards: Some((shards, by)),
-            ..config
-        };
-        let sharded_s = best_secs(reps, || {
-            black_box(solve_with_pool(&instance, &sharded(ShardBy::Geo), &pool))
+        let times = interleaved_secs(reps, 2, |r| {
+            if r == 0 {
+                black_box(solve(&instance, &config));
+            } else {
+                black_box(solve_with_pool(&instance, &config, &pool));
+            }
         });
+        let best = |t: &[f64]| t.iter().copied().fold(f64::INFINITY, f64::min);
+        let (sequential_s, pooled_s) = (best(&times[0]), best(&times[1]));
 
-        // Determinism gate: sharding must not change the assignment, on
-        // either partitioner.
-        let flat = solve(&instance, &config);
-        for by in [ShardBy::Geo, ShardBy::Hash] {
-            let outcome = solve_with_pool(&instance, &sharded(by), &pool);
-            assert_eq!(
-                outcome.assignment, flat.assignment,
-                "{}: sharded GTA diverged from sequential ({by:?}, {shards} shards)",
-                row.label
-            );
-        }
+        // Determinism gate: the pool must not change the assignment.
+        assert_eq!(
+            solve_with_pool(&instance, &config, &pool).assignment,
+            solve(&instance, &config).assignment,
+            "{}: pooled GTA diverged from sequential",
+            row.label
+        );
 
-        let speedup = sequential_s / sharded_s;
-        let throughput = row.n_workers as f64 / sharded_s;
+        let speedup = sequential_s / pooled_s;
+        let throughput = row.n_workers as f64 / pooled_s;
         fta_obs::info!(
-            "{}: {} centers x {} workers, {shards} shards on {threads} threads — \
-             sequential {:.1} ms, sharded {:.1} ms ({speedup:.2}x), \
-             {throughput:.0} workers/s, geo imbalance {geo_imbalance:.1}%",
+            "{}: {} centers x {} workers on {threads} threads — \
+             sequential {:.1} ms, pooled {:.1} ms ({speedup:.2}x), \
+             {throughput:.0} workers/s",
             row.label,
             row.n_centers,
             row.n_workers,
             sequential_s * 1e3,
-            sharded_s * 1e3,
+            pooled_s * 1e3,
         );
 
         // No-loss band at every size: scheduling overhead must stay
-        // within timer noise of the flat path regardless of hardware.
+        // within timer noise of the sequential path regardless of
+        // hardware.
         assert!(
-            sharded_s <= sequential_s * band,
-            "{}: sharded ({:.1} ms) lost to sequential ({:.1} ms) beyond the \
+            pooled_s <= sequential_s * band,
+            "{}: pooled ({:.1} ms) lost to sequential ({:.1} ms) beyond the \
              {band}x noise band",
             row.label,
-            sharded_s * 1e3,
+            pooled_s * 1e3,
             sequential_s * 1e3
         );
         // Capability-conditioned headline floor: only meaningful where
@@ -188,7 +173,7 @@ fn main() -> std::io::Result<()> {
         {
             assert!(
                 speedup >= gates::SCALE_SPEEDUP_FLOOR,
-                "{}: sharded speedup {speedup:.2}x on {threads} threads fell below \
+                "{}: pooled speedup {speedup:.2}x on {threads} threads fell below \
                  the {}x floor",
                 row.label,
                 gates::SCALE_SPEEDUP_FLOOR
@@ -201,13 +186,10 @@ fn main() -> std::io::Result<()> {
             ("n_workers", Value::UInt(row.n_workers as u64)),
             ("n_dps", Value::UInt(row.n_dps as u64)),
             ("n_tasks", Value::UInt(row.n_tasks as u64)),
-            ("shards", Value::UInt(shards as u64)),
             ("sequential_ms", Value::Float(sequential_s * 1e3)),
-            ("sharded_ms", Value::Float(sharded_s * 1e3)),
-            ("speedup_sharded_vs_sequential", Value::Float(speedup)),
+            ("pooled_ms", Value::Float(pooled_s * 1e3)),
+            ("speedup_pooled_vs_sequential", Value::Float(speedup)),
             ("workers_per_sec", Value::Float(throughput)),
-            ("geo_imbalance_pct", Value::Float(geo_imbalance)),
-            ("hash_imbalance_pct", Value::Float(hash_imbalance)),
         ]));
     }
 
@@ -215,10 +197,10 @@ fn main() -> std::io::Result<()> {
         (
             "description",
             Value::String(
-                "Geo-sharded concurrent multi-center solve (cost-aware \
-                 largest-first shard scheduling on the worker pool) vs the \
-                 flat sequential per-center path, GTA, swept to 10^5 workers \
-                 / 200 centers, best-of-N"
+                "Pooled multi-center solve (one job per center, heaviest \
+                 first, on the worker pool) vs the sequential per-center \
+                 path, GTA, swept to 10^5 workers / 200 centers, \
+                 interleaved best-of-N"
                     .to_owned(),
             ),
         ),

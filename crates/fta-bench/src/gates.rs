@@ -84,15 +84,15 @@ pub fn durable_overhead_ceiling(quick: bool) -> f64 {
     }
 }
 
-/// Floor on the sharded concurrent solve vs the flat sequential solve
-/// (`BENCH_scale.json`): the headline scale-out win. Parallel speedup is
+/// Floor on the pooled multi-center solve (one pool job per center) vs
+/// the sequential solve (`BENCH_scale.json`): the headline scale-out win. Parallel speedup is
 /// a property of the hardware as much as the code, so the floor is
 /// *capability-conditioned*: it is asserted only on grid rows solved
 /// with at least [`SCALE_FLOOR_MIN_THREADS`] pool threads and
 /// [`SCALE_FLOOR_MIN_CENTERS`] centers (the snapshot records the thread
 /// count it ran with). On narrower machines — including single-core CI
 /// boxes, where a >1x concurrent speedup is physically impossible — the
-/// sharded path is instead held to [`scale_noise_band`]: it must never
+/// pooled path is instead held to [`scale_noise_band`]: it must never
 /// *lose* to the sequential path beyond timer noise at any swept size.
 pub const SCALE_SPEEDUP_FLOOR: f64 = 3.0;
 
@@ -102,9 +102,9 @@ pub const SCALE_FLOOR_MIN_THREADS: usize = 4;
 /// Minimum centers for [`SCALE_SPEEDUP_FLOOR`] to be asserted.
 pub const SCALE_FLOOR_MIN_CENTERS: usize = 64;
 
-/// No-loss band for the sharded solve at *every* swept size and thread
-/// count: scheduling overhead (shard planning, cost estimation, the
-/// prioritized submit) must stay within timer noise of the flat path.
+/// No-loss band for the pooled solve at *every* swept size and thread
+/// count: scheduling overhead (cost estimation, the prioritized submit)
+/// must stay within timer noise of the sequential path.
 /// Quick mode times rows of a few milliseconds where best-of-reps still
 /// swings ±25%; full-mode rows are hundreds of milliseconds and the
 /// band tightens accordingly.

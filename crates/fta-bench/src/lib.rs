@@ -39,6 +39,38 @@ pub fn best_secs<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
+/// Wall times of `runs` alternatives over `passes` interleaved passes,
+/// in seconds: `out[r][p]` is the time `run(r)` took in pass `p`. Every
+/// pass runs each alternative once; odd passes run them in reverse
+/// order, so no alternative always goes first. Interleaving spreads
+/// drift in the machine's load over every alternative alike.
+pub fn interleaved_secs(passes: usize, runs: usize, mut run: impl FnMut(usize)) -> Vec<Vec<f64>> {
+    let mut out = vec![Vec::with_capacity(passes); runs];
+    for pass in 0..passes {
+        for i in 0..runs {
+            let r = if pass % 2 == 1 { runs - 1 - i } else { i };
+            let t = Instant::now();
+            run(r);
+            out[r].push(t.elapsed().as_secs_f64());
+        }
+    }
+    out
+}
+
+/// The median of `xs` (the mean of the middle two for an even count);
+/// NaN when empty.
+#[must_use]
+pub fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    match n {
+        0 => f64::NAN,
+        _ if n % 2 == 1 => sorted[n / 2],
+        _ => (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0,
+    }
+}
+
 /// Hardware threads of the machine a snapshot was recorded on, so a
 /// reader can tell the timings' context apart.
 #[must_use]

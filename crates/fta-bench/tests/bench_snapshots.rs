@@ -4,8 +4,9 @@
 //! `BENCH_hotpath.json` (chunked scan kernels and the dedup table),
 //! `BENCH_durable.json`
 //! (journaling overhead per fsync policy), `BENCH_scale.json`
-//! (geo-sharded concurrent solves up to 10^5 workers), and the
-//! pruned-generation and multi-center blocks of `BENCH_vdps.json` must
+//! (pooled multi-center solves up to 10^5 workers), and the
+//! pruned-generation, pooled-generation and multi-center blocks of
+//! `BENCH_vdps.json` must
 //! parse, carry every field downstream tooling reads, stay internally
 //! consistent, and keep the floors and ceilings the acceptance criteria
 //! pin. The floors live in
@@ -13,7 +14,7 @@
 //! and this re-check can never drift apart. Parallel floors are
 //! capability-conditioned on the thread count the snapshot records —
 //! a single-core box cannot honestly produce (or re-check) a concurrent
-//! speedup, so there the sharded path is held to the no-loss band.
+//! speedup, so there the pooled path is held to the no-loss band.
 
 use fta_bench::gates;
 use serde_json::Value;
@@ -226,39 +227,33 @@ fn bench_scale_snapshot_is_schema_valid() {
 
     for row in grid {
         let label = row["label"].as_str().expect("row missing label");
-        for key in ["n_centers", "n_workers", "n_dps", "n_tasks", "shards"] {
+        for key in ["n_centers", "n_workers", "n_dps", "n_tasks"] {
             assert!(
                 row[key].as_u64().unwrap_or(0) > 0,
                 "{label}: missing positive integer field {key}"
             );
         }
         let sequential = row["sequential_ms"].as_f64().expect("sequential_ms");
-        let sharded = row["sharded_ms"].as_f64().expect("sharded_ms");
-        let speedup = row["speedup_sharded_vs_sequential"]
+        let pooled = row["pooled_ms"].as_f64().expect("pooled_ms");
+        let speedup = row["speedup_pooled_vs_sequential"]
             .as_f64()
-            .expect("speedup_sharded_vs_sequential");
-        assert!(sequential > 0.0 && sharded > 0.0 && speedup > 0.0);
+            .expect("speedup_pooled_vs_sequential");
+        assert!(sequential > 0.0 && pooled > 0.0 && speedup > 0.0);
         assert!(
-            (speedup - sequential / sharded).abs() <= speedup * 1e-6,
+            (speedup - sequential / pooled).abs() <= speedup * 1e-6,
             "{label}: speedup inconsistent with its timings"
         );
         assert!(
             row["workers_per_sec"].as_f64().unwrap_or(0.0) > 0.0,
             "{label}: missing workers_per_sec"
         );
-        for key in ["geo_imbalance_pct", "hash_imbalance_pct"] {
-            assert!(
-                row[key].as_f64().unwrap_or(-1.0) >= 0.0,
-                "{label}: missing {key}"
-            );
-        }
 
         // Same capability-conditioned gates as the writer: the headline
         // floor where the recorded hardware could express concurrency,
         // the no-loss band everywhere.
         assert!(
-            sharded <= sequential * gates::scale_noise_band(false),
-            "{label}: committed snapshot has sharded losing to sequential \
+            pooled <= sequential * gates::scale_noise_band(false),
+            "{label}: committed snapshot has pooled losing to sequential \
              beyond the full-mode noise band"
         );
         let centers = row["n_centers"].as_u64().unwrap() as usize;
@@ -326,6 +321,38 @@ fn bench_vdps_snapshot_pruned_generation_passes_its_gate() {
         "adjacency {adjacency} ms is above {} of dp {dp} ms",
         gates::PRUNED_ADJACENCY_SHARE
     );
+}
+
+/// The pooled-generation block times one gMission Fig. 2 center
+/// sequentially and pooled, interleaved; it is reported, not gated.
+#[test]
+fn bench_vdps_snapshot_pooled_generation_is_schema_valid() {
+    let raw = std::fs::read_to_string(snapshot_path("BENCH_vdps.json"))
+        .expect("BENCH_vdps.json is committed at the repo root");
+    let v: Value = serde_json::from_str(&raw).expect("snapshot parses as JSON");
+
+    let pooled = &v["generation_pooled"];
+    assert_eq!(pooled["shape"].as_str(), Some("gmission"));
+    assert_eq!(pooled["centers"].as_u64(), Some(1));
+    assert_eq!(pooled["n_dps"].as_u64(), Some(100));
+    assert_eq!(pooled["max_dp"].as_u64(), Some(3));
+    for key in ["vdps_count", "passes", "threads", "hw_threads"] {
+        assert!(pooled[key].as_u64().unwrap_or(0) > 0, "missing {key}");
+    }
+    let seq = pooled["sequential_ms"]
+        .as_f64()
+        .expect("missing sequential_ms");
+    let par = pooled["pooled_ms"].as_f64().expect("missing pooled_ms");
+    let speedup = pooled["speedup"].as_f64().expect("missing speedup");
+    assert!(seq > 0.0 && par > 0.0);
+    assert!(
+        (speedup - seq / par).abs() <= speedup * 1e-6,
+        "speedup inconsistent with its timings"
+    );
+    let faster = pooled["pooled_faster"]
+        .as_u64()
+        .expect("missing pooled_faster");
+    assert!(faster <= pooled["passes"].as_u64().unwrap());
 }
 
 #[test]

@@ -1,7 +1,6 @@
 //! Argument parsing for the `fta` binary (hand-rolled, dependency-free).
 
 use fta_algorithms::{Algorithm, BestResponseEngine, FgtConfig, IegtConfig, MptaConfig};
-use fta_core::ShardBy;
 use fta_durable::FsyncPolicy;
 use std::path::PathBuf;
 
@@ -22,7 +21,6 @@ COMMANDS
         [--parallel] [--out FILE] [--budget-ms MS] [--max-states N]
         [--max-rounds N] [--trace-out FILE] [--metrics-out FILE]
         [--ledger-out FILE] [--inject-panic CENTER]
-        [--shards N] [--shard-by hash|geo]
       Run an assignment algorithm; print the summary, optionally write
       the assignment JSON. With --trace-out / --metrics-out a telemetry
       recorder captures the run and writes a JSONL span/round trace and
@@ -34,13 +32,8 @@ COMMANDS
       the degradation events instead of overrunning. --inject-panic
       deliberately panics the given center's solve (forensics testing:
       the panic is quarantined and triggers a flight-recorder dump).
-      --shards N partitions the centers into N geo-shards solved
-      concurrently with cost-aware (largest-first) scheduling;
-      --shard-by picks the partitioner (hash: center-id scatter, geo:
-      k-means proximity clustering). Sharding never changes a
-      deterministic algorithm's assignment. Exits non-zero, naming
-      them, when a center had to be skipped (its solve panicked twice)
-      — a failure, unlike a budget degradation.
+      Exits non-zero, naming them, when a center had to be skipped (its
+      solve panicked twice) — a failure, unlike a budget degradation.
 
   simulate [--algo gta|mpta|fgt|iegt|random|immediate] [--seed S]
            [--hours H] [--period-min M] [--workers N] [--dps N]
@@ -120,8 +113,9 @@ OPTIONS
       when the IAU weights make the monotone scan unsound, i.e. β ≥ 1).
       Both engines reach the same equilibrium.
   --parallel              Run on a worker pool bounded by the number of
-      CPUs (per-center jobs, per-layer DP expansion, and per-worker
-      validation all share the pool).";
+      CPUs (one job per center, heaviest first; per-layer DP expansion
+      and per-worker validation share the pool). The assignment is the
+      sequential one.";
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,11 +180,6 @@ pub enum Command {
         /// Deliberately panic the given center's solve (forensics
         /// testing; the panic is quarantined).
         inject_panic: Option<u32>,
-        /// Solve the centers in `N` concurrent geo-shards (`--shards`;
-        /// `None` = flat per-center path).
-        shards: Option<usize>,
-        /// Shard partitioner (`--shard-by hash|geo`).
-        shard_by: ShardBy,
     },
     /// `fta simulate`
     Simulate {
@@ -401,8 +390,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut metrics_out = None;
             let mut ledger_out = None;
             let mut inject_panic = None;
-            let mut shards = None;
-            let mut shard_by = ShardBy::default();
             while let Some(arg) = it.next() {
                 let mut value = |flag: &str| -> Result<&String, String> {
                     it.next().ok_or_else(|| format!("{flag} needs a value"))
@@ -436,8 +423,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     "--inject-panic" => {
                         inject_panic = Some(parse_num(value("--inject-panic")?, "--inject-panic")?);
                     }
-                    "--shards" => shards = Some(parse_num(value("--shards")?, "--shards")?),
-                    "--shard-by" => shard_by = value("--shard-by")?.parse()?,
                     other => return Err(format!("unknown solve flag `{other}`")),
                 }
             }
@@ -459,8 +444,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 metrics_out,
                 ledger_out,
                 inject_panic,
-                shards,
-                shard_by,
             })
         }
         "simulate" => {
@@ -796,31 +779,19 @@ mod tests {
     }
 
     #[test]
-    fn solve_shard_flags_parse() {
-        match parse(&argv("solve city.json")).unwrap() {
-            Command::Solve {
-                shards, shard_by, ..
-            } => {
-                assert_eq!(shards, None);
-                assert_eq!(shard_by, ShardBy::Hash);
-            }
-            other => panic!("wrong command {other:?}"),
+    fn solve_rejects_the_retired_shard_flags() {
+        // Rounds always run one pool job per center; the flags that
+        // regrouped centers into shards are gone.
+        for flags in [
+            "solve city.json --shards 4",
+            "solve city.json --shard-by geo",
+        ] {
+            let err = parse(&argv(flags)).unwrap_err();
+            assert!(
+                err.contains("unknown solve flag `--shard"),
+                "{flags}: {err}"
+            );
         }
-        match parse(&argv("solve city.json --shards 4 --shard-by geo")).unwrap() {
-            Command::Solve {
-                shards, shard_by, ..
-            } => {
-                assert_eq!(shards, Some(4));
-                assert_eq!(shard_by, ShardBy::Geo);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-    }
-
-    #[test]
-    fn solve_rejects_unknown_shard_partitioner() {
-        let err = parse(&argv("solve city.json --shard-by nope")).unwrap_err();
-        assert!(err.contains("unknown shard partitioner"), "{err}");
     }
 
     #[test]

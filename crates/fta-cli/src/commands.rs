@@ -386,8 +386,6 @@ pub fn execute(command: &Command) -> Result<String, String> {
             metrics_out,
             ledger_out,
             inject_panic,
-            shards,
-            shard_by,
         } => {
             use fta_algorithms::{fastpath_sound, Algorithm, LadderRung, PanicInjection};
             let inst = load_instance(instance).map_err(|e| e.to_string())?;
@@ -433,7 +431,6 @@ pub fn execute(command: &Command) -> Result<String, String> {
                     center,
                     also_on_retry: false,
                 }),
-                shards: shards.map(|k| (k, *shard_by)),
                 ..SolveConfig::new(algorithm)
             };
             let outcome = solve(&inst, &solve_config);
@@ -781,30 +778,6 @@ pub fn execute(command: &Command) -> Result<String, String> {
                 );
                 for (center, (rounds, moves, p_dif)) in centers {
                     let _ = writeln!(text, "  dc{center:<6} {rounds:>7} {moves:>8} {p_dif:>12.4}");
-                }
-                // Per-shard attribution: `solver.shard` spans carry the
-                // shard index in their center attribute — one span per
-                // non-empty shard per sharded solve.
-                let mut shard_spans: std::collections::BTreeMap<u32, (u64, u64)> =
-                    std::collections::BTreeMap::new();
-                for span in &parsed.spans {
-                    if span.name == "solver.shard" {
-                        if let Some(shard) = span.center {
-                            let entry = shard_spans.entry(shard).or_default();
-                            entry.0 += 1;
-                            entry.1 += span.duration_nanos;
-                        }
-                    }
-                }
-                if !shard_spans.is_empty() {
-                    let _ = writeln!(text, "  {:<8} {:>7} {:>14}", "shard", "solves", "total ms");
-                    for (shard, (count, nanos)) in shard_spans {
-                        let _ = writeln!(
-                            text,
-                            "  sh{shard:<6} {count:>7} {:>14.3}",
-                            nanos as f64 / 1e6
-                        );
-                    }
                 }
             }
             Ok(text)

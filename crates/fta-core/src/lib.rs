@@ -46,7 +46,6 @@ pub mod instance;
 pub mod payoff;
 pub mod priority;
 pub mod route;
-pub mod shard;
 
 pub use assignment::Assignment;
 pub use budget::{set_exhaustion_observer, CancelToken, SolveBudget};
@@ -59,4 +58,3 @@ pub use iau::IauParams;
 pub use ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
 pub use instance::{CenterView, DpAggregate, Instance};
 pub use route::Route;
-pub use shard::{ShardBy, ShardPlan};

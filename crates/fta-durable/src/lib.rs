@@ -1,7 +1,7 @@
 //! # fta-durable — checksummed commit log + snapshots, crash-consistent recovery
 //!
-//! ROADMAP item 3: a daemon restart (or a panic-quarantined shard) must
-//! restore mid-day state *deterministically*. Longitudinal fairness makes
+//! A crashed or restarted simulator process must restore mid-day state
+//! *deterministically*. Longitudinal fairness makes
 //! this load-bearing for correctness, not just availability — per-worker
 //! cumulative income is state, and losing it silently resets the fairness
 //! guarantee mid-day. This crate is the storage half of that contract,

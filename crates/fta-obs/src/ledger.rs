@@ -19,7 +19,7 @@
 //!   "algo":s,"engine":s,"degraded":b,"budget_exhausted":b,
 //!   "centers":[…],"fairness":{…}}` where each center object is
 //!   `{"center":u,"rung":s,"budget_axis":s|null,"resolve":s,
-//!   "shard":u|null,"br_rounds":u,"br_evaluations":u,"br_switches":u,
+//!   "br_rounds":u,"br_evaluations":u,"br_switches":u,
 //!   "vdps_count":u,"vdps_states":u,"vdps_truncations":u,"vdps_ns":u,
 //!   "assign_ns":u,"events":[s,…]}` and fairness is
 //!   `{"payoff_difference":f,"average_payoff":f,"gini":f,
@@ -62,10 +62,6 @@ pub struct CenterRecord {
     pub budget_axis: Option<String>,
     /// Resolve path taken: `cold`, `clean`, or `warm`.
     pub resolve: String,
-    /// Shard the center was solved on (sharded solves only; `None` — the
-    /// schema-v1 optional-key convention — on unsharded solves and when
-    /// reading ledgers written before sharding existed).
-    pub shard: Option<u64>,
     /// Best-response rounds run for this center.
     pub br_rounds: u64,
     /// Candidate strategies evaluated for this center.
@@ -171,9 +167,6 @@ impl Ledger {
             for center in &record.centers {
                 add(&format!("rung.{}", center.rung), 1.0);
                 add(&format!("resolve.{}", center.resolve), 1.0);
-                if let Some(shard) = center.shard {
-                    add(&format!("shard.{shard}.centers"), 1.0);
-                }
                 add("br.rounds", center.br_rounds as f64);
                 add("br.evaluations", center.br_evaluations as f64);
                 add("br.switches", center.br_switches as f64);
@@ -230,7 +223,6 @@ fn center_value(center: &CenterRecord) -> Value {
         ("rung", Value::String(center.rung.clone())),
         ("budget_axis", opt_string(&center.budget_axis)),
         ("resolve", Value::String(center.resolve.clone())),
-        ("shard", opt_u64(center.shard)),
         ("br_rounds", Value::UInt(center.br_rounds)),
         ("br_evaluations", Value::UInt(center.br_evaluations)),
         ("br_switches", Value::UInt(center.br_switches)),
@@ -434,7 +426,6 @@ fn parse_center(v: &Value) -> Result<CenterRecord, String> {
         rung: field_str(v, "rung")?,
         budget_axis: field_opt_str(v, "budget_axis")?,
         resolve: field_str(v, "resolve")?,
-        shard: field_opt_u64(v, "shard")?,
         br_rounds: field_u64(v, "br_rounds")?,
         br_evaluations: field_u64(v, "br_evaluations")?,
         br_switches: field_u64(v, "br_switches")?,
@@ -685,7 +676,6 @@ mod tests {
                     rung: "full".to_owned(),
                     budget_axis: None,
                     resolve: "warm".to_owned(),
-                    shard: Some(1),
                     br_rounds: 12,
                     br_evaluations: 480,
                     br_switches: 9,
@@ -701,7 +691,6 @@ mod tests {
                     rung: "gta-fallback".to_owned(),
                     budget_axis: Some("wall_ms".to_owned()),
                     resolve: "cold".to_owned(),
-                    shard: None,
                     br_rounds: 0,
                     br_evaluations: 0,
                     br_switches: 0,
@@ -739,17 +728,17 @@ mod tests {
     }
 
     #[test]
-    fn ledgers_without_shard_key_parse_as_unsharded() {
-        // Ledgers written before sharding existed have no "shard" key in
-        // their center rows; schema v1 reads them as unsharded.
-        let text = to_jsonl(&sample_ledger());
-        assert!(text.contains("\"shard\""), "writer emits the shard key");
-        let stripped = text
-            .replace("\"shard\":1,", "")
-            .replace("\"shard\":null,", "");
-        assert!(!stripped.contains("\"shard\""));
-        let parsed = parse(&stripped).expect("pre-sharding ledgers still parse");
-        assert!(parsed.records[0].centers.iter().all(|c| c.shard.is_none()));
+    fn ledgers_with_a_legacy_shard_key_still_parse() {
+        // Ledgers written while rounds could be sharded carry a "shard"
+        // key in their center rows; schema v1 ignores unknown keys.
+        let ledger = sample_ledger();
+        let text = to_jsonl(&ledger);
+        assert!(!text.contains("\"shard\""), "writer no longer emits it");
+        let legacy = text
+            .replacen("\"br_rounds\"", "\"shard\":1,\"br_rounds\"", 1)
+            .replace("\"br_rounds\":0,", "\"shard\":null,\"br_rounds\":0,");
+        assert_eq!(legacy.matches("\"shard\"").count(), 2);
+        assert_eq!(parse(&legacy).expect("legacy ledgers still parse"), ledger);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use fta_core::entities::{SpatialTask, Worker};
 use fta_core::geometry::Point;
 use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
 use fta_core::route::Route;
-use fta_core::{CenterChurn, ChurnSet, Instance, ShardBy, SolveBudget};
+use fta_core::{CenterChurn, ChurnSet, Instance, SolveBudget};
 use fta_durable::{DurableError, FsyncPolicy, Journal};
 use fta_obs::ledger::SolveRecord;
 use fta_vdps::VdpsConfig;
@@ -146,16 +146,6 @@ pub struct SimConfig {
     /// and is bit-identical to builds without the durability layer; when
     /// set, journaling only *observes* the day (same metrics either way).
     pub durable: Option<DurableConfig>,
-    /// Solve each round's centers in geo-sharded groups (batch policies
-    /// only): `Some(k)` partitions the centers into `k` shards (see
-    /// [`ShardBy`]) and solves the shards concurrently with cost-aware
-    /// scheduling. `None` — the default — runs one job per center.
-    /// Sharding only regroups work: every algorithm's day, the iterative
-    /// games included, is bit-identical at any shard count, cold and
-    /// incremental.
-    pub shards: Option<usize>,
-    /// Shard partitioner used when [`SimConfig::shards`] is set.
-    pub shard_by: ShardBy,
 }
 
 impl SimConfig {
@@ -172,8 +162,6 @@ impl SimConfig {
             faults: None,
             incremental: false,
             durable: None,
-            shards: None,
-            shard_by: ShardBy::default(),
         }
     }
 
@@ -203,14 +191,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_durable(mut self, durable: DurableConfig) -> Self {
         self.durable = Some(durable);
-        self
-    }
-
-    /// Enables geo-sharded round solves (see [`SimConfig::shards`]).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize, by: ShardBy) -> Self {
-        self.shards = Some(shards);
-        self.shard_by = by;
         self
     }
 }
@@ -665,7 +645,6 @@ fn solve_config(config: &SimConfig, algorithm: Algorithm) -> SolveConfig {
         vdps: config.vdps,
         parallel: config.parallel,
         budget: config.budget,
-        shards: config.shards.map(|k| (k, config.shard_by)),
         ..SolveConfig::new(algorithm)
     }
 }
@@ -1219,52 +1198,6 @@ mod tests {
         assert_eq!(a, b, "incremental runs must be reproducible");
         assert!(a.is_conserved(), "accounting broken: {a:?}");
         assert!(a.tasks_completed > 0, "incremental day delivered nothing");
-    }
-
-    #[test]
-    fn sharded_gta_day_is_bit_identical_to_flat() {
-        // Sharding only regroups which pool job solves each center; the
-        // per-center work and the merge order are unchanged, so a
-        // deterministic algorithm's day must be bit-identical at any
-        // shard count, cold and incremental alike.
-        let scenario = small_scenario(23);
-        let flat = run(&scenario, &config(Algorithm::Gta));
-        for by in [ShardBy::Hash, ShardBy::Geo] {
-            let cold = run(&scenario, &config(Algorithm::Gta).with_shards(3, by));
-            assert_eq!(flat, cold, "cold sharded day diverged ({by:?})");
-            let warm = run(
-                &scenario,
-                &config(Algorithm::Gta).with_shards(3, by).with_incremental(),
-            );
-            assert_eq!(flat, warm, "incremental sharded day diverged ({by:?})");
-        }
-    }
-
-    #[test]
-    fn sharded_iterative_day_is_bit_identical_to_flat() {
-        // Shards only regroup where each center solves: the iterative
-        // games' days equal the flat ones too, cold and incremental.
-        let scenario = small_scenario(24);
-        for algorithm in [
-            Algorithm::Fgt(FgtConfig::default()),
-            Algorithm::Iegt(IegtConfig::default()),
-        ] {
-            for incremental in [false, true] {
-                let mut flat_cfg = config(algorithm);
-                flat_cfg.incremental = incremental;
-                let flat = run(&scenario, &flat_cfg);
-                assert!(flat.tasks_completed > 0, "day delivered nothing");
-                for (k, by) in [(2, ShardBy::Geo), (3, ShardBy::Hash)] {
-                    let sharded = run(&scenario, &flat_cfg.clone().with_shards(k, by));
-                    assert_eq!(
-                        flat,
-                        sharded,
-                        "{} day diverged at {k} shards ({by:?}, incremental {incremental})",
-                        algorithm.name()
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -1873,39 +1806,6 @@ mod tests {
         assert_eq!(
             recovered, uninterrupted,
             "re-hydrated warm path diverged from the live warm path"
-        );
-        let _ = fs::remove_dir_all(&crash);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn restore_rehydrates_sharded_incremental_caches() {
-        // A sharded incremental day journals the same center-sorted cache
-        // seed as a flat one; recovery must rehydrate it and resume
-        // bit-for-bit.
-        let scenario = small_scenario(57);
-        let dir = durable_dir("inc-sharded");
-        let cfg = journaled_config(Algorithm::Iegt(IegtConfig::default()), &dir)
-            .with_incremental()
-            .with_shards(2, ShardBy::Geo);
-        let uninterrupted = run(&scenario, &cfg);
-        let rounds = fta_durable::read_log(&dir.join(fta_durable::WAL_FILE))
-            .unwrap()
-            .frames
-            .len();
-        assert!(rounds >= 3);
-        let k = rounds / 2;
-        let crash = crashed_copy(&dir, "inc-sharded-crash", wal_prefix_len(&dir, k));
-        let mut cfg_k = cfg.clone();
-        cfg_k.durable.as_mut().unwrap().dir.clone_from(&crash);
-        let (recovered, info) = restore(&scenario, &cfg_k).expect("recovery succeeds");
-        assert!(
-            info.cache_rehydrated,
-            "sharded incremental recovery must re-hydrate the solver caches"
-        );
-        assert_eq!(
-            recovered, uninterrupted,
-            "re-hydrated sharded warm path diverged from the live warm path"
         );
         let _ = fs::remove_dir_all(&crash);
         let _ = fs::remove_dir_all(&dir);

@@ -21,12 +21,12 @@
 //! same `round_instance` the live round used, so the rebuilt instance has
 //! the same bits.
 //!
-//! The ledger record is binary too (payload version 3): every field of
-//! the [`SolveRecord`] in the same wire primitives as the state, strings
-//! length-prefixed UTF-8, except `fairness.incomes`. Those are the
-//! workers' cumulative earnings at the end of the round, which the frame
-//! already holds as `ledgers[i].earnings`, so decoding rebuilds them from
-//! the decoded ledgers in worker order (bitwise the live values; encoding
+//! The ledger record is binary too: every field of the [`SolveRecord`]
+//! in the same wire primitives as the state, strings length-prefixed
+//! UTF-8, except `fairness.incomes`. Those are the workers' cumulative
+//! earnings at the end of the round, which the frame already holds as
+//! `ledgers[i].earnings`, so decoding rebuilds them from the decoded
+//! ledgers in worker order (bitwise the live values; encoding
 //! `debug_assert!`s it).
 //!
 //! Decoding is two steps. `decode_frame` needs no scenario (it is what
@@ -53,7 +53,7 @@ use fta_obs::ledger::{CenterRecord, FairnessRecord, SolveRecord};
 use rand::rngs::StdRng;
 
 /// Version byte opening every frame payload.
-pub const STATE_VERSION: u8 = 3;
+pub const STATE_VERSION: u8 = 4;
 
 /// The complete mutable state of the engine loop at a round boundary.
 pub(crate) struct LoopState {
@@ -240,7 +240,6 @@ fn encode_record(w: &mut Writer, r: &SolveRecord) {
         w.str(&c.rung);
         w.opt(&c.budget_axis, |w, s| w.str(s));
         w.str(&c.resolve);
-        w.opt(&c.shard, |w, &s| w.u64(s));
         w.u64(c.br_rounds);
         w.u64(c.br_evaluations);
         w.u64(c.br_switches);
@@ -275,7 +274,6 @@ fn decode_record(
                 rung: r.str()?,
                 budget_axis: r.opt(Reader::str)?,
                 resolve: r.str()?,
-                shard: r.opt(Reader::u64)?,
                 br_rounds: r.u64()?,
                 br_evaluations: r.u64()?,
                 br_switches: r.u64()?,
@@ -521,8 +519,6 @@ pub(crate) fn fingerprint(scenario: &Scenario, config: &SimConfig) -> u64 {
     w.bytes(format!("{:?}", config.vdps).as_bytes());
     w.bytes(format!("{:?}", config.budget).as_bytes());
     w.bytes(format!("{:?}", config.faults).as_bytes());
-    w.bytes(format!("{:?}", config.shards).as_bytes());
-    w.bytes(format!("{:?}", config.shard_by).as_bytes());
     w.u8(u8::from(config.parallel));
     w.u8(u8::from(config.incremental));
     fnv64(&w.into_bytes())
@@ -591,7 +587,6 @@ mod tests {
                     rung: "full".to_owned(),
                     budget_axis: None,
                     resolve: "warm".to_owned(),
-                    shard: Some(1),
                     br_rounds: 3,
                     br_evaluations: 40,
                     br_switches: 7,
@@ -607,7 +602,6 @@ mod tests {
                     rung: "gta-fallback".to_owned(),
                     budget_axis: Some("wall_ms".to_owned()),
                     resolve: "cold".to_owned(),
-                    shard: None,
                     vdps_truncations: 2,
                     events: vec!["center 17: fell back to greedy — ünïcode".to_owned()],
                     ..CenterRecord::default()
@@ -703,14 +697,15 @@ mod tests {
     fn version_mismatch_is_typed() {
         let st = sample_state();
         let mut payload = encode_frame(1, &st, None, Some(&sample_record(&st)));
-        // 1 is the retired format that copied the scenario into frames and
-        // 2 the one that carried the ledger record as a JSON line; no
-        // reader for either is kept.
-        for version in [1u8, 2, 9] {
+        // 1 is the retired format that copied the scenario into frames, 2
+        // the one that carried the ledger record as a JSON line, and 3 the
+        // one whose center records carried a shard option; no reader for
+        // any of them is kept.
+        for version in [1u8, 2, 3, 9] {
             payload[0] = version;
             assert!(matches!(
                 decode_frame(&payload),
-                Err(DurableError::BadVersion { expected: 3, found }) if found == u32::from(version)
+                Err(DurableError::BadVersion { expected: 4, found }) if found == u32::from(version)
             ));
         }
     }
