@@ -779,16 +779,23 @@ mod tests {
     }
 
     #[test]
-    fn solve_rejects_the_retired_shard_flags() {
-        // Rounds always run one pool job per center; the flags that
-        // regrouped centers into shards are gone.
+    fn solve_rejects_the_retired_shards_flag() {
+        // Rounds always run one pool job per center; the flag that
+        // regrouped centers into shards is gone.
+        let err = parse(&argv("solve city.json --shards 4")).unwrap_err();
+        assert!(err.contains("unknown solve flag `--shards`"), "{err}");
+    }
+
+    #[test]
+    fn solve_rejects_the_retired_shard_by_flag() {
+        // The shard partitioner went with the shards themselves.
         for flags in [
-            "solve city.json --shards 4",
             "solve city.json --shard-by geo",
+            "solve city.json --shard-by nope",
         ] {
             let err = parse(&argv(flags)).unwrap_err();
             assert!(
-                err.contains("unknown solve flag `--shard"),
+                err.contains("unknown solve flag `--shard-by`"),
                 "{flags}: {err}"
             );
         }
