@@ -2,9 +2,11 @@
 //! durability layer costs. Each grid row runs the *same* faulted,
 //! incremental simulated day twice — once plain, once journaling every
 //! round through `fta-durable` at one fsync policy — and reports the
-//! wall-time overhead plus the journal's on-disk shape (frames written,
-//! mean on-disk bytes per frame, valid log bytes left after the last
-//! snapshot truncated the log, snapshots cut).
+//! wall-time overhead plus the journal's on-disk shape (log frames
+//! written, mean on-disk bytes per frame, valid log bytes left after the
+//! last snapshot truncated the log, snapshots cut). A snapshot round
+//! writes the snapshot instead of a log frame, so frames plus snapshots
+//! is the number of rounds.
 //!
 //! The day is deliberately full-fat: fault injection (so every frame
 //! carries the fault RNG stream) and incremental solving (so every frame
@@ -18,9 +20,9 @@
 //! (8 centers, 400 couriers, 640 delivery points, 1 000 tasks/h, an 8 h
 //! shift) solved by incremental FGT and journaled at the production
 //! settings (`every-8`, snapshot every 16). It reports the same timing
-//! and frame-size columns as the grid, plus the audited day's
-//! `durable.encode`/`append`/`snapshot` span totals (append and snapshot
-//! include their fsyncs), and carries no ceiling.
+//! and frame-size columns as the grid, the audited day's snapshots and
+//! fsyncs, and its `durable.encode`/`append`/`snapshot` span totals
+//! (append and snapshot include their fsyncs), and carries no ceiling.
 //!
 //! Usage: `cargo run -p fta-bench --release --bin durable_snapshot --
 //! [OUT]` (default OUT: `BENCH_durable.json`). Set `FTA_BENCH_QUICK=1`
@@ -111,8 +113,17 @@ fn day_row(quick: bool, reps: usize, scratch: &Path) -> Value {
         audited, baseline,
         "day: journaling perturbed the day's metrics"
     );
-    let frames = wal.counter("wal.frames");
-    assert_eq!(frames, baseline.rounds as u64, "day: one frame per round");
+    // A snapshot round writes the snapshot instead of a log frame.
+    let (frames, snapshots, fsyncs) = (
+        wal.counter("wal.frames"),
+        wal.counter("wal.snapshots"),
+        wal.counter("wal.fsyncs"),
+    );
+    assert_eq!(
+        frames + snapshots,
+        baseline.rounds as u64,
+        "day: one frame or snapshot per round"
+    );
     let frame_bytes = wal.counter("wal.bytes") as f64 / frames as f64;
     let overhead = durable_s / plain_s;
     // Where the audited day's journaling time went, from its spans.
@@ -124,7 +135,8 @@ fn day_row(quick: bool, reps: usize, scratch: &Path) -> Value {
     );
     fta_obs::info!(
         "day (incremental FGT, {fsync}): plain {:.1} ms, durable {:.1} ms \
-         ({:+.1}% overhead); {frames} frame(s) of {frame_bytes:.0} B; \
+         ({:+.1}% overhead); {frames} frame(s) of {frame_bytes:.0} B, \
+         {snapshots} snapshot(s), {fsyncs} fsync(s); \
          encode {encode_ms:.1} ms, append {append_ms:.1} ms, snapshot {snapshot_ms:.1} ms",
         plain_s * 1e3,
         durable_s * 1e3,
@@ -144,6 +156,8 @@ fn day_row(quick: bool, reps: usize, scratch: &Path) -> Value {
         ("overhead", Value::Float(overhead)),
         ("log_frames", Value::UInt(frames)),
         ("frame_bytes", Value::Float(frame_bytes)),
+        ("snapshots", Value::UInt(snapshots)),
+        ("fsyncs", Value::UInt(fsyncs)),
         ("encode_ms", Value::Float(encode_ms)),
         ("append_ms", Value::Float(append_ms)),
         ("snapshot_ms", Value::Float(snapshot_ms)),
@@ -217,16 +231,18 @@ fn main() -> std::io::Result<()> {
     for (&(label, _), (config, &durable_s)) in policies.iter().zip(configs.iter().zip(&durable_s)) {
         // One audited run: the observability pin. A journaled day must be
         // bit-for-bit the plain day — earnings, ledgers, fault counters,
-        // everything. Its `wal.*` counters count the frames the journal
-        // wrote (`Journal::frames_written`) and their on-disk bytes; the
-        // log itself holds only the frames since the last snapshot.
+        // everything. Its `wal.*` counters count the log frames the
+        // journal wrote (`Journal::frames_written`), their on-disk bytes
+        // and the snapshots; the log itself holds only the frames since
+        // the last snapshot.
         let recorder = fta_obs::Recorder::install();
         let audited = run(&scenario, config);
         let wal = recorder.finish();
         let frames = wal.counter("wal.frames");
         assert_eq!(
-            frames, baseline.rounds as u64,
-            "{label}: every solved round journals one frame"
+            frames + wal.counter("wal.snapshots"),
+            baseline.rounds as u64,
+            "{label}: every solved round journals one frame or one snapshot"
         );
         let frame_bytes = wal.counter("wal.bytes") as f64 / frames as f64;
         assert_eq!(

@@ -135,12 +135,13 @@ fn bench_durable_snapshot_is_schema_valid() {
             (overhead - durable / plain).abs() <= overhead * 1e-6,
             "overhead inconsistent with durable_ms/plain_ms"
         );
-        // Every solved round journals one frame (`log_frames` counts the
-        // frames written, not those a snapshot left in the log).
+        // Every solved round journals one log frame or, on a snapshot
+        // round, one snapshot (`log_frames` counts the frames written,
+        // not those a snapshot left in the log).
         assert_eq!(
-            row["log_frames"].as_u64(),
-            row["rounds"].as_u64(),
-            "log_frames must count one frame per round"
+            row["log_frames"].as_u64().unwrap_or(0) + row["snapshots"].as_u64().unwrap_or(0),
+            row["rounds"].as_u64().unwrap_or(u64::MAX),
+            "log_frames plus snapshots must count one per round"
         );
         assert!(row["frame_bytes"].as_f64().unwrap_or(0.0) > 0.0);
         assert!(row["log_bytes"].as_u64().unwrap_or(0) > 0);
@@ -178,7 +179,12 @@ fn bench_durable_snapshot_is_schema_valid() {
         (overhead - durable / plain).abs() <= overhead * 1e-6,
         "day overhead inconsistent with durable_ms/plain_ms"
     );
-    assert_eq!(day["log_frames"].as_u64(), day["rounds"].as_u64());
+    assert_eq!(
+        day["log_frames"].as_u64().unwrap_or(0) + day["snapshots"].as_u64().unwrap_or(0),
+        day["rounds"].as_u64().unwrap_or(u64::MAX),
+        "day: log_frames plus snapshots must count one per round"
+    );
+    assert!(day["fsyncs"].as_u64().unwrap_or(0) > 0, "day row fsyncs");
     assert!(day["frame_bytes"].as_f64().unwrap_or(0.0) > 0.0);
     for key in ["encode_ms", "append_ms", "snapshot_ms"] {
         assert!(day[key].as_f64().unwrap_or(0.0) > 0.0, "day row {key}");

@@ -18,12 +18,19 @@
 //!   by `fta-sim`. Frame payloads are opaque bytes here; their schema (sim
 //!   state, solver-cache seed, round metadata) lives in `fta_sim::state`.
 //!
-//! Every frame journaled by the simulator is a *self-contained* recovery
+//! Every payload journaled by the simulator is a *self-contained* recovery
 //! point, so recovery never replays logic — it decodes the newest intact
-//! payload (last clean log frame, else newest valid snapshot) and resumes
-//! the deterministic event loop from there. That is what makes the
-//! bit-for-bit pin against an uninterrupted run testable: there is no
-//! divergent replay path to drift.
+//! payload and resumes the deterministic event loop from there. That is
+//! what makes the bit-for-bit pin against an uninterrupted run testable:
+//! there is no divergent replay path to drift.
+//!
+//! A round is written once. An ordinary round appends one log frame; a
+//! snapshot round (every N-th) writes *only* the snapshot, then truncates
+//! the log, and is durable through the snapshot's own fsyncs. A crash
+//! between the snapshot's rename and the truncate therefore leaves log
+//! frames *older* than the snapshot, so "the last log frame" is not the
+//! newest payload: payloads are opaque here, and the reader that knows
+//! their rounds (`fta_sim::restore`) orders every recovery point by round.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -137,8 +144,8 @@ impl From<io::Error> for DurableError {
 
 /// Writer orchestration: one commit log plus periodic snapshots in a
 /// single directory. Each recorded payload must be a self-contained
-/// recovery point; on snapshot rounds the same payload is persisted as a
-/// snapshot and the log is truncated.
+/// recovery point; on snapshot rounds the payload is persisted as a
+/// snapshot instead of a log frame, and the log is truncated.
 pub struct Journal {
     dir: PathBuf,
     log: CommitLog,
@@ -195,20 +202,24 @@ impl Journal {
         })
     }
 
-    /// Journals one round's self-contained payload; on every
-    /// `snapshot_every`-th call also persists it as a snapshot and
-    /// truncates the log.
+    /// Journals one round's self-contained payload. Every
+    /// `snapshot_every`-th call is a snapshot round: it writes the payload
+    /// as a snapshot and truncates the log, appending no log frame (and so
+    /// making none of the log's every-N fsyncs); the round is durable
+    /// through the snapshot's own fsyncs. Every other call appends one
+    /// log frame.
     pub fn record(&mut self, round: u64, payload: &[u8]) -> Result<(), DurableError> {
-        self.log.append(payload)?;
         self.rounds_since_snapshot += 1;
-        if self.rounds_since_snapshot >= self.snapshot_every {
-            let _span = fta_obs::span("durable.snapshot");
-            let sync = self.log.policy() != FsyncPolicy::Never;
-            snapshot::write_snapshot(&self.dir, round, self.fingerprint, payload, sync)?;
-            self.log.truncate()?;
-            self.rounds_since_snapshot = 0;
-            self.snapshots += 1;
+        if self.rounds_since_snapshot < self.snapshot_every {
+            self.log.append(payload)?;
+            return Ok(());
         }
+        let _span = fta_obs::span("durable.snapshot");
+        let sync = self.log.policy() != FsyncPolicy::Never;
+        snapshot::write_snapshot(&self.dir, round, self.fingerprint, payload, sync)?;
+        self.log.truncate()?;
+        self.rounds_since_snapshot = 0;
+        self.snapshots += 1;
         Ok(())
     }
 
@@ -219,7 +230,9 @@ impl Journal {
         self.log.sync()
     }
 
-    /// Frames appended through this journal.
+    /// Log frames appended through this journal. Snapshot rounds append
+    /// none, so this plus [`Journal::snapshots_written`] is the number of
+    /// recorded rounds.
     pub fn frames_written(&self) -> u64 {
         self.log.frames_written()
     }
@@ -235,7 +248,9 @@ impl Journal {
 pub struct Recovery {
     /// Newest snapshot that validated, if any.
     pub snapshot: Option<Snapshot>,
-    /// Clean log frames in append order (payloads are opaque here).
+    /// Clean log frames in append order (payloads are opaque here). They
+    /// normally follow the snapshot; after a crash between a snapshot's
+    /// rename and the log truncate they precede it instead.
     pub frames: Vec<Vec<u8>>,
     /// Journal fingerprint (from the log header, else the snapshot).
     pub fingerprint: u64,
@@ -246,17 +261,6 @@ pub struct Recovery {
     /// Error from the newest *invalid* snapshot, kept for diagnostics when
     /// an older snapshot (or the log alone) carried the recovery.
     pub skipped_snapshot: Option<DurableError>,
-}
-
-impl Recovery {
-    /// The newest self-contained payload: last clean log frame, else the
-    /// snapshot payload.
-    pub fn newest_payload(&self) -> Option<&[u8]> {
-        self.frames
-            .last()
-            .map(|f| f.as_slice())
-            .or_else(|| self.snapshot.as_ref().map(|s| s.payload.as_slice()))
-    }
 }
 
 /// Scans a durable directory: newest valid snapshot plus the clean log
@@ -329,13 +333,46 @@ mod tests {
             j.record(round, format!("state-{round}").as_bytes())
                 .unwrap();
         }
-        assert_eq!(j.snapshots_written(), 2); // after rounds 3 and 6
+        // Rounds 3 and 6 are snapshot rounds: they append no log frame.
+        assert_eq!(j.snapshots_written(), 2);
+        assert_eq!(j.frames_written(), 5);
         drop(j);
         let rec = recover(&dir, Some(0xF00D)).unwrap();
         let snap = rec.snapshot.as_ref().unwrap();
         assert_eq!(snap.round, 6);
+        assert_eq!(snap.payload, b"state-6");
         assert_eq!(rec.frames, vec![b"state-7".to_vec()]);
-        assert_eq!(rec.newest_payload().unwrap(), b"state-7");
+        assert!(!rec.torn_tail);
+    }
+
+    #[test]
+    fn snapshot_round_leaves_an_empty_log() {
+        let dir = tmp("snapround");
+        let mut j = Journal::create(&dir, 4, FsyncPolicy::Always, 2).unwrap();
+        j.record(1, b"logged").unwrap();
+        j.record(2, b"snapshotted").unwrap();
+        assert_eq!((j.frames_written(), j.snapshots_written()), (1, 1));
+        drop(j);
+        let rec = recover(&dir, Some(4)).unwrap();
+        assert!(rec.frames.is_empty());
+        assert_eq!(rec.log_valid_len, log::WAL_HEADER_LEN);
+        assert_eq!(rec.snapshot.unwrap().payload, b"snapshotted");
+    }
+
+    #[test]
+    fn crash_before_the_truncate_keeps_older_frames_beside_the_snapshot() {
+        // Snapshot round 3 is installed but the log still holds rounds 1
+        // and 2: recovery reports both, and ordering them is the reader's
+        // job (the last log frame is *not* the newest payload here).
+        let dir = tmp("pretruncate");
+        let mut j = Journal::create(&dir, 6, FsyncPolicy::Never, 1000).unwrap();
+        j.record(1, b"one").unwrap();
+        j.record(2, b"two").unwrap();
+        drop(j);
+        write_snapshot(&dir, 3, 6, b"three", false).unwrap();
+        let rec = recover(&dir, Some(6)).unwrap();
+        assert_eq!(rec.snapshot.as_ref().unwrap().round, 3);
+        assert_eq!(rec.frames, vec![b"one".to_vec(), b"two".to_vec()]);
         assert!(!rec.torn_tail);
     }
 
@@ -360,7 +397,7 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         write_snapshot(&dir, 12, 5, b"snap-state", true).unwrap();
         let rec = recover(&dir, Some(5)).unwrap();
-        assert_eq!(rec.newest_payload().unwrap(), b"snap-state");
+        assert_eq!(rec.snapshot.unwrap().payload, b"snap-state");
         assert!(rec.frames.is_empty());
     }
 
@@ -373,7 +410,7 @@ mod tests {
         drop(j);
         let rec = recover(&dir, Some(9)).unwrap();
         assert!(rec.snapshot.is_none());
-        assert_eq!(rec.newest_payload().unwrap(), b"two");
+        assert_eq!(rec.frames, vec![b"one".to_vec(), b"two".to_vec()]);
     }
 
     #[test]
@@ -405,7 +442,7 @@ mod tests {
             .unwrap();
         let rec = recover(&dir, Some(1)).unwrap();
         assert!(rec.torn_tail);
-        assert_eq!(rec.newest_payload().unwrap(), b"good-round");
+        assert_eq!(rec.frames, vec![b"good-round".to_vec()]);
         // Resume overwrites the torn bytes.
         let mut j = Journal::resume(&dir, 1, FsyncPolicy::Never, 1000, &rec).unwrap();
         j.record(2, b"retried-round").unwrap();
@@ -425,7 +462,8 @@ mod tests {
         write_snapshot(&dir, 4, 3, b"snap", true).unwrap();
         fs::write(dir.join(WAL_FILE), b"").unwrap();
         let rec = recover(&dir, Some(3)).unwrap();
-        assert_eq!(rec.newest_payload().unwrap(), b"snap");
+        assert!(rec.frames.is_empty());
+        assert_eq!(rec.snapshot.unwrap().payload, b"snap");
         assert!(!rec.torn_tail);
     }
 }

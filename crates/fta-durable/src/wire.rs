@@ -1,15 +1,20 @@
 //! Minimal binary wire codec shared by frames and snapshots.
 //!
-//! The journal stores floats as IEEE-754 bit patterns and integers as
-//! fixed-width little-endian, because recovery is pinned *bit-for-bit*
-//! against an uninterrupted run: a decimal round-trip (JSON) would be both
-//! slower and lossy for the `u128` strategy masks the solver cache seeds
-//! carry. The codec is deliberately schema-free — each payload type owns
-//! its field order and bumps the container version when it changes.
+//! The journal stores floats as IEEE-754 bit patterns, because recovery
+//! is pinned *bit-for-bit* against an uninterrupted run: a decimal
+//! round-trip (JSON) would be both slower and lossy for the `u128`
+//! strategy masks the solver cache seeds carry. Counts, indices and
+//! length prefixes are LEB128 varints ([`Writer::var`]): most are small,
+//! and a fixed-width `u64` spends seven zero bytes on each. Values with
+//! no small-number bias (RNG state, masks) stay fixed-width
+//! little-endian. The codec is deliberately schema-free — each payload
+//! type owns its field order and bumps the container version when it
+//! changes.
 
 use crate::DurableError;
 
-/// Append-only byte sink with fixed-width little-endian primitives.
+/// Append-only byte sink with varint and fixed-width little-endian
+/// primitives.
 #[derive(Default)]
 pub struct Writer {
     buf: Vec<u8>,
@@ -46,6 +51,17 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends `v` as an unsigned LEB128 varint: seven bits per byte, low
+    /// group first, the high bit set on every byte but the last. Values
+    /// below 128 take one byte, `u64::MAX` takes ten.
+    pub fn var(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push((v as u8) | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Appends an `f64` as its IEEE-754 bit pattern (exact round-trip).
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
@@ -56,13 +72,13 @@ impl Writer {
         self.u8(u8::from(v));
     }
 
-    /// Appends a length-prefixed byte slice.
+    /// Appends a varint-length-prefixed byte slice.
     pub fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
+        self.var(v.len() as u64);
         self.buf.extend_from_slice(v);
     }
 
-    /// Appends a length-prefixed UTF-8 string.
+    /// Appends a varint-length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
@@ -78,9 +94,9 @@ impl Writer {
         }
     }
 
-    /// Appends a length-prefixed sequence.
+    /// Appends a varint-length-prefixed sequence.
     pub fn seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
-        self.u64(items.len() as u64);
+        self.var(items.len() as u64);
         for item in items {
             f(self, item);
         }
@@ -128,11 +144,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, DurableError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, DurableError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -141,6 +152,30 @@ impl<'a> Reader<'a> {
     /// Reads a little-endian `u128`.
     pub fn u128(&mut self) -> Result<u128, DurableError> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
+    }
+
+    /// Reads an unsigned LEB128 varint written by [`Writer::var`]. Only
+    /// the canonical (shortest) encoding of a `u64` is accepted: a value
+    /// wider than 64 bits, or an overlong encoding padded with zero
+    /// groups, is [`DurableError::Corrupt`], so every value has exactly
+    /// one encoding.
+    pub fn var(&mut self) -> Result<u64, DurableError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            let group = u64::from(byte & 0x7F);
+            if shift == 63 && group > 1 {
+                return Err(DurableError::Corrupt("varint exceeds 64 bits"));
+            }
+            v |= group << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(DurableError::Corrupt("overlong varint"));
+                }
+                return Ok(v);
+            }
+        }
+        Err(DurableError::Corrupt("varint exceeds 64 bits"))
     }
 
     /// Reads an `f64` from its bit pattern.
@@ -157,13 +192,13 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a length-prefixed byte slice.
+    /// Reads a varint-length-prefixed byte slice.
     pub fn bytes(&mut self) -> Result<&'a [u8], DurableError> {
         let len = self.len_prefix()?;
         self.take(len)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
+    /// Reads a varint-length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, DurableError> {
         let bytes = self.bytes()?;
         String::from_utf8(bytes.to_vec()).map_err(|_| DurableError::Corrupt("string is not UTF-8"))
@@ -181,7 +216,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a length-prefixed sequence.
+    /// Reads a varint-length-prefixed sequence.
     pub fn seq<T>(
         &mut self,
         mut f: impl FnMut(&mut Self) -> Result<T, DurableError>,
@@ -197,7 +232,7 @@ impl<'a> Reader<'a> {
     /// Reads a length prefix, rejecting lengths that exceed the buffer so a
     /// corrupt prefix cannot drive a huge allocation.
     fn len_prefix(&mut self) -> Result<usize, DurableError> {
-        let len = self.u64()?;
+        let len = self.var()?;
         if len > self.remaining() as u64 * 17 {
             // Elements are at least one byte except empty-struct sequences;
             // the 17x slack covers Option<u128> worst cases without letting
@@ -216,7 +251,6 @@ mod tests {
     fn round_trips_primitives() {
         let mut w = Writer::new();
         w.u8(7);
-        w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 3);
         w.u128(u128::MAX / 3);
         w.f64(-0.1f64);
@@ -227,11 +261,11 @@ mod tests {
         w.opt(&Some(42u64), |w, v| w.u64(*v));
         w.opt(&None::<u64>, |w, v| w.u64(*v));
         w.seq(&[1u64, 2, 3], |w, v| w.u64(*v));
+        w.var(300);
         let bytes = w.into_bytes();
 
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.u128().unwrap(), u128::MAX / 3);
         assert_eq!(r.f64().unwrap().to_bits(), (-0.1f64).to_bits());
@@ -242,6 +276,7 @@ mod tests {
         assert_eq!(r.opt(|r| r.u64()).unwrap(), Some(42));
         assert_eq!(r.opt(|r| r.u64()).unwrap(), None);
         assert_eq!(r.seq(|r| r.u64()).unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.var().unwrap(), 300);
         r.finish().unwrap();
     }
 
@@ -255,9 +290,78 @@ mod tests {
     }
 
     #[test]
+    fn varints_round_trip_at_every_group_boundary() {
+        let mut values = vec![0u64, 1, u64::MAX - 1, u64::MAX];
+        for bits in (7..64).step_by(7) {
+            values.extend([(1u64 << bits) - 1, 1u64 << bits]);
+        }
+        let mut w = Writer::new();
+        for &v in &values {
+            w.var(v);
+        }
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        for &v in &values {
+            assert_eq!(r.var().unwrap(), v);
+        }
+        r.finish().unwrap();
+        // One byte per started 7-bit group.
+        for (v, len) in [(0u64, 1usize), (127, 1), (128, 2), (16_383, 2), (16_384, 3)] {
+            let mut w = Writer::new();
+            w.var(v);
+            assert_eq!(w.into_bytes().len(), len, "{v}");
+        }
+        let mut w = Writer::new();
+        w.var(u64::MAX);
+        assert_eq!(
+            w.into_bytes(),
+            [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]
+        );
+    }
+
+    fn corrupt_var(bytes: &[u8]) -> bool {
+        matches!(
+            Reader::new(bytes).var(),
+            Err(super::DurableError::Corrupt(_))
+        )
+    }
+
+    #[test]
+    fn overlong_varints_are_corrupt() {
+        // Zero groups padding a value: 0 in two bytes, 1 in three, and a
+        // ten-byte zero.
+        assert!(corrupt_var(&[0x80, 0x00]));
+        assert!(corrupt_var(&[0x81, 0x80, 0x00]));
+        let mut ten = [0x80u8; 10];
+        ten[9] = 0x00;
+        assert!(corrupt_var(&ten));
+    }
+
+    #[test]
+    fn varints_wider_than_64_bits_are_corrupt() {
+        // The tenth byte carries bit 63 only: 2 there is bit 64.
+        let mut wide = [0xFFu8; 10];
+        wide[9] = 0x02;
+        assert!(corrupt_var(&wide));
+        // An eleventh byte never fits.
+        let mut eleven = [0x80u8; 11];
+        eleven[10] = 0x01;
+        assert!(corrupt_var(&eleven));
+        wide[9] = 0x81;
+        assert!(corrupt_var(&wide));
+    }
+
+    #[test]
+    fn truncated_varint_is_corrupt() {
+        assert!(corrupt_var(&[]));
+        assert!(corrupt_var(&[0x80]));
+        assert!(corrupt_var(&[0xFF, 0xFF]));
+    }
+
+    #[test]
     fn absurd_length_prefix_rejected() {
         let mut w = Writer::new();
-        w.u64(u64::MAX / 2);
+        w.var(u64::MAX / 2);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(r.seq(|r| r.u8()).is_err());
@@ -277,11 +381,11 @@ mod tests {
     #[test]
     fn trailing_bytes_rejected() {
         let mut w = Writer::new();
-        w.u32(1);
-        w.u32(2);
+        w.var(1);
+        w.var(2);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        r.u32().unwrap();
+        r.var().unwrap();
         assert!(r.finish().is_err());
     }
 }

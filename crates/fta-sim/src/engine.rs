@@ -83,8 +83,8 @@ pub struct DurableConfig {
     pub dir: PathBuf,
     /// When appended frames are fsynced (see [`FsyncPolicy`]).
     pub fsync: FsyncPolicy,
-    /// A full snapshot is persisted (and the log truncated) every this
-    /// many journaled rounds.
+    /// Every this many journaled rounds, the round is persisted as a
+    /// full snapshot instead of a log frame, and the log is truncated.
     pub snapshot_every: u64,
     /// Crash drill: abort the whole process (as `kill -9` would) right
     /// after journaling this round. Test/CI hook for exercising recovery;
@@ -978,23 +978,34 @@ fn restore_inner(
         .expect("restore requires SimConfig::durable");
     let fingerprint = state::fingerprint(scenario, config);
     // Decode every surviving recovery point and order by round: a crash
-    // between snapshot write and log truncation legitimately leaves log
-    // frames older than the snapshot, which must not regress the resume
-    // point or duplicate replayed ledger records.
-    let (rec, mut decoded) = {
+    // between a snapshot's rename and the log truncate leaves log frames
+    // older than the snapshot (a snapshot round appends no frame), which
+    // must not regress the resume point or duplicate replayed ledger
+    // records.
+    let (mut rec, mut decoded, frames_after_snapshot) = {
         let _span = fta_obs::span("durable.recover");
         let rec = fta_durable::recover(&d.dir, Some(fingerprint))?;
+        let snapshot_round = rec.snapshot.as_ref().map(|s| s.round);
         let mut decoded: Vec<state::DecodedFrame> = Vec::new();
         if let Some(snap) = &rec.snapshot {
             decoded.push(state::decode_frame(&snap.payload)?);
         }
+        let mut frames_after_snapshot = 0;
         for frame in &rec.frames {
-            decoded.push(state::decode_frame(frame)?);
+            let frame = state::decode_frame(frame)?;
+            frames_after_snapshot += usize::from(snapshot_round.is_none_or(|s| frame.round > s));
+            decoded.push(frame);
         }
         decoded.sort_by_key(|f| f.round);
         decoded.dedup_by_key(|f| f.round);
-        (rec, decoded)
+        (rec, decoded, frames_after_snapshot)
     };
+    if frames_after_snapshot == 0 && rec.snapshot.is_some() && !rec.frames.is_empty() {
+        // Every log frame predates the snapshot: finish the interrupted
+        // truncate, so the resumed journal starts an empty log.
+        rec.frames.clear();
+        rec.log_valid_len = fta_durable::log::WAL_HEADER_LEN;
+    }
 
     let mut replayed_records = 0usize;
     if let Some(records) = ledger_sink.as_deref_mut() {
@@ -1033,7 +1044,7 @@ fn restore_inner(
     let info = RecoveryInfo {
         resumed_round,
         snapshot_round: rec.snapshot.as_ref().map(|s| s.round),
-        frames: rec.frames.len(),
+        frames: frames_after_snapshot,
         torn_tail: rec.torn_tail,
         cache_rehydrated,
         replayed_records,
@@ -1914,6 +1925,74 @@ mod tests {
         );
         let _ = fs::remove_dir_all(&crash);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restore_resumes_from_a_snapshot_whose_log_was_not_truncated() {
+        // A crash between snapshot round 3's rename and the log truncate
+        // leaves snapshot 3 beside a log holding rounds 1-2 and no frame
+        // 3 (a snapshot round appends none). Recovery must resume from
+        // the snapshot, not from the last log frame, and replay each
+        // round's record once.
+        let scenario = small_scenario(60);
+        let snap_dir = durable_dir("pretruncate-snap");
+        let mut cfg =
+            journaled_config(Algorithm::Fgt(FgtConfig::default()), &snap_dir).with_incremental();
+        cfg.durable.as_mut().unwrap().snapshot_every = 3;
+        let mut full_records = Vec::new();
+        let uninterrupted = run_with_ledger(&scenario, &cfg, &mut full_records);
+        assert!(full_records.len() > 4, "need rounds past the snapshot");
+        // The same day without snapshots supplies the pre-truncate log.
+        let log_dir = durable_dir("pretruncate-log");
+        let mut log_cfg = cfg.clone();
+        log_cfg.durable.as_mut().unwrap().dir.clone_from(&log_dir);
+        log_cfg.durable.as_mut().unwrap().snapshot_every = u64::MAX;
+        let _ = run(&scenario, &log_cfg);
+        let crash = crashed_copy(&log_dir, "pretruncate-crash", wal_prefix_len(&log_dir, 2));
+        let snap = fta_durable::snapshot::snapshot_name(3);
+        fs::copy(snap_dir.join(&snap), crash.join(&snap)).unwrap();
+
+        let mut cfg_k = cfg.clone();
+        cfg_k.durable.as_mut().unwrap().dir.clone_from(&crash);
+        let mut records = Vec::new();
+        let (recovered, info) =
+            restore_with_ledger(&scenario, &cfg_k, &mut records).expect("recovery succeeds");
+        assert_eq!(recovered, uninterrupted);
+        assert_eq!(
+            (info.resumed_round, info.snapshot_round, info.frames),
+            (3, Some(3), 0)
+        );
+        assert!(info.cache_rehydrated);
+        assert_eq!(info.replayed_records, 3);
+        let rounds: Vec<Option<u64>> = records.iter().map(|r| r.round).collect();
+        let live: Vec<Option<u64>> = full_records.iter().map(|r| r.round).collect();
+        assert_eq!(rounds, live, "every round replayed or resumed exactly once");
+        assert_eq!(without_nanos(&records), without_nanos(&full_records));
+        // The resumed journal finished the interrupted truncate: it keeps
+        // the uninterrupted day's snapshot cadence and ends with the same
+        // log.
+        let snapshots = |dir: &Path| {
+            let mut names: Vec<String> = fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|n| n.ends_with(".ftas"))
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(snapshots(&crash), snapshots(&snap_dir));
+        let log_rounds = |dir: &Path| {
+            fta_durable::read_log(&dir.join(fta_durable::WAL_FILE))
+                .unwrap()
+                .frames
+                .iter()
+                .map(|f| crate::frame_info(f).unwrap().round)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(log_rounds(&crash), log_rounds(&snap_dir));
+        for dir in [crash, snap_dir, log_dir] {
+            let _ = fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Serialization of mid-day simulator state for the durability layer.
 //!
-//! Every journaled frame is a *self-contained* recovery point: the full
+//! Every journaled payload is a *self-contained* recovery point: the full
 //! engine loop state (ledgers, worker positions, pending queue, fault-RNG
 //! state, churn shape), plus — when incremental solving is on — the seed
 //! of the solver's warm caches, plus the round's ledger record, so
-//! `fta recover` can rebuild the day's ledger. Recovery therefore never
-//! replays logic; it decodes the newest intact frame and resumes the
-//! deterministic event loop, which is what makes the bit-for-bit pin
-//! against an uninterrupted run hold.
+//! `fta recover` can rebuild the day's ledger. The same bytes go to a log
+//! frame or, on a snapshot round, to the snapshot alone. Recovery
+//! therefore never replays logic; it decodes the newest intact payload
+//! by journaled round and resumes the deterministic event loop, which is
+//! what makes the bit-for-bit pin against an uninterrupted run hold.
 //!
 //! Frames *reference* the scenario instead of copying it. The scenario
 //! is fixed for the day and pinned by the journal's `fingerprint`, so a
@@ -36,10 +37,17 @@
 //! is [`DurableError::BadVersion`] (no reader for an older version is
 //! kept), and an index outside the scenario is [`DurableError::Corrupt`].
 //!
-//! Numbers are stored as IEEE-754 bit patterns / fixed-width LE integers
-//! (see [`fta_durable::wire`]): a decimal round-trip would break the
-//! bitwise clean-check the incremental solver performs on restored pools,
-//! and the replayed ledger's bit-for-bit equality with the live one.
+//! Payload v5 is compact. Counts, indices, counters and length prefixes
+//! are LEB128 varints (see [`fta_durable::wire`]), so the ledgers' route
+//! and delivery counts take a byte or two instead of eight. A pending
+//! entry is the zigzag delta of its task index from the previous entry's
+//! plus one flags byte marking which of `cancel_at`, `retries` and
+//! `eligible_after` differ from a fresh entry's; only those follow, so a
+//! fault-free entry typically takes two bytes. Every `f64` stays its
+//! IEEE-754 bit pattern and the fault-RNG state and selection masks stay
+//! fixed-width: a decimal round-trip would break the bitwise clean-check
+//! the incremental solver performs on restored pools, and the replayed
+//! ledger's bit-for-bit equality with the live one.
 
 use crate::engine::{round_instance, Pending, RoundShape, SimConfig};
 use crate::metrics::WorkerLedger;
@@ -53,7 +61,7 @@ use fta_obs::ledger::{CenterRecord, FairnessRecord, SolveRecord};
 use rand::rngs::StdRng;
 
 /// Version byte opening every frame payload.
-pub const STATE_VERSION: u8 = 4;
+pub const STATE_VERSION: u8 = 5;
 
 /// The complete mutable state of the engine loop at a round boundary.
 pub(crate) struct LoopState {
@@ -122,32 +130,126 @@ fn decode_point(r: &mut Reader<'_>) -> Result<Point, DurableError> {
     })
 }
 
+/// `Pending` flag: `cancel_at` is set (an `f64` follows).
+const PENDING_CANCEL: u8 = 1;
+/// `Pending` flag: `retries` is not 0 (a varint follows).
+const PENDING_RETRIES: u8 = 2;
+/// `Pending` flag: `eligible_after` is not the `+0.0` a fresh entry
+/// starts with (an `f64` follows).
+const PENDING_BACKOFF: u8 = 4;
+
+/// Zigzag-maps a signed delta onto the unsigned varints: 0, -1, 1, -2, ...
+/// become 0, 1, 2, 3, ...
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
+}
+
+/// Encodes the pending queue: per entry the zigzag delta of its task index
+/// from the previous entry's, then one flags byte marking which of the
+/// mutable fields differ from a fresh entry's, then those fields.
+/// Arrivals are ingested in index order, so deltas are small and a
+/// fault-free entry is typically a one-byte delta plus a zero flags byte.
+fn encode_pending(w: &mut Writer, pending: &[Pending]) {
+    let mut prev = 0i64;
+    w.seq(pending, |w, p| {
+        w.var(zigzag(i64::from(p.task) - prev));
+        prev = i64::from(p.task);
+        let backoff = p.eligible_after.to_bits() != 0;
+        let mut flags = 0;
+        if p.cancel_at.is_some() {
+            flags |= PENDING_CANCEL;
+        }
+        if p.retries != 0 {
+            flags |= PENDING_RETRIES;
+        }
+        if backoff {
+            flags |= PENDING_BACKOFF;
+        }
+        w.u8(flags);
+        if let Some(c) = p.cancel_at {
+            w.f64(c);
+        }
+        if p.retries != 0 {
+            w.var(u64::from(p.retries));
+        }
+        if backoff {
+            w.f64(p.eligible_after);
+        }
+    });
+}
+
+fn decode_pending(r: &mut Reader<'_>) -> Result<Vec<Pending>, DurableError> {
+    let mut prev = 0i64;
+    r.seq(|r| {
+        let task = prev
+            .checked_add(unzigzag(r.var()?))
+            .and_then(|t| u32::try_from(t).ok())
+            .ok_or(DurableError::Corrupt("pending task index out of range"))?;
+        prev = i64::from(task);
+        let flags = r.u8()?;
+        if flags & !(PENDING_CANCEL | PENDING_RETRIES | PENDING_BACKOFF) != 0 {
+            return Err(DurableError::Corrupt("bad pending flags"));
+        }
+        Ok(Pending {
+            task,
+            cancel_at: if flags & PENDING_CANCEL != 0 {
+                Some(r.f64()?)
+            } else {
+                None
+            },
+            retries: if flags & PENDING_RETRIES != 0 {
+                var_u32(r)?
+            } else {
+                0
+            },
+            eligible_after: if flags & PENDING_BACKOFF != 0 {
+                r.f64()?
+            } else {
+                0.0
+            },
+        })
+    })
+}
+
+/// Reads a varint that must fit a `u32`.
+fn var_u32(r: &mut Reader<'_>) -> Result<u32, DurableError> {
+    u32::try_from(r.var()?).map_err(|_| DurableError::Corrupt("varint exceeds u32"))
+}
+
+/// Reads a varint count or index.
+fn var_usize(r: &mut Reader<'_>) -> Result<usize, DurableError> {
+    usize::try_from(r.var()?).map_err(|_| DurableError::Corrupt("varint exceeds usize"))
+}
+
 fn encode_state(w: &mut Writer, st: &LoopState) {
     w.f64(st.now);
-    w.u64(st.rounds as u64);
-    w.u64(st.next_arrival as u64);
-    w.u64(st.tasks_completed as u64);
-    w.u64(st.tasks_expired as u64);
-    w.u64(st.tasks_cancelled as u64);
-    w.u64(st.tasks_abandoned as u64);
-    w.u64(st.reassignments as u64);
-    w.u64(st.worker_no_shows as u64);
-    w.u64(st.route_dropouts as u64);
-    w.u64(st.degraded_rounds as u64);
+    for count in [
+        st.rounds,
+        st.next_arrival,
+        st.tasks_completed,
+        st.tasks_expired,
+        st.tasks_cancelled,
+        st.tasks_abandoned,
+        st.reassignments,
+        st.worker_no_shows,
+        st.route_dropouts,
+        st.degraded_rounds,
+    ] {
+        w.var(count as u64);
+    }
     w.seq(&st.ledgers, |w, l| {
         w.f64(l.earnings);
         w.f64(l.busy_hours);
-        w.u64(l.routes as u64);
-        w.u64(l.tasks_delivered as u64);
+        w.var(l.routes as u64);
+        w.var(l.tasks_delivered as u64);
     });
     w.seq(&st.busy_until, |w, &b| w.f64(b));
     w.seq(&st.location, encode_point);
-    w.seq(&st.pending, |w, p| {
-        w.u32(p.task);
-        w.opt(&p.cancel_at, |w, &c| w.f64(c));
-        w.u32(p.retries);
-        w.f64(p.eligible_after);
-    });
+    encode_pending(w, &st.pending);
     w.opt(&st.fault_rng, |w, rng| {
         for s in rng.state() {
             w.u64(s);
@@ -156,49 +258,42 @@ fn encode_state(w: &mut Writer, st: &LoopState) {
     w.opt(&st.last_round, |w, lr| {
         w.f64(lr.now);
         w.seq(&lr.center_workers, |w, cw| {
-            w.seq(cw, |w, &orig| w.u64(orig as u64));
+            w.seq(cw, |w, &orig| w.var(orig as u64));
         });
-        w.seq(&lr.center_tasks, |w, &t| w.u64(t));
+        w.seq(&lr.center_tasks, |w, &t| w.var(t));
     });
 }
 
 fn decode_state(r: &mut Reader<'_>) -> Result<LoopState, DurableError> {
     let now = r.f64()?;
-    let rounds = r.u64()? as usize;
-    let next_arrival = r.u64()? as usize;
-    let tasks_completed = r.u64()? as usize;
-    let tasks_expired = r.u64()? as usize;
-    let tasks_cancelled = r.u64()? as usize;
-    let tasks_abandoned = r.u64()? as usize;
-    let reassignments = r.u64()? as usize;
-    let worker_no_shows = r.u64()? as usize;
-    let route_dropouts = r.u64()? as usize;
-    let degraded_rounds = r.u64()? as usize;
+    let rounds = var_usize(r)?;
+    let next_arrival = var_usize(r)?;
+    let tasks_completed = var_usize(r)?;
+    let tasks_expired = var_usize(r)?;
+    let tasks_cancelled = var_usize(r)?;
+    let tasks_abandoned = var_usize(r)?;
+    let reassignments = var_usize(r)?;
+    let worker_no_shows = var_usize(r)?;
+    let route_dropouts = var_usize(r)?;
+    let degraded_rounds = var_usize(r)?;
     let ledgers = r.seq(|r| {
         Ok(WorkerLedger {
             earnings: r.f64()?,
             busy_hours: r.f64()?,
-            routes: r.u64()? as usize,
-            tasks_delivered: r.u64()? as usize,
+            routes: var_usize(r)?,
+            tasks_delivered: var_usize(r)?,
         })
     })?;
     let busy_until = r.seq(Reader::f64)?;
     let location = r.seq(decode_point)?;
-    let pending = r.seq(|r| {
-        Ok(Pending {
-            task: r.u32()?,
-            cancel_at: r.opt(Reader::f64)?,
-            retries: r.u32()?,
-            eligible_after: r.f64()?,
-        })
-    })?;
+    let pending = decode_pending(r)?;
     let fault_rng = r
         .opt(|r| Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?]))?
         .map(StdRng::from_state);
     let last_round = r.opt(|r| {
         let now = r.f64()?;
-        let center_workers = r.seq(|r| r.seq(|r| Ok(r.u64()? as usize)))?;
-        let center_tasks = r.seq(Reader::u64)?;
+        let center_workers = r.seq(|r| r.seq(var_usize))?;
+        let center_tasks = r.seq(Reader::var)?;
         Ok(RoundShape {
             now,
             center_workers,
@@ -229,25 +324,29 @@ fn decode_state(r: &mut Reader<'_>) -> Result<LoopState, DurableError> {
 /// Encodes every field of `r` but `fairness.incomes`, which the frame's
 /// ledgers already hold.
 fn encode_record(w: &mut Writer, r: &SolveRecord) {
-    w.opt(&r.round, |w, &n| w.u64(n));
+    w.opt(&r.round, |w, &n| w.var(n));
     w.opt(&r.sim_hours, |w, &h| w.f64(h));
     w.str(&r.algo);
     w.str(&r.engine);
     w.bool(r.degraded);
     w.bool(r.budget_exhausted);
     w.seq(&r.centers, |w, c| {
-        w.u64(c.center);
+        w.var(c.center);
         w.str(&c.rung);
         w.opt(&c.budget_axis, |w, s| w.str(s));
         w.str(&c.resolve);
-        w.u64(c.br_rounds);
-        w.u64(c.br_evaluations);
-        w.u64(c.br_switches);
-        w.u64(c.vdps_count);
-        w.u64(c.vdps_states);
-        w.u64(c.vdps_truncations);
-        w.u64(c.vdps_nanos);
-        w.u64(c.assign_nanos);
+        for count in [
+            c.br_rounds,
+            c.br_evaluations,
+            c.br_switches,
+            c.vdps_count,
+            c.vdps_states,
+            c.vdps_truncations,
+            c.vdps_nanos,
+            c.assign_nanos,
+        ] {
+            w.var(count);
+        }
         w.seq(&c.events, |w, e| w.str(e));
     });
     w.f64(r.fairness.payoff_difference);
@@ -262,7 +361,7 @@ fn decode_record(
     ledgers: &[WorkerLedger],
 ) -> Result<SolveRecord, DurableError> {
     Ok(SolveRecord {
-        round: r.opt(Reader::u64)?,
+        round: r.opt(Reader::var)?,
         sim_hours: r.opt(Reader::f64)?,
         algo: r.str()?,
         engine: r.str()?,
@@ -270,18 +369,18 @@ fn decode_record(
         budget_exhausted: r.bool()?,
         centers: r.seq(|r| {
             Ok(CenterRecord {
-                center: r.u64()?,
+                center: r.var()?,
                 rung: r.str()?,
                 budget_axis: r.opt(Reader::str)?,
                 resolve: r.str()?,
-                br_rounds: r.u64()?,
-                br_evaluations: r.u64()?,
-                br_switches: r.u64()?,
-                vdps_count: r.u64()?,
-                vdps_states: r.u64()?,
-                vdps_truncations: r.u64()?,
-                vdps_nanos: r.u64()?,
-                assign_nanos: r.u64()?,
+                br_rounds: r.var()?,
+                br_evaluations: r.var()?,
+                br_switches: r.var()?,
+                vdps_count: r.var()?,
+                vdps_states: r.var()?,
+                vdps_truncations: r.var()?,
+                vdps_nanos: r.var()?,
+                assign_nanos: r.var()?,
                 events: r.seq(Reader::str)?,
             })
         })?,
@@ -314,19 +413,19 @@ pub(crate) fn encode_frame(
     );
     let mut w = Writer::new();
     w.u8(STATE_VERSION);
-    w.u64(round);
+    w.var(round);
     encode_state(&mut w, st);
     match solver {
         None => w.u8(0),
         Some(seed) => {
             w.u8(1);
-            w.seq(seed.idle, |w, &k| w.u64(k as u64));
+            w.seq(seed.idle, |w, &k| w.var(k as u64));
             w.seq(&seed.instance.workers, |w, wk| {
                 encode_point(w, &wk.location)
             });
-            w.seq(seed.tasks, |w, &t| w.u32(t));
+            w.seq(seed.tasks, |w, &t| w.var(u64::from(t)));
             w.seq(&seed.cache.centers, |w, c| {
-                w.u32(c.center);
+                w.var(u64::from(c.center));
                 w.seq(&c.selections, |w, sel| {
                     w.opt(sel, |w, &mask| w.u128(mask));
                 });
@@ -347,16 +446,16 @@ pub(crate) fn decode_frame(payload: &[u8]) -> Result<DecodedFrame, DurableError>
             found: u32::from(version),
         });
     }
-    let round = r.u64()?;
+    let round = r.var()?;
     let state = decode_state(&mut r)?;
     let solver = match r.u8()? {
         0 => None,
         1 => {
-            let worker_keys = r.seq(Reader::u64)?;
+            let worker_keys = r.seq(Reader::var)?;
             let locations = r.seq(decode_point)?;
-            let tasks = r.seq(Reader::u32)?;
+            let tasks = r.seq(var_u32)?;
             let centers = r.seq(|r| {
-                let center = r.u32()?;
+                let center = var_u32(r)?;
                 let selections = r.seq(|r| r.opt(Reader::u128))?;
                 Ok(CenterSeed { center, selections })
             })?;
@@ -486,8 +585,18 @@ fn fnv64(data: &[u8]) -> u64 {
 /// drill) are deliberately excluded — recovering with a different fsync
 /// policy is legitimate.
 pub(crate) fn fingerprint(scenario: &Scenario, config: &SimConfig) -> u64 {
+    // Byte strings keep the fixed-width `u64` length prefix they had
+    // before the wire codec moved to varints, so the fingerprint did not
+    // change with payload v5: a journal from an older build is refused
+    // as `BadVersion`, not as a foreign journal.
+    let bytes = |w: &mut Writer, v: &[u8]| {
+        w.u64(v.len() as u64);
+        for &b in v {
+            w.u8(b);
+        }
+    };
     let mut w = Writer::new();
-    w.bytes(b"fta-sim-state-v1");
+    bytes(&mut w, b"fta-sim-state-v1");
     w.u64(scenario.centers.len() as u64);
     w.u64(scenario.delivery_points.len() as u64);
     w.u64(scenario.workers.len() as u64);
@@ -515,10 +624,10 @@ pub(crate) fn fingerprint(scenario: &Scenario, config: &SimConfig) -> u64 {
     w.f64(config.assignment_period);
     // Policy, VDPS, budget, and fault settings are folded in through their
     // (deterministic) Debug rendering; derive-generated and stable.
-    w.bytes(format!("{:?}", config.policy).as_bytes());
-    w.bytes(format!("{:?}", config.vdps).as_bytes());
-    w.bytes(format!("{:?}", config.budget).as_bytes());
-    w.bytes(format!("{:?}", config.faults).as_bytes());
+    bytes(&mut w, format!("{:?}", config.policy).as_bytes());
+    bytes(&mut w, format!("{:?}", config.vdps).as_bytes());
+    bytes(&mut w, format!("{:?}", config.budget).as_bytes());
+    bytes(&mut w, format!("{:?}", config.faults).as_bytes());
     w.u8(u8::from(config.parallel));
     w.u8(u8::from(config.incremental));
     fnv64(&w.into_bytes())
@@ -698,16 +807,141 @@ mod tests {
         let st = sample_state();
         let mut payload = encode_frame(1, &st, None, Some(&sample_record(&st)));
         // 1 is the retired format that copied the scenario into frames, 2
-        // the one that carried the ledger record as a JSON line, and 3 the
-        // one whose center records carried a shard option; no reader for
-        // any of them is kept.
-        for version in [1u8, 2, 3, 9] {
+        // the one that carried the ledger record as a JSON line, 3 the one
+        // whose center records carried a shard option, and 4 the
+        // fixed-width one; no reader for any of them is kept.
+        for version in [1u8, 2, 3, 4, 9] {
             payload[0] = version;
             assert!(matches!(
                 decode_frame(&payload),
-                Err(DurableError::BadVersion { expected: 4, found }) if found == u32::from(version)
+                Err(DurableError::BadVersion { expected: 5, found }) if found == u32::from(version)
             ));
         }
+    }
+
+    /// Bytes `pending` adds to `st`'s frame.
+    fn pending_bytes(st: &mut LoopState, pending: Vec<Pending>) -> usize {
+        st.pending.clear();
+        let empty = encode_frame(1, st, None, None).len();
+        st.pending = pending;
+        encode_frame(1, st, None, None).len() - empty
+    }
+
+    #[test]
+    fn a_fault_free_pending_entry_takes_at_most_three_bytes() {
+        let mut st = sample_state();
+        let fresh = |task| Pending {
+            task,
+            cancel_at: None,
+            retries: 0,
+            eligible_after: 0.0,
+        };
+        // A lone entry far from index 0 (a two-byte delta plus flags), and
+        // a queue of arrivals in index order with gaps from expiries.
+        assert!(pending_bytes(&mut st, vec![fresh(5_000)]) <= 3);
+        let queue: Vec<Pending> = (0..100).map(|i| fresh(7_000 + 3 * i)).collect();
+        assert!(pending_bytes(&mut st, queue) <= 3 * 100);
+    }
+
+    #[test]
+    fn pending_fields_round_trip_in_any_order() {
+        let mut st = sample_state();
+        let entry = |task, cancel_at, retries, eligible_after| Pending {
+            task,
+            cancel_at,
+            retries,
+            eligible_after,
+        };
+        st.pending = vec![
+            entry(u32::MAX, None, 0, 0.0),
+            entry(0, Some(-0.0), u32::MAX, -0.0),
+            entry(9, None, 2, f64::NAN),
+            entry(3, Some(2.5), 0, 0.0),
+            entry(3, None, 1, 0.75),
+        ];
+        let payload = encode_frame(1, &st, None, None);
+        let decoded = decode_frame(&payload).unwrap().state.pending;
+        let key = |p: &Pending| {
+            (
+                p.task,
+                p.cancel_at.map(f64::to_bits),
+                p.retries,
+                p.eligible_after.to_bits(),
+            )
+        };
+        assert_eq!(
+            decoded.iter().map(key).collect::<Vec<_>>(),
+            st.pending.iter().map(key).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn unknown_pending_flags_are_corrupt() {
+        let mut st = sample_state();
+        st.fault_rng = None;
+        st.last_round = None;
+        st.pending = vec![Pending {
+            task: 0,
+            cancel_at: None,
+            retries: 0,
+            eligible_after: 0.0,
+        }];
+        let mut payload = encode_frame(1, &st, None, None);
+        // The frame ends [.., delta 0, flags 0, no rng, no shape, no
+        // seed, no record].
+        let flags = payload.len() - 5;
+        assert_eq!(payload[flags - 1..], [0; 6]);
+        payload[flags] = 0x08;
+        assert!(matches!(
+            decode_frame(&payload),
+            Err(DurableError::Corrupt("bad pending flags"))
+        ));
+    }
+
+    #[test]
+    fn a_day_shaped_frame_fits_in_32_kb() {
+        // Round 16 of the `day` benchmark's shape (8 centers, 400
+        // couriers, 640 points, 1 000 tasks/h), solved incrementally so
+        // the frame carries a solver seed. Fixed-width fields made it
+        // ~58 kB.
+        let scenario = Scenario::generate(
+            &crate::scenario::ScenarioConfig {
+                n_centers: 8,
+                n_workers: 400,
+                n_delivery_points: 640,
+                extent: 10.0,
+                arrival_rate: 1000.0,
+                ..crate::scenario::ScenarioConfig::default()
+            },
+            8.0,
+            5,
+        );
+        let dir = std::env::temp_dir().join(format!("fta-sim-state-day-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = SimConfig {
+            horizon: 4.0,
+            ..SimConfig::day(Algorithm::Fgt(fta_algorithms::FgtConfig::default()))
+        }
+        .with_incremental()
+        .with_durable(crate::DurableConfig {
+            snapshot_every: u64::MAX,
+            fsync: fta_durable::FsyncPolicy::Never,
+            ..crate::DurableConfig::new(&dir)
+        });
+        let _ = crate::run(&scenario, &config);
+        let log = fta_durable::read_log(&dir.join(fta_durable::WAL_FILE)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let frame = log
+            .frames
+            .iter()
+            .find(|f| decode_frame(f).unwrap().round == 16)
+            .expect("the day reaches round 16");
+        assert!(decode_frame(frame).unwrap().solver.is_some());
+        assert!(
+            frame.len() <= 32_000,
+            "round-16 frame is {} bytes",
+            frame.len()
+        );
     }
 
     #[test]
