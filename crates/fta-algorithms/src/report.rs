@@ -82,7 +82,7 @@ impl fmt::Display for SolveReport<'_> {
             let g = &o.gen_stats;
             writeln!(
                 f,
-                "vdps generation: {} sets from {} states, {} extensions ({} distance-pruned, {} deadline-pruned), dp {:.1} ms + routes {:.1} ms (merge {:.1} ms), {} chunks, {} steals, {} merge collisions",
+                "vdps generation: {} sets from {} states, {} extensions ({} distance-pruned, {} deadline-pruned), dp {:.1} ms + routes {:.1} ms",
                 g.vdps_count,
                 g.states,
                 g.extensions_tried,
@@ -90,10 +90,6 @@ impl fmt::Display for SolveReport<'_> {
                 g.pruned_by_deadline,
                 ms(g.dp_nanos),
                 ms(g.route_nanos),
-                ms(g.merge_nanos),
-                g.chunks,
-                g.steals,
-                g.merge_collisions,
             )?;
         }
         if !o.br_stats.is_empty() {

@@ -57,7 +57,7 @@ use crate::warm::WarmStart;
 use fta_core::instance::{CenterView, DpAggregate};
 use fta_core::{CancelToken, CenterId, ChurnSet, DeliveryPointId, Instance};
 use fta_vdps::{
-    delta_update, GenControl, PoolCache, StrategySpace, TaskScope, VdpsConfig, WorkerPool,
+    delta_update, GenControl, PoolCache, StrategySpace, VdpsConfig, WorkerPool,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -310,7 +310,7 @@ fn rehydrate_center(
         max_states: config.budget.max_states,
     };
     let center = view.center;
-    let space = StrategySpace::build_budgeted(instance, aggregates, view, &vdps_cfg, None, control);
+    let space = StrategySpace::build_budgeted(instance, aggregates, view, &vdps_cfg, control);
     // A truncated pool is never captured live; a seed claiming one means
     // instance and seed do not belong together.
     if space.gen_stats.truncations > 0 || seed.selections.len() != space.view.workers.len() {
@@ -398,27 +398,23 @@ pub(crate) fn solve_round(
 
     // `map_prioritized` runs the jobs heaviest first and returns their
     // results in submission (center) order.
-    let results: Vec<CenterResult> = pool.scope(|ts| {
-        let aggregates = &aggregates;
-        let jobs: Vec<(u64, _)> = instance
-            .center_views()
-            .into_iter()
-            .map(|view| {
-                let cached = prev.remove(&view.center);
-                let measured = cached
-                    .as_ref()
-                    .map(|c| (c.outcome.vdps_time + c.outcome.assign_time).as_nanos() as u64);
-                let cost = estimate_center_cost(instance, &view, config, measured);
-                let run = move |ts: &TaskScope<'_>| {
-                    resolve_center(
-                        instance, aggregates, view, capture, cached, config, ts, cancel,
-                    )
-                };
-                (cost, run)
-            })
-            .collect();
-        ts.map_prioritized(jobs)
-    });
+    let aggregates = &aggregates;
+    let jobs: Vec<(u64, _)> = instance
+        .center_views()
+        .into_iter()
+        .map(|view| {
+            let cached = prev.remove(&view.center);
+            let measured = cached
+                .as_ref()
+                .map(|c| (c.outcome.vdps_time + c.outcome.assign_time).as_nanos() as u64);
+            let cost = estimate_center_cost(instance, &view, config, measured);
+            let run = move || {
+                resolve_center(instance, aggregates, view, capture, cached, config, cancel)
+            };
+            (cost, run)
+        })
+        .collect();
+    let results: Vec<CenterResult> = pool.map_prioritized(jobs);
 
     let mut stats = ResolveStats::default();
     let mut outcomes = Vec::with_capacity(results.len());
@@ -573,7 +569,6 @@ fn resolve_center(
     capture: Option<&[u64]>,
     cached: Option<CenterCache>,
     config: &SolveConfig,
-    scope: &TaskScope<'_>,
     cancel: Option<&CancelToken>,
 ) -> CenterResult {
     if let (Some(cache), Some(keys)) = (cached, capture) {
@@ -600,7 +595,6 @@ fn resolve_center(
                 &cache,
                 config,
                 &vdps_cfg,
-                scope,
             )
         }));
         match attempt {
@@ -623,7 +617,6 @@ fn resolve_center(
         aggregates,
         view,
         config,
-        scope,
         cancel,
         capture.is_some(),
     );
@@ -704,7 +697,6 @@ fn warm_center(
     cache: &CenterCache,
     config: &SolveConfig,
     vdps_cfg: &VdpsConfig,
-    scope: &TaskScope<'_>,
 ) -> Option<(CenterOutcome, WarmStart, CenterCache)> {
     let pool_cache = &cache.capture.pool_cache;
     if !pool_cache.fits(instance, &view, vdps_cfg) {
@@ -718,14 +710,14 @@ fn warm_center(
     let space = match delta_update(instance, aggregates, &view, vdps_cfg, pool_cache) {
         Some((pool, dstats)) => {
             let gen_stats = dstats.as_gen_stats(pool.len());
-            StrategySpace::from_pool_in(instance, view, pool, gen_stats, Some(scope))
+            StrategySpace::from_pool_in(instance, view, pool, gen_stats, None)
         }
         None => {
             // The churn needs rediscovery: regenerating with the flat
             // engine is cheaper than any search seeded by the changed
             // points, and the warm start below still applies.
             fta_obs::counter("vdps.delta_regenerated", 1);
-            StrategySpace::build_in(instance, aggregates, view, vdps_cfg, Some(scope))
+            StrategySpace::build_in(instance, aggregates, view, vdps_cfg)
         }
     };
     let vdps_time = t0.elapsed();

@@ -10,14 +10,12 @@
 //! pool is [`crate::resolve::Solver`]'s. [`solve`] and
 //! [`solve_with_pool`] run that same loop once, with no cache.
 //!
-//! With `parallel = true` all per-center jobs are submitted to one shared
-//! [`WorkerPool`] bounded by `available_parallelism()` — never one OS
-//! thread per center — and the *same* pool also serves intra-center DP
-//! layer expansion inside `fta-vdps`, so a
-//! single giant center no longer serialises a run and a thousand-center
-//! instance no longer oversubscribes the machine. Results are merged in
-//! center order and per-center seeds are salted by center id, so the
-//! outcome is deterministic regardless of thread count.
+//! With `parallel = true` the per-center jobs run on one [`WorkerPool`]
+//! bounded by `available_parallelism()` — never one OS thread per center —
+//! so a thousand-center instance does not oversubscribe the machine. A
+//! center's job, generation included, runs on one thread. Results are
+//! merged in center order and per-center seeds are salted by center id,
+//! so the outcome is deterministic regardless of thread count.
 
 use crate::context::GameContext;
 use crate::degrade::{DegradationEvent, DegradationReport, LadderRung};
@@ -32,7 +30,7 @@ use crate::trace::ConvergenceTrace;
 use fta_core::instance::{CenterView, DpAggregate};
 use fta_core::{Assignment, CancelToken, CenterId, Instance, SolveBudget, WorkerId};
 use fta_vdps::{
-    GenControl, GenerationStats, PoolCache, StrategySpace, TaskScope, VdpsConfig, WorkerPool,
+    GenControl, GenerationStats, PoolCache, StrategySpace, VdpsConfig, WorkerPool,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -369,7 +367,6 @@ pub(crate) fn solve_center(
     aggregates: &[DpAggregate],
     view: CenterView,
     config: &SolveConfig,
-    scope: &TaskScope<'_>,
     cancel: Option<&CancelToken>,
     want_capture: bool,
 ) -> (CenterOutcome, Option<CenterCapture>) {
@@ -380,7 +377,6 @@ pub(crate) fn solve_center(
             aggregates,
             view.clone(),
             config,
-            scope,
             cancel,
             false,
             want_capture,
@@ -405,7 +401,6 @@ pub(crate) fn solve_center(
             aggregates,
             view,
             config,
-            scope,
             cancel,
             true,
             want_capture,
@@ -450,7 +445,6 @@ fn solve_center_attempt(
     aggregates: &[DpAggregate],
     view: CenterView,
     config: &SolveConfig,
-    scope: &TaskScope<'_>,
     cancel: Option<&CancelToken>,
     retrying: bool,
     want_capture: bool,
@@ -492,8 +486,7 @@ fn solve_center_attempt(
         token: cancel,
         max_states: config.budget.max_states,
     };
-    let space =
-        StrategySpace::build_budgeted(instance, aggregates, view, &vdps_cfg, Some(scope), control);
+    let space = StrategySpace::build_budgeted(instance, aggregates, view, &vdps_cfg, control);
     let vdps_time = t0.elapsed();
     if space.gen_stats.truncations > 0 {
         rung = rung.max(LadderRung::DegradedVdps);
@@ -641,10 +634,9 @@ pub(crate) fn install_exhaustion_hook() {
 /// Like [`solve`], on a caller-provided [`WorkerPool`]: one round of the
 /// [`crate::resolve::Solver`] loop with no cache and no capture.
 ///
-/// Every piece of parallelism in the run — per-center jobs and
-/// intra-center DP layer expansion — shares `pool`, so the
-/// number of live OS threads never exceeds `pool.threads()` regardless of
-/// how many centers the instance has. A sequential pool
+/// The run's only parallelism is one `pool` job per center, so the number
+/// of live OS threads never exceeds `pool.threads()` regardless of how
+/// many centers the instance has. A sequential pool
 /// ([`WorkerPool::sequential`]) runs everything inline on the caller's
 /// thread. The result is identical for every pool size.
 #[must_use]
@@ -834,15 +826,17 @@ mod tests {
 
     #[test]
     fn pooled_solve_reports_parallelism_counters() {
+        // Each center generates on the thread that claimed its job, so a
+        // pooled solve reports exactly the sequential solve's counters.
         let inst = multi_center_instance();
-        let outcome = solve_with_pool(
-            &inst,
-            &SolveConfig::new(Algorithm::Gta),
-            &WorkerPool::with_threads(4),
+        let config = SolveConfig::new(Algorithm::Gta);
+        let pooled = solve_with_pool(&inst, &config, &WorkerPool::with_threads(4));
+        let sequential = solve_with_pool(&inst, &config, &WorkerPool::sequential());
+        assert!(pooled.gen_stats.states > 0);
+        assert_eq!(
+            pooled.gen_stats.work_counters(),
+            sequential.gen_stats.work_counters()
         );
-        // Chunked expansion only kicks in past the frontier-size threshold;
-        // at minimum the sequential fallback counts one chunk per layer.
-        assert!(outcome.gen_stats.chunks > 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! C-VDPS generation benchmarks — the CPU-time story of Figures 2–3:
 //! ε-pruned generation vs the unpruned `-W` variant across delivery-point
 //! counts and ε values, plus the generator against the brute-force
-//! reference (naive vs the DP, sequential and pooled) and a
+//! reference (naive vs the DP) and a
 //! sequential-vs-pooled whole-solve benchmark on a multi-center instance.
 //!
 //! Set `FTA_BENCH_QUICK=1` for a CI-sized run (small sweeps, few samples).
@@ -84,15 +84,14 @@ fn bench_epsilon_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// ISSUE 2: naive reference vs hash-map oracle vs flat engine (sequential
-/// and pooled) on the unpruned DP — the configuration where generation
-/// cost dominates (Figures 2–3 `-W` CPU panels).
+/// ISSUE 2: naive reference vs hash-map oracle vs flat engine on the
+/// unpruned DP — the configuration where generation cost dominates
+/// (Figures 2–3 `-W` CPU panels).
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("vdps_engines");
     group.sample_size(sample_size());
     let sizes: &[usize] = if quick() { &[20] } else { &[20, 40, 60] };
     let config = VdpsConfig::unpruned(3);
-    let pool = WorkerPool::new();
     for &n_dps in sizes {
         let instance = syn_single_center(40, n_dps, 7);
         let aggs = instance.dp_aggregates();
@@ -108,19 +107,6 @@ fn bench_engines(c: &mut Criterion) {
                 black_box(generate_c_vdps_in(
                     &instance, &aggs, &views[0], &config, None,
                 ))
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("flat_pooled", n_dps), &n_dps, |b, _| {
-            b.iter(|| {
-                pool.scope(|ts| {
-                    black_box(generate_c_vdps_in(
-                        &instance,
-                        &aggs,
-                        &views[0],
-                        &config,
-                        Some(ts),
-                    ))
-                })
             });
         });
     }

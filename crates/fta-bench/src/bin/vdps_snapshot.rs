@@ -5,25 +5,19 @@
 //! comparison on a multi-center instance, so the generator's perf
 //! trajectory is tracked in-repo. Each generation entry also embeds a
 //! telemetry span breakdown (dp — with the adjacency build inside it — vs
-//! route vs merge milliseconds) captured via `fta-obs`. The pruned block
-//! must keep the adjacency build within
-//! [`gates::PRUNED_ADJACENCY_SHARE`] of the dp span. The ungated
-//! `generation_pooled` block times one center's generation sequentially
-//! and with its DP layers split over the worker pool, on the gMission
-//! Fig. 2 shape (1 center × 100 delivery points, unpruned, maxDP 3).
+//! route milliseconds) captured via `fta-obs`. The pruned block must keep
+//! the adjacency build within [`gates::PRUNED_ADJACENCY_SHARE`] of the dp
+//! span.
 //!
 //! Usage: `cargo run -p fta-bench --release --bin vdps_snapshot -- [OUT]`
 //! (default OUT: `BENCH_vdps.json`). Set `FTA_BENCH_QUICK=1` to halve the
 //! repetition counts (CI smoke mode).
 
 use fta_algorithms::{solve_with_pool, Algorithm, SolveConfig};
-use fta_bench::{
-    best_secs, gates, gm_default, hw_threads, interleaved_secs, median, obj, syn_single_center,
-};
+use fta_bench::{best_secs, gates, hw_threads, obj, syn_single_center};
 use fta_data::SynConfig;
 use fta_vdps::{generate_c_vdps_in, VdpsConfig, WorkerPool};
 use serde_json::Value;
-use std::hint::black_box;
 
 fn main() -> std::io::Result<()> {
     let out = std::env::args()
@@ -43,7 +37,7 @@ fn main() -> std::io::Result<()> {
             generate_c_vdps_in(&instance, &aggs, &views[0], &config, None)
         });
         // One instrumented run: the telemetry spans split the wall time
-        // into its dp (adjacency inside) / route / merge phases.
+        // into its dp (adjacency inside) / route phases.
         let recorder = fta_obs::Recorder::install();
         let (pool_ref, _) = generate_c_vdps_in(&instance, &aggs, &views[0], &config, None);
         let telemetry = recorder.finish();
@@ -61,7 +55,6 @@ fn main() -> std::io::Result<()> {
     }
 
     let pruned = generation_pruned(reps);
-    let pooled_generation = generation_pooled(if quick { 5 } else { 21 });
 
     // Whole-solve on a multi-center instance: sequential vs pooled.
     let instance = fta_data::generate_syn(
@@ -102,16 +95,14 @@ fn main() -> std::io::Result<()> {
             "description",
             Value::String(
                 "C-VDPS generation wall time (unpruned, max_len 3, \
-                 best-of-N; pruned over a paper-shape snapshot; sequential \
-                 vs pooled on one gMission center), and sequential vs \
-                 pooled multi-center solve"
+                 best-of-N; pruned over a paper-shape snapshot), and \
+                 sequential vs pooled multi-center solve"
                     .to_owned(),
             ),
         ),
         ("reps", Value::UInt(reps as u64)),
         ("generation_unpruned", Value::Array(rows)),
         ("generation_pruned", pruned),
-        ("generation_pooled", pooled_generation),
         (
             "solve_multi_center",
             obj(vec![
@@ -129,7 +120,7 @@ fn main() -> std::io::Result<()> {
     Ok(())
 }
 
-/// The dp (adjacency inside) / adjacency / routes / merge split of one
+/// The dp (adjacency inside) / adjacency / routes split of one
 /// instrumented run, in milliseconds.
 fn span_breakdown(telemetry: &fta_obs::Snapshot) -> Value {
     let span_ms = |name: &str| Value::Float(telemetry.span_nanos(name) as f64 / 1e6);
@@ -137,7 +128,6 @@ fn span_breakdown(telemetry: &fta_obs::Snapshot) -> Value {
         ("dp", span_ms("vdps.dp")),
         ("adjacency", span_ms("vdps.adjacency")),
         ("routes", span_ms("vdps.routes")),
-        ("merge", span_ms("vdps.merge")),
     ])
 }
 
@@ -194,67 +184,5 @@ fn generation_pruned(reps: usize) -> Value {
         ("ms", Value::Float(gen_s * 1e3)),
         ("span_breakdown_ms", span_breakdown(&telemetry)),
         ("hw_threads", Value::UInt(hw_threads())),
-    ])
-}
-
-/// Sequential against pooled generation of one center, the only shape
-/// where splitting DP layers over the pool can help: the gMission Fig. 2
-/// instance (`GMissionConfig::default()`: 1 center, 100 delivery points,
-/// 40 workers), unpruned with maxDP 3. The two alternate over `passes`
-/// interleaved passes; `speedup` is the median sequential time over the
-/// median pooled one, and `pooled_faster` counts the passes the pool
-/// won. Ungated: it records the number the keep/delete decision on
-/// intra-center parallelism rests on.
-fn generation_pooled(passes: usize) -> Value {
-    let instance = gm_default(7);
-    let config = VdpsConfig::unpruned(3);
-    let aggs = instance.dp_aggregates();
-    let views = instance.center_views();
-    let view = &views[0];
-    let pool = WorkerPool::new();
-    let sequential_pool = generate_c_vdps_in(&instance, &aggs, view, &config, None).0;
-    let pooled_pool =
-        pool.scope(|ts| generate_c_vdps_in(&instance, &aggs, view, &config, Some(ts)).0);
-    assert_eq!(
-        pooled_pool.len(),
-        sequential_pool.len(),
-        "pooled generation changed the pool"
-    );
-    let times = interleaved_secs(passes, 2, |r| {
-        if r == 0 {
-            black_box(generate_c_vdps_in(&instance, &aggs, view, &config, None));
-        } else {
-            black_box(
-                pool.scope(|ts| generate_c_vdps_in(&instance, &aggs, view, &config, Some(ts))),
-            );
-        }
-    });
-    let (sequential_s, pooled_s) = (median(&times[0]), median(&times[1]));
-    let pooled_faster = times[0]
-        .iter()
-        .zip(&times[1])
-        .filter(|(s, p)| p < s)
-        .count();
-    fta_obs::info!(
-        "gMission center generation: sequential {:.2} ms, pooled({}) {:.2} ms \
-         ({:.2}x, pool faster in {pooled_faster} of {passes} passes)",
-        sequential_s * 1e3,
-        pool.threads(),
-        pooled_s * 1e3,
-        sequential_s / pooled_s,
-    );
-    obj(vec![
-        ("shape", Value::String("gmission".to_owned())),
-        ("centers", Value::UInt(views.len() as u64)),
-        ("n_dps", Value::UInt(view.dps.len() as u64)),
-        ("max_dp", Value::UInt(3)),
-        ("vdps_count", Value::UInt(sequential_pool.len() as u64)),
-        ("passes", Value::UInt(passes as u64)),
-        ("threads", Value::UInt(pool.threads() as u64)),
-        ("hw_threads", Value::UInt(hw_threads())),
-        ("sequential_ms", Value::Float(sequential_s * 1e3)),
-        ("pooled_ms", Value::Float(pooled_s * 1e3)),
-        ("speedup", Value::Float(sequential_s / pooled_s)),
-        ("pooled_faster", Value::UInt(pooled_faster as u64)),
     ])
 }

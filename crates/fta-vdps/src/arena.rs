@@ -19,13 +19,11 @@
 //! high-water mark is observable through [`stats`] and asserted stable
 //! by the steady-state proptests.
 //!
-//! The arena is thread-local on purpose: flat-engine expansion chunks
-//! run on [`crate::pool::WorkerPool`] threads, and a per-thread free
-//! list gives each of them lock-free recycling without any sharing.
-//! Buffers that migrate across threads (sorted shards consumed by merge
-//! jobs) are simply dropped where they land — recycling is best-effort
-//! on the parallel path and exact on the sequential one, which is also
-//! the path the zero-allocation tests pin.
+//! The arena is thread-local on purpose: centers generate concurrently
+//! on [`crate::pool::WorkerPool`] threads, one center per job, and a
+//! per-thread free list gives each of them lock-free recycling without
+//! any sharing. A generation takes and returns every buffer on its own
+//! thread, which is what the zero-allocation tests pin.
 
 use std::cell::RefCell;
 
@@ -157,9 +155,9 @@ pub(crate) fn with<R>(f: impl FnOnce(&mut GenArena) -> R) -> R {
     ARENA.with(|a| f(&mut a.borrow_mut()))
 }
 
-/// Accounting snapshot of the *current thread's* arena. Sequential
-/// generation (no [`crate::pool::TaskScope`]) runs entirely on the
-/// calling thread, so tests can observe the steady state here.
+/// Accounting snapshot of the *current thread's* arena. A center's
+/// generation runs entirely on the calling thread, so tests can observe
+/// the steady state here.
 #[must_use]
 pub fn stats() -> ArenaStats {
     with(|a| a.stats())

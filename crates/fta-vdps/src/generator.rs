@@ -42,14 +42,12 @@ impl GenControl<'_> {
 
 /// Counters describing one generator run, used by the benchmark harness to
 /// compare pruned and unpruned generation (the paper's Figures 2–3 CPU-time
-/// panels), and to observe where generation time goes and how much
-/// intra-center parallelism contributed.
+/// panels), and to observe where generation time goes.
 ///
 /// The first five fields are *work counters*: they describe the dynamic
-/// program itself and are identical across thread counts and equal to the
-/// test oracles' (see
-/// [`GenerationStats::work_counters`]). The remaining fields are timing and
-/// parallelism diagnostics and naturally vary run to run.
+/// program itself and are equal to the test oracles' (see
+/// [`GenerationStats::work_counters`]). The two clocks naturally vary run
+/// to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GenerationStats {
     /// Dynamic-program states (`(Q, dp_j)` pairs) materialised.
@@ -68,19 +66,6 @@ pub struct GenerationStats {
     /// Wall time spent reconstructing the minimum-travel routes from the
     /// finished frontiers, nanoseconds.
     pub route_nanos: u64,
-    /// Frontier-expansion chunks scheduled (1 per layer when sequential).
-    pub chunks: usize,
-    /// Expansion/merge jobs of this generation executed by a pool thread
-    /// other than the one that submitted them (work-stealing events).
-    pub steals: usize,
-    /// During parallel shard merges: number of `(mask)` groups that were
-    /// discovered by more than one expansion chunk and had to be folded
-    /// together (each extra occurrence counts once).
-    pub merge_collisions: usize,
-    /// Wall time spent in the parallel shard-merge phase (a subset of
-    /// [`GenerationStats::dp_nanos`]), nanoseconds. 0 for sequential runs,
-    /// which never shard.
-    pub merge_nanos: u64,
     /// Generation runs that stopped at a layer boundary because a
     /// [`GenControl`] tripped (0 or 1 per center; additive under
     /// [`GenerationStats::merge`]). A truncated pool is still valid —
@@ -99,17 +84,13 @@ impl GenerationStats {
         self.vdps_count += other.vdps_count;
         self.dp_nanos += other.dp_nanos;
         self.route_nanos += other.route_nanos;
-        self.chunks += other.chunks;
-        self.steals += other.steals;
-        self.merge_collisions += other.merge_collisions;
-        self.merge_nanos += other.merge_nanos;
         self.truncations += other.truncations;
     }
 
     /// The thread-independent work counters
     /// `(states, extensions_tried, pruned_by_distance, pruned_by_deadline,
-    /// vdps_count)` — equal across thread counts and oracles for the same
-    /// input, unlike the timing/parallelism diagnostics.
+    /// vdps_count)` — equal across oracles for the same input, unlike the
+    /// clocks.
     #[must_use]
     pub fn work_counters(&self) -> (usize, usize, usize, usize, usize) {
         (
@@ -135,9 +116,6 @@ pub(crate) fn emit_generation_counters(stats: &GenerationStats) {
     fta_obs::counter("vdps.pruned_distance", stats.pruned_by_distance as u64);
     fta_obs::counter("vdps.pruned_deadline", stats.pruned_by_deadline as u64);
     fta_obs::counter("vdps.count", stats.vdps_count as u64);
-    fta_obs::counter("vdps.chunks", stats.chunks as u64);
-    fta_obs::counter("vdps.merge_collisions", stats.merge_collisions as u64);
-    fta_obs::counter("pool.steals", stats.steals as u64);
     if stats.truncations > 0 {
         fta_obs::counter("vdps.truncated", stats.truncations as u64);
     }
@@ -163,9 +141,12 @@ pub fn generate_c_vdps(
     generate_c_vdps_in(instance, aggregates, view, config, None)
 }
 
-/// Like [`generate_c_vdps`], optionally running frontier expansion and
-/// shard merges on an active worker-pool scope. The pool and the work
-/// counters are the same at every thread count.
+/// Like [`generate_c_vdps`], with the aggregates computed by the caller
+/// (once per instance, shared by every center).
+///
+/// `_pool` is unused: a center's generation always runs on the calling
+/// thread. It is kept so that the round benchmark's (`perfbench`)
+/// five-argument call sites keep compiling; pass `None`.
 ///
 /// # Panics
 ///
@@ -176,9 +157,9 @@ pub fn generate_c_vdps_in(
     aggregates: &[DpAggregate],
     view: &CenterView,
     config: &VdpsConfig,
-    scope: Option<&crate::pool::TaskScope<'_>>,
+    _pool: Option<&crate::pool::WorkerPool>,
 ) -> (VdpsPool, GenerationStats) {
-    generate_c_vdps_budgeted(instance, aggregates, view, config, scope, GenControl::NONE)
+    generate_c_vdps_budgeted(instance, aggregates, view, config, GenControl::NONE)
 }
 
 /// Like [`generate_c_vdps_in`], additionally honouring a [`GenControl`]:
@@ -196,10 +177,9 @@ pub fn generate_c_vdps_budgeted(
     aggregates: &[DpAggregate],
     view: &CenterView,
     config: &VdpsConfig,
-    scope: Option<&crate::pool::TaskScope<'_>>,
     control: GenControl<'_>,
 ) -> (VdpsPool, GenerationStats) {
-    crate::flat::generate(instance, aggregates, view, config, scope, control)
+    crate::flat::generate(instance, aggregates, view, config, control)
 }
 
 #[cfg(test)]

@@ -52,11 +52,8 @@
 //! `u128 → group` table with an inline multiply-shift hash. The per-mask
 //! best route falls out of the layout during emission, and every slot
 //! points at its predecessor's group, so the route backwalk is O(1) per
-//! hop. Large layers are expanded in chunks on the shared
-//! [`pool::WorkerPool`]; per-thread shard tables are merged by
-//! deterministic mask-range partition, which keeps the result
-//! bit-identical to a sequential run regardless of thread count or
-//! chunking.
+//! hop. A center's generation runs on one thread; the solver runs one
+//! [`pool::WorkerPool`] job per center.
 //!
 //! The pool is ordered by subset size, then mask. The tests hold it
 //! bit-identical, order included, to two oracles: the brute force of
@@ -67,15 +64,12 @@
 //!
 //! ## Worker pool
 //!
-//! [`pool::WorkerPool`] is a bounded, std-only work-stealing pool (no
-//! external dependencies). One pool instance is shared across *all*
-//! parallelism in a solve: per-center strategy-space jobs and intra-center
-//! DP layer expansion all submit to the same scoped queue, so a run never
-//! holds more OS threads than `available_parallelism()` no matter how many
-//! centers an instance has.
-//! Submitters help drain the queue while waiting (helping join), which
-//! makes nested submission deadlock-free and keeps one giant center from
-//! serializing the rest of a run.
+//! [`pool::WorkerPool`] is a bounded, std-only pool (no external
+//! dependencies) that runs one batch of independent jobs heaviest first:
+//! the solver's one job per center. A batch never holds more OS threads
+//! than the pool's budget, `available_parallelism()` by default, no
+//! matter how many centers an instance has. A job runs start to finish
+//! on one thread, so its spans and clocks measure that center alone.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -109,6 +103,6 @@ pub use delta::{delta_update, DeltaStats, PoolCache};
 pub use generator::{
     generate_c_vdps, generate_c_vdps_budgeted, generate_c_vdps_in, GenControl, GenerationStats,
 };
-pub use pool::{TaskScope, WorkerPool};
+pub use pool::WorkerPool;
 pub use schedule::schedule_route;
 pub use strategy::{StrategySpace, WorkerRows};

@@ -35,7 +35,7 @@
 use crate::columns::VdpsPool;
 use crate::config::VdpsConfig;
 use crate::generator::{generate_c_vdps_budgeted, GenControl, GenerationStats};
-use crate::pool::TaskScope;
+use crate::pool::WorkerPool;
 use fta_core::instance::{CenterView, DpAggregate, Instance};
 use fta_core::payoff::payoff_from_parts;
 use fta_core::WorkerId;
@@ -232,17 +232,16 @@ impl StrategySpace {
     /// Generates the C-VDPS pool for `view` and validates it per worker.
     ///
     /// Convenience wrapper over [`StrategySpace::build_in`] that computes
-    /// the delivery-point aggregates itself and runs sequentially.
+    /// the delivery-point aggregates itself.
     #[must_use]
     pub fn build(instance: &Instance, view: &CenterView, config: &VdpsConfig) -> Self {
         let aggregates = instance.dp_aggregates();
-        Self::build_in(instance, &aggregates, view.clone(), config, None)
+        Self::build_in(instance, &aggregates, view.clone(), config)
     }
 
     /// Generates the C-VDPS pool for `view` and validates it per worker,
     /// re-using pre-computed delivery-point `aggregates` (computed once per
-    /// *instance*, not once per center) and optionally running generation
-    /// on an active worker-pool scope.
+    /// *instance*, not once per center).
     ///
     /// Takes `view` by value: the solver hands each center job its owned
     /// view, so no clone happens on this path.
@@ -252,9 +251,8 @@ impl StrategySpace {
         aggregates: &[DpAggregate],
         view: CenterView,
         config: &VdpsConfig,
-        scope: Option<&TaskScope<'_>>,
     ) -> Self {
-        Self::build_budgeted(instance, aggregates, view, config, scope, GenControl::NONE)
+        Self::build_budgeted(instance, aggregates, view, config, GenControl::NONE)
     }
 
     /// [`StrategySpace::build_in`] with a [`GenControl`] threaded into the
@@ -267,12 +265,11 @@ impl StrategySpace {
         aggregates: &[DpAggregate],
         view: CenterView,
         config: &VdpsConfig,
-        scope: Option<&TaskScope<'_>>,
         control: GenControl<'_>,
     ) -> Self {
         let (pool, gen_stats) =
-            generate_c_vdps_budgeted(instance, aggregates, &view, config, scope, control);
-        Self::from_pool_in(instance, view, pool, gen_stats, scope)
+            generate_c_vdps_budgeted(instance, aggregates, &view, config, control);
+        Self::from_pool_in(instance, view, pool, gen_stats, None)
     }
 
     /// Validates a pre-generated pool per worker (used by tests and by the
@@ -288,16 +285,18 @@ impl StrategySpace {
     }
 
     /// Validates a pre-generated pool per worker: one sort of the pool,
-    /// then one binary search per (worker, row length). The work is too
-    /// small to split, so `_scope` is accepted for callers that hold one
-    /// and otherwise unused.
+    /// then one binary search per (worker, row length).
+    ///
+    /// `_pool` is unused: validation always runs on the calling thread. It
+    /// is kept so that the round benchmark's (`perfbench`) five-argument
+    /// call sites keep compiling; pass `None`.
     #[must_use]
     pub fn from_pool_in(
         instance: &Instance,
         view: CenterView,
         pool: VdpsPool,
         gen_stats: GenerationStats,
-        _scope: Option<&TaskScope<'_>>,
+        _pool: Option<&WorkerPool>,
     ) -> Self {
         let _span = fta_obs::span_center("vdps.strategy_space", view.center.index() as u32);
         let dc = instance.centers[view.center.index()].location;

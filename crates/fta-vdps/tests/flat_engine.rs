@@ -4,8 +4,8 @@
 //! the scale of the paper's SYN experiments — is generated
 //! deterministically, and the flat engine must (a) reproduce pinned work
 //! counters exactly, (b) produce pools bit-identical to the hash-map
-//! oracle, and (c) be invariant under pooled parallel execution, down to
-//! the strategy spaces built from the pooled pools.
+//! oracle, and (c) give the same pools and strategy spaces when centers
+//! run concurrently as pool jobs.
 
 use fta_core::route::Route;
 use fta_core::Instance;
@@ -97,51 +97,48 @@ const PINNED: [(usize, usize, usize, usize, usize); 2] = [
     (252_741, 499_360, 0, 5_825, 85_400),
 ];
 
+/// Centers generate concurrently, one pool job each, on threads whose
+/// arenas were last used by other shapes: every pool and its work
+/// counters equal the sequential run's, whatever the thread count.
 #[test]
 fn paper_scale_pools_are_thread_count_invariant() {
     let inst = paper_scale_center(7);
     let aggs = inst.dp_aggregates();
-    let views = inst.center_views();
-    let config = VdpsConfig::unpruned(3);
-
-    let (seq, seq_stats) = generate_c_vdps_in(&inst, &aggs, &views[0], &config, None);
-    assert!(!seq.is_empty());
-    for threads in [2, 4, 8] {
-        let pool = WorkerPool::with_threads(threads);
-        let (par, par_stats) =
-            pool.scope(|ts| generate_c_vdps_in(&inst, &aggs, &views[0], &config, Some(ts)));
-        assert_pools_bit_identical(&seq, &par, &format!("sequential vs {threads} threads"));
-        assert_eq!(seq_stats.work_counters(), par_stats.work_counters());
-        // At this scale the frontier passes the chunking threshold, so the
-        // pooled run must actually have split layers into multiple chunks.
-        assert!(
-            par_stats.chunks > seq_stats.chunks,
-            "pooled run did not chunk ({} vs {})",
-            par_stats.chunks,
-            seq_stats.chunks
-        );
+    let view = &inst.center_views()[0];
+    let configs = [VdpsConfig::unpruned(3), VdpsConfig::pruned(2.0, 3)];
+    let reference: Vec<_> = configs
+        .iter()
+        .map(|config| generate_c_vdps_in(&inst, &aggs, view, config, None))
+        .collect();
+    assert!(reference.iter().all(|(pool, _)| !pool.is_empty()));
+    for threads in [2, 4] {
+        let jobs: Vec<_> = (0..2 * threads)
+            .map(|k| {
+                let (inst, aggs, config) = (&inst, &aggs, &configs[k % 2]);
+                (0, move || generate_c_vdps_in(inst, aggs, view, config, None))
+            })
+            .collect();
+        let pooled = WorkerPool::with_threads(threads).map_prioritized(jobs);
+        for (k, (pool, stats)) in pooled.iter().enumerate() {
+            let (seq, seq_stats) = &reference[k % 2];
+            assert_pools_bit_identical(seq, pool, &format!("job {k} on {threads} threads"));
+            assert_eq!(seq_stats.work_counters(), stats.work_counters());
+        }
     }
 }
 
-/// Every row of a paper-scale pool — sequential, pooled, and the hash-map
-/// oracle's —
-/// equals a full `Route::build` of its stops, bit for bit in every field.
+/// Every row of a paper-scale pool — the flat engine's and the hash-map
+/// oracle's — equals a full `Route::build` of its stops, bit for bit in
+/// every field.
 #[test]
 fn paper_scale_rows_equal_full_rebuilds() {
     let inst = paper_scale_center(31);
     let aggs = inst.dp_aggregates();
     let view = &inst.center_views()[0];
-    let workers = WorkerPool::with_threads(2);
     for config in [VdpsConfig::pruned(2.0, 3), VdpsConfig::unpruned(3)] {
-        let (seq, seq_stats) = generate_c_vdps_in(&inst, &aggs, view, &config, None);
-        let (par, par_stats) =
-            workers.scope(|ts| generate_c_vdps_in(&inst, &aggs, view, &config, Some(ts)));
-        assert!(
-            par_stats.chunks > seq_stats.chunks,
-            "pooled run did not chunk"
-        );
+        let (flat, _) = generate_c_vdps_in(&inst, &aggs, view, &config, None);
         let (hashed, _) = generate_c_vdps_hashmap(&inst, &aggs, view, &config);
-        for pool in [&seq, &par, &hashed] {
+        for pool in [&flat, &hashed] {
             for r in 0..pool.len() {
                 let row = pool.row(r);
                 let built = Route::build(&inst, &aggs, view.center, row.stops.to_vec())
@@ -159,30 +156,37 @@ fn paper_scale_rows_equal_full_rebuilds() {
     }
 }
 
+/// Strategy spaces built concurrently, one pool job each, equal the
+/// sequential build worker by worker.
 #[test]
 fn paper_scale_strategy_space_is_thread_count_invariant() {
     let inst = paper_scale_center(99);
     let aggs = inst.dp_aggregates();
-    let views = inst.center_views();
+    let view = &inst.center_views()[0];
     let config = VdpsConfig::unpruned(3);
 
-    let seq = StrategySpace::build(&inst, &views[0], &config);
+    let seq = StrategySpace::build(&inst, view, &config);
     for threads in [2, 4] {
-        let pool = WorkerPool::with_threads(threads);
-        let par = pool
-            .scope(|ts| StrategySpace::build_in(&inst, &aggs, views[0].clone(), &config, Some(ts)));
-        assert_eq!(seq.n_workers(), par.n_workers());
-        assert_eq!(seq.pool.len(), par.pool.len());
-        assert_eq!(seq.total_slots(), par.total_slots());
-        for local in 0..seq.n_workers() {
-            let bits = |s: &StrategySpace| -> Vec<(u32, u64)> {
-                s.strategies(local).map(|(i, p)| (i, p.to_bits())).collect()
-            };
-            assert_eq!(
-                bits(&seq),
-                bits(&par),
-                "{threads} threads: strategies differ"
-            );
+        let jobs: Vec<_> = (0..threads)
+            .map(|_| {
+                let (inst, aggs, config) = (&inst, &aggs, &config);
+                (0, move || StrategySpace::build_in(inst, aggs, view.clone(), config))
+            })
+            .collect();
+        for par in WorkerPool::with_threads(threads).map_prioritized(jobs) {
+            assert_eq!(seq.n_workers(), par.n_workers());
+            assert_eq!(seq.pool.len(), par.pool.len());
+            assert_eq!(seq.total_slots(), par.total_slots());
+            for local in 0..seq.n_workers() {
+                let bits = |s: &StrategySpace| -> Vec<(u32, u64)> {
+                    s.strategies(local).map(|(i, p)| (i, p.to_bits())).collect()
+                };
+                assert_eq!(
+                    bits(&seq),
+                    bits(&par),
+                    "{threads} threads: strategies differ"
+                );
+            }
         }
     }
 }

@@ -8,7 +8,7 @@ use fta_core::instance::{CenterView, Instance};
 use fta_core::route::Route;
 use fta_vdps::generator::generate_c_vdps;
 use fta_vdps::naive::generate_naive;
-use fta_vdps::{generate_c_vdps_in, StrategySpace, VdpsConfig, VdpsPool, WorkerPool};
+use fta_vdps::{generate_c_vdps_in, StrategySpace, VdpsConfig, VdpsPool};
 
 #[path = "support/hashmap_dp.rs"]
 mod hashmap_dp;
@@ -212,34 +212,6 @@ proptest! {
         let (hashed, _) = generate_c_vdps_hashmap(&instance, &aggs, &views[0], &config);
         assert_rows_are_rebuilds(&instance, &views[0], &flat);
         assert_rows_are_rebuilds(&instance, &views[0], &hashed);
-    }
-
-    /// Pooled flat-engine generation is bit-identical to sequential
-    /// generation regardless of worker count.
-    #[test]
-    fn pooled_flat_generation_is_thread_count_invariant(
-        instance in arb_center(),
-        config in arb_config(),
-        threads in 2usize..6,
-    ) {
-        let aggs = instance.dp_aggregates();
-        let views = instance.center_views();
-        let (seq, seq_stats) =
-            generate_c_vdps_in(&instance, &aggs, &views[0], &config, None);
-        let pool = WorkerPool::with_threads(threads);
-        let (par, par_stats) = pool.scope(|ts| {
-            generate_c_vdps_in(&instance, &aggs, &views[0], &config, Some(ts))
-        });
-        prop_assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(par.iter()) {
-            prop_assert_eq!(a.mask, b.mask);
-            prop_assert_eq!(a.stops, b.stops);
-            prop_assert_eq!(
-                a.travel_from_dc.to_bits(),
-                b.travel_from_dc.to_bits()
-            );
-        }
-        prop_assert_eq!(seq_stats.work_counters(), par_stats.work_counters());
     }
 
     #[test]
