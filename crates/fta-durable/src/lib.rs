@@ -13,7 +13,8 @@
 //!   signature of a crash mid-append) costs exactly the torn round.
 //! * [`snapshot`] — self-checksummed full-state snapshots written via
 //!   temp-file + atomic rename, taken every N rounds, after which the log
-//!   is truncated.
+//!   is truncated. The directory keeps the newest snapshot and one
+//!   fallback.
 //! * [`Journal`] / [`recover`] — the writer and reader orchestration used
 //!   by `fta-sim`. Frame payloads are opaque bytes here; their schema (sim
 //!   state, solver-cache seed, round metadata) lives in `fta_sim::state`.
@@ -204,10 +205,10 @@ impl Journal {
 
     /// Journals one round's self-contained payload. Every
     /// `snapshot_every`-th call is a snapshot round: it writes the payload
-    /// as a snapshot and truncates the log, appending no log frame (and so
-    /// making none of the log's every-N fsyncs); the round is durable
-    /// through the snapshot's own fsyncs. Every other call appends one
-    /// log frame.
+    /// as a snapshot, deletes all older snapshots but one fallback, and
+    /// truncates the log, appending no log frame (and so making none of
+    /// the log's every-N fsyncs); the round is durable through the
+    /// snapshot's own fsyncs. Every other call appends one log frame.
     pub fn record(&mut self, round: u64, payload: &[u8]) -> Result<(), DurableError> {
         self.rounds_since_snapshot += 1;
         if self.rounds_since_snapshot < self.snapshot_every {
@@ -217,6 +218,7 @@ impl Journal {
         let _span = fta_obs::span("durable.snapshot");
         let sync = self.log.policy() != FsyncPolicy::Never;
         snapshot::write_snapshot(&self.dir, round, self.fingerprint, payload, sync)?;
+        snapshot::remove_superseded_snapshots(&self.dir)?;
         self.log.truncate()?;
         self.rounds_since_snapshot = 0;
         self.snapshots += 1;

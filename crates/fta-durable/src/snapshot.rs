@@ -131,6 +131,32 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, DurableError> {
     })
 }
 
+/// Every `snap-*.ftas` in `dir`, oldest first: zero-padded round numbers
+/// sort lexicographically.
+fn snapshot_paths(dir: &Path) -> Result<Vec<PathBuf>, DurableError> {
+    let mut paths: Vec<PathBuf> = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if name.starts_with("snap-") && name.ends_with(".ftas") {
+            paths.push(path);
+        }
+    }
+    paths.sort();
+    Ok(paths)
+}
+
+/// Deletes every snapshot in `dir` but the newest and one fallback.
+/// Recovery reads an older snapshot only when every newer one fails to
+/// validate, so two are enough to survive one corrupt file.
+pub fn remove_superseded_snapshots(dir: &Path) -> Result<(), DurableError> {
+    let paths = snapshot_paths(dir)?;
+    for path in &paths[..paths.len().saturating_sub(2)] {
+        fs::remove_file(path)?;
+    }
+    Ok(())
+}
+
 /// Scans `dir` for the newest snapshot that validates, skipping corrupt or
 /// version-mismatched files (an older valid snapshot plus a longer log
 /// replay beats refusing to recover). Returns `None` when no snapshot
@@ -138,18 +164,8 @@ pub fn read_snapshot(path: &Path) -> Result<Snapshot, DurableError> {
 pub fn latest_valid_snapshot(
     dir: &Path,
 ) -> Result<(Option<Snapshot>, Option<DurableError>), DurableError> {
-    let mut candidates: Vec<PathBuf> = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if name.starts_with("snap-") && name.ends_with(".ftas") {
-            candidates.push(path);
-        }
-    }
-    // Zero-padded round numbers sort lexicographically; newest last.
-    candidates.sort();
     let mut last_err = None;
-    for path in candidates.iter().rev() {
+    for path in snapshot_paths(dir)?.iter().rev() {
         match read_snapshot(path) {
             Ok(snap) => return Ok((Some(snap), last_err)),
             Err(e) => last_err = Some(e),

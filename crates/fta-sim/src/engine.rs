@@ -2010,6 +2010,77 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Enough couriers and tasks that every tick of a 2 h day at 1/16 h
+    /// periods has an idle courier and a pending task: 32 rounds.
+    fn staffed_scenario() -> Scenario {
+        Scenario::generate(
+            &ScenarioConfig {
+                n_workers: 64,
+                n_delivery_points: 20,
+                extent: 3.0,
+                arrival_rate: 60.0,
+                ..ScenarioConfig::default()
+            },
+            2.0,
+            8,
+        )
+    }
+
+    /// A 32-round incremental FGT day snapshotted every 4 rounds.
+    fn snapshotted_day(dir: &Path) -> SimConfig {
+        let mut cfg = SimConfig {
+            assignment_period: 1.0 / 16.0,
+            ..journaled_config(Algorithm::Fgt(FgtConfig::default()), dir)
+        }
+        .with_incremental();
+        cfg.durable.as_mut().unwrap().snapshot_every = 4;
+        cfg
+    }
+
+    fn snapshot_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.starts_with("snap-") && n.ends_with(".ftas"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_day_keeps_the_newest_snapshot_and_one_fallback() {
+        let scenario = staffed_scenario();
+        let dir = durable_dir("snap-keep");
+        let day = run(&scenario, &snapshotted_day(&dir));
+        assert_eq!(day.rounds, 32);
+        assert_eq!(
+            snapshot_files(&dir),
+            [
+                fta_durable::snapshot::snapshot_name(28),
+                fta_durable::snapshot::snapshot_name(32)
+            ]
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restore_falls_back_past_a_corrupt_newest_snapshot() {
+        let scenario = staffed_scenario();
+        let dir = durable_dir("snap-fallback");
+        let cfg = snapshotted_day(&dir);
+        let uninterrupted = run(&scenario, &cfg);
+        let newest = dir.join(fta_durable::snapshot::snapshot_name(32));
+        let mut bytes = fs::read(&newest).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        fs::write(&newest, bytes).unwrap();
+
+        let (recovered, info) = restore(&scenario, &cfg).expect("the fallback restores");
+        assert_eq!((info.snapshot_round, info.resumed_round), (Some(28), 28));
+        assert_eq!(recovered, uninterrupted);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn restore_refuses_foreign_journal() {
         // A journal written under a different scenario must be refused,
