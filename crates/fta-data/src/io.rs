@@ -155,6 +155,27 @@ mod tests {
         let _ = fs::remove_file(&path);
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn mutated_instance_files_load_or_fail_typed(
+            kind in 0u8..6,
+            at in 0.0f64..1.0,
+            span in 0.0f64..1.0,
+            bits in 0u8..=255,
+        ) {
+            // Bit flips, truncation, splices, duplicated and reordered
+            // lines: loading (parse, then `validate`) returns an instance
+            // or an `IoError`, and never panics.
+            let path = temp_path("mutated.json");
+            let json = serde_json::to_string_pretty(&small_instance()).unwrap();
+            fs::write(&path, fta_obs::mutate::mutate(&json, kind, at, span, bits)).unwrap();
+            let _ = load_instance(&path);
+            let _ = fs::remove_file(&path);
+        }
+    }
+
     #[test]
     fn rejects_invariant_violations() {
         let path = temp_path("invalid.json");

@@ -76,8 +76,7 @@
 pub mod hist;
 pub mod ledger;
 pub mod logging;
-#[cfg(test)]
-mod mutate;
+pub mod mutate;
 pub mod recorder;
 pub mod ring;
 pub mod snapshot;

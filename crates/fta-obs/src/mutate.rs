@@ -1,5 +1,6 @@
 //! Byte mutations of a reader's valid input, for the "parse or fail
-//! typed, never panic" proptests of the text readers.
+//! typed, never panic" proptests of the text readers (this crate's and
+//! the other crates' on-disk formats).
 
 /// One mutation of `base`, chosen by `kind` (taken modulo 6):
 ///
@@ -13,7 +14,7 @@
 /// `at` and `span` are fractions in `[0, 1)` of the relevant length. The
 /// result is read as UTF-8 with invalid sequences replaced, since the
 /// readers take text.
-pub(crate) fn mutate(base: &str, kind: u8, at: f64, span: f64, bits: u8) -> String {
+pub fn mutate(base: &str, kind: u8, at: f64, span: f64, bits: u8) -> String {
     let b = base.as_bytes();
     let pos = ((b.len() as f64) * at) as usize;
     let bytes: Vec<u8> = match kind % 6 {

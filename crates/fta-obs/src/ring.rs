@@ -913,6 +913,50 @@ mod tests {
         assert!(empty.events.is_empty());
     }
 
+    /// A dump with every event kind, two threads, optional and present
+    /// centers, and a full header: valid input for the mutation proptest.
+    fn rich_dump_text() -> String {
+        let header = "{\"schema\":\"fta-flight\",\"version\":1,\"reason\":\"panic\",\"center\":3,\
+                      \"dumped_unix_ms\":1700000000000,\"threads\":2,\"dropped\":4,\"rate_ms\":1000}";
+        let mut lines = vec![header.to_owned()];
+        let kinds = ["counter", "gauge", "hist", "span", "round", "mark"];
+        for (i, kind) in kinds.iter().enumerate() {
+            let center = if i % 2 == 0 { "null".to_owned() } else { i.to_string() };
+            lines.push(format!(
+                "{{\"type\":\"event\",\"thread\":{},\"seq\":{},\"t_ns\":{},\"kind\":\"{kind}\",\
+                 \"name\":\"ring.fuzz\",\"value\":{},\"center\":{center}}}",
+                i % 2,
+                i / 2,
+                100 * i,
+                7 * i
+            ));
+        }
+        lines.join("\n") + "\n"
+    }
+
+    #[test]
+    fn rich_dump_parses() {
+        let dump = parse(&rich_dump_text()).unwrap();
+        assert_eq!((dump.events.len(), dump.center, dump.dropped), (6, Some(3), 4));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn mutated_dumps_parse_or_fail_typed(
+            kind in 0u8..6,
+            at in 0.0f64..1.0,
+            span in 0.0f64..1.0,
+            bits in 0u8..=255,
+        ) {
+            // Bit flips, truncation, splices, duplicated and reordered
+            // lines: the reader returns a dump or a `FlightError`, and
+            // never panics.
+            let _ = parse(&crate::mutate::mutate(&rich_dump_text(), kind, at, span, bits));
+        }
+    }
+
     #[test]
     fn anomaly_dump_writes_rate_limited_snapshots() {
         let _guard = serialize_recorder_tests();
