@@ -56,9 +56,7 @@ use crate::trace::ConvergenceTrace;
 use crate::warm::WarmStart;
 use fta_core::instance::{CenterView, DpAggregate};
 use fta_core::{CancelToken, CenterId, ChurnSet, DeliveryPointId, Instance};
-use fta_vdps::{
-    delta_update, GenControl, PoolCache, StrategySpace, VdpsConfig, WorkerPool,
-};
+use fta_vdps::{delta_update, GenControl, PoolCache, StrategySpace, VdpsConfig, WorkerPool};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -408,9 +406,8 @@ pub(crate) fn solve_round(
                 .as_ref()
                 .map(|c| (c.outcome.vdps_time + c.outcome.assign_time).as_nanos() as u64);
             let cost = estimate_center_cost(instance, &view, config, measured);
-            let run = move || {
-                resolve_center(instance, aggregates, view, capture, cached, config, cancel)
-            };
+            let run =
+                move || resolve_center(instance, aggregates, view, capture, cached, config, cancel);
             (cost, run)
         })
         .collect();
@@ -561,7 +558,6 @@ fn center_is_clean(
 /// One center of a round: clean short-circuit, then the warm path
 /// (panic-isolated), then the cold fallback. With `capture` unset there
 /// is no cache to consult and none is kept.
-#[allow(clippy::too_many_arguments)]
 fn resolve_center(
     instance: &Instance,
     aggregates: &[DpAggregate],
@@ -688,7 +684,6 @@ fn remap_profile(cache: &CenterCache, keys: &[u64], space: &StrategySpace) -> Ve
 /// around it, replay the remapped equilibrium, and run a single warm
 /// best-response pass. Returns `None` when the cached pool does not fit
 /// this round at all ([`PoolCache::fits`]), sending the center cold.
-#[allow(clippy::too_many_arguments)]
 fn warm_center(
     instance: &Instance,
     aggregates: &[DpAggregate],

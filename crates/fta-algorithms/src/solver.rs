@@ -29,9 +29,7 @@ use crate::stats::BestResponseStats;
 use crate::trace::ConvergenceTrace;
 use fta_core::instance::{CenterView, DpAggregate};
 use fta_core::{Assignment, CancelToken, CenterId, Instance, SolveBudget, WorkerId};
-use fta_vdps::{
-    GenControl, GenerationStats, PoolCache, StrategySpace, VdpsConfig, WorkerPool,
-};
+use fta_vdps::{GenControl, GenerationStats, PoolCache, StrategySpace, VdpsConfig, WorkerPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -439,7 +437,6 @@ pub(crate) fn solve_center(
 /// One attempt at solving a center, descending the degradation ladder as
 /// the budget demands. `retrying = true` (the post-panic path) forces the
 /// bottom useful rung: single-delivery-point routes assigned greedily.
-#[allow(clippy::too_many_arguments)]
 fn solve_center_attempt(
     instance: &Instance,
     aggregates: &[DpAggregate],

@@ -149,7 +149,7 @@ fn snapshot_paths(dir: &Path) -> Result<Vec<PathBuf>, DurableError> {
 /// Deletes every snapshot in `dir` but the newest and one fallback.
 /// Recovery reads an older snapshot only when every newer one fails to
 /// validate, so two are enough to survive one corrupt file.
-pub fn remove_superseded_snapshots(dir: &Path) -> Result<(), DurableError> {
+pub(crate) fn remove_superseded_snapshots(dir: &Path) -> Result<(), DurableError> {
     let paths = snapshot_paths(dir)?;
     for path in &paths[..paths.len().saturating_sub(2)] {
         fs::remove_file(path)?;

@@ -73,7 +73,7 @@ pub enum Event {
     },
     /// A gauge sample aggregated by maximum (e.g. peak queue depth).
     GaugeMax {
-        /// Static gauge name, e.g. `"pool.queue_depth"`.
+        /// Static gauge name, e.g. `"sim.pending_peak"`.
         name: &'static str,
         /// Observed value; the snapshot keeps the maximum.
         value: u64,

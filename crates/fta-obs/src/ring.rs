@@ -921,7 +921,11 @@ mod tests {
         let mut lines = vec![header.to_owned()];
         let kinds = ["counter", "gauge", "hist", "span", "round", "mark"];
         for (i, kind) in kinds.iter().enumerate() {
-            let center = if i % 2 == 0 { "null".to_owned() } else { i.to_string() };
+            let center = if i % 2 == 0 {
+                "null".to_owned()
+            } else {
+                i.to_string()
+            };
             lines.push(format!(
                 "{{\"type\":\"event\",\"thread\":{},\"seq\":{},\"t_ns\":{},\"kind\":\"{kind}\",\
                  \"name\":\"ring.fuzz\",\"value\":{},\"center\":{center}}}",
@@ -937,7 +941,10 @@ mod tests {
     #[test]
     fn rich_dump_parses() {
         let dump = parse(&rich_dump_text()).unwrap();
-        assert_eq!((dump.events.len(), dump.center, dump.dropped), (6, Some(3), 4));
+        assert_eq!(
+            (dump.events.len(), dump.center, dump.dropped),
+            (6, Some(3), 4)
+        );
     }
 
     proptest::proptest! {

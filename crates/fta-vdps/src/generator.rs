@@ -144,7 +144,7 @@ pub fn generate_c_vdps(
 /// Like [`generate_c_vdps`], with the aggregates computed by the caller
 /// (once per instance, shared by every center).
 ///
-/// `_pool` is unused: a center's generation always runs on the calling
+/// `_workers` is unused: a center's generation always runs on the calling
 /// thread. It is kept so that the round benchmark's (`perfbench`)
 /// five-argument call sites keep compiling; pass `None`.
 ///
@@ -157,7 +157,7 @@ pub fn generate_c_vdps_in(
     aggregates: &[DpAggregate],
     view: &CenterView,
     config: &VdpsConfig,
-    _pool: Option<&crate::pool::WorkerPool>,
+    _workers: Option<&crate::pool::WorkerPool>,
 ) -> (VdpsPool, GenerationStats) {
     generate_c_vdps_budgeted(instance, aggregates, view, config, GenControl::NONE)
 }

@@ -22,6 +22,8 @@
 //! batch the panics are counted as `pool.panics_caught` and the first is
 //! re-raised on the submitting thread, where higher layers (the
 //! per-center solver) can quarantine it.
+//!
+//! Each batch counts one `pool.batches`.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,13 +85,17 @@ impl WorkerPool {
         T: Send,
         F: FnOnce() -> T + Send,
     {
+        fta_obs::counter("pool.batches", 1);
         let n = jobs.len();
-        let mut indexed: Vec<(usize, (u64, F))> = jobs.into_iter().enumerate().collect();
-        indexed.sort_by(|(a, (ca, _)), (b, (cb, _))| cb.cmp(ca).then(a.cmp(b)));
-        let queue: Vec<(usize, Mutex<Option<F>>)> = indexed
+        let mut by_cost: Vec<(usize, (u64, F))> = jobs.into_iter().enumerate().collect();
+        // A stable sort: equal costs keep their input order.
+        by_cost.sort_by_key(|(_, (cost, _))| std::cmp::Reverse(*cost));
+        let queue: Vec<(usize, Mutex<Option<F>>)> = by_cost
             .into_iter()
             .map(|(i, (_, job))| (i, Mutex::new(Some(job))))
             .collect();
+        // `Relaxed`: the cursor only hands out indices; each slot's mutex
+        // publishes its job, and joining the threads publishes results.
         let cursor = AtomicUsize::new(0);
         let drain = || {
             let mut done = Vec::new();
@@ -156,7 +162,10 @@ mod tests {
     use super::*;
 
     /// `n` jobs of equal cost computing `f(i)`.
-    fn uniform<T>(n: u64, f: impl Fn(u64) -> T + Copy + Send) -> Vec<(u64, impl FnOnce() -> T + Send)> {
+    fn uniform<T>(
+        n: u64,
+        f: impl Fn(u64) -> T + Copy + Send,
+    ) -> Vec<(u64, impl FnOnce() -> T + Send)> {
         (0..n).map(|i| (0, move || f(i))).collect()
     }
 

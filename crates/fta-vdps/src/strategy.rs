@@ -287,7 +287,7 @@ impl StrategySpace {
     /// Validates a pre-generated pool per worker: one sort of the pool,
     /// then one binary search per (worker, row length).
     ///
-    /// `_pool` is unused: validation always runs on the calling thread. It
+    /// `_workers` is unused: validation always runs on the calling thread. It
     /// is kept so that the round benchmark's (`perfbench`) five-argument
     /// call sites keep compiling; pass `None`.
     #[must_use]
@@ -296,7 +296,7 @@ impl StrategySpace {
         view: CenterView,
         pool: VdpsPool,
         gen_stats: GenerationStats,
-        _pool: Option<&WorkerPool>,
+        _workers: Option<&WorkerPool>,
     ) -> Self {
         let _span = fta_obs::span_center("vdps.strategy_space", view.center.index() as u32);
         let dc = instance.centers[view.center.index()].location;

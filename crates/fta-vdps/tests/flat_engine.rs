@@ -115,7 +115,9 @@ fn paper_scale_pools_are_thread_count_invariant() {
         let jobs: Vec<_> = (0..2 * threads)
             .map(|k| {
                 let (inst, aggs, config) = (&inst, &aggs, &configs[k % 2]);
-                (0, move || generate_c_vdps_in(inst, aggs, view, config, None))
+                (0, move || {
+                    generate_c_vdps_in(inst, aggs, view, config, None)
+                })
             })
             .collect();
         let pooled = WorkerPool::with_threads(threads).map_prioritized(jobs);
@@ -170,7 +172,9 @@ fn paper_scale_strategy_space_is_thread_count_invariant() {
         let jobs: Vec<_> = (0..threads)
             .map(|_| {
                 let (inst, aggs, config) = (&inst, &aggs, &config);
-                (0, move || StrategySpace::build_in(inst, aggs, view.clone(), config))
+                (0, move || {
+                    StrategySpace::build_in(inst, aggs, view.clone(), config)
+                })
             })
             .collect();
         for par in WorkerPool::with_threads(threads).map_prioritized(jobs) {
