@@ -5,39 +5,18 @@
 //! [`fta_vdps::StrategySpace`], with Definition 8's
 //! disjointness tracked as a single `u128` bitmask union — checking whether
 //! a candidate VDPS conflicts with everyone else's selection is one AND.
+//!
+//! The monotone best-response queries ([`GameContext::best_available`]
+//! for FGT/PFGT, [`GameContext::better_available`] for IEGT) make one pass
+//! over the worker's valid prefixes of the sorted pool, skipping a prefix
+//! whose reach the others' taken mask covers, and return the work that
+//! pass did as a [`ScanWork`]: the rows of the prefixes it walked
+//! (`candidates_scanned`) and whether it skipped a non-empty one
+//! (`early_exits`). Nothing runs a second pass to count.
 
 use fta_core::{Assignment, WorkerId};
-use fta_vdps::{kernel, StrategySpace};
-
-/// Work counters of one monotone best-response query, stated as a
-/// first-hit scan over the worker's list in (payoff descending, pool index
-/// ascending) order would have done it. The query itself is one pass over
-/// the worker's valid rows; the counters keep the payoff-order meaning so
-/// `BestResponseStats` stays comparable across versions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DescScan {
-    /// Slots examined (including the one that terminated the scan).
-    pub scanned: u64,
-    /// Whether the scan stopped before exhausting the worker's list.
-    pub early_exit: bool,
-}
-
-impl DescScan {
-    /// Counters of a scan over `len` slots that stopped at zero-based
-    /// payoff-order rank `stop`, or ran off the end when `stop` is `None`.
-    fn stopped_at(stop: Option<usize>, len: usize) -> Self {
-        match stop {
-            Some(rank) if rank < len => Self {
-                scanned: (rank + 1) as u64,
-                early_exit: rank + 1 < len,
-            },
-            _ => Self {
-                scanned: len as u64,
-                early_exit: false,
-            },
-        }
-    }
-}
+use fta_vdps::kernel::{self, ScanWork};
+use fta_vdps::StrategySpace;
 
 /// Mutable selection state over one center's strategy space.
 #[derive(Debug, Clone)]
@@ -58,12 +37,6 @@ pub struct GameContext<'a> {
     /// call). Floating-point drift versus a fresh fold is bounded by a few
     /// ulps per switch, far below every decision margin in this crate.
     total: f64,
-    /// Per local worker: the pool index of the last
-    /// [`GameContext::best_available`] winner and its payoff-order rank
-    /// (`u32::MAX` before the first). The rank depends only on the
-    /// worker's fixed strategy set, so a repeated winner — the common case
-    /// once the game settles — skips the counting pass.
-    last_rank: Vec<(u32, u32)>,
 }
 
 impl<'a> GameContext<'a> {
@@ -78,7 +51,6 @@ impl<'a> GameContext<'a> {
             payoffs: vec![0.0; n],
             own_masks: vec![0; n],
             total: 0.0,
-            last_rank: vec![(u32::MAX, 0); n],
         }
     }
 
@@ -242,47 +214,33 @@ impl<'a> GameContext<'a> {
         kernel::best_open(&rows, other_taken).map(|(pos, p)| (rows.pool_idx[pos], p))
     }
 
-    /// [`GameContext::best_open`] plus the scan counters: the winner's
-    /// payoff-order rank plus one, or the number of valid strategies when
-    /// nothing is open.
+    /// [`GameContext::best_open`] plus the work its pass did (see
+    /// [`ScanWork`]).
     #[must_use]
-    pub fn best_available(&mut self, local: usize) -> (Option<(u32, f64)>, DescScan) {
-        let best = self.best_open(local);
-        let rank = best.map(|(idx, p)| {
-            let (last_idx, last_rank) = &mut self.last_rank[local];
-            if *last_idx != idx {
-                *last_idx = idx;
-                *last_rank = kernel::payoff_rank(&self.space.rows(local), idx, p) as u32;
-            }
-            *last_rank as usize
-        });
-        (
-            best,
-            DescScan::stopped_at(rank, self.space.strategy_count(local)),
-        )
+    pub fn best_available(&self, local: usize) -> (Option<(u32, f64)>, ScanWork) {
+        let other_taken = self.taken & !self.own_masks[local];
+        let work = kernel::reach_work(&self.space.rows(local), other_taken);
+        (self.best_open(local), work)
     }
 
     /// Collects every *available* strategy of the `local`-th worker whose
     /// payoff strictly exceeds `threshold`, in ascending pool-index order
-    /// (exactly the sequence the exhaustive ascending filter produces).
-    /// The counters are those of a payoff-order scan that stops at the
-    /// first payoff at or below the threshold.
+    /// (exactly the sequence the exhaustive ascending filter produces), and
+    /// returns the work the pass did (see [`ScanWork`]).
     pub fn better_available(
         &self,
         local: usize,
         threshold: f64,
         out: &mut Vec<(u32, f64)>,
-    ) -> DescScan {
+    ) -> ScanWork {
         out.clear();
         let rows = self.space.rows(local);
         let other_taken = self.taken & !self.own_masks[local];
-        let above = kernel::for_each_better(&rows, threshold, other_taken, |pos, p| {
+        kernel::for_each_better(&rows, threshold, other_taken, |pos, p| {
             out.push((rows.pool_idx[pos], p));
         });
         out.sort_unstable_by_key(|&(idx, _)| idx);
-        // The payoff-order scan examines every strategy above the
-        // threshold, then stops on the first one that is not.
-        DescScan::stopped_at(Some(above), self.space.strategy_count(local))
+        kernel::reach_work(&rows, other_taken)
     }
 
     /// Materialises the current selection as an [`Assignment`].
@@ -484,7 +442,8 @@ mod tests {
             );
             let (got, scan) = ctx.best_available(local);
             assert_eq!(got, expect, "worker {local}");
-            assert!(scan.scanned >= 1);
+            assert_eq!(scan.scanned, s.strategy_count(local) as u64);
+            assert!(!scan.skipped_prefix, "nothing is taken");
         }
         // Occupy dps so some strategies are blocked, and re-check.
         let dp12 = s.pool.masks().iter().position(|&m| m == 0b110).unwrap() as u32;

@@ -13,6 +13,18 @@
 //! [`FgtConfig::min_improvement`]); together with the round cap this
 //! guarantees termination even in the degenerate tie cases the paper's
 //! potential argument glosses over.
+//!
+//! Near an equilibrium almost every turn changes nothing, and the default
+//! engine charges such a turn only for finding the worker's best open
+//! strategy. The rival payoffs live in a history-independent
+//! [`RivalSet`] (its reads depend on the stored multiset alone), so the
+//! fast path touches it only on candidate turns — where the best open
+//! strategy differs from the current selection — and still reads the
+//! same floats as the exhaustive engine, which updates it on every turn.
+//! The work counters ([`BestResponseStats`]) come from the passes that
+//! run: `candidates_scanned` is the rows in the prefixes the reach test
+//! let through, `early_exits` the turns on which it skipped a non-empty
+//! prefix.
 
 use crate::context::GameContext;
 use crate::random::random_init;
@@ -41,9 +53,10 @@ pub enum BestResponseEngine {
     /// own payoff whenever `β < 1` and `α ≥ 0` (see
     /// [`fastpath_sound`]), the best response is simply the
     /// highest-payoff available strategy — one argmax pass over the
-    /// worker's valid rows (one test per row length when nothing is open)
-    /// and at most two IAU evaluations per turn, made only when the
-    /// candidate differs from the current selection. When the IAU parameters leave the sound
+    /// worker's valid rows (one test per row length when nothing is open).
+    /// Only a turn whose candidate differs from the current selection
+    /// updates the [`RivalSet`] and makes the two IAU evaluations of the
+    /// switch rule. When the IAU parameters leave the sound
     /// regime the run transparently falls back to the [`Incremental`]
     /// loop, bit-identically (observable as
     /// `BestResponseStats::fastpath_rounds == 0`).
@@ -369,18 +382,21 @@ fn fgt_once_incremental(
     trace
 }
 
-/// Monotone fast-path engine: one [`RivalSet`] maintained across the run
-/// (exactly like the incremental engine, so the trace summaries are
-/// bit-identical), but the best response is found *without* evaluating the
-/// IAU of every candidate: by the monotonicity argument documented on
-/// [`fastpath_sound`], the utility-argmax equals the payoff-argmax, so a
-/// single argmax pass over the worker's slots (first strict payoff maximum
-/// among the available ones) identifies the candidate. The switch rule
-/// then needs two IAU evaluations, the current utility and the
-/// candidate's, and only when the candidate differs from the current
-/// selection (otherwise no switch is possible, whatever they are). It is
-/// applied to the same floats the exhaustive evaluation would have
-/// computed. `candidate_evaluations` counts the two on every turn.
+/// Monotone fast-path engine: one [`RivalSet`] across the run, like the
+/// incremental engine, but the best response is found *without*
+/// evaluating the IAU of every candidate: by the monotonicity argument
+/// documented on [`fastpath_sound`], the utility-argmax equals the
+/// payoff-argmax, so a single argmax pass over the worker's valid rows
+/// (first strict payoff maximum among the available ones) identifies the
+/// candidate. When the candidate is the current selection no switch is
+/// possible, and the turn costs that pass alone: the rival set is not
+/// touched. Otherwise the turn removes the worker's payoff, evaluates the
+/// current utility and the candidate's, and inserts the adopted payoff.
+/// Because every [`RivalSet`] read depends only on the stored multiset,
+/// those evaluations, and the per-round summaries, are the same floats the
+/// incremental engine computes with its remove and insert on every turn.
+/// `candidate_evaluations` counts the two evaluations on every turn;
+/// `evaluator_updates` counts the updates made.
 ///
 /// Only dispatched when [`fastpath_sound`] holds for the configured IAU
 /// weights; [`fgt_once`] otherwise falls back to the incremental loop.
@@ -414,28 +430,27 @@ fn fgt_once_fastpath(
         trace.stats.fastpath_rounds += 1;
         let mut moves = 0;
         for local in 0..n {
-            let own = ctx.payoff(local);
-            rivals.remove(own);
-            trace.stats.evaluator_updates += 1;
-
             // Monotone best response: highest-payoff available strategy,
             // null unless its payoff strictly exceeds 0.
             let (found, scan) = ctx.best_available(local);
             trace.stats.candidates_scanned += scan.scanned;
-            if scan.early_exit {
+            if scan.skipped_prefix {
                 trace.stats.early_exits += 1;
             }
             let (choice, payoff) = match found {
                 Some((idx, payoff)) if payoff > 0.0 => (Some(idx), payoff),
                 _ => (None, 0.0),
             };
-            // The switch rule is defined over the current utility and the
-            // candidate's; both are pure, so they are only computed when a
-            // switch is possible at all.
             trace.stats.candidate_evaluations += 2;
-            if choice != ctx.selection(local)
-                && rivals.eval(payoff) > rivals.eval(own) + config.min_improvement
-            {
+            // A worker already on its best open strategy cannot switch, so
+            // only a candidate turn takes its payoff out of the rival set,
+            // evaluates the switch rule, and puts the adopted payoff back.
+            if choice == ctx.selection(local) {
+                continue;
+            }
+            let own = ctx.payoff(local);
+            rivals.remove(own);
+            if rivals.eval(payoff) > rivals.eval(own) + config.min_improvement {
                 ctx.set_strategy(local, choice);
                 moves += 1;
                 trace.stats.switches += 1;
@@ -444,7 +459,7 @@ fn fgt_once_fastpath(
                 }
             }
             rivals.insert(ctx.payoff(local));
-            trace.stats.evaluator_updates += 1;
+            trace.stats.evaluator_updates += 2;
         }
         trace.snapshot(ctx.payoffs());
         trace.record_summary(
@@ -467,13 +482,38 @@ fn fgt_once_fastpath(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use fta_core::iau::IauEvaluator;
     use fta_core::Instance;
     use fta_data::{generate_syn, SynConfig};
     use fta_vdps::{StrategySpace, VdpsConfig};
     use proptest::prelude::*;
+
+    /// The work counters' definition for one turn of a fast-path pass,
+    /// recomputed from the worker's valid strategies: grouped by row
+    /// length, a group whose masks' union lies inside the others' taken
+    /// mask is skipped and every other group's rows are scanned. Returns
+    /// `(scanned, skipped a non-empty group)`.
+    pub(crate) fn reach_oracle(ctx: &GameContext<'_>, local: usize) -> (u64, bool) {
+        let space = ctx.space();
+        let others = ctx.taken_mask() & !ctx.own_mask(local);
+        let mut groups: std::collections::BTreeMap<usize, (u64, u128)> = Default::default();
+        for (idx, _) in space.strategies(local) {
+            let group = groups.entry(space.pool.row_len(idx as usize)).or_default();
+            group.0 += 1;
+            group.1 |= space.pool.mask(idx as usize);
+        }
+        groups
+            .values()
+            .fold((0, false), |(scanned, skipped), &(rows, union)| {
+                if union & !others != 0 {
+                    (scanned + rows, skipped)
+                } else {
+                    (scanned, true)
+                }
+            })
+    }
 
     /// The reference best response: a fresh sorted [`IauEvaluator`] over
     /// the `n−1` rivals for every worker in every round (`O(n² log n)`
@@ -483,6 +523,29 @@ mod tests {
         config: &FgtConfig,
         init: Option<u64>,
         cancel: Option<&CancelToken>,
+    ) -> ConvergenceTrace {
+        rebuild(ctx, config, init, cancel, false)
+    }
+
+    /// [`fgt_once_rebuild`] counting what the fast path's passes should:
+    /// `candidates_scanned` and `early_exits` by [`reach_oracle`], and two
+    /// `evaluator_updates` per turn whose best response differs from the
+    /// current selection.
+    fn fgt_once_rebuild_counting_reach(
+        ctx: &mut GameContext<'_>,
+        config: &FgtConfig,
+        init: Option<u64>,
+        cancel: Option<&CancelToken>,
+    ) -> ConvergenceTrace {
+        rebuild(ctx, config, init, cancel, true)
+    }
+
+    fn rebuild(
+        ctx: &mut GameContext<'_>,
+        config: &FgtConfig,
+        init: Option<u64>,
+        cancel: Option<&CancelToken>,
+        count_reach: bool,
     ) -> ConvergenceTrace {
         if let Some(seed) = init {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -513,7 +576,13 @@ mod tests {
                 let current_utility = eval.eval(ctx.payoff(local));
                 // Candidate set: null (payoff 0) plus every available VDPS.
                 // The availability filter probes the worker's entire list.
-                trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
+                if count_reach {
+                    let (scanned, skipped) = reach_oracle(ctx, local);
+                    trace.stats.candidates_scanned += scanned;
+                    trace.stats.early_exits += u64::from(skipped);
+                } else {
+                    trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
+                }
                 let mut best: Option<(Option<u32>, f64)> = Some((None, eval.eval(0.0)));
                 trace.stats.candidate_evaluations += 2;
                 for (idx, payoff) in ctx.available_strategies(local) {
@@ -524,6 +593,9 @@ mod tests {
                     }
                 }
                 let (choice, utility) = best.expect("null is always a candidate");
+                if count_reach && choice != ctx.selection(local) {
+                    trace.stats.evaluator_updates += 2;
+                }
                 if utility > current_utility + config.min_improvement
                     && choice != ctx.selection(local)
                 {
@@ -558,6 +630,8 @@ mod tests {
     enum Loop {
         /// The per-turn rebuild oracle, restarts included.
         Oracle,
+        /// The same, counting as [`fgt_once_rebuild_counting_reach`] does.
+        ReachOracle,
         /// A production engine through [`fgt`].
         Engine(BestResponseEngine),
     }
@@ -571,6 +645,9 @@ mod tests {
         let mut ctx = GameContext::new(s);
         let trace = match with {
             Loop::Oracle => best_of_restarts(&mut ctx, &config, None, fgt_once_rebuild),
+            Loop::ReachOracle => {
+                best_of_restarts(&mut ctx, &config, None, fgt_once_rebuild_counting_reach)
+            }
             Loop::Engine(engine) => fgt(&mut ctx, &FgtConfig { engine, ..config }),
         };
         (ctx, trace)
@@ -841,41 +918,117 @@ mod tests {
         );
     }
 
+    /// On production shapes — two centers of perfbench's `dense` (about
+    /// 300 workers over 60 points each) and ten of `paper` (about 10
+    /// workers over 60 points each), default restarts — the fast path
+    /// makes the same selections, with the same payoff bits, as the
+    /// per-turn rebuild oracle.
+    ///
+    /// Why agreement here is enough for `β < 1`: for fixed rivals,
+    /// `U(p) − U(o)` has the sign of `p − o` and a magnitude of at least
+    /// `(1 − β)·|p − o|` (the slope bound in [`fastpath_sound`]'s proof),
+    /// and at most `(1 + α)·|p − o|`. The oracle sums the inequity terms
+    /// in another order (a sorted prefix sum, not a treap walk), which
+    /// moves each utility by a few ulps. That can flip the switch rule
+    /// `U(p) > U(o) + min_improvement` only when the true margin lies
+    /// within those ulps of `min_improvement` = 1e-9, that is when
+    /// `0 < p − o ≲ 1e-9 / (1 − β)` = 2·10⁻⁹ at the default weights. The
+    /// fast path's candidate never pays less than the current strategy,
+    /// so every other turn decides the same way in both loops, and a
+    /// payoff gap that small between two of a worker's strategies does
+    /// not occur on these shapes.
+    #[test]
+    fn fastpath_matches_the_rebuild_oracle_on_production_shapes() {
+        let shape = |n_centers, n_workers, n_tasks, n_delivery_points, seed| {
+            generate_syn(
+                &SynConfig {
+                    n_centers,
+                    n_workers,
+                    n_tasks,
+                    n_delivery_points,
+                    ..SynConfig::bench_scale()
+                },
+                seed,
+            )
+        };
+        let dense = shape(2, 600, 3_000, 120, 5);
+        let paper = shape(10, 100, 1_000, 600, 3);
+        let mut checked = 0;
+        for inst in [&dense, &paper] {
+            for view in inst.center_views() {
+                let s = StrategySpace::build(inst, &view, &VdpsConfig::pruned(2.0, 3));
+                let run = |with| {
+                    let (ctx, trace) = play(&s, FgtConfig::default(), with);
+                    let picks: Vec<(Option<u32>, u64)> = (0..ctx.n_workers())
+                        .map(|l| (ctx.selection(l), ctx.payoff(l).to_bits()))
+                        .collect();
+                    (picks, trace.len(), trace.converged)
+                };
+                let label = format!("center {:?} of {} workers", view.center, s.n_workers());
+                assert_eq!(run(FASTPATH), run(Loop::Oracle), "{label}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 12);
+    }
+
     #[test]
     fn fastpath_scans_fewer_candidates_and_counts_rounds() {
-        let inst = instance(16);
-        let s = space(&inst);
-        let run = |engine| {
-            let mut ctx = GameContext::new(&s);
-            fgt(
-                &mut ctx,
-                &FgtConfig {
-                    engine,
-                    ..FgtConfig::default()
-                },
-            )
-            .stats
-        };
-        let incremental = run(BestResponseEngine::Incremental);
-        let fast = run(BestResponseEngine::FastPath);
-        assert_eq!(incremental.fastpath_rounds, 0);
-        assert_eq!(incremental.early_exits, 0);
-        assert_eq!(fast.fastpath_rounds, fast.rounds);
-        assert_eq!(fast.rounds, incremental.rounds);
-        assert_eq!(fast.switches, incremental.switches);
-        assert!(fast.candidates_scanned > 0);
+        // The fast path's counters, against the oracle that replays the
+        // same game and recomputes each counter's definition per turn. A
+        // pass reads fewer rows than the exhaustive scan only where the
+        // reach test skips a prefix, which the starved fixture makes happen.
+        let mut spaces: Vec<StrategySpace> = [16, 17, 18].map(|seed| space(&instance(seed))).into();
+        spaces.push(large_sparse_space());
+        // Supply-starved, like perfbench's `dense`: many workers find every
+        // point of a row length taken, and the reach test skips it.
+        let starved = generate_syn(
+            &SynConfig {
+                n_centers: 1,
+                n_workers: 30,
+                n_tasks: 60,
+                n_delivery_points: 8,
+                extent: 2.0,
+                ..SynConfig::bench_scale()
+            },
+            19,
+        );
+        spaces.push(space(&starved));
+        for s in &spaces {
+            let run = |with| play(s, FgtConfig::default(), with).1.stats;
+            let incremental = run(INCREMENTAL);
+            let fast = run(FASTPATH);
+            let oracle = run(Loop::ReachOracle);
+            assert_eq!(incremental.fastpath_rounds, 0);
+            assert_eq!(incremental.early_exits, 0);
+            assert_eq!(fast.fastpath_rounds, fast.rounds);
+            assert_eq!(fast.rounds, incremental.rounds);
+            assert_eq!(fast.switches, incremental.switches);
+            assert_eq!(fast.rounds, oracle.rounds);
+            assert_eq!(fast.candidates_scanned, oracle.candidates_scanned);
+            assert_eq!(fast.early_exits, oracle.early_exits);
+            // Two updates per candidate turn, two per turn exhaustively.
+            assert_eq!(fast.evaluator_updates, oracle.evaluator_updates);
+            assert_eq!(
+                incremental.evaluator_updates,
+                2 * incremental.rounds * s.n_workers() as u64
+            );
+            assert!(fast.evaluator_updates < incremental.evaluator_updates);
+            // Exactly two IAU evaluations counted per worker turn on the
+            // fast path.
+            assert_eq!(
+                fast.candidate_evaluations,
+                2 * fast.rounds * s.n_workers() as u64
+            );
+        }
+        let starved = spaces.last().expect("the starved fixture is pushed");
+        let run = |with| play(starved, FgtConfig::default(), with).1.stats;
+        let (fast, incremental) = (run(FASTPATH), run(INCREMENTAL));
         assert!(
-            fast.candidates_scanned < incremental.candidates_scanned,
-            "fast path scanned {} vs exhaustive {}",
-            fast.candidates_scanned,
-            incremental.candidates_scanned
+            fast.early_exits > 0,
+            "the starved fixture never skipped a prefix"
         );
-        // Exactly two IAU evaluations counted per worker turn on the fast
-        // path.
-        assert_eq!(
-            fast.candidate_evaluations,
-            2 * fast.rounds * s.n_workers() as u64
-        );
+        assert!(fast.candidates_scanned < incremental.candidates_scanned);
     }
 
     #[test]

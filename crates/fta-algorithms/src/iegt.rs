@@ -198,7 +198,7 @@ fn iegt_run(
             if fastpath {
                 let scan = ctx.better_available(local, threshold, &mut better);
                 trace.stats.candidates_scanned += scan.scanned;
-                if scan.early_exit {
+                if scan.skipped_prefix {
                     trace.stats.early_exits += 1;
                 }
             } else {

@@ -48,10 +48,11 @@ pub mod stats;
 pub mod trace;
 pub mod warm;
 
-pub use context::{DescScan, GameContext};
+pub use context::GameContext;
 pub use degrade::{DegradationEvent, DegradationReport, LadderRung};
 pub use exact::{exact_search, ExactObjective};
 pub use fgt::{fastpath_sound, fgt, fgt_bounded, fgt_warm_bounded, BestResponseEngine, FgtConfig};
+pub use fta_vdps::kernel::ScanWork;
 pub use gta::gta;
 pub use iegt::{iegt, iegt_bounded, iegt_warm_bounded, IegtConfig, RedrawPolicy};
 pub use mpta::{mpta, MptaConfig};

@@ -293,10 +293,12 @@ fn pfgt_once_incremental(
     trace
 }
 
-/// Monotone fast-path engine for PFGT: identical evaluator maintenance to
-/// [`pfgt_once_incremental`] (so traces are bit-identical), but the best
-/// response is the highest-payoff available strategy found by one argmax
-/// pass over the worker's slots. Soundness: the priority IAU
+/// Monotone fast-path engine for PFGT: the best response is the
+/// highest-payoff available strategy found by one argmax pass over the
+/// worker's valid rows, and only a turn whose candidate differs from the
+/// current selection updates the rival sets. Their reads depend on the
+/// stored multisets alone, so the traces are bit-identical to
+/// [`pfgt_once_incremental`]'s. Soundness: the priority IAU
 /// perceives inequity on the normalised payoffs `q = p/ρ` with `ρ > 0`, a
 /// strictly increasing map, so the monotonicity argument of
 /// [`crate::fgt::fastpath_sound`] carries over verbatim for `β < 1`,
@@ -337,13 +339,9 @@ fn pfgt_once_fastpath(
         trace.stats.fastpath_rounds += 1;
         let mut moves = 0;
         for (local, &rho) in priorities.iter().enumerate().take(n) {
-            let own = ctx.payoff(local);
-            q_rivals.remove(own, rho);
-            trace.stats.evaluator_updates += 1;
-
             let (found, scan) = ctx.best_available(local);
             trace.stats.candidates_scanned += scan.scanned;
-            if scan.early_exit {
+            if scan.skipped_prefix {
                 trace.stats.early_exits += 1;
             }
             let (choice, payoff) = match found {
@@ -352,10 +350,14 @@ fn pfgt_once_fastpath(
             };
             // Counted whether or not the switch rule needs them.
             trace.stats.candidate_evaluations += 2;
-            if choice != ctx.selection(local)
-                && q_rivals.eval(payoff, rho)
-                    > q_rivals.eval(own, rho) + config.base.min_improvement
-            {
+            // Only a candidate turn can switch, so only it touches the
+            // rival sets (see `fgt_once_fastpath`).
+            if choice == ctx.selection(local) {
+                continue;
+            }
+            let own = ctx.payoff(local);
+            q_rivals.remove(own, rho);
+            if q_rivals.eval(payoff, rho) > q_rivals.eval(own, rho) + config.base.min_improvement {
                 ctx.set_strategy(local, choice);
                 moves += 1;
                 trace.stats.switches += 1;
@@ -365,7 +367,7 @@ fn pfgt_once_fastpath(
             }
             let adopted = ctx.payoff(local);
             q_rivals.insert(adopted, rho);
-            trace.stats.evaluator_updates += 1;
+            trace.stats.evaluator_updates += 2;
             if adopted != own {
                 raw.remove(own);
                 raw.insert(adopted);
@@ -410,6 +412,32 @@ mod tests {
         init: Option<u64>,
         cancel: Option<&CancelToken>,
     ) -> ConvergenceTrace {
+        rebuild(ctx, config, priorities, init, cancel, false)
+    }
+
+    /// [`pfgt_once_rebuild`] counting what the fast path's passes should:
+    /// `candidates_scanned` and `early_exits` by
+    /// [`crate::fgt::tests::reach_oracle`], two `evaluator_updates` per
+    /// turn whose best response differs from the current selection, and
+    /// two more per switch that changes the raw payoff.
+    fn pfgt_once_rebuild_counting_reach(
+        ctx: &mut GameContext<'_>,
+        config: &PfgtConfig,
+        priorities: &[f64],
+        init: Option<u64>,
+        cancel: Option<&CancelToken>,
+    ) -> ConvergenceTrace {
+        rebuild(ctx, config, priorities, init, cancel, true)
+    }
+
+    fn rebuild(
+        ctx: &mut GameContext<'_>,
+        config: &PfgtConfig,
+        priorities: &[f64],
+        init: Option<u64>,
+        cancel: Option<&CancelToken>,
+        count_reach: bool,
+    ) -> ConvergenceTrace {
         if let Some(seed) = init {
             let mut rng = StdRng::seed_from_u64(seed);
             random_init(ctx, &mut rng);
@@ -437,7 +465,13 @@ mod tests {
                 trace.stats.evaluator_builds += 1;
 
                 let current_utility = eval.eval(ctx.payoff(local));
-                trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
+                if count_reach {
+                    let (scanned, skipped) = crate::fgt::tests::reach_oracle(ctx, local);
+                    trace.stats.candidates_scanned += scanned;
+                    trace.stats.early_exits += u64::from(skipped);
+                } else {
+                    trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
+                }
                 let mut best: Option<(Option<u32>, f64)> = Some((None, eval.eval(0.0)));
                 trace.stats.candidate_evaluations += 2;
                 for (idx, payoff) in ctx.available_strategies(local) {
@@ -448,10 +482,17 @@ mod tests {
                     }
                 }
                 let (choice, utility) = best.expect("null is always a candidate");
+                if count_reach && choice != ctx.selection(local) {
+                    trace.stats.evaluator_updates += 2;
+                }
                 if utility > current_utility + config.base.min_improvement
                     && choice != ctx.selection(local)
                 {
+                    let own = ctx.payoff(local);
                     ctx.set_strategy(local, choice);
+                    if count_reach && ctx.payoff(local) != own {
+                        trace.stats.evaluator_updates += 2;
+                    }
                     moves += 1;
                     trace.stats.switches += 1;
                     if choice.is_none() {
@@ -621,38 +662,56 @@ mod tests {
     }
 
     #[test]
-    fn fastpath_respects_priorities_and_scans_less() {
+    fn fastpath_respects_priorities_and_counts_its_passes() {
         use crate::fgt::BestResponseEngine;
-        let inst = instance(35);
-        let s = space(&inst);
-        let run = |engine| {
-            let mut ctx = GameContext::new(&s);
-            let trace = pfgt(
-                &mut ctx,
-                &PfgtConfig {
+        for seed in [35, 36, 37] {
+            let inst = instance(seed);
+            let s = space(&inst);
+            // `None` plays the counting oracle, restarts included.
+            let run = |engine: Option<BestResponseEngine>| {
+                let mut ctx = GameContext::new(&s);
+                let config = PfgtConfig {
                     base: FgtConfig {
-                        engine,
+                        engine: engine.unwrap_or_default(),
                         ..FgtConfig::default()
                     },
                     priorities: PrioritySpec::ByWorker(tiered),
-                },
+                };
+                let trace = match engine {
+                    Some(_) => pfgt(&mut ctx, &config),
+                    None => {
+                        best_of_restarts(&mut ctx, &config, None, pfgt_once_rebuild_counting_reach)
+                    }
+                };
+                (ctx.to_assignment(), trace)
+            };
+            let (inc_asg, inc) = run(Some(BestResponseEngine::Incremental));
+            let (fast_asg, fast) = run(Some(BestResponseEngine::FastPath));
+            let (oracle_asg, oracle) = run(None);
+            assert_eq!(
+                inc_asg, fast_asg,
+                "seed {seed}: fastpath equilibrium diverges"
             );
-            (ctx.to_assignment(), trace)
-        };
-        let (inc_asg, inc) = run(BestResponseEngine::Incremental);
-        let (fast_asg, fast) = run(BestResponseEngine::FastPath);
-        assert_eq!(inc_asg, fast_asg, "fastpath equilibrium diverges");
-        assert_eq!(inc.stats.rounds, fast.stats.rounds);
-        assert_eq!(inc.stats.switches, fast.stats.switches);
-        assert_eq!(inc.stats.fastpath_rounds, 0);
-        assert_eq!(fast.stats.fastpath_rounds, fast.stats.rounds);
-        assert!(
-            fast.stats.candidates_scanned > 0
-                && fast.stats.candidates_scanned < inc.stats.candidates_scanned,
-            "fastpath scanned {} vs exhaustive {}",
-            fast.stats.candidates_scanned,
-            inc.stats.candidates_scanned
-        );
+            assert_eq!(
+                oracle_asg, fast_asg,
+                "seed {seed}: oracle equilibrium diverges"
+            );
+            assert_eq!(
+                inc.rounds, fast.rounds,
+                "seed {seed}: round summaries diverge"
+            );
+            assert_eq!(inc.stats.switches, fast.stats.switches);
+            assert_eq!(inc.stats.fastpath_rounds, 0);
+            assert_eq!(inc.stats.early_exits, 0);
+            assert_eq!(fast.stats.fastpath_rounds, fast.stats.rounds);
+            assert_eq!(fast.stats.rounds, oracle.stats.rounds);
+            assert_eq!(
+                fast.stats.candidates_scanned,
+                oracle.stats.candidates_scanned
+            );
+            assert_eq!(fast.stats.early_exits, oracle.stats.early_exits);
+            assert_eq!(fast.stats.evaluator_updates, oracle.stats.evaluator_updates);
+        }
     }
 
     #[test]

@@ -12,11 +12,13 @@
 /// Counters of one or more best-response / replicator runs.
 ///
 /// All counters are cumulative: merging traces (restarts, parallel centers)
-/// sums them. The engines build one [`fta_core::iau::RivalSet`] per run
-/// and maintain it with `O(log n)` point updates (`evaluator_builds` per
-/// restart, `evaluator_updates ≈ 2n · rounds`); the rebuild oracle in the
-/// tests constructs a fresh sorted evaluator for every worker in every
-/// round instead (`evaluator_builds ≈ n · rounds`, no updates).
+/// sums them. Each counter has one meaning, the same for every engine — the
+/// exhaustive ones, the monotone fast paths and IEGT — and counts work
+/// that was done, not work some other scan would have done. The engines
+/// build one [`fta_core::iau::RivalSet`] per run and maintain it with
+/// `O(log n)` point updates; the rebuild oracle in the tests constructs a
+/// fresh sorted evaluator for every worker in every round instead
+/// (`evaluator_builds ≈ n · rounds`, no updates).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BestResponseStats {
     /// Best-response / evolution rounds executed (round 0 excluded).
@@ -31,19 +33,22 @@ pub struct BestResponseStats {
     pub switches: u64,
     /// Switches that adopted the null strategy.
     pub null_adoptions: u64,
-    /// Full evaluator constructions (sort + prefix-sum over all rivals).
+    /// Full evaluator constructions (sort + prefix-sum over all rivals, or
+    /// one rival structure per run).
     pub evaluator_builds: u64,
-    /// Incremental evaluator maintenance operations (one per payoff
-    /// removed from or inserted into a rival structure).
+    /// Rival-structure updates made: one per payoff removed from or
+    /// inserted into a rival set. The exhaustive engines make two per
+    /// turn; the fast paths two per candidate turn (plus PFGT's raw-payoff
+    /// pair per switch); IEGT two per switch.
     pub evaluator_updates: u64,
-    /// Strategy slots examined for availability during best-response
-    /// deliberation. Exhaustive evaluation probes a worker's *entire*
-    /// valid list per turn; the monotone fast path counts the slots a
-    /// first-hit scan in payoff-descending order would examine (the
-    /// winner's payoff-order rank plus one).
+    /// Valid strategy rows a deliberation's pass walked. An exhaustive
+    /// turn walks the worker's whole valid list; a fast-path or IEGT pass
+    /// walks the rows of the valid prefixes (one per row length) that
+    /// passed the reach test, and reads no other row.
     pub candidates_scanned: u64,
-    /// Fast-path scans that terminated before exhausting the worker's
-    /// strategy list (the monotone early exit paying off).
+    /// Deliberations on which the reach test skipped at least one
+    /// non-empty prefix: rows proven closed without being read. Always
+    /// zero for the exhaustive engines.
     pub early_exits: u64,
     /// Rounds executed under the monotone fast-path loop. Stays zero when
     /// the IAU parameters make the fast path unsound (`β ≥ 1` or `α < 0`)

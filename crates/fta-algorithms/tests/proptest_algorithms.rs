@@ -319,8 +319,9 @@ proptest! {
         };
         let incremental: EngineRun = run(fta_algorithms::BestResponseEngine::Incremental);
         let fastpath = run(fta_algorithms::BestResponseEngine::FastPath);
-        // The fast path mirrors the incremental engine's rival structure
-        // operation for operation, so it must be bit-identical to it —
+        // The fast path touches its rival set only on candidate turns, the
+        // incremental engine on every turn; every RivalSet read depends on
+        // the stored multiset alone, so the two must be bit-identical —
         // trace summaries included. (Both are held to the per-turn rebuild
         // oracle by the unit tests of `fgt.rs`.)
         prop_assert_eq!(&incremental, &fastpath, "fastpath diverged");

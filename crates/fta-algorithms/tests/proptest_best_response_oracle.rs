@@ -7,7 +7,9 @@
 //! first open slot for FGT/PFGT, the prefix above a threshold for IEGT.
 //! That scan lives on here as the oracle. For random spaces and random
 //! selections of the other workers, both queries must return the same pool
-//! indices, payoff bits, `scanned` and `early_exit`.
+//! indices and payoff bits, and the same `ScanWork` as the counters'
+//! definition recomputed from the materialised slots (the slots of each
+//! row length whose masks' union is not inside the others' taken mask).
 //!
 //! On top of the queries, the production game code runs over both
 //! representations: `fgt.rs`, `iegt.rs`, `gta.rs`, `mpta.rs`, `random.rs`
@@ -25,7 +27,7 @@
 // Items of the included production modules that only the library uses.
 #![allow(dead_code)]
 
-use fta_algorithms::{DescScan, GameContext};
+use fta_algorithms::{GameContext, ScanWork};
 use fta_core::entities::{DeliveryPoint, DistributionCenter, SpatialTask, Worker};
 use fta_core::geometry::Point;
 use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
@@ -144,25 +146,14 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
 }
 
 /// The retired FGT/PFGT query: first available slot in payoff order.
-fn oracle_best(ctx: &GameContext<'_>, local: usize) -> (Option<(u32, u64)>, DescScan) {
+fn oracle_best(ctx: &GameContext<'_>, local: usize) -> (Option<(u32, u64)>, ScanWork) {
     let slots = SlotColumns::of(ctx.space());
-    let order = slots.desc_order(local);
-    let len = order.len();
-    for (rank, &pos) in order.iter().enumerate() {
+    let hit = slots.desc_order(local).into_iter().find_map(|pos| {
         let idx = slots.valid_of(local)[pos];
-        if ctx.is_available(local, idx) {
-            let scan = DescScan {
-                scanned: (rank + 1) as u64,
-                early_exit: rank + 1 < len,
-            };
-            return (Some((idx, slots.payoffs_of(local)[pos].to_bits())), scan);
-        }
-    }
-    let scan = DescScan {
-        scanned: len as u64,
-        early_exit: false,
-    };
-    (None, scan)
+        ctx.is_available(local, idx)
+            .then(|| (idx, slots.payoffs_of(local)[pos].to_bits()))
+    });
+    (hit, oracle_work(ctx, &slots, local))
 }
 
 /// The retired IEGT query: available slots of the payoff-order prefix
@@ -171,14 +162,10 @@ fn oracle_better(
     ctx: &GameContext<'_>,
     local: usize,
     threshold: f64,
-) -> (Vec<(u32, u64)>, DescScan) {
+) -> (Vec<(u32, u64)>, ScanWork) {
     let slots = SlotColumns::of(ctx.space());
-    let order = slots.desc_order(local);
-    let len = order.len();
     let mut out = Vec::new();
-    let mut scanned = 0usize;
-    for &pos in &order {
-        scanned += 1;
+    for pos in slots.desc_order(local) {
         let p = slots.payoffs_of(local)[pos];
         if p <= threshold {
             break;
@@ -189,11 +176,13 @@ fn oracle_better(
         }
     }
     out.sort_unstable_by_key(|&(idx, _)| idx);
-    let scan = DescScan {
-        scanned: scanned as u64,
-        early_exit: scanned < len,
-    };
-    (out, scan)
+    (out, oracle_work(ctx, &slots, local))
+}
+
+/// The counters' definition, recomputed from the materialised slots.
+fn oracle_work(ctx: &GameContext<'_>, slots: &SlotColumns, local: usize) -> ScanWork {
+    let others = ctx.taken_mask() & !ctx.own_mask(local);
+    slot_context::reach_work(ctx.space(), slots, local, others)
 }
 
 fn bits(v: &[(u32, f64)]) -> Vec<(u32, u64)> {
@@ -216,7 +205,7 @@ fn select(ctx: &mut GameContext<'_>, picks: &[usize]) {
 fn check_space(space: &StrategySpace, picks: &[usize]) {
     let mut ctx = GameContext::new(space);
     // Several selections over one context, so winners move between
-    // queries and the cached ranks are exercised.
+    // queries.
     for shift in 0..3 {
         let shifted: Vec<usize> = picks.iter().map(|p| p + shift).collect();
         select(&mut ctx, &shifted);

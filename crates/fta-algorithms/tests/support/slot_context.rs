@@ -4,14 +4,16 @@
 //! the context did before strategy spaces stopped writing slots out —
 //! availability and validity from the slot columns, the best response as
 //! the first open slot of the payoff-sorted list, IEGT's strictly-better
-//! set as the prefix of that list above the threshold.
+//! set as the prefix of that list above the threshold. The work counters
+//! are recomputed from their definition ([`reach_work`]): the slots of the
+//! row lengths whose masks' union is not inside the taken mask.
 //!
 //! The production algorithm sources compile against it unchanged (see
 //! `proptest_best_response_oracle.rs`), so both representations run the
 //! very same game code.
 
 use crate::materialised::SlotColumns;
-use fta_algorithms::DescScan;
+use fta_algorithms::ScanWork;
 use fta_core::{Assignment, WorkerId};
 use fta_vdps::StrategySpace;
 use std::rc::Rc;
@@ -134,36 +136,30 @@ impl<'a> GameContext<'a> {
     }
 
     pub fn best_open(&self, local: usize) -> Option<(u32, f64)> {
-        self.first_hit(local).0
-    }
-
-    pub fn best_available(&mut self, local: usize) -> (Option<(u32, f64)>, DescScan) {
         self.first_hit(local)
     }
 
+    pub fn best_available(&self, local: usize) -> (Option<(u32, f64)>, ScanWork) {
+        (self.first_hit(local), self.work(local))
+    }
+
+    fn work(&self, local: usize) -> ScanWork {
+        reach_work(self.space, &self.slots, local, self.other_taken(local))
+    }
+
     /// First open slot of the payoff-sorted list.
-    fn first_hit(&self, local: usize) -> (Option<(u32, f64)>, DescScan) {
-        let order = self.slots.desc_order(local);
-        let len = order.len();
+    fn first_hit(&self, local: usize) -> Option<(u32, f64)> {
         let other_taken = self.other_taken(local);
-        for (rank, &pos) in order.iter().enumerate() {
-            if self.slots.masks_of(local)[pos] & other_taken == 0 {
-                let scan = DescScan {
-                    scanned: (rank + 1) as u64,
-                    early_exit: rank + 1 < len,
-                };
-                let hit = (
+        self.slots
+            .desc_order(local)
+            .into_iter()
+            .find(|&pos| self.slots.masks_of(local)[pos] & other_taken == 0)
+            .map(|pos| {
+                (
                     self.slots.valid_of(local)[pos],
                     self.slots.payoffs_of(local)[pos],
-                );
-                return (Some(hit), scan);
-            }
-        }
-        let scan = DescScan {
-            scanned: len as u64,
-            early_exit: false,
-        };
-        (None, scan)
+                )
+            })
     }
 
     /// Open slots of the payoff-sorted prefix above `threshold`, re-sorted
@@ -173,14 +169,10 @@ impl<'a> GameContext<'a> {
         local: usize,
         threshold: f64,
         out: &mut Vec<(u32, f64)>,
-    ) -> DescScan {
+    ) -> ScanWork {
         out.clear();
-        let order = self.slots.desc_order(local);
-        let len = order.len();
         let other_taken = self.other_taken(local);
-        let mut scanned = 0usize;
-        for &pos in &order {
-            scanned += 1;
+        for pos in self.slots.desc_order(local) {
             let p = self.slots.payoffs_of(local)[pos];
             if p <= threshold {
                 break;
@@ -190,10 +182,7 @@ impl<'a> GameContext<'a> {
             }
         }
         out.sort_unstable_by_key(|&(idx, _)| idx);
-        DescScan {
-            scanned: scanned as u64,
-            early_exit: scanned < len,
-        }
+        self.work(local)
     }
 
     pub fn to_assignment(&self) -> Assignment {
@@ -214,4 +203,33 @@ impl<'a> GameContext<'a> {
     pub fn worker_ids(&self) -> Vec<WorkerId> {
         self.space.view.workers.clone()
     }
+}
+
+/// The work counters' definition over materialised slots: group the
+/// worker's valid slots by row length; a group whose masks' union lies
+/// inside `taken` is skipped, every other group's slots are scanned.
+pub fn reach_work(
+    space: &StrategySpace,
+    slots: &SlotColumns,
+    local: usize,
+    taken: u128,
+) -> ScanWork {
+    let mut unions: Vec<(u64, u128)> = Vec::new();
+    for (&idx, &mask) in slots.valid_of(local).iter().zip(slots.masks_of(local)) {
+        let len = space.pool.row_len(idx as usize);
+        if unions.len() <= len {
+            unions.resize(len + 1, (0, 0));
+        }
+        unions[len].0 += 1;
+        unions[len].1 |= mask;
+    }
+    let mut work = ScanWork::default();
+    for (count, union) in unions.into_iter().filter(|&(count, _)| count > 0) {
+        if union & !taken != 0 {
+            work.scanned += count;
+        } else {
+            work.skipped_prefix = true;
+        }
+    }
+    work
 }

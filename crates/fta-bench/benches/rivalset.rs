@@ -2,12 +2,15 @@
 //! incrementally maintained rival set vs the monotone fast path in the
 //! FGT loop.
 //!
-//! Both engines build one `RivalSet` per run and patch it with
-//! `O(log n)` remove/insert pairs; the incremental engine evaluates the
-//! IAU of every available candidate, the fast path only of the
-//! highest-payoff one. The sweep goes up to `n = 1000` workers on a
-//! single-center instance. VDPS generation is done once outside the timed
-//! region: only the equilibrium loop is measured.
+//! Both engines build one history-independent `RivalSet` per run and
+//! patch it with `O(log n)` remove/insert pairs. The incremental engine
+//! does so on every turn and evaluates the IAU of every available
+//! candidate; the fast path finds the highest-payoff open candidate with
+//! one pass and touches the set, with two evaluations, only on a turn
+//! where that candidate differs from the current selection. The sweep
+//! goes up to `n = 1000` workers on a single-center instance. VDPS
+//! generation is done once outside the timed region: only the
+//! equilibrium loop is measured.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fta_algorithms::{fgt, BestResponseEngine, FgtConfig, GameContext};

@@ -128,18 +128,35 @@ impl IauEvaluator {
 /// value with its multiplicity, plus subtree aggregates.
 #[derive(Debug, Clone)]
 struct Node {
-    /// The distinct payoff value this node stores.
+    /// The distinct payoff value this node stores (never `-0.0`).
     value: f64,
     /// How many copies of `value` the set holds.
     copies: i64,
-    /// Treap heap priority (max-heap).
+    /// Treap heap priority (max-heap): `priority_of(value)`.
     priority: u64,
     /// Total copies in this subtree (including this node's).
     count: i64,
     /// Total payoff sum in this subtree (including this node's copies).
     sum: f64,
+    /// `Σ_{i<j} |p_i − p_j|` over the copies in this subtree.
+    pair_abs_sum: f64,
     left: Option<Box<Node>>,
     right: Option<Box<Node>>,
+}
+
+/// The treap priority of a stored value: splitmix64's finaliser over the
+/// value's bits, so the tree's shape depends only on which values it holds.
+fn priority_of(value: f64) -> u64 {
+    let mut z = value.to_bits().wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Whether `a` belongs above `b` in the heap order: the higher priority,
+/// and on a hash tie the higher value (stored values are distinct).
+fn outranks(a: &Node, b: &Node) -> bool {
+    a.priority > b.priority || (a.priority == b.priority && a.value > b.value)
 }
 
 fn subtree_count(node: &Option<Box<Node>>) -> i64 {
@@ -150,24 +167,45 @@ fn subtree_sum(node: &Option<Box<Node>>) -> f64 {
     node.as_ref().map_or(0.0, |n| n.sum)
 }
 
+fn subtree_pairs(node: &Option<Box<Node>>) -> f64 {
+    node.as_ref().map_or(0.0, |n| n.pair_abs_sum)
+}
+
 impl Node {
-    fn leaf(value: f64, priority: u64) -> Box<Self> {
+    fn leaf(value: f64) -> Box<Self> {
         Box::new(Self {
             value,
             copies: 1,
-            priority,
+            priority: priority_of(value),
             count: 1,
             sum: value,
+            pair_abs_sum: 0.0,
             left: None,
             right: None,
         })
     }
 
-    /// Recomputes this node's subtree aggregates from its children.
+    /// Recomputes this node's subtree aggregates from its children: a pure
+    /// function of the subtree's contents, since the shape is.
+    ///
+    /// With `a` copies summing to `s_a` on the left (all below `v`), `c`
+    /// copies of `v` here and `b` summing to `s_b` on the right, the pairs
+    /// that straddle this node add `(a + c)·d_r + (b + c)·d_l`, where
+    /// `d_l = a·v − s_a` and `d_r = s_b − b·v` are non-negative deviation
+    /// sums: the left–right pairs are `a·d_r + b·d_l`, the pairs with this
+    /// node's copies `c·(d_l + d_r)`.
     fn pull(&mut self) {
-        self.count = self.copies + subtree_count(&self.left) + subtree_count(&self.right);
-        self.sum =
-            self.value * self.copies as f64 + subtree_sum(&self.left) + subtree_sum(&self.right);
+        let (a, b) = (subtree_count(&self.left), subtree_count(&self.right));
+        let (s_a, s_b) = (subtree_sum(&self.left), subtree_sum(&self.right));
+        let (v, c) = (self.value, self.copies);
+        self.count = c + a + b;
+        self.sum = v * c as f64 + s_a + s_b;
+        let d_l = a as f64 * v - s_a;
+        let d_r = s_b - b as f64 * v;
+        self.pair_abs_sum = subtree_pairs(&self.left)
+            + subtree_pairs(&self.right)
+            + (a + c) as f64 * d_r
+            + (b + c) as f64 * d_l;
     }
 }
 
@@ -192,25 +230,25 @@ fn rotate_left(mut n: Box<Node>) -> Box<Node> {
 }
 
 /// Inserts one copy of `value` (treap insert, rebalancing by priority).
-fn insert_node(node: Option<Box<Node>>, value: f64, priority: u64) -> Box<Node> {
+fn insert_node(node: Option<Box<Node>>, value: f64) -> Box<Node> {
     let Some(mut n) = node else {
-        return Node::leaf(value, priority);
+        return Node::leaf(value);
     };
     if value == n.value {
         n.copies += 1;
         n.pull();
         n
     } else if value < n.value {
-        n.left = Some(insert_node(n.left.take(), value, priority));
-        if n.left.as_ref().is_some_and(|l| l.priority > n.priority) {
+        n.left = Some(insert_node(n.left.take(), value));
+        if n.left.as_deref().is_some_and(|l| outranks(l, &n)) {
             rotate_right(n)
         } else {
             n.pull();
             n
         }
     } else {
-        n.right = Some(insert_node(n.right.take(), value, priority));
-        if n.right.as_ref().is_some_and(|r| r.priority > n.priority) {
+        n.right = Some(insert_node(n.right.take(), value));
+        if n.right.as_deref().is_some_and(|r| outranks(r, &n)) {
             rotate_left(n)
         } else {
             n.pull();
@@ -220,13 +258,13 @@ fn insert_node(node: Option<Box<Node>>, value: f64, priority: u64) -> Box<Node> 
 }
 
 /// Deletes the root node of a subtree by rotating it down to a leaf,
-/// preserving the heap property among the remaining nodes.
+/// preserving the heap order among the remaining nodes.
 fn delete_root(mut n: Box<Node>) -> Option<Box<Node>> {
     match (n.left.take(), n.right.take()) {
         (None, r) => r,
         (l @ Some(_), None) => l,
         (Some(l), Some(r)) => {
-            if l.priority > r.priority {
+            if outranks(&l, &r) {
                 let mut new_root = l;
                 n.left = new_root.right.take();
                 n.right = Some(r);
@@ -274,9 +312,10 @@ fn remove_node(node: Option<Box<Node>>, value: f64) -> (Option<Box<Node>>, bool)
 ///
 /// [`IauEvaluator`] fixes the rivals once, which forces best-response loops
 /// to rebuild it for every worker in every round (`O(n² log n)` per round).
-/// `RivalSet` instead maintains **all** `n` payoffs in an augmented
-/// order-statistic treap keyed by payoff value, with per-subtree copy counts
-/// and payoff sums, so a best-response sweep becomes:
+/// `RivalSet` instead keeps **all** `n` payoffs in an augmented
+/// order-statistic treap keyed by payoff value, with per-subtree copy
+/// counts, payoff sums and pairwise-difference sums, so a best-response
+/// sweep becomes:
 ///
 /// ```text
 /// for each worker w:
@@ -291,10 +330,24 @@ fn remove_node(node: Option<Box<Node>>, value: f64) -> (Option<Box<Node>>, bool)
 /// `O(n log n)` regardless of how many candidate strategies exist. (An
 /// earlier design compressed values into Fenwick trees over the full set of
 /// admissible payoffs; with worker-dependent payoffs that universe grows as
-/// `O(|W| · |pool|)` and its sort dwarfed the game itself.) Alongside
-/// utilities it keeps the sum of pairwise absolute differences up to date,
-/// so the fairness metric (Equation 2), the population average, and the
-/// potential function are all `O(1)` reads at any time.
+/// `O(|W| · |pool|)` and its sort dwarfed the game itself.) The root's
+/// aggregates make the fairness metric (Equation 2), the population
+/// average, and the potential function `O(1)` reads at any time.
+///
+/// # History independence
+///
+/// Every read — [`RivalSet::eval`], [`RivalSet::total`],
+/// [`RivalSet::average`], [`RivalSet::payoff_difference`],
+/// [`RivalSet::potential`] and [`RivalSet::pairwise_diff_sum`] — is a pure
+/// function of the stored multiset, bit for bit, whatever sequence of
+/// inserts and removes built it. A node's treap priority is a fixed hash
+/// of its value's bits (`-0.0` is stored as `+0.0`; a hash tie between
+/// distinct values is broken by value), so the tree's shape is unique for
+/// a given multiset, and every aggregate is recomputed from the node's
+/// children rather than accumulated. In particular `remove(v); insert(v)`
+/// is an exact no-op, so a best-response loop may skip that pair on a turn
+/// where the worker cannot switch and still read the same floats as a loop
+/// that makes it on every turn.
 ///
 /// ```
 /// use fta_core::iau::{iau, IauParams, RivalSet};
@@ -304,24 +357,18 @@ fn remove_node(node: Option<Box<Node>>, value: f64) -> (Option<Box<Node>>, bool)
 /// for p in [1.0, 2.0, 4.0] {
 ///     set.insert(p);
 /// }
+/// let before = set.payoff_difference().to_bits();
 /// // Evaluate worker 0's candidates against its rivals {2.0, 4.0}.
 /// set.remove(1.0);
 /// assert!((set.eval(1.0) - iau(1.0, &[2.0, 4.0], params)).abs() < 1e-12);
 /// set.insert(1.0);
 /// assert_eq!(set.len(), 3);
+/// assert_eq!(set.payoff_difference().to_bits(), before);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RivalSet {
     /// Order-statistic treap over the stored payoffs.
     root: Option<Box<Node>>,
-    /// Number of payoffs currently stored.
-    len: usize,
-    /// Sum of all stored payoffs.
-    total: f64,
-    /// `S = Σ_{i<j} |p_i − p_j|` over the stored payoffs.
-    pair_abs_sum: f64,
-    /// Xorshift state generating treap priorities (deterministic).
-    rng: u64,
     params: IauParams,
 }
 
@@ -329,14 +376,7 @@ impl RivalSet {
     /// Builds an empty engine.
     #[must_use]
     pub fn new(params: IauParams) -> Self {
-        Self {
-            root: None,
-            len: 0,
-            total: 0.0,
-            pair_abs_sum: 0.0,
-            rng: 0x9E37_79B9_7F4A_7C15,
-            params,
-        }
+        Self { root: None, params }
     }
 
     /// Convenience constructor: builds the engine and inserts every payoff
@@ -350,16 +390,6 @@ impl RivalSet {
         set
     }
 
-    /// Next treap priority (xorshift64; deterministic across runs).
-    fn next_priority(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
-    }
-
     /// The inequity-aversion weights this engine evaluates with.
     #[must_use]
     pub fn params(&self) -> IauParams {
@@ -369,48 +399,48 @@ impl RivalSet {
     /// Number of payoffs currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        subtree_count(&self.root) as usize
     }
 
     /// Whether no payoffs are stored.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.root.is_none()
     }
 
     /// Sum of all stored payoffs.
     #[must_use]
     pub fn total(&self) -> f64 {
-        self.total
+        subtree_sum(&self.root)
     }
 
     /// Mean of the stored payoffs (`0.0` when empty).
     #[must_use]
     pub fn average(&self) -> f64 {
-        if self.len == 0 {
+        if self.is_empty() {
             0.0
         } else {
-            self.total / self.len as f64
+            self.total() / self.len() as f64
         }
     }
 
-    /// `Σ_{i<j} |p_i − p_j|` over the stored payoffs, maintained
-    /// incrementally.
+    /// `Σ_{i<j} |p_i − p_j|` over the stored payoffs.
     #[must_use]
     pub fn pairwise_diff_sum(&self) -> f64 {
-        self.pair_abs_sum
+        subtree_pairs(&self.root)
     }
 
     /// Payoff difference (Equation 2): mean pairwise absolute difference,
     /// `2S / (n(n−1))`. Zero for fewer than two payoffs. Clamped at zero to
-    /// absorb floating-point drift from incremental maintenance.
+    /// absorb floating-point rounding in the subtree sums.
     #[must_use]
     pub fn payoff_difference(&self) -> f64 {
-        if self.len < 2 {
+        let len = self.len();
+        if len < 2 {
             return 0.0;
         }
-        let n = self.len as f64;
-        (2.0 * self.pair_abs_sum / (n * (n - 1.0))).max(0.0)
+        let n = len as f64;
+        (2.0 * self.pairwise_diff_sum() / (n * (n - 1.0))).max(0.0)
     }
 
     /// The FGT potential `Φ = Σ P_i − (α+β) · n · P_dif / 2`, which
@@ -418,11 +448,12 @@ impl RivalSet {
     /// than two payoffs.
     #[must_use]
     pub fn potential(&self) -> f64 {
-        if self.len < 2 {
-            return self.total;
+        let len = self.len();
+        if len < 2 {
+            return self.total();
         }
-        let n_minus_1 = (self.len - 1) as f64;
-        self.total - (self.params.alpha + self.params.beta) * self.pair_abs_sum / n_minus_1
+        let n_minus_1 = (len - 1) as f64;
+        self.total() - (self.params.alpha + self.params.beta) * self.pairwise_diff_sum() / n_minus_1
     }
 
     /// (count, sum) of stored copies with value strictly below `v`.
@@ -443,15 +474,6 @@ impl RivalSet {
         (count, sum)
     }
 
-    /// `Σ_{p ∈ set} |p − v|` against the *current* contents. Copies equal
-    /// to `v` contribute zero, so they can be lumped with the upper block.
-    fn abs_dev_sum(&self, v: f64) -> f64 {
-        let (c_lt, s_lt) = self.below(v);
-        let c_ge = self.len as i64 - c_lt;
-        let s_ge = self.total - s_lt;
-        (c_lt as f64 * v - s_lt) + (s_ge - c_ge as f64 * v)
-    }
-
     /// Adds one copy of `v`. `O(log n)`.
     ///
     /// # Panics
@@ -459,12 +481,8 @@ impl RivalSet {
     /// Panics if `v` is NaN.
     pub fn insert(&mut self, v: f64) {
         assert!(!v.is_nan(), "cannot insert NaN into a RivalSet");
-        // Delta computed against the set *before* the copy joins.
-        self.pair_abs_sum += self.abs_dev_sum(v);
-        let priority = self.next_priority();
-        self.root = Some(insert_node(self.root.take(), v, priority));
-        self.len += 1;
-        self.total += v;
+        // `-0.0 + 0.0` is `+0.0`: one zero, one priority.
+        self.root = Some(insert_node(self.root.take(), v + 0.0));
     }
 
     /// Removes one copy of `v`. `O(log n)`.
@@ -473,14 +491,9 @@ impl RivalSet {
     ///
     /// Panics if no copy of `v` is stored.
     pub fn remove(&mut self, v: f64) {
-        // The removed copy's own |v − v| = 0 term is included harmlessly.
-        let delta = self.abs_dev_sum(v);
         let (root, removed) = remove_node(self.root.take(), v);
         self.root = root;
         assert!(removed, "remove({v}): no copy is stored in the RivalSet");
-        self.pair_abs_sum -= delta;
-        self.len -= 1;
-        self.total -= v;
     }
 
     /// Evaluates `IAU(own)` against the stored payoffs (Equation 5). The
@@ -488,15 +501,15 @@ impl RivalSet {
     /// the contents are exactly its rivals. `O(log n)`.
     #[must_use]
     pub fn eval(&self, own: f64) -> f64 {
-        if self.len == 0 {
+        if self.is_empty() {
             return own;
         }
         let (c_lt, s_lt) = self.below(own);
         let k = c_lt as f64;
-        let n = self.len as f64;
+        let n = self.len() as f64;
         // Ties contribute zero to both terms, so the `>= own` block is
         // safely treated as "above" (same convention as `IauEvaluator`).
-        let mp = (self.total - s_lt) - (n - k) * own;
+        let mp = (self.total() - s_lt) - (n - k) * own;
         let lp = k * own - s_lt;
         own - self.params.alpha / n * mp - self.params.beta / n * lp
     }
@@ -678,7 +691,7 @@ mod tests {
     #[test]
     fn rival_set_survives_many_ordered_inserts() {
         // An ascending insertion order is the worst case for a naive BST;
-        // the treap's random priorities must keep it balanced enough to
+        // the treap's hashed priorities must keep it balanced enough to
         // finish instantly and agree with the brute force.
         let params = IauParams::default();
         let mut set = RivalSet::new(params);

@@ -120,7 +120,9 @@ impl PriorityIauEvaluator {
 ///
 /// Fairness statistics ([`PriorityRivalSet::payoff_difference`],
 /// [`PriorityRivalSet::potential`]) are computed on normalised payoffs,
-/// matching [`priority_payoff_difference`].
+/// matching [`priority_payoff_difference`]. Like [`RivalSet`], every read
+/// depends only on the stored multiset of normalised payoffs, whatever
+/// sequence of inserts and removes built it.
 #[derive(Debug, Clone)]
 pub struct PriorityRivalSet {
     inner: RivalSet,

@@ -7,6 +7,7 @@ use fta_core::geometry::Point;
 use fta_core::iau::{iau, IauEvaluator, IauParams, RivalSet};
 use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
 use fta_core::instance::Instance;
+use fta_core::priority::PriorityRivalSet;
 use fta_core::route::Route;
 use proptest::prelude::*;
 
@@ -239,5 +240,134 @@ proptest! {
                 .all(|(dp, &off)| to_dc + off <= aggs[dp.index()].earliest_expiry);
             prop_assert_eq!(route.is_valid_for_travel(to_dc), direct_valid);
         }
+    }
+}
+
+/// One step of a rival-set script over a list of `(payoff, priority)`
+/// items: insert or remove one copy of item `i`.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Insert(usize),
+    Remove(usize),
+}
+
+/// A random op sequence that ends holding exactly `items[..keep]`: the
+/// kept items and the churn items `items[keep..]` are inserted in a
+/// shuffled order, each churn item is removed again some time after its
+/// insert, and `remove(x); insert(x)` pairs of a present item are mixed in.
+fn script(n_items: usize, keep: usize, seed: u64) -> Vec<Op> {
+    let mut s = seed | 1;
+    let mut next = move |bound: usize| {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s % bound as u64) as usize
+    };
+    let mut pending: Vec<Op> = (0..n_items).map(Op::Insert).collect();
+    let mut present: Vec<usize> = Vec::new();
+    let mut ops = Vec::new();
+    while !pending.is_empty() {
+        let op = pending.swap_remove(next(pending.len()));
+        ops.push(op);
+        match op {
+            Op::Insert(i) => {
+                present.push(i);
+                if i >= keep {
+                    pending.push(Op::Remove(i));
+                }
+            }
+            Op::Remove(i) => {
+                let at = present.iter().position(|&j| j == i).expect("inserted");
+                present.swap_remove(at);
+            }
+        }
+        if !present.is_empty() && next(3) == 0 {
+            let i = present[next(present.len())];
+            ops.extend([Op::Remove(i), Op::Insert(i)]);
+        }
+    }
+    ops
+}
+
+/// Payoffs with many exact repeats, both zeros and awkward magnitudes.
+fn arb_item() -> impl Strategy<Value = (f64, f64)> {
+    let payoff = prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(0.1),
+        Just(1.0 / 3.0),
+        Just(2.5),
+        0.0f64..50.0,
+        1e-12f64..1e-9,
+    ];
+    (
+        payoff,
+        prop_oneof![Just(1.0), Just(0.5), Just(3.0), 0.25f64..4.0],
+    )
+}
+
+/// Every read of a `RivalSet`, as bits.
+fn rival_reads(set: &RivalSet, probes: &[f64]) -> Vec<u64> {
+    let mut reads = vec![
+        set.len() as u64,
+        set.total().to_bits(),
+        set.average().to_bits(),
+        set.payoff_difference().to_bits(),
+        set.potential().to_bits(),
+        set.pairwise_diff_sum().to_bits(),
+    ];
+    reads.extend(probes.iter().map(|&p| set.eval(p).to_bits()));
+    reads
+}
+
+/// Every read of a `PriorityRivalSet`, as bits.
+fn priority_reads(set: &PriorityRivalSet, probes: &[f64]) -> Vec<u64> {
+    let mut reads = vec![
+        set.len() as u64,
+        set.average().to_bits(),
+        set.payoff_difference().to_bits(),
+        set.potential().to_bits(),
+    ];
+    reads.extend(probes.iter().map(|&p| set.eval(p, 1.5).to_bits()));
+    reads
+}
+
+proptest! {
+    /// Two op sequences that end at the same multiset leave both rival
+    /// sets reading the same bits: every read is a function of the stored
+    /// multiset alone, and `remove(x); insert(x)` changes nothing.
+    #[test]
+    fn rival_sets_are_history_independent(
+        kept in prop::collection::vec(arb_item(), 0..40),
+        churn in prop::collection::vec(arb_item(), 0..20),
+        seeds in (0u64..u64::MAX, 0u64..u64::MAX),
+        alpha in 0.0f64..2.0,
+        beta in 0.0f64..2.0,
+    ) {
+        let params = IauParams { alpha, beta };
+        let items: Vec<(f64, f64)> = kept.iter().chain(&churn).copied().collect();
+        let mut probes = vec![-0.0, 0.0, 1.0, 25.0, 1e-10];
+        probes.extend(items.iter().map(|&(p, _)| p));
+        let play = |seed: u64| {
+            let mut raw = RivalSet::new(params);
+            let mut normalised = PriorityRivalSet::new(params);
+            for op in script(items.len(), kept.len(), seed) {
+                match op {
+                    Op::Insert(i) => {
+                        raw.insert(items[i].0);
+                        normalised.insert(items[i].0, items[i].1);
+                    }
+                    Op::Remove(i) => {
+                        raw.remove(items[i].0);
+                        normalised.remove(items[i].0, items[i].1);
+                    }
+                }
+            }
+            (rival_reads(&raw, &probes), priority_reads(&normalised, &probes))
+        };
+        let (raw_a, normalised_a) = play(seeds.0);
+        let (raw_b, normalised_b) = play(seeds.1);
+        prop_assert_eq!(raw_a, raw_b, "RivalSet reads depend on history");
+        prop_assert_eq!(normalised_a, normalised_b, "PriorityRivalSet reads depend on history");
     }
 }

@@ -662,8 +662,12 @@ fn run_inner(
     // rather than run a day the caller believes is durable.
     let mut durable = config.durable.as_ref().map(|d| {
         let fingerprint = state::fingerprint(scenario, config);
-        let journal = Journal::create(&d.dir, fingerprint, d.fsync, d.snapshot_every)
-            .unwrap_or_else(|e| panic!("cannot create durable journal in {:?}: {e}", d.dir));
+        let journal = {
+            // The log file's create and its header fsync.
+            let _span = fta_obs::span("durable.create");
+            Journal::create(&d.dir, fingerprint, d.fsync, d.snapshot_every)
+                .unwrap_or_else(|e| panic!("cannot create durable journal in {:?}: {e}", d.dir))
+        };
         DurableSink {
             journal,
             crash_after_round: d.crash_after_round,
@@ -798,6 +802,7 @@ fn drive(
                                 .map(|&(center, _)| center),
                         );
                         if ledger_sink.is_some() || durable.is_some() {
+                            let _span = fta_obs::span("sim.record");
                             round_record = Some(SolveRecord {
                                 round: Some(st.rounds as u64),
                                 sim_hours: Some(now),

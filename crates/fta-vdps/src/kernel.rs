@@ -12,8 +12,14 @@
 //! division. They work in chunks of [`LANES`] rows, classified without a
 //! branch per lane, so one branch skips a chunk the bracket rules out.
 //! The monotone best response ([`best_open`]) breaks payoff ties to the
-//! lowest pool index, whatever the scan order, and skips a prefix whose
-//! reach (the union of its masks) the taken mask covers.
+//! lowest pool index, whatever the scan order, and it and IEGT's
+//! strictly-better sweep ([`for_each_better`]) skip a prefix whose reach
+//! (the union of its masks) the taken mask covers.
+//!
+//! The work counters the game loops report come from that reach test and
+//! nothing else: [`reach_work`] sums the rows of the prefixes a pass walks
+//! and flags a pass that skipped a non-empty prefix, one test per row
+//! length. No kernel ranks a row or counts rows for the counters' sake.
 //!
 //! [`for_each_open_chunked`] splits every `u128` into its two `u64` limbs
 //! (`m & t == 0` iff `(m_lo & t_lo) | (m_hi & t_hi) == 0`) and reduces a
@@ -105,11 +111,6 @@ struct Prefix<'a> {
 }
 
 impl<'a> Prefix<'a> {
-    /// Every valid prefix of `rows`.
-    fn all(rows: &WorkerRows<'a>) -> impl Iterator<Item = Self> + 'a {
-        Self::over(rows, rows.ranges())
-    }
-
     /// The valid prefixes of `rows` that may hold a row open against
     /// `taken`; a prefix its reach proves closed is skipped whole.
     fn open(rows: &WorkerRows<'a>, taken: u128) -> impl Iterator<Item = Self> + 'a {
@@ -232,98 +233,78 @@ pub fn best_open(rows: &WorkerRows<'_>, taken: u128) -> Option<(usize, f64)> {
     best.pos.map(|pos| (pos, best.payoff))
 }
 
-/// Zero-based rank of the valid row with pool index `idx`, whose payoff
-/// is `p`, in (payoff descending, pool index ascending) order over all the
-/// worker's valid rows: the rows paying more, plus the equal-paying rows
-/// at lower pool indices. This is how many rows a first-hit scan over the
-/// payoff-sorted list would pass before reaching `idx`. Only rows within
-/// `Bracket`'s margin of `p` are divided; `idx` itself is skipped.
-#[must_use]
-pub fn payoff_rank(rows: &WorkerRows<'_>, idx: u32, p: f64) -> usize {
-    let bracket = Bracket::around(p);
-    let mut rank = 0;
-    for prefix in Prefix::all(rows) {
-        // Whether the undecided row `k` ranks before `idx`.
-        let before = |k: usize| {
-            prefix.pool_idx[k] != idx && {
-                let q = prefix.payoff(k);
-                q > p || (q == p && prefix.pool_idx[k] < idx)
-            }
-        };
-        let full = prefix.full();
-        for base in (0..full).step_by(LANES) {
-            let (rewards, travels) = prefix.chunk(base);
-            // Counted as integers so the lanes reduce without branches.
-            let (mut above, mut decided) = ([0u64; LANES], [0u64; LANES]);
-            for k in 0..LANES {
-                let (a, b) = bracket.classify(rewards[k], prefix.to_dc + travels[k]);
-                (above[k], decided[k]) = (u64::from(a), u64::from(a | b));
-            }
-            rank += above.iter().sum::<u64>() as usize;
-            // Only rows within the margin (`idx` itself, ties) branch.
-            if decided.iter().sum::<u64>() != LANES as u64 {
-                for (k, _) in decided.iter().enumerate().filter(|&(_, &d)| d == 0) {
-                    rank += usize::from(before(base + k));
-                }
-            }
-        }
-        for k in full..prefix.rewards.len() {
-            let (above, below) = prefix.classify(bracket, k);
-            rank += usize::from(above || (!below && before(k)));
-        }
-    }
-    rank
-}
-
 /// Calls `f(pos, payoff)` for every valid row that does not intersect
-/// `taken` and pays strictly more than `threshold`, in sorted order, and
-/// returns how many valid rows — open or not — pay more than `threshold`.
+/// `taken` and pays strictly more than `threshold`, in sorted order.
 ///
-/// One pass in chunks of [`LANES`]: a `Bracket` classifies every lane
-/// with one multiply, only the lanes it cannot decide are divided to be
-/// counted, and only open lanes above the threshold are divided for `f`.
+/// One pass in chunks of [`LANES`] over the prefixes that may hold an
+/// open row (a prefix its reach proves closed is skipped whole): a
+/// `Bracket` drops the lanes certainly at or below the threshold with one
+/// multiply each, the rest are tested for availability, and only the
+/// open ones are divided.
 pub fn for_each_better(
     rows: &WorkerRows<'_>,
     threshold: f64,
     taken: u128,
     mut f: impl FnMut(usize, f64),
-) -> usize {
+) {
     let bracket = Bracket::around(threshold);
-    let mut count = 0;
-    for prefix in Prefix::all(rows) {
-        // Counts row `k` if it pays more than the threshold (`above` when
-        // the bracket proved it, otherwise divided) and reports it if open.
-        let mut visit = |k: usize, above: bool| {
-            if above || prefix.payoff(k) > threshold {
-                count += 1;
-                if prefix.masks[k] & taken == 0 {
-                    f(prefix.start + k, prefix.payoff(k));
+    for prefix in Prefix::open(rows, taken) {
+        let mut visit = |k: usize| {
+            if prefix.masks[k] & taken == 0 {
+                let p = prefix.payoff(k);
+                if p > threshold {
+                    f(prefix.start + k, p);
                 }
             }
         };
         let full = prefix.full();
         for base in (0..full).step_by(LANES) {
             let (rewards, travels) = prefix.chunk(base);
-            let (mut above, mut below) = ([false; LANES], [false; LANES]);
+            let mut below = [false; LANES];
             for k in 0..LANES {
-                (above[k], below[k]) = bracket.classify(rewards[k], prefix.to_dc + travels[k]);
+                below[k] = bracket.classify(rewards[k], prefix.to_dc + travels[k]).1;
             }
             if !below.iter().all(|&b| b) {
                 for (k, &b) in below.iter().enumerate() {
                     if !b {
-                        visit(base + k, above[k]);
+                        visit(base + k);
                     }
                 }
             }
         }
         for k in full..prefix.rewards.len() {
-            let (above, below) = prefix.classify(bracket, k);
-            if !below {
-                visit(k, above);
+            if !prefix.classify(bracket, k).1 {
+                visit(k);
             }
         }
     }
-    count
+}
+
+/// The work one pass of [`best_open`] or [`for_each_better`] does over a
+/// worker's rows: the counters behind `BestResponseStats`'
+/// `candidates_scanned` and `early_exits`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanWork {
+    /// Rows in the valid prefixes that passed the reach test: the rows
+    /// the pass walked.
+    pub scanned: u64,
+    /// Whether the reach test skipped at least one non-empty prefix.
+    pub skipped_prefix: bool,
+}
+
+/// The [`ScanWork`] of a pass over `rows` against `taken`: one reach test
+/// per row length, no row read.
+#[must_use]
+pub fn reach_work(rows: &WorkerRows<'_>, taken: u128) -> ScanWork {
+    let mut work = ScanWork::default();
+    for range in rows.ranges() {
+        if rows.may_open(&range, taken) {
+            work.scanned += range.len() as u64;
+        } else {
+            work.skipped_prefix |= !range.is_empty();
+        }
+    }
+    work
 }
 
 /// Calls `f(pos)` for every mask in `masks[..limit]` that does not
@@ -428,32 +409,37 @@ mod tests {
     }
 
     #[test]
-    fn payoff_rank_counts_better_and_lower_index_ties() {
+    fn ties_go_to_the_lowest_pool_index_and_work_is_counted_per_prefix() {
         let rewards = [2.0, 5.0, 2.0, 7.0, 2.0];
         let pool_idx = [4, 1, 0, 3, 2];
         let reach = running_or(&[1; 5]);
         let r = rows(&rewards, &pool_idx, &[1; 5], &reach);
-        let rank = |pos: usize| payoff_rank(&r, pool_idx[pos], rewards[pos]);
-        assert_eq!(rank(3), 0);
-        assert_eq!(rank(1), 1);
-        assert_eq!(rank(2), 2, "pool index 0 leads the 2.0 tie");
-        assert_eq!(rank(4), 3);
-        assert_eq!(rank(0), 4);
-        // The tie goes to the lowest pool index whatever the scan order.
         assert_eq!(best_open(&r, 0b1), None, "every row closed");
+        let skipped = ScanWork {
+            scanned: 0,
+            skipped_prefix: true,
+        };
+        assert_eq!(reach_work(&r, 0b1), skipped);
+        // The tie goes to the lowest pool index whatever the scan order.
         let open: Vec<u128> = vec![1, 2, 1, 2, 1];
         let reach = running_or(&open);
         let r = rows(&rewards, &pool_idx, &open, &reach);
         assert_eq!(best_open(&r, 0b10), Some((2, 2.0)));
+        let walked = ScanWork {
+            scanned: 5,
+            skipped_prefix: false,
+        };
+        assert_eq!(reach_work(&r, 0b10), walked);
         assert_eq!(best_open(&r, 0b11), None, "reach covered: prefix skipped");
+        assert_eq!(reach_work(&r, 0b11), skipped);
         let better = |threshold| {
             let mut open = Vec::new();
-            let n = for_each_better(&r, threshold, 0b10, |pos, p| open.push((pos, p)));
-            (n, open)
+            for_each_better(&r, threshold, 0b10, |pos, p| open.push((pos, p)));
+            open
         };
-        assert_eq!(better(2.0), (2, vec![]));
+        assert_eq!(better(2.0), vec![]);
         let all_twos = vec![(0, 2.0), (2, 2.0), (4, 2.0)];
-        assert_eq!(better(1.999_999_999_999), (5, all_twos));
+        assert_eq!(better(1.999_999_999_999), all_twos);
     }
 
     #[test]

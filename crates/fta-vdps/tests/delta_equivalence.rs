@@ -29,7 +29,10 @@ use std::cell::Cell;
 
 #[path = "support/materialised.rs"]
 mod materialised;
+#[path = "support/payoff_rank.rs"]
+mod payoff_rank;
 use materialised::SlotColumns;
+use payoff_rank::payoff_rank;
 
 /// One churn step applied to a task index (modulo the live task count).
 #[derive(Debug, Clone)]
@@ -471,7 +474,7 @@ proptest! {
                 for taken in [0, cold.pool.masks().first().copied().unwrap_or(0)] {
                     let rows = warm.rows(local);
                     let best = kernel::best_open(&rows, taken)
-                        .map(|(pos, p)| (rows.pool_idx[pos], kernel::payoff_rank(&rows, rows.pool_idx[pos], p)));
+                        .map(|(pos, p)| (rows.pool_idx[pos], payoff_rank(&rows, rows.pool_idx[pos], p)));
                     prop_assert_eq!(best, first_hit_by_payoff(&oracle, local, taken), "best response differs");
                 }
             }

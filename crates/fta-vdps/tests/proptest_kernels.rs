@@ -9,6 +9,10 @@ use fta_data::{generate_syn, SynConfig};
 use fta_vdps::{generate_c_vdps_in, kernel, StrategySpace, VdpsConfig, WorkerRows};
 use proptest::prelude::*;
 
+#[path = "support/payoff_rank.rs"]
+mod payoff_rank;
+use payoff_rank::payoff_rank;
+
 /// The one-branch-per-candidate loop `kernel::for_each_open_chunked`
 /// replaces: the positions in `masks[..limit]` disjoint from `taken`.
 fn open_positions_scalar(masks: &[u128], limit: usize, taken: u128) -> Vec<usize> {
@@ -131,8 +135,9 @@ proptest! {
     /// `payoff_rank` equals that row's position in the sorted list, for
     /// rows split into several length buckets with arbitrary valid
     /// prefixes. `for_each_better` visits exactly the open rows above a
-    /// threshold and counts what the sorted scan passes before stopping
-    /// there.
+    /// threshold, and `reach_work` counts the rows of the prefixes whose
+    /// masks' union is not inside the taken mask, flagging a skipped
+    /// non-empty prefix.
     #[test]
     fn best_kernels_match_sorted_first_hit(
         slots in prop::collection::vec((1u8..=u8::MAX, 0usize..7, 0usize..7), 0..40),
@@ -166,7 +171,7 @@ proptest! {
         if let Some((pos, p)) = best {
             prop_assert_eq!(p.to_bits(), rows.payoff(pos).to_bits());
         }
-        let got = best.map(|(pos, p)| (pos, kernel::payoff_rank(&rows, rows.pool_idx[pos], p)));
+        let got = best.map(|(pos, p)| (pos, payoff_rank(&rows, rows.pool_idx[pos], p)));
         prop_assert_eq!(got, want);
 
         let mut thresholds: Vec<f64> = vec![-1.0, 0.0, 5e-324, 1.0, 2.0 + 1e-10, f64::INFINITY, f64::NAN];
@@ -180,10 +185,20 @@ proptest! {
                 .map(|&pos| (pos, rows.payoff(pos).to_bits()))
                 .collect();
             let mut got = Vec::new();
-            let n = kernel::for_each_better(&rows, threshold, taken, |pos, p| got.push((pos, p.to_bits())));
-            prop_assert_eq!(n, above.len(), "threshold {}", threshold);
+            kernel::for_each_better(&rows, threshold, taken, |pos, p| got.push((pos, p.to_bits())));
             prop_assert_eq!(got, open, "threshold {}", threshold);
         }
+
+        let (mut scanned, mut skipped_prefix) = (0u64, false);
+        for range in rows.ranges() {
+            let union = masks[range.clone()].iter().fold(0u128, |u, &m| u | m);
+            if union & !taken != 0 {
+                scanned += range.len() as u64;
+            } else {
+                skipped_prefix |= !range.is_empty();
+            }
+        }
+        prop_assert_eq!(kernel::reach_work(&rows, taken), kernel::ScanWork { scanned, skipped_prefix });
     }
 
     /// The reach skip against the plain loop, on taken masks that cover

@@ -18,7 +18,10 @@ use proptest::prelude::*;
 
 #[path = "support/materialised.rs"]
 mod materialised;
+#[path = "support/payoff_rank.rs"]
+mod payoff_rank;
 use materialised::SlotColumns;
+use payoff_rank::payoff_rank;
 
 const SLACKS: [f64; 10] = [
     f64::NAN,
@@ -124,7 +127,7 @@ proptest! {
                     .position(|&pos| oracle.masks_of(local)[pos] & taken == 0)
                     .map(|rank| (oracle.valid_of(local)[order[rank]], rank));
                 let got = kernel::best_open(&r, taken)
-                    .map(|(pos, p)| (r.pool_idx[pos], kernel::payoff_rank(&r, r.pool_idx[pos], p)));
+                    .map(|(pos, p)| (r.pool_idx[pos], payoff_rank(&r, r.pool_idx[pos], p)));
                 prop_assert_eq!(got, want, "worker {} best response", local);
             }
         }
