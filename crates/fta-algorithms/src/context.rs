@@ -9,10 +9,11 @@
 //! The monotone best-response queries ([`GameContext::best_available`]
 //! for FGT/PFGT, [`GameContext::better_available`] for IEGT) make one pass
 //! over the worker's valid prefixes of the sorted pool, skipping a prefix
-//! whose reach the others' taken mask covers, and return the work that
-//! pass did as a [`ScanWork`]: the rows of the prefixes it walked
-//! (`candidates_scanned`) and whether it skipped a non-empty one
-//! (`early_exits`). Nothing runs a second pass to count.
+//! whose reach has fewer points free of the others' taken mask than its
+//! rows have stops, and return the work that pass did as a [`ScanWork`]:
+//! the rows of the prefixes it walked (`candidates_scanned`) and whether
+//! it skipped a non-empty one (`early_exits`). Nothing runs a second pass
+//! to count.
 
 use fta_core::{Assignment, WorkerId};
 use fta_vdps::kernel::{self, ScanWork};
@@ -162,22 +163,14 @@ impl<'a> GameContext<'a> {
             .filter_map(move |idx| Some((idx, self.space.payoff_of(local, idx)?)))
     }
 
-    /// Replaces `out` with the pool indices of the `local`-th worker's
-    /// available strategies that visit exactly `len` delivery points, in
-    /// sorted-pool order (not pool-index order). A prefix its reach proves
-    /// closed costs one test.
-    pub fn available_of_len(&self, local: usize, len: usize, out: &mut Vec<u32>) {
-        out.clear();
-        let rows = self.space.rows(local);
-        let other_taken = self.taken & !self.own_masks[local];
-        if let Some(range) = rows.ranges().nth(len) {
-            if rows.may_open(&range, other_taken) {
-                let masks = &rows.masks[range.clone()];
-                kernel::for_each_open_chunked(masks, masks.len(), other_taken, |k| {
-                    out.push(rows.pool_idx[range.start + k]);
-                });
-            }
-        }
+    /// The points of the `local`-th worker's available single-point
+    /// strategies, one bit per strategy (see
+    /// [`StrategySpace::open_singles`]); [`StrategySpace::nth_single`]
+    /// names them in ascending pool-index order.
+    #[must_use]
+    pub fn open_singles(&self, local: usize) -> u128 {
+        self.space
+            .open_singles(local, self.taken & !self.own_masks[local])
     }
 
     /// The available strategy [`Iterator::max_by`] with

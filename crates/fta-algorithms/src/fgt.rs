@@ -492,9 +492,9 @@ pub(crate) mod tests {
 
     /// The work counters' definition for one turn of a fast-path pass,
     /// recomputed from the worker's valid strategies: grouped by row
-    /// length, a group whose masks' union lies inside the others' taken
-    /// mask is skipped and every other group's rows are scanned. Returns
-    /// `(scanned, skipped a non-empty group)`.
+    /// length `L`, a group whose masks' union has fewer than `L` points
+    /// outside the others' taken mask is skipped and every other group's
+    /// rows are scanned. Returns `(scanned, skipped a non-empty group)`.
     pub(crate) fn reach_oracle(ctx: &GameContext<'_>, local: usize) -> (u64, bool) {
         let space = ctx.space();
         let others = ctx.taken_mask() & !ctx.own_mask(local);
@@ -505,9 +505,9 @@ pub(crate) mod tests {
             group.1 |= space.pool.mask(idx as usize);
         }
         groups
-            .values()
-            .fold((0, false), |(scanned, skipped), &(rows, union)| {
-                if union & !others != 0 {
+            .iter()
+            .fold((0, false), |(scanned, skipped), (&len, &(rows, union))| {
+                if (union & !others).count_ones() as usize >= len {
                     (scanned + rows, skipped)
                 } else {
                     (scanned, true)

@@ -44,11 +44,14 @@ pub struct BestResponseStats {
     /// Valid strategy rows a deliberation's pass walked. An exhaustive
     /// turn walks the worker's whole valid list; a fast-path or IEGT pass
     /// walks the rows of the valid prefixes (one per row length) that
-    /// passed the reach test, and reads no other row.
+    /// passed the reach test — a prefix of row length `L` whose masks'
+    /// union has at least `L` points free of the others' taken mask — and
+    /// reads no other row.
     pub candidates_scanned: u64,
     /// Deliberations on which the reach test skipped at least one
-    /// non-empty prefix: rows proven closed without being read. Always
-    /// zero for the exhaustive engines.
+    /// non-empty prefix (fewer free points in its union than its rows
+    /// have stops): rows proven closed without being read. Always zero
+    /// for the exhaustive engines.
     pub early_exits: u64,
     /// Rounds executed under the monotone fast-path loop. Stays zero when
     /// the IAU parameters make the fast path unsound (`β ≥ 1` or `α < 0`)

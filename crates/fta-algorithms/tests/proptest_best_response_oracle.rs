@@ -9,7 +9,8 @@
 //! selections of the other workers, both queries must return the same pool
 //! indices and payoff bits, and the same `ScanWork` as the counters'
 //! definition recomputed from the materialised slots (the slots of each
-//! row length whose masks' union is not inside the others' taken mask).
+//! row length `L` whose masks' union has at least `L` points outside the
+//! others' taken mask).
 //!
 //! On top of the queries, the production game code runs over both
 //! representations: `fgt.rs`, `iegt.rs`, `gta.rs`, `mpta.rs`, `random.rs`

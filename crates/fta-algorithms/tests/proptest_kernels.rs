@@ -94,25 +94,28 @@ fn check_queries(ctx: &mut GameContext<'_>) {
         let got = ctx.best_available(local).0.map(|(i, p)| (i, p.to_bits()));
         prop_assert_eq!(got, want, "best_available, worker {}", local);
 
-        // MPTA's climb step and the random initialisation's draw, which
-        // skip the prefixes their reach proves closed, against exhaustive
-        // filtering of the open strategies.
+        // MPTA's climb step, which skips the prefixes their reach proves
+        // closed, and the random initialisation's mask of open singles,
+        // against exhaustive filtering of the open strategies.
         let want = ctx
             .available_strategies(local)
             .max_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
             .map(|(i, p)| (i, p.to_bits()));
         let got = ctx.max_available(local).map(|(i, p)| (i, p.to_bits()));
         prop_assert_eq!(got, want, "max_available, worker {}", local);
-        let mut of_len = Vec::new();
-        for len in 0..=ctx.space().max_dp(local) + 1 {
-            let want: Vec<u32> = ctx
-                .available_strategies(local)
-                .map(|(i, _)| i)
-                .filter(|&i| ctx.space().pool.row_len(i as usize) == len)
-                .collect();
-            ctx.available_of_len(local, len, &mut of_len);
-            of_len.sort_unstable();
-            prop_assert_eq!(&of_len, &want, "available_of_len {}, worker {}", len, local);
+        let singles: Vec<u32> = ctx
+            .available_strategies(local)
+            .map(|(i, _)| i)
+            .filter(|&i| ctx.space().pool.row_len(i as usize) == 1)
+            .collect();
+        let open = ctx.open_singles(local);
+        let want = singles
+            .iter()
+            .fold(0, |m, &i| m | ctx.space().pool.mask(i as usize));
+        prop_assert_eq!(open, want, "open_singles, worker {}", local);
+        prop_assert_eq!(open.count_ones() as usize, singles.len());
+        for (k, &idx) in singles.iter().enumerate() {
+            prop_assert_eq!(ctx.space().nth_single(open, k as u32), idx);
         }
 
         let mut out = Vec::new();
@@ -163,7 +166,8 @@ fn skipped_prefixes(ctx: &GameContext<'_>) -> usize {
             let rows = ctx.space().rows(local);
             let taken = ctx.taken_mask() & !ctx.own_mask(local);
             rows.ranges()
-                .filter(|r| !r.is_empty() && !rows.may_open(r, taken))
+                .enumerate()
+                .filter(|(len, r)| !r.is_empty() && !rows.may_open(*len, r, taken))
                 .count()
         })
         .sum()

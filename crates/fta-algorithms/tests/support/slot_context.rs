@@ -6,7 +6,8 @@
 //! the first open slot of the payoff-sorted list, IEGT's strictly-better
 //! set as the prefix of that list above the threshold. The work counters
 //! are recomputed from their definition ([`reach_work`]): the slots of the
-//! row lengths whose masks' union is not inside the taken mask.
+//! row lengths `L` whose masks' union has at least `L` points outside the
+//! taken mask.
 //!
 //! The production algorithm sources compile against it unchanged (see
 //! `proptest_best_response_oracle.rs`), so both representations run the
@@ -129,6 +130,15 @@ impl<'a> GameContext<'a> {
         );
     }
 
+    /// The union of the masks of the open single-point slots.
+    pub fn open_singles(&self, local: usize) -> u128 {
+        let mut singles = Vec::new();
+        self.available_of_len(local, 1, &mut singles);
+        singles
+            .iter()
+            .fold(0, |union, &idx| union | self.space.pool.mask(idx as usize))
+    }
+
     /// MPTA's climb step as it was written: `max_by` over the open slots.
     pub fn max_available(&self, local: usize) -> Option<(u32, f64)> {
         self.available_strategies(local)
@@ -206,8 +216,9 @@ impl<'a> GameContext<'a> {
 }
 
 /// The work counters' definition over materialised slots: group the
-/// worker's valid slots by row length; a group whose masks' union lies
-/// inside `taken` is skipped, every other group's slots are scanned.
+/// worker's valid slots by row length `L`; a group whose masks' union has
+/// fewer than `L` points outside `taken` is skipped, every other group's
+/// slots are scanned.
 pub fn reach_work(
     space: &StrategySpace,
     slots: &SlotColumns,
@@ -224,8 +235,9 @@ pub fn reach_work(
         unions[len].1 |= mask;
     }
     let mut work = ScanWork::default();
-    for (count, union) in unions.into_iter().filter(|&(count, _)| count > 0) {
-        if union & !taken != 0 {
+    let groups = unions.into_iter().enumerate();
+    for (len, (count, union)) in groups.filter(|&(_, (count, _))| count > 0) {
+        if (union & !taken).count_ones() as usize >= len {
             work.scanned += count;
         } else {
             work.skipped_prefix = true;

@@ -12,9 +12,10 @@ use rand::SeedableRng;
 use std::collections::BTreeMap;
 
 /// The counters' definition for one worker turn: the worker's valid
-/// strategies grouped by row length; a group whose masks' union lies
-/// inside the others' taken mask is skipped, every other group's rows are
-/// scanned. Returns `(scanned, skipped a non-empty group)`.
+/// strategies grouped by row length `L`; a group whose masks' union has
+/// fewer than `L` points outside the others' taken mask is skipped, every
+/// other group's rows are scanned. Returns `(scanned, skipped a non-empty
+/// group)`.
 fn reach_definition(ctx: &GameContext<'_>, local: usize) -> (u64, bool) {
     let space = ctx.space();
     let others = ctx.taken_mask() & !ctx.own_mask(local);
@@ -25,9 +26,9 @@ fn reach_definition(ctx: &GameContext<'_>, local: usize) -> (u64, bool) {
         group.1 |= space.pool.mask(idx as usize);
     }
     groups
-        .values()
-        .fold((0, false), |(scanned, skipped), &(rows, union)| {
-            if union & !others != 0 {
+        .iter()
+        .fold((0, false), |(scanned, skipped), (&len, &(rows, union))| {
+            if (union & !others).count_ones() as usize >= len {
                 (scanned + rows, skipped)
             } else {
                 (scanned, true)

@@ -379,15 +379,51 @@ impl RivalSet {
         Self { root: None, params }
     }
 
-    /// Convenience constructor: builds the engine and inserts every payoff
-    /// in `payoffs`.
+    /// Builds the engine over every payoff in `payoffs`: the same set, bit
+    /// for bit, as inserting them one by one in any order, since the shape
+    /// and every aggregate are functions of the multiset. One pass over
+    /// the sorted, grouped payoffs builds the Cartesian tree with the right
+    /// spine on a stack (no recursion), aggregating each node once, when
+    /// its subtree is complete; a childless single-copy node keeps
+    /// [`Node::leaf`]'s aggregates, as an insert leaves them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a payoff is NaN.
     #[must_use]
     pub fn with_payoffs(payoffs: &[f64], params: IauParams) -> Self {
-        let mut set = Self::new(params);
-        for &p in payoffs {
-            set.insert(p);
+        // `-0.0 + 0.0` is `+0.0`, as on insert.
+        let mut values: Vec<f64> = payoffs.iter().map(|&p| p + 0.0).collect();
+        assert!(
+            values.iter().all(|v| !v.is_nan()),
+            "cannot insert NaN into a RivalSet"
+        );
+        values.sort_unstable_by(f64::total_cmp);
+        // Completes `node`'s subtree under `right` and aggregates it.
+        let close = |mut node: Box<Node>, right: Option<Box<Node>>| {
+            node.right = right;
+            if node.copies > 1 || node.left.is_some() || node.right.is_some() {
+                node.pull();
+            }
+            node
+        };
+        let mut spine: Vec<Box<Node>> = Vec::new();
+        for group in values.chunk_by(|a, b| a == b) {
+            let mut node = Node::leaf(group[0]);
+            node.copies = group.len() as i64;
+            let mut left = None;
+            while spine.last().is_some_and(|top| outranks(&node, top)) {
+                let top = spine.pop().expect("the spine is non-empty");
+                left = Some(close(top, left));
+            }
+            node.left = left;
+            spine.push(node);
         }
-        set
+        let mut root = None;
+        while let Some(top) = spine.pop() {
+            root = Some(close(top, root));
+        }
+        Self { root, params }
     }
 
     /// The inequity-aversion weights this engine evaluates with.

@@ -370,4 +370,31 @@ proptest! {
         prop_assert_eq!(raw_a, raw_b, "RivalSet reads depend on history");
         prop_assert_eq!(normalised_a, normalised_b, "PriorityRivalSet reads depend on history");
     }
+
+    /// The one-pass build reads the same bits as inserting the payoffs
+    /// one by one in a random order (with `remove(x); insert(x)` pairs
+    /// mixed in), on the same value domain (repeats and `-0.0` included).
+    #[test]
+    fn one_pass_builds_equal_one_by_one_inserts(
+        items in prop::collection::vec(arb_item(), 0..60),
+        seed in 0u64..u64::MAX,
+        alpha in 0.0f64..2.0,
+        beta in 0.0f64..2.0,
+    ) {
+        let params = IauParams { alpha, beta };
+        let payoffs: Vec<f64> = items.iter().map(|&(p, _)| p).collect();
+        let mut probes = vec![-0.0, 0.0, 1.0, 25.0, 1e-10];
+        probes.extend(&payoffs);
+        let mut inserted = RivalSet::new(params);
+        for op in script(items.len(), items.len(), seed) {
+            match op {
+                Op::Insert(i) => inserted.insert(payoffs[i]),
+                Op::Remove(i) => inserted.remove(payoffs[i]),
+            }
+        }
+        prop_assert_eq!(
+            rival_reads(&RivalSet::with_payoffs(&payoffs, params), &probes),
+            rival_reads(&inserted, &probes)
+        );
+    }
 }

@@ -208,8 +208,18 @@ impl VdpsPool {
 
     /// Appends `route` as a row for `mask` (the route's center must be the
     /// pool's).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `mask` holds one point per stop of `route`: the
+    /// strategy layer's reach test counts a row's points by its length.
     pub fn push_route(&mut self, mask: u128, route: &Route) {
         debug_assert_eq!(route.center(), self.center, "route from another center");
+        assert!(
+            mask != 0 && mask.count_ones() as usize == route.len(),
+            "every pool row visits a point, one per stop: {} stops, mask {mask:#x}",
+            route.len()
+        );
         self.stops.extend_from_slice(route.dps());
         self.offsets.extend_from_slice(route.arrival_offsets());
         self.close_row(mask, route.total_reward(), route.slack());
@@ -258,6 +268,11 @@ impl VdpsPool {
     fn close_row(&mut self, mask: u128, reward: f64, slack: f64) {
         let start = *self.starts.last().expect("starts holds the leading 0") as usize;
         debug_assert!(self.stops.len() > start, "a set visits at least one point");
+        debug_assert_eq!(
+            mask.count_ones() as usize,
+            self.stops.len() - start,
+            "a row's mask holds one point per stop"
+        );
         self.masks.push(mask);
         self.starts.push(self.stops.len() as u32);
         self.rewards.push(reward);

@@ -13,8 +13,9 @@
 //! branch per lane, so one branch skips a chunk the bracket rules out.
 //! The monotone best response ([`best_open`]) breaks payoff ties to the
 //! lowest pool index, whatever the scan order, and it and IEGT's
-//! strictly-better sweep ([`for_each_better`]) skip a prefix whose reach
-//! (the union of its masks) the taken mask covers.
+//! strictly-better sweep ([`for_each_better`]) skip a prefix of row length
+//! `L` whose reach (the union of its masks) has fewer than `L` points free
+//! of the taken mask ([`WorkerRows::may_open`]).
 //!
 //! The work counters the game loops report come from that reach test and
 //! nothing else: [`reach_work`] sums the rows of the prefixes a pass walks
@@ -112,7 +113,7 @@ struct Prefix<'a> {
 
 impl<'a> Prefix<'a> {
     /// The valid prefixes of `rows` that may hold a row open against
-    /// `taken`; a prefix its reach proves closed is skipped whole.
+    /// `taken`; a prefix its reach test proves closed is skipped whole.
     fn open(rows: &WorkerRows<'a>, taken: u128) -> impl Iterator<Item = Self> + 'a {
         Self::over(rows, rows.open_ranges(taken))
     }
@@ -191,9 +192,9 @@ impl Best {
 /// index (the first strict maximum of an ascending pool-index scan).
 /// Returns its sorted position and payoff.
 ///
-/// A prefix whose reach lies inside `taken` is skipped before any of its
-/// rows is read, so a worker with nothing open costs one test per row
-/// length. Within the other prefixes, per chunk of [`LANES`] rows, the
+/// A prefix its reach test proves closed (fewer free points in its union
+/// than its rows have stops) is skipped before any of its rows is read,
+/// so a worker with nothing open costs one test per row length. Within the other prefixes, per chunk of [`LANES`] rows, the
 /// lanes the running maximum certainly out-pays (a `Bracket`, one
 /// multiply per lane) are dropped before the availability test; a chunk
 /// of them costs one branch, and only open survivors are divided.
@@ -237,7 +238,7 @@ pub fn best_open(rows: &WorkerRows<'_>, taken: u128) -> Option<(usize, f64)> {
 /// `taken` and pays strictly more than `threshold`, in sorted order.
 ///
 /// One pass in chunks of [`LANES`] over the prefixes that may hold an
-/// open row (a prefix its reach proves closed is skipped whole): a
+/// open row (a prefix its reach test proves closed is skipped whole): a
 /// `Bracket` drops the lanes certainly at or below the threshold with one
 /// multiply each, the rest are tested for availability, and only the
 /// open ones are divided.
@@ -285,8 +286,9 @@ pub fn for_each_better(
 /// `candidates_scanned` and `early_exits`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanWork {
-    /// Rows in the valid prefixes that passed the reach test: the rows
-    /// the pass walked.
+    /// Rows in the valid prefixes that passed the reach test (a prefix of
+    /// row length `L` whose union has at least `L` points free of the
+    /// taken mask): the rows the pass walked.
     pub scanned: u64,
     /// Whether the reach test skipped at least one non-empty prefix.
     pub skipped_prefix: bool,
@@ -297,8 +299,8 @@ pub struct ScanWork {
 #[must_use]
 pub fn reach_work(rows: &WorkerRows<'_>, taken: u128) -> ScanWork {
     let mut work = ScanWork::default();
-    for range in rows.ranges() {
-        if rows.may_open(&range, taken) {
+    for (len, range) in rows.ranges().enumerate() {
+        if rows.may_open(len, &range, taken) {
             work.scanned += range.len() as u64;
         } else {
             work.skipped_prefix |= !range.is_empty();

@@ -27,10 +27,17 @@
 //!   first strict maximum of an ascending pool-index scan.
 //! * **Reach.** Next to the masks, the sorted pool keeps their running OR
 //!   within each row-length bucket, so the union of a worker's valid
-//!   prefix is one load. Every row visits at least one point, so when that
-//!   union lies inside the taken mask every row of the prefix is closed,
-//!   and the scans skip it without touching its rows
+//!   prefix is one load. A row of length `L` visits `L` distinct points
+//!   (its mask holds one point per stop, which [`VdpsPool::push_route`]
+//!   checks), all inside that union, so when fewer than `L` of the
+//!   union's points are free of the taken mask every row of the prefix is
+//!   closed, and the scans skip it without touching its rows
 //!   ([`WorkerRows::may_open`]).
+//! * **Singles by point.** No two single-point rows share a point, so the
+//!   reach of a worker's length-1 prefix names its valid singles one bit
+//!   each: [`StrategySpace::open_singles`] and
+//!   [`StrategySpace::nth_single`] draw the random initialisation from
+//!   that mask without reading a row.
 
 use crate::columns::VdpsPool;
 use crate::config::VdpsConfig;
@@ -38,12 +45,12 @@ use crate::generator::{generate_c_vdps_budgeted, GenControl, GenerationStats};
 use crate::pool::WorkerPool;
 use fta_core::instance::{CenterView, DpAggregate, Instance};
 use fta_core::payoff::payoff_from_parts;
-use fta_core::WorkerId;
+use fta_core::{FtaError, WorkerId};
 use std::ops::Range;
 
 /// The pool's scan columns permuted into validity order: row length
 /// ascending, then slack descending (NaN last), then pool index.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct SortedPool {
     /// Rows of length `l` occupy `bounds[l]..bounds[l + 1]`.
     bounds: Vec<u32>,
@@ -57,6 +64,12 @@ struct SortedPool {
     rewards: Vec<f64>,
     /// Travel times from the center, parallel to `pool_idx`.
     travels: Vec<f64>,
+    /// Pool index of the single-point row on each point (`u32::MAX` where
+    /// there is none).
+    singles: [u32; 128],
+    /// Whether the singles' pool indices ascend with their points, so a
+    /// mask's set bits are in pool-index order (true of generated pools).
+    singles_ordered: bool,
 }
 
 impl SortedPool {
@@ -64,11 +77,13 @@ impl SortedPool {
     /// the slacks in the same order (only the per-worker binary searches
     /// need them).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a row's mask is empty: the reach test that skips closed
-    /// prefixes is only sound when every row visits a point.
-    fn build(pool: &VdpsPool) -> (Self, Vec<f64>) {
+    /// Rejects two single-point rows on one point: the random
+    /// initialisation names a single by its point. (That every row's mask
+    /// holds one point per stop, which the reach test relies on, is the
+    /// pool's own invariant: [`VdpsPool::push_route`] checks it.)
+    fn build(pool: &VdpsPool) -> Result<(Self, Vec<f64>), FtaError> {
         let slacks = pool.slacks();
         // One packed key per row: length, then a slack key that ascends
         // as the slack descends (NaN at the very end), then the index.
@@ -114,11 +129,25 @@ impl SortedPool {
             let mut union = 0;
             for &r in &pool_idx[bucket[0] as usize..bucket[1] as usize] {
                 let mask = pool.mask(r as usize);
-                assert!(mask != 0, "every pool row visits a point");
                 union |= mask;
                 masks.push(mask);
                 reach.push(union);
             }
+        }
+        let mut singles = [u32::MAX; 128];
+        let ones = match bounds.get(1..3) {
+            Some(&[start, end]) => start as usize..end as usize,
+            _ => 0..0,
+        };
+        for pos in ones {
+            let point = masks[pos].trailing_zeros() as usize;
+            if singles[point] != u32::MAX {
+                return Err(FtaError::InvalidField {
+                    field: "pool",
+                    message: format!("two single-point rows visit point {point}"),
+                });
+            }
+            singles[point] = pool_idx[pos];
         }
         let sorted = Self {
             masks,
@@ -127,8 +156,10 @@ impl SortedPool {
             travels,
             bounds,
             pool_idx,
+            singles,
+            singles_ordered: singles.iter().filter(|&&r| r != u32::MAX).is_sorted(),
         };
-        (sorted, slacks)
+        Ok((sorted, slacks))
     }
 
     /// Number of row lengths (`0..=max_len`) with a bucket.
@@ -176,21 +207,26 @@ impl<'a> WorkerRows<'a> {
             .map(|(&s, &e)| s as usize..e as usize)
     }
 
-    /// Whether the valid prefix `range` (one of [`WorkerRows::ranges`])
-    /// may hold a row disjoint from `taken`. `false` proves it holds none:
-    /// the prefix is empty, or the union of its masks, `reach[end − 1]`,
-    /// lies inside `taken`, and since no row's mask is empty every row then
-    /// intersects `taken`.
+    /// Whether the valid prefix `range` of row length `len` (the
+    /// `len`-th of [`WorkerRows::ranges`]) may hold a row disjoint from
+    /// `taken`. `false` proves it holds none: the prefix is empty, or
+    /// fewer than `max(len, 1)` points of the union of its masks,
+    /// `reach[end − 1]`, are free of `taken`. Every row of the prefix
+    /// visits at least that many points, all inside the union, so an open
+    /// row would need that many free ones.
     #[inline]
     #[must_use]
-    pub fn may_open(&self, range: &Range<usize>, taken: u128) -> bool {
-        !range.is_empty() && self.reach[range.end - 1] & !taken != 0
+    pub fn may_open(&self, len: usize, range: &Range<usize>, taken: u128) -> bool {
+        !range.is_empty() && has_points(self.reach[range.end - 1] & !taken, len)
     }
 
     /// The worker's valid prefixes that [`WorkerRows::may_open`] against
     /// `taken`: every row disjoint from `taken` lies in one of them.
     pub fn open_ranges(self, taken: u128) -> impl Iterator<Item = Range<usize>> + 'a {
-        self.ranges().filter(move |r| self.may_open(r, taken))
+        self.ranges()
+            .enumerate()
+            .filter(move |(len, r)| self.may_open(*len, r, taken))
+            .map(|(_, r)| r)
     }
 
     /// The worker's payoff for the sorted row at `pos`.
@@ -285,7 +321,8 @@ impl StrategySpace {
     }
 
     /// Validates a pre-generated pool per worker: one sort of the pool,
-    /// then one binary search per (worker, row length).
+    /// then one binary search per (worker, row length). Panics with
+    /// [`StrategySpace::from_parts`]' error on a pool it rejects.
     ///
     /// `_workers` is unused: validation always runs on the calling thread. It
     /// is kept so that the round benchmark's (`perfbench`) five-argument
@@ -309,30 +346,35 @@ impl StrategySpace {
             })
             .unzip();
         Self::from_parts(view, pool, worker_to_dc, max_dp, gen_stats)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Validates `pool` for workers given directly by their travel times
     /// to the center and their `maxDP` (both parallel to `view.workers`),
     /// as [`StrategySpace::from_pool_in`] derives them from an instance.
     ///
+    /// # Errors
+    ///
+    /// [`FtaError::InvalidField`] (field `pool`) if two single-point rows
+    /// visit the same point. Generated pools, one row per mask, pass.
+    ///
     /// # Panics
     ///
     /// Panics if the two vectors are not as long as `view.workers`.
-    #[must_use]
     pub fn from_parts(
         view: CenterView,
         pool: VdpsPool,
         worker_to_dc: Vec<f64>,
         max_dp: Vec<usize>,
         gen_stats: GenerationStats,
-    ) -> Self {
+    ) -> Result<Self, FtaError> {
         assert_eq!(
             worker_to_dc.len(),
             view.workers.len(),
             "one travel time per worker"
         );
         assert_eq!(max_dp.len(), view.workers.len(), "one maxDP per worker");
-        let (sorted, slacks) = SortedPool::build(&pool);
+        let (sorted, slacks) = SortedPool::build(&pool)?;
         let n_lens = sorted.n_lens();
         let mut ends = Vec::with_capacity(view.workers.len() * n_lens);
         let mut total_slots = 0;
@@ -348,7 +390,7 @@ impl StrategySpace {
                 ends.push((bucket.start + valid) as u32);
             }
         }
-        Self {
+        Ok(Self {
             view,
             pool,
             worker_to_dc,
@@ -357,7 +399,7 @@ impl StrategySpace {
             ends,
             total_slots,
             gen_stats,
-        }
+        })
     }
 
     /// Number of workers in this center's population.
@@ -416,6 +458,43 @@ impl StrategySpace {
         valid.then(|| payoff_from_parts(self.pool.rewards()[r], self.pool.travels()[r], to_dc))
     }
 
+    /// The points of the `local`-th worker's valid single-point rows that
+    /// `taken` leaves open, one bit per row: the reach of its length-1
+    /// prefix minus `taken`.
+    #[must_use]
+    pub fn open_singles(&self, local: usize, taken: u128) -> u128 {
+        let rows = self.rows(local);
+        match rows.ranges().nth(1) {
+            Some(singles) if !singles.is_empty() => rows.reach[singles.end - 1] & !taken,
+            _ => 0,
+        }
+    }
+
+    /// The pool index of the `k`-th (from 0), in ascending pool-index
+    /// order, of the single-point rows on the points of `open` (a subset of
+    /// an [`StrategySpace::open_singles`] mask): one select over the mask
+    /// when the pool's singles are in point order, as generated pools'
+    /// are; otherwise the open singles' pool indices are sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `open` has no more than `k` points.
+    #[must_use]
+    pub fn nth_single(&self, open: u128, k: u32) -> u32 {
+        let singles = &self.sorted.singles;
+        if self.sorted.singles_ordered {
+            return singles[select(open, k) as usize];
+        }
+        let mut by_idx = Vec::with_capacity(open.count_ones() as usize);
+        let mut rest = open;
+        while rest != 0 {
+            by_idx.push(singles[rest.trailing_zeros() as usize]);
+            rest &= rest - 1;
+        }
+        by_idx.sort_unstable();
+        by_idx[k as usize]
+    }
+
     /// The `local`-th worker's valid strategies with their payoffs, in
     /// ascending pool-index order (the canonical iteration order): a scan
     /// of the pool with the validity test inline.
@@ -438,6 +517,28 @@ impl StrategySpace {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Whether `m` has at least `max(n, 1)` set bits: one left after its
+/// `n − 1` lowest are cleared. Row lengths are small, so this is a few
+/// operations where a `u128` popcount without a popcount instruction is
+/// some thirty.
+#[inline]
+fn has_points(mut m: u128, n: usize) -> bool {
+    for _ in 1..n {
+        m &= m.wrapping_sub(1);
+    }
+    m != 0
+}
+
+/// The position of the `k`-th (from 0) set bit of `m`, counting up from
+/// bit 0: the lowest set bit once the `k` below it are cleared.
+fn select(mut m: u128, k: u32) -> u32 {
+    debug_assert!(k < m.count_ones(), "select past the last set bit");
+    for _ in 0..k {
+        m &= m - 1;
+    }
+    m.trailing_zeros()
 }
 
 #[cfg(test)]
@@ -588,16 +689,163 @@ mod tests {
         let s = space(&inst);
         let rows = s.rows(0);
         assert_eq!(rows.reach.len(), rows.masks.len());
-        for (&start, &end) in rows.starts.iter().zip(&s.sorted.bounds[1..]) {
+        let buckets = rows.starts.iter().zip(&s.sorted.bounds[1..]).enumerate();
+        for (len, (&start, &end)) in buckets {
             for e in start as usize + 1..=end as usize {
                 let union = rows.masks[start as usize..e].iter().fold(0, |u, &m| u | m);
                 assert_eq!(rows.reach[e - 1], union, "prefix {start}..{e}");
                 let prefix = start as usize..e;
-                assert!(!rows.may_open(&prefix, union), "a covered prefix is closed");
-                assert!(rows.may_open(&prefix, 0));
+                assert!(
+                    !rows.may_open(len, &prefix, union),
+                    "a covered prefix is closed"
+                );
+                assert!(rows.may_open(len, &prefix, 0));
             }
         }
-        assert!(!rows.may_open(&(0..0), 0), "an empty prefix holds nothing");
+        assert!(
+            !rows.may_open(1, &(0..0), 0),
+            "an empty prefix holds nothing"
+        );
+    }
+
+    /// A pool of single-point rows on `bits`, in that pool order, plus
+    /// the rows of `longer` (each a list of points), all valid for one
+    /// worker at the center.
+    fn hand_built(bits: &[u32], longer: &[&[u32]]) -> Result<StrategySpace, FtaError> {
+        let inst = instance();
+        let s = space(&inst);
+        let mut pool = VdpsPool::new(CenterId(0));
+        let rows = bits
+            .iter()
+            .map(std::slice::from_ref)
+            .chain(longer.iter().copied());
+        for points in rows {
+            let dps: Vec<DeliveryPointId> = points.iter().map(|&b| DeliveryPointId(b)).collect();
+            let offsets: Vec<f64> = (1..=dps.len()).map(|k| k as f64).collect();
+            let mask = points.iter().fold(0u128, |m, &b| m | 1 << b);
+            let route = fta_core::route::Route::from_parts(CenterId(0), dps, offsets, 1.0, 9.0);
+            pool.push_route(mask, &route);
+        }
+        StrategySpace::from_parts(s.view, pool, vec![0.0; 2], vec![3; 2], s.gen_stats)
+    }
+
+    #[test]
+    fn a_prefix_with_fewer_free_points_than_stops_is_closed() {
+        // Two 3-stop rows over points {0, 1, 2, 3}; with 0 and 1 taken,
+        // two points of the prefix's union are free. The union test lets
+        // the prefix through, the count test proves it closed.
+        let s = hand_built(&[], &[&[0, 1, 2], &[0, 1, 3]]).unwrap();
+        let rows = s.rows(0);
+        let prefix = rows.ranges().nth(3).unwrap();
+        assert_eq!(prefix.len(), 2);
+        let taken = 0b0011;
+        assert_ne!(
+            rows.reach[prefix.end - 1] & !taken,
+            0,
+            "the union test accepts"
+        );
+        assert!(
+            !rows.may_open(3, &prefix, taken),
+            "two free points hold no 3-stop row"
+        );
+        assert!(rows.may_open(3, &prefix, 0b0001), "three free points may");
+        assert_eq!(rows.open_ranges(taken).count(), 0);
+    }
+
+    #[test]
+    fn generated_pools_keep_singles_in_point_order() {
+        for seed in [1, 2, 3] {
+            let inst = fta_data::generate_syn(
+                &fta_data::SynConfig {
+                    n_centers: 2,
+                    n_workers: 20,
+                    n_tasks: 300,
+                    n_delivery_points: 90,
+                    ..fta_data::SynConfig::bench_scale()
+                },
+                seed,
+            );
+            for view in inst.center_views() {
+                let s = StrategySpace::build(&inst, &view, &VdpsConfig::pruned(2.0, 3));
+                let n_singles = s.sorted.singles.iter().filter(|&&r| r != u32::MAX).count();
+                assert!(n_singles > 1, "seed {seed}: no singles");
+                assert!(
+                    s.sorted.singles_ordered,
+                    "seed {seed}: singles out of point order"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn has_points_is_a_popcount_floor() {
+        for m in [0u128, 1, 0b1010, 0b111 << 62, u128::MAX, 1 << 127 | 1] {
+            for n in 0..=130 {
+                let want = m.count_ones() as usize >= n.max(1);
+                assert_eq!(has_points(m, n), want, "mask {m:#x} n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn select_finds_every_set_bit() {
+        for m in [1u128, 0b1010, u128::MAX, 1 << 127 | 1 << 64 | 1 << 63 | 5] {
+            let bits: Vec<u32> = (0..128).filter(|&b| m >> b & 1 == 1).collect();
+            for (k, &b) in bits.iter().enumerate() {
+                assert_eq!(select(m, k as u32), b, "mask {m:#x} k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn singles_are_drawn_in_pool_order_whatever_their_points() {
+        // Pool order 0..4 visits points 5, 2, 9, 0: not in point order.
+        let s = hand_built(&[5, 2, 9, 0], &[&[1, 3]]).unwrap();
+        assert!(!s.sorted.singles_ordered);
+        let all = s.open_singles(0, 0);
+        assert_eq!(all, 1 << 5 | 1 << 2 | 1 << 9 | 1);
+        let drawn: Vec<u32> = (0..4).map(|k| s.nth_single(all, k)).collect();
+        assert_eq!(drawn, [0, 1, 2, 3]);
+        // With points 2 and 9 taken, pool rows 0 and 3 remain, in order.
+        let open = s.open_singles(0, 1 << 2 | 1 << 9);
+        assert_eq!(open, 1 << 5 | 1);
+        assert_eq!([s.nth_single(open, 0), s.nth_single(open, 1)], [0, 3]);
+        // In point order the mask's bits are the pool order already.
+        let ordered = hand_built(&[0, 2, 5], &[]).unwrap();
+        assert!(ordered.sorted.singles_ordered);
+        let open = ordered.open_singles(1, 1 << 2);
+        assert_eq!(
+            [ordered.nth_single(open, 0), ordered.nth_single(open, 1)],
+            [0, 2]
+        );
+    }
+
+    #[test]
+    fn a_point_with_two_singles_is_a_typed_error() {
+        match hand_built(&[4, 1, 4], &[]) {
+            Err(FtaError::InvalidField {
+                field: "pool",
+                message,
+            }) => {
+                assert!(
+                    message.contains("two single-point rows visit point 4"),
+                    "{message}"
+                );
+            }
+            other => panic!(
+                "expected a pool error, got {:?}",
+                other.map(|s| s.pool.len())
+            ),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one per stop")]
+    fn a_mask_with_fewer_points_than_stops_is_rejected() {
+        let inst = instance();
+        let s = space(&inst);
+        let pair = (0..s.pool.len()).find(|&r| s.pool.row_len(r) == 2).unwrap();
+        VdpsPool::new(CenterId(0)).push_route(0b01, &s.pool.route(pair));
     }
 
     #[test]
@@ -607,6 +855,7 @@ mod tests {
         let s = space(&inst);
         let mut pool = VdpsPool::new(CenterId(0));
         pool.push_route(0, &s.pool.route(0));
-        let _ = StrategySpace::from_parts(s.view, pool, vec![0.0; 2], vec![1; 2], s.gen_stats);
+        let _ = StrategySpace::from_parts(s.view, pool, vec![0.0; 2], vec![1; 2], s.gen_stats)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }

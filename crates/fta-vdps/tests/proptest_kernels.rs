@@ -81,6 +81,40 @@ fn reach_of(masks: &[u128], starts: &[u32]) -> Vec<u128> {
     reach
 }
 
+/// `m` with points added, upward from its highest one and wrapping below
+/// bit `width`, until it holds at least `len` points: a row of length
+/// `len`, which the reach test relies on.
+fn widen(mut m: u128, len: usize, width: u32) -> u128 {
+    let mut bit = 127 - m.leading_zeros();
+    while (m.count_ones() as usize) < len {
+        bit = (bit + 1) % width;
+        m |= 1 << bit;
+    }
+    m
+}
+
+/// Every row's mask widened to its bucket's row length (the bucket's
+/// position in `starts`).
+fn widen_to_buckets(masks: &mut [u128], starts: &[u32], width: u32) {
+    for (pos, m) in masks.iter_mut().enumerate() {
+        let len = starts.iter().filter(|&&s| s as usize <= pos).count() - 1;
+        *m = widen(*m, len, width);
+    }
+}
+
+/// The reach test's definition: a prefix of row length `len` may hold an
+/// open row iff it is non-empty and its masks' union has at least
+/// `max(len, 1)` points outside `taken`.
+fn may_open_by_definition(
+    masks: &[u128],
+    len: usize,
+    range: std::ops::Range<usize>,
+    taken: u128,
+) -> bool {
+    let union = masks[range.clone()].iter().fold(0u128, |u, &m| u | m);
+    !range.is_empty() && (union & !taken).count_ones() as usize >= len.max(1)
+}
+
 /// The plain argmax loop `kernel::best_open` replaces: the highest payoff
 /// among the valid rows disjoint from `taken`, ties to the lowest pool
 /// index, dividing every open row and reading no reach.
@@ -135,9 +169,9 @@ proptest! {
     /// `payoff_rank` equals that row's position in the sorted list, for
     /// rows split into several length buckets with arbitrary valid
     /// prefixes. `for_each_better` visits exactly the open rows above a
-    /// threshold, and `reach_work` counts the rows of the prefixes whose
-    /// masks' union is not inside the taken mask, flagging a skipped
-    /// non-empty prefix.
+    /// threshold, and `reach_work` counts the rows of the prefixes of row
+    /// length `L` whose masks' union has at least `L` points outside the
+    /// taken mask, flagging a skipped non-empty prefix.
     #[test]
     fn best_kernels_match_sorted_first_hit(
         slots in prop::collection::vec((1u8..=u8::MAX, 0usize..7, 0usize..7), 0..40),
@@ -147,12 +181,13 @@ proptest! {
         taken in 0u8..=u8::MAX,
     ) {
         let n = slots.len();
-        let masks: Vec<u128> = slots.iter().map(|&(m, _, _)| u128::from(m)).collect();
+        let mut masks: Vec<u128> = slots.iter().map(|&(m, _, _)| u128::from(m)).collect();
         let rewards: Vec<f64> = slots.iter().map(|&(_, r, _)| REWARDS[r]).collect();
         let travels: Vec<f64> = slots.iter().map(|&(_, _, t)| TRAVELS[t]).collect();
         // Sorted positions carry a scrambled pool index.
         let pool_idx: Vec<u32> = (0..n as u32).map(|i| (i * 7919) % 65_521).collect();
         let (starts, ends) = buckets(n, &cuts, &cut_ends);
+        widen_to_buckets(&mut masks, &starts, 8);
         let reach = reach_of(&masks, &starts);
         let rows = WorkerRows {
             pool_idx: &pool_idx,
@@ -190,9 +225,8 @@ proptest! {
         }
 
         let (mut scanned, mut skipped_prefix) = (0u64, false);
-        for range in rows.ranges() {
-            let union = masks[range.clone()].iter().fold(0u128, |u, &m| u | m);
-            if union & !taken != 0 {
+        for (len, range) in rows.ranges().enumerate() {
+            if may_open_by_definition(&masks, len, range.clone(), taken) {
                 scanned += range.len() as u64;
             } else {
                 skipped_prefix |= !range.is_empty();
@@ -202,17 +236,20 @@ proptest! {
     }
 
     /// The reach skip against the plain loop, on taken masks that cover
-    /// whole valid prefixes — random taken masks almost never do: the
-    /// union of the reach of some prefixes, plus a few random bits. Row
-    /// masks span both `u64` limbs. `best_open` must answer exactly as the
-    /// plain loop, every prefix `may_open` rejects must hold no open row,
-    /// and every covered prefix must be rejected.
+    /// whole valid prefixes or leave them fewer free points than their row
+    /// length — random taken masks almost never do: the union of the reach
+    /// of some prefixes, all but `L − 1` points of the reach of others,
+    /// plus a few random bits. Row masks span both `u64` limbs and hold at
+    /// least their bucket's row length of points. `best_open` must answer
+    /// exactly as the plain loop, every prefix `may_open` rejects must hold
+    /// no open row, and every covered or starved prefix must be rejected.
     #[test]
     fn reach_skip_matches_the_plain_loop(
         slots in prop::collection::vec((1u64..u64::MAX, 0u32..65, 0usize..7, 0usize..7), 0..60),
         cuts in prop::collection::vec(0usize..61, 0..4),
         cut_ends in prop::collection::vec(0usize..61, 4..5),
         cover in 0u32..16,
+        starve in 0u32..32,
         extra in 0u64..u64::MAX,
         extra_shift in 0u32..128,
         to_dc in 0usize..3,
@@ -220,7 +257,7 @@ proptest! {
         let n = slots.len();
         // Sparse masks (a few bits, anywhere in the 128) so prefixes
         // overlap and covering one leaves others partly open.
-        let masks: Vec<u128> = slots
+        let mut masks: Vec<u128> = slots
             .iter()
             .map(|&(m, shift, _, _)| u128::from(m & m.rotate_left(17) | 1) << shift)
             .collect();
@@ -228,6 +265,7 @@ proptest! {
         let travels: Vec<f64> = slots.iter().map(|&(_, _, _, t)| TRAVELS[t]).collect();
         let pool_idx: Vec<u32> = (0..n as u32).map(|i| (i * 7919) % 65_521).collect();
         let (starts, ends) = buckets(n, &cuts, &cut_ends);
+        widen_to_buckets(&mut masks, &starts, 128);
         let reach = reach_of(&masks, &starts);
         let rows = WorkerRows {
             pool_idx: &pool_idx,
@@ -240,11 +278,22 @@ proptest! {
             to_dc: TO_DC[to_dc],
         };
         let covered = |b: usize| cover >> b & 1 == 1;
+        // Bucket `b` starved: all but `b − 1` points of its reach taken.
+        let starved = |b: usize| b >= 2 && starve >> b & 1 == 1;
         let mut taken = (u128::from(extra) << 64 | u128::from(extra.rotate_left(29))) >> extra_shift;
         taken &= taken >> 3;
         for (b, range) in rows.ranges().enumerate() {
-            if covered(b) && !range.is_empty() {
-                taken |= reach[range.end - 1];
+            if range.is_empty() {
+                continue;
+            }
+            let mut union = reach[range.end - 1];
+            if starved(b) {
+                for _ in 0..b - 1 {
+                    union &= union - 1;
+                }
+            }
+            if covered(b) || starved(b) {
+                taken |= union;
             }
         }
 
@@ -254,11 +303,13 @@ proptest! {
         for (b, range) in rows.ranges().enumerate() {
             let union = masks[range.clone()].iter().fold(0, |u, &m| u | m);
             prop_assert_eq!(range.is_empty() || reach[range.end - 1] == union, true);
-            if !rows.may_open(&range, taken) {
+            let open = rows.may_open(b, &range, taken);
+            prop_assert_eq!(open, may_open_by_definition(&masks, b, range.clone(), taken));
+            if !open {
                 prop_assert!(range.clone().all(|pos| masks[pos] & taken != 0), "bucket {} skipped with an open row", b);
             }
-            if covered(b) {
-                prop_assert!(!rows.may_open(&range, taken), "covered bucket {} not skipped", b);
+            if covered(b) || (starved(b) && !range.is_empty()) {
+                prop_assert!(!open, "covered or starved bucket {} not skipped", b);
             }
         }
     }

@@ -80,6 +80,7 @@ fn space_of(pool: VdpsPool, workers: &[(usize, usize)]) -> StrategySpace {
     let to_dc = workers.iter().map(|&(_, t)| TO_DC[t]).collect();
     let max_dp = workers.iter().map(|&(m, _)| m).collect();
     StrategySpace::from_parts(view, pool, to_dc, max_dp, GenerationStats::default())
+        .expect("every row's mask is its stops")
 }
 
 proptest! {
