@@ -14,13 +14,15 @@
 //! guarantees termination even in the degenerate tie cases the paper's
 //! potential argument glosses over.
 //!
-//! Near an equilibrium almost every turn changes nothing, and the default
-//! engine charges such a turn only for finding the worker's best open
+//! FGT and PFGT play through one loop, [`play`], whose only fork is how a
+//! turn finds its candidate ([`Search`], chosen from the IAU weights).
+//! Near an equilibrium almost every turn changes nothing, and under sound
+//! weights such a turn pays only for finding the worker's best open
 //! strategy. The rival payoffs live in a history-independent
 //! [`RivalSet`] (its reads depend on the stored multiset alone), so the
-//! fast path touches it only on candidate turns — where the best open
-//! strategy differs from the current selection — and still reads the
-//! same floats as the exhaustive engine, which updates it on every turn.
+//! monotone search touches it only on candidate turns — where the best
+//! open strategy differs from the current selection — and still reads the
+//! same floats as the exhaustive search, which updates it on every turn.
 //! The work counters ([`BestResponseStats`]) come from the passes that
 //! run: `candidates_scanned` is the rows in the prefixes the reach test
 //! let through, `early_exits` the turns on which it skipped a non-empty
@@ -35,49 +37,8 @@ use fta_core::CancelToken;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// How the best-response loop evaluates candidate utilities.
-///
-/// Both engines apply the same strict-improvement rule and produce the same
-/// sequence of strategy switches for a fixed seed; they differ only in how
-/// much work a worker's deliberation costs. The engine-equivalence tests
-/// and proptests assert this, and also hold both engines to the oracle the
-/// tests keep: a fresh [`fta_core::iau::IauEvaluator`] per worker turn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BestResponseEngine {
-    /// Maintain one [`RivalSet`] across the whole run and update it with
-    /// two `O(log n)` point operations per worker turn: `O(n log n)`
-    /// maintenance per round — but still evaluate the IAU of *every*
-    /// available candidate.
-    Incremental,
-    /// Monotone fast path: because the IAU is strictly increasing in the
-    /// own payoff whenever `β < 1` and `α ≥ 0` (see
-    /// [`fastpath_sound`]), the best response is simply the
-    /// highest-payoff available strategy — one argmax pass over the
-    /// worker's valid rows (one test per row length when nothing is open).
-    /// Only a turn whose candidate differs from the current selection
-    /// updates the [`RivalSet`] and makes the two IAU evaluations of the
-    /// switch rule. When the IAU parameters leave the sound
-    /// regime the run transparently falls back to the [`Incremental`]
-    /// loop, bit-identically (observable as
-    /// `BestResponseStats::fastpath_rounds == 0`).
-    ///
-    /// [`Incremental`]: BestResponseEngine::Incremental
-    #[default]
-    FastPath,
-}
-
-impl BestResponseEngine {
-    /// Stable lowercase name used by the CLI and the solve report.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Incremental => "incremental",
-            Self::FastPath => "fastpath",
-        }
-    }
-}
-
-/// Whether the monotone fast path is sound for the given IAU weights.
+/// Whether the monotone candidate search is sound for the given IAU
+/// weights.
 ///
 /// # Monotonicity proof
 ///
@@ -122,7 +83,9 @@ pub fn fastpath_sound(params: IauParams) -> bool {
 /// Configuration of the FGT best-response run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FgtConfig {
-    /// Inequity-aversion weights (the paper uses `α = β = 0.5`).
+    /// Inequity-aversion weights (the paper uses `α = β = 0.5`). They also
+    /// choose each turn's candidate search: the monotone pass when
+    /// [`fastpath_sound`] holds, the exhaustive IAU argmax otherwise.
     pub iau: IauParams,
     /// Cap on best-response rounds.
     pub max_rounds: usize,
@@ -137,8 +100,6 @@ pub struct FgtConfig {
     /// objective (lexicographically minimal payoff difference, then maximal
     /// average payoff) is kept.
     pub restarts: usize,
-    /// Utility-evaluation engine for the best-response loop.
-    pub engine: BestResponseEngine,
     /// Capture the full payoff vector of every round in the trace
     /// ([`ConvergenceTrace::snapshots`]); off by default because it costs
     /// `O(n)` memory per round.
@@ -153,7 +114,6 @@ impl Default for FgtConfig {
             seed: 0x4647_5421, // "FGT!"
             min_improvement: 1e-9,
             restarts: 2,
-            engine: BestResponseEngine::default(),
             snapshot_payoffs: false,
         }
     }
@@ -193,35 +153,46 @@ pub fn fgt_bounded<'a>(
     config: &FgtConfig,
     cancel: Option<&CancelToken>,
 ) -> ConvergenceTrace {
-    best_of_restarts(ctx, config, cancel, fgt_once)
+    fgt_searching(ctx, config, Search::for_weights(config.iau), cancel)
 }
 
-/// One best-response run from a fresh context: `init = Some(seed)`
-/// randomly initialises it first, `None` continues from its selection.
-type OnceFn =
-    fn(&mut GameContext<'_>, &FgtConfig, Option<u64>, Option<&CancelToken>) -> ConvergenceTrace;
+/// [`fgt_bounded`] with the candidate search given rather than chosen from
+/// the weights (the tests force either).
+fn fgt_searching<'a>(
+    ctx: &mut GameContext<'a>,
+    config: &FgtConfig,
+    search: Search,
+    cancel: Option<&CancelToken>,
+) -> ConvergenceTrace {
+    let rivals = |payoffs: &[f64]| RivalSet::with_payoffs(payoffs, config.iau);
+    best_of_restarts(
+        ctx,
+        config,
+        cancel,
+        fta_core::fairness::payoff_difference,
+        |trial, seed| play(trial, config, search, Some(seed), cancel, rivals),
+    )
+}
 
-/// Runs `once` from `restarts + 1` random initialisations and keeps the
-/// equilibrium best under the FTA objective (see [`fgt_bounded`]).
-fn best_of_restarts<'a>(
+/// Runs `once(trial, seed)` on a fresh context from `restarts + 1` seeds
+/// and keeps the equilibrium best under the FTA objective: minimal
+/// `p_dif` of the payoffs, then maximal average payoff (see
+/// [`fgt_bounded`]).
+pub(crate) fn best_of_restarts<'a>(
     ctx: &mut GameContext<'a>,
     config: &FgtConfig,
     cancel: Option<&CancelToken>,
-    once: OnceFn,
+    p_dif: impl Fn(&[f64]) -> f64,
+    mut once: impl FnMut(&mut GameContext<'a>, u64) -> ConvergenceTrace,
 ) -> ConvergenceTrace {
     let mut total_stats = BestResponseStats::default();
     let mut best: Option<(GameContext<'a>, ConvergenceTrace, f64, f64)> = None;
     for attempt in 0..=config.restarts {
         let mut trial = GameContext::new(ctx.space());
-        let trace = once(
-            &mut trial,
-            config,
-            Some(config.seed.wrapping_add(attempt as u64)),
-            cancel,
-        );
+        let trace = once(&mut trial, config.seed.wrapping_add(attempt as u64));
         let cancelled = trace.cancelled;
         total_stats.merge(&trace.stats);
-        let diff = fta_core::fairness::payoff_difference(trial.payoffs());
+        let diff = p_dif(trial.payoffs());
         let avg = fta_core::fairness::average_payoff(trial.payoffs());
         let improves = best.as_ref().is_none_or(|&(_, _, bd, ba)| {
             diff < bd - 1e-12 || ((diff - bd).abs() <= 1e-12 && avg > ba + 1e-12)
@@ -263,35 +234,82 @@ pub fn fgt_warm_bounded(
     cancel: Option<&CancelToken>,
 ) -> (ConvergenceTrace, crate::warm::WarmStart) {
     let warm = crate::warm::warm_init(ctx, profile);
-    let trace = fgt_once(ctx, config, None, cancel);
+    let rivals = |payoffs: &[f64]| RivalSet::with_payoffs(payoffs, config.iau);
+    let search = Search::for_weights(config.iau);
+    let trace = play(ctx, config, search, None, cancel, rivals);
     (trace, warm)
 }
 
-/// One best-response run, dispatched to the configured
-/// [`BestResponseEngine`]. `init = Some(seed)` randomly initialises the
-/// context first (the cold path); `None` continues from whatever selection
-/// `ctx` already holds (the warm path).
-fn fgt_once(
-    ctx: &mut GameContext<'_>,
-    config: &FgtConfig,
-    init: Option<u64>,
-    cancel: Option<&CancelToken>,
-) -> ConvergenceTrace {
-    match config.engine {
-        BestResponseEngine::Incremental => fgt_once_incremental(ctx, config, init, cancel),
-        BestResponseEngine::FastPath => {
-            if fastpath_sound(config.iau) {
-                fgt_once_fastpath(ctx, config, init, cancel)
-            } else {
-                // Out of the monotone regime: fall back bit-identically to
-                // exhaustive IAU evaluation (fastpath_rounds stays 0).
-                fgt_once_incremental(ctx, config, init, cancel)
-            }
+/// How a best-response turn finds its candidate. Both searches feed the
+/// same switch rule, and on weights where [`fastpath_sound`] holds they
+/// find the same candidate (property-tested bit for bit).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Search {
+    /// The highest-payoff open strategy, null unless its payoff strictly
+    /// exceeds 0: one argmax pass over the worker's valid rows (one test
+    /// per row length when nothing is open). A turn whose candidate is the
+    /// current selection cannot switch and never touches the rival set.
+    Monotone,
+    /// The IAU argmax over null and every available strategy, evaluated
+    /// against the rivals with the worker's own payoff removed.
+    Exhaustive,
+}
+
+impl Search {
+    /// The monotone search where it is sound, the exhaustive one otherwise
+    /// (`β ≥ 1` or `α < 0`, where a worker may prefer a lower payoff).
+    pub(crate) fn for_weights(iau: IauParams) -> Self {
+        if fastpath_sound(iau) {
+            Self::Monotone
+        } else {
+            Self::Exhaustive
         }
     }
 }
 
-fn new_trace(config: &FgtConfig) -> ConvergenceTrace {
+/// The rival payoffs a best-response run keeps current: FGT keeps one
+/// [`RivalSet`]; PFGT keeps its normalised-payoff set plus the raw set
+/// that feeds the trace.
+pub(crate) trait Rivals {
+    /// Rival structures built per run (counted as `evaluator_builds`).
+    const BUILDS: u64;
+    /// Takes worker `local`'s payoff out of the utility set.
+    fn remove(&mut self, local: usize, payoff: f64);
+    /// Puts worker `local`'s payoff into the utility set.
+    fn insert(&mut self, local: usize, payoff: f64);
+    /// Worker `local`'s utility at `payoff` against the stored rivals.
+    fn eval(&self, local: usize, payoff: f64) -> f64;
+    /// Follows a worker's payoff change from `from` to `to` in any set
+    /// beside the utility set; returns the updates made.
+    fn moved(&mut self, _from: f64, _to: f64) -> u64 {
+        0
+    }
+    /// The trace's round summary: `(P_dif, average payoff, potential)`.
+    fn summary(&self) -> (f64, f64, f64);
+}
+
+impl Rivals for RivalSet {
+    const BUILDS: u64 = 1;
+
+    fn remove(&mut self, _: usize, payoff: f64) {
+        RivalSet::remove(self, payoff);
+    }
+
+    fn insert(&mut self, _: usize, payoff: f64) {
+        RivalSet::insert(self, payoff);
+    }
+
+    fn eval(&self, _: usize, payoff: f64) -> f64 {
+        RivalSet::eval(self, payoff)
+    }
+
+    fn summary(&self) -> (f64, f64, f64) {
+        (self.payoff_difference(), self.average(), self.potential())
+    }
+}
+
+/// A trace that also keeps every round's payoffs when asked to.
+pub(crate) fn new_trace(config: &FgtConfig) -> ConvergenceTrace {
     if config.snapshot_payoffs {
         ConvergenceTrace::with_snapshots()
     } else {
@@ -299,18 +317,27 @@ fn new_trace(config: &FgtConfig) -> ConvergenceTrace {
     }
 }
 
-/// Incremental engine: one [`RivalSet`] maintained across the whole run.
+/// One best-response run, FGT's and PFGT's alike. `init = Some(seed)`
+/// randomly initialises `ctx` first (the cold path); `None` continues from
+/// the selection it holds (the warm path). `rivals` builds the rival
+/// structure from the starting payoffs; it is kept current with two
+/// `O(log n)` point updates per turn that reaches the switch rule, and
+/// keeps `P_dif`, the average and the potential current, so the per-round
+/// trace entry is `O(1)`.
 ///
-/// Per worker turn the focal payoff is removed (the remaining contents are
-/// exactly the rivals), candidates are evaluated, and the adopted payoff is
-/// re-inserted — two `O(log n)` point updates instead of an `O(n log n)`
-/// rebuild. The structure also keeps `P_dif`, the average, and the exact
-/// potential `Φ` current, so the per-round trace entry is `O(1)`.
-fn fgt_once_incremental(
+/// Each turn finds a candidate by `search`, then switches when the
+/// candidate differs from the current selection and its utility beats the
+/// current one by more than [`FgtConfig::min_improvement`].
+/// `candidate_evaluations` counts the utilities that rule is defined over:
+/// two on a monotone turn, two plus one per available strategy on an
+/// exhaustive one.
+pub(crate) fn play<R: Rivals>(
     ctx: &mut GameContext<'_>,
     config: &FgtConfig,
+    search: Search,
     init: Option<u64>,
     cancel: Option<&CancelToken>,
+    rivals: impl FnOnce(&[f64]) -> R,
 ) -> ConvergenceTrace {
     if let Some(seed) = init {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -318,39 +345,58 @@ fn fgt_once_incremental(
     }
 
     let mut trace = new_trace(config);
-    let mut rivals = RivalSet::with_payoffs(ctx.payoffs(), config.iau);
-    trace.stats.evaluator_builds += 1;
+    let mut rivals = rivals(ctx.payoffs());
+    trace.stats.evaluator_builds += R::BUILDS;
     trace.snapshot(ctx.payoffs());
-    trace.record_summary(
-        0,
-        0,
-        rivals.payoff_difference(),
-        rivals.average(),
-        rivals.potential(),
-    );
+    let (p_dif, average, potential) = rivals.summary();
+    trace.record_summary(0, 0, p_dif, average, potential);
 
     let n = ctx.n_workers();
     for round in 1..=config.max_rounds {
         trace.stats.rounds += 1;
+        if search == Search::Monotone {
+            trace.stats.fastpath_rounds += 1;
+        }
         let mut moves = 0;
         for local in 0..n {
             let own = ctx.payoff(local);
-            rivals.remove(own);
-            trace.stats.evaluator_updates += 1;
-
-            let current_utility = rivals.eval(own);
-            trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
-            let mut best: Option<(Option<u32>, f64)> = Some((None, rivals.eval(0.0)));
-            trace.stats.candidate_evaluations += 2;
-            for (idx, payoff) in ctx.available_strategies(local) {
-                let u = rivals.eval(payoff);
-                trace.stats.candidate_evaluations += 1;
-                if best.as_ref().is_none_or(|&(_, bu)| u > bu) {
-                    best = Some((Some(idx), u));
+            let (choice, payoff) = match search {
+                Search::Monotone => {
+                    let (found, scan) = ctx.best_available(local);
+                    trace.stats.candidates_scanned += scan.scanned;
+                    if scan.skipped_prefix {
+                        trace.stats.early_exits += 1;
+                    }
+                    trace.stats.candidate_evaluations += 2;
+                    let best = match found {
+                        Some((idx, payoff)) if payoff > 0.0 => (Some(idx), payoff),
+                        _ => (None, 0.0),
+                    };
+                    // A worker already on its best open strategy cannot
+                    // switch: the turn ends without touching the rivals.
+                    if best.0 == ctx.selection(local) {
+                        continue;
+                    }
+                    rivals.remove(local, own);
+                    best
                 }
-            }
-            let (choice, utility) = best.expect("null is always a candidate");
-            if utility > current_utility + config.min_improvement && choice != ctx.selection(local)
+                Search::Exhaustive => {
+                    rivals.remove(local, own);
+                    trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
+                    trace.stats.candidate_evaluations += 2;
+                    let mut best = (None, 0.0, rivals.eval(local, 0.0));
+                    for (idx, payoff) in ctx.available_strategies(local) {
+                        let u = rivals.eval(local, payoff);
+                        trace.stats.candidate_evaluations += 1;
+                        if u > best.2 {
+                            best = (Some(idx), payoff, u);
+                        }
+                    }
+                    (best.0, best.1)
+                }
+            };
+            if choice != ctx.selection(local)
+                && rivals.eval(local, payoff) > rivals.eval(local, own) + config.min_improvement
             {
                 ctx.set_strategy(local, choice);
                 moves += 1;
@@ -359,116 +405,16 @@ fn fgt_once_incremental(
                     trace.stats.null_adoptions += 1;
                 }
             }
-            rivals.insert(ctx.payoff(local));
-            trace.stats.evaluator_updates += 1;
-        }
-        trace.snapshot(ctx.payoffs());
-        trace.record_summary(
-            round,
-            moves,
-            rivals.payoff_difference(),
-            rivals.average(),
-            rivals.potential(),
-        );
-        if moves == 0 {
-            trace.converged = true;
-            break;
-        }
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            trace.cancelled = true;
-            break;
-        }
-    }
-    trace
-}
-
-/// Monotone fast-path engine: one [`RivalSet`] across the run, like the
-/// incremental engine, but the best response is found *without*
-/// evaluating the IAU of every candidate: by the monotonicity argument
-/// documented on [`fastpath_sound`], the utility-argmax equals the
-/// payoff-argmax, so a single argmax pass over the worker's valid rows
-/// (first strict payoff maximum among the available ones) identifies the
-/// candidate. When the candidate is the current selection no switch is
-/// possible, and the turn costs that pass alone: the rival set is not
-/// touched. Otherwise the turn removes the worker's payoff, evaluates the
-/// current utility and the candidate's, and inserts the adopted payoff.
-/// Because every [`RivalSet`] read depends only on the stored multiset,
-/// those evaluations, and the per-round summaries, are the same floats the
-/// incremental engine computes with its remove and insert on every turn.
-/// `candidate_evaluations` counts the two evaluations on every turn;
-/// `evaluator_updates` counts the updates made.
-///
-/// Only dispatched when [`fastpath_sound`] holds for the configured IAU
-/// weights; [`fgt_once`] otherwise falls back to the incremental loop.
-fn fgt_once_fastpath(
-    ctx: &mut GameContext<'_>,
-    config: &FgtConfig,
-    init: Option<u64>,
-    cancel: Option<&CancelToken>,
-) -> ConvergenceTrace {
-    debug_assert!(fastpath_sound(config.iau));
-    if let Some(seed) = init {
-        let mut rng = StdRng::seed_from_u64(seed);
-        random_init(ctx, &mut rng);
-    }
-
-    let mut trace = new_trace(config);
-    let mut rivals = RivalSet::with_payoffs(ctx.payoffs(), config.iau);
-    trace.stats.evaluator_builds += 1;
-    trace.snapshot(ctx.payoffs());
-    trace.record_summary(
-        0,
-        0,
-        rivals.payoff_difference(),
-        rivals.average(),
-        rivals.potential(),
-    );
-
-    let n = ctx.n_workers();
-    for round in 1..=config.max_rounds {
-        trace.stats.rounds += 1;
-        trace.stats.fastpath_rounds += 1;
-        let mut moves = 0;
-        for local in 0..n {
-            // Monotone best response: highest-payoff available strategy,
-            // null unless its payoff strictly exceeds 0.
-            let (found, scan) = ctx.best_available(local);
-            trace.stats.candidates_scanned += scan.scanned;
-            if scan.skipped_prefix {
-                trace.stats.early_exits += 1;
-            }
-            let (choice, payoff) = match found {
-                Some((idx, payoff)) if payoff > 0.0 => (Some(idx), payoff),
-                _ => (None, 0.0),
-            };
-            trace.stats.candidate_evaluations += 2;
-            // A worker already on its best open strategy cannot switch, so
-            // only a candidate turn takes its payoff out of the rival set,
-            // evaluates the switch rule, and puts the adopted payoff back.
-            if choice == ctx.selection(local) {
-                continue;
-            }
-            let own = ctx.payoff(local);
-            rivals.remove(own);
-            if rivals.eval(payoff) > rivals.eval(own) + config.min_improvement {
-                ctx.set_strategy(local, choice);
-                moves += 1;
-                trace.stats.switches += 1;
-                if choice.is_none() {
-                    trace.stats.null_adoptions += 1;
-                }
-            }
-            rivals.insert(ctx.payoff(local));
+            let adopted = ctx.payoff(local);
+            rivals.insert(local, adopted);
             trace.stats.evaluator_updates += 2;
+            if adopted != own {
+                trace.stats.evaluator_updates += rivals.moved(own, adopted);
+            }
         }
         trace.snapshot(ctx.payoffs());
-        trace.record_summary(
-            round,
-            moves,
-            rivals.payoff_difference(),
-            rivals.average(),
-            rivals.potential(),
-        );
+        let (p_dif, average, potential) = rivals.summary();
+        trace.record_summary(round, moves, p_dif, average, potential);
         if moves == 0 {
             trace.converged = true;
             break;
@@ -515,42 +461,20 @@ pub(crate) mod tests {
             })
     }
 
-    /// The reference best response: a fresh sorted [`IauEvaluator`] over
-    /// the `n−1` rivals for every worker in every round (`O(n² log n)`
-    /// maintenance per round), evaluating every available candidate.
-    fn fgt_once_rebuild(
-        ctx: &mut GameContext<'_>,
-        config: &FgtConfig,
-        init: Option<u64>,
-        cancel: Option<&CancelToken>,
-    ) -> ConvergenceTrace {
-        rebuild(ctx, config, init, cancel, false)
-    }
-
-    /// [`fgt_once_rebuild`] counting what the fast path's passes should:
-    /// `candidates_scanned` and `early_exits` by [`reach_oracle`], and two
-    /// `evaluator_updates` per turn whose best response differs from the
-    /// current selection.
-    fn fgt_once_rebuild_counting_reach(
-        ctx: &mut GameContext<'_>,
-        config: &FgtConfig,
-        init: Option<u64>,
-        cancel: Option<&CancelToken>,
-    ) -> ConvergenceTrace {
-        rebuild(ctx, config, init, cancel, true)
-    }
-
+    /// The reference best response from the random initialisation of
+    /// `seed`: a fresh sorted [`IauEvaluator`] over the `n−1` rivals for
+    /// every worker in every round (`O(n² log n)` maintenance per round),
+    /// evaluating every available candidate. With `count_reach` it counts
+    /// what the monotone search's passes should: `candidates_scanned` and
+    /// `early_exits` by [`reach_oracle`], and two `evaluator_updates` per
+    /// turn whose best response differs from the current selection.
     fn rebuild(
         ctx: &mut GameContext<'_>,
         config: &FgtConfig,
-        init: Option<u64>,
-        cancel: Option<&CancelToken>,
+        seed: u64,
         count_reach: bool,
     ) -> ConvergenceTrace {
-        if let Some(seed) = init {
-            let mut rng = StdRng::seed_from_u64(seed);
-            random_init(ctx, &mut rng);
-        }
+        random_init(ctx, &mut StdRng::seed_from_u64(seed));
 
         let mut trace = new_trace(config);
         trace.record(
@@ -617,10 +541,6 @@ pub(crate) mod tests {
                 trace.converged = true;
                 break;
             }
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                trace.cancelled = true;
-                break;
-            }
         }
         trace
     }
@@ -630,31 +550,37 @@ pub(crate) mod tests {
     enum Loop {
         /// The per-turn rebuild oracle, restarts included.
         Oracle,
-        /// The same, counting as [`fgt_once_rebuild_counting_reach`] does.
+        /// The same, counting with `count_reach`.
         ReachOracle,
-        /// A production engine through [`fgt`].
-        Engine(BestResponseEngine),
+        /// The production loop with the given candidate search.
+        Searching(Search),
     }
 
     /// Plays FGT over `s` with `config` on the chosen loop.
-    fn play(
+    fn play_with(
         s: &StrategySpace,
         config: FgtConfig,
         with: Loop,
     ) -> (GameContext<'_>, ConvergenceTrace) {
         let mut ctx = GameContext::new(s);
         let trace = match with {
-            Loop::Oracle => best_of_restarts(&mut ctx, &config, None, fgt_once_rebuild),
-            Loop::ReachOracle => {
-                best_of_restarts(&mut ctx, &config, None, fgt_once_rebuild_counting_reach)
+            Loop::Searching(search) => fgt_searching(&mut ctx, &config, search, None),
+            oracle => {
+                let count_reach = matches!(oracle, Loop::ReachOracle);
+                best_of_restarts(
+                    &mut ctx,
+                    &config,
+                    None,
+                    fta_core::fairness::payoff_difference,
+                    |trial, seed| rebuild(trial, &config, seed, count_reach),
+                )
             }
-            Loop::Engine(engine) => fgt(&mut ctx, &FgtConfig { engine, ..config }),
         };
         (ctx, trace)
     }
 
-    const INCREMENTAL: Loop = Loop::Engine(BestResponseEngine::Incremental);
-    const FASTPATH: Loop = Loop::Engine(BestResponseEngine::FastPath);
+    const EXHAUSTIVE: Loop = Loop::Searching(Search::Exhaustive);
+    const MONOTONE: Loop = Loop::Searching(Search::Monotone);
 
     fn instance(seed: u64) -> Instance {
         generate_syn(
@@ -831,18 +757,18 @@ pub(crate) mod tests {
 
     #[test]
     fn engines_compute_identical_equilibria() {
-        // Acceptance: the incremental engine must reproduce the rebuild
-        // oracle's selections bit-identically for fixed seeds, across
-        // several synthetic instances.
+        // The exhaustive search over the one incrementally kept rival set
+        // must reproduce the rebuild oracle's selections bit-identically
+        // for fixed seeds, across several synthetic instances.
         for seed in [11, 12, 13, 14, 15] {
             let inst = instance(seed);
             let s = space(&inst);
             let run = |with| {
-                let (ctx, trace) = play(&s, FgtConfig::default(), with);
+                let (ctx, trace) = play_with(&s, FgtConfig::default(), with);
                 (ctx.to_assignment(), trace.len(), trace.converged)
             };
             let (a_asg, a_len, a_conv) = run(Loop::Oracle);
-            let (b_asg, b_len, b_conv) = run(INCREMENTAL);
+            let (b_asg, b_len, b_conv) = run(EXHAUSTIVE);
             assert_eq!(a_asg, b_asg, "seed {seed}: assignments diverge");
             assert_eq!(a_len, b_len, "seed {seed}: round counts diverge");
             assert_eq!(a_conv, b_conv, "seed {seed}: convergence diverges");
@@ -853,33 +779,33 @@ pub(crate) mod tests {
     fn engines_agree_on_search_work_but_not_maintenance() {
         let inst = instance(16);
         let s = space(&inst);
-        let run = |with| play(&s, FgtConfig::default(), with).1.stats;
+        let run = |with| play_with(&s, FgtConfig::default(), with).1.stats;
         let rebuild = run(Loop::Oracle);
-        let incremental = run(INCREMENTAL);
+        let exhaustive = run(EXHAUSTIVE);
         // Identical search: same rounds, evaluations, and switches.
-        assert_eq!(rebuild.rounds, incremental.rounds);
+        assert_eq!(rebuild.rounds, exhaustive.rounds);
         assert_eq!(
             rebuild.candidate_evaluations,
-            incremental.candidate_evaluations
+            exhaustive.candidate_evaluations
         );
-        assert_eq!(rebuild.switches, incremental.switches);
-        assert_eq!(rebuild.null_adoptions, incremental.null_adoptions);
+        assert_eq!(rebuild.switches, exhaustive.switches);
+        assert_eq!(rebuild.null_adoptions, exhaustive.null_adoptions);
         // Different maintenance: n builds per round vs one per restart.
         let restarts = FgtConfig::default().restarts as u64 + 1;
-        assert_eq!(incremental.evaluator_builds, restarts);
+        assert_eq!(exhaustive.evaluator_builds, restarts);
         assert_eq!(
             rebuild.evaluator_builds,
             rebuild.rounds * s.n_workers() as u64
         );
         assert_eq!(rebuild.evaluator_updates, 0);
-        assert!(incremental.evaluator_updates > 0);
+        assert!(exhaustive.evaluator_updates > 0);
     }
 
     #[test]
     fn fastpath_engine_matches_both_exhaustive_engines() {
-        // Tentpole acceptance: identical selections, traces, and payoffs
-        // across both engines and the rebuild oracle for fixed seeds
-        // (β = 0.5 < 1), on small dense spaces and one large sparse one.
+        // Identical selections, traces, and payoffs across both searches
+        // and the rebuild oracle for fixed seeds (β = 0.5 < 1), on small
+        // dense spaces and one large sparse one.
         let mut spaces: Vec<(String, StrategySpace)> = [11, 12, 13, 14, 15]
             .into_iter()
             .map(|seed| (format!("seed {seed}"), space(&instance(seed))))
@@ -887,7 +813,7 @@ pub(crate) mod tests {
         spaces.push(("large sparse".to_owned(), large_sparse_space()));
         for (label, s) in &spaces {
             let run = |with| {
-                let (ctx, trace) = play(s, FgtConfig::default(), with);
+                let (ctx, trace) = play_with(s, FgtConfig::default(), with);
                 let payoffs: Vec<u64> = ctx.payoffs().iter().map(|p| p.to_bits()).collect();
                 (
                     ctx.to_assignment(),
@@ -898,10 +824,10 @@ pub(crate) mod tests {
                 )
             };
             let (r_asg, r_rounds, r_conv, r_pay, _) = run(Loop::Oracle);
-            let (i_asg, i_rounds, i_conv, i_pay, i_stats) = run(INCREMENTAL);
-            let (f_asg, f_rounds, f_conv, f_pay, _) = run(FASTPATH);
-            assert_eq!(r_asg, f_asg, "{label}: fastpath vs rebuild diverge");
-            assert_eq!(i_asg, f_asg, "{label}: fastpath vs incremental diverge");
+            let (i_asg, i_rounds, i_conv, i_pay, i_stats) = run(EXHAUSTIVE);
+            let (f_asg, f_rounds, f_conv, f_pay, _) = run(MONOTONE);
+            assert_eq!(r_asg, f_asg, "{label}: monotone vs rebuild diverge");
+            assert_eq!(i_asg, f_asg, "{label}: monotone vs exhaustive diverge");
             assert_eq!(i_rounds, f_rounds, "{label}: round summaries diverge");
             assert_eq!(r_rounds.len(), f_rounds.len());
             assert_eq!((r_conv, i_conv), (f_conv, f_conv));
@@ -920,7 +846,7 @@ pub(crate) mod tests {
 
     /// On production shapes — two centers of perfbench's `dense` (about
     /// 300 workers over 60 points each) and ten of `paper` (about 10
-    /// workers over 60 points each), default restarts — the fast path
+    /// workers over 60 points each), default restarts — the monotone search
     /// makes the same selections, with the same payoff bits, as the
     /// per-turn rebuild oracle.
     ///
@@ -933,7 +859,7 @@ pub(crate) mod tests {
     /// `U(p) > U(o) + min_improvement` only when the true margin lies
     /// within those ulps of `min_improvement` = 1e-9, that is when
     /// `0 < p − o ≲ 1e-9 / (1 − β)` = 2·10⁻⁹ at the default weights. The
-    /// fast path's candidate never pays less than the current strategy,
+    /// monotone candidate never pays less than the current strategy,
     /// so every other turn decides the same way in both loops, and a
     /// payoff gap that small between two of a worker's strategies does
     /// not occur on these shapes.
@@ -958,14 +884,14 @@ pub(crate) mod tests {
             for view in inst.center_views() {
                 let s = StrategySpace::build(inst, &view, &VdpsConfig::pruned(2.0, 3));
                 let run = |with| {
-                    let (ctx, trace) = play(&s, FgtConfig::default(), with);
+                    let (ctx, trace) = play_with(&s, FgtConfig::default(), with);
                     let picks: Vec<(Option<u32>, u64)> = (0..ctx.n_workers())
                         .map(|l| (ctx.selection(l), ctx.payoff(l).to_bits()))
                         .collect();
                     (picks, trace.len(), trace.converged)
                 };
                 let label = format!("center {:?} of {} workers", view.center, s.n_workers());
-                assert_eq!(run(FASTPATH), run(Loop::Oracle), "{label}");
+                assert_eq!(run(MONOTONE), run(Loop::Oracle), "{label}");
                 checked += 1;
             }
         }
@@ -974,9 +900,9 @@ pub(crate) mod tests {
 
     #[test]
     fn fastpath_scans_fewer_candidates_and_counts_rounds() {
-        // The fast path's counters, against the oracle that replays the
-        // same game and recomputes each counter's definition per turn. A
-        // pass reads fewer rows than the exhaustive scan only where the
+        // The monotone search's counters, against the oracle that replays
+        // the same game and recomputes each counter's definition per turn.
+        // A pass reads fewer rows than the exhaustive scan only where the
         // reach test skips a prefix, which the starved fixture makes happen.
         let mut spaces: Vec<StrategySpace> = [16, 17, 18].map(|seed| space(&instance(seed))).into();
         spaces.push(large_sparse_space());
@@ -995,48 +921,52 @@ pub(crate) mod tests {
         );
         spaces.push(space(&starved));
         for s in &spaces {
-            let run = |with| play(s, FgtConfig::default(), with).1.stats;
-            let incremental = run(INCREMENTAL);
-            let fast = run(FASTPATH);
+            let run = |with| play_with(s, FgtConfig::default(), with).1.stats;
+            let exhaustive = run(EXHAUSTIVE);
+            let fast = run(MONOTONE);
             let oracle = run(Loop::ReachOracle);
-            assert_eq!(incremental.fastpath_rounds, 0);
-            assert_eq!(incremental.early_exits, 0);
+            assert_eq!(exhaustive.fastpath_rounds, 0);
+            assert_eq!(exhaustive.early_exits, 0);
             assert_eq!(fast.fastpath_rounds, fast.rounds);
-            assert_eq!(fast.rounds, incremental.rounds);
-            assert_eq!(fast.switches, incremental.switches);
+            assert_eq!(fast.rounds, exhaustive.rounds);
+            assert_eq!(fast.switches, exhaustive.switches);
             assert_eq!(fast.rounds, oracle.rounds);
             assert_eq!(fast.candidates_scanned, oracle.candidates_scanned);
             assert_eq!(fast.early_exits, oracle.early_exits);
             // Two updates per candidate turn, two per turn exhaustively.
             assert_eq!(fast.evaluator_updates, oracle.evaluator_updates);
             assert_eq!(
-                incremental.evaluator_updates,
-                2 * incremental.rounds * s.n_workers() as u64
+                exhaustive.evaluator_updates,
+                2 * exhaustive.rounds * s.n_workers() as u64
             );
-            assert!(fast.evaluator_updates < incremental.evaluator_updates);
+            assert_eq!(
+                exhaustive.candidates_scanned,
+                exhaustive.rounds * s.total_slots() as u64
+            );
+            assert!(fast.evaluator_updates < exhaustive.evaluator_updates);
             // Exactly two IAU evaluations counted per worker turn on the
-            // fast path.
+            // monotone search.
             assert_eq!(
                 fast.candidate_evaluations,
                 2 * fast.rounds * s.n_workers() as u64
             );
         }
         let starved = spaces.last().expect("the starved fixture is pushed");
-        let run = |with| play(starved, FgtConfig::default(), with).1.stats;
-        let (fast, incremental) = (run(FASTPATH), run(INCREMENTAL));
+        let run = |with| play_with(starved, FgtConfig::default(), with).1.stats;
+        let (fast, exhaustive) = (run(MONOTONE), run(EXHAUSTIVE));
         assert!(
             fast.early_exits > 0,
             "the starved fixture never skipped a prefix"
         );
-        assert!(fast.candidates_scanned < incremental.candidates_scanned);
+        assert!(fast.candidates_scanned < exhaustive.candidates_scanned);
     }
 
     #[test]
     fn unsound_iau_weights_fall_back_to_exhaustive_evaluation() {
         // β ≥ 1 breaks monotonicity (a worker can prefer a *lower* payoff
-        // to reduce guilt), so the FastPath engine must run the exhaustive
-        // loop — provably, via fastpath_rounds == 0 — and match the
-        // Incremental engine bit-for-bit.
+        // to reduce guilt), so FGT must choose the exhaustive search —
+        // provably, via fastpath_rounds == 0 — and match it forced,
+        // bit for bit, with its counters at their definition.
         assert!(!fastpath_sound(IauParams {
             alpha: 0.5,
             beta: 1.0
@@ -1055,24 +985,31 @@ pub(crate) mod tests {
             alpha: 0.5,
             beta: 1.3,
         };
-        let run = |engine| {
-            let mut ctx = GameContext::new(&s);
-            let trace = fgt(
-                &mut ctx,
-                &FgtConfig {
-                    engine,
-                    iau: guilty,
-                    ..FgtConfig::default()
-                },
-            );
-            (ctx.to_assignment(), trace.rounds, trace.stats)
+        let config = FgtConfig {
+            iau: guilty,
+            ..FgtConfig::default()
         };
-        let (i_asg, i_rounds, i_stats) = run(BestResponseEngine::Incremental);
-        let (f_asg, f_rounds, f_stats) = run(BestResponseEngine::FastPath);
-        assert_eq!(f_stats.fastpath_rounds, 0, "fallback must not fast-path");
-        assert_eq!(f_asg, i_asg);
-        assert_eq!(f_rounds, i_rounds);
-        assert_eq!(f_stats, i_stats);
+        assert_eq!(Search::for_weights(guilty), Search::Exhaustive);
+        let (e_ctx, e_trace) = play_with(&s, config, EXHAUSTIVE);
+        let mut ctx = GameContext::new(&s);
+        let trace = fgt(&mut ctx, &config);
+        let stats = trace.stats;
+        assert_eq!(
+            stats.fastpath_rounds, 0,
+            "unsound weights took the fast path"
+        );
+        assert_eq!(ctx.to_assignment(), e_ctx.to_assignment());
+        assert_eq!(trace.rounds, e_trace.rounds);
+        assert_eq!(stats, e_trace.stats);
+        assert_eq!(stats.early_exits, 0);
+        assert_eq!(
+            stats.candidates_scanned,
+            stats.rounds * s.total_slots() as u64
+        );
+        assert_eq!(
+            stats.evaluator_updates,
+            2 * stats.rounds * s.n_workers() as u64
+        );
     }
 
     #[test]
@@ -1183,9 +1120,10 @@ pub(crate) mod tests {
 
     #[test]
     fn incremental_engine_builds_at_least_5x_fewer_evaluators_per_round() {
-        // At n = 1000 workers the incremental engine must do at least 5×
-        // fewer evaluator-construction operations per best-response round
-        // than the rebuild oracle. Two rounds and no restarts keep the
+        // At n = 1000 workers the production loop, which keeps one rival
+        // set incrementally, must do at least 5× fewer
+        // evaluator-construction operations per best-response round than
+        // the rebuild oracle. Two rounds and no restarts keep the
         // debug-mode test fast; the per-round ratio is independent of the
         // round count.
         let inst = generate_syn(
@@ -1206,8 +1144,8 @@ pub(crate) mod tests {
             restarts: 0,
             ..FgtConfig::default()
         };
-        let rebuild = play(&s, config, Loop::Oracle).1.stats;
-        let incremental = play(&s, config, INCREMENTAL).1.stats;
+        let rebuild = play_with(&s, config, Loop::Oracle).1.stats;
+        let incremental = play_with(&s, config, EXHAUSTIVE).1.stats;
 
         // Both evaluate the same candidates in the same order.
         assert_eq!(rebuild.rounds, incremental.rounds);
@@ -1218,7 +1156,7 @@ pub(crate) mod tests {
         assert!(rebuild.rounds > 0, "FGT did no best-response rounds");
 
         // Evaluator-construction ops per round: the oracle makes one O(n)
-        // evaluator per worker turn (n per round); the incremental engine
+        // evaluator per worker turn (n per round); the production loop
         // amortises a single build across the whole run and otherwise only
         // performs O(log n) treap remove/insert pairs, which are
         // maintenance, not construction.
@@ -1238,10 +1176,10 @@ pub(crate) mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// For any sound IAU weights the incremental engine reproduces the
+        /// For any sound IAU weights the exhaustive search reproduces the
         /// rebuild oracle's selections, payoffs, move counts and
         /// convergence. The oracle recomputes round summaries from scratch
-        /// while the engine maintains them, so the summary *floats* may
+        /// while the loop maintains them, so the summary *floats* may
         /// differ by an ulp and are not compared.
         #[test]
         fn incremental_engine_matches_the_rebuild_oracle(
@@ -1271,14 +1209,73 @@ pub(crate) mod tests {
                 ..FgtConfig::default()
             };
             let run = |with| {
-                let (ctx, trace) = play(&s, config, with);
+                let (ctx, trace) = play_with(&s, config, with);
                 let selections: Vec<Option<u32>> =
                     (0..ctx.n_workers()).map(|l| ctx.selection(l)).collect();
                 let payoff_bits: Vec<u64> = ctx.payoffs().iter().map(|p| p.to_bits()).collect();
                 let moves: Vec<usize> = trace.rounds.iter().map(|r| r.moves).collect();
                 (selections, payoff_bits, moves, trace.converged)
             };
-            prop_assert_eq!(run(Loop::Oracle), run(INCREMENTAL));
+            prop_assert_eq!(run(Loop::Oracle), run(EXHAUSTIVE));
+        }
+    }
+
+    proptest! {
+        /// The monotone search's correctness contract: for any sound IAU
+        /// weights (`α ≥ 0`, `β < 1`) it plays the exhaustive search's game
+        /// *bit for bit* — same selections, payoff bits, per-round trace
+        /// summaries (moves and the `P_dif`, average and potential bits)
+        /// and convergence. It touches the rival set only on candidate
+        /// turns, the exhaustive search on every turn; every `RivalSet`
+        /// read depends on the stored multiset alone, so the summaries
+        /// agree too. (Both are held to the rebuild oracle above.) Runs
+        /// `PROPTEST_CASES` cases, 256 by default.
+        #[test]
+        fn fastpath_engine_is_bit_identical_for_sound_iau_weights(
+            seed in 1u64..500,
+            n_workers in 2usize..12,
+            n_dps in 4usize..16,
+            max_dp in 1usize..4,
+            alpha in 0.0f64..4.0,
+            beta in 0.0f64..1.0,
+        ) {
+            let inst = generate_syn(
+                &SynConfig {
+                    n_centers: 1,
+                    n_workers,
+                    n_tasks: n_dps * 6,
+                    n_delivery_points: n_dps,
+                    max_dp,
+                    extent: 3.0,
+                    ..SynConfig::bench_scale()
+                },
+                seed,
+            );
+            let views = inst.center_views();
+            let s = StrategySpace::build(&inst, &views[0], &VdpsConfig::unpruned(4));
+            let iau = IauParams { alpha, beta };
+            prop_assert_eq!(Search::for_weights(iau), Search::Monotone);
+            let config = FgtConfig { iau, ..FgtConfig::default() };
+            let run = |with| {
+                let (ctx, trace) = play_with(&s, config, with);
+                let picks: Vec<(Option<u32>, u64)> = (0..ctx.n_workers())
+                    .map(|l| (ctx.selection(l), ctx.payoff(l).to_bits()))
+                    .collect();
+                let summaries: Vec<(usize, u64, u64, u64)> = trace
+                    .rounds
+                    .iter()
+                    .map(|r| {
+                        (
+                            r.moves,
+                            r.payoff_difference.to_bits(),
+                            r.average_payoff.to_bits(),
+                            r.potential.to_bits(),
+                        )
+                    })
+                    .collect();
+                (picks, summaries, trace.converged)
+            };
+            prop_assert_eq!(run(EXHAUSTIVE), run(MONOTONE), "monotone search diverged");
         }
     }
 }

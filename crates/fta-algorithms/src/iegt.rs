@@ -12,7 +12,6 @@
 //! (Algorithm 3, line 27).
 
 use crate::context::GameContext;
-use crate::fgt::BestResponseEngine;
 use crate::random::{random_init, random_init_nulls};
 use crate::trace::ConvergenceTrace;
 use fta_core::iau::{IauParams, RivalSet};
@@ -49,14 +48,6 @@ pub struct IegtConfig {
     /// Tolerance under which payoffs count as "equal to the average" when
     /// testing the `σ̇ = 0` rest point.
     pub equality_tolerance: f64,
-    /// Candidate-enumeration engine for the evolution loop. IEGT's
-    /// utilities are raw payoffs — trivially strictly increasing in the
-    /// own payoff — so [`BestResponseEngine::FastPath`] is always sound
-    /// here: the strictly-better candidate set is one `p > threshold`
-    /// filter over the open slots, with no utility evaluation.
-    /// [`BestResponseEngine::Incremental`] runs the classic full-list
-    /// filter.
-    pub engine: BestResponseEngine,
 }
 
 impl Default for IegtConfig {
@@ -66,7 +57,6 @@ impl Default for IegtConfig {
             seed: 0x4945_4754, // "IEGT"
             redraw: RedrawPolicy::UniformBetter,
             equality_tolerance: 1e-9,
-            engine: BestResponseEngine::default(),
         }
     }
 }
@@ -155,7 +145,7 @@ fn iegt_run(
     }
 
     let mut trace = ConvergenceTrace::default();
-    // IEGT does not evaluate IAU, but the incremental rival engine still
+    // IEGT does not evaluate IAU, but the incremental rival set still
     // pays off: it keeps the population total/average and the fairness
     // metric current in O(1) per read instead of O(n) / O(n log n) scans
     // per round. (The IAU weights inside are irrelevant here.)
@@ -169,19 +159,15 @@ fn iegt_run(
         population.total(),
     );
 
-    // The fast path is always sound for IEGT (raw payoffs); the
-    // incremental engine runs the classic full-list filter. Both branches
-    // produce the same `better` set in the same (ascending pool-index)
-    // order, so the redraw — including the rng stream — is
-    // engine-invariant.
-    let fastpath = config.engine == BestResponseEngine::FastPath;
+    // IEGT's utilities are raw payoffs, so the monotone search is always
+    // sound: a worker's strictly better strategies are one `p > threshold`
+    // pass over its open rows, in ascending pool-index order (what the
+    // full-list filter over every valid strategy collects).
     let mut better: Vec<(u32, f64)> = Vec::new();
     let n = ctx.n_workers();
     for round in 1..=config.max_rounds {
         trace.stats.rounds += 1;
-        if fastpath {
-            trace.stats.fastpath_rounds += 1;
-        }
+        trace.stats.fastpath_rounds += 1;
         let average = population.average();
         let mut moves = 0;
         let mut all_at_rest = true;
@@ -195,21 +181,10 @@ fn iegt_run(
             all_at_rest = false;
             let margin = config.improvement_threshold(current);
             let threshold = current + margin;
-            if fastpath {
-                let scan = ctx.better_available(local, threshold, &mut better);
-                trace.stats.candidates_scanned += scan.scanned;
-                if scan.skipped_prefix {
-                    trace.stats.early_exits += 1;
-                }
-            } else {
-                better.clear();
-                trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
-                for (idx, p) in ctx.available_strategies(local) {
-                    trace.stats.candidate_evaluations += 1;
-                    if p > threshold {
-                        better.push((idx, p));
-                    }
-                }
+            let scan = ctx.better_available(local, threshold, &mut better);
+            trace.stats.candidates_scanned += scan.scanned;
+            if scan.skipped_prefix {
+                trace.stats.early_exits += 1;
             }
             let choice = match config.redraw {
                 RedrawPolicy::UniformBetter => better.choose(&mut rng).copied(),
@@ -400,40 +375,94 @@ mod tests {
         }
     }
 
+    /// The cold evolution with the full-list filter the monotone pass
+    /// replaced: every valid strategy is probed for availability and
+    /// `p > threshold`, and a uniform pick among the survivors is drawn
+    /// from the same rng stream. Counts rounds, switches and the rows
+    /// probed.
+    fn evolve_by_full_list(ctx: &mut GameContext<'_>, config: &IegtConfig) -> ConvergenceTrace {
+        assert_eq!(config.redraw, RedrawPolicy::UniformBetter);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        random_init(ctx, &mut rng);
+        let mut trace = ConvergenceTrace::default();
+        let mut population = RivalSet::with_payoffs(ctx.payoffs(), IauParams::default());
+        let summary = |population: &RivalSet| {
+            (
+                population.payoff_difference(),
+                population.average(),
+                population.total(),
+            )
+        };
+        let (p_dif, average, total) = summary(&population);
+        trace.record_summary(0, 0, p_dif, average, total);
+        for round in 1..=config.max_rounds {
+            trace.stats.rounds += 1;
+            let average = population.average();
+            let (mut moves, mut all_at_rest) = (0, true);
+            for local in 0..ctx.n_workers() {
+                let current = ctx.payoff(local);
+                if current >= average - config.rest_slack(average) {
+                    continue;
+                }
+                all_at_rest = false;
+                let threshold = current + config.improvement_threshold(current);
+                trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
+                let better: Vec<(u32, f64)> = ctx
+                    .available_strategies(local)
+                    .filter(|&(_, p)| p > threshold)
+                    .collect();
+                if let Some(&(idx, _)) = better.choose(&mut rng) {
+                    ctx.set_strategy(local, Some(idx));
+                    population.remove(current);
+                    population.insert(ctx.payoff(local));
+                    moves += 1;
+                    trace.stats.switches += 1;
+                }
+            }
+            let (p_dif, average, total) = summary(&population);
+            trace.record_summary(round, moves, p_dif, average, total);
+            if all_at_rest || moves == 0 {
+                trace.converged = true;
+                break;
+            }
+        }
+        trace
+    }
+
     #[test]
     fn fastpath_matches_incremental_evolution_exactly() {
-        // IEGT evolves on raw payoffs, so the monotone fast path is always
-        // sound. The fast filter collects *exactly* the candidates the
-        // exhaustive filter admits (same threshold float, same ascending
-        // order), so the shared rng stream draws the same redraws and the
-        // evolution is bit-identical.
+        // IEGT evolves on raw payoffs, so the monotone pass is always
+        // sound. It collects *exactly* the candidates the full-list filter
+        // admits (same threshold float, same ascending order), so the
+        // shared rng stream draws the same redraws and the evolution is
+        // bit-identical to the filter's, round summaries included.
         for seed in [41, 42, 43] {
             let inst = instance(seed);
             let s = space(&inst);
-            let run = |engine| {
-                let mut ctx = GameContext::new(&s);
-                let trace = iegt(
-                    &mut ctx,
-                    &IegtConfig {
-                        engine,
-                        ..IegtConfig::default()
-                    },
-                );
-                (ctx.to_assignment(), ctx.total_payoff().to_bits(), trace)
-            };
-            let (inc_asg, inc_bits, inc) = run(BestResponseEngine::Incremental);
-            let (fast_asg, fast_bits, fast) = run(BestResponseEngine::FastPath);
-            assert_eq!(inc_asg, fast_asg, "seed {seed}: assignments diverge");
-            assert_eq!(inc_bits, fast_bits, "seed {seed}: payoffs diverge");
-            assert_eq!(inc.len(), fast.len(), "seed {seed}: round counts diverge");
-            assert_eq!(inc.stats.switches, fast.stats.switches);
-            assert_eq!(inc.stats.fastpath_rounds, 0);
+            let config = IegtConfig::default();
+            let mut full = GameContext::new(&s);
+            let oracle = evolve_by_full_list(&mut full, &config);
+            let mut ctx = GameContext::new(&s);
+            let fast = iegt(&mut ctx, &config);
+            assert_eq!(
+                full.to_assignment(),
+                ctx.to_assignment(),
+                "seed {seed}: assignments diverge"
+            );
+            assert_eq!(
+                full.total_payoff().to_bits(),
+                ctx.total_payoff().to_bits(),
+                "seed {seed}: payoffs diverge"
+            );
+            assert_eq!(oracle.rounds, fast.rounds, "seed {seed}: rounds diverge");
+            assert_eq!(oracle.converged, fast.converged);
+            assert_eq!(oracle.stats.switches, fast.stats.switches);
             assert_eq!(fast.stats.fastpath_rounds, fast.stats.rounds);
             assert!(
-                fast.stats.candidates_scanned <= inc.stats.candidates_scanned,
-                "seed {seed}: fastpath scanned {} vs exhaustive {}",
+                fast.stats.candidates_scanned <= oracle.stats.candidates_scanned,
+                "seed {seed}: the monotone pass scanned {} vs the full list's {}",
                 fast.stats.candidates_scanned,
-                inc.stats.candidates_scanned
+                oracle.stats.candidates_scanned
             );
         }
     }

@@ -9,15 +9,11 @@
 //! coincides with FGT (tested below).
 
 use crate::context::GameContext;
-use crate::fgt::{BestResponseEngine, FgtConfig};
-use crate::random::random_init;
-use crate::stats::BestResponseStats;
+use crate::fgt::{best_of_restarts, play, FgtConfig, Rivals, Search};
 use crate::trace::ConvergenceTrace;
-use fta_core::iau::RivalSet;
+use fta_core::iau::{IauParams, RivalSet};
 use fta_core::priority::{priority_payoff_difference, PriorityRivalSet};
 use fta_core::{CancelToken, WorkerId};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// How worker priorities are derived. A plain function pointer keeps the
 /// solver's `Algorithm` enum `Copy` while allowing arbitrary priority
@@ -92,62 +88,26 @@ pub fn pfgt_bounded<'a>(
     config: &PfgtConfig,
     cancel: Option<&CancelToken>,
 ) -> ConvergenceTrace {
-    best_of_restarts(ctx, config, cancel, pfgt_once)
+    pfgt_searching(ctx, config, Search::for_weights(config.base.iau), cancel)
 }
 
-/// One priority-aware best-response run: `init = Some(seed)` randomly
-/// initialises the context first, `None` continues from its selection.
-type OnceFn = fn(
-    &mut GameContext<'_>,
-    &PfgtConfig,
-    &[f64],
-    Option<u64>,
-    Option<&CancelToken>,
-) -> ConvergenceTrace;
-
-/// Runs `once` from `restarts + 1` random initialisations and keeps the
-/// equilibrium best under the priority-aware FTA objective.
-fn best_of_restarts<'a>(
+/// [`pfgt_bounded`] with the candidate search given rather than chosen
+/// from the weights (the tests force either).
+fn pfgt_searching<'a>(
     ctx: &mut GameContext<'a>,
     config: &PfgtConfig,
+    search: Search,
     cancel: Option<&CancelToken>,
-    once: OnceFn,
 ) -> ConvergenceTrace {
-    let priorities: Vec<f64> = (0..ctx.n_workers())
-        .map(|local| config.priorities.of(ctx.space().worker_id(local)))
-        .collect();
-
-    let mut total_stats = BestResponseStats::default();
-    let mut best: Option<(GameContext<'a>, ConvergenceTrace, f64, f64)> = None;
-    for attempt in 0..=config.base.restarts {
-        let mut trial = GameContext::new(ctx.space());
-        let trace = once(
-            &mut trial,
-            config,
-            &priorities,
-            Some(config.base.seed.wrapping_add(attempt as u64)),
-            cancel,
-        );
-        let cancelled = trace.cancelled;
-        total_stats.merge(&trace.stats);
-        let diff = priority_payoff_difference(trial.payoffs(), &priorities);
-        let avg = fta_core::fairness::average_payoff(trial.payoffs());
-        let improves = best.as_ref().is_none_or(|&(_, _, bd, ba)| {
-            diff < bd - 1e-12 || ((diff - bd).abs() <= 1e-12 && avg > ba + 1e-12)
-        });
-        if improves {
-            best = Some((trial, trace, diff, avg));
-        }
-        if cancelled {
-            break;
-        }
-    }
-    let cut_short = cancel.is_some_and(CancelToken::is_cancelled);
-    let (winner, mut trace, _, _) = best.expect("at least one attempt always runs");
-    *ctx = winner;
-    trace.stats = total_stats;
-    trace.cancelled = trace.cancelled || cut_short;
-    trace
+    let priorities = priorities_of(ctx, config);
+    let rivals = |payoffs: &[f64]| PriorityRivals::new(payoffs, &priorities, config.base.iau);
+    best_of_restarts(
+        ctx,
+        &config.base,
+        cancel,
+        |payoffs| priority_payoff_difference(payoffs, &priorities),
+        |trial, seed| play(trial, &config.base, search, Some(seed), cancel, rivals),
+    )
 }
 
 /// [`pfgt_bounded`] warm-started from a cached strategy profile: the
@@ -160,288 +120,105 @@ pub fn pfgt_warm_bounded(
     profile: &[Option<u32>],
     cancel: Option<&CancelToken>,
 ) -> (ConvergenceTrace, crate::warm::WarmStart) {
-    let priorities: Vec<f64> = (0..ctx.n_workers())
-        .map(|local| config.priorities.of(ctx.space().worker_id(local)))
-        .collect();
+    let priorities = priorities_of(ctx, config);
     let warm = crate::warm::warm_init(ctx, profile);
-    let trace = pfgt_once(ctx, config, &priorities, None, cancel);
+    let rivals = |payoffs: &[f64]| PriorityRivals::new(payoffs, &priorities, config.base.iau);
+    let search = Search::for_weights(config.base.iau);
+    let trace = play(ctx, &config.base, search, None, cancel, rivals);
     (trace, warm)
 }
 
-fn pfgt_once(
-    ctx: &mut GameContext<'_>,
-    config: &PfgtConfig,
-    priorities: &[f64],
-    init: Option<u64>,
-    cancel: Option<&CancelToken>,
-) -> ConvergenceTrace {
-    match config.base.engine {
-        BestResponseEngine::Incremental => {
-            pfgt_once_incremental(ctx, config, priorities, init, cancel)
+/// Every worker's priority, in local order.
+fn priorities_of(ctx: &GameContext<'_>, config: &PfgtConfig) -> Vec<f64> {
+    (0..ctx.n_workers())
+        .map(|local| config.priorities.of(ctx.space().worker_id(local)))
+        .collect()
+}
+
+/// PFGT's rivals: a [`PriorityRivalSet`] in normalised-payoff space drives
+/// the utilities and the potential; a raw [`RivalSet`] feeds the trace's
+/// unweighted `P_dif` and average, and changes only when a payoff does.
+/// The priority IAU perceives inequity on `q = p/ρ` with `ρ > 0`, a
+/// strictly increasing map, so the monotone search's soundness argument
+/// ([`crate::fgt::fastpath_sound`]) carries over verbatim.
+struct PriorityRivals<'p> {
+    normalised: PriorityRivalSet,
+    raw: RivalSet,
+    priorities: &'p [f64],
+}
+
+impl<'p> PriorityRivals<'p> {
+    fn new(payoffs: &[f64], priorities: &'p [f64], iau: IauParams) -> Self {
+        let mut normalised = PriorityRivalSet::new(iau);
+        for (&p, &rho) in payoffs.iter().zip(priorities) {
+            normalised.insert(p, rho);
         }
-        BestResponseEngine::FastPath => {
-            if crate::fgt::fastpath_sound(config.base.iau) {
-                pfgt_once_fastpath(ctx, config, priorities, init, cancel)
-            } else {
-                // Out of the monotone regime: exhaustive fallback,
-                // bit-identical (fastpath_rounds stays 0).
-                pfgt_once_incremental(ctx, config, priorities, init, cancel)
-            }
+        Self {
+            normalised,
+            raw: RivalSet::with_payoffs(payoffs, iau),
+            priorities,
         }
     }
 }
 
-fn new_trace(config: &PfgtConfig) -> ConvergenceTrace {
-    if config.base.snapshot_payoffs {
-        ConvergenceTrace::with_snapshots()
-    } else {
-        ConvergenceTrace::default()
-    }
-}
+impl Rivals for PriorityRivals<'_> {
+    const BUILDS: u64 = 2;
 
-/// Incremental engine: one [`PriorityRivalSet`] (normalised-payoff space,
-/// for utilities and the potential) plus one raw [`RivalSet`] (for the
-/// trace's raw `P_dif` and average) maintained across the whole run.
-fn pfgt_once_incremental(
-    ctx: &mut GameContext<'_>,
-    config: &PfgtConfig,
-    priorities: &[f64],
-    init: Option<u64>,
-    cancel: Option<&CancelToken>,
-) -> ConvergenceTrace {
-    if let Some(seed) = init {
-        let mut rng = StdRng::seed_from_u64(seed);
-        random_init(ctx, &mut rng);
+    fn remove(&mut self, local: usize, payoff: f64) {
+        self.normalised.remove(payoff, self.priorities[local]);
     }
 
-    let mut trace = new_trace(config);
-    // One engine in normalised-payoff space drives the best responses; a
-    // second raw-payoff engine feeds the unweighted trace statistics.
-    let mut q_rivals = PriorityRivalSet::new(config.base.iau);
-    for (local, &p) in ctx.payoffs().iter().enumerate() {
-        q_rivals.insert(p, priorities[local]);
-    }
-    let mut raw = RivalSet::with_payoffs(ctx.payoffs(), config.base.iau);
-    trace.stats.evaluator_builds += 2;
-
-    trace.snapshot(ctx.payoffs());
-    trace.record_summary(
-        0,
-        0,
-        raw.payoff_difference(),
-        raw.average(),
-        q_rivals.potential(),
-    );
-
-    let n = ctx.n_workers();
-    for round in 1..=config.base.max_rounds {
-        trace.stats.rounds += 1;
-        let mut moves = 0;
-        for (local, &rho) in priorities.iter().enumerate().take(n) {
-            let own = ctx.payoff(local);
-            q_rivals.remove(own, rho);
-            trace.stats.evaluator_updates += 1;
-
-            let current_utility = q_rivals.eval(own, rho);
-            trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
-            let mut best: Option<(Option<u32>, f64)> = Some((None, q_rivals.eval(0.0, rho)));
-            trace.stats.candidate_evaluations += 2;
-            for (idx, payoff) in ctx.available_strategies(local) {
-                let u = q_rivals.eval(payoff, rho);
-                trace.stats.candidate_evaluations += 1;
-                if best.as_ref().is_none_or(|&(_, bu)| u > bu) {
-                    best = Some((Some(idx), u));
-                }
-            }
-            let (choice, utility) = best.expect("null is always a candidate");
-            if utility > current_utility + config.base.min_improvement
-                && choice != ctx.selection(local)
-            {
-                ctx.set_strategy(local, choice);
-                moves += 1;
-                trace.stats.switches += 1;
-                if choice.is_none() {
-                    trace.stats.null_adoptions += 1;
-                }
-            }
-            let adopted = ctx.payoff(local);
-            q_rivals.insert(adopted, rho);
-            trace.stats.evaluator_updates += 1;
-            if adopted != own {
-                raw.remove(own);
-                raw.insert(adopted);
-                trace.stats.evaluator_updates += 2;
-            }
-        }
-        trace.snapshot(ctx.payoffs());
-        trace.record_summary(
-            round,
-            moves,
-            raw.payoff_difference(),
-            raw.average(),
-            q_rivals.potential(),
-        );
-        if moves == 0 {
-            trace.converged = true;
-            break;
-        }
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            trace.cancelled = true;
-            break;
-        }
-    }
-    trace
-}
-
-/// Monotone fast-path engine for PFGT: the best response is the
-/// highest-payoff available strategy found by one argmax pass over the
-/// worker's valid rows, and only a turn whose candidate differs from the
-/// current selection updates the rival sets. Their reads depend on the
-/// stored multisets alone, so the traces are bit-identical to
-/// [`pfgt_once_incremental`]'s. Soundness: the priority IAU
-/// perceives inequity on the normalised payoffs `q = p/ρ` with `ρ > 0`, a
-/// strictly increasing map, so the monotonicity argument of
-/// [`crate::fgt::fastpath_sound`] carries over verbatim for `β < 1`,
-/// `α ≥ 0`.
-fn pfgt_once_fastpath(
-    ctx: &mut GameContext<'_>,
-    config: &PfgtConfig,
-    priorities: &[f64],
-    init: Option<u64>,
-    cancel: Option<&CancelToken>,
-) -> ConvergenceTrace {
-    debug_assert!(crate::fgt::fastpath_sound(config.base.iau));
-    if let Some(seed) = init {
-        let mut rng = StdRng::seed_from_u64(seed);
-        random_init(ctx, &mut rng);
+    fn insert(&mut self, local: usize, payoff: f64) {
+        self.normalised.insert(payoff, self.priorities[local]);
     }
 
-    let mut trace = new_trace(config);
-    let mut q_rivals = PriorityRivalSet::new(config.base.iau);
-    for (local, &p) in ctx.payoffs().iter().enumerate() {
-        q_rivals.insert(p, priorities[local]);
+    fn eval(&self, local: usize, payoff: f64) -> f64 {
+        self.normalised.eval(payoff, self.priorities[local])
     }
-    let mut raw = RivalSet::with_payoffs(ctx.payoffs(), config.base.iau);
-    trace.stats.evaluator_builds += 2;
 
-    trace.snapshot(ctx.payoffs());
-    trace.record_summary(
-        0,
-        0,
-        raw.payoff_difference(),
-        raw.average(),
-        q_rivals.potential(),
-    );
-
-    let n = ctx.n_workers();
-    for round in 1..=config.base.max_rounds {
-        trace.stats.rounds += 1;
-        trace.stats.fastpath_rounds += 1;
-        let mut moves = 0;
-        for (local, &rho) in priorities.iter().enumerate().take(n) {
-            let (found, scan) = ctx.best_available(local);
-            trace.stats.candidates_scanned += scan.scanned;
-            if scan.skipped_prefix {
-                trace.stats.early_exits += 1;
-            }
-            let (choice, payoff) = match found {
-                Some((idx, payoff)) if payoff > 0.0 => (Some(idx), payoff),
-                _ => (None, 0.0),
-            };
-            // Counted whether or not the switch rule needs them.
-            trace.stats.candidate_evaluations += 2;
-            // Only a candidate turn can switch, so only it touches the
-            // rival sets (see `fgt_once_fastpath`).
-            if choice == ctx.selection(local) {
-                continue;
-            }
-            let own = ctx.payoff(local);
-            q_rivals.remove(own, rho);
-            if q_rivals.eval(payoff, rho) > q_rivals.eval(own, rho) + config.base.min_improvement {
-                ctx.set_strategy(local, choice);
-                moves += 1;
-                trace.stats.switches += 1;
-                if choice.is_none() {
-                    trace.stats.null_adoptions += 1;
-                }
-            }
-            let adopted = ctx.payoff(local);
-            q_rivals.insert(adopted, rho);
-            trace.stats.evaluator_updates += 2;
-            if adopted != own {
-                raw.remove(own);
-                raw.insert(adopted);
-                trace.stats.evaluator_updates += 2;
-            }
-        }
-        trace.snapshot(ctx.payoffs());
-        trace.record_summary(
-            round,
-            moves,
-            raw.payoff_difference(),
-            raw.average(),
-            q_rivals.potential(),
-        );
-        if moves == 0 {
-            trace.converged = true;
-            break;
-        }
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            trace.cancelled = true;
-            break;
-        }
+    fn moved(&mut self, from: f64, to: f64) -> u64 {
+        self.raw.remove(from);
+        self.raw.insert(to);
+        2
     }
-    trace
+
+    fn summary(&self) -> (f64, f64, f64) {
+        (
+            self.raw.payoff_difference(),
+            self.raw.average(),
+            self.normalised.potential(),
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fgt::fgt;
+    use crate::random::random_init;
     use fta_core::priority::PriorityIauEvaluator;
     use fta_core::Instance;
     use fta_data::{generate_syn, SynConfig};
     use fta_vdps::{StrategySpace, VdpsConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    /// The reference best response: a fresh [`PriorityIauEvaluator`] per
-    /// worker per round, evaluating every available candidate.
-    fn pfgt_once_rebuild(
-        ctx: &mut GameContext<'_>,
-        config: &PfgtConfig,
-        priorities: &[f64],
-        init: Option<u64>,
-        cancel: Option<&CancelToken>,
-    ) -> ConvergenceTrace {
-        rebuild(ctx, config, priorities, init, cancel, false)
-    }
-
-    /// [`pfgt_once_rebuild`] counting what the fast path's passes should:
-    /// `candidates_scanned` and `early_exits` by
-    /// [`crate::fgt::tests::reach_oracle`], two `evaluator_updates` per
-    /// turn whose best response differs from the current selection, and
-    /// two more per switch that changes the raw payoff.
-    fn pfgt_once_rebuild_counting_reach(
-        ctx: &mut GameContext<'_>,
-        config: &PfgtConfig,
-        priorities: &[f64],
-        init: Option<u64>,
-        cancel: Option<&CancelToken>,
-    ) -> ConvergenceTrace {
-        rebuild(ctx, config, priorities, init, cancel, true)
-    }
-
+    /// The reference best response from the random initialisation of
+    /// `seed`: a fresh [`PriorityIauEvaluator`] per worker per round,
+    /// evaluating every available candidate. With `count_reach` it counts
+    /// what the monotone search's passes should: `candidates_scanned` and
+    /// `early_exits` by [`crate::fgt::tests::reach_oracle`], two
+    /// `evaluator_updates` per turn whose best response differs from the
+    /// current selection, and two more per switch that changes the raw
+    /// payoff.
     fn rebuild(
         ctx: &mut GameContext<'_>,
         config: &PfgtConfig,
         priorities: &[f64],
-        init: Option<u64>,
-        cancel: Option<&CancelToken>,
+        seed: u64,
         count_reach: bool,
     ) -> ConvergenceTrace {
-        if let Some(seed) = init {
-            let mut rng = StdRng::seed_from_u64(seed);
-            random_init(ctx, &mut rng);
-        }
+        random_init(ctx, &mut StdRng::seed_from_u64(seed));
 
         let potential = |payoffs: &[f64]| {
             crate::fgt::iau_potential(
@@ -449,7 +226,7 @@ mod tests {
                 config.base.iau,
             )
         };
-        let mut trace = new_trace(config);
+        let mut trace = crate::fgt::new_trace(&config.base);
         trace.record(0, 0, ctx.payoffs(), potential(ctx.payoffs()));
 
         let n = ctx.n_workers();
@@ -505,13 +282,47 @@ mod tests {
                 trace.converged = true;
                 break;
             }
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                trace.cancelled = true;
-                break;
-            }
         }
         trace
     }
+
+    /// Which best-response loop a comparison runs.
+    #[derive(Debug, Clone, Copy)]
+    enum Loop {
+        /// The per-turn rebuild oracle, restarts included.
+        Oracle,
+        /// The same, counting with `count_reach`.
+        ReachOracle,
+        /// The production loop with the given candidate search.
+        Searching(Search),
+    }
+
+    /// Plays PFGT with tiered priorities over `s` on the chosen loop.
+    fn play_tiered(s: &StrategySpace, with: Loop) -> (GameContext<'_>, ConvergenceTrace) {
+        let config = PfgtConfig {
+            priorities: PrioritySpec::ByWorker(tiered),
+            ..PfgtConfig::default()
+        };
+        let mut ctx = GameContext::new(s);
+        let trace = match with {
+            Loop::Searching(search) => pfgt_searching(&mut ctx, &config, search, None),
+            oracle => {
+                let count_reach = matches!(oracle, Loop::ReachOracle);
+                let priorities = priorities_of(&ctx, &config);
+                best_of_restarts(
+                    &mut ctx,
+                    &config.base,
+                    None,
+                    |payoffs| priority_payoff_difference(payoffs, &priorities),
+                    |trial, seed| rebuild(trial, &config, &priorities, seed, count_reach),
+                )
+            }
+        };
+        (ctx, trace)
+    }
+
+    const EXHAUSTIVE: Loop = Loop::Searching(Search::Exhaustive);
+    const MONOTONE: Loop = Loop::Searching(Search::Monotone);
 
     fn instance(seed: u64) -> Instance {
         generate_syn(
@@ -631,78 +442,59 @@ mod tests {
 
     #[test]
     fn engines_compute_identical_equilibria_under_priorities() {
-        use crate::fgt::BestResponseEngine;
+        // The rebuild oracle and both searches reach the same equilibrium;
+        // the two searches also agree on every round summary and payoff
+        // bit.
         for seed in [31, 32, 33, 34] {
             let inst = instance(seed);
             let s = space(&inst);
-            // `None` plays the rebuild oracle, restarts included.
-            let run = |engine: Option<BestResponseEngine>| {
-                let mut ctx = GameContext::new(&s);
-                let config = PfgtConfig {
-                    base: FgtConfig {
-                        engine: engine.unwrap_or_default(),
-                        ..FgtConfig::default()
-                    },
-                    priorities: PrioritySpec::ByWorker(tiered),
-                };
-                let trace = match engine {
-                    Some(_) => pfgt(&mut ctx, &config),
-                    None => best_of_restarts(&mut ctx, &config, None, pfgt_once_rebuild),
-                };
-                (ctx.to_assignment(), trace.len())
+            let run = |with| {
+                let (ctx, trace) = play_tiered(&s, with);
+                let payoffs: Vec<u64> = ctx.payoffs().iter().map(|p| p.to_bits()).collect();
+                (ctx.to_assignment(), trace, payoffs)
             };
-            let (a_asg, a_len) = run(None);
-            let (b_asg, b_len) = run(Some(BestResponseEngine::Incremental));
-            let (c_asg, c_len) = run(Some(BestResponseEngine::FastPath));
+            let (a_asg, a, _) = run(Loop::Oracle);
+            let (b_asg, b, b_pay) = run(EXHAUSTIVE);
+            let (c_asg, c, c_pay) = run(MONOTONE);
             assert_eq!(a_asg, b_asg, "seed {seed}: assignments diverge");
-            assert_eq!(a_len, b_len, "seed {seed}: round counts diverge");
-            assert_eq!(b_asg, c_asg, "seed {seed}: fastpath assignment diverges");
-            assert_eq!(b_len, c_len, "seed {seed}: fastpath round count diverges");
+            assert_eq!(a.len(), b.len(), "seed {seed}: round counts diverge");
+            assert_eq!(b_asg, c_asg, "seed {seed}: monotone assignment diverges");
+            assert_eq!(b.rounds, c.rounds, "seed {seed}: round summaries diverge");
+            assert_eq!(b_pay, c_pay, "seed {seed}: payoffs not bit-identical");
         }
     }
 
     #[test]
     fn fastpath_respects_priorities_and_counts_its_passes() {
-        use crate::fgt::BestResponseEngine;
         for seed in [35, 36, 37] {
             let inst = instance(seed);
             let s = space(&inst);
-            // `None` plays the counting oracle, restarts included.
-            let run = |engine: Option<BestResponseEngine>| {
-                let mut ctx = GameContext::new(&s);
-                let config = PfgtConfig {
-                    base: FgtConfig {
-                        engine: engine.unwrap_or_default(),
-                        ..FgtConfig::default()
-                    },
-                    priorities: PrioritySpec::ByWorker(tiered),
-                };
-                let trace = match engine {
-                    Some(_) => pfgt(&mut ctx, &config),
-                    None => {
-                        best_of_restarts(&mut ctx, &config, None, pfgt_once_rebuild_counting_reach)
-                    }
-                };
+            let run = |with| {
+                let (ctx, trace) = play_tiered(&s, with);
                 (ctx.to_assignment(), trace)
             };
-            let (inc_asg, inc) = run(Some(BestResponseEngine::Incremental));
-            let (fast_asg, fast) = run(Some(BestResponseEngine::FastPath));
-            let (oracle_asg, oracle) = run(None);
+            let (ex_asg, ex) = run(EXHAUSTIVE);
+            let (fast_asg, fast) = run(MONOTONE);
+            let (oracle_asg, oracle) = run(Loop::ReachOracle);
             assert_eq!(
-                inc_asg, fast_asg,
-                "seed {seed}: fastpath equilibrium diverges"
+                ex_asg, fast_asg,
+                "seed {seed}: monotone equilibrium diverges"
             );
             assert_eq!(
                 oracle_asg, fast_asg,
                 "seed {seed}: oracle equilibrium diverges"
             );
             assert_eq!(
-                inc.rounds, fast.rounds,
+                ex.rounds, fast.rounds,
                 "seed {seed}: round summaries diverge"
             );
-            assert_eq!(inc.stats.switches, fast.stats.switches);
-            assert_eq!(inc.stats.fastpath_rounds, 0);
-            assert_eq!(inc.stats.early_exits, 0);
+            assert_eq!(ex.stats.switches, fast.stats.switches);
+            assert_eq!(ex.stats.fastpath_rounds, 0);
+            assert_eq!(ex.stats.early_exits, 0);
+            assert_eq!(
+                ex.stats.candidates_scanned,
+                ex.stats.rounds * s.total_slots() as u64
+            );
             assert_eq!(fast.stats.fastpath_rounds, fast.stats.rounds);
             assert_eq!(fast.stats.rounds, oracle.stats.rounds);
             assert_eq!(

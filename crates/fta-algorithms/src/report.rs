@@ -14,8 +14,8 @@ use std::fmt;
 
 /// Pretty-printer over a [`SolveOutcome`].
 ///
-/// Construct with [`SolveReport::new`], optionally attach a header label
-/// and the best-response engine, then `Display` it:
+/// Construct with [`SolveReport::new`], optionally attach a header label,
+/// then `Display` it:
 ///
 /// ```
 /// use fta_algorithms::{solve, Algorithm, SolveConfig, SolveReport};
@@ -32,7 +32,6 @@ use std::fmt;
 pub struct SolveReport<'a> {
     outcome: &'a SolveOutcome,
     label: Option<&'a str>,
-    br_engine: Option<(&'a str, bool)>,
 }
 
 impl<'a> SolveReport<'a> {
@@ -42,7 +41,6 @@ impl<'a> SolveReport<'a> {
         Self {
             outcome,
             label: None,
-            br_engine: None,
         }
     }
 
@@ -50,16 +48,6 @@ impl<'a> SolveReport<'a> {
     #[must_use]
     pub fn label(mut self, label: &'a str) -> Self {
         self.label = Some(label);
-        self
-    }
-
-    /// Names the best-response engine and whether the configured IAU
-    /// weights make the monotone fast path sound ([`crate::fastpath_sound`]).
-    /// Rendered on the best-response work line, so baselines that never
-    /// enter an equilibrium loop stay silent.
-    #[must_use]
-    pub fn br_engine(mut self, engine: &'a str, fastpath_eligible: bool) -> Self {
-        self.br_engine = Some((engine, fastpath_eligible));
         self
     }
 }
@@ -94,17 +82,6 @@ impl fmt::Display for SolveReport<'_> {
         }
         if !o.br_stats.is_empty() {
             let s = &o.br_stats;
-            if let Some((engine, eligible)) = self.br_engine {
-                writeln!(
-                    f,
-                    "best-response engine: {engine} (fast path {})",
-                    if eligible {
-                        "eligible"
-                    } else {
-                        "ineligible: exhaustive fallback"
-                    },
-                )?;
-            }
             writeln!(
                 f,
                 "best-response work: {} rounds, {} candidate evals, {} switches ({} to null), {} evaluator builds, {} incremental updates, {} slots scanned, {} early exits, {} fast-path rounds",
@@ -187,24 +164,5 @@ mod tests {
         assert!(text.contains("fast-path rounds"));
         assert!(text.contains("convergence:"));
         assert!(text.contains("converged=true"));
-        // Engine echo is opt-in.
-        assert!(!text.contains("best-response engine:"));
-    }
-
-    #[test]
-    fn br_engine_echo_reports_name_and_eligibility() {
-        let o = outcome(Algorithm::Fgt(FgtConfig::default()));
-        let text = SolveReport::new(&o).br_engine("fastpath", true).to_string();
-        assert!(text.contains("best-response engine: fastpath (fast path eligible)"));
-        let text = SolveReport::new(&o)
-            .br_engine("incremental", false)
-            .to_string();
-        assert!(text.contains(
-            "best-response engine: incremental (fast path ineligible: exhaustive fallback)"
-        ));
-        // Baselines stay silent even with an engine attached.
-        let o = outcome(Algorithm::Gta);
-        let text = SolveReport::new(&o).br_engine("fastpath", true).to_string();
-        assert!(!text.contains("best-response engine:"));
     }
 }

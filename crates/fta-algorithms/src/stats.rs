@@ -6,16 +6,17 @@
 //! candidate utilities were evaluated, how often workers actually switched,
 //! and how much work the utility evaluator itself did (full rebuilds vs
 //! incremental point updates). The counters are what the `rivalset` bench
-//! and the engine-equivalence tests assert on, and they surface through
+//! and the search-equivalence tests assert on, and they surface through
 //! [`crate::SolveOutcome`], the experiment report, and the CLI.
 
 /// Counters of one or more best-response / replicator runs.
 ///
 /// All counters are cumulative: merging traces (restarts, parallel centers)
-/// sums them. Each counter has one meaning, the same for every engine — the
-/// exhaustive ones, the monotone fast paths and IEGT — and counts work
-/// that was done, not work some other scan would have done. The engines
-/// build one [`fta_core::iau::RivalSet`] per run and maintain it with
+/// sums them. Each counter has one meaning, the same for both candidate
+/// searches of the best-response loop — exhaustive and monotone (the fast
+/// path) — and IEGT, and counts work that was done, not work some other
+/// scan would have done. The loops build one [`fta_core::iau::RivalSet`]
+/// per run and maintain it with
 /// `O(log n)` point updates; the rebuild oracle in the tests constructs a
 /// fresh sorted evaluator for every worker in every round instead
 /// (`evaluator_builds ≈ n · rounds`, no updates).
@@ -25,7 +26,7 @@ pub struct BestResponseStats {
     pub rounds: u64,
     /// Candidate utilities the switch rule is defined over (current
     /// strategy, null, and every available VDPS each count once), whether
-    /// or not the engine computes them: the monotone fast path counts two
+    /// or not the loop computes them: the monotone search counts two
     /// per turn, the current utility and the candidate's, but evaluates
     /// them only when the candidate differs from the current selection.
     pub candidate_evaluations: u64,
@@ -37,9 +38,9 @@ pub struct BestResponseStats {
     /// one rival structure per run).
     pub evaluator_builds: u64,
     /// Rival-structure updates made: one per payoff removed from or
-    /// inserted into a rival set. The exhaustive engines make two per
-    /// turn; the fast paths two per candidate turn (plus PFGT's raw-payoff
-    /// pair per switch); IEGT two per switch.
+    /// inserted into a rival set. The exhaustive search makes two per
+    /// turn, the monotone search two per candidate turn (plus, in PFGT, the
+    /// raw-payoff pair per switch); IEGT two per switch.
     pub evaluator_updates: u64,
     /// Valid strategy rows a deliberation's pass walked. An exhaustive
     /// turn walks the worker's whole valid list; a fast-path or IEGT pass
@@ -51,11 +52,11 @@ pub struct BestResponseStats {
     /// Deliberations on which the reach test skipped at least one
     /// non-empty prefix (fewer free points in its union than its rows
     /// have stops): rows proven closed without being read. Always zero
-    /// for the exhaustive engines.
+    /// for the exhaustive search.
     pub early_exits: u64,
-    /// Rounds executed under the monotone fast-path loop. Stays zero when
-    /// the IAU parameters make the fast path unsound (`β ≥ 1` or `α < 0`)
-    /// and the run fell back to exhaustive evaluation.
+    /// Rounds played with the monotone candidate search (every IEGT
+    /// round). Stays zero when the IAU weights make it unsound (`β ≥ 1` or
+    /// `α < 0`) and FGT/PFGT take the exhaustive search instead.
     pub fastpath_rounds: u64,
 }
 

@@ -26,8 +26,8 @@ pub struct RoundStats {
 
 /// The full per-round history of one algorithm run on one center.
 ///
-/// Per-round entries are `O(1)` summaries ([`RoundStats`]); the incremental
-/// engines feed them via [`ConvergenceTrace::record_summary`] from metrics
+/// Per-round entries are `O(1)` summaries ([`RoundStats`]); the production
+/// loops feed them via [`ConvergenceTrace::record_summary`] from metrics
 /// their rival structure already maintains, so tracing adds no per-round
 /// `O(n log n)` scan. Full per-round payoff vectors are **opt-in** through
 /// [`ConvergenceTrace::with_snapshots`] (they cost `O(n)` memory per round
@@ -82,7 +82,7 @@ impl ConvergenceTrace {
 
     /// Records a round from a payoff vector and a potential value,
     /// computing the summary metrics in `O(n log n)` (and capturing a
-    /// snapshot when enabled). The incremental engines avoid this cost via
+    /// snapshot when enabled). The production loops avoid this cost via
     /// [`ConvergenceTrace::record_summary`].
     pub fn record(&mut self, round: usize, moves: usize, payoffs: &[f64], potential: f64) {
         self.snapshot(payoffs);

@@ -15,11 +15,14 @@
 //! On top of the queries, the production game code runs over both
 //! representations: `fgt.rs`, `iegt.rs`, `gta.rs`, `mpta.rs`, `random.rs`
 //! and `warm.rs` are compiled a second time in this test against the
-//! retired context (`support/slot_context.rs`), and FGT on both engines,
-//! IEGT, GTA, MPTA and Random must make identical selections with
-//! identical `BestResponseStats`.
+//! retired context (`support/slot_context.rs`), and FGT under both
+//! candidate searches (the monotone one at the default weights, the
+//! exhaustive one at β = 1.5), IEGT, GTA, MPTA and Random must make
+//! identical selections with identical `BestResponseStats`.
 //! The included files bring their unit tests along, so those run over
-//! the retired context as well.
+//! the retired context as well. The included loop also lets the two
+//! candidate searches be forced on these tie-heavy instances, where they
+//! must still play the same game.
 //!
 //! Instances sit on a small lattice with rewards drawn from {0, 1, 2}, so
 //! payoff ties (mirror-image routes) and zero payoffs are common, and
@@ -256,17 +259,25 @@ proptest! {
 /// bits, plus the best-response counters.
 type Outcome = (Vec<(Option<u32>, u64)>, fta_algorithms::BestResponseStats);
 
+/// IAU weights (β = 1.5) under which FGT takes the exhaustive search.
+const GUILTY: fta_core::iau::IauParams = fta_core::iau::IauParams {
+    alpha: 0.5,
+    beta: 1.5,
+};
+
 /// Plays algorithm `which` over the implicit space.
 fn play_implicit(space: &StrategySpace, which: usize) -> Outcome {
-    use fta_algorithms::{BestResponseEngine as E, FgtConfig, IegtConfig, MptaConfig};
+    use fta_algorithms::{FgtConfig, IegtConfig, MptaConfig};
     let mut ctx = GameContext::new(space);
-    let fgt_on = |engine| FgtConfig {
-        engine,
-        ..FgtConfig::default()
-    };
     let stats = match which {
-        0 => fta_algorithms::fgt(&mut ctx, &fgt_on(E::FastPath)).stats,
-        1 => fta_algorithms::fgt(&mut ctx, &fgt_on(E::Incremental)).stats,
+        0 => fta_algorithms::fgt(&mut ctx, &FgtConfig::default()).stats,
+        1 => {
+            let config = FgtConfig {
+                iau: GUILTY,
+                ..FgtConfig::default()
+            };
+            fta_algorithms::fgt(&mut ctx, &config).stats
+        }
         2 => fta_algorithms::iegt(&mut ctx, &IegtConfig::default()).stats,
         3 => {
             fta_algorithms::gta(&mut ctx);
@@ -289,15 +300,16 @@ fn play_implicit(space: &StrategySpace, which: usize) -> Outcome {
 
 /// Plays the same algorithm's code over the materialised slots.
 fn play_materialised(space: &StrategySpace, which: usize) -> Outcome {
-    use fgt::{BestResponseEngine as E, FgtConfig};
     let mut ctx = slot_context::GameContext::new(space);
-    let fgt_on = |engine| FgtConfig {
-        engine,
-        ..FgtConfig::default()
-    };
     let stats = match which {
-        0 => fgt::fgt(&mut ctx, &fgt_on(E::FastPath)).stats,
-        1 => fgt::fgt(&mut ctx, &fgt_on(E::Incremental)).stats,
+        0 => fgt::fgt(&mut ctx, &fgt::FgtConfig::default()).stats,
+        1 => {
+            let config = fgt::FgtConfig {
+                iau: GUILTY,
+                ..fgt::FgtConfig::default()
+            };
+            fgt::fgt(&mut ctx, &config).stats
+        }
         2 => iegt::iegt(&mut ctx, &iegt::IegtConfig::default()).stats,
         3 => {
             gta::gta(&mut ctx);
@@ -321,7 +333,7 @@ fn play_materialised(space: &StrategySpace, which: usize) -> Outcome {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// FGT (both engines), IEGT, GTA, MPTA and Random make the same
+    /// FGT (both searches), IEGT, GTA, MPTA and Random make the same
     /// selections with the same counters over both representations. (The
     /// GTA heap pass against its retired rescan is `gta.rs`'s own
     /// proptest, which the inclusion above runs over both too.)
@@ -340,5 +352,44 @@ proptest! {
                 which
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The two candidate searches of FGT's one loop, forced, play the same
+    /// game bit for bit on tie-heavy instances: the monotone search's first
+    /// strict payoff maximum in pool order must be the exhaustive search's
+    /// first strict utility maximum even when mirror-image routes pay the
+    /// same and zero payoffs compete with null.
+    #[test]
+    fn both_searches_break_payoff_ties_alike(
+        instance in arb_instance(),
+        max_len in 1usize..4,
+        beta in 0.0f64..1.0,
+    ) {
+        let view = &instance.center_views()[0];
+        let space = StrategySpace::build(&instance, view, &VdpsConfig::unpruned(max_len));
+        let config = fgt::FgtConfig {
+            iau: fta_core::iau::IauParams { alpha: 0.5, beta },
+            ..fgt::FgtConfig::default()
+        };
+        let run = |search| {
+            let mut ctx = slot_context::GameContext::new(&space);
+            let rivals = |p: &[f64]| fta_core::iau::RivalSet::with_payoffs(p, config.iau);
+            let trace = fgt::best_of_restarts(
+                &mut ctx,
+                &config,
+                None,
+                fta_core::fairness::payoff_difference,
+                |trial, seed| fgt::play(trial, &config, search, Some(seed), None, rivals),
+            );
+            let picks: Vec<(Option<u32>, u64)> = (0..ctx.n_workers())
+                .map(|l| (ctx.selection(l), ctx.payoff(l).to_bits()))
+                .collect();
+            (picks, trace.rounds)
+        };
+        prop_assert_eq!(run(fgt::Search::Exhaustive), run(fgt::Search::Monotone));
     }
 }

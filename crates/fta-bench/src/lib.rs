@@ -9,8 +9,8 @@
 //! * `benches/convergence.rs` — rounds-to-equilibrium benchmarks (Fig. 12);
 //! * `benches/ablation.rs` — design-choice ablations: IEGT redraw policies,
 //!   FGT restart counts, and IAU α/β weights;
-//! * `benches/rivalset.rs` — rebuild-per-turn vs incremental rival-payoff
-//!   engines in the FGT best-response loop at 50/200/1000 workers.
+//! * `benches/rivalset.rs` — FGT's best-response loop under the monotone
+//!   and the exhaustive candidate search at 50/200/1000 workers.
 //!
 //! This crate intentionally contains no library logic beyond small helpers
 //! shared by the benches; everything measurable lives in `fta-experiments`.

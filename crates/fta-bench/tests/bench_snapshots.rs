@@ -407,20 +407,8 @@ fn bench_br_snapshot_is_schema_valid() {
                 "{label}: missing positive integer field {key}"
             );
         }
-        let incremental = row["incremental_ms"].as_f64().expect("incremental_ms");
         let fastpath = row["fastpath_ms"].as_f64().expect("fastpath_ms");
-        let speedup = row["speedup_fastpath_vs_incremental"]
-            .as_f64()
-            .expect("speedup_fastpath_vs_incremental");
-        assert!(incremental > 0.0 && fastpath > 0.0);
-        assert!(
-            fastpath <= incremental,
-            "{label}: fast path ({fastpath:.3} ms) slower than incremental ({incremental:.3} ms)"
-        );
-        assert!(
-            (speedup - incremental / fastpath).abs() <= speedup * 1e-6,
-            "{label}: speedup inconsistent with its timings"
-        );
+        assert!(fastpath > 0.0, "{label}: no loop time");
 
         let counters = &row["fastpath_counters"];
         let field = |key: &str| {
@@ -443,6 +431,8 @@ fn bench_br_snapshot_is_schema_valid() {
             .as_u64()
             .expect("exhaustive_candidates_scanned");
         assert!(scanned <= exhaustive, "{label}: fast path scanned more");
+        // Derived per center as rounds × slots, so bounded by the totals.
+        assert!(exhaustive <= rounds * row["total_slots"].as_u64().unwrap_or(0));
         let reduction = row["scan_reduction"].as_f64().expect("scan_reduction");
         assert!(
             (reduction - exhaustive as f64 / scanned.max(1) as f64).abs() <= reduction * 1e-6,

@@ -1,11 +1,11 @@
 //! The best-response work counters at paper scale, against their
-//! definition. (The incremental engine's evaluator-construction counts
-//! against the per-turn rebuild oracle are pinned by the unit tests of
-//! `fta_algorithms::fgt`, next to that oracle.)
+//! definition. (The evaluator-construction counts against the per-turn
+//! rebuild oracle are pinned by the unit tests of `fta_algorithms::fgt`,
+//! next to that oracle.)
 
 use fta_algorithms::random::random_init;
-use fta_algorithms::{fgt, BestResponseEngine, BestResponseStats, FgtConfig, GameContext};
-use fta_core::iau::IauEvaluator;
+use fta_algorithms::{fgt, BestResponseStats, FgtConfig, GameContext};
+use fta_core::iau::{IauEvaluator, IauParams};
 use fta_vdps::{StrategySpace, VdpsConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,20 +37,19 @@ fn reach_definition(ctx: &GameContext<'_>, local: usize) -> (u64, bool) {
 }
 
 /// One cold FGT run (no restarts) replayed with exhaustive evaluation
-/// against a fresh evaluator per turn, counting what the fast path's
-/// passes should: `candidates_scanned` and `early_exits` by
+/// against a fresh evaluator per turn, counting what the monotone
+/// search's passes should: `candidates_scanned` and `early_exits` by
 /// [`reach_definition`], two `evaluator_updates` per turn whose best
-/// response differs from the current selection. Also returns the
-/// exhaustive engine's scan count, every turn's whole valid list, and the
-/// number of turns.
+/// response differs from the current selection. Also returns the number
+/// of turns.
 fn replay(
     space: &StrategySpace,
     cfg: &FgtConfig,
-) -> (fta_core::Assignment, BestResponseStats, u64, u64) {
+) -> (fta_core::Assignment, BestResponseStats, u64) {
     let mut ctx = GameContext::new(space);
     random_init(&mut ctx, &mut StdRng::seed_from_u64(cfg.seed));
     let mut stats = BestResponseStats::default();
-    let (mut exhaustive, mut turns) = (0, 0);
+    let mut turns = 0;
     let n = ctx.n_workers();
     for _ in 0..cfg.max_rounds {
         stats.rounds += 1;
@@ -62,7 +61,6 @@ fn replay(
                 .collect();
             let eval = IauEvaluator::new(&others, cfg.iau);
             let (scanned, skipped) = reach_definition(&ctx, local);
-            exhaustive += space.strategy_count(local) as u64;
             turns += 1;
             stats.candidates_scanned += scanned;
             stats.early_exits += u64::from(skipped);
@@ -87,15 +85,16 @@ fn replay(
             break;
         }
     }
-    (ctx.to_assignment(), stats, exhaustive, turns)
+    (ctx.to_assignment(), stats, turns)
 }
 
-/// At paper scale (`n = 1000` workers over 100 centers) the fast path's
-/// counters equal their definition on every turn of the same game: the
-/// rows of the reach-tested prefixes its passes walked, the turns whose
-/// reach test skipped a prefix, and two rival-set updates per candidate
-/// turn. The exhaustive engine walks every worker's whole valid list and
-/// updates the set twice on every turn.
+/// At paper scale (`n = 1000` workers over 100 centers) the monotone
+/// search's counters equal their definition on every turn of the same
+/// game: the rows of the reach-tested prefixes its passes walked, the
+/// turns whose reach test skipped a prefix, and two rival-set updates per
+/// candidate turn. Under unsound weights (β = 1.5) the exhaustive search
+/// walks every worker's whole valid list and updates the set twice on
+/// every turn.
 ///
 /// The fixture keeps the paper's worker-to-delivery-point ratio (Table I:
 /// 2 000 workers, 5 000 DPs over 50 centers).
@@ -120,62 +119,87 @@ fn fastpath_counters_match_their_definition_at_paper_scale() {
         .iter()
         .map(|view| StrategySpace::build(&instance, view, &vdps))
         .collect();
-    let config = |engine| FgtConfig {
+    let config = |beta| FgtConfig {
         max_rounds: 2,
         restarts: 0,
-        engine,
+        iau: IauParams { alpha: 0.5, beta },
         ..FgtConfig::default()
     };
-    let run = |engine: BestResponseEngine| {
-        let mut stats = BestResponseStats::default();
+    let sound = config(0.5);
+    let guilty = config(1.5);
+    assert!(fta_algorithms::fastpath_sound(sound.iau));
+    assert!(!fta_algorithms::fastpath_sound(guilty.iau));
+    // Every center's stats, and the assignment over all centers.
+    let run = |cfg: &FgtConfig| {
+        let mut per_center = Vec::new();
         let mut assignment = fta_core::Assignment::new();
         for space in &spaces {
             let mut ctx = GameContext::new(space);
-            stats.merge(&fgt(&mut ctx, &config(engine)).stats);
+            per_center.push(fgt(&mut ctx, cfg).stats);
             assignment.merge(ctx.to_assignment());
         }
-        (assignment, stats)
+        (assignment, per_center)
     };
-    let (inc_asg, inc) = run(BestResponseEngine::Incremental);
-    let (fast_asg, fast) = run(BestResponseEngine::FastPath);
+    let total = |per_center: &[BestResponseStats]| {
+        let mut stats = BestResponseStats::default();
+        per_center.iter().for_each(|s| stats.merge(s));
+        stats
+    };
+    let (fast_asg, fast_centers) = run(&sound);
+    let fast = total(&fast_centers);
+    let (_, ex_centers) = run(&guilty);
+    let ex = total(&ex_centers);
     let mut oracle = BestResponseStats::default();
     let mut oracle_asg = fta_core::Assignment::new();
-    let (mut exhaustive, mut turns) = (0, 0);
+    let mut turns = 0;
     for space in &spaces {
-        let replayed = replay(space, &config(BestResponseEngine::FastPath));
+        let replayed = replay(space, &sound);
         oracle_asg.merge(replayed.0);
         oracle.merge(&replayed.1);
-        exhaustive += replayed.2;
-        turns += replayed.3;
+        turns += replayed.2;
     }
 
-    // The same game three ways.
-    assert_eq!(inc_asg, fast_asg);
+    // The same game two ways.
     assert_eq!(oracle_asg, fast_asg);
-    assert_eq!(inc.rounds, fast.rounds);
     assert_eq!(oracle.rounds, fast.rounds);
-    assert_eq!(inc.switches, fast.switches);
     assert_eq!(oracle.switches, fast.switches);
     assert!(fast.rounds > 0, "FGT did no best-response rounds");
     assert_eq!(fast.fastpath_rounds, fast.rounds);
-    assert_eq!(inc.fastpath_rounds, 0);
 
     eprintln!(
-        "candidates_scanned: exhaustive {} vs fastpath {}; early_exits {}; \
-         evaluator_updates: exhaustive {} vs fastpath {}",
-        inc.candidates_scanned,
+        "monotone: candidates_scanned {} (whole lists {}), early_exits {}, \
+         evaluator_updates {} (every turn {}); exhaustive: candidates_scanned {}",
         fast.candidates_scanned,
+        whole_lists(&spaces, &fast_centers),
         fast.early_exits,
-        inc.evaluator_updates,
-        fast.evaluator_updates
+        fast.evaluator_updates,
+        2 * turns,
+        ex.candidates_scanned,
     );
     assert_eq!(fast.candidates_scanned, oracle.candidates_scanned);
     assert_eq!(fast.early_exits, oracle.early_exits);
     assert_eq!(fast.evaluator_updates, oracle.evaluator_updates);
-    // Exhaustive turns: the whole valid list, never a skipped prefix, and
-    // a remove and an insert on every turn.
-    assert_eq!(inc.candidates_scanned, exhaustive);
-    assert_eq!(inc.early_exits, 0);
-    assert_eq!(inc.evaluator_updates, 2 * turns);
-    assert!(fast.evaluator_updates < inc.evaluator_updates);
+    assert!(fast.evaluator_updates < 2 * turns);
+    // Exhaustive turns: the whole valid list, never a skipped prefix, a
+    // remove and an insert on every turn, and no fast-path round.
+    assert!(ex.rounds > 0, "the exhaustive run did no rounds");
+    assert_eq!(ex.candidates_scanned, whole_lists(&spaces, &ex_centers));
+    assert_eq!(ex.early_exits, 0);
+    let ex_turns: u64 = spaces
+        .iter()
+        .zip(&ex_centers)
+        .map(|(space, s)| s.rounds * space.n_workers() as u64)
+        .sum();
+    assert_eq!(ex.evaluator_updates, 2 * ex_turns);
+    assert_eq!(ex.fastpath_rounds, 0);
+}
+
+/// Σ over centers of rounds × the center's valid slots: what scanning
+/// every worker's whole valid list on every turn reads.
+fn whole_lists(spaces: &[StrategySpace], per_center: &[BestResponseStats]) -> u64 {
+    spaces
+        .iter()
+        .zip(per_center)
+        .map(|(space, s)| s.rounds * space.total_slots() as u64)
+        .sum()
 }

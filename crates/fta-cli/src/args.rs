@@ -1,6 +1,6 @@
 //! Argument parsing for the `fta` binary (hand-rolled, dependency-free).
 
-use fta_algorithms::{Algorithm, BestResponseEngine, FgtConfig, IegtConfig, MptaConfig};
+use fta_algorithms::{Algorithm, FgtConfig, IegtConfig, MptaConfig};
 use fta_durable::FsyncPolicy;
 use std::path::PathBuf;
 
@@ -17,23 +17,26 @@ COMMANDS
       Print an instance's cardinalities and per-center structure.
 
   solve <INSTANCE> [--algo gta|mpta|fgt|iegt|random] [--epsilon E]
-        [--max-len N] [--br-engine auto|incremental|fastpath]
-        [--parallel] [--out FILE] [--budget-ms MS] [--max-states N]
-        [--max-rounds N] [--trace-out FILE] [--metrics-out FILE]
-        [--ledger-out FILE] [--inject-panic CENTER]
+        [--max-len N] [--parallel] [--out FILE] [--budget-ms MS]
+        [--max-states N] [--max-rounds N] [--trace-out FILE]
+        [--metrics-out FILE] [--ledger-out FILE] [--inject-panic CENTER]
       Run an assignment algorithm; print the summary, optionally write
-      the assignment JSON. With --trace-out / --metrics-out a telemetry
-      recorder captures the run and writes a JSONL span/round trace and
-      a Prometheus text snapshot. --ledger-out writes the versioned
-      solve ledger (per-center rung, budget axis, resolve path, work
-      counters, fairness). --budget-ms / --max-states / --max-rounds
-      bound the solve; on exhaustion the solver degrades gracefully
-      (truncated VDPS, GTA fallback, single-stop routes) and reports
-      the degradation events instead of overrunning. --inject-panic
-      deliberately panics the given center's solve (forensics testing:
-      the panic is quarantined and triggers a flight-recorder dump).
-      Exits non-zero, naming them, when a center had to be skipped (its
-      solve panicked twice) — a failure, unlike a budget degradation.
+      the assignment JSON. FGT finds each best response by a monotone
+      scan of the open strategies when the IAU weights allow it (β < 1
+      and α ≥ 0, as at the defaults), by an exhaustive IAU argmax
+      otherwise; IEGT always scans. With --trace-out / --metrics-out a
+      telemetry recorder captures the run and writes a JSONL span/round
+      trace and a Prometheus text snapshot. --ledger-out writes the
+      versioned solve ledger (per-center rung, budget axis, resolve
+      path, work counters, fairness). --budget-ms / --max-states /
+      --max-rounds bound the solve; on exhaustion the solver degrades
+      gracefully (truncated VDPS, GTA fallback, single-stop routes) and
+      reports the degradation events instead of overrunning.
+      --inject-panic deliberately panics the given center's solve
+      (forensics testing: the panic is quarantined and triggers a
+      flight-recorder dump). Exits non-zero, naming them, when a center
+      had to be skipped (its solve panicked twice) — a failure, unlike
+      a budget degradation.
 
   simulate [--algo gta|mpta|fgt|iegt|random|immediate] [--seed S]
            [--hours H] [--period-min M] [--workers N] [--dps N]
@@ -107,11 +110,6 @@ COMMANDS
       fairness/payoff/CPU comparison table.
 
 OPTIONS
-  --br-engine auto|incremental|fastpath   Best-response engine of the
-      equilibrium loops (fgt/iegt only; default: auto = fastpath, which
-      self-falls-back to the incremental engine's exhaustive evaluation
-      when the IAU weights make the monotone scan unsound, i.e. β ≥ 1).
-      Both engines reach the same equilibrium.
   --parallel              Run on a worker pool bounded by the number of
       CPUs (one job per center, heaviest first; per-layer DP expansion
       and per-worker validation share the pool). The assignment is the
@@ -158,9 +156,6 @@ pub enum Command {
         epsilon: Option<f64>,
         /// VDPS length cap.
         max_len: usize,
-        /// Best-response engine of the equilibrium loops (`--br-engine`;
-        /// `auto` resolves to the self-guarding fast path).
-        br_engine: BestResponseEngine,
         /// Per-center threading.
         parallel: bool,
         /// Wall-clock budget for the whole solve, milliseconds.
@@ -295,22 +290,6 @@ pub fn algorithm_by_name(name: &str) -> Option<Algorithm> {
     })
 }
 
-fn parse_br_engine(raw: &str) -> Result<BestResponseEngine, String> {
-    Ok(match raw {
-        // `auto` and `fastpath` are the same engine: FastPath guards its
-        // own soundness and falls back to the exhaustive evaluation when
-        // the IAU weights demand it, so there is nothing extra for the
-        // CLI to decide.
-        "auto" | "fastpath" => BestResponseEngine::FastPath,
-        "incremental" => BestResponseEngine::Incremental,
-        other => {
-            return Err(format!(
-                "unknown best-response engine `{other}`; expected auto | incremental | fastpath"
-            ))
-        }
-    })
-}
-
 fn parse_num<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
@@ -380,7 +359,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut algorithm_name = "iegt".to_owned();
             let mut epsilon = Some(2.0);
             let mut max_len = 8usize;
-            let mut br_engine = BestResponseEngine::default();
             let mut parallel = false;
             let mut budget_ms = None;
             let mut max_states = None;
@@ -405,7 +383,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                         };
                     }
                     "--max-len" => max_len = parse_num(value("--max-len")?, "--max-len")?,
-                    "--br-engine" => br_engine = parse_br_engine(value("--br-engine")?)?,
                     "--parallel" => parallel = true,
                     "--budget-ms" => {
                         budget_ms = Some(parse_num(value("--budget-ms")?, "--budget-ms")?);
@@ -434,7 +411,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 algorithm_name,
                 epsilon,
                 max_len,
-                br_engine,
                 parallel,
                 budget_ms,
                 max_states,
@@ -814,27 +790,16 @@ mod tests {
     }
 
     #[test]
-    fn br_engine_flag_selects_best_response_engine() {
-        // Default is `auto` = the self-guarding fast path.
-        match parse(&argv("solve city.json")).unwrap() {
-            Command::Solve { br_engine, .. } => {
-                assert_eq!(br_engine, BestResponseEngine::FastPath);
-            }
-            other => panic!("wrong command {other:?}"),
+    fn br_engine_flag_is_rejected_as_unknown() {
+        // The candidate search follows the IAU weights; there is no
+        // engine to select.
+        for name in ["fastpath", "incremental", "auto"] {
+            let err = parse(&argv(&format!("solve city.json --br-engine {name}"))).unwrap_err();
+            assert!(
+                err.contains("unknown solve flag `--br-engine`"),
+                "{name}: {err}"
+            );
         }
-        let cases = [
-            ("auto", BestResponseEngine::FastPath),
-            ("fastpath", BestResponseEngine::FastPath),
-            ("incremental", BestResponseEngine::Incremental),
-        ];
-        for (name, expected) in cases {
-            match parse(&argv(&format!("solve city.json --br-engine {name}"))).unwrap() {
-                Command::Solve { br_engine, .. } => assert_eq!(br_engine, expected, "{name}"),
-                other => panic!("wrong command {other:?}"),
-            }
-        }
-        let err = parse(&argv("solve city.json --br-engine turbo")).unwrap_err();
-        assert!(err.contains("unknown best-response engine"));
     }
 
     #[test]

@@ -17,6 +17,25 @@ fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
+/// The solve ledger's `engine` key: the candidate search the algorithm's
+/// best-response turns take, `"exhaustive"` when its IAU weights make the
+/// monotone scan unsound ([`fta_algorithms::fastpath_sound`]) and
+/// `"fastpath"` otherwise (IEGT's raw-payoff utilities and the baselines
+/// included).
+fn br_search(algorithm: &fta_algorithms::Algorithm) -> &'static str {
+    use fta_algorithms::{fastpath_sound, Algorithm};
+    let sound = match algorithm {
+        Algorithm::Fgt(cfg) => fastpath_sound(cfg.iau),
+        Algorithm::Pfgt(cfg) => fastpath_sound(cfg.base.iau),
+        _ => true,
+    };
+    if sound {
+        "fastpath"
+    } else {
+        "exhaustive"
+    }
+}
+
 /// Name of the run-description file `simulate --durable-dir` writes next
 /// to the journal, so `fta recover <DIR>` is self-contained.
 pub const META_FILE: &str = "meta.json";
@@ -376,7 +395,6 @@ pub fn execute(command: &Command) -> Result<String, String> {
             algorithm_name,
             epsilon,
             max_len,
-            br_engine,
             parallel,
             budget_ms,
             max_states,
@@ -387,29 +405,8 @@ pub fn execute(command: &Command) -> Result<String, String> {
             ledger_out,
             inject_panic,
         } => {
-            use fta_algorithms::{fastpath_sound, Algorithm, LadderRung, PanicInjection};
+            use fta_algorithms::{LadderRung, PanicInjection};
             let inst = load_instance(instance).map_err(|e| e.to_string())?;
-            // Thread the requested best-response engine into whichever
-            // equilibrium loop the algorithm runs (baselines have none),
-            // and remember whether the monotone fast path is sound for
-            // the configured utilities so the report can echo it.
-            let mut algorithm = *algorithm;
-            let fastpath_eligible = match &mut algorithm {
-                Algorithm::Fgt(cfg) => {
-                    cfg.engine = *br_engine;
-                    fastpath_sound(cfg.iau)
-                }
-                Algorithm::Pfgt(cfg) => {
-                    cfg.base.engine = *br_engine;
-                    fastpath_sound(cfg.base.iau)
-                }
-                Algorithm::Iegt(cfg) => {
-                    cfg.engine = *br_engine;
-                    // IEGT utilities are raw payoffs: always monotone.
-                    true
-                }
-                _ => true,
-            };
             let vdps = VdpsConfig {
                 epsilon: *epsilon,
                 max_len: *max_len,
@@ -431,7 +428,7 @@ pub fn execute(command: &Command) -> Result<String, String> {
                     center,
                     also_on_retry: false,
                 }),
-                ..SolveConfig::new(algorithm)
+                ..SolveConfig::new(*algorithm)
             };
             let outcome = solve(&inst, &solve_config);
             let snapshot = recorder.map(fta_obs::Recorder::finish);
@@ -444,7 +441,6 @@ pub fn execute(command: &Command) -> Result<String, String> {
             let mut text = String::new();
             let report = fta_algorithms::SolveReport::new(&outcome)
                 .label(&label)
-                .br_engine(br_engine.name(), fastpath_eligible)
                 .to_string();
             // Header first, assignment summary, then the stats lines.
             let mut lines = report.splitn(2, '\n');
@@ -480,7 +476,7 @@ pub fn execute(command: &Command) -> Result<String, String> {
                         &inst,
                         &outcome,
                         algorithm_name,
-                        br_engine.name(),
+                        br_search(algorithm),
                     )],
                 };
                 fta_obs::ledger::write_file(&ledger, path).map_err(|e| e.to_string())?;
@@ -1043,12 +1039,6 @@ mod tests {
         );
         assert!(out.contains("evaluator builds"));
         assert!(out.contains("fast-path rounds"));
-        // The default engine is the self-guarding fast path, and the
-        // paper's default IAU weights (β = 0.5) make it sound.
-        assert!(
-            out.contains("best-response engine: fastpath (fast path eligible)"),
-            "missing engine echo in:\n{out}"
-        );
 
         // …while the non-iterative baseline stays silent.
         let cmd = parse(&argv(&format!(
@@ -1058,45 +1048,54 @@ mod tests {
         .unwrap();
         let out = execute(&cmd).unwrap();
         assert!(!out.contains("best-response work:"));
-        assert!(!out.contains("best-response engine:"));
 
         let _ = std::fs::remove_file(&instance_path);
     }
 
     #[test]
-    fn br_engine_flag_switches_engines_without_changing_the_equilibrium() {
-        let instance_path = temp("brengine.json");
+    fn solve_ledger_names_the_candidate_search_the_weights_choose() {
+        let instance_path = temp("ledger-search-instance.json");
+        let ledger_path = temp("ledger-search.jsonl");
         let cmd = parse(&argv(&format!(
             "generate syn --seed 27 --centers 1 --workers 6 --tasks 60 --dps 10 --out {}",
             instance_path.display()
         )))
         .unwrap();
         execute(&cmd).unwrap();
+        // The paper's weights (β = 0.5) make the monotone scan sound.
+        let cmd = parse(&argv(&format!(
+            "solve {} --algo fgt --ledger-out {}",
+            instance_path.display(),
+            ledger_path.display()
+        )))
+        .unwrap();
+        execute(&cmd).unwrap();
+        let ledger = fta_obs::ledger::parse_file(&ledger_path).unwrap();
+        assert_eq!(ledger.records[0].engine, "fastpath");
 
-        let run = |flag: &str| {
-            let cmd = parse(&argv(&format!(
-                "solve {} --algo fgt{flag}",
-                instance_path.display()
-            )))
-            .unwrap();
-            execute(&cmd).unwrap()
+        use fta_algorithms::{Algorithm, FgtConfig, IegtConfig, PfgtConfig};
+        let guilty = fta_core::iau::IauParams {
+            alpha: 0.5,
+            beta: 1.5,
         };
-        let fast = run(" --br-engine fastpath");
-        let exhaustive = run(" --br-engine incremental");
-        assert!(fast.contains("best-response engine: fastpath"));
-        assert!(exhaustive.contains("best-response engine: incremental"));
-
-        // Both engines converge to the same equilibrium; the rendered
-        // convergence line (P_dif, average payoff) must agree.
-        let convergence = |out: &str| {
-            out.lines()
-                .find(|l| l.starts_with("convergence:"))
-                .map(str::to_owned)
-                .expect("convergence line present")
+        let fgt = FgtConfig {
+            iau: guilty,
+            ..FgtConfig::default()
         };
-        assert_eq!(convergence(&fast), convergence(&exhaustive));
+        assert_eq!(br_search(&Algorithm::Fgt(fgt)), "exhaustive");
+        let pfgt = PfgtConfig {
+            base: fgt,
+            ..PfgtConfig::default()
+        };
+        assert_eq!(br_search(&Algorithm::Pfgt(pfgt)), "exhaustive");
+        assert_eq!(
+            br_search(&Algorithm::Iegt(IegtConfig::default())),
+            "fastpath"
+        );
+        assert_eq!(br_search(&Algorithm::Gta), "fastpath");
 
         let _ = std::fs::remove_file(&instance_path);
+        let _ = std::fs::remove_file(&ledger_path);
     }
 
     #[test]

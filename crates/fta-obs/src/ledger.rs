@@ -107,7 +107,9 @@ pub struct SolveRecord {
     pub sim_hours: Option<f64>,
     /// Algorithm name (`GTA`, `FGT`, `IEGT`, …).
     pub algo: String,
-    /// Best-response engine label (`incremental`, `rivalset`, …).
+    /// Engine label: a solve's best-response candidate search
+    /// (`fastpath` or `exhaustive`), a simulated round's dispatch mode
+    /// (`batch`, `incremental`).
     pub engine: String,
     /// Whether any center was solved below the full rung.
     pub degraded: bool,

@@ -14,8 +14,8 @@
 //! a floor on it, so none can pass by declining everything.
 
 use fta_algorithms::{
-    fgt, gta, iegt, mpta, random_assignment, BestResponseEngine, BestResponseStats, FgtConfig,
-    GameContext, IegtConfig, MptaConfig,
+    fgt, gta, iegt, mpta, random_assignment, BestResponseStats, FgtConfig, GameContext, IegtConfig,
+    MptaConfig,
 };
 use fta_core::entities::{DeliveryPoint, DistributionCenter, SpatialTask, Worker};
 use fta_core::geometry::Point;
@@ -65,15 +65,19 @@ fn first_hit_by_payoff(slots: &SlotColumns, local: usize, taken: u128) -> Option
 }
 
 /// Every algorithm's selections and best-response counters over `space`:
-/// FGT on both engines, IEGT, GTA, MPTA and Random.
+/// FGT under both candidate searches (the monotone one at the default
+/// weights, the exhaustive one at β = 1.5), IEGT, GTA, MPTA and Random.
 fn play_all(space: &StrategySpace) -> Vec<(Vec<Option<u32>>, BestResponseStats)> {
-    let fgt_on = |engine| FgtConfig {
-        engine,
+    let exhaustive = FgtConfig {
+        iau: fta_core::iau::IauParams {
+            alpha: 0.5,
+            beta: 1.5,
+        },
         ..FgtConfig::default()
     };
     let runs: [&dyn Fn(&mut GameContext<'_>) -> BestResponseStats; 6] = [
-        &|ctx| fgt(ctx, &fgt_on(BestResponseEngine::FastPath)).stats,
-        &|ctx| fgt(ctx, &fgt_on(BestResponseEngine::Incremental)).stats,
+        &|ctx| fgt(ctx, &FgtConfig::default()).stats,
+        &|ctx| fgt(ctx, &exhaustive).stats,
         &|ctx| iegt(ctx, &IegtConfig::default()).stats,
         &|ctx| {
             gta(ctx);
