@@ -3,7 +3,7 @@
 //! changed.
 //!
 //! A round loop (the sim engine, a dispatcher) calls [`Solver::resolve`]
-//! every round, handing it a [`ChurnSet`] whose `worker_keys` identify
+//! every round, handing it one stable key per worker that identifies
 //! physical workers across the dense renumbering each snapshot performs.
 //! Every round runs the same steps, whether its cache is empty or primed:
 //!
@@ -16,21 +16,21 @@
 //! The per-center ladder:
 //!
 //! 1. **clean** — every input the solve depends on (delivery points,
-//!    aggregates, workers, geometry, configuration) is bitwise identical
-//!    to the cache: the cached outcome is returned as-is, no work at all;
-//! 2. **warm** — the VDPS pool is delta-updated
-//!    ([`fta_vdps::delta_update`]) when the churn only removed, aged, or
-//!    re-rewarded tasks, and regenerated when it needs rediscovery (a new
-//!    or loosened delivery point, or a cached order broken by a tighter
-//!    deadline). Either way the cached equilibrium profile is remapped
-//!    onto the new pool (old strategy masks → delivery-point ids → new
-//!    masks → new pool indices), and the game restarts *from that
-//!    profile* with a single best-response run — only workers the churn
-//!    actually disturbed re-deliberate;
-//! 3. **cold** — no cache, a cache that does not fit the new round
-//!    ([`PoolCache::fits`]: ε change, grown length cap, relocated center,
-//!    changed speed, truncated cache), or a panic in the warm path: the
-//!    ordinary full per-center solve.
+//!    their locations and aggregates, workers, geometry, configuration)
+//!    is bitwise identical to the cache: the cached outcome is returned
+//!    as-is, no work at all;
+//! 2. **warm** — the VDPS pool is regenerated exactly as a cold solve
+//!    generates it, the cached equilibrium profile is remapped onto it
+//!    (old strategy masks → delivery-point ids → new masks → new pool
+//!    indices), and the game restarts *from that profile* with a single
+//!    best-response run — only workers the churn actually disturbed
+//!    re-deliberate;
+//! 3. **cold** — no cache, a cache that does not fit the new round (ε
+//!    change, grown length cap, relocated center, changed speed), or a
+//!    panic in the warm path: the ordinary full per-center solve.
+//!
+//! A cached center keeps no pool, only what the clean check, the fit
+//! check and the profile remap read (see [`CenterCache`]).
 //!
 //! Caching is only attempted under an unlimited budget and without fault
 //! injection: a degraded or quarantined center must be re-solved cold
@@ -54,9 +54,10 @@ use crate::solver::{
 };
 use crate::trace::ConvergenceTrace;
 use crate::warm::WarmStart;
+use fta_core::geometry::Point;
 use fta_core::instance::{CenterView, DpAggregate};
-use fta_core::{CancelToken, CenterId, ChurnSet, DeliveryPointId, Instance};
-use fta_vdps::{delta_update, GenControl, PoolCache, StrategySpace, VdpsConfig, WorkerPool};
+use fta_core::{CancelToken, CenterId, DeliveryPointId, Instance};
+use fta_vdps::{GenControl, StrategySpace, VdpsConfig, WorkerPool};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -67,9 +68,9 @@ use std::time::{Duration, Instant};
 pub struct ResolveStats {
     /// Centers returned straight from the cache (bitwise-identical input).
     pub centers_clean: usize,
-    /// Centers solved via delta update + equilibrium warm start.
+    /// Centers solved via pool regeneration + equilibrium warm start.
     pub centers_warm: usize,
-    /// Centers solved cold (no cache, delta fallback, or panic).
+    /// Centers solved cold (no cache, a cache that did not fit, or panic).
     pub centers_cold: usize,
     /// Cached strategies adopted across all warm centers.
     pub warm_adopted: usize,
@@ -85,8 +86,7 @@ pub struct ResolveStats {
 ///
 /// Together with the solved [`Instance`] and the round's stable worker
 /// keys, this is everything [`Solver::rehydrate`] needs to rebuild the
-/// cache bit-for-bit: pools are regenerated (delta-updated pools are
-/// proptest-pinned bitwise-identical to regeneration), while the
+/// cache bit-for-bit: the solved view is regenerated, while the
 /// equilibria are *installed* rather than re-derived — iterative games
 /// reach different equilibria from a cold multi-restart than from a warm
 /// start, so re-solving would not reproduce the cached profile.
@@ -106,54 +106,140 @@ pub struct CenterSeed {
     pub selections: Vec<Option<u128>>,
 }
 
-/// Everything remembered about one fully solved center between rounds.
+/// Everything remembered about one fully solved center between rounds:
+/// what the clean check, the fit check and the profile remap read. No
+/// pool is kept; a warm center regenerates its own.
 #[derive(Clone)]
 pub(crate) struct CenterCache {
     center: CenterId,
-    capture: CenterCapture,
-    /// Stable key per local worker (parallel to `capture.workers`).
+    /// Selected strategy per local worker, as the strategy's dp mask.
+    selections: Vec<Option<u128>>,
+    /// Stable key per local worker.
     worker_keys: Vec<u64>,
     /// Bitwise worker identity: `(x bits, y bits, max_dp)` per local
     /// worker. Catches relocated or re-capacitated workers that keep
     /// their key.
     worker_bits: Vec<(u64, u64, u64)>,
+    /// Global delivery-point ids, indexed by the cached local bit.
+    dp_ids: Vec<DeliveryPointId>,
+    /// Aggregates of the cached round, parallel to `dp_ids`.
+    aggregates: Vec<DpAggregate>,
+    /// Delivery-point location bits, parallel to `dp_ids`.
+    dp_location_bits: Vec<(u64, u64)>,
+    /// The ε the pool was generated with (`None` = unpruned).
+    epsilon: Option<f64>,
+    /// The subset-size cap the pool was generated with.
+    max_len: usize,
+    /// Center location bits of the cached round.
+    center_bits: (u64, u64),
+    /// Worker speed bits of the cached round.
+    speed_bits: u64,
     outcome: CenterOutcome,
 }
 
+fn point_bits(p: Point) -> (u64, u64) {
+    (p.x.to_bits(), p.y.to_bits())
+}
+
 impl CenterCache {
+    /// Caches a full-rung solve, whose pool is never truncated: only
+    /// those are captured, so a cache needs no truncation flag.
     fn build(
         instance: &Instance,
+        aggregates: &[DpAggregate],
         keys: &[u64],
         capture: CenterCapture,
         outcome: CenterOutcome,
     ) -> Self {
-        let worker_keys = capture.workers.iter().map(|&w| keys[w.index()]).collect();
-        let worker_bits = capture
+        debug_assert_eq!(outcome.rung, LadderRung::Full);
+        let CenterCapture {
+            view,
+            vdps_cfg,
+            selections,
+        } = capture;
+        let worker_keys = view.workers.iter().map(|&w| keys[w.index()]).collect();
+        let worker_bits = view
             .workers
             .iter()
             .map(|&w| {
                 let worker = &instance.workers[w.index()];
-                (
-                    worker.location.x.to_bits(),
-                    worker.location.y.to_bits(),
-                    worker.max_dp as u64,
-                )
+                let (x, y) = point_bits(worker.location);
+                (x, y, worker.max_dp as u64)
             })
             .collect();
         Self {
             center: outcome.center,
-            capture,
+            selections,
             worker_keys,
             worker_bits,
+            aggregates: view.dps.iter().map(|dp| aggregates[dp.index()]).collect(),
+            dp_location_bits: view
+                .dps
+                .iter()
+                .map(|dp| point_bits(instance.delivery_points[dp.index()].location))
+                .collect(),
+            dp_ids: view.dps,
+            epsilon: vdps_cfg.epsilon,
+            max_len: vdps_cfg.max_len,
+            center_bits: point_bits(instance.centers[outcome.center.index()].location),
+            speed_bits: instance.speed.to_bits(),
             outcome,
         }
     }
+
+    /// Whether the cached equilibrium may seed a warm start of `view`:
+    /// the same ε, a subset-size cap no larger than the cached one, and
+    /// bitwise the same center location and speed. Task and worker churn
+    /// is what the warm path absorbs; anything else sends the center cold.
+    fn fits(&self, instance: &Instance, view: &CenterView, vdps_cfg: &VdpsConfig) -> bool {
+        self.epsilon.map(f64::to_bits) == vdps_cfg.epsilon.map(f64::to_bits)
+            && vdps_cfg.max_len <= self.max_len
+            && self.center_bits == point_bits(instance.centers[view.center.index()].location)
+            && self.speed_bits == instance.speed.to_bits()
+    }
+
+    /// Whether every input the cached solve depended on is bitwise
+    /// unchanged, so the cached outcome IS the outcome of solving `view`
+    /// again.
+    fn is_clean(
+        &self,
+        instance: &Instance,
+        aggregates: &[DpAggregate],
+        view: &CenterView,
+        keys: &[u64],
+        vdps_cfg: &VdpsConfig,
+    ) -> bool {
+        if vdps_cfg.max_len != self.max_len
+            || !self.fits(instance, view, vdps_cfg)
+            || view.dps != self.dp_ids
+            || view.workers.len() != self.worker_bits.len()
+        {
+            return false;
+        }
+        let dps_equal = view.dps.iter().enumerate().all(|(bit, dp)| {
+            let (a, old) = (&aggregates[dp.index()], &self.aggregates[bit]);
+            a.task_count == old.task_count
+                && a.total_reward.to_bits() == old.total_reward.to_bits()
+                && a.earliest_expiry.to_bits() == old.earliest_expiry.to_bits()
+                && point_bits(instance.delivery_points[dp.index()].location)
+                    == self.dp_location_bits[bit]
+        });
+        dps_equal
+            && view.workers.iter().enumerate().all(|(local, &w)| {
+                let worker = &instance.workers[w.index()];
+                let (x, y) = point_bits(worker.location);
+                keys[w.index()] == self.worker_keys[local]
+                    && (x, y, worker.max_dp as u64) == self.worker_bits[local]
+            })
+    }
 }
 
-/// A stateful solver that caches per-center pools and equilibrium
+/// A stateful solver that caches per-center inputs and equilibrium
 /// profiles between rounds. See the [module docs](self). Cloning
-/// snapshots the cache (cheap: cached routes are shared `Arc`s), so a
-/// caller can branch "what-if" rounds off one primed state.
+/// snapshots the cache (cheap: a cached center holds no pool, only its
+/// inputs' bits, its equilibrium masks and its outcome, whose routes are
+/// shared `Arc`s), so a caller can branch "what-if" rounds off one
+/// primed state.
 #[derive(Clone)]
 pub struct Solver {
     config: SolveConfig,
@@ -205,7 +291,7 @@ impl Solver {
                 .iter()
                 .map(|c| CenterSeed {
                     center: c.center.index() as u32,
-                    selections: c.capture.selections.clone(),
+                    selections: c.selections.clone(),
                 })
                 .collect(),
         })
@@ -213,13 +299,11 @@ impl Solver {
 
     /// Rebuilds the per-center caches from a journaled round: `instance`
     /// is the instance that round solved, `keys` its stable worker keys,
-    /// and `seed` the equilibria it captured. Pools are regenerated via
-    /// the same budgeted build as a cold solve — the build the live
-    /// solver's warm path also uses whenever the delta updater declines,
-    /// and bit-identical to the delta-updated pools it caches otherwise —
-    /// and the seeded equilibria are installed on top, so the next
-    /// `resolve` sees exactly the cache an uninterrupted process would
-    /// hold.
+    /// and `seed` the equilibria it captured. Each seeded center's pool is
+    /// regenerated through the same build a cold or warm solve uses, only
+    /// to map the seeded masks onto it and rebuild the outcome, so the
+    /// next `resolve` sees exactly the cache an uninterrupted process
+    /// would hold.
     ///
     /// All-or-nothing: returns `false` — leaving the solver unprimed,
     /// which is always safe (the next round merely solves cold) — when
@@ -256,29 +340,30 @@ impl Solver {
         self.is_primed()
     }
 
-    /// Solves `instance` given what changed since the cached round.
-    /// Centers whose inputs are bitwise unchanged return their cached
-    /// outcome; churned centers delta-update or regenerate their pool
-    /// and warm-start from the cached equilibrium; everything else
+    /// Solves `instance`, whose workers carry the stable `worker_keys`
+    /// (one per worker, parallel to `instance.workers`; the sim uses
+    /// scenario indices). Centers whose inputs are bitwise unchanged
+    /// return their cached outcome; churned centers regenerate their
+    /// pool and warm-start from the cached equilibrium; everything else
     /// (including every center of an unprimed cache) solves cold. The
     /// result is always a complete, valid solve of `instance` — the
     /// cache only changes how much work that takes. Worker keys of the
     /// wrong length fall back to identity keys and a cold round.
-    pub fn resolve(&mut self, instance: &Instance, churn: &ChurnSet) -> SolveOutcome {
-        self.resolve_on(instance, churn, &self.config.pool())
+    pub fn resolve(&mut self, instance: &Instance, worker_keys: &[u64]) -> SolveOutcome {
+        self.resolve_on(instance, worker_keys, &self.config.pool())
     }
 
     /// [`Self::resolve`] on a caller-provided pool.
     fn resolve_on(
         &mut self,
         instance: &Instance,
-        churn: &ChurnSet,
+        worker_keys: &[u64],
         pool: &WorkerPool,
     ) -> SolveOutcome {
         let mut prev = std::mem::take(&mut self.centers);
         let identity: Vec<u64>;
-        let keys: &[u64] = if churn.worker_keys.len() == instance.workers.len() {
-            &churn.worker_keys
+        let keys: &[u64] = if worker_keys.len() == instance.workers.len() {
+            worker_keys
         } else {
             prev.clear();
             identity = (0..instance.workers.len() as u64).collect();
@@ -328,16 +413,9 @@ fn rehydrate_center(
         }
     }
     let capture = CenterCapture {
-        pool_cache: PoolCache::capture(
-            instance,
-            aggregates,
-            &space.view,
-            &vdps_cfg,
-            &space.pool,
-            &space.gen_stats,
-        ),
+        view: space.view.clone(),
+        vdps_cfg,
         selections: seed.selections.clone(),
-        workers: space.view.workers.clone(),
     };
     let outcome = CenterOutcome {
         center,
@@ -349,7 +427,9 @@ fn rehydrate_center(
         report: DegradationReport::default(),
         rung: LadderRung::Full,
     };
-    Some(CenterCache::build(instance, keys, capture, outcome))
+    Some(CenterCache::build(
+        instance, aggregates, keys, capture, outcome,
+    ))
 }
 
 /// What one round produced: the merged outcome, the caches it captured
@@ -507,54 +587,6 @@ fn clamped_cfg(instance: &Instance, view: &CenterView, config: &SolveConfig) -> 
     }
 }
 
-/// Whether every input the cached solve depended on is bitwise unchanged,
-/// so the cached outcome IS the outcome of solving `view` again.
-fn center_is_clean(
-    instance: &Instance,
-    aggregates: &[DpAggregate],
-    view: &CenterView,
-    keys: &[u64],
-    cache: &CenterCache,
-    vdps_cfg: &VdpsConfig,
-) -> bool {
-    let pc = &cache.capture.pool_cache;
-    if cache.outcome.rung != LadderRung::Full || pc.truncated {
-        return false;
-    }
-    if view.dps != pc.dp_ids {
-        return false;
-    }
-    let aggs_equal = view.dps.iter().zip(&pc.aggregates).all(|(dp, old)| {
-        let a = &aggregates[dp.index()];
-        a.task_count == old.task_count
-            && a.total_reward.to_bits() == old.total_reward.to_bits()
-            && a.earliest_expiry.to_bits() == old.earliest_expiry.to_bits()
-    });
-    if !aggs_equal {
-        return false;
-    }
-    if view.workers.len() != cache.worker_bits.len() {
-        return false;
-    }
-    let workers_equal = view.workers.iter().enumerate().all(|(local, &w)| {
-        let worker = &instance.workers[w.index()];
-        keys[w.index()] == cache.worker_keys[local]
-            && worker.location.x.to_bits() == cache.worker_bits[local].0
-            && worker.location.y.to_bits() == cache.worker_bits[local].1
-            && worker.max_dp as u64 == cache.worker_bits[local].2
-    });
-    if !workers_equal {
-        return false;
-    }
-    if vdps_cfg.max_len != pc.max_len
-        || vdps_cfg.epsilon.map(f64::to_bits) != pc.epsilon.map(f64::to_bits)
-    {
-        return false;
-    }
-    let dc = instance.centers[view.center.index()].location;
-    (dc.x.to_bits(), dc.y.to_bits()) == pc.center_bits && instance.speed.to_bits() == pc.speed_bits
-}
-
 /// One center of a round: clean short-circuit, then the warm path
 /// (panic-isolated), then the cold fallback. With `capture` unset there
 /// is no cache to consult and none is kept.
@@ -569,7 +601,7 @@ fn resolve_center(
 ) -> CenterResult {
     if let (Some(cache), Some(keys)) = (cached, capture) {
         let vdps_cfg = clamped_cfg(instance, &view, config);
-        if center_is_clean(instance, aggregates, &view, keys, &cache, &vdps_cfg) {
+        if cache.is_clean(instance, aggregates, &view, keys, &vdps_cfg) {
             let mut outcome = cache.outcome.clone();
             // The cached result is returned verbatim, but no time was
             // spent this round.
@@ -618,7 +650,7 @@ fn resolve_center(
     );
     let cache = captured
         .zip(capture)
-        .map(|(cap, keys)| CenterCache::build(instance, keys, cap, outcome.clone()));
+        .map(|(cap, keys)| CenterCache::build(instance, aggregates, keys, cap, outcome.clone()));
     CenterResult {
         outcome,
         cache,
@@ -637,7 +669,7 @@ fn remap_profile(cache: &CenterCache, keys: &[u64], space: &StrategySpace) -> Ve
     let old_by_key: HashMap<u64, u128> = cache
         .worker_keys
         .iter()
-        .zip(&cache.capture.selections)
+        .zip(&cache.selections)
         .filter_map(|(&k, sel)| sel.map(|mask| (k, mask)))
         .collect();
     let new_bit: HashMap<DeliveryPointId, u32> = space
@@ -654,7 +686,7 @@ fn remap_profile(cache: &CenterCache, keys: &[u64], space: &StrategySpace) -> Ve
         .enumerate()
         .map(|(i, &mask)| (mask, i as u32))
         .collect();
-    let old_dp_ids = &cache.capture.pool_cache.dp_ids;
+    let old_dp_ids = &cache.dp_ids;
     let mut profile = Vec::with_capacity(space.view.workers.len());
     'workers: for &w in &space.view.workers {
         let Some(&old_mask) = old_by_key.get(&keys[w.index()]) else {
@@ -679,11 +711,11 @@ fn remap_profile(cache: &CenterCache, keys: &[u64], space: &StrategySpace) -> Ve
     profile
 }
 
-/// The warm path for one center: delta-update the pool (or regenerate it
-/// when the update would need rediscovery), rebuild the strategy space
-/// around it, replay the remapped equilibrium, and run a single warm
-/// best-response pass. Returns `None` when the cached pool does not fit
-/// this round at all ([`PoolCache::fits`]), sending the center cold.
+/// The warm path for one center: regenerate the pool and its strategy
+/// space as a cold solve does, replay the remapped equilibrium, and run a
+/// single warm best-response pass. Returns `None` when the cache does not
+/// fit this round at all ([`CenterCache::fits`]), sending the center
+/// cold.
 fn warm_center(
     instance: &Instance,
     aggregates: &[DpAggregate],
@@ -693,8 +725,7 @@ fn warm_center(
     config: &SolveConfig,
     vdps_cfg: &VdpsConfig,
 ) -> Option<(CenterOutcome, WarmStart, CenterCache)> {
-    let pool_cache = &cache.capture.pool_cache;
-    if !pool_cache.fits(instance, &view, vdps_cfg) {
+    if !cache.fits(instance, &view, vdps_cfg) {
         fta_obs::counter("vdps.delta_fallback", 1);
         return None;
     }
@@ -702,19 +733,7 @@ fn warm_center(
     let center_u32 = center.index() as u32;
     let _span = fta_obs::span_center("solver.center_warm", center_u32);
     let t0 = Instant::now();
-    let space = match delta_update(instance, aggregates, &view, vdps_cfg, pool_cache) {
-        Some((pool, dstats)) => {
-            let gen_stats = dstats.as_gen_stats(pool.len());
-            StrategySpace::from_pool_in(instance, view, pool, gen_stats, None)
-        }
-        None => {
-            // The churn needs rediscovery: regenerating with the flat
-            // engine is cheaper than any search seeded by the changed
-            // points, and the warm start below still applies.
-            fta_obs::counter("vdps.delta_regenerated", 1);
-            StrategySpace::build_in(instance, aggregates, view, vdps_cfg)
-        }
-    };
+    let space = StrategySpace::build_in(instance, aggregates, view, vdps_cfg);
     let vdps_time = t0.elapsed();
 
     let profile = remap_profile(cache, keys, &space);
@@ -761,16 +780,9 @@ fn warm_center(
         .map(|l| ctx.selection(l).map(|i| space.pool.mask(i as usize)))
         .collect();
     let capture = CenterCapture {
-        pool_cache: PoolCache::capture(
-            instance,
-            aggregates,
-            &space.view,
-            vdps_cfg,
-            &space.pool,
-            &space.gen_stats,
-        ),
+        view: space.view.clone(),
+        vdps_cfg: *vdps_cfg,
         selections,
-        workers: space.view.workers.clone(),
     };
     let outcome = CenterOutcome {
         center,
@@ -782,7 +794,7 @@ fn warm_center(
         report: DegradationReport::default(),
         rung: LadderRung::Full,
     };
-    let new_cache = CenterCache::build(instance, keys, capture, outcome.clone());
+    let new_cache = CenterCache::build(instance, aggregates, keys, capture, outcome.clone());
     Some((outcome, warm, new_cache))
 }
 
@@ -806,19 +818,12 @@ mod tests {
         )
     }
 
-    fn identity_churn(instance: &Instance) -> ChurnSet {
-        ChurnSet::empty(instance.workers.len())
+    /// Each worker keyed by its own index.
+    fn identity_keys(instance: &Instance) -> Vec<u64> {
+        (0..instance.workers.len() as u64).collect()
     }
 
-    fn keyed_churn(keys: &[u64]) -> ChurnSet {
-        ChurnSet {
-            worker_keys: keys.to_vec(),
-            ..ChurnSet::empty(keys.len())
-        }
-    }
-
-    /// Drops the last `1/frac` of the tasks: removal-only churn, which the
-    /// delta updater applies.
+    /// Drops the last `1/frac` of the tasks: removal-only churn.
     fn drop_tail(instance: &Instance, frac: usize) -> Instance {
         let mut churned = instance.clone();
         let n = churned.tasks.len();
@@ -827,8 +832,7 @@ mod tests {
     }
 
     /// One task at a brand-new delivery point next to every center, plus
-    /// one loosened expiry: churn the delta updater declines, so every
-    /// center regenerates its pool and still warm-starts.
+    /// one loosened expiry: churn that can make new sets feasible.
     fn arrivals(instance: &Instance) -> Instance {
         use fta_core::entities::{DeliveryPoint, SpatialTask};
         use fta_core::geometry::Point;
@@ -860,9 +864,9 @@ mod tests {
         ] {
             let inst = instance(1);
             let mut solver = Solver::new(SolveConfig::new(algorithm));
-            let first = solver.resolve(&inst, &identity_churn(&inst));
+            let first = solver.resolve(&inst, &identity_keys(&inst));
             assert!(solver.is_primed());
-            let second = solver.resolve(&inst, &identity_churn(&inst));
+            let second = solver.resolve(&inst, &identity_keys(&inst));
             let stats = solver.last_stats();
             assert_eq!(
                 stats.centers_clean,
@@ -881,7 +885,7 @@ mod tests {
         let inst = instance(2);
         let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
         assert!(!solver.is_primed());
-        let out = solver.resolve(&inst, &identity_churn(&inst));
+        let out = solver.resolve(&inst, &identity_keys(&inst));
         assert!(out.assignment.validate(&inst).is_ok());
         assert!(solver.is_primed());
         assert_eq!(solver.last_stats().centers_cold, inst.centers.len());
@@ -889,15 +893,14 @@ mod tests {
 
     #[test]
     fn task_churn_takes_the_warm_path_and_matches_cold_for_gta() {
-        // GTA is deterministic given the pool, and the warm pool — delta
-        // updated after removals, regenerated after arrivals — is
-        // bit-identical to a cold one, so warm GTA must equal a cold solve
-        // of the churned instance exactly.
+        // GTA is deterministic given the pool, and the warm path
+        // regenerates the pool exactly as a cold solve does, so warm GTA
+        // must equal a cold solve of the churned instance exactly.
         let inst = instance(3);
         for churned in [drop_tail(&inst, 10), arrivals(&inst)] {
             let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
-            solver.resolve(&inst, &identity_churn(&inst));
-            let warm = solver.resolve(&churned, &identity_churn(&churned));
+            solver.resolve(&inst, &identity_keys(&inst));
+            let warm = solver.resolve(&churned, &identity_keys(&churned));
             let stats = solver.last_stats();
             assert!(
                 stats.centers_warm > 0,
@@ -913,9 +916,9 @@ mod tests {
 
     #[test]
     fn caches_that_do_not_fit_go_cold() {
-        // A changed speed or a relocated center leaves no cached pool
-        // reusable: those centers solve cold rather than regenerating and
-        // warm-starting from the equilibrium of a different geometry.
+        // A changed speed or a relocated center changes every travel
+        // time: those centers solve cold rather than warm-starting from
+        // the equilibrium of a different geometry.
         let inst = instance(11);
         let mut faster = drop_tail(&inst, 10);
         faster.speed *= 1.5;
@@ -923,8 +926,8 @@ mod tests {
         moved.centers[0].location.x += 0.25;
         for (churned, cold) in [(faster, inst.centers.len()), (moved, 1)] {
             let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
-            solver.resolve(&inst, &identity_churn(&inst));
-            solver.resolve(&churned, &identity_churn(&churned));
+            solver.resolve(&inst, &identity_keys(&inst));
+            solver.resolve(&churned, &identity_keys(&churned));
             let stats = solver.last_stats();
             assert_eq!(stats.centers_cold, cold, "{stats:?}");
             assert_eq!(
@@ -935,15 +938,41 @@ mod tests {
     }
 
     #[test]
+    fn a_relocated_delivery_point_is_never_clean() {
+        // Moving a point keeps its id, tasks and aggregates but changes
+        // every travel time through it: its center must re-solve (warm,
+        // since the center's geometry still fits), and warm GTA must
+        // equal a cold solve of the moved instance.
+        let inst = instance(14);
+        let mut moved = inst.clone();
+        let dp = inst.tasks[0].delivery_point;
+        moved.delivery_points[dp.index()].location.x += 0.3;
+        let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
+        solver.resolve(&inst, &identity_keys(&inst));
+        let warm = solver.resolve(&moved, &identity_keys(&moved));
+        let moved_center = moved.delivery_points[dp.index()].center;
+        let summary = warm
+            .centers
+            .iter()
+            .find(|c| c.center == moved_center)
+            .expect("the moved point's center is solved");
+        assert_eq!(summary.resolve_path, "warm");
+        let stats = solver.last_stats();
+        assert_eq!(stats.centers_clean, inst.centers.len() - 1, "{stats:?}");
+        let cold = crate::solver::solve(&moved, &SolveConfig::new(Algorithm::Gta));
+        assert_eq!(warm.assignment, cold.assignment);
+    }
+
+    #[test]
     fn fgt_warm_resolve_is_valid_and_mostly_adopts() {
         let inst = instance(4);
         let mut solver = Solver::new(SolveConfig::new(Algorithm::Fgt(FgtConfig::default())));
-        solver.resolve(&inst, &identity_churn(&inst));
+        solver.resolve(&inst, &identity_keys(&inst));
 
         let mut churned = inst.clone();
         let n = churned.tasks.len();
         churned.tasks.truncate(n - n / 20); // ~5% churn
-        let warm = solver.resolve(&churned, &identity_churn(&churned));
+        let warm = solver.resolve(&churned, &identity_keys(&churned));
         let stats = solver.last_stats();
         assert!(stats.centers_warm > 0, "no warm centers: {stats:?}");
         assert!(
@@ -960,12 +989,12 @@ mod tests {
         // valid assignment and keep the cache primed.
         let inst = instance(5);
         let mut solver = Solver::new(SolveConfig::new(Algorithm::Fgt(FgtConfig::default())));
-        solver.resolve(&inst, &identity_churn(&inst));
+        solver.resolve(&inst, &identity_keys(&inst));
         let mut current = inst;
         for round in 0..3 {
             let n = current.tasks.len();
             current.tasks.truncate(n - n / 15);
-            let out = solver.resolve(&current, &identity_churn(&current));
+            let out = solver.resolve(&current, &identity_keys(&current));
             assert!(
                 out.assignment.validate(&current).is_ok(),
                 "round {round}: invalid assignment"
@@ -980,9 +1009,9 @@ mod tests {
         let config =
             SolveConfig::new(Algorithm::Gta).with_budget(fta_core::SolveBudget::wall_ms(10_000));
         let mut solver = Solver::new(config);
-        solver.resolve(&inst, &identity_churn(&inst));
+        solver.resolve(&inst, &identity_keys(&inst));
         assert!(!solver.is_primed(), "budgeted solve must not cache");
-        let out = solver.resolve(&inst, &identity_churn(&inst));
+        let out = solver.resolve(&inst, &identity_keys(&inst));
         assert!(out.assignment.validate(&inst).is_ok());
         assert_eq!(solver.last_stats().centers_cold, inst.centers.len());
     }
@@ -991,10 +1020,10 @@ mod tests {
     fn invalidate_forces_the_next_round_cold() {
         let inst = instance(7);
         let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
-        solver.resolve(&inst, &identity_churn(&inst));
+        solver.resolve(&inst, &identity_keys(&inst));
         solver.invalidate();
         assert!(!solver.is_primed());
-        solver.resolve(&inst, &identity_churn(&inst));
+        solver.resolve(&inst, &identity_keys(&inst));
         assert_eq!(solver.last_stats().centers_cold, inst.centers.len());
     }
 
@@ -1011,7 +1040,7 @@ mod tests {
             let inst = instance(9);
             let keys: Vec<u64> = (100..100 + inst.workers.len() as u64).collect();
             let mut live = Solver::new(SolveConfig::new(algorithm));
-            live.resolve(&inst, &keyed_churn(&keys));
+            live.resolve(&inst, &keys);
             let seed = live.cache_seed().expect("live solver is primed");
 
             let mut restored = Solver::new(SolveConfig::new(algorithm));
@@ -1022,9 +1051,8 @@ mod tests {
             );
 
             // Zero churn: the rehydrated cache must be judged clean.
-            let churn = keyed_churn(&keys);
-            let a = live.resolve(&inst, &churn);
-            let b = restored.resolve(&inst, &churn);
+            let a = live.resolve(&inst, &keys);
+            let b = restored.resolve(&inst, &keys);
             assert_eq!(
                 restored.last_stats().centers_clean,
                 inst.centers.len(),
@@ -1033,14 +1061,13 @@ mod tests {
             );
             assert_eq!(a.assignment, b.assignment, "{}", algorithm.name());
 
-            // Churned rounds — removals (delta-updated pools), then
-            // arrivals (regenerated pools): both must take the same warm
-            // path to the same equilibrium, leaving bitwise-equal seeds
-            // behind.
+            // Churned rounds — removals, then arrivals: both must take the
+            // same warm path to the same equilibrium, leaving
+            // bitwise-equal seeds behind.
             let removed = drop_tail(&inst, 12);
             for churned in [removed.clone(), arrivals(&removed)] {
-                let a = live.resolve(&churned, &churn);
-                let b = restored.resolve(&churned, &churn);
+                let a = live.resolve(&churned, &keys);
+                let b = restored.resolve(&churned, &keys);
                 assert!(live.last_stats().centers_warm > 0, "{}", algorithm.name());
                 assert_eq!(
                     live.last_stats(),
@@ -1064,7 +1091,7 @@ mod tests {
         let inst = instance(10);
         let keys: Vec<u64> = (0..inst.workers.len() as u64).collect();
         let mut live = Solver::new(SolveConfig::new(Algorithm::Gta));
-        live.resolve(&inst, &keyed_churn(&keys));
+        live.resolve(&inst, &keys);
         let mut seed = live.cache_seed().unwrap();
         // A mask no pool of this instance contains.
         seed.centers[0].selections[0] = Some(u128::MAX);
@@ -1072,7 +1099,7 @@ mod tests {
         assert!(!restored.rehydrate(&inst, &keys, &seed));
         assert!(!restored.is_primed());
         // Unprimed is safe: the next round just solves cold.
-        let out = restored.resolve(&inst, &ChurnSet::empty(inst.workers.len()));
+        let out = restored.resolve(&inst, &keys);
         assert!(out.assignment.validate(&inst).is_ok());
     }
 
@@ -1082,7 +1109,7 @@ mod tests {
         let keys: Vec<u64> = (0..inst.workers.len() as u64).collect();
         let config = SolveConfig::new(Algorithm::Gta);
         let mut live = Solver::new(config);
-        live.resolve(&inst, &keyed_churn(&keys));
+        live.resolve(&inst, &keys);
         let mut seed = live.cache_seed().unwrap();
         seed.centers.push(CenterSeed {
             center: 999,
@@ -1120,9 +1147,9 @@ mod tests {
             let mut seq = Solver::new(sequential);
             let mut par = Solver::new(parallel);
             for (i, round) in rounds.iter().enumerate() {
-                let churn = identity_churn(round);
-                let a = seq.resolve(round, &churn);
-                let b = par.resolve_on(round, &churn, &pool);
+                let keys = identity_keys(round);
+                let a = seq.resolve(round, &keys);
+                let b = par.resolve_on(round, &keys, &pool);
                 let name = algorithm.name();
                 assert_eq!(a.assignment, b.assignment, "{name} round {i}");
                 assert_eq!(seq.last_stats(), par.last_stats(), "{name} round {i}");
@@ -1136,12 +1163,8 @@ mod tests {
     fn worker_key_mismatch_falls_back_to_cold() {
         let inst = instance(8);
         let mut solver = Solver::new(SolveConfig::new(Algorithm::Gta));
-        solver.resolve(&inst, &identity_churn(&inst));
-        let bad = ChurnSet {
-            worker_keys: vec![0; 3], // wrong length
-            ..ChurnSet::default()
-        };
-        let out = solver.resolve(&inst, &bad);
+        solver.resolve(&inst, &identity_keys(&inst));
+        let out = solver.resolve(&inst, &[0; 3]); // wrong length
         assert!(out.assignment.validate(&inst).is_ok());
         assert_eq!(solver.last_stats().centers_cold, inst.centers.len());
     }

@@ -28,8 +28,8 @@ use crate::random::random_assignment;
 use crate::stats::BestResponseStats;
 use crate::trace::ConvergenceTrace;
 use fta_core::instance::{CenterView, DpAggregate};
-use fta_core::{Assignment, CancelToken, CenterId, Instance, SolveBudget, WorkerId};
-use fta_vdps::{GenControl, GenerationStats, PoolCache, StrategySpace, VdpsConfig, WorkerPool};
+use fta_core::{Assignment, CancelToken, CenterId, Instance, SolveBudget};
+use fta_vdps::{GenControl, GenerationStats, StrategySpace, VdpsConfig, WorkerPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -319,18 +319,18 @@ pub(crate) struct CenterOutcome {
     pub(crate) rung: LadderRung,
 }
 
-/// Everything an incremental [`crate::resolve::Solver`] needs to remember
-/// about a fully solved center: the VDPS pool snapshot for delta updates
-/// and the equilibrium profile (as delivery-point masks, which survive the
-/// per-round renumbering of pool indices) for the warm start.
-#[derive(Clone)]
+/// What a fully solved center hands an incremental
+/// [`crate::resolve::Solver`]: the view and VDPS config its pool was
+/// generated under, and the equilibrium profile (as delivery-point masks,
+/// which survive the per-round renumbering of pool indices) for the warm
+/// start. No pool is kept: a warm center regenerates its own.
 pub(crate) struct CenterCapture {
-    /// Bitwise snapshot of the generated pool and its inputs.
-    pub(crate) pool_cache: PoolCache,
+    /// The solved view, its delivery points in local bit order.
+    pub(crate) view: CenterView,
+    /// The (clamped) config the pool was generated under.
+    pub(crate) vdps_cfg: VdpsConfig,
     /// Selected strategy per local worker, as the strategy's dp mask.
     pub(crate) selections: Vec<Option<u128>>,
-    /// The center's workers in local order.
-    pub(crate) workers: Vec<WorkerId>,
 }
 
 /// Extracts a human-readable message from a caught panic payload.
@@ -574,16 +574,9 @@ fn solve_center_attempt(
             .map(|l| ctx.selection(l).map(|i| space.pool.mask(i as usize)))
             .collect();
         Some(CenterCapture {
-            pool_cache: PoolCache::capture(
-                instance,
-                aggregates,
-                &space.view,
-                &vdps_cfg,
-                &space.pool,
-                &space.gen_stats,
-            ),
+            view: space.view.clone(),
+            vdps_cfg,
             selections,
-            workers: space.view.workers.clone(),
         })
     } else {
         None

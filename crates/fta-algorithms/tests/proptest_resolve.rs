@@ -1,5 +1,5 @@
-//! Property-based tests of the incremental [`Solver`]: a resolve with an
-//! empty churn set must return the cached outcome bit for bit, and warm
+//! Property-based tests of the incremental [`Solver`]: a resolve of an
+//! unchanged instance must return the cached outcome bit for bit, and warm
 //! re-solves under randomized churn must agree with cold solves — exactly
 //! for the deterministic baselines, and up to equilibrium validity for
 //! the iterative games. A pooled round must equal the sequential one.
@@ -7,7 +7,7 @@
 use fta_algorithms::{
     solve, solve_with_pool, Algorithm, FgtConfig, IegtConfig, MptaConfig, SolveConfig, Solver,
 };
-use fta_core::{ChurnSet, Instance, WorkerId};
+use fta_core::{Instance, WorkerId};
 use fta_data::{generate_syn, SynConfig};
 use fta_vdps::WorkerPool;
 use proptest::prelude::*;
@@ -36,6 +36,11 @@ fn arb_instance_with(centers: Range<usize>) -> impl Strategy<Value = Instance> {
     })
 }
 
+/// Each worker keyed by its own index.
+fn identity_keys(instance: &Instance) -> Vec<u64> {
+    (0..instance.workers.len() as u64).collect()
+}
+
 /// A randomized churn: drop a fraction of tasks and age the rest.
 fn churn_instance(base: &Instance, drop_every: usize, age: f64) -> Instance {
     let mut churned = base.clone();
@@ -53,7 +58,7 @@ fn churn_instance(base: &Instance, drop_every: usize, age: f64) -> Instance {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Resolving with an empty churn set is a pure cache hit: every
+    /// Resolving an unchanged instance is a pure cache hit: every
     /// center short-circuits clean and the merged assignment is the
     /// cached one bit for bit, for every algorithm family.
     #[test]
@@ -66,8 +71,8 @@ proptest! {
             Algorithm::Random { seed: 9 },
         ] {
             let mut solver = Solver::new(SolveConfig::new(algorithm));
-            let first = solver.resolve(&instance, &ChurnSet::empty(instance.workers.len()));
-            let again = solver.resolve(&instance, &ChurnSet::empty(instance.workers.len()));
+            let first = solver.resolve(&instance, &identity_keys(&instance));
+            let again = solver.resolve(&instance, &identity_keys(&instance));
             let stats = solver.last_stats();
             prop_assert_eq!(
                 stats.centers_clean,
@@ -91,7 +96,8 @@ proptest! {
 
     /// Under randomized task churn the warm GTA resolve must be bitwise
     /// equal to a cold solve of the churned instance: GTA is
-    /// deterministic and the delta pool is bit-identical to regeneration.
+    /// deterministic and the warm path regenerates the pool as a cold
+    /// solve does.
     #[test]
     fn warm_gta_equals_cold_under_randomized_churn(
         instance in arb_instance(),
@@ -100,9 +106,9 @@ proptest! {
     ) {
         let config = SolveConfig::new(Algorithm::Gta);
         let mut solver = Solver::new(config);
-        solver.resolve(&instance, &ChurnSet::empty(instance.workers.len()));
+        solver.resolve(&instance, &identity_keys(&instance));
         let churned = churn_instance(&instance, drop_every, age);
-        let warm = solver.resolve(&churned, &ChurnSet::empty(churned.workers.len()));
+        let warm = solver.resolve(&churned, &identity_keys(&churned));
         let cold = solve(&churned, &config);
         prop_assert_eq!(&warm.assignment, &cold.assignment);
         let pop: Vec<WorkerId> = churned.workers.iter().map(|w| w.id).collect();
@@ -128,15 +134,15 @@ proptest! {
     ) {
         let config = SolveConfig::new(Algorithm::Fgt(FgtConfig::default()));
         let churned = churn_instance(&instance, drop_every, age);
-        let churn = ChurnSet::empty(churned.workers.len());
+        let keys = identity_keys(&churned);
 
         let mut a = Solver::new(config);
-        a.resolve(&instance, &ChurnSet::empty(instance.workers.len()));
-        let wa = a.resolve(&churned, &churn);
+        a.resolve(&instance, &identity_keys(&instance));
+        let wa = a.resolve(&churned, &keys);
 
         let mut b = Solver::new(config);
-        b.resolve(&instance, &ChurnSet::empty(instance.workers.len()));
-        let wb = b.resolve(&churned, &churn);
+        b.resolve(&instance, &identity_keys(&instance));
+        let wb = b.resolve(&churned, &keys);
 
         prop_assert!(wa.assignment.validate(&churned).is_ok());
         prop_assert!(wa.trace.converged, "warm FGT did not converge");

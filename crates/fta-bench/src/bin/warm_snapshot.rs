@@ -1,7 +1,8 @@
 //! Writes `BENCH_incremental.json`: a machine-readable snapshot of the
-//! incremental re-solve path (dirty-center detection, delta VDPS
-//! updates, equilibrium warm starts) against per-round cold solves, so
-//! the perf trajectory of `Solver::resolve` is tracked in-repo.
+//! incremental re-solve path (dirty-center detection, VDPS regeneration
+//! of churned centers, equilibrium warm starts) against per-round cold
+//! solves, so the perf trajectory of `Solver::resolve` is tracked
+//! in-repo.
 //!
 //! Each grid row replays a sequence of churned rounds in two modes.
 //! Churn is delivery-shaped, matching the sim's semantics (a served
@@ -13,12 +14,11 @@
 //!
 //! * `drop` — deliveries only, deadlines do not move between rounds:
 //!   untouched centers short-circuit clean (bitwise-identical input)
-//!   and cost nothing, active centers take the delta + warm-start path;
+//!   and cost nothing, active centers regenerate and warm-start;
 //! * `aged` — deliveries *plus* every surviving deadline shrinks by the
 //!   round length (the adversarial shape): every center is touched
-//!   every round and every route payload is rebuilt, so only the delta
-//!   updater's order reuse and the equilibrium warm start carry
-//!   savings.
+//!   every round and regenerates its pool, so only the equilibrium warm
+//!   start can carry savings, and warm and cold run about even.
 //!
 //! Usage: `cargo run -p fta-bench --release --bin warm_snapshot -- [OUT]`
 //! (default OUT: `BENCH_incremental.json`). Set `FTA_BENCH_QUICK=1` to
@@ -29,7 +29,7 @@
 
 use fta_algorithms::{solve, Algorithm, FgtConfig, ResolveStats, SolveConfig, Solver};
 use fta_bench::{best_secs, gates, hw_threads, obj};
-use fta_core::{ChurnSet, Instance};
+use fta_core::Instance;
 use fta_data::SynConfig;
 use fta_vdps::VdpsConfig;
 use serde_json::Value;
@@ -112,13 +112,15 @@ fn main() -> std::io::Result<()> {
         // Prime one solver on round 0; every timed repetition branches a
         // clone off this state so warm reps all start from the same cache.
         let mut primed = Solver::new(config);
-        let round0 = primed.resolve(&base, &ChurnSet::empty(base.workers.len()));
+        // Synthetic rounds keep every worker, so identity keys are stable.
+        let keys: Vec<u64> = (0..base.workers.len() as u64).collect();
+        let round0 = primed.resolve(&base, &keys);
 
         // Zero-churn equivalence gate: a resolve of the identical
         // instance must be a pure cache hit, bit for bit.
         {
             let mut s = primed.clone();
-            let again = s.resolve(&base, &ChurnSet::empty(base.workers.len()));
+            let again = s.resolve(&base, &keys);
             assert_eq!(
                 again.assignment, round0.assignment,
                 "{}: zero-churn resolve diverged from the cached outcome",
@@ -141,10 +143,6 @@ fn main() -> std::io::Result<()> {
                 cur = churn_round(&cur, r, age);
                 rounds.push(cur.clone());
             }
-            let churns: Vec<ChurnSet> = rounds
-                .iter()
-                .map(|inst| ChurnSet::empty(inst.workers.len()))
-                .collect();
 
             let cold_s = best_secs(reps, || {
                 for inst in &rounds {
@@ -153,8 +151,8 @@ fn main() -> std::io::Result<()> {
             });
             let warm_s = best_secs(reps, || {
                 let mut s = primed.clone();
-                for (inst, churn) in rounds.iter().zip(&churns) {
-                    black_box(s.resolve(inst, churn));
+                for inst in &rounds {
+                    black_box(s.resolve(inst, &keys));
                 }
             });
 
@@ -162,8 +160,8 @@ fn main() -> std::io::Result<()> {
             // check of every warm round.
             let mut audited = primed.clone();
             let mut stats = ResolveStats::default();
-            for (inst, churn) in rounds.iter().zip(&churns) {
-                let outcome = audited.resolve(inst, churn);
+            for inst in &rounds {
+                let outcome = audited.resolve(inst, &keys);
                 assert!(
                     outcome.assignment.validate(inst).is_ok(),
                     "{}/{mode}: warm round produced an invalid assignment",
@@ -195,9 +193,10 @@ fn main() -> std::io::Result<()> {
             // `fta_bench::gates`). Delivery churn is where the incremental
             // path earns its keep: it must beat cold by a wide margin at
             // paper scale and never lose anywhere. Deep uniform aging
-            // rebuilds every route payload, so its structural win is only
-            // the retimed delta plus the warm start's assignment savings —
-            // a thin margin that gets a timer-noise allowance.
+            // touches every center, which regenerates its pool as a cold
+            // solve would, so warm and cold differ only by the warm
+            // start's assignment savings — a thin margin that gets a
+            // timer-noise allowance.
             let aged_band = gates::aged_noise_band(quick);
             if mode == "drop" {
                 assert!(
@@ -253,8 +252,9 @@ fn main() -> std::io::Result<()> {
         (
             "description",
             Value::String(
-                "Incremental re-solve (dirty-center detection + delta VDPS \
-                 updates + equilibrium warm starts) vs per-round cold solves \
+                "Incremental re-solve (dirty-center detection + VDPS \
+                 regeneration of churned centers + equilibrium warm starts) \
+                 vs per-round cold solves \
                  over sequences of delivery-shaped churn rounds (~2.5% of \
                  delivery points per round, clustered by center), FGT, \
                  best-of-N"

@@ -23,8 +23,9 @@ pub fn quick_mode() -> bool {
 pub const WARM_PAPER_DROP_FLOOR: f64 = 3.0;
 
 /// Noise allowance for the `aged` churn mode, where uniform deadline
-/// aging rebuilds every route payload and the warm path's structural win
-/// is thin: warm must stay within this factor of cold. 30% in quick mode
+/// aging touches every center, each regenerating its pool as a cold solve
+/// would, so warm and cold run about even: warm must stay within this
+/// factor of cold. 30% in quick mode
 /// — 2 reps over 3 rounds leave the best-of-reps estimate dominated by
 /// machine noise (observed swing on one box: 0.87x–1.44x across
 /// back-to-back quick runs) — and 10% in full mode.

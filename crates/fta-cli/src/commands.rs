@@ -20,19 +20,15 @@ fn unix_ms() -> u64 {
 /// The solve ledger's `engine` key: the candidate search the algorithm's
 /// best-response turns take, `"exhaustive"` when its IAU weights make the
 /// monotone scan unsound ([`fta_algorithms::fastpath_sound`]) and
-/// `"fastpath"` otherwise (IEGT's raw-payoff utilities and the baselines
-/// included).
+/// `"fastpath"` otherwise (IEGT's raw-payoff utilities included), or
+/// `"none"` for the baselines, which play no best-response loop.
 fn br_search(algorithm: &fta_algorithms::Algorithm) -> &'static str {
     use fta_algorithms::{fastpath_sound, Algorithm};
-    let sound = match algorithm {
-        Algorithm::Fgt(cfg) => fastpath_sound(cfg.iau),
-        Algorithm::Pfgt(cfg) => fastpath_sound(cfg.base.iau),
-        _ => true,
-    };
-    if sound {
-        "fastpath"
-    } else {
-        "exhaustive"
+    match algorithm {
+        Algorithm::Fgt(cfg) if !fastpath_sound(cfg.iau) => "exhaustive",
+        Algorithm::Pfgt(cfg) if !fastpath_sound(cfg.base.iau) => "exhaustive",
+        Algorithm::Fgt(_) | Algorithm::Pfgt(_) | Algorithm::Iegt(_) => "fastpath",
+        Algorithm::Gta | Algorithm::Mpta(_) | Algorithm::Random { .. } => "none",
     }
 }
 
@@ -1073,7 +1069,7 @@ mod tests {
         let ledger = fta_obs::ledger::parse_file(&ledger_path).unwrap();
         assert_eq!(ledger.records[0].engine, "fastpath");
 
-        use fta_algorithms::{Algorithm, FgtConfig, IegtConfig, PfgtConfig};
+        use fta_algorithms::{Algorithm, FgtConfig, IegtConfig, MptaConfig, PfgtConfig};
         let guilty = fta_core::iau::IauParams {
             alpha: 0.5,
             beta: 1.5,
@@ -1092,7 +1088,14 @@ mod tests {
             br_search(&Algorithm::Iegt(IegtConfig::default())),
             "fastpath"
         );
-        assert_eq!(br_search(&Algorithm::Gta), "fastpath");
+        // The baselines play no best-response loop.
+        for baseline in [
+            Algorithm::Gta,
+            Algorithm::Mpta(MptaConfig::default()),
+            Algorithm::Random { seed: 1 },
+        ] {
+            assert_eq!(br_search(&baseline), "none");
+        }
 
         let _ = std::fs::remove_file(&instance_path);
         let _ = std::fs::remove_file(&ledger_path);

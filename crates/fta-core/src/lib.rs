@@ -34,7 +34,6 @@
 pub mod assignment;
 pub mod budget;
 pub mod builder;
-pub mod churn;
 pub mod entities;
 pub mod error;
 pub mod fairness;
@@ -49,7 +48,6 @@ pub mod route;
 
 pub use assignment::Assignment;
 pub use budget::{set_exhaustion_observer, CancelToken, SolveBudget};
-pub use churn::{CenterChurn, ChurnSet};
 pub use entities::{DeliveryPoint, DistributionCenter, SpatialTask, Worker};
 pub use error::{FtaError, Result};
 pub use fairness::FairnessReport;

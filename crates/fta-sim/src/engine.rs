@@ -9,7 +9,7 @@ use fta_core::entities::{SpatialTask, Worker};
 use fta_core::geometry::Point;
 use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
 use fta_core::route::Route;
-use fta_core::{CenterChurn, ChurnSet, Instance, SolveBudget};
+use fta_core::{Instance, SolveBudget};
 use fta_durable::{DurableError, FsyncPolicy, Journal};
 use fta_obs::ledger::SolveRecord;
 use fta_vdps::VdpsConfig;
@@ -130,11 +130,12 @@ pub struct SimConfig {
     /// without the fault layer.
     pub faults: Option<FaultPlan>,
     /// Solve rounds incrementally (batch policies only): a persistent
-    /// [`Solver`] keeps per-center VDPS pools and equilibrium profiles
-    /// between rounds, delta-updates them against the computed
-    /// [`ChurnSet`], and warm-starts the game from the previous round's
-    /// equilibrium. For deterministic single-attempt algorithms (GTA,
-    /// MPTA, Random) the incremental day is bit-identical to the cold day;
+    /// [`Solver`] remembers each center's inputs and equilibrium profile
+    /// between rounds, returns unchanged centers as cached, regenerates
+    /// the pools of churned centers, and warm-starts the game from the
+    /// previous round's equilibrium. For deterministic single-attempt
+    /// algorithms (GTA, MPTA, Random) the incremental day is
+    /// bit-identical to the cold day;
     /// the iterative games may converge to a different — equally valid —
     /// equilibrium because the warm path runs a single best-response pass
     /// instead of multi-restart search.
@@ -292,70 +293,6 @@ pub(crate) fn round_instance(
         tasks,
         scenario.config.speed,
     )
-}
-
-/// The shape of one solved round, remembered for churn detection: the
-/// instant it was solved at, which scenario workers were idle per center,
-/// and how many tasks each center's snapshot carried.
-pub(crate) struct RoundShape {
-    pub(crate) now: f64,
-    pub(crate) center_workers: Vec<Vec<usize>>,
-    pub(crate) center_tasks: Vec<u64>,
-}
-
-impl RoundShape {
-    fn of(scenario: &Scenario, idle: &[usize], instance: &Instance, now: f64) -> Self {
-        let n_centers = scenario.centers.len();
-        let mut center_workers = vec![Vec::new(); n_centers];
-        for &orig in idle {
-            center_workers[scenario.workers[orig].center.index()].push(orig);
-        }
-        let mut center_tasks = vec![0u64; n_centers];
-        for t in &instance.tasks {
-            center_tasks[scenario.delivery_points[t.delivery_point.index()]
-                .center
-                .index()] += 1;
-        }
-        Self {
-            now,
-            center_workers,
-            center_tasks,
-        }
-    }
-}
-
-/// Builds the [`ChurnSet`] handed to [`Solver::resolve`]: worker keys are
-/// scenario indices (stable across the dense per-round renumbering), age
-/// is the time since the last solved round, and the per-center
-/// diagnostics compare idle sets exactly and task counts approximately
-/// (count deltas — identity-accurate task diffing is the solver's job,
-/// done bitwise on aggregates).
-fn churn_between(prev: Option<&RoundShape>, cur: &RoundShape, idle: &[usize]) -> ChurnSet {
-    let worker_keys = idle.iter().map(|&w| w as u64).collect();
-    let Some(prev) = prev else {
-        return ChurnSet {
-            age: 0.0,
-            worker_keys,
-            per_center: Vec::new(),
-        };
-    };
-    let per_center = cur
-        .center_workers
-        .iter()
-        .zip(&prev.center_workers)
-        .zip(cur.center_tasks.iter().zip(&prev.center_tasks))
-        .map(|((cw, pw), (&ct, &pt))| CenterChurn {
-            added_tasks: ct.saturating_sub(pt).min(u64::from(u32::MAX)) as u32,
-            removed_tasks: pt.saturating_sub(ct).min(u64::from(u32::MAX)) as u32,
-            arrived_workers: cw.iter().filter(|w| !pw.contains(w)).count() as u32,
-            departed_workers: pw.iter().filter(|w| !cw.contains(w)).count() as u32,
-        })
-        .collect();
-    ChurnSet {
-        age: cur.now - prev.now,
-        worker_keys,
-        per_center,
-    }
 }
 
 /// A log-normal multiplicative factor with median 1 (Box–Muller), or
@@ -591,7 +528,6 @@ impl LoopState {
             location: scenario.workers.iter().map(|w| w.location).collect(),
             pending: Vec::new(),
             fault_rng: config.faults.map(|p| StdRng::seed_from_u64(p.seed)),
-            last_round: None,
         }
     }
 }
@@ -776,16 +712,11 @@ fn drive(
                     DispatchPolicy::Batch(algorithm) => {
                         let solve_config = solve_config(config, algorithm);
                         let outcome = if config.incremental {
-                            let churn = {
-                                let _span = fta_obs::span("sim.churn");
-                                let shape = RoundShape::of(scenario, &idle, &instance, now);
-                                let churn = churn_between(st.last_round.as_ref(), &shape, &idle);
-                                st.last_round = Some(shape);
-                                churn
-                            };
+                            // Scenario indices are the stable worker keys.
+                            let keys: Vec<u64> = idle.iter().map(|&w| w as u64).collect();
                             inc_solver
                                 .get_or_insert_with(|| Solver::new(solve_config))
-                                .resolve(&instance, &churn)
+                                .resolve(&instance, &keys)
                         } else {
                             solve(&instance, &solve_config)
                         };
@@ -1228,32 +1159,6 @@ mod tests {
         let m = run(&scenario, &cfg);
         assert!(m.is_conserved(), "accounting broken: {m:?}");
         assert_eq!(m.degraded_rounds, m.rounds);
-    }
-
-    #[test]
-    fn churn_between_reports_arrivals_departures_and_age() {
-        let prev = RoundShape {
-            now: 1.0,
-            center_workers: vec![vec![0, 1], vec![4]],
-            center_tasks: vec![5, 2],
-        };
-        let cur = RoundShape {
-            now: 1.25,
-            center_workers: vec![vec![1, 2], vec![]],
-            center_tasks: vec![3, 6],
-        };
-        let churn = churn_between(Some(&prev), &cur, &[1, 2]);
-        assert!((churn.age - 0.25).abs() < 1e-12);
-        assert_eq!(churn.worker_keys, vec![1, 2]);
-        assert_eq!(churn.per_center[0].arrived_workers, 1); // worker 2
-        assert_eq!(churn.per_center[0].departed_workers, 1); // worker 0
-        assert_eq!(churn.per_center[0].removed_tasks, 2);
-        assert_eq!(churn.per_center[1].added_tasks, 4);
-        assert_eq!(churn.per_center[1].departed_workers, 1);
-        // First round: no previous shape, empty diagnostics.
-        let first = churn_between(None, &cur, &[1, 2]);
-        assert_eq!(first.age, 0.0);
-        assert!(first.per_center.is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every journaled payload is a *self-contained* recovery point: the full
 //! engine loop state (ledgers, worker positions, pending queue, fault-RNG
-//! state, churn shape), plus — when incremental solving is on — the seed
+//! state), plus — when incremental solving is on — the seed
 //! of the solver's warm caches, plus the round's ledger record, so
 //! `fta recover` can rebuild the day's ledger. The same bytes go to a log
 //! frame or, on a snapshot round, to the snapshot alone. Recovery
@@ -37,7 +37,7 @@
 //! is [`DurableError::BadVersion`] (no reader for an older version is
 //! kept), and an index outside the scenario is [`DurableError::Corrupt`].
 //!
-//! Payload v5 is compact. Counts, indices, counters and length prefixes
+//! Payload v6 is compact. Counts, indices, counters and length prefixes
 //! are LEB128 varints (see [`fta_durable::wire`]), so the ledgers' route
 //! and delivery counts take a byte or two instead of eight. A pending
 //! entry is the zigzag delta of its task index from the previous entry's
@@ -46,10 +46,10 @@
 //! fault-free entry typically takes two bytes. Every `f64` stays its
 //! IEEE-754 bit pattern and the fault-RNG state and selection masks stay
 //! fixed-width: a decimal round-trip would break the bitwise clean-check
-//! the incremental solver performs on restored pools, and the replayed
+//! the incremental solver performs on restored caches, and the replayed
 //! ledger's bit-for-bit equality with the live one.
 
-use crate::engine::{round_instance, Pending, RoundShape, SimConfig};
+use crate::engine::{round_instance, Pending, SimConfig};
 use crate::metrics::WorkerLedger;
 use crate::scenario::Scenario;
 use fta_algorithms::{CacheSeed, CenterSeed};
@@ -61,7 +61,7 @@ use fta_obs::ledger::{CenterRecord, FairnessRecord, SolveRecord};
 use rand::rngs::StdRng;
 
 /// Version byte opening every frame payload.
-pub const STATE_VERSION: u8 = 5;
+pub const STATE_VERSION: u8 = 6;
 
 /// The complete mutable state of the engine loop at a round boundary.
 pub(crate) struct LoopState {
@@ -81,7 +81,6 @@ pub(crate) struct LoopState {
     pub(crate) location: Vec<Point>,
     pub(crate) pending: Vec<Pending>,
     pub(crate) fault_rng: Option<StdRng>,
-    pub(crate) last_round: Option<RoundShape>,
 }
 
 /// Solver-cache seed journaled alongside the state on incremental runs,
@@ -255,13 +254,6 @@ fn encode_state(w: &mut Writer, st: &LoopState) {
             w.u64(s);
         }
     });
-    w.opt(&st.last_round, |w, lr| {
-        w.f64(lr.now);
-        w.seq(&lr.center_workers, |w, cw| {
-            w.seq(cw, |w, &orig| w.var(orig as u64));
-        });
-        w.seq(&lr.center_tasks, |w, &t| w.var(t));
-    });
 }
 
 fn decode_state(r: &mut Reader<'_>) -> Result<LoopState, DurableError> {
@@ -290,16 +282,6 @@ fn decode_state(r: &mut Reader<'_>) -> Result<LoopState, DurableError> {
     let fault_rng = r
         .opt(|r| Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?]))?
         .map(StdRng::from_state);
-    let last_round = r.opt(|r| {
-        let now = r.f64()?;
-        let center_workers = r.seq(|r| r.seq(var_usize))?;
-        let center_tasks = r.seq(Reader::var)?;
-        Ok(RoundShape {
-            now,
-            center_workers,
-            center_tasks,
-        })
-    })?;
     Ok(LoopState {
         now,
         rounds,
@@ -317,7 +299,6 @@ fn decode_state(r: &mut Reader<'_>) -> Result<LoopState, DurableError> {
         location,
         pending,
         fault_rng,
-        last_round,
     })
 }
 
@@ -587,7 +568,7 @@ fn fnv64(data: &[u8]) -> u64 {
 pub(crate) fn fingerprint(scenario: &Scenario, config: &SimConfig) -> u64 {
     // Byte strings keep the fixed-width `u64` length prefix they had
     // before the wire codec moved to varints, so the fingerprint did not
-    // change with payload v5: a journal from an older build is refused
+    // change with payloads v5 and v6: a journal from an older build is refused
     // as `BadVersion`, not as a foreign journal.
     let bytes = |w: &mut Writer, v: &[u8]| {
         w.u64(v.len() as u64);
@@ -672,11 +653,6 @@ mod tests {
                 eligible_after: 1.5,
             }],
             fault_rng: Some(rng),
-            last_round: Some(RoundShape {
-                now: 1.25,
-                center_workers: vec![vec![0], vec![1]],
-                center_tasks: vec![3, 0],
-            }),
         }
     }
 
@@ -797,9 +773,6 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(a.gen_range(0u64..u64::MAX), b.gen_range(0u64..u64::MAX));
         }
-        let lr = d.last_round.as_ref().unwrap();
-        assert_eq!(lr.center_workers, vec![vec![0], vec![1]]);
-        assert_eq!(lr.center_tasks, vec![3, 0]);
     }
 
     #[test]
@@ -808,13 +781,14 @@ mod tests {
         let mut payload = encode_frame(1, &st, None, Some(&sample_record(&st)));
         // 1 is the retired format that copied the scenario into frames, 2
         // the one that carried the ledger record as a JSON line, 3 the one
-        // whose center records carried a shard option, and 4 the
-        // fixed-width one; no reader for any of them is kept.
-        for version in [1u8, 2, 3, 4, 9] {
+        // whose center records carried a shard option, 4 the fixed-width
+        // one, and 5 the one that carried the last round's churn tally;
+        // no reader for any of them is kept.
+        for version in [1u8, 2, 3, 4, 5, 9] {
             payload[0] = version;
             assert!(matches!(
                 decode_frame(&payload),
-                Err(DurableError::BadVersion { expected: 5, found }) if found == u32::from(version)
+                Err(DurableError::BadVersion { expected: 6, found }) if found == u32::from(version)
             ));
         }
     }
@@ -879,7 +853,6 @@ mod tests {
     fn unknown_pending_flags_are_corrupt() {
         let mut st = sample_state();
         st.fault_rng = None;
-        st.last_round = None;
         st.pending = vec![Pending {
             task: 0,
             cancel_at: None,
@@ -887,10 +860,10 @@ mod tests {
             eligible_after: 0.0,
         }];
         let mut payload = encode_frame(1, &st, None, None);
-        // The frame ends [.., delta 0, flags 0, no rng, no shape, no
-        // seed, no record].
-        let flags = payload.len() - 5;
-        assert_eq!(payload[flags - 1..], [0; 6]);
+        // The frame ends [.., delta 0, flags 0, no rng, no seed, no
+        // record].
+        let flags = payload.len() - 4;
+        assert_eq!(payload[flags - 1..], [0; 5]);
         payload[flags] = 0x08;
         assert!(matches!(
             decode_frame(&payload),

@@ -1,9 +1,9 @@
 //! The simulator and journal layers a traced day attributes time to.
-//! Under a recorder, an incremental journaled day must span its churn
-//! diff (`sim.churn`), its ledger-record staging (`sim.record`) and its
-//! end-of-round fairness block (`sim.fairness`) once per solve round and
-//! the journal's create (`durable.create`) once, and restoring it must
-//! span recovery and frame decode (`durable.recover`) once.
+//! Under a recorder, an incremental journaled day must span its
+//! ledger-record staging (`sim.record`) and its end-of-round fairness
+//! block (`sim.fairness`) once per solve round and the journal's create
+//! (`durable.create`) once, and restoring it must span recovery and
+//! frame decode (`durable.recover`) once.
 //!
 //! The recorder is process-global, so this file holds a single test.
 
@@ -51,7 +51,6 @@ fn a_traced_journaled_day_and_its_restore_span_churn_fairness_and_recovery() {
     assert!(ticks > 0, "the day ran no solve round");
     // The restore resumes after the last journaled round, so it adds no
     // rounds of its own.
-    assert_eq!(snapshot.span_count("sim.churn"), ticks);
     assert_eq!(snapshot.span_count("sim.record"), ticks);
     assert_eq!(snapshot.span_count("sim.fairness"), ticks);
     assert_eq!(snapshot.span_count("durable.create"), 1);

@@ -243,28 +243,6 @@ impl VdpsPool {
         self.close_row(mask, reward, slack);
     }
 
-    /// Appends a copy of `src`'s row `r` under `mask`. With `aggregates`
-    /// the copy is *retimed*: its reward and slack are folded afresh over
-    /// the kept stops and arrival offsets — bit-identical to
-    /// [`Route::build`] as long as no stop moved.
-    pub(crate) fn push_copy(
-        &mut self,
-        src: &VdpsPool,
-        r: usize,
-        mask: u128,
-        aggregates: Option<&[DpAggregate]>,
-    ) {
-        let stops = src.stops(r);
-        let offsets = src.offsets(r);
-        self.stops.extend_from_slice(stops);
-        self.offsets.extend_from_slice(offsets);
-        let (reward, slack) = match aggregates {
-            Some(aggregates) => fold(stops, offsets, aggregates),
-            None => (src.rewards[r], src.slacks[r]),
-        };
-        self.close_row(mask, reward, slack);
-    }
-
     fn close_row(&mut self, mask: u128, reward: f64, slack: f64) {
         let start = *self.starts.last().expect("starts holds the leading 0") as usize;
         debug_assert!(self.stops.len() > start, "a set visits at least one point");

@@ -87,7 +87,6 @@ pub mod arena;
 pub mod columns;
 pub mod config;
 pub mod dedup;
-pub mod delta;
 mod flat;
 pub mod generator;
 pub mod kernel;
@@ -99,7 +98,6 @@ pub mod strategy;
 pub use arena::ArenaStats;
 pub use columns::{VdpsPool, VdpsRow};
 pub use config::VdpsConfig;
-pub use delta::{delta_update, DeltaStats, PoolCache};
 pub use generator::{
     generate_c_vdps, generate_c_vdps_budgeted, generate_c_vdps_in, GenControl, GenerationStats,
 };
